@@ -18,16 +18,14 @@ Usage::
         --output /tmp/bench_e2e.json --compare BENCH_e2e.json --tolerance 0.4
 
 ``--compare`` matches fan-out rows by ``(subscribers, faults)`` and pipeline
-rows by ``(subscribers, mode)``, failing when any matched row's
+rows by ``(experiment, subscribers)``, failing when any matched row's
 ``deliveries_per_sec`` regressed beyond ``--tolerance``.
 
 The PIPELINE experiment deploys real subscriptions (filter -> restructure
 plans over one alerter feed, reuse disabled so every subscription runs its
-own plan) and measures publish -> deliver throughput in both execution
-modes; the ``compile_speedup_*`` summary entries track the compiled-mode
-gain the plan compiler is gated on.  The PIPELINE-JOIN experiment does the
-same over self-join plans, exercising stateful-consumer fusion (the fused
-filter pipeline pushing straight into the JOIN's probe closure).
+own plan) and measures publish -> deliver throughput.  The PIPELINE-JOIN
+experiment does the same over self-join plans (a fused filter pipeline
+feeding each JOIN input).
 """
 
 from __future__ import annotations
@@ -58,17 +56,6 @@ PRE_PR_BASELINE = {
     "deliveries_per_sec_at_1k_subscribers_perfect": 22175.9,
     "deliveries_per_sec_at_1k_subscribers_faulty": 20410.9,
     "deliveries_per_sec_at_10k_subscribers_perfect": 16736.2,
-}
-
-#: PIPELINE-JOIN throughput measured immediately before stateful-consumer
-#: fusion landed (PR 9: compiled pipelines always emitted into the JOIN's
-#: input stream; same machine/workload, best-of-rounds).  Keyed by
-#: (subscribers, mode) so both modes carry their speedup-vs-pre-fusion.
-PRE_FUSION_JOIN_BASELINE = {
-    (300, "interpreted"): 23091.1,
-    (300, "compiled"): 28457.9,
-    (1000, "interpreted"): 20901.4,
-    (1000, "compiled"): 24194.1,
 }
 
 #: The fault model used by every "faults" row: mild loss and duplication,
@@ -175,9 +162,7 @@ def build_shard_workload(
     backend differs.  The shard assigner pins the source to shard 0 and
     manager ``m{j}`` to shard ``j % shards``, so under the sharded runtime
     every worker owns an equal slice of the plans and all cross-shard
-    traffic is the source fan-out.  Plans run compiled: the SHARD rows
-    measure how the *runtime* scales the fast path, not interpreter
-    overhead.
+    traffic is the source fan-out.
     """
 
     def pin(peer_id: str, n: int) -> int | None:
@@ -187,11 +172,7 @@ def build_shard_workload(
             return int(peer_id[1:]) % n
         return None
 
-    kwargs: dict = {
-        "seed": seed,
-        "placement_mode": "manager",
-        "execution_mode": "compiled",
-    }
+    kwargs: dict = {"seed": seed, "placement_mode": "manager"}
     if runtime == "sharded":
         kwargs.update(
             runtime="sharded",
@@ -293,17 +274,17 @@ def measure_shard(
 
 
 def build_pipeline_workload(
-    mode: str, n_subscribers: int, seed: int = 11
+    n_subscribers: int, seed: int = 11
 ) -> tuple[P2PMSystem, object, list[int]]:
     """One peer, one alerter feed, ``n_subscribers`` deployed plan pipelines.
 
-    Subscriptions share one restructure template (so compiled mode's CSE
-    table gets system-wide hits) while cycling through 10 distinct filter
+    Subscriptions share one restructure template (so the CSE table gets
+    system-wide hits) while cycling through 10 distinct filter
     thresholds (so the compiled-plan cache sees both hits and misses);
     ``reuse=False`` keeps every subscription on its own plan -- the benchmark
     measures per-plan execution, which is exactly what compilation fuses.
     """
-    system = P2PMSystem(seed=seed, execution_mode=mode)
+    system = P2PMSystem(seed=seed)
     peer = system.add_peer("bench")
     texts = [
         f'for $x in {CHAOS_FUNCTION}(<p>bench</p>) '
@@ -330,10 +311,10 @@ def build_pipeline_workload(
 
 
 def measure_pipeline(
-    mode: str, n_subscribers: int, n_items: int, rounds: int, seed: int = 11
+    n_subscribers: int, n_items: int, rounds: int, seed: int = 11
 ) -> dict:
     """Best-of-``rounds`` publish+deliver timing through deployed plans."""
-    system, alerter, counters = build_pipeline_workload(mode, n_subscribers, seed)
+    system, alerter, counters = build_pipeline_workload(n_subscribers, seed)
     best_elapsed = float("inf")
     best_delivered = 0
     next_n = 10  # past every threshold, so each item passes all filters
@@ -354,7 +335,8 @@ def measure_pipeline(
     return {
         "experiment": "PIPELINE",
         "subscribers": n_subscribers,
-        "mode": mode,
+        # part of _row_key: the committed baseline rows carry it
+        "mode": "compiled",
         "items": n_items,
         "best_seconds": round(best_elapsed, 6),
         "items_per_sec": round(n_items / best_elapsed, 1),
@@ -364,18 +346,16 @@ def measure_pipeline(
 
 
 def build_join_workload(
-    mode: str, n_subscribers: int, seed: int = 11
+    n_subscribers: int, seed: int = 11
 ) -> tuple[P2PMSystem, object, list[int]]:
     """``n_subscribers`` self-join plans over one alerter feed.
 
     Each subscription joins the chaos feed with itself on the item number
     ($x.n = $y.n), so every emitted item probes a windowed JOIN whose build
-    side just stored it.  In compiled mode the filter pipeline feeding the
-    probe side fuses straight into the JOIN's probe closure (stateful-
-    consumer fusion); ``reuse=False`` keeps each subscription on its own
+    side just stored it.  ``reuse=False`` keeps each subscription on its own
     plan, as in the PIPELINE workload.
     """
-    system = P2PMSystem(seed=seed, execution_mode=mode)
+    system = P2PMSystem(seed=seed)
     peer = system.add_peer("bench")
     texts = [
         f'for $x in {CHAOS_FUNCTION}(<p>bench</p>), '
@@ -403,10 +383,10 @@ def build_join_workload(
 
 
 def measure_join(
-    mode: str, n_subscribers: int, n_items: int, rounds: int, seed: int = 11
+    n_subscribers: int, n_items: int, rounds: int, seed: int = 11
 ) -> dict:
     """Best-of-``rounds`` publish+deliver timing through JOIN plans."""
-    system, alerter, counters = build_join_workload(mode, n_subscribers, seed)
+    system, alerter, counters = build_join_workload(n_subscribers, seed)
     best_elapsed = float("inf")
     best_delivered = 0
     next_n = 10  # past every threshold, so each item passes all filters
@@ -424,23 +404,17 @@ def measure_join(
         ):
             best_elapsed = elapsed
             best_delivered = delivered
-    row = {
+    return {
         "experiment": "PIPELINE-JOIN",
         "subscribers": n_subscribers,
-        "mode": mode,
+        # part of _row_key: the committed baseline rows carry it
+        "mode": "compiled",
         "items": n_items,
         "best_seconds": round(best_elapsed, 6),
         "items_per_sec": round(n_items / best_elapsed, 1),
         "deliveries_per_sec": round(best_delivered / best_elapsed, 1),
         "deliveries": best_delivered,
     }
-    pre_fusion = PRE_FUSION_JOIN_BASELINE.get((n_subscribers, mode))
-    if pre_fusion:
-        row["pre_fusion_deliveries_per_sec"] = pre_fusion
-        row["speedup_vs_pre_fusion"] = round(
-            row["deliveries_per_sec"] / pre_fusion, 2
-        )
-    return row
 
 
 #: Worker-process count for every sharded SHARD row (kept constant across
@@ -473,11 +447,9 @@ def run(quick: bool = False, only: str | None = None) -> dict:
                 rows.append(measure(n_subscribers, n_items, rounds, fault_model))
     if only in (None, "pipeline"):
         for n_subscribers, n_items, rounds in pipeline_matrix:
-            for mode in ("interpreted", "compiled"):
-                rows.append(measure_pipeline(mode, n_subscribers, n_items, rounds))
+            rows.append(measure_pipeline(n_subscribers, n_items, rounds))
         for n_subscribers, n_items, rounds in join_matrix:
-            for mode in ("interpreted", "compiled"):
-                rows.append(measure_join(mode, n_subscribers, n_items, rounds))
+            rows.append(measure_join(n_subscribers, n_items, rounds))
     if only in (None, "shard"):
         for n_subscribers, n_items, rounds in shard_matrix:
             for runtime, supervise in (
@@ -506,27 +478,6 @@ def run(quick: bool = False, only: str | None = None) -> dict:
         summary["speedup_vs_pre_pr_1k"] = round(
             row_1k["deliveries_per_sec"] / baseline, 2
         )
-    for size in (1000, 10000):
-        by_mode = {
-            row["mode"]: row["deliveries_per_sec"]
-            for row in rows
-            if row.get("experiment") == "PIPELINE" and row["subscribers"] == size
-        }
-        if "interpreted" in by_mode and "compiled" in by_mode:
-            summary[f"compile_speedup_{size // 1000}k"] = round(
-                by_mode["compiled"] / by_mode["interpreted"], 2
-            )
-    for size in (300, 1000):
-        by_mode = {
-            row["mode"]: row["deliveries_per_sec"]
-            for row in rows
-            if row.get("experiment") == "PIPELINE-JOIN"
-            and row["subscribers"] == size
-        }
-        if "interpreted" in by_mode and "compiled" in by_mode:
-            summary[f"join_compile_speedup_{size}"] = round(
-                by_mode["compiled"] / by_mode["interpreted"], 2
-            )
     # the sharded runtime's reason to exist: deliveries/s must *rise* with
     # subscriber count (fixed epoch overhead amortised, per-worker working
     # set bounded) while the single-process rate falls
@@ -564,13 +515,11 @@ def row_is_fanout(row: dict) -> bool:
 
 def _row_key(row: dict) -> tuple:
     """Fan-out rows match on (subscribers, faults); pipeline rows on
-    (subscribers, execution mode); shard rows on (subscribers, runtime)."""
+    (experiment, subscribers, "compiled"); shard rows on (subscribers, runtime)."""
     if row_is_fanout(row):
         return ("E2E", row["subscribers"], row["faults"])
     if row.get("experiment") == "SHARD":
         return ("SHARD", row["subscribers"], row["runtime"])
-    # PIPELINE and PIPELINE-JOIN rows both match on (experiment,
-    # subscribers, mode) -- the experiment tag keeps them apart
     return (row.get("experiment", "PIPELINE"), row["subscribers"], row["mode"])
 
 
@@ -663,10 +612,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"speedup vs pre-PR baseline at 1k subscribers: "
               f"{summary['speedup_vs_pre_pr_1k']}x")
     for key in (
-        "compile_speedup_1k",
-        "compile_speedup_10k",
-        "join_compile_speedup_300",
-        "join_compile_speedup_1000",
         "shard_scaling_single",
         "shard_scaling_sharded",
     ):

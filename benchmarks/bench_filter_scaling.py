@@ -5,13 +5,11 @@ queries only for the active subscriptions sustains far higher item rates
 than evaluating every subscription on every item, and the gap widens with
 the number of subscriptions.
 
-The E2-COMPILED rows measure the ``execution_mode="compiled"`` data path
-over the same workload: one fused predicate closure per compilable
-subscription sharing verdicts through the system-wide
-:class:`MaterializedTable`.  The E2-TREE rows measure the tree-pattern
-fusion path (:func:`compile_tree_predicate`) over an all-complex workload
--- the subscriptions the compiler used to split back to a per-subscription
-interpreted FilterProcessor before fusion covered them.
+The E2-COMPILED rows measure the plan compiler's data path over the same
+workload: one fused predicate closure per simple-condition subscription
+sharing verdicts through the system-wide :class:`MaterializedTable`.  The
+E2-TREE rows measure the tree-pattern fusion path
+(:func:`compile_tree_predicate`) over an all-complex workload.
 """
 
 import pytest
@@ -33,11 +31,10 @@ N_ITEMS = 150
 
 
 def compiled_predicate_set(subscriptions):
-    """(interned signature, fused predicate) per compilable subscription.
+    """(interned signature, fused predicate) per simple-condition subscription.
 
-    Subscriptions carrying complex tree-pattern queries are skipped: the
-    PlanCompiler leaves those on the interpreted FilterOperator, so the
-    compiled rows measure exactly the set the fused path would own.
+    Subscriptions carrying complex tree-pattern queries are skipped: they
+    compile through ``compile_tree_predicate`` and are the E2-TREE rows.
     """
     compiled = []
     for subscription in subscriptions:

@@ -73,8 +73,8 @@ SEED_BASELINE = {
 }
 
 #: E2-TREE throughput measured immediately before tree-pattern fusion landed
-#: (PR 9 compiled mode split every complex-query FILTER back to one
-#: interpreted per-subscription FilterProcessor; same machine, 150 alert
+#: (the PR 9 plan compiler split every complex-query FILTER back to one
+#: per-subscription two-stage FilterOperator; same machine, 150 alert
 #: items, best-of-rounds).  The fused rows carry their speedup vs these.
 TREE_PRE_FUSION_BASELINE = {100: 3836.9, 1000: 385.0, 10000: 29.8}
 
@@ -140,10 +140,9 @@ def bench_compiled_filter(
 ) -> list[dict]:
     """E2-COMPILED: fused predicate closures CSE'd through MaterializedTable.
 
-    The ``execution_mode="compiled"`` data path over the E2 workload: one
-    fused closure per compilable subscription (complex tree-pattern queries
-    split to the interpreter, as in the PlanCompiler's fallback rules),
-    sharing per-item verdicts across identical signatures.
+    The plan compiler's data path over the E2 workload: one fused closure
+    per simple-condition subscription (tree-pattern subscriptions are the
+    E2-TREE rows), sharing per-item verdicts across identical signatures.
     """
     results = []
     items = make_alert_items(n_items, seed=1)
@@ -183,8 +182,8 @@ def bench_tree_filter(
     """E2-TREE: fused tree-pattern predicates over an all-complex workload.
 
     Every subscription carries tree-pattern queries, so before this fusion
-    existed the whole set ran on interpreted per-subscription
-    FilterProcessors -- the :data:`TREE_PRE_FUSION_BASELINE` numbers.
+    existed the whole set ran on per-subscription two-stage
+    FilterOperators -- the :data:`TREE_PRE_FUSION_BASELINE` numbers.
     """
     results = []
     items = make_alert_items(n_items, seed=1)

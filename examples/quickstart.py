@@ -10,10 +10,7 @@ from repro.xmlmodel import pretty_xml
 
 def main() -> None:
     # 1. A tiny monitoring deployment: the monitored site and a monitor peer.
-    #    execution_mode="compiled" runs deployed plans as fused pipeline
-    #    closures (docs/PERFORMANCE.md); results are identical to the
-    #    default interpreted mode, item for item.
-    system = P2PMSystem(seed=1, execution_mode="compiled")
+    system = P2PMSystem(seed=1)
     site = system.add_peer("news.example.org")
     monitor = system.add_peer("monitor.example.org")
 

@@ -10,11 +10,10 @@ Usage::
 
 Exit codes: 0 all invariants hold (and, with ``--check-determinism``, the
 two same-seed runs produced byte-identical traces); 1 an invariant failed;
-2 the determinism check failed; 3 the ``--compare-modes`` differential found
-a compiled-vs-interpreted fingerprint divergence; 4 the ``--compare-runtimes``
-differential found a single-vs-sharded result-multiset divergence.  The
-nightly ``chaos-soak`` workflow sweeps the (scenario x seed) matrix through
-this entry point, in interpreted mode and with ``--compare-modes``.
+2 the determinism check failed; 4 the ``--compare-runtimes`` differential
+found a single-vs-sharded result-multiset divergence.  The nightly
+``chaos-soak`` workflow sweeps the (scenario x seed) matrix through this
+entry point.
 """
 
 from __future__ import annotations
@@ -42,19 +41,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="override how failures are noticed (default: the scenario's own, "
         "normally 'detector')",
-    )
-    parser.add_argument(
-        "--execution-mode",
-        choices=("interpreted", "compiled"),
-        default=None,
-        help="plan execution mode (default: the scenario's own, normally "
-        "'interpreted')",
-    )
-    parser.add_argument(
-        "--compare-modes",
-        action="store_true",
-        help="also run the scenario in the other execution mode and require "
-        "byte-identical trace fingerprints",
     )
     parser.add_argument(
         "--runtime",
@@ -95,7 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scenario,
         seed=args.seed,
         failure_mode=args.failure_mode,
-        execution_mode=args.execution_mode,
         runtime=args.runtime,
         shards=args.shards,
     ).run()
@@ -120,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
             args.scenario,
             seed=args.seed,
             failure_mode=args.failure_mode,
-            execution_mode=args.execution_mode,
         ).run()
         if replay.fingerprint != result.fingerprint:
             print(
@@ -130,23 +114,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print("  determinism: identical trace on replay")
 
-    if args.compare_modes:
-        base_mode = args.execution_mode or "interpreted"
-        other_mode = "compiled" if base_mode == "interpreted" else "interpreted"
-        other = make_scenario(
-            args.scenario,
-            seed=args.seed,
-            failure_mode=args.failure_mode,
-            execution_mode=other_mode,
-        ).run()
-        if other.fingerprint != result.fingerprint:
-            print(
-                f"EXECUTION-MODE DIVERGENCE: {base_mode} vs {other_mode} traces "
-                f"differ ({result.fingerprint} vs {other.fingerprint})"
-            )
-            return 3
-        print(f"  execution modes: {other_mode} trace identical to {base_mode}")
-
     if args.compare_runtimes:
         # sharded forces oracle failure mode, so the single-process baseline
         # must run oracle too for the delivered multisets to be comparable
@@ -154,12 +121,10 @@ def main(argv: list[str] | None = None) -> int:
             args.scenario,
             seed=args.seed,
             failure_mode="oracle",
-            execution_mode=args.execution_mode,
         ).run()
         sharded = make_scenario(
             args.scenario,
             seed=args.seed,
-            execution_mode=args.execution_mode,
             runtime="sharded",
             shards=args.shards,
         ).run()

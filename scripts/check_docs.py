@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Check the documentation: links must resolve, python snippets must compile.
+"""Check the documentation: links resolve, snippets compile, options exist.
 
 Usage::
 
     python scripts/check_docs.py                 # README.md + docs/*.md
     python scripts/check_docs.py README.md docs/ARCHITECTURE.md
 
-Two checks per markdown file:
+Two checks per markdown file, and one more on ``docs/ARCHITECTURE.md``:
 
 * **Dead links** — every relative markdown link ``[text](target)`` must
   point at an existing file or directory (resolved against the linking
@@ -17,22 +17,32 @@ Two checks per markdown file:
   *compile* (``compile(..., "exec")``).  Snippets are illustrative, not
   executed, so this catches syntax rot without requiring each block to be
   self-contained.
+* **Option matrix** — every option named in the "System option matrix"
+  table of ``docs/ARCHITECTURE.md`` must be a parameter of
+  ``P2PMSystem.__init__`` whose default equals the documented one.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+OPTION_MATRIX_DOC = REPO_ROOT / "docs" / "ARCHITECTURE.md"
+OPTION_MATRIX_HEADING = "## System option matrix"
 
 #: ``[text](target)`` — target captured up to the closing paren (no nesting)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 EXTERNAL = ("http://", "https://", "mailto:")
+#: a matrix row: ``| `option` | values | `default` | ...`` (rows of the
+#: compatibility table below it name ``option="value"`` and do not match)
+OPTION_ROW_RE = re.compile(r"^\| `(\w+)` \|[^|]*\| `([^`]+)` \|")
 
 
 def iter_links(text: str):
@@ -60,6 +70,39 @@ def iter_python_snippets(text: str):
             block.append(line)
 
 
+def check_option_matrix(text: str, rel: Path) -> list[str]:
+    """Documented ``P2PMSystem`` options vs the constructor's signature."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.monitor import P2PMSystem
+
+    parameters = inspect.signature(P2PMSystem.__init__).parameters
+    problems = []
+    in_section = False
+    rows = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = line.strip() == OPTION_MATRIX_HEADING
+            continue
+        match = OPTION_ROW_RE.match(line) if in_section else None
+        if match is None:
+            continue
+        rows += 1
+        option, documented = match.groups()
+        if option not in parameters:
+            problems.append(
+                f"{rel}:{lineno}: option `{option}` is not a P2PMSystem parameter"
+            )
+        elif ast.literal_eval(documented) != parameters[option].default:
+            problems.append(
+                f"{rel}:{lineno}: option `{option}` documents default {documented}, "
+                f"the signature says {parameters[option].default!r}"
+            )
+    if rows == 0:
+        problems.append(f"{rel}: no option rows under {OPTION_MATRIX_HEADING!r}")
+    return problems
+
+
 def check_file(path: Path) -> list[str]:
     problems = []
     text = path.read_text(encoding="utf-8")
@@ -83,6 +126,8 @@ def check_file(path: Path) -> list[str]:
                 f"{rel}:{lineno}: snippet does not compile "
                 f"(line {exc.lineno}: {exc.msg})"
             )
+    if path == OPTION_MATRIX_DOC:
+        problems.extend(check_option_matrix(text, rel))
     return problems
 
 

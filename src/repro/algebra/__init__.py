@@ -5,8 +5,9 @@
   used to turn a centralised plan into per-peer concurrent actions.
 * :mod:`repro.algebra.template` -- variable bindings, value references
   (``$c1.caller``, ``$c2/path``) and the RETURN-clause templates.
-* :mod:`repro.algebra.operators` -- the runtime stream processors: Filter
-  (σ), Restructure (Π), Union (∪), Join (⋈), Duplicate-removal and Group.
+* :mod:`repro.algebra.operators` -- the runtime stream processors: Union
+  (∪), Join (⋈), Duplicate-removal and Group; Filter (σ) and Restructure (Π)
+  run as fused stages of :mod:`repro.compile`.
 * :mod:`repro.algebra.plan` -- the operator DAG (monitoring plan) that the
   Subscription Manager optimises, distributes and deploys.
 """
@@ -21,11 +22,9 @@ from repro.algebra.template import (
 )
 from repro.algebra.operators import (
     DuplicateRemovalOperator,
-    FilterProcessor,
     GroupOperator,
     JoinOperator,
     Operator,
-    RestructureOperator,
     UnionOperator,
 )
 from repro.algebra.plan import PlanNode, plan_signature
@@ -54,11 +53,9 @@ __all__ = [
     "is_tuple_item",
     "make_tuple_item",
     "DuplicateRemovalOperator",
-    "FilterProcessor",
     "GroupOperator",
     "JoinOperator",
     "Operator",
-    "RestructureOperator",
     "UnionOperator",
     "PlanNode",
     "plan_signature",

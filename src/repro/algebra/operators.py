@@ -1,27 +1,19 @@
-"""Runtime stream processors: Filter, Restructure, Union, Join, Duplicate-removal, Group.
+"""Runtime stream processors: Union, Join, Duplicate-removal, Group.
 
 Operators are push-based: they subscribe to their input streams and emit to
-an output :class:`~repro.streams.Stream`.  Stateless operators (Filter,
-Restructure, Union) keep no history; stateful ones (Join, Duplicate-removal,
-Group) maintain the state described in Section 3.1.
+an output :class:`~repro.streams.Stream`.  Union keeps no history; the
+stateful ones (Join, Duplicate-removal, Group) maintain the state described
+in Section 3.1.  Filter (σ) and Restructure (Π) are not operators: the plan
+compiler (:mod:`repro.compile`) fuses them into pipeline stages.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.algebra.template import (
-    Binding,
-    RestructureTemplate,
-    ValueRef,
-    get_binding,
-    make_tuple_item,
-)
-from repro.filtering.conditions import FilterSubscription
-from repro.filtering.filter import FilterOperator
+from repro.algebra.template import Binding, ValueRef, get_binding, make_tuple_item
 from repro.streams.item import is_eos
 from repro.streams.stream import Stream
-from repro.xmlmodel.axml import ServiceRegistry
 from repro.xmlmodel.tree import Element
 
 
@@ -115,104 +107,10 @@ class Operator:
     def on_close(self) -> None:
         """Called when every input reached EOS, before the output is closed."""
 
-    # -- compiled consumer fusion ------------------------------------------------
-
-    def compiled_probe(
-        self, index: int
-    ) -> tuple[Callable[[Element], None], Callable[[list[Element]], None]]:
-        """``(probe, probe_batch)`` closures for a fused upstream pipeline.
-
-        A :class:`~repro.compile.pipeline.CompiledPipeline` whose tail feeds
-        this operator's input ``index`` pushes items straight into these
-        closures, skipping the boundary stream hop.  Semantics are exactly
-        :meth:`_receive` / :meth:`_receive_batch` minus the EOS branch --
-        EOS always travels the stream, so close cascades are untouched.
-        Stateful subclasses override this to bind their window/cadence state
-        into the closure (no per-item attribute walks on the hot path).
-        """
-
-        def probe(item: Element, _i: int = index) -> None:
-            self.items_in += 1
-            self.on_item(_i, item)
-
-        def probe_batch(items: list[Element], _i: int = index) -> None:
-            self.on_batch(_i, items)
-
-        return probe, probe_batch
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(in={self.items_in}, out={self.items_out}, "
             f"inputs={len(self.inputs)})"
-        )
-
-
-class FilterProcessor(Operator):
-    """σ -- forwards the items that match a single subscription's conditions.
-
-    Internally this reuses the two-stage :class:`FilterOperator` with exactly
-    one registered subscription, so the performance characteristics (and the
-    ActiveXML laziness) are identical to the shared filter of Section 4.
-    """
-
-    name = "Filter"
-    stateless = True
-
-    def __init__(
-        self,
-        subscription: FilterSubscription,
-        output: Stream | None = None,
-        service_registry: ServiceRegistry | None = None,
-    ) -> None:
-        super().__init__(output)
-        self.subscription = subscription
-        self._filter = FilterOperator([subscription], service_registry=service_registry)
-
-    def on_item(self, index: int, item: Element) -> None:
-        if self._filter.process(item).matched:
-            self.emit(item)
-
-    def on_batch(self, index: int, items: list[Element]) -> None:
-        """Filter a burst in one go and forward survivors as one batch."""
-        self.items_in += len(items)
-        results = self._filter.process_batch(items)
-        survivors = [result.item for result in results if result.matched]
-        if survivors:
-            self.emit_batch(survivors)
-
-
-class RestructureOperator(Operator):
-    """Π -- applies a template to each (tuple) item to build the output tree."""
-
-    name = "Restructure"
-    stateless = True
-
-    def __init__(
-        self,
-        template: RestructureTemplate,
-        default_var: str | None = None,
-        output: Stream | None = None,
-    ) -> None:
-        super().__init__(output)
-        self.template = template
-        self.default_var = default_var
-
-    def on_item(self, index: int, item: Element) -> None:
-        binding = get_binding(item, self.default_var)
-        self.emit(self.template.instantiate(binding))
-
-    def on_batch(self, index: int, items: list[Element]) -> None:
-        """Instantiate a burst in one go and forward the results as one batch.
-
-        Keeps interpreted mode batch-for-batch identical to the compiled
-        vectorized stage (which evaluates restructures per batch), so both
-        modes hand downstream subscribers the same emit granularity.
-        """
-        self.items_in += len(items)
-        template = self.template
-        var = self.default_var
-        self.emit_batch(
-            [template.instantiate(get_binding(item, var)) for item in items]
         )
 
 
@@ -292,41 +190,6 @@ class JoinOperator(Operator):
             binding: Binding = get_binding(left_item, self.left_var)
             binding.update(get_binding(right_item, self.right_var))
             self.emit(make_tuple_item(binding))
-
-    def compiled_probe(
-        self, index: int
-    ) -> tuple[Callable[[Element], None], Callable[[list[Element]], None]]:
-        """Probe-side fusion: the :meth:`on_item` body with the history
-        index, key extractor and emit bound into the closure.  The build
-        side (and any cross-peer input) stays on the interpreted path."""
-        if index not in (0, 1):
-            raise ValueError("JoinOperator has exactly two inputs")
-        is_left = index == 0
-        key_of = self._key
-        store = self._store
-        other_index = self._index[1 - index]
-        left_var = self.left_var
-        right_var = self.right_var
-        emit = self.emit
-
-        def probe(item: Element) -> None:
-            self.items_in += 1
-            key = key_of(index, item)
-            if key is None:
-                return
-            store(index, key, item)
-            self.index_probes += 1
-            for match in other_index.get(key, ()):
-                left_item, right_item = (item, match) if is_left else (match, item)
-                binding: Binding = get_binding(left_item, left_var)
-                binding.update(get_binding(right_item, right_var))
-                emit(make_tuple_item(binding))
-
-        def probe_batch(items: list[Element]) -> None:
-            for item in items:
-                probe(item)
-
-        return probe, probe_batch
 
     def _store(self, side: int, key: tuple, item: Element) -> None:
         self._index[side].setdefault(key, []).append(item)
@@ -411,31 +274,6 @@ class GroupOperator(Operator):
         self.counts[key] = self.counts.get(key, 0) + 1
         if self._every is not None and self.items_in % self._every == 0:
             self.emit(self.snapshot())
-
-    def compiled_probe(
-        self, index: int
-    ) -> tuple[Callable[[Element], None], Callable[[list[Element]], None]]:
-        """Cadence-side fusion: counts dict and ``every`` bound into the
-        closure.  The batch probe loops per item because the emit cadence
-        reads ``items_in`` mid-batch."""
-        key_of = self._key_of
-        counts = self.counts
-        every = self._every
-
-        def probe(item: Element) -> None:
-            self.items_in += 1
-            key = key_of(item)
-            if key is None:
-                key = "(none)"
-            counts[key] = counts.get(key, 0) + 1
-            if every is not None and self.items_in % every == 0:
-                self.emit(self.snapshot())
-
-        def probe_batch(items: list[Element]) -> None:
-            for item in items:
-                probe(item)
-
-        return probe, probe_batch
 
     def on_close(self) -> None:
         if self.counts:

@@ -48,11 +48,6 @@ class PlanNode:
     #: :meth:`copy` (same params => same detail), never compared or shown
     _detail: str | None = field(default=None, repr=False, compare=False)
     _spec: str | None = field(default=None, repr=False, compare=False)
-    #: compiled-stage handle attached by :mod:`repro.compile` when the node is
-    #: fused into a pipeline segment; unlike ``_detail``/``_spec`` it is
-    #: *deliberately dropped* by :meth:`copy` (see there) and re-derived on the
-    #: next compilation, never compared or shown
-    _stage: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -79,11 +74,7 @@ class PlanNode:
 
     def copy(self) -> "PlanNode":
         # ``_detail``/``_spec`` are pure functions of ``params`` and so stay
-        # valid across the copy.  ``_stage`` is NOT carried: reuse replay and
-        # recovery mutate copied nodes (provider params on EXISTING nodes,
-        # placements), and a carried stage could serve a stale fused closure
-        # for semantics the mutation changed.  Dropping it costs one
-        # recompilation (cached by ``CompiledPlanCache``) and is always safe.
+        # valid across the copy
         return PlanNode(
             self.kind,
             dict(self.params),

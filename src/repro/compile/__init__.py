@@ -1,15 +1,16 @@
 """Plan compilation: fused pipeline closures with cross-plan CSE.
 
-The default execution mode (pin ``P2PMSystem(execution_mode="interpreted")``
-for the reference engine).  The compiler partitions each deployed plan into
-maximal linear segments of co-located fusable operators -- simple and
-tree-pattern filters alike -- fuses every segment into a single call frame
-per item (:class:`CompiledPipeline`, with a batched ``apply_many`` entry
-point per stage), memoises identical sub-expressions across all co-deployed
-subscriptions through one system-wide :class:`MaterializedTable`, and fuses
-pipeline tails into co-located JOIN/GROUP probe closures.  Everything
-uncompilable falls back, per operator, to the interpreted chain --
-differential tests pin the two modes byte-identical on the network.
+The only FILTER/RESTRUCTURE engine.  The compiler partitions each deployed
+plan into maximal linear segments of co-located fusable operators -- simple
+and tree-pattern filters alike -- fuses every segment into a single call
+frame per item (:class:`CompiledPipeline`, with a batched ``apply_many``
+entry point per stage) and memoises identical sub-expressions across all
+co-deployed subscriptions through one system-wide
+:class:`MaterializedTable`.  Every other operator kind runs as an
+:class:`~repro.algebra.operators.Operator` fed by the pipeline's tail
+stream; ``tests/data/interpreted_golden.json`` freezes what the former
+interpreted operator chain produced and the differential tests pin this
+engine to it.
 """
 
 from .cache import CompiledPlanCache
@@ -19,11 +20,7 @@ from .signatures import stage_signature
 from .stats import CompileStats
 from .table import MISS, MaterializedTable
 
-#: Valid values for ``P2PMSystem(execution_mode=...)``.
-EXECUTION_MODES = ("interpreted", "compiled")
-
 __all__ = [
-    "EXECUTION_MODES",
     "FALLBACK_REASONS",
     "FUSABLE_KINDS",
     "MISS",

@@ -12,12 +12,11 @@ table probe per batch (alerter bursts and channel deliveries arrive as
 batches).
 
 Every node kind that is not fusable carries an explicit fallback reason
-(Kontra-style rule set): stateful operators keep their window/cadence/history
-machinery on the interpreted path (though co-located JOIN/GROUP *probe* sides
-are fused by the deployer, see ``CompiledPipeline.fuse_consumer``),
-multi-input merges need the stream-level EOS accounting, and segment chains
-split at remote boundaries so network behaviour stays byte-identical to
-interpreted mode.
+(Kontra-style rule set) and runs as an
+:class:`~repro.algebra.operators.Operator`: stateful operators keep their
+window/cadence/history machinery, multi-input merges need the stream-level
+EOS accounting, and segment chains split at remote boundaries so every
+cross-peer hop stays a real channel.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .table import MISS, MaterializedTable
 #: Kinds the compiler can fuse into a pipeline stage.
 FUSABLE_KINDS = (FILTER, RESTRUCTURE)
 
-#: Static fallback rules: operator kind -> why it stays interpreted.
+#: Static fallback rules: operator kind -> why it runs as an ``Operator``.
 FALLBACK_REASONS = {
     JOIN: "stateful-join-window",
     GROUP: "stateful-group-cadence",
@@ -78,7 +77,7 @@ class CompiledStage:
     convention that makes per-item identity memoisation sound).
     """
 
-    __slots__ = ("kind", "signature", "apply", "apply_many", "table")
+    __slots__ = ("kind", "signature", "apply", "apply_many")
 
     def __init__(
         self,
@@ -86,13 +85,11 @@ class CompiledStage:
         signature: str,
         apply: Callable[[Any], Any],
         apply_many: Callable[[Any], list],
-        table: MaterializedTable,
     ) -> None:
         self.kind = kind
         self.signature = signature
         self.apply = apply
         self.apply_many = apply_many
-        self.table = table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledStage({self.kind!r}, {self.signature!r})"
@@ -120,18 +117,20 @@ class PlanCompiler:
     # -- fallback rules ------------------------------------------------------
 
     def fallback_reason(self, node: PlanNode) -> str | None:
-        """``None`` when ``node`` fuses; otherwise why it stays interpreted."""
-        if node.kind in FUSABLE_KINDS and len(node.children) != 1:
-            return "non-unary-input"
-        if node.kind == FILTER:
-            if node.params.get("subscription") is None:
-                return "missing-subscription"
-            return None
-        if node.kind == RESTRUCTURE:
-            if node.params.get("template") is None:
-                return "missing-template"
-            return None
-        return FALLBACK_REASONS.get(node.kind, "unknown-operator")
+        """``None`` when ``node`` fuses; otherwise why it runs as an ``Operator``.
+
+        FILTER and RESTRUCTURE have no other engine to fall back to, so a
+        malformed one raises instead.
+        """
+        if node.kind not in FUSABLE_KINDS:
+            return FALLBACK_REASONS[node.kind]
+        required = "subscription" if node.kind == FILTER else "template"
+        if len(node.children) != 1 or node.params.get(required) is None:
+            raise ValueError(
+                f"malformed {node.kind} node: needs exactly one input and a "
+                f"{required!r} parameter, got {len(node.children)} input(s)"
+            )
+        return None
 
     # -- segment analysis ----------------------------------------------------
 
@@ -168,7 +167,7 @@ class PlanCompiler:
                 break
             if below.placement != cursor.placement:
                 # fusable but on another peer: the chain splits here and the
-                # remote hop stays a real channel, exactly as interpreted
+                # remote hop stays a real channel
                 self.stats.record_remote_split()
                 break
             chain.append(below)
@@ -190,29 +189,11 @@ class PlanCompiler:
         program = self.cache.get(key)
         if program is None:
             program = tuple(
-                self._stage_for(node, signature)
+                self._build_stage(node, signature)
                 for node, signature in zip(chain, signatures)
             )
             self.cache.put(key, program)
-        # pin the stages on the nodes so a later deployment of the *same*
-        # node objects (and only those) can skip the per-node rebuild; equal
-        # signatures imply interchangeable stages, so cache hits may hand a
-        # node a stage built from a signature-twin
-        for node, stage in zip(chain, program):
-            node._stage = stage
         return program
-
-    def _stage_for(self, node: PlanNode, signature: str) -> CompiledStage:
-        stage = node._stage
-        if (
-            isinstance(stage, CompiledStage)
-            and stage.table is self.table
-            # a node re-placed on another peer changes a tree-pattern stage's
-            # signature (peer-qualified): the pinned stage is then stale
-            and stage.signature == signature
-        ):
-            return stage
-        return self._build_stage(node, signature)
 
     def _build_stage(self, node: PlanNode, signature: str) -> CompiledStage:
         table = self.table
@@ -271,7 +252,7 @@ class PlanCompiler:
                 def apply_many(batch: Any) -> list:
                     return [item for item in batch if predicate(item)]
 
-            return CompiledStage(FILTER, signature, apply, apply_many, table)
+            return CompiledStage(FILTER, signature, apply, apply_many)
         if node.kind == RESTRUCTURE:
             template = node.params["template"]
             var = node.params.get("var")
@@ -280,8 +261,8 @@ class PlanCompiler:
             def apply(item: Any) -> Any:
                 # identical templates across co-deployed subscriptions build
                 # the output tree once per item; sharing the resulting
-                # Element matches the interpreted filter's identity
-                # forwarding -- receivers never mutate delivered items
+                # Element is sound because receivers never mutate delivered
+                # items
                 out = table.get(signature, item)
                 if out is MISS:
                     out = table.put(signature, item, instantiate(get_binding(item, var)))
@@ -301,5 +282,5 @@ class PlanCompiler:
                     table.put(many_signature, batch, results)
                 return results
 
-            return CompiledStage(RESTRUCTURE, signature, apply, apply_many, table)
+            return CompiledStage(RESTRUCTURE, signature, apply, apply_many)
         raise ValueError(f"cannot build a compiled stage for kind {node.kind!r}")

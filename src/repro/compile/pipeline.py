@@ -1,4 +1,4 @@
-"""CompiledPipeline: the runtime object replacing an interpreted chain.
+"""CompiledPipeline: the runtime object executing one fused plan segment.
 
 A pipeline owns the fused stages of one deployed segment plus one *boundary*
 per stage -- the output stream, its publication channel and a liveness
@@ -6,11 +6,8 @@ snapshot.  Per item the pipeline runs stage after stage inline (one call
 frame, no ``Stream.emit`` between co-located stages) and only writes a
 boundary through when something outside the pipeline actually consumes it:
 
-* the tail boundary emits to its stream (the parent operator / publisher
-  consumes it) -- unless the deployer fused a co-located stateful consumer
-  onto the tail, in which case items are pushed straight into the consumer's
-  compiled probe closure and the stream hop is skipped while nothing else
-  watches the boundary;
+* the tail boundary always emits to its stream (the parent operator /
+  publisher consumes it);
 * an intermediate boundary emits when its channel has remote subscribers or
   its stream gained subscribers beyond the pipeline's own continuation
   (stream reuse, replicas, test taps) -- the continuation then carries on, so
@@ -20,9 +17,9 @@ boundary through when something outside the pipeline actually consumes it:
   subscriber-less channels before touching sequence numbers, so skipping the
   emit produces byte-identical traffic.
 
-EOS ordering matches the interpreted operators exactly: each stage entry
-closes its own boundary on EOS, which cascades to the next entry through the
-boundary stream just as ``Operator.on_close`` cascades.
+EOS ordering matches :class:`~repro.algebra.operators.Operator` exactly: each
+stage entry closes its own boundary on EOS, which cascades to the next entry
+through the boundary stream just as ``Operator.on_close`` cascades.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ class CompiledPipeline:
         "items_in",
         "items_out",
         "_entries",
-        "_consumer",
         "stats",
     )
 
@@ -90,8 +86,6 @@ class CompiledPipeline:
         self.items_out = 0
         #: per-stage unsubscribers for the entry callbacks; None once detached
         self._entries: list[Callable[[], None] | None] = [None] * len(stages)
-        #: fused tail consumer: (operator, probe, probe_batch) or None
-        self._consumer: tuple[Any, Callable[[Any], None], Callable[[Any], None]] | None = None
         self.stats = stats
 
     # -- wiring (called by the deployer, in deployment order) ---------------
@@ -101,29 +95,6 @@ class CompiledPipeline:
 
     def seal_boundary(self, index: int, watches: tuple[tuple[Stream, int], ...]) -> None:
         self.boundaries[index].watches = watches
-
-    def fuse_consumer(
-        self,
-        operator: Any,
-        probe: Callable[[Any], None],
-        probe_batch: Callable[[Any], None],
-        watches: tuple[tuple[Stream, int], ...],
-    ) -> None:
-        """Fuse a co-located stateful consumer onto the tail boundary.
-
-        ``watches`` must be snapshotted *after* the operator subscribed to
-        the tail stream: the operator's own subscription is then inside the
-        baseline and :meth:`_Boundary.is_live` fires only for consumers that
-        attach later (test taps, reuse providers, channel subscribers).
-        While the boundary stays dark, tail items skip the stream hop and
-        run the probe directly; the moment it lights up -- or the operator
-        detaches -- items go through the stream again and the operator
-        receives them via its ordinary subscription, so processing is
-        single-path in every state.  EOS always travels the stream (the
-        probe never sees it), preserving the interpreted close cascade.
-        """
-        self.boundaries[-1].watches = watches
-        self._consumer = (operator, probe, probe_batch)
 
     def make_entry(self, index: int) -> Callable[[Any], None]:
         """Deliver callback consuming stage ``index``'s input stream.
@@ -163,7 +134,7 @@ class CompiledPipeline:
 
     @property
     def detached(self) -> bool:
-        return all(entry is None for entry in self._entries)
+        return not any(self._entries)
 
     # -- execution -----------------------------------------------------------
 
@@ -181,25 +152,15 @@ class CompiledPipeline:
             boundary = boundaries[i]
             if i == last:
                 self.items_out += 1
-                consumer = self._consumer
-                if (
-                    consumer is not None
-                    and not consumer[0].detached
-                    and not boundary.is_live()
-                ):
-                    # fused stateful consumer, dark boundary: push straight
-                    # into the probe, skipping the stream hop
-                    consumer[1](out)
-                else:
-                    boundary.stream.emit(out)
+                boundary.stream.emit(out)
                 return
             if self._entries[i + 1] is None or boundary.is_live():
                 # write through: either an external consumer is attached (our
                 # continuation on this boundary resumes the remaining stages,
                 # so processing stays single-path), or the downstream stages
                 # were torn down while this boundary stream survives for
-                # reuse consumers -- exactly an interpreted upstream operator
-                # emitting after its downstream operator detached
+                # reuse consumers -- exactly an upstream operator emitting
+                # after its downstream operator detached
                 boundary.stream.emit(out)
                 return
             item = out
@@ -222,15 +183,7 @@ class CompiledPipeline:
             boundary = boundaries[i]
             if i == last:
                 self.items_out += len(batch)
-                consumer = self._consumer
-                if (
-                    consumer is not None
-                    and not consumer[0].detached
-                    and not boundary.is_live()
-                ):
-                    consumer[2](batch)
-                else:
-                    boundary.stream.emit_many(batch)
+                boundary.stream.emit_many(batch)
                 return
             if self._entries[i + 1] is None or boundary.is_live():
                 boundary.stream.emit_many(batch)
@@ -247,9 +200,6 @@ class CompiledPipeline:
             "items_in": self.items_in,
             "items_out": self.items_out,
             "detached": self.detached,
-            "consumer_fused": (
-                self._consumer[0].name if self._consumer is not None else None
-            ),
         }
 
     def __repr__(self) -> str:

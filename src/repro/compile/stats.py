@@ -12,7 +12,6 @@ class CompileStats:
         "fallbacks",
         "remote_splits",
         "ticks",
-        "consumers_fused",
         "item_invocations",
         "batch_invocations",
         "batch_items",
@@ -25,8 +24,6 @@ class CompileStats:
         self.fallbacks: dict[str, dict[str, int]] = {}
         self.remote_splits = 0
         self.ticks = 0
-        #: operator kind -> count of probe-side consumer fusions (JOIN/GROUP)
-        self.consumers_fused: dict[str, int] = {}
         # stage-invocation split: how much of the fused work ran through the
         # vectorized ``apply_many`` path vs the per-item ``apply`` path
         self.item_invocations = 0
@@ -47,9 +44,6 @@ class CompileStats:
     def record_tick(self) -> None:
         self.ticks += 1
 
-    def record_consumer_fused(self, kind: str) -> None:
-        self.consumers_fused[kind] = self.consumers_fused.get(kind, 0) + 1
-
     def snapshot(self) -> dict:
         return {
             "segments_fused": self.segments_fused,
@@ -63,7 +57,6 @@ class CompileStats:
             },
             "remote_splits": self.remote_splits,
             "ticks": self.ticks,
-            "consumers_fused": dict(sorted(self.consumers_fused.items())),
             "stage_invocations": {
                 "item": self.item_invocations,
                 "batch": self.batch_invocations,

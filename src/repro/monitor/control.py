@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: RPC method names of the control plane.
 RPC_KADOP_PUBLISH = "kadop.publish"
 RPC_KADOP_RETRACT = "kadop.retract"
-RPC_KADOP_QUERY = "kadop.query"
 RPC_CHANNEL_SUBSCRIBE = "channel.subscribe"
 RPC_CHANNEL_UNSUBSCRIBE = "channel.unsubscribe"
 RPC_DEPLOY_PREPARE = "deploy.prepare"
@@ -55,17 +54,6 @@ def register_control_methods(peer) -> None:
         removed = system.kadop.unpublish(params.attrib["docId"])
         return Element("result", {"removed": "1" if removed else "0"})
 
-    def kadop_query(params: Element, source: str) -> Element:
-        results = system.kadop.query(params.attrib["q"])
-        return Element(
-            "results",
-            {"count": str(len(results))},
-            [
-                Element("doc", {"docId": doc_id}, [document.copy()])
-                for doc_id, document in results
-            ],
-        )
-
     def channel_subscribe(params: Element, source: str) -> Element:
         channel_id = params.attrib["channelId"]
         registry.admit_subscriber(channel_id, params.attrib["subscriber"])
@@ -83,7 +71,6 @@ def register_control_methods(peer) -> None:
 
     rpc.register(RPC_KADOP_PUBLISH, kadop_publish)
     rpc.register(RPC_KADOP_RETRACT, kadop_retract)
-    rpc.register(RPC_KADOP_QUERY, kadop_query)
     rpc.register(RPC_CHANNEL_SUBSCRIBE, channel_subscribe)
     rpc.register(RPC_CHANNEL_UNSUBSCRIBE, channel_unsubscribe)
     rpc.register(RPC_DEPLOY_PREPARE, deploy_prepare)
@@ -161,28 +148,3 @@ class ControlPlaneRouter:
         except RpcError:
             return self.system.kadop.unpublish(doc_id)
         return result is not None and result.attrib.get("removed") == "1"
-
-    def routed_query(self, from_peer: str, query: str) -> list[tuple[str, Element]]:
-        """Evaluate an XPath query at the issuing peer's DHT successor.
-
-        The routed counterpart of ``kadop.query``: the query travels as an
-        RPC (and so can time out or be rejected) instead of being evaluated
-        in place.
-        """
-        via = self._via_peer(from_peer)
-        ring = self.system.kadop.ring
-        if via is None or len(ring) == 0:
-            return self.system.kadop.query(query)
-        home = ring.lookup(f"query:{from_peer}").node_id
-        if not (self.system.has_peer(home) and self.system.is_alive(home)):
-            return self.system.kadop.query(query)
-        result = via.rpc.call_sync(
-            home, RPC_KADOP_QUERY, Element("query", {"q": query})
-        )
-        if result is None:
-            return []
-        return [
-            (doc.attrib["docId"], doc.children[0])
-            for doc in result.children
-            if doc.children
-        ]

@@ -25,22 +25,18 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.algebra.operators import (
     DuplicateRemovalOperator,
-    FilterProcessor,
     GroupOperator,
     JoinOperator,
     Operator,
-    RestructureOperator,
     UnionOperator,
 )
 from repro.algebra.plan import (
     ALERTER,
     DISTINCT,
     EXISTING,
-    FILTER,
     GROUP,
     JOIN,
     PUBLISH,
-    RESTRUCTURE,
     UNION,
     PlanNode,
     plan_signature,
@@ -62,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer, P2PMSystem
 
 UndoAction = Callable[[], None]
+#: ``(input streams, output stream) -> (operator to record, stop-consuming
+#: undo actions)``: the consumer-specific middle of :meth:`Deployer._deploy_output`
+Wire = Callable[[list[Stream], Stream], tuple[object | None, list[UndoAction]]]
 
 
 def _discard(bucket: list, item: object) -> None:
@@ -195,13 +194,8 @@ class Deployer:
         self._counter = 0
         self._epoch = 0
         self._predecessor: DeployedTask | None = None
-        #: fusable segments of the plan being deployed, keyed by id(tail
-        #: node); populated per deploy() when the system runs compiled
+        #: fusable segments of the plan being deployed, keyed by id(tail node)
         self._segments: dict[int, list[PlanNode]] = {}
-        #: pipelines instantiated during the current deploy(), keyed by
-        #: id(tail node) -- how _deploy_operator finds the fused producer of
-        #: a stateful consumer's input for probe-side fusion
-        self._segment_pipelines: dict[int, CompiledPipeline] = {}
 
     # -- public API -------------------------------------------------------------------
 
@@ -239,9 +233,7 @@ class Deployer:
         self._counter = 0
         self._epoch = epoch
         self._predecessor = predecessor
-        compiler = self.system.compiler
-        self._segments = compiler.plan_segments(plan) if compiler is not None else {}
-        self._segment_pipelines = {}
+        self._segments = self.system.compiler.plan_segments(plan)
         holder = f"sub:{sub_id}"
         if plan.kind == PUBLISH:
             handle = self._deploy_node(plan.children[0], task)
@@ -303,10 +295,9 @@ class Deployer:
         ledger.retain(key, holder)
 
     def _deploy_node(self, node: PlanNode, task: DeployedTask) -> _StreamHandle:
-        if self._segments:
-            chain = self._segments.get(id(node))
-            if chain is not None:
-                return self._deploy_segment(node, chain, task)
+        chain = self._segments.get(id(node))
+        if chain is not None:
+            return self._deploy_segment(chain, task)
         if node.kind == ALERTER:
             return self._deploy_alerter(node, task)
         if node.kind == EXISTING:
@@ -349,42 +340,102 @@ class Deployer:
         # deploy the membership stream (the node's child), then wire the
         # dynamic source to it
         membership_handle = self._deploy_node(node.children[0], task)
-        stream_id = self._next_stream_id(task.sub_id)
-        key = (peer.peer_id, stream_id)
-        holder = f"stream:{stream_id}@{peer.peer_id}"
-        ledger = self.system.resources
-        ledger.register(key)
-        sink: list[UndoAction] = []
-        membership_stream = self._local_input(peer.peer_id, membership_handle, task, holder, sink)
-        output = peer.net.create_stream(stream_id)
-        dynamic = DynamicAlerterSource(self.system, function, output)
-        unsubscribe_membership = membership_stream.subscribe(dynamic.on_membership_alert)
-        peer.dynamic_sources.append(dynamic)
-        created_channel = peer.ensure_channel(stream_id, output)
-        self._link_predecessor(node, task, peer.peer_id, stream_id, output)
-        doc_id = self.system.stream_db.publish_node(
-            node, peer.peer_id, stream_id, [membership_handle.original]
-        )
-        self._record(task, peer.peer_id, None)
-        ledger.add_undo(key, unsubscribe_membership)
-        ledger.add_undo(key, dynamic.shutdown)
-        ledger.add_undo(key, lambda: _discard(peer.dynamic_sources, dynamic))
-        ledger.add_undo(key, output.close)
-        if created_channel:
-            ledger.add_undo(key, lambda: peer.net.unpublish_channel(stream_id))
-        ledger.add_undo(key, lambda: peer.net.drop_stream(stream_id))
-        ledger.add_undo(key, lambda: self.system.stream_db.retract(doc_id))
-        for action in sink:
-            ledger.add_undo(key, action)
-        self._retain_stream(membership_handle.original, holder)
-        ledger.add_undo(
-            key, lambda: ledger.release(membership_handle.original, holder)
-        )
-        return _StreamHandle(peer.peer_id, output, stream_id)
+
+        def wire(inputs: list[Stream], output: Stream):
+            dynamic = DynamicAlerterSource(self.system, function, output)
+            unsubscribe_membership = inputs[0].subscribe(dynamic.on_membership_alert)
+            peer.dynamic_sources.append(dynamic)
+            return None, [
+                unsubscribe_membership,
+                dynamic.shutdown,
+                lambda: _discard(peer.dynamic_sources, dynamic),
+            ]
+
+        return self._deploy_output(node, task, peer, [membership_handle], wire)
 
     def _deploy_operator(self, node: PlanNode, task: DeployedTask) -> _StreamHandle:
         peer = self.system.peer(node.placement)
         child_handles = [self._deploy_node(child, task) for child in node.children]
+
+        def wire(inputs: list[Stream], output: Stream):
+            operator = self._make_operator(node, output)
+            for stream in inputs:
+                operator.connect(stream)
+            peer.operators.append(operator)
+            return operator, [operator.detach, lambda: _discard(peer.operators, operator)]
+
+        return self._deploy_output(node, task, peer, child_handles, wire)
+
+    def _deploy_segment(self, chain: list[PlanNode], task: DeployedTask) -> _StreamHandle:
+        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline`.
+
+        Every node still gets its own stream id, channel publication, Stream
+        Definition Database advertisement, predecessor adoption link and
+        ledger entry, exactly like an :class:`Operator` -- only the per-node
+        processing is fused stage closures, and intermediate boundary streams
+        are written through solely when an external consumer is attached.
+        """
+        peer = self.system.peer(chain[-1].placement)
+        compiler = self.system.compiler
+        program = compiler.compile_segment(chain, self._epoch)
+        pipeline = CompiledPipeline(
+            program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats
+        )
+        peer.operators.append(pipeline)
+        handle = self._deploy_node(chain[0].children[0], task)
+        for index, node in enumerate(chain):
+
+            def wire(inputs: list[Stream], output: Stream, index: int = index):
+                (input_stream,) = inputs
+                pipeline.attach_entry(
+                    index, input_stream.subscribe(pipeline.make_entry(index))
+                )
+                if index > 0:
+                    # the continuation for the previous boundary is wired now;
+                    # snapshot its liveness baselines (channel subscribers are
+                    # checked directly, they need no baseline)
+                    prev_boundary_stream = pipeline.boundaries[index - 1].stream
+                    if input_stream is prev_boundary_stream:
+                        watches = ((input_stream, input_stream.subscriber_count),)
+                    else:  # reliable channels: continuation sits on a local proxy
+                        watches = (
+                            (prev_boundary_stream, prev_boundary_stream.subscriber_count),
+                            (input_stream, input_stream.subscriber_count),
+                        )
+                    pipeline.seal_boundary(index - 1, watches)
+                pipeline.add_boundary(
+                    output, peer.net.channels.published(output.stream_id)
+                )
+
+                def detach() -> None:
+                    # a reuse consumer may keep an upstream stage running
+                    # after the deploying subscription cancelled: stay
+                    # listed on the peer until the last stage goes
+                    pipeline.detach_stage(index)
+                    if pipeline.detached:
+                        _discard(peer.operators, pipeline)
+
+                return (pipeline if index == 0 else None), [detach]
+
+            handle = self._deploy_output(node, task, peer, [handle], wire)
+        return handle
+
+    def _deploy_output(
+        self,
+        node: PlanNode,
+        task: DeployedTask,
+        peer: "P2PMPeer",
+        child_handles: list[_StreamHandle],
+        wire: Wire,
+    ) -> _StreamHandle:
+        """Instantiate ``node``'s output stream at ``peer`` and all that hangs off it.
+
+        Shared by every node kind that produces a stream of its own: local
+        inputs, output stream and channel, then the caller's ``wire`` installs
+        whatever consumes the inputs, then predecessor link, advertisement and
+        the ledger entry whose undo order is: stop consuming, withdraw the
+        output, release the inputs.
+        """
         stream_id = self._next_stream_id(task.sub_id)
         key = (peer.peer_id, stream_id)
         holder = f"stream:{stream_id}@{peer.peer_id}"
@@ -396,21 +447,16 @@ class Deployer:
             for handle in child_handles
         ]
         output = peer.net.create_stream(stream_id)
-        operator = self._make_operator(node, peer, output)
-        for stream in input_streams:
-            operator.connect(stream)
-        if node.kind in (JOIN, GROUP):
-            self._fuse_stateful_consumer(node, operator, child_handles, input_streams)
-        peer.operators.append(operator)
         created_channel = peer.ensure_channel(stream_id, output)
+        operator, stop_consuming = wire(input_streams, output)
         self._link_predecessor(node, task, peer.peer_id, stream_id, output)
+        originals = [handle.original for handle in child_handles]
         doc_id = self.system.stream_db.publish_node(
-            node, peer.peer_id, stream_id, [handle.original for handle in child_handles]
+            node, peer.peer_id, stream_id, originals
         )
         self._record(task, peer.peer_id, operator)
-        # teardown, in order: stop consuming, then withdraw the output
-        ledger.add_undo(key, operator.detach)
-        ledger.add_undo(key, lambda: _discard(peer.operators, operator))
+        for action in stop_consuming:
+            ledger.add_undo(key, action)
         ledger.add_undo(key, output.close)
         if created_channel:
             ledger.add_undo(key, lambda: peer.net.unpublish_channel(stream_id))
@@ -418,121 +464,10 @@ class Deployer:
         ledger.add_undo(key, lambda: self.system.stream_db.retract(doc_id))
         for action in sink:
             ledger.add_undo(key, action)
-        for handle in child_handles:
-            self._retain_stream(handle.original, holder)
-            ledger.add_undo(
-                key, lambda k=handle.original: ledger.release(k, holder)
-            )
+        for original in originals:
+            self._retain_stream(original, holder)
+            ledger.add_undo(key, lambda k=original: ledger.release(k, holder))
         return _StreamHandle(peer.peer_id, output, stream_id)
-
-    def _fuse_stateful_consumer(
-        self,
-        node: PlanNode,
-        operator: Operator,
-        child_handles: list[_StreamHandle],
-        input_streams: list[Stream],
-    ) -> None:
-        """Fuse compiled-pipeline outputs into a JOIN/GROUP's probe side.
-
-        Must run *after* ``operator.connect``: the liveness baseline handed
-        to :meth:`CompiledPipeline.fuse_consumer` then counts the operator's
-        own subscription, so only later-attached externals (taps, reuse
-        consumers) light the boundary up and re-route items through the
-        stream.  Fusion applies only when the input *is* the pipeline's tail
-        stream itself -- with reliable channels, or across peers, the input
-        is a proxy and the interpreted channel machinery must stay in the
-        path (Kontra-style per-edge fallback).
-        """
-        compiler = self.system.compiler
-        if compiler is None:
-            return
-        for index, (child, handle) in enumerate(zip(node.children, child_handles)):
-            pipeline = self._segment_pipelines.get(id(child))
-            if pipeline is None or handle.stream is not input_streams[index]:
-                continue
-            probe, probe_batch = operator.compiled_probe(index)
-            stream = input_streams[index]
-            pipeline.fuse_consumer(
-                operator, probe, probe_batch, ((stream, stream.subscriber_count),)
-            )
-            compiler.stats.record_consumer_fused(node.kind)
-
-    def _deploy_segment(
-        self, tail: PlanNode, chain: list[PlanNode], task: DeployedTask
-    ) -> _StreamHandle:
-        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline`.
-
-        The network-visible footprint is identical to the interpreted chain:
-        every node still gets its stream id (same counter order), channel
-        publication, Stream Definition Database advertisement, predecessor
-        adoption link and ledger entry with the same undo order -- only the
-        per-node interpreted operator is replaced by fused stage closures,
-        and intermediate boundary streams are written through solely when an
-        external consumer is attached.
-        """
-        peer = self.system.peer(tail.placement)
-        compiler = self.system.compiler
-        assert compiler is not None
-        program = compiler.compile_segment(chain, self._epoch)
-        pipeline = CompiledPipeline(
-            program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats
-        )
-        peer.operators.append(pipeline)
-        self._segment_pipelines[id(tail)] = pipeline
-        ledger = self.system.resources
-        prev_handle = self._deploy_node(chain[0].children[0], task)
-        for index, node in enumerate(chain):
-            stream_id = self._next_stream_id(task.sub_id)
-            key = (peer.peer_id, stream_id)
-            holder = f"stream:{stream_id}@{peer.peer_id}"
-            ledger.register(key)
-            sink: list[UndoAction] = []
-            input_stream = self._local_input(peer.peer_id, prev_handle, task, holder, sink)
-            output = peer.net.create_stream(stream_id)
-            unsubscribe = input_stream.subscribe(pipeline.make_entry(index))
-            pipeline.attach_entry(index, unsubscribe)
-            if index > 0:
-                # the continuation for the previous boundary is wired now;
-                # snapshot its liveness baselines (channel subscribers are
-                # checked directly, they need no baseline)
-                prev_boundary_stream = pipeline.boundaries[index - 1].stream
-                if input_stream is prev_boundary_stream:
-                    watches = ((input_stream, input_stream.subscriber_count),)
-                else:  # reliable channels: continuation sits on a local proxy
-                    watches = (
-                        (prev_boundary_stream, prev_boundary_stream.subscriber_count),
-                        (input_stream, input_stream.subscriber_count),
-                    )
-                pipeline.seal_boundary(index - 1, watches)
-            created_channel = peer.ensure_channel(stream_id, output)
-            pipeline.add_boundary(output, peer.net.channels.published(stream_id))
-            self._link_predecessor(node, task, peer.peer_id, stream_id, output)
-            doc_id = self.system.stream_db.publish_node(
-                node, peer.peer_id, stream_id, [prev_handle.original]
-            )
-            self._record(task, peer.peer_id, pipeline if index == 0 else None)
-            # teardown mirrors _deploy_operator: stop consuming this node's
-            # input, then withdraw its output
-            ledger.add_undo(key, lambda i=index: pipeline.detach_stage(i))
-            ledger.add_undo(key, lambda: _discard(peer.operators, pipeline))
-            ledger.add_undo(key, lambda out=output: out.close())
-            if created_channel:
-                ledger.add_undo(
-                    key, lambda sid=stream_id: peer.net.unpublish_channel(sid)
-                )
-            ledger.add_undo(key, lambda sid=stream_id: peer.net.drop_stream(sid))
-            ledger.add_undo(
-                key, lambda d=doc_id: self.system.stream_db.retract(d)
-            )
-            for action in sink:
-                ledger.add_undo(key, action)
-            self._retain_stream(prev_handle.original, holder)
-            ledger.add_undo(
-                key,
-                lambda k=prev_handle.original, h=holder: ledger.release(k, h),
-            )
-            prev_handle = _StreamHandle(peer.peer_id, output, stream_id)
-        return prev_handle
 
     def _link_predecessor(
         self,
@@ -562,11 +497,7 @@ class Deployer:
         if prev is not None and prev[0] == peer_id and prev[1] != stream_id:
             self.system.peer(peer_id).net.channels.adopt_orphans(prev[1], output)
 
-    def _make_operator(self, node: PlanNode, peer: "P2PMPeer", output: Stream) -> Operator:
-        if node.kind == FILTER:
-            return FilterProcessor(
-                node.params["subscription"], output, service_registry=peer.service_registry
-            )
+    def _make_operator(self, node: PlanNode, output: Stream) -> Operator:
         if node.kind == UNION:
             return UnionOperator(output)
         if node.kind == JOIN:
@@ -577,8 +508,6 @@ class Deployer:
                 output,
                 window=node.params.get("window"),
             )
-        if node.kind == RESTRUCTURE:
-            return RestructureOperator(node.params["template"], node.params.get("var"), output)
         if node.kind == DISTINCT:
             return DuplicateRemovalOperator(output=output)
         if node.kind == GROUP:

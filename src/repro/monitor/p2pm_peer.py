@@ -13,7 +13,6 @@ from typing import Callable
 
 from repro.alerters import Alerter, AXMLRepository, create_alerter
 from repro.compile import (
-    EXECUTION_MODES,
     CompiledPipeline,
     CompiledPlanCache,
     CompileStats,
@@ -31,7 +30,7 @@ from repro.monitor.stream_db import StreamDefinitionDatabase
 from repro.net.detector import DetectorConfig, HeartbeatDetector
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
-from repro.net.rpc import RetryPolicy, RpcEndpoint
+from repro.net.rpc import RpcEndpoint
 from repro.net.runtime import RUNTIMES, create_runtime
 from repro.net.simnet import SimNetwork
 from repro.streams.stream import Stream
@@ -71,8 +70,6 @@ class P2PMSystem:
         reliable_control: bool = False,
         reliable_channels: bool | None = None,
         detector_config: DetectorConfig | None = None,
-        rpc_policy: RetryPolicy | None = None,
-        execution_mode: str = "compiled",
         runtime: str = "single",
         shards: int = 0,
         shard_assigner=None,
@@ -83,10 +80,6 @@ class P2PMSystem:
         if failure_mode not in ("oracle", "detector"):
             raise ValueError(
                 f"failure_mode must be 'oracle' or 'detector', got {failure_mode!r}"
-            )
-        if execution_mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution_mode must be one of {EXECUTION_MODES}, got {execution_mode!r}"
             )
         if runtime not in RUNTIMES:
             raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
@@ -127,7 +120,6 @@ class P2PMSystem:
         self.reliable_channels = (
             failure_mode == "detector" if reliable_channels is None else reliable_channels
         )
-        self.rpc_policy = rpc_policy if rpc_policy is not None else RetryPolicy()
         self.detector: HeartbeatDetector | None = None
         if failure_mode == "detector":
             self.detector = HeartbeatDetector(
@@ -155,26 +147,17 @@ class P2PMSystem:
         #: detects orphaned resources after a peer failure and redeploys the
         #: affected subscriptions on surviving peers
         self.recovery = RecoveryManager(self)
-        #: compiled execution (the default): fused pipeline closures with a
-        #: system-wide materialized-expression table (cross-plan CSE);
-        #: ``execution_mode="interpreted"`` pins the per-operator reference
-        #: path (golden-trace-pinned)
-        self.execution_mode = execution_mode
-        if execution_mode == "compiled":
-            self.materialized: MaterializedTable | None = MaterializedTable()
-            self.compile_cache: CompiledPlanCache | None = CompiledPlanCache()
-            self.compile_stats: CompileStats | None = CompileStats()
-            self.compiler: PlanCompiler | None = PlanCompiler(
-                self.materialized,
-                self.compile_cache,
-                self.compile_stats,
-                registry_for=self._service_registry_for,
-            )
-        else:
-            self.materialized = None
-            self.compile_cache = None
-            self.compile_stats = None
-            self.compiler = None
+        #: plan compiler: fused FILTER/RESTRUCTURE pipeline closures with a
+        #: system-wide materialized-expression table (cross-plan CSE)
+        self.materialized = MaterializedTable()
+        self.compile_cache = CompiledPlanCache()
+        self.compile_stats = CompileStats()
+        self.compiler = PlanCompiler(
+            self.materialized,
+            self.compile_cache,
+            self.compile_stats,
+            registry_for=self._service_registry_for,
+        )
         self._peers: dict[str, P2PMPeer] = {}
         #: execution backend: who drains the event scheduler(s), and where
         #: (see :mod:`repro.net.runtime`)
@@ -388,8 +371,7 @@ class P2PMSystem:
             for peer in self._peers.values():
                 if self.network.is_alive(peer.peer_id):
                     peer.net.channels.retransmit_tick()
-        if self.compile_stats is not None:
-            self.compile_stats.record_tick()
+        self.compile_stats.record_tick()
 
     # -- compiled execution ------------------------------------------------------
 
@@ -404,13 +386,7 @@ class P2PMSystem:
 
     def compile_snapshot(self) -> dict:
         """Compiler counters for ``handle.stats()["compile"]``."""
-        snapshot: dict = {"mode": self.execution_mode}
-        if self.compiler is None:
-            return snapshot
-        assert self.compile_stats is not None
-        assert self.materialized is not None
-        assert self.compile_cache is not None
-        snapshot.update(self.compile_stats.snapshot())
+        snapshot = self.compile_stats.snapshot()
         cse = self.materialized.snapshot()
         ticks = self.compile_stats.ticks
         cse["hits_per_tick"] = round(cse["hits"] / ticks, 2) if ticks else 0.0
@@ -424,16 +400,12 @@ class P2PMSystem:
 
     def compile_report(self) -> str:
         """Readable debug dump of the compiler state and live pipelines."""
-        lines = [f"execution mode: {self.execution_mode}"]
-        if self.compiler is None:
-            lines.append("plan compiler disabled (interpreted execution)")
-            return "\n".join(lines)
         snapshot = self.compile_snapshot()
-        lines.append(
+        lines = [
             f"segments fused: {snapshot['segments_fused']} "
             f"({snapshot['stages_fused']} stages), "
             f"remote splits: {snapshot['remote_splits']}"
-        )
+        ]
         cse = snapshot["cse"]
         lines.append(
             f"CSE table: {cse['signatures']} signatures, "
@@ -450,8 +422,6 @@ class P2PMSystem:
             f"stage invocations: {invocations['batch']} batch "
             f"({invocations['batch_items']} items) / {invocations['item']} per-item"
         )
-        for kind, count in snapshot["consumers_fused"].items():
-            lines.append(f"consumer fused {kind}: x{count}")
         # fallback reasons arrive sorted from the snapshot; the seen-set
         # guards against duplicates so the report is deterministic even if a
         # future recorder double-counts a (kind, reason) pair
@@ -499,7 +469,7 @@ class P2PMPeer:
         self.peer_id = peer_id
         self.system = system
         self.net = Peer(peer_id, system.network, coordinates)
-        self.rpc = RpcEndpoint(self.net, system.rpc_policy)
+        self.rpc = RpcEndpoint(self.net)
         register_control_methods(self)
         self.manager = SubscriptionManager(self)
         self.repository = AXMLRepository(peer_id)

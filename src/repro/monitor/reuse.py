@@ -206,9 +206,6 @@ class ReuseEngine:
             # mutation: they never feed signature details or specs
             node.params["provider_peer"] = provider_peer
             node.params["provider_stream_id"] = provider_stream
-            # defence in depth: copy() already drops compiled stages, but a
-            # mutated node must never carry one under any future refactor
-            node._stage = None
         return rewritten
 
     # -- bottom-up matching -----------------------------------------------------------

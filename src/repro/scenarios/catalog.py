@@ -271,7 +271,6 @@ def make_scenario(
     name: str,
     seed: int = 0,
     failure_mode: str | None = None,
-    execution_mode: str | None = None,
     runtime: str | None = None,
     shards: int = 0,
 ) -> ChaosScenario:
@@ -280,12 +279,10 @@ def make_scenario(
     ``failure_mode`` overrides the scenario's default (``detector``):
     golden-trace tests pin ``oracle`` to keep the legacy byte-identical
     traces, and A/B comparisons run the same scenario in both modes.
-    ``execution_mode`` selects interpreted (default) or compiled plan
-    execution; the compiled differential suite runs every scenario in both
-    and asserts identical fingerprints.  ``runtime="sharded"`` partitions
-    the peers across ``shards`` worker processes -- only scenarios in
-    :data:`SHARDABLE_SCENARIOS` qualify (no peer churn), and the failure
-    mode is forced to ``oracle`` (the sharded v1 restriction).
+    ``runtime="sharded"`` partitions the peers across ``shards`` worker
+    processes -- only scenarios in :data:`SHARDABLE_SCENARIOS` qualify (no
+    peer churn), and the failure mode is forced to ``oracle`` (the sharded
+    v1 restriction).
     """
     try:
         factory = SCENARIOS[name]
@@ -296,8 +293,6 @@ def make_scenario(
     scenario = factory(seed)
     if failure_mode is not None and scenario.runtime != "sharded":
         scenario.failure_mode = failure_mode
-    if execution_mode is not None:
-        scenario.execution_mode = execution_mode
     if scenario.runtime == "sharded":
         # inherently sharded (worker-fault) scenarios: the fault *is* a
         # worker process, so there is no single-process variant to fall

@@ -171,9 +171,6 @@ class ChaosScenario:
     #: install the fault model before the subscription is submitted, so the
     #: control plane itself runs over the faulty network
     apply_faults_before_subscribe: bool = False
-    #: "interpreted" (default) or "compiled" (fused pipeline closures); the
-    #: differential suite pins both modes to identical fingerprints
-    execution_mode: str = "interpreted"
     #: "single" (default) or "sharded" (peer set partitioned across worker
     #: processes).  Sharded runs require ``failure_mode="oracle"`` and a
     #: schedule without peer churn; equivalence is stated over the received
@@ -195,7 +192,6 @@ class ChaosScenario:
             seed=self.seed,
             failure_mode=self.failure_mode,
             reliable_control=self.reliable_control,
-            execution_mode=self.execution_mode,
             runtime=self.runtime,
             shards=self.shards,
             shard_assigner=self.shard_assigner,

@@ -51,8 +51,6 @@ class MeteoScenario:
     calls: list[SoapCall] = field(init=False, default_factory=list)
     #: result-buffer bound passed to subscribe() (results are opt-in + bounded)
     max_results: int = 10_000
-    #: plan execution mode ("interpreted" or "compiled")
-    execution_mode: str = "interpreted"
     #: execution runtime ("single" or "sharded") and worker count
     runtime: str = "single"
     shards: int = 0
@@ -60,7 +58,6 @@ class MeteoScenario:
     def __post_init__(self) -> None:
         self.system = P2PMSystem(
             seed=self.seed,
-            execution_mode=self.execution_mode,
             runtime=self.runtime,
             shards=self.shards,
         )

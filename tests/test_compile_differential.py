@@ -1,24 +1,30 @@
-"""Differential suite: compiled execution pinned equivalent to interpreted.
+"""Differential suite: the plan compiler pinned to the interpreted reference.
 
-``P2PMSystem(execution_mode="compiled")`` replaces interpreted operator
-chains with fused pipeline closures plus a system-wide materialized
-expression table.  Everything here asserts the replacement is *externally
-invisible*:
+The interpreted σ/Π operator chain used to be the reference engine; it is
+gone, and what it produced is frozen in ``tests/data/interpreted_golden.json``
+-- captured at the last commit that still carried it, by running exactly the
+case functions below with the interpreted engine forced on every
+``P2PMSystem`` (see the file's ``provenance`` entry).  The only engine must
+reproduce that table byte for byte:
 
-* every catalog chaos scenario produces a byte-identical event-trace
-  fingerprint in both modes (detector and oracle failure modes alike);
-* the 4 pinned golden fingerprints of the oracle scenarios hold verbatim in
-  compiled mode;
-* the meteo and edos workloads deliver identical results;
-* plan-copy and reuse interactions can never serve a stale fused closure.
+* trace fingerprint and delivered sequence of every catalog chaos scenario
+  at seed 0, plus lossy-network / worker-crash at seeds 7 and 42;
+* the meteo incidents and edos failures, the tree-pattern subscription, and
+  JOIN / GROUP fed by a fused pipeline, as serialized XML;
+* reuse of a dark pipeline boundary and cancellation under reuse.
+
+The 4 pinned oracle fingerprints of test_e2e_fastpath hold verbatim, and the
+fused tree predicate is checked against the extensional oracle, which shares
+no code with the compiled path.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.algebra.plan import ALERTER, FILTER, GROUP, RESTRUCTURE, PlanNode
-from repro.compile import CompiledPipeline, CompiledStage, MaterializedTable
 from repro.filtering.conditions import FilterSubscription, SimpleCondition
 from repro.filtering.yfilter import compile_tree_predicate
 from repro.monitor import P2PMSystem
@@ -31,9 +37,11 @@ from repro.xmlmodel import XPath
 from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import Element
 
-#: The golden traces pinned by test_e2e_fastpath (oracle failure mode).
-#: Compiled mode must reproduce them byte for byte -- duplicated here on
-#: purpose so a re-pin over there cannot silently loosen this suite.
+GOLDEN_PATH = Path(__file__).parent / "data" / "interpreted_golden.json"
+
+#: The golden traces pinned by test_e2e_fastpath (oracle failure mode),
+#: duplicated here on purpose so a re-pin over there cannot silently loosen
+#: this suite.
 PINNED_GOLDEN = {
     ("flaky-network", 0): (
         "36517f09c0087bb62f8357b9b4158556e064a82c8ec635e88b27cedec60e1735"
@@ -49,93 +57,65 @@ PINNED_GOLDEN = {
     ),
 }
 
+#: (scenario, seed) pairs frozen in the golden table: the whole catalog at
+#: seed 0, plus the two scenarios whose crash recovery / message loss
+#: reshuffle delivery orders at two more seeds.
+SCENARIO_CASES = [(name, 0) for name in scenario_names()] + [
+    ("lossy-network", 7),
+    ("lossy-network", 42),
+    ("worker-crash", 7),
+    ("worker-crash", 42),
+]
 
-class TestCatalogDifferential:
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_compiled_trace_matches_interpreted(self, name: str):
-        interpreted = make_scenario(name, seed=0).run()
-        compiled = make_scenario(name, seed=0, execution_mode="compiled").run()
-        assert compiled.ok, [inv for inv in compiled.invariants if not inv.ok]
-        assert compiled.received == interpreted.received
-        assert compiled.fingerprint == interpreted.fingerprint
 
-    @pytest.mark.parametrize(
-        "name,seed",
-        [
-            ("worker-crash", 7),
-            ("worker-crash", 42),
-            ("lossy-network", 7),
-            ("lossy-network", 42),
-        ],
+# -- the cases: each returns JSON-shaped data ------------------------------------
+
+
+def scenario_case(name: str, seed: int) -> dict:
+    result = make_scenario(name, seed=seed).run()
+    return {
+        "ok": result.ok,
+        "fingerprint": result.fingerprint,
+        "received": [list(pair) for pair in result.received],
+    }
+
+
+def meteo_incidents() -> list[str]:
+    scenario = MeteoScenario(threshold=10.0, slow_fraction=0.2, seed=11)
+    scenario.deploy()
+    scenario.run_traffic(300)
+    return [to_xml(item) for item in scenario.incidents()]
+
+
+def edos_failures() -> list[str]:
+    system = P2PMSystem(seed=23)
+    edos = EdosNetwork(n_mirrors=2, n_clients=10, failure_rate=0.3, seed=23)
+    for mirror in edos.mirrors:
+        peer = system.add_peer(mirror)
+        peer.add_alerter_hook(
+            lambda alerter: edos.attach_alerter(alerter)
+            if hasattr(alerter, "observe_call")
+            else None
+        )
+    monitor = system.add_peer("monitor.edos.org")
+    task = monitor.subscribe(
+        """
+        for $c in inCOM(<p>mirror0.edos.org</p> <p>mirror1.edos.org</p>)
+        where $c.callMethod = "DownloadPackage" and $c.status = "fault"
+        return <failure><mirror>{$c.callee}</mirror><client>{$c.caller}</client></failure>
+        by publish as channel "edosFailures";
+        """,
+        sub_id="edos-failures",
+        max_results=4096,
     )
-    def test_chaos_scenarios_match_across_extra_seeds(self, name: str, seed: int):
-        # the catalog sweep above pins seed 0; probe-side fusion must also
-        # hold when crash recovery / message loss reshuffle delivery orders
-        interpreted = make_scenario(name, seed=seed).run()
-        compiled = make_scenario(name, seed=seed, execution_mode="compiled").run()
-        assert compiled.ok, [inv for inv in compiled.invariants if not inv.ok]
-        assert compiled.received == interpreted.received
-        assert compiled.fingerprint == interpreted.fingerprint
-
-    @pytest.mark.parametrize("name,seed", sorted(PINNED_GOLDEN))
-    def test_compiled_reproduces_pinned_oracle_goldens(self, name: str, seed: int):
-        result = make_scenario(
-            name, seed=seed, failure_mode="oracle", execution_mode="compiled"
-        ).run()
-        assert result.ok, [inv for inv in result.invariants if not inv.ok]
-        assert result.fingerprint == PINNED_GOLDEN[(name, seed)]
+    system.run()
+    edos.run(400)
+    system.run()
+    return [to_xml(item) for item in task.results()]
 
 
-class TestWorkloadDifferential:
-    def test_meteo_incidents_identical(self):
-        def incidents(mode: str) -> list[str]:
-            scenario = MeteoScenario(
-                threshold=10.0, slow_fraction=0.2, seed=11, execution_mode=mode
-            )
-            scenario.deploy()
-            scenario.run_traffic(300)
-            return [to_xml(item) for item in scenario.incidents()]
-
-        interpreted = incidents("interpreted")
-        compiled = incidents("compiled")
-        assert compiled, "the workload should produce incidents"
-        assert compiled == interpreted
-
-    def test_edos_failures_identical(self):
-        def failures(mode: str) -> list[str]:
-            system = P2PMSystem(seed=23, execution_mode=mode)
-            edos = EdosNetwork(n_mirrors=2, n_clients=10, failure_rate=0.3, seed=23)
-            for mirror in edos.mirrors:
-                peer = system.add_peer(mirror)
-                peer.add_alerter_hook(
-                    lambda alerter: edos.attach_alerter(alerter)
-                    if hasattr(alerter, "observe_call")
-                    else None
-                )
-            monitor = system.add_peer("monitor.edos.org")
-            task = monitor.subscribe(
-                """
-                for $c in inCOM(<p>mirror0.edos.org</p> <p>mirror1.edos.org</p>)
-                where $c.callMethod = "DownloadPackage" and $c.status = "fault"
-                return <failure><mirror>{$c.callee}</mirror><client>{$c.caller}</client></failure>
-                by publish as channel "edosFailures";
-                """,
-                sub_id="edos-failures",
-                max_results=4096,
-            )
-            system.run()
-            edos.run(400)
-            system.run()
-            return [to_xml(item) for item in task.results()]
-
-        interpreted = failures("interpreted")
-        compiled = failures("compiled")
-        assert compiled, "a 30% failure rate should produce failures"
-        assert compiled == interpreted
-
-
-def _single_peer(mode: str) -> tuple:
-    system = P2PMSystem(seed=1, execution_mode=mode)
+def _single_peer() -> tuple:
+    system = P2PMSystem(seed=1)
     peer = system.add_peer("solo")
     return system, peer
 
@@ -151,9 +131,184 @@ def _chaos_subscription(peer, sub_id: str, template: str, threshold: int = 1):
     return handle, got
 
 
+def _chaos_alerts(numbers) -> list[Element]:
+    return [
+        Element("alert", {"kind": "chaos", "source": "solo", "n": str(n)})
+        for n in numbers
+    ]
+
+
+def dark_boundary_reuse() -> list[list[str]]:
+    # a second subscription reusing the (dark) intermediate filter stream
+    # must receive every later item
+    system, peer = _single_peer()
+    _, got_a = _chaos_subscription(peer, "qa", "<seen><n>{$x.n}</n></seen>")
+    system.run()
+    alerter = peer.alerter(CHAOS_FUNCTION)
+    for n in range(5):
+        alerter.emit_numbered(n)
+    system.run()
+    _, got_b = _chaos_subscription(peer, "qb", "<other><n>{$x.n}</n></other>")
+    system.run()
+    for n in range(5, 10):
+        alerter.emit_numbered(n)
+    system.run()
+    return [got_a, got_b]
+
+
+def cancel_under_reuse() -> list[list[str]]:
+    system, peer = _single_peer()
+    handle_a, got_a = _chaos_subscription(peer, "qa", "<seen><n>{$x.n}</n></seen>")
+    system.run()
+    alerter = peer.alerter(CHAOS_FUNCTION)
+    for n in range(3):
+        alerter.emit_numbered(n)
+    system.run()
+    _, got_b = _chaos_subscription(peer, "qb", "<other><n>{$x.n}</n></other>")
+    system.run()
+    handle_a.cancel()
+    system.run()
+    for n in range(3, 6):
+        alerter.emit_numbered(n)
+    system.run()
+    return [got_a, got_b]
+
+
+def _run_tree_subscription():
+    system, peer = _single_peer()
+    text = (
+        'for $c in outCOM(<p>solo</p>) '
+        'where $c.callMethod = "Invoice" and $c/alert/Envelope/Body '
+        "and $c/alert/error "
+        "return <bad><callee>{$c.callee}</callee></bad>"
+    )
+    got: list[str] = []
+    handle = peer.subscribe(text, sub_id="tp0")
+    handle.on_result(lambda item: got.append(to_xml(item)))
+    system.run()
+    alerter = peer.alerter("outCOM")
+    for index in range(12):
+        alerter.observe_call(
+            SoapCall(
+                call_id=f"c{index}",
+                caller="solo",
+                callee="tele.com",
+                method="Invoice" if index % 2 == 0 else "GetTemperature",
+                call_timestamp=float(index),
+                response_timestamp=float(index) + 0.5,
+                status="fault" if index % 3 == 0 else "ok",
+                parameters={"k": str(index)},
+            )
+        )
+    system.run()
+    return system, handle, got
+
+
+def tree_pattern_outputs() -> list[str]:
+    return _run_tree_subscription()[2]
+
+
+JOIN_TEXT = (
+    f'for $x in {CHAOS_FUNCTION}(<p>solo</p>), '
+    f'$y in {CHAOS_FUNCTION}(<p>solo</p>) '
+    'where $x.kind = "chaos" and $x.n >= 2 and $x.n = $y.n '
+    "return <pair><n>{$x.n}</n><m>{$y.n}</m></pair>"
+)
+
+
+def join_after_pipeline(batch: bool) -> list[str]:
+    system, peer = _single_peer()
+    got: list[str] = []
+    handle = peer.subscribe(JOIN_TEXT, sub_id="j0")
+    handle.on_result(lambda item: got.append(to_xml(item)))
+    system.run()
+    alerter = peer.alerter(CHAOS_FUNCTION)
+    if batch:
+        alerter.output.emit_many(_chaos_alerts(range(8)))
+    else:
+        for n in range(8):
+            alerter.emit_numbered(n)
+    system.run()
+    return got
+
+
+def _filter_node(subscription, children) -> PlanNode:
+    return PlanNode(
+        FILTER, {"subscription": subscription, "var": "x"}, children, placement="solo"
+    )
+
+
+def _chaos_alerter_node() -> PlanNode:
+    return PlanNode(ALERTER, {"alerter": CHAOS_FUNCTION}, [], placement="solo")
+
+
+def group_after_pipeline() -> list[str]:
+    # GROUP has no P2PML surface syntax: deploy a programmatic plan through
+    # the same Deployer the manager uses
+    system, peer = _single_peer()
+    subscription = FilterSubscription("g0", [SimpleCondition("kind", "=", "chaos")], [])
+    plan = PlanNode(
+        GROUP,
+        {"key": "n", "every": 4, "var": "x"},
+        [_filter_node(subscription, [_chaos_alerter_node()])],
+        placement="solo",
+    )
+    deployer = Deployer(system, publish_replicas=system.publish_replicas)
+    task = deployer.deploy(plan, "g0", manager_peer="solo")
+    got: list[str] = []
+    task.delivery.subscribe(lambda item: got.append(to_xml(item)))
+    system.run()
+    alerter = peer.alerter(CHAOS_FUNCTION)
+    for n in range(10):
+        alerter.emit_numbered(n % 3)
+    system.run()
+    return got
+
+
+#: golden-table key -> the function that recomputes its value
+CASES = {
+    **{
+        f"scenario/{name}/seed{seed}": (lambda n=name, s=seed: scenario_case(n, s))
+        for name, seed in SCENARIO_CASES
+    },
+    "meteo/seed11/incidents": meteo_incidents,
+    "edos/seed23/failures": edos_failures,
+    "pipeline/dark-boundary-reuse": dark_boundary_reuse,
+    "pipeline/cancel-under-reuse": cancel_under_reuse,
+    "pipeline/tree-pattern": tree_pattern_outputs,
+    "pipeline/join/item": lambda: join_after_pipeline(batch=False),
+    "pipeline/join/batch": lambda: join_after_pipeline(batch=True),
+    "pipeline/group": group_after_pipeline,
+}
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())["cases"]
+
+
+# -- the tests -------------------------------------------------------------------
+
+
+class TestInterpretedGolden:
+    def test_table_and_cases_cover_each_other(self):
+        assert sorted(load_golden()) == sorted(CASES)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_only_engine_reproduces_interpreted_reference(self, case: str):
+        expected = load_golden()[case]
+        assert expected, "a golden case without output checks nothing"
+        assert CASES[case]() == expected
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_GOLDEN))
+    def test_pinned_oracle_goldens_hold(self, name: str, seed: int):
+        result = make_scenario(name, seed=seed, failure_mode="oracle").run()
+        assert result.ok, [inv for inv in result.invariants if not inv.ok]
+        assert result.fingerprint == PINNED_GOLDEN[(name, seed)]
+
+
 class TestFusedPipelines:
     def test_filter_restructure_fuses_into_one_segment(self):
-        system, peer = _single_peer("compiled")
+        system, peer = _single_peer()
         handle, got = _chaos_subscription(peer, "q0", "<seen><n>{$x.n}</n></seen>")
         system.run()
         pipelines = system.compiled_pipelines()
@@ -168,12 +323,11 @@ class TestFusedPipelines:
         assert pipelines[0].items_out == 9
         # the intermediate filter boundary is dark: fused straight through
         stats = handle.stats()["compile"]
-        assert stats["mode"] == "compiled"
         assert stats["segments_fused"] == 1
         assert stats["stages_fused"] == 2
 
     def test_cse_shares_restructure_across_subscriptions(self):
-        system, peer = _single_peer("compiled")
+        system, peer = _single_peer()
         _, got_a = _chaos_subscription(
             peer, "qa", "<seen><n>{$x.n}</n></seen>", threshold=0
         )
@@ -186,106 +340,48 @@ class TestFusedPipelines:
             alerter.emit_numbered(n)
         system.run()
         assert len(got_a) == 20 and len(got_b) == 19
-        table = system.materialized
-        assert table is not None and table.hits > 0, (
+        assert system.materialized.hits > 0, (
             "identical templates across subscriptions must share evaluations"
         )
 
-    def test_reuse_of_dark_boundary_flips_it_live(self):
-        # a second subscription reusing the (dark) intermediate filter stream
-        # must receive every later item, identically in both modes
-        def run(mode: str):
-            system, peer = _single_peer(mode)
-            _, got_a = _chaos_subscription(peer, "qa", "<seen><n>{$x.n}</n></seen>")
-            system.run()
-            alerter = peer.alerter(CHAOS_FUNCTION)
-            for n in range(5):
-                alerter.emit_numbered(n)
-            system.run()
-            _, got_b = _chaos_subscription(peer, "qb", "<other><n>{$x.n}</n></other>")
-            system.run()
-            for n in range(5, 10):
-                alerter.emit_numbered(n)
-            system.run()
-            return got_a, got_b
-
-        interpreted = run("interpreted")
-        compiled = run("compiled")
-        assert compiled == interpreted
-        assert len(compiled[1]) == 5
-
-    def test_cancel_keeps_shared_boundary_flowing(self):
-        def run(mode: str):
-            system, peer = _single_peer(mode)
-            handle_a, got_a = _chaos_subscription(peer, "qa", "<seen><n>{$x.n}</n></seen>")
-            system.run()
-            alerter = peer.alerter(CHAOS_FUNCTION)
-            for n in range(3):
-                alerter.emit_numbered(n)
-            system.run()
-            _, got_b = _chaos_subscription(peer, "qb", "<other><n>{$x.n}</n></other>")
-            system.run()
-            handle_a.cancel()
-            system.run()
-            for n in range(3, 6):
-                alerter.emit_numbered(n)
-            system.run()
-            return got_a, got_b
-
-        assert run("compiled") == run("interpreted")
+    def test_cancelled_deployer_keeps_shared_pipeline_listed(self):
+        # regression: qb reuses qa's FILTER stream, so cancelling qa tears
+        # down only the RESTRUCTURE stage -- the half-detached pipeline still
+        # runs the filter for qb and must stay visible
+        system, peer = _single_peer()
+        handle_a, _ = _chaos_subscription(peer, "qa", "<seen><n>{$x.n}</n></seen>")
+        system.run()
+        _, got_b = _chaos_subscription(peer, "qb", "<other><n>{$x.n}</n></other>")
+        system.run()
+        handle_a.cancel()
+        system.run()
+        peer.alerter(CHAOS_FUNCTION).emit_numbered(3)
+        system.run()
+        assert got_b == ["<other><n>3</n></other>"]
+        pipelines = system.compiled_pipelines()
+        assert sorted(p.sub_id for p in pipelines) == ["qa", "qb"]
+        assert not any(p.detached for p in pipelines)
+        assert system.compile_snapshot()["pipelines_active"] == 2
+        assert "pipeline sub=qa @solo [live]" in system.compile_report()
 
     def test_compile_report_is_printable(self):
-        system, peer = _single_peer("compiled")
+        system, peer = _single_peer()
         _chaos_subscription(peer, "q0", "<seen><n>{$x.n}</n></seen>")
         system.run()
-        report = system.compile_report()
-        assert "execution mode: compiled" in report
-        assert "segments fused" in report
-        interpreted_system, _ = _single_peer("interpreted")
-        assert "interpreted" in interpreted_system.compile_report()
+        assert "segments fused" in system.compile_report()
 
-    def test_invalid_execution_mode_rejected(self):
-        with pytest.raises(ValueError, match="execution_mode"):
-            P2PMSystem(execution_mode="jit")
-
-
-class TestCopySafety:
-    def test_plan_copy_drops_compiled_stage(self):
-        system, peer = _single_peer("compiled")
-        _, _ = _chaos_subscription(peer, "q0", "<seen><n>{$x.n}</n></seen>")
-        system.run()
-        record = peer.manager.database.get("q0")
-        plan = record.task.plan
-        staged = [
-            node for node in plan.iter_nodes()
-            if isinstance(node._stage, CompiledStage)
-        ]
-        assert staged, "deployment must have attached compiled stages"
-        for node in staged:
-            clone = node.copy()
-            # the signature memo is carried (pure function of params)...
-            assert clone._detail == node._detail
-            # ...but the compiled stage is re-derived, never inherited
-            assert clone._stage is None
-
-    def test_stage_rebuilt_for_foreign_table(self):
-        # a stage pinned on a node only short-circuits recompilation for the
-        # same system's materialized table; a second system must build its own
-        system_a, peer_a = _single_peer("compiled")
-        _chaos_subscription(peer_a, "q0", "<seen><n>{$x.n}</n></seen>")
-        system_a.run()
-        system_b, peer_b = _single_peer("compiled")
-        _chaos_subscription(peer_b, "q0", "<seen><n>{$x.n}</n></seen>")
-        system_b.run()
-        tables = set()
-        for system in (system_a, system_b):
-            for pipeline in system.compiled_pipelines():
-                assert isinstance(pipeline, CompiledPipeline)
-                for stage in pipeline.stages:
-                    assert isinstance(stage.table, MaterializedTable)
-                    assert stage.table is system.materialized
-                    tables.add(id(stage.table))
-        assert len(tables) == 2
+    @pytest.mark.parametrize("defect", ["two-children", "no-subscription"])
+    def test_malformed_filter_node_is_rejected_at_deploy(self, defect: str):
+        system, _ = _single_peer()
+        subscription = FilterSubscription("m0", [SimpleCondition("kind", "=", "chaos")], [])
+        if defect == "two-children":
+            plan = _filter_node(subscription, [_chaos_alerter_node(), _chaos_alerter_node()])
+        else:
+            plan = _filter_node(None, [_chaos_alerter_node()])
+        deployer = Deployer(system, publish_replicas=system.publish_replicas)
+        with pytest.raises(ValueError, match="filter"):
+            deployer.deploy(plan, "m0", manager_peer="solo")
+        assert len(system.resources) == 0
 
 
 def _soap_alert_items(n: int, seed: int = 5) -> list[Element]:
@@ -339,42 +435,10 @@ class TestTreePatternFusion:
                     f"the extensional oracle on {to_xml(item)[:120]}"
                 )
 
-    def _run_tree_subscription(self, mode: str):
-        system = P2PMSystem(seed=1, execution_mode=mode)
-        peer = system.add_peer("solo")
-        text = (
-            'for $c in outCOM(<p>solo</p>) '
-            'where $c.callMethod = "Invoice" and $c/alert/Envelope/Body '
-            "and $c/alert/error "
-            "return <bad><callee>{$c.callee}</callee></bad>"
-        )
-        got: list[str] = []
-        handle = peer.subscribe(text, sub_id="tp0")
-        handle.on_result(lambda item: got.append(to_xml(item)))
-        system.run()
-        alerter = peer.alerter("outCOM")
-        for index in range(12):
-            alerter.observe_call(
-                SoapCall(
-                    call_id=f"c{index}",
-                    caller="solo",
-                    callee="tele.com",
-                    method="Invoice" if index % 2 == 0 else "GetTemperature",
-                    call_timestamp=float(index),
-                    response_timestamp=float(index) + 0.5,
-                    status="fault" if index % 3 == 0 else "ok",
-                    parameters={"k": str(index)},
-                )
-            )
-        system.run()
-        return system, handle, got
-
-    def test_tree_pattern_subscription_fuses_and_matches_interpreted(self):
-        _, _, interpreted = self._run_tree_subscription("interpreted")
-        system, handle, compiled = self._run_tree_subscription("compiled")
-        assert compiled and compiled == interpreted
-        # the complex-query FILTER must now fuse: one pipeline, no FILTER
-        # fallback, and the tree-pattern expressions in the stage signature
+    def test_tree_pattern_subscription_fuses(self):
+        system, handle, _ = _run_tree_subscription()
+        # the complex-query FILTER fuses: one pipeline, no FILTER fallback,
+        # and the tree-pattern expressions in the stage signature
         pipelines = system.compiled_pipelines()
         assert len(pipelines) == 1
         assert [stage.kind for stage in pipelines[0].stages] == [FILTER, RESTRUCTURE]
@@ -384,99 +448,9 @@ class TestTreePatternFusion:
         assert stats["segments_fused"] == 1
 
 
-class TestStatefulConsumerFusion:
-    JOIN_TEXT = (
-        f'for $x in {CHAOS_FUNCTION}(<p>solo</p>), '
-        f'$y in {CHAOS_FUNCTION}(<p>solo</p>) '
-        'where $x.kind = "chaos" and $x.n >= 2 and $x.n = $y.n '
-        "return <pair><n>{$x.n}</n><m>{$y.n}</m></pair>"
-    )
-
-    def _run_join(self, mode: str, batch: bool):
-        system = P2PMSystem(seed=1, execution_mode=mode)
-        peer = system.add_peer("solo")
-        got: list[str] = []
-        handle = peer.subscribe(self.JOIN_TEXT, sub_id="j0")
-        handle.on_result(lambda item: got.append(to_xml(item)))
-        system.run()
-        alerter = peer.alerter(CHAOS_FUNCTION)
-        if batch:
-            alerter.output.emit_many(
-                [
-                    Element("alert", {"kind": "chaos", "source": "solo", "n": str(n)})
-                    for n in range(8)
-                ]
-            )
-        else:
-            for n in range(8):
-                alerter.emit_numbered(n)
-        system.run()
-        return system, handle, got
-
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_join_probe_fusion_matches_interpreted(self, batch: bool):
-        _, _, interpreted = self._run_join("interpreted", batch)
-        system, handle, compiled = self._run_join("compiled", batch)
-        assert compiled and compiled == interpreted
-        stats = handle.stats()["compile"]
-        assert stats["consumers_fused"].get("join", 0) >= 1
-
-    def _run_group(self, mode: str):
-        # GROUP has no P2PML surface syntax: deploy a programmatic plan
-        # through the same Deployer the manager uses
-        system = P2PMSystem(seed=1, execution_mode=mode)
-        peer = system.add_peer("solo")
-        subscription = FilterSubscription(
-            "g0", [SimpleCondition("kind", "=", "chaos")], []
-        )
-        plan = PlanNode(
-            GROUP,
-            {"key": "n", "every": 4, "var": "x"},
-            [
-                PlanNode(
-                    FILTER,
-                    {"subscription": subscription, "var": "x"},
-                    [
-                        PlanNode(
-                            ALERTER,
-                            {"alerter": CHAOS_FUNCTION},
-                            [],
-                            placement="solo",
-                        )
-                    ],
-                    placement="solo",
-                )
-            ],
-            placement="solo",
-        )
-        deployer = Deployer(system, publish_replicas=system.publish_replicas)
-        task = deployer.deploy(plan, "g0", manager_peer="solo")
-        got: list[str] = []
-        task.delivery.subscribe(lambda item: got.append(to_xml(item)))
-        system.run()
-        alerter = peer.alerter(CHAOS_FUNCTION)
-        for n in range(10):
-            alerter.emit_numbered(n % 3)
-        system.run()
-        return system, got
-
-    def test_group_probe_fusion_matches_interpreted(self):
-        _, interpreted = self._run_group("interpreted")
-        system, compiled = self._run_group("compiled")
-        assert compiled and compiled == interpreted
-        snapshot = system.compiler.stats.snapshot()
-        assert snapshot["consumers_fused"].get("group", 0) >= 1
-        pipelines = system.compiled_pipelines()
-        assert any(
-            pipeline.describe()["consumer_fused"] == "Group"
-            for pipeline in pipelines
-        )
-
-
 class TestCompileStats:
     def test_stage_invocation_counters_split_batch_and_item(self):
-        system = P2PMSystem(seed=1, execution_mode="compiled")
-        peer = system.add_peer("solo")
+        system, peer = _single_peer()
         got: list[str] = []
         handle = peer.subscribe(
             f'for $x in {CHAOS_FUNCTION}(<p>solo</p>) '
@@ -487,12 +461,7 @@ class TestCompileStats:
         system.run()
         alerter = peer.alerter(CHAOS_FUNCTION)
         alerter.emit_numbered(0)
-        alerter.output.emit_many(
-            [
-                Element("alert", {"kind": "chaos", "source": "solo", "n": str(n)})
-                for n in range(1, 6)
-            ]
-        )
+        alerter.output.emit_many(_chaos_alerts(range(1, 6)))
         system.run()
         assert len(got) == 6
         invocations = handle.stats()["compile"]["stage_invocations"]
@@ -501,8 +470,7 @@ class TestCompileStats:
         assert invocations["item"] >= 2  # the single emit ran per-item
 
     def test_report_fallback_lines_sorted_and_unique(self):
-        system = P2PMSystem(seed=1, execution_mode="compiled")
-        peer = system.add_peer("solo")
+        system, peer = _single_peer()
         for index in range(3):
             peer.subscribe(
                 f'for $x in {CHAOS_FUNCTION}(<p>solo</p>) '

@@ -14,7 +14,9 @@ import pytest
 
 from benchmarks.conftest import make_alert_items, make_subscription_set
 from benchmarks.bench_yfilter import make_path_queries
-from repro.algebra import FilterProcessor, GroupOperator, UnionOperator
+from repro.algebra import GroupOperator, PlanNode, UnionOperator
+from repro.algebra.plan import ALERTER, FILTER
+from repro.compile import CompiledPlanCache, CompileStats, MaterializedTable, PlanCompiler
 from repro.filtering import FilterOperator, NaiveFilter, YFilterSigma
 from repro.streams import Stream, collect
 from repro.xmlmodel import Element, XPath
@@ -223,36 +225,29 @@ class TestBatchPaths:
         assert per_item == batched
         assert one.items_processed == two.items_processed == len(items)
 
-    def test_emit_many_through_filter_processor(self):
-        """Batched emission drives FilterProcessor.on_batch, same survivors."""
+    def test_compiled_filter_stage_batch_equals_per_item(self):
+        """``apply_many`` keeps exactly the items ``apply`` keeps, per NaiveFilter."""
         items = make_alert_items(40, seed=32)
-        subscriptions = make_subscription_set(60, seed=33)
-        subscription = subscriptions[0]
-
-        per_item_src = Stream("per-item")
-        batched_src = Stream("batched")
-        per_item_proc = FilterProcessor(subscription)
-        batched_proc = FilterProcessor(subscription)
-        per_item_proc.connect(per_item_src)
-        batched_proc.connect(batched_src)
-        per_item_out = collect(per_item_proc.output)
-        batched_out = collect(batched_proc.output)
-
-        for item in items:
-            per_item_src.emit(item)
-        batched_src.emit_many(items)
-
-        assert per_item_out == batched_out
-        assert per_item_proc.items_in == batched_proc.items_in == len(items)
-        assert per_item_proc.items_out == batched_proc.items_out
-        # accounting is identical whichever path delivered the items
-        assert per_item_src.stats.items == batched_src.stats.items == len(items)
-        assert per_item_src.stats.bytes == batched_src.stats.bytes
-        assert (
-            per_item_proc.output.stats.items
-            == batched_proc.output.stats.items
-            == len(per_item_out)
-        )
+        subscriptions = make_subscription_set(60, seed=33, computed_fraction=0.25)
+        compiler = PlanCompiler(MaterializedTable(), CompiledPlanCache(), CompileStats())
+        naive_results = NaiveFilter(subscriptions).process_batch(items)
+        memoised = 0
+        for subscription in subscriptions:
+            node = PlanNode(
+                FILTER, {"subscription": subscription}, [PlanNode(ALERTER, placement="p")],
+                placement="p",
+            )
+            (stage,) = compiler.compile_segment([node], epoch=0)
+            expected = [
+                result.item for result in naive_results
+                if subscription.sub_id in result.matched
+            ]
+            assert [item for item in items if stage.apply(item)] == expected
+            assert stage.apply_many(items) == expected
+            # a second burst of the same list object is served from the table
+            assert stage.apply_many(items) == expected
+            memoised += bool(subscription.computed) or len(subscription.simple) >= 3
+        assert 0 < memoised < len(subscriptions), "both stage shapes must be covered"
 
 
     def test_group_operator_cadence_identical_under_batching(self):

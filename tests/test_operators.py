@@ -4,18 +4,14 @@ import pytest
 
 from repro.algebra import (
     DuplicateRemovalOperator,
-    FilterProcessor,
     GroupOperator,
     JoinOperator,
-    RestructureOperator,
-    RestructureTemplate,
     UnionOperator,
     ValueRef,
     get_binding,
 )
-from repro.filtering import FilterSubscription, SimpleCondition
 from repro.streams import Stream, collect
-from repro.xmlmodel import Element, XPath
+from repro.xmlmodel import Element
 
 
 def alert(**attrs) -> Element:
@@ -42,33 +38,6 @@ class TestOperatorBase:
         assert "in=1" in repr(union)
 
 
-class TestFilterProcessor:
-    def test_forwards_only_matching_items(self):
-        source = Stream("s")
-        subscription = FilterSubscription(
-            "slow", [SimpleCondition("duration", ">", "10")]
-        )
-        processor = FilterProcessor(subscription)
-        processor.connect(source)
-        sink = collect(processor.output)
-        source.emit(alert(duration="5"))
-        source.emit(alert(duration="15"))
-        source.emit(alert(duration="30"))
-        assert [item.attrib["duration"] for item in sink] == ["15", "30"]
-
-    def test_complex_condition(self):
-        source = Stream("s")
-        subscription = FilterSubscription(
-            "deep", [], [XPath.compile("//c/d")]
-        )
-        processor = FilterProcessor(subscription)
-        processor.connect(source)
-        sink = collect(processor.output)
-        source.emit(Element("alert", children=[Element("c", children=[Element("d")])]))
-        source.emit(Element("alert", children=[Element("c")]))
-        assert len(sink) == 1
-
-
 class TestUnion:
     def test_merges_streams(self):
         a, b, c = Stream("a"), Stream("b"), Stream("c")
@@ -81,20 +50,6 @@ class TestUnion:
         c.emit(alert(src="c"))
         a.emit(alert(src="a2"))
         assert [item.attrib["src"] for item in sink] == ["a", "b", "c", "a2"]
-
-
-class TestRestructure:
-    def test_applies_template(self):
-        source = Stream("s")
-        template = RestructureTemplate(
-            Element("incident", {"type": "slowAnswer"}, [Element("client", text="{$c1.caller}")])
-        )
-        restructure = RestructureOperator(template, default_var="c1")
-        restructure.connect(source)
-        sink = collect(restructure.output)
-        source.emit(alert(caller="http://a.com"))
-        assert sink[0].tag == "incident"
-        assert sink[0].find("client").text == "http://a.com"
 
 
 class TestJoin:

@@ -252,3 +252,89 @@ class TestLossyControlPlaneSoak:
             assert len(bucket) == len(sources)
         counters = deployed[0].stats()["reliability"]
         assert counters["rpc_calls"] >= 1000
+
+
+class TestReliableCancel:
+    """Cancellation under ``reliable_control=True``: advertisements are
+    retracted through ``ControlPlaneRouter.retract_document`` and cross-peer
+    channel subscriptions are withdrawn by the ``channel.unsubscribe`` RPC
+    (``Deployer._unsubscribe_via_rpc``), so every cancel shows up in
+    ``rpc_calls``."""
+
+    @staticmethod
+    def build(seed=5):
+        system = P2PMSystem(seed=seed, reliable_control=True)
+        system.add_peer("s0")
+        monitor = system.add_peer("monitor")
+        return system, monitor
+
+    @staticmethod
+    def text(tag):
+        # same source and ``where`` (one shared FILTER stream at s0),
+        # different ``return``: each subscription pulls its own restructured
+        # stream across the s0 -> monitor edge
+        return (
+            f'for $x in {CHAOS_FUNCTION}(<p>s0</p>) where $x.kind = "chaos" '
+            f"return <{tag}><n>{{$x.n}}</n></{tag}>"
+        )
+
+    @staticmethod
+    def rpc_calls(system):
+        return system.network.stats.reliability_snapshot()["rpc_calls"]
+
+    def test_cancel_one_keeps_the_other_then_cancel_both_leaves_nothing(self):
+        system, monitor = self.build()
+        first = monitor.subscribe(self.text("a"), sub_id="qa")
+        second = monitor.subscribe(self.text("b"), sub_id="qb")
+        system.run()
+        got_first, got_second = [], []
+        first.on_result(got_first.append)
+        second.on_result(got_second.append)
+        workload = ChaosFeedWorkload(["s0"])
+        workload.tick(system, 0)
+        system.run()
+        assert len(got_first) == len(got_second) == 1
+
+        deployed = self.rpc_calls(system)
+        first.cancel()
+        system.run()
+        after_first = self.rpc_calls(system)
+        assert after_first > deployed, "cancel must retract and unsubscribe over RPC"
+        workload.tick(system, 1)
+        system.run()
+        assert len(got_first) == 1 and len(got_second) == 2
+        assert len(system.resources) > 0
+
+        second.cancel()
+        system.run()
+        assert self.rpc_calls(system) > after_first
+        assert len(system.resources) == 0
+        assert system.stream_db.verify_index_coherence() == []
+        assert system.kadop.document_ids == []
+
+    @pytest.mark.parametrize("seed", [3, 19, 31])
+    def test_lossy_cancel_succeeds_or_fails_typed(self, seed):
+        system, monitor = self.build(seed)
+        system.network.set_fault_model(FaultModel(loss_rate=0.2, jitter=0.01))
+        handles = []
+        for tag in ("a", "b"):
+            try:
+                handles.append(monitor.subscribe(self.text(tag), sub_id=f"q{tag}"))
+            except RpcError:
+                pass  # typed, before deploying anything
+            system.run()
+        deployed = self.rpc_calls(system)
+        cancelled = 0
+        for handle in handles:
+            try:
+                handle.cancel()
+            except RpcError:
+                continue
+            cancelled += 1
+            system.run()
+        assert not handles or self.rpc_calls(system) > deployed
+        system.network.set_fault_model(None)
+        system.run()
+        if cancelled == len(handles):
+            assert len(system.resources) == 0
+            assert system.stream_db.verify_index_coherence() == []
