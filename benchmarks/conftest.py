@@ -78,8 +78,8 @@ def make_subscription_set(
     return subscriptions
 
 
-#: Tree patterns of the E2-TREE workload: every subscription carries at
-#: least one, so the whole set exercises the tree-pattern fusion path.
+#: Tree patterns of the all-complex workload: every subscription carries at
+#: least one, so the whole set exercises the YFilter stage.
 TREE_PATHS = [
     "//Body",
     "//Envelope/Body",
@@ -97,9 +97,8 @@ def make_tree_subscription_set(
     """All-complex subscriptions: 1-2 simple conditions plus 1-2 tree patterns.
 
     Unlike :func:`make_subscription_set` (where half the subscriptions are
-    simple-only), every subscription here carries complex queries -- the
-    workload the plan compiler used to split back to the interpreter
-    wholesale, and the one the tree-pattern fusion rows measure.
+    simple-only), every subscription here carries complex queries, so every
+    match goes through the YFilter stage.
     """
     rng = random.Random(seed)
     methods = ["GetTemperature", "GetHumidity", "GetForecast", "Invoice"]

@@ -53,14 +53,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks.conftest import make_alert_items, make_subscription_set  # noqa: E402
-from benchmarks.bench_filter_scaling import (  # noqa: E402
-    compiled_predicate_set,
-    run_compiled_predicates,
-    tree_predicate_set,
-)
-from benchmarks.conftest import make_tree_subscription_set  # noqa: E402
 from benchmarks.bench_yfilter import make_path_queries  # noqa: E402
-from repro.compile import MaterializedTable  # noqa: E402
 from repro.filtering import FilterOperator, NaiveFilter, YFilterSigma  # noqa: E402
 
 
@@ -71,13 +64,6 @@ SEED_BASELINE = {
     "filter_items_per_sec_at_10k_subscriptions": 650.4,
     "yfilter_items_per_sec_at_10k_queries": 4514.7,
 }
-
-#: E2-TREE throughput measured immediately before tree-pattern fusion landed
-#: (the PR 9 plan compiler split every complex-query FILTER back to one
-#: per-subscription two-stage FilterOperator; same machine, 150 alert
-#: items, best-of-rounds).  The fused rows carry their speedup vs these.
-TREE_PRE_FUSION_BASELINE = {100: 3836.9, 1000: 385.0, 10000: 29.8}
-
 
 def _rate(count: int, seconds: float) -> float:
     return count / seconds if seconds > 0 else float("inf")
@@ -124,98 +110,8 @@ def bench_filter_scaling(
                     ),
                     4,
                 ),
-                "aes_cache_hit_rate": round(
-                    _hit_rate(
-                        filter_op.aes.match_cache_hits, filter_op.aes.match_cache_misses
-                    ),
-                    4,
-                ),
             }
         )
-    return results
-
-
-def bench_compiled_filter(
-    subscription_counts: list[int], n_items: int, rounds: int
-) -> list[dict]:
-    """E2-COMPILED: fused predicate closures CSE'd through MaterializedTable.
-
-    The plan compiler's data path over the E2 workload: one fused closure
-    per simple-condition subscription (tree-pattern subscriptions are the
-    E2-TREE rows), sharing per-item verdicts across identical signatures.
-    """
-    results = []
-    items = make_alert_items(n_items, seed=1)
-    for n_subscriptions in subscription_counts:
-        subscriptions = make_subscription_set(n_subscriptions, seed=2)
-        build_start = time.perf_counter()
-        compiled = compiled_predicate_set(subscriptions)
-        build_seconds = time.perf_counter() - build_start
-        table = MaterializedTable()
-        run_compiled_predicates(items, compiled, table)  # warm + intern
-        table.hits = table.misses = 0
-        best = float("inf")
-        matches = 0
-        for _ in range(rounds):
-            start = time.perf_counter()
-            matches = run_compiled_predicates(items, compiled, table)
-            best = min(best, time.perf_counter() - start)
-        results.append(
-            {
-                "experiment": "E2-COMPILED",
-                "subscriptions": n_subscriptions,
-                "compiled_subscriptions": len(compiled),
-                "items": n_items,
-                "build_seconds": round(build_seconds, 6),
-                "best_seconds": round(best, 6),
-                "items_per_sec": round(_rate(n_items, best), 1),
-                "matches": matches,
-                "cse_hit_rate": round(_hit_rate(table.hits, table.misses), 4),
-            }
-        )
-    return results
-
-
-def bench_tree_filter(
-    subscription_counts: list[int], n_items: int, rounds: int
-) -> list[dict]:
-    """E2-TREE: fused tree-pattern predicates over an all-complex workload.
-
-    Every subscription carries tree-pattern queries, so before this fusion
-    existed the whole set ran on per-subscription two-stage
-    FilterOperators -- the :data:`TREE_PRE_FUSION_BASELINE` numbers.
-    """
-    results = []
-    items = make_alert_items(n_items, seed=1)
-    for n_subscriptions in subscription_counts:
-        subscriptions = make_tree_subscription_set(n_subscriptions, seed=2)
-        build_start = time.perf_counter()
-        compiled = tree_predicate_set(subscriptions)
-        build_seconds = time.perf_counter() - build_start
-        table = MaterializedTable()
-        run_compiled_predicates(items, compiled, table)  # warm the lazy DFAs
-        table.hits = table.misses = 0
-        best = float("inf")
-        matches = 0
-        for _ in range(rounds):
-            start = time.perf_counter()
-            matches = run_compiled_predicates(items, compiled, table)
-            best = min(best, time.perf_counter() - start)
-        row = {
-            "experiment": "E2-TREE",
-            "subscriptions": n_subscriptions,
-            "items": n_items,
-            "build_seconds": round(build_seconds, 6),
-            "best_seconds": round(best, 6),
-            "items_per_sec": round(_rate(n_items, best), 1),
-            "matches": matches,
-            "cse_hit_rate": round(_hit_rate(table.hits, table.misses), 4),
-        }
-        pre_fusion = TREE_PRE_FUSION_BASELINE.get(n_subscriptions)
-        if pre_fusion:
-            row["pre_fusion_items_per_sec"] = pre_fusion
-            row["speedup_vs_pre_fusion"] = round(row["items_per_sec"] / pre_fusion, 2)
-        results.append(row)
     return results
 
 
@@ -319,8 +215,6 @@ def run(quick: bool = False) -> dict:
             "agrees_with_naive_oracle": True,
         },
         "filter_scaling": bench_filter_scaling(subscription_counts, n_items, rounds),
-        "compiled_filter": bench_compiled_filter(subscription_counts, n_items, rounds),
-        "tree_filter": bench_tree_filter(subscription_counts, n_items, rounds),
         "yfilter": bench_yfilter(query_counts, n_items, rounds),
         "naive_reference": bench_naive_reference(naive_subs, naive_items),
     }
@@ -359,8 +253,6 @@ def compare_to_baseline(summary: dict, baseline: dict, tolerance: float) -> list
     matched = 0
     for list_name, size_key in (
         ("filter_scaling", "subscriptions"),
-        ("compiled_filter", "subscriptions"),
-        ("tree_filter", "subscriptions"),
         ("yfilter", "queries"),
     ):
         baseline_rows = {
@@ -465,20 +357,6 @@ def main(argv: list[str] | None = None) -> int:
             f"E2 filter  subs={row['subscriptions']:>6}  "
             f"{row['items_per_sec']:>9.1f} items/s  "
             f"mask-cache {row['mask_cache_hit_rate']:.0%}"
-        )
-    for row in summary["compiled_filter"]:
-        print(
-            f"E2 compiled subs={row['subscriptions']:>6}  "
-            f"{row['items_per_sec']:>9.1f} items/s  "
-            f"cse {row['cse_hit_rate']:.0%}"
-        )
-    for row in summary["tree_filter"]:
-        speedup = row.get("speedup_vs_pre_fusion")
-        suffix = f"  {speedup:.1f}x pre-fusion" if speedup else ""
-        print(
-            f"E2 tree    subs={row['subscriptions']:>6}  "
-            f"{row['items_per_sec']:>9.1f} items/s  "
-            f"cse {row['cse_hit_rate']:.0%}{suffix}"
         )
     for row in summary["yfilter"]:
         print(

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Check the documentation: links resolve, snippets compile, options exist.
+"""Check the documentation: links resolve, snippets compile, options and spans exist.
 
 Usage::
 
     python scripts/check_docs.py                 # README.md + docs/*.md
     python scripts/check_docs.py README.md docs/ARCHITECTURE.md
 
-Two checks per markdown file, and one more on ``docs/ARCHITECTURE.md``:
+Two checks per markdown file, one more on ``docs/ARCHITECTURE.md``, and --
+when no file is named -- one on the span table of the repository benchmark:
 
 * **Dead links** — every relative markdown link ``[text](target)`` must
   point at an existing file or directory (resolved against the linking
@@ -20,6 +21,10 @@ Two checks per markdown file, and one more on ``docs/ARCHITECTURE.md``:
 * **Option matrix** — every option named in the "System option matrix"
   table of ``docs/ARCHITECTURE.md`` must be a parameter of
   ``P2PMSystem.__init__`` whose default equals the documented one.
+* **Span table** — every dotted path in ``SPANS`` of ``perf/layers.py`` must
+  resolve to an attribute defined under ``src/``: the tracer patches these
+  entry points by name, so a renamed one would otherwise break only the
+  ``perf/run.py --trace 1`` runs.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.
 """
@@ -27,6 +32,7 @@ Exit code 0 when clean, 1 with one line per problem otherwise.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 import sys
@@ -103,6 +109,36 @@ def check_option_matrix(text: str, rel: Path) -> list[str]:
     return problems
 
 
+def check_span_table() -> list[str]:
+    """Dotted paths of ``perf/layers.py`` ``SPANS`` vs the code under ``src/``."""
+    for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
+    from perf.layers import SPANS
+
+    problems = []
+    for dotted, span, *_ in SPANS:
+        parts = dotted.split(".")
+        target = None
+        # the longest importable prefix is the module, the rest attributes
+        for split in range(len(parts) - 1, 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:split]))
+            except ModuleNotFoundError:
+                continue
+            source = Path(getattr(target, "__file__", "") or "").resolve()
+            if not source.is_relative_to(REPO_ROOT / "src"):
+                target = None
+            for part in parts[split:]:
+                target = getattr(target, part, None)
+            break
+        if target is None:
+            problems.append(
+                f"perf/layers.py: span {span!r} names {dotted}, which does not resolve under src/"
+            )
+    return problems
+
+
 def check_file(path: Path) -> list[str]:
     problems = []
     text = path.read_text(encoding="utf-8")
@@ -142,6 +178,8 @@ def main(argv: list[str]) -> int:
             problems.append(f"{path}: no such file")
             continue
         problems.extend(check_file(path))
+    if not argv:
+        problems.extend(check_span_table())
     for problem in problems:
         print(problem)
     print(f"check_docs: {len(files)} file(s), {len(problems)} problem(s)")

@@ -1,12 +1,13 @@
-"""Plan compilation: fused pipeline closures with cross-plan CSE.
+"""Plan compilation: fused pipelines, one shared filter per stream, CSE.
 
 The only FILTER/RESTRUCTURE engine.  The compiler partitions each deployed
-plan into maximal linear segments of co-located fusable operators -- simple
-and tree-pattern filters alike -- fuses every segment into a single call
-frame per item (:class:`CompiledPipeline`, with a batched ``apply_many``
-entry point per stage) and memoises identical sub-expressions across all
-co-deployed subscriptions through one system-wide
-:class:`MaterializedTable`.  Every other operator kind runs as an
+plan into maximal linear segments of co-located fusable operators and fuses
+every segment into a single call frame per item (:class:`CompiledPipeline`,
+with a batched entry point).  A FILTER -- simple or tree-pattern -- always
+heads its segment and is decided, for all the segments reading one stream at
+once, by that stream's :class:`FilterGroup` (the paper's preFilter -> AES ->
+YFilter index); identical RESTRUCTUREs share their result across all
+co-deployed subscriptions.  Every other operator kind runs as an
 :class:`~repro.algebra.operators.Operator` fed by the pipeline's tail
 stream; ``tests/data/interpreted_golden.json`` freezes what the former
 interpreted operator chain produced and the differential tests pin this
@@ -15,6 +16,7 @@ engine to it.
 
 from .cache import CompiledPlanCache
 from .compiler import FALLBACK_REASONS, FUSABLE_KINDS, CompiledStage, PlanCompiler
+from .group import FilterGroup
 from .pipeline import CompiledPipeline
 from .signatures import stage_signature
 from .stats import CompileStats
@@ -28,6 +30,7 @@ __all__ = [
     "CompiledPipeline",
     "CompiledStage",
     "CompileStats",
+    "FilterGroup",
     "MaterializedTable",
     "PlanCompiler",
     "stage_signature",

@@ -23,9 +23,8 @@ class CompiledPlanCache:
     only when live entries alone exceed the bound.
     """
 
-    #: bound on retained programs: each holds stage closures and, per FILTER
-    #: stage, a fused predicate; long churny runs would otherwise accumulate
-    #: epoch-stale programs without limit
+    #: bound on retained programs (each holds its stages' closures): long
+    #: churny runs would otherwise accumulate epoch-stale ones without limit
     LIMIT = 512
 
     def __init__(self) -> None:
@@ -50,9 +49,6 @@ class CompiledPlanCache:
             if len(self._entries) >= self.LIMIT:
                 self._entries.clear()
         self._entries[key] = program
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

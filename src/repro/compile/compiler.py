@@ -1,15 +1,15 @@
 """Produce/consume plan compiler: fused stages, fallback rules, CSE.
 
 :class:`PlanCompiler` walks a placed plan tree and partitions it into maximal
-*linear segments* of co-located fusable nodes: FILTER (simple *and*
-tree-pattern) and RESTRUCTURE.  Each segment compiles to a tuple of
-:class:`CompiledStage` closures that a
+*linear segments* of co-located fusable nodes: a FILTER (simple *or*
+tree-pattern), which always heads its segment, and the RESTRUCTUREs above
+it.  Each segment compiles to a tuple of :class:`CompiledStage` that a
 :class:`~repro.compile.pipeline.CompiledPipeline` executes in a single call
 frame per item -- no intermediate ``Stream.emit`` hops, no per-operator
-virtual dispatch.  Every stage also carries an ``apply_many`` entry point
-evaluating the fused computation over a whole batch with one materialized-
-table probe per batch (alerter bursts and channel deliveries arrive as
-batches).
+virtual dispatch.  A FILTER head carries no closure: every FILTER reading
+one stream is decided by that stream's
+:class:`~repro.compile.group.FilterGroup`, which the compiler keeps per
+stream, and the pipeline resumes after the head for the items that matched.
 
 Every node kind that is not fusable carries an explicit fallback reason
 (Kontra-style rule set) and runs as an
@@ -35,13 +35,11 @@ from repro.algebra.plan import (
     UNION,
     PlanNode,
 )
-from repro.algebra.expr import intern_signature
 from repro.algebra.template import get_binding
-from repro.filtering.conditions import compile_simple_predicate
-from repro.filtering.yfilter import compile_tree_predicate
-from repro.xmlmodel.axml import ServiceRegistry
+from repro.streams.stream import Stream
 
 from .cache import CompiledPlanCache
+from .group import FilterGroup
 from .signatures import stage_signature
 from .stats import CompileStats
 from .table import MISS, MaterializedTable
@@ -66,15 +64,11 @@ _SOURCE_KINDS = (ALERTER, EXISTING)
 
 
 class CompiledStage:
-    """One fused stage: ``apply(item) -> item | None`` in a single call frame.
+    """One fused stage: ``apply(item) -> item`` in a single call frame.
 
-    ``apply_many(batch) -> batch`` is the vectorized entry: the same fused
-    computation over a whole batch, memoised per *batch-list identity* so a
-    thousand co-deployed twins of this stage probe the materialized table
-    once per batch instead of once per item.  Sound because
-    ``Stream.emit_many`` hands every batch subscriber the same list object
-    and emitters never mutate a batch after handing it over (the same
-    convention that makes per-item identity memoisation sound).
+    ``apply_many(batch) -> batch`` is the vectorised entry.  A FILTER stage
+    has neither: it names the signature under which its pipeline joins the
+    :class:`~repro.compile.group.FilterGroup` of its input stream.
     """
 
     __slots__ = ("kind", "signature", "apply", "apply_many")
@@ -83,8 +77,8 @@ class CompiledStage:
         self,
         kind: str,
         signature: str,
-        apply: Callable[[Any], Any],
-        apply_many: Callable[[Any], list],
+        apply: Callable[[Any], Any] | None = None,
+        apply_many: Callable[[Any], list] | None = None,
     ) -> None:
         self.kind = kind
         self.signature = signature
@@ -99,20 +93,13 @@ class PlanCompiler:
     """Partitions plans into fusable segments and compiles them to stages."""
 
     def __init__(
-        self,
-        table: MaterializedTable,
-        cache: CompiledPlanCache,
-        stats: CompileStats,
-        registry_for: Callable[[str], ServiceRegistry | None] | None = None,
+        self, table: MaterializedTable, cache: CompiledPlanCache, stats: CompileStats
     ) -> None:
         self.table = table
         self.cache = cache
         self.stats = stats
-        #: ``peer_id -> ServiceRegistry`` resolver for tree-pattern stages.
-        #: Resolved lazily *per item*, never captured at compile time:
-        #: compiled programs outlive peer objects in the plan cache, and a
-        #: departed-then-rejoined peer carries a fresh registry.
-        self.registry_for = registry_for
+        #: the one shared filter of every stream feeding FILTER-headed segments
+        self.groups: dict[Stream, FilterGroup] = {}
 
     # -- fallback rules ------------------------------------------------------
 
@@ -138,10 +125,11 @@ class PlanCompiler:
         """Maximal fusable segments of ``plan``: ``id(tail node) -> chain``.
 
         Each chain is head-first (closest to the source), every node in it is
-        fusable, unary, and placed on the same peer as the tail.  Keying by
-        the *tail* node's identity lets the deployer intercept exactly the
-        node whose output the parent consumes, deploying the whole chain as
-        one :class:`CompiledPipeline` and recursing below the head.
+        fusable, unary, and placed on the same peer as the tail, and a FILTER
+        can only be its head.  Keying by the *tail* node's identity lets the
+        deployer intercept exactly the node whose output the parent consumes,
+        deploying the whole chain as one :class:`CompiledPipeline` and
+        recursing below the head.
         """
         segments: dict[int, list[PlanNode]] = {}
         self._analyze(plan, segments)
@@ -156,10 +144,11 @@ class PlanCompiler:
                 self._analyze(child, segments)
             return
         # ``node`` is a fusable tail; extend the chain towards the source
-        # while the single input is fusable and co-located.
+        # while the single input is fusable and co-located.  A FILTER ends
+        # it: its input stream's group evaluates it, never a stage before it.
         chain = [node]
         cursor = node
-        while True:
+        while cursor.kind != FILTER:
             below = cursor.children[0]
             if self.fallback_reason(below) is not None:
                 # the recursion below the head re-visits this child and
@@ -189,98 +178,43 @@ class PlanCompiler:
         program = self.cache.get(key)
         if program is None:
             program = tuple(
-                self._build_stage(node, signature)
+                CompiledStage(FILTER, signature) if node.kind == FILTER else self._build_restructure(node, signature)
                 for node, signature in zip(chain, signatures)
             )
             self.cache.put(key, program)
         return program
 
-    def _build_stage(self, node: PlanNode, signature: str) -> CompiledStage:
+    def _build_restructure(self, node: PlanNode, signature: str) -> CompiledStage:
         table = self.table
-        #: batch results memoise under a distinct interned key so a batch
-        #: entry never evicts the per-item entry twin stages still probe
-        many_signature = intern_signature("many:" + signature)
-        if node.kind == FILTER:
-            subscription = node.params["subscription"]
-            if subscription.complex_queries:
-                registry_for = self.registry_for
-                if registry_for is None:
-                    predicate = compile_tree_predicate(subscription)
-                else:
-                    placement = node.placement
+        template = node.params["template"]
+        var = node.params.get("var")
+        instantiate = template.instantiate
 
-                    def resolve() -> ServiceRegistry | None:
-                        return registry_for(placement)
+        def apply(item: Any) -> Any:
+            # identical templates across co-deployed subscriptions build the
+            # output tree once per item; sharing the resulting Element is
+            # sound because receivers never mutate delivered items
+            out = table.get(signature, item)
+            if out is MISS:
+                out = table.put(signature, item, instantiate(get_binding(item, var)))
+            return out
 
-                    predicate = compile_tree_predicate(subscription, resolve)
-                # a lazy-DFA walk always dwarfs the table probe: memoise
-                # unconditionally so signature-twins share one verdict
-                memoise = True
-            else:
-                predicate = compile_simple_predicate(subscription)
-                # memoise only when the verdict is worth sharing: computed
-                # conditions re-parse attribute numbers and >=3 conditions
-                # mean several closure calls, while 1-2 plain comparisons are
-                # cheaper than the table probe itself
-                memoise = bool(subscription.computed) or len(subscription.simple) >= 3
-            if memoise:
+        def apply_many(batch: Any) -> list:
+            # twins share a burst's result through the memo of the group
+            # dispatch that carries it (see CompiledPipeline), not the table
+            return [instantiate(get_binding(item, var)) for item in batch]
 
-                def apply(item: Any) -> Any:
-                    verdict = table.get(signature, item)
-                    if verdict is MISS:
-                        verdict = table.put(signature, item, predicate(item))
-                    return item if verdict else None
+        return CompiledStage(RESTRUCTURE, signature, apply, apply_many)
 
-                def apply_many(batch: Any) -> list:
-                    survivors = table.get(many_signature, batch)
-                    if survivors is MISS:
-                        survivors = []
-                        for item in batch:
-                            verdict = table.get(signature, item)
-                            if verdict is MISS:
-                                verdict = table.put(signature, item, predicate(item))
-                            if verdict:
-                                survivors.append(item)
-                        table.put(many_signature, batch, survivors)
-                    return survivors
+    # -- shared filters ------------------------------------------------------
 
-            else:
-
-                def apply(item: Any) -> Any:
-                    return item if predicate(item) else None
-
-                def apply_many(batch: Any) -> list:
-                    return [item for item in batch if predicate(item)]
-
-            return CompiledStage(FILTER, signature, apply, apply_many)
-        if node.kind == RESTRUCTURE:
-            template = node.params["template"]
-            var = node.params.get("var")
-            instantiate = template.instantiate
-
-            def apply(item: Any) -> Any:
-                # identical templates across co-deployed subscriptions build
-                # the output tree once per item; sharing the resulting
-                # Element is sound because receivers never mutate delivered
-                # items
-                out = table.get(signature, item)
-                if out is MISS:
-                    out = table.put(signature, item, instantiate(get_binding(item, var)))
-                return out
-
-            def apply_many(batch: Any) -> list:
-                results = table.get(many_signature, batch)
-                if results is MISS:
-                    results = []
-                    for item in batch:
-                        out = table.get(signature, item)
-                        if out is MISS:
-                            out = table.put(
-                                signature, item, instantiate(get_binding(item, var))
-                            )
-                        results.append(out)
-                    table.put(many_signature, batch, results)
-                return results
-
-            return CompiledStage(RESTRUCTURE, signature, apply, apply_many)
-        raise ValueError(f"cannot build a compiled stage for kind {node.kind!r}")
+    def filter_group(self, stream: Stream, host: Any) -> FilterGroup:
+        """The group of ``stream``, created and subscribed on first use, dropped
+        with its last member.  ``host`` is the consuming peer: intensional content
+        is materialised through its *current* ``service_registry``."""
+        group = self.groups.get(stream)
+        if group is None:
+            group = self.groups[stream] = FilterGroup(
+                stream, lambda: host.service_registry, self.stats, lambda: self.groups.pop(stream)
+            )
+        return group

@@ -4,7 +4,10 @@ A pipeline owns the fused stages of one deployed segment plus one *boundary*
 per stage -- the output stream, its publication channel and a liveness
 snapshot.  Per item the pipeline runs stage after stage inline (one call
 frame, no ``Stream.emit`` between co-located stages) and only writes a
-boundary through when something outside the pipeline actually consumes it:
+boundary through when something outside the pipeline actually consumes it.
+A FILTER head is not run here: the input stream's ``FilterGroup`` decides it
+for all its members at once and entry 0 *resumes after the head*, at
+boundary 0, under the same rules:
 
 * the tail boundary always emits to its stream (the parent operator /
   publisher consumes it);
@@ -30,6 +33,8 @@ from repro.streams.item import is_eos
 from repro.streams.stream import Stream
 
 from .compiler import CompiledStage
+from .group import FilterGroup
+from .stats import CompileStats
 
 
 class _Boundary:
@@ -65,8 +70,9 @@ class CompiledPipeline:
         "boundaries",
         "sub_id",
         "peer_id",
-        "items_in",
         "items_out",
+        "_items_in",
+        "_group",
         "_entries",
         "stats",
     )
@@ -76,17 +82,26 @@ class CompiledPipeline:
         stages: tuple[CompiledStage, ...],
         sub_id: str,
         peer_id: str,
-        stats: Any = None,
+        stats: CompileStats,
     ) -> None:
         self.stages = stages
         self.boundaries: list[_Boundary] = []
         self.sub_id = sub_id
         self.peer_id = peer_id
-        self.items_in = 0
         self.items_out = 0
+        self._items_in = 0
+        #: the group deciding a FILTER head, while entry 0 is joined to it
+        self._group: FilterGroup | None = None
         #: per-stage unsubscribers for the entry callbacks; None once detached
         self._entries: list[Callable[[], None] | None] = [None] * len(stages)
         self.stats = stats
+
+    @property
+    def items_in(self) -> int:
+        """Items offered to the segment, whether or not its head let them pass
+        (under a FILTER head: the group's item counter, relative to the join)."""
+        group = self._group
+        return self._items_in + (group.items if group is not None else 0)
 
     # -- wiring (called by the deployer, in deployment order) ---------------
 
@@ -99,10 +114,12 @@ class CompiledPipeline:
     def make_entry(self, index: int) -> Callable[[Any], None]:
         """Deliver callback consuming stage ``index``'s input stream.
 
-        Entry 0 consumes the segment's source; entry ``i > 0`` is the
-        continuation subscribed to boundary ``i - 1`` and only runs when that
-        boundary was written through (live) or fed externally (orphan
-        adoption replays, reuse providers).
+        Entry 0 consumes the segment's source (under a FILTER head as a
+        member of the source's :class:`FilterGroup`: it sees the matched items
+        only); entry ``i > 0`` is the continuation subscribed to boundary
+        ``i - 1`` and only runs when that boundary was written through (live)
+        or fed externally (orphan adoption replays, reuse providers).
+        ``deliver.batch`` takes a burst and, from a group, its dispatch memo.
         """
 
         def deliver(item: Any, _i: int = index) -> None:
@@ -111,26 +128,34 @@ class CompiledPipeline:
                 # cascading stage by stage through the boundary streams
                 self.boundaries[_i].stream.close()
                 return
-            if _i == 0:
-                self.items_in += 1
+            if _i == 0 and self._group is None:
+                self._items_in += 1
             self._run_from(_i, item)
 
-        def deliver_batch(items: Any, _i: int = index) -> None:
-            if _i == 0:
-                self.items_in += len(items)
-            self._run_batch_from(_i, items)
+        def deliver_batch(items: Any, memo: dict | None = None, _i: int = index) -> None:
+            if _i == 0 and self._group is None:
+                self._items_in += len(items)
+            self._run_batch_from(_i, items, {} if memo is None else memo)
 
         deliver.batch = deliver_batch  # type: ignore[attr-defined]
         return deliver
 
-    def attach_entry(self, index: int, unsubscribe: Callable[[], None]) -> None:
+    def attach_entry(self, index: int, unsubscribe: Callable[[], None], group: FilterGroup | None = None) -> None:
+        """Record entry ``index``'s unsubscriber -- for a FILTER head the
+        ``leave`` of the ``group`` entry 0 joined instead of subscribing."""
         self._entries[index] = unsubscribe
+        if group is not None:
+            self._group = group
+            self._items_in -= group.items  # items_in adds group.items back
 
     def detach_stage(self, index: int) -> None:
         unsubscribe = self._entries[index]
         if unsubscribe is not None:
             self._entries[index] = None
             unsubscribe()
+            if index == 0 and self._group is not None:
+                self._items_in += self._group.items
+                self._group = None
 
     @property
     def detached(self) -> bool:
@@ -143,16 +168,15 @@ class CompiledPipeline:
         boundaries = self.boundaries
         stats = self.stats
         last = len(stages) - 1
+        apply = stages[i].apply
         while True:
-            if stats is not None:
+            if apply is not None:  # a FILTER head has none: its group let ``item`` pass
                 stats.item_invocations += 1
-            out = stages[i].apply(item)
-            if out is None:
-                return
+                item = apply(item)
             boundary = boundaries[i]
             if i == last:
                 self.items_out += 1
-                boundary.stream.emit(out)
+                boundary.stream.emit(item)
                 return
             if self._entries[i + 1] is None or boundary.is_live():
                 # write through: either an external consumer is attached (our
@@ -161,25 +185,27 @@ class CompiledPipeline:
                 # were torn down while this boundary stream survives for
                 # reuse consumers -- exactly an upstream operator emitting
                 # after its downstream operator detached
-                boundary.stream.emit(out)
+                boundary.stream.emit(item)
                 return
-            item = out
             i += 1
+            apply = stages[i].apply
 
-    def _run_batch_from(self, i: int, items: Any) -> None:
+    def _run_batch_from(self, i: int, batch: Any, memo: dict) -> None:
         stages = self.stages
         boundaries = self.boundaries
         stats = self.stats
         last = len(stages) - 1
-        batch = items
         while True:
             stage = stages[i]
-            if stats is not None:
+            if stage.apply_many is not None:
                 stats.batch_invocations += 1
                 stats.batch_items += len(batch)
-            batch = stage.apply_many(batch)
-            if not batch:
-                return
+                # twins of one group dispatch share each stage's result
+                key = (stage.signature, id(batch))
+                if key in memo:
+                    batch = memo[key]
+                else:
+                    batch = memo[key] = stage.apply_many(batch)
             boundary = boundaries[i]
             if i == last:
                 self.items_out += len(batch)

@@ -3,8 +3,10 @@
 A *stage signature* identifies the exact per-item computation a fused stage
 performs, independently of which subscription or plan node it came from.  Two
 nodes with equal stage signatures are interchangeable inside a compiled
-pipeline and may share one :class:`~repro.compile.table.MaterializedTable`
-slot -- this is what makes cross-plan common-subexpression elimination sound.
+pipeline: equal RESTRUCTUREs share one
+:class:`~repro.compile.table.MaterializedTable` slot, equal FILTERs reading
+one stream share one entry of its :class:`~repro.compile.group.FilterGroup`
+-- this is what makes cross-plan common-subexpression elimination sound.
 
 Signatures build on the PR5 ``signature_detail`` memo (cached per node, a pure
 function of ``params``) and are interned so the materialized table's hit path
@@ -27,13 +29,6 @@ def stage_signature(node: PlanNode) -> str:
     """
     detail = signature_detail(node)
     if node.kind == FILTER:
-        subscription = node.params.get("subscription")
-        if subscription is not None and subscription.complex_queries:
-            # tree-pattern verdicts can depend on the peer's ServiceRegistry
-            # (intensional content is materialised through it), so complex
-            # filters are peer-qualified: equal tree predicates on different
-            # peers must not share one memo slot or one compiled program
-            return intern_signature(f"filter:{detail}@{node.placement}")
         return intern_signature(f"filter:{detail}")
     if node.kind == RESTRUCTURE:
         var = node.params.get("var") or "item"

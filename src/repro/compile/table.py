@@ -1,9 +1,10 @@
 """System-wide materialized-expression table (cross-plan CSE).
 
-The table memoises, per published item, the result of each interned stage
-signature: when a thousand co-deployed subscriptions share the same
-restructure template or the same fused predicate, the expression is evaluated
-once and the remaining nine hundred ninety-nine stages hit the memo.
+The table memoises, per published item, the result of each interned
+RESTRUCTURE stage signature: when a thousand co-deployed subscriptions share
+the same template, the tree is built once and the remaining nine hundred
+ninety-nine stages hit the memo.  (Unbatched path only: a burst shares results
+through the memo of its :meth:`~repro.compile.group.FilterGroup.batch`.)
 
 The memo holds exactly one entry per signature -- the last item seen.  Local
 fan-out is synchronous (a source emits to all its consumers before the next
@@ -46,8 +47,9 @@ class MaterializedTable:
         self._entries[signature] = (item, value)
         return value
 
-    def clear(self) -> None:
-        self._entries.clear()
+    def forget(self, signature: str) -> None:
+        """Drop ``signature``'s entry and the item it keeps alive (a twin re-creates it)."""
+        self._entries.pop(signature, None)
 
     @property
     def size(self) -> int:

@@ -19,10 +19,10 @@ look at them.  :mod:`repro.filtering.naive` provides the single-stage
 baseline used by the benchmarks and by the differential-correctness tests.
 
 All three stages run *compiled*: predicates are closures built at
-registration time, the AES tree uses bitmask subsumption with a
-per-satisfied-mask result cache, and the YFilter NFA is determinised lazily
-into a DFA keyed by document shape.  ``docs/PERFORMANCE.md`` describes the
-engine and its counters.
+registration time, the AES tree uses bitmask subsumption and its outcome is
+cached per satisfied-mask, and the YFilter NFA is determinised lazily into a
+DFA keyed by document shape.  ``docs/PERFORMANCE.md`` describes the engine,
+its counters, and how the deployed system runs it (one per source stream).
 """
 
 from repro.filtering.conditions import (

@@ -15,18 +15,19 @@ the number of subscriptions".
 Compiled-engine refinements over the textbook structure:
 
 * every condition sequence is also an **int bitmask** (bit ``i`` set for
-  condition id ``i``), and match results are **cached per satisfied-mask**:
-  alert streams repeat root attribute shapes heavily, and two documents
-  satisfying the same condition set always match the same subscriptions, so
-  repeats are one dict lookup;
-* because the mask is the cache key, it is authoritative: each tree node
+  condition id ``i``).  Two documents satisfying the same condition set
+  always match the same subscriptions, so ``FilterOperator`` caches the
+  outcome of :meth:`AESFilter.match` per satisfied-mask;
+* because the mask is that cache's key, it is authoritative: each tree node
   stores the mask of its path and a marking is reported only when
   ``path_mask & satisfied_mask == path_mask`` (one machine-int AND).  For a
   well-formed call the walk already guarantees this — it only descends
   satisfied edges — but the clamp keeps an inconsistent ``(ids, mask)``
-  pair passed by a caller from poisoning the cache for that mask;
+  pair passed by a caller from poisoning the entry cached for that mask;
 * the walk is **iterative** (explicit stack), so deep condition sequences
-  never hit Python's recursion limit and no per-level call frames are paid.
+  never hit Python's recursion limit and no per-level call frames are paid;
+* :meth:`AESFilter.remove_subscription` unmarks a cell and prunes the nodes
+  left empty: the tree is always exactly the prefixes of the live sequences.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.filtering.conditions import ConditionRegistry, FilterSubscription
-
-#: Result-cache bound; beyond it the cache is dropped and rebuilt (the set of
-#: distinct satisfied-masks is normally tiny compared to the item count).
-MAX_MATCH_CACHE = 65536
 
 
 @dataclass
@@ -63,22 +60,24 @@ class _HashTreeNode:
         self.path_mask = path_mask
 
 
+def _markings(node: _HashTreeNode, subscription: FilterSubscription) -> list[str]:
+    """The list of ``node`` that ``subscription`` is marked in."""
+    return node.complex_markings if subscription.is_complex else node.simple_markings
+
+
 class AESFilter:
     """Hash-tree matcher for conjunctions of simple conditions."""
 
     def __init__(self, registry: ConditionRegistry) -> None:
         self._registry = registry
+        # subscriptions with no simple conditions are marked at the root
         self._root = _HashTreeNode()
-        # subscriptions with no simple conditions are always active/matched
-        self._always_simple: list[str] = []
-        self._always_complex: list[str] = []
         # subscription id -> its condition-sequence bitmask
         self._masks: dict[str, int] = {}
-        self._match_cache: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        # condition id -> tree nodes entered through it (absent: no live user)
+        self._edge_counts: dict[int, int] = {}
         self.subscription_count = 0
         self.nodes_visited = 0
-        self.match_cache_hits = 0
-        self.match_cache_misses = 0
 
     # -- construction / maintenance ------------------------------------------------
 
@@ -86,29 +85,45 @@ class AESFilter:
         """Insert one subscription's ordered simple-condition sequence."""
         condition_ids = subscription.condition_ids(self._registry)
         self.subscription_count += 1
-        # any previously cached result may be missing the new subscription
-        self._match_cache.clear()
         mask = 0
         for condition_id in condition_ids:
             mask |= 1 << condition_id
         self._masks[subscription.sub_id] = mask
-        if not condition_ids:
-            if subscription.is_complex:
-                self._always_complex.append(subscription.sub_id)
-            else:
-                self._always_simple.append(subscription.sub_id)
-            return
+        edge_counts = self._edge_counts
         node = self._root
         for condition_id in condition_ids:
             child = node.table.get(condition_id)
             if child is None:
                 child = _HashTreeNode(node.path_mask | (1 << condition_id))
                 node.table[condition_id] = child
+                edge_counts[condition_id] = edge_counts.get(condition_id, 0) + 1
             node = child
-        if subscription.is_complex:
-            node.complex_markings.append(subscription.sub_id)
-        else:
-            node.simple_markings.append(subscription.sub_id)
+        _markings(node, subscription).append(subscription.sub_id)
+
+    def remove_subscription(self, subscription: FilterSubscription) -> None:
+        """Unmark ``subscription`` and prune the tree nodes it leaves empty."""
+        del self._masks[subscription.sub_id]
+        self.subscription_count -= 1
+        condition_ids = subscription.condition_ids(self._registry)
+        path = [self._root]
+        for condition_id in condition_ids:
+            path.append(path[-1].table[condition_id])
+        _markings(path[-1], subscription).remove(subscription.sub_id)
+        edge_counts = self._edge_counts
+        for depth in range(len(condition_ids), 0, -1):
+            node = path[depth]
+            if node.table or node.simple_markings or node.complex_markings:
+                break
+            condition_id = condition_ids[depth - 1]
+            del path[depth - 1].table[condition_id]
+            edge_counts[condition_id] -= 1
+            if not edge_counts[condition_id]:
+                del edge_counts[condition_id]
+
+    @property
+    def live_conditions(self) -> int:
+        """Number of registered conditions some live subscription still uses."""
+        return len(self._edge_counts)
 
     def add_subscriptions(self, subscriptions: list[FilterSubscription]) -> None:
         for subscription in subscriptions:
@@ -133,14 +148,8 @@ class AESFilter:
             satisfied_mask = 0
             for condition_id in satisfied_conditions:
                 satisfied_mask |= 1 << condition_id
-        cached = self._match_cache.get(satisfied_mask)
-        if cached is not None:
-            self.match_cache_hits += 1
-            return AESMatch(list(cached[0]), list(cached[1]))
-        self.match_cache_misses += 1
-
-        simple = list(self._always_simple)
-        complex_ = list(self._always_complex)
+        simple = list(self._root.simple_markings)
+        complex_ = list(self._root.complex_markings)
         satisfied = satisfied_conditions
         n = len(satisfied)
         visited = 0
@@ -158,7 +167,7 @@ class AESFilter:
                     continue
                 visited += 1
                 # always true for consistent (ids, mask) inputs; clamps the
-                # cached-by-mask result when a caller passes them inconsistent
+                # result (cached by mask upstream) when they are inconsistent
                 path_mask = child.path_mask
                 if path_mask & satisfied_mask == path_mask:
                     if child.simple_markings:
@@ -168,9 +177,6 @@ class AESFilter:
                 if child.table:
                     push((child, index + 1))
         self.nodes_visited += visited
-        if len(self._match_cache) >= MAX_MATCH_CACHE:
-            self._match_cache.clear()
-        self._match_cache[satisfied_mask] = (tuple(simple), tuple(complex_))
         return AESMatch(simple, complex_)
 
     # -- introspection -------------------------------------------------------------------
@@ -186,7 +192,5 @@ class AESFilter:
         return total
 
     def reset_counters(self) -> None:
-        """Reset per-run counters (the match cache itself is kept)."""
+        """Reset per-run counters."""
         self.nodes_visited = 0
-        self.match_cache_hits = 0
-        self.match_cache_misses = 0

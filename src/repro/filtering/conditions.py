@@ -99,6 +99,7 @@ class ConditionRegistry:
     def __init__(self) -> None:
         self._by_condition: dict[SimpleCondition, int] = {}
         self._by_id: list[SimpleCondition] = []
+        self._by_attribute: dict[str, list[tuple[int, SimpleCondition]]] = {}
 
     def register(self, condition: SimpleCondition) -> int:
         """Return the identifier of ``condition``, registering it if new."""
@@ -108,6 +109,9 @@ class ConditionRegistry:
         condition_id = len(self._by_id)
         self._by_condition[condition] = condition_id
         self._by_id.append(condition)
+        self._by_attribute.setdefault(condition.attribute, []).append(
+            (condition_id, condition)
+        )
         return condition_id
 
     def condition(self, condition_id: int) -> SimpleCondition:
@@ -126,11 +130,12 @@ class ConditionRegistry:
         return list(self._by_id)
 
     def by_attribute(self) -> dict[str, list[tuple[int, SimpleCondition]]]:
-        """Hash-table view keyed by attribute name (what the preFilter uses)."""
-        table: dict[str, list[tuple[int, SimpleCondition]]] = {}
-        for condition_id, condition in enumerate(self._by_id):
-            table.setdefault(condition.attribute, []).append((condition_id, condition))
-        return table
+        """Hash-table view keyed by attribute name (what the preFilter uses).
+
+        The live table, extended by :meth:`register`: callers must not
+        mutate it.
+        """
+        return self._by_attribute
 
 
 @dataclass(frozen=True)
@@ -239,40 +244,3 @@ class FilterSubscription:
             return False
         return all(query.matches(item) for query in self.complex_queries)
 
-
-def compile_simple_predicate(subscription: FilterSubscription):
-    """Fuse a *simple* subscription's conditions into one ``item -> bool`` closure.
-
-    The returned predicate is semantically identical to running the
-    subscription through :class:`repro.filtering.filter.PubSubFilter` with no
-    complex queries registered: every :class:`SimpleCondition` must hold on
-    the root attributes and every :class:`ComputedCondition` must hold as
-    well.  Attribute lookups and per-condition ``holds`` closures are bound at
-    compile time so the hot path is a single call frame with no virtual hops.
-
-    Raises :class:`ValueError` for complex subscriptions — tree-pattern
-    queries fuse through :func:`repro.filtering.yfilter.compile_tree_predicate`
-    instead.
-    """
-    if subscription.complex_queries:
-        raise ValueError(
-            f"subscription {subscription.sub_id!r} has complex queries; "
-            "only simple subscriptions compile to a fused predicate"
-        )
-    # Pre-extract (attribute, holds) pairs; SimpleCondition is frozen so the
-    # compiled closures cannot drift from the interpreted conditions.
-    simple = tuple((condition.attribute, condition.holds) for condition in subscription.simple)
-    computed = tuple(subscription.computed)
-
-    def predicate(item) -> bool:
-        attrib = item.attrib
-        for attribute, holds in simple:
-            actual = attrib.get(attribute)
-            if actual is None or not holds(actual):
-                return False
-        for condition in computed:
-            if not condition.evaluate(attrib):
-                return False
-        return True
-
-    return predicate

@@ -27,7 +27,7 @@ amortises the remaining per-item dispatch for alerter bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.filtering.aes import AESFilter
 from repro.filtering.conditions import ConditionRegistry, FilterSubscription
@@ -52,48 +52,30 @@ class FilterResult:
         return bool(self.matched)
 
 
+@dataclass(slots=True)
 class _MaskPlan:
     """Everything stage 2 derives from one satisfied-condition bitmask."""
 
-    __slots__ = (
-        "simple_plain",
-        "simple_computed",
-        "complex_plain",
-        "complex_computed",
-        "plain_query_ids",
-    )
-
-    def __init__(
-        self,
-        simple_plain: tuple[str, ...],
-        simple_computed: tuple[str, ...],
-        complex_plain: tuple[str, ...],
-        complex_computed: tuple[str, ...],
-        plain_query_ids: frozenset[str],
-    ) -> None:
-        self.simple_plain = simple_plain
-        self.simple_computed = simple_computed
-        self.complex_plain = complex_plain
-        self.complex_computed = complex_computed
-        self.plain_query_ids = plain_query_ids
+    simple_plain: tuple[str, ...]
+    simple_computed: tuple[str, ...]
+    complex_plain: tuple[str, ...]
+    complex_computed: tuple[str, ...]
+    plain_query_ids: frozenset[str]
 
 
 class FilterOperator:
-    """Matches stream items against a (large) set of filter subscriptions."""
+    """Matches stream items against a (large) set of filter subscriptions.
+
+    ``service_registry`` may be a zero-argument callable returning the current
+    registry: a deployed filter resolves its peer's per materialisation.
+    """
 
     def __init__(
         self,
         subscriptions: list[FilterSubscription] | None = None,
-        service_registry: ServiceRegistry | None = None,
+        service_registry: ServiceRegistry | Callable[[], ServiceRegistry | None] | None = None,
     ) -> None:
-        self.conditions = ConditionRegistry()
-        self.prefilter = PreFilter(self.conditions)
-        self.aes = AESFilter(self.conditions)
-        self.yfilter = YFilterSigma()
         self.service_registry = service_registry
-        self._subscriptions: dict[str, FilterSubscription] = {}
-        self._query_ids: dict[str, tuple[str, ...]] = {}
-        self._mask_cache: dict[int, _MaskPlan] = {}
         # counters used by benchmarks and tests
         self.items_processed = 0
         self.items_matched = 0
@@ -101,10 +83,25 @@ class FilterOperator:
         self.materializations = 0
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
-        for subscription in subscriptions or []:
-            self.add_subscription(subscription)
+        self._rebuild(subscriptions or [])
 
     # -- subscription management ---------------------------------------------------
+
+    def _rebuild(self, subscriptions: Iterable[FilterSubscription]) -> None:
+        """Build all three stages from scratch over ``subscriptions`` (their
+        own counters restart): how dead conditions and queries are forgotten."""
+        self.conditions = ConditionRegistry()
+        self.prefilter = PreFilter(self.conditions)
+        self.aes = AESFilter(self.conditions)
+        self.yfilter = YFilterSigma()
+        self._subscriptions: dict[str, FilterSubscription] = {}
+        self._query_ids: dict[str, tuple[str, ...]] = {}
+        #: path text (one automaton query each) -> live subscriptions carrying
+        #: it; one no longer here is *dead*: ``match`` prunes it, never active
+        self._query_users: dict[str, int] = {}
+        self._mask_cache: dict[int, _MaskPlan] = {}
+        for subscription in subscriptions:
+            self.add_subscription(subscription)
 
     def add_subscription(self, subscription: FilterSubscription) -> None:
         """Register a subscription (offline adjustment of the filter)."""
@@ -112,14 +109,33 @@ class FilterOperator:
             raise ValueError(f"subscription {subscription.sub_id!r} already registered")
         self._subscriptions[subscription.sub_id] = subscription
         self.aes.add_subscription(subscription)
-        query_ids: list[str] = []
-        for index, query in enumerate(subscription.complex_queries):
-            query_id = f"{subscription.sub_id}::{index}"
-            self.yfilter.add_query(query_id, query)
-            query_ids.append(query_id)
-        self._query_ids[subscription.sub_id] = tuple(query_ids)
+        users = self._query_users
+        for query in subscription.complex_queries:
+            if query.expression not in self.yfilter:
+                self.yfilter.add_query(query.expression, query)
+            users[query.expression] = users.get(query.expression, 0) + 1
+        self._query_ids[subscription.sub_id] = tuple(q.expression for q in subscription.complex_queries)
         # cached plans may be missing the new subscription
         self._mask_cache.clear()
+
+    def remove_subscription(self, sub_id: str) -> None:
+        """Unregister a subscription; its AES marking goes at once.
+
+        Conditions and tree patterns no other subscription uses stay
+        registered but dead (condition ids are stable, the automaton cannot
+        shrink); once more than half of either kind is dead the stages are
+        rebuilt from the live subscriptions -- amortised over the removals.
+        """
+        subscription = self._subscriptions.pop(sub_id)
+        self.aes.remove_subscription(subscription)
+        users = self._query_users
+        for query_id in self._query_ids.pop(sub_id):
+            users[query_id] -= 1
+            if not users[query_id]:
+                del users[query_id]
+        self._mask_cache.clear()
+        if 2 * self.aes.live_conditions < len(self.conditions) or 2 * len(users) < self.yfilter.query_count:
+            self._rebuild(list(self._subscriptions.values()))
 
     def subscription(self, sub_id: str) -> FilterSubscription:
         return self._subscriptions[sub_id]
@@ -133,8 +149,9 @@ class FilterOperator:
 
     # -- item processing ---------------------------------------------------------------
 
-    def process(self, item: Element) -> FilterResult:
-        """Match one stream item; returns the identifiers of satisfied subscriptions."""
+    def match(self, item: Element) -> tuple[str, ...]:
+        """Sorted identifiers of the subscriptions ``item`` satisfies: the very
+        tuple cached with the mask's plan while nothing item-dependent matched."""
         self.items_processed += 1
         satisfied_mask, satisfied_parts = self.prefilter.satisfied_parts(item)
         plan = self._mask_cache.get(satisfied_mask)
@@ -143,52 +160,32 @@ class FilterOperator:
             plan = self._compile_plan(satisfied_mask, flatten_parts(satisfied_parts))
         else:
             self.mask_cache_hits += 1
-
-        # plan.simple_plain is pre-sorted; only later appends force a re-sort
-        matched = list(plan.simple_plain)
-        needs_sort = False
-        if plan.simple_computed:
+        matched = plan.simple_plain
+        if plan.simple_computed or plan.complex_plain or plan.complex_computed:
             subscriptions = self._subscriptions
-            for sub_id in plan.simple_computed:
-                if subscriptions[sub_id].computed_hold(item):
-                    matched.append(sub_id)
-                    needs_sort = True
-
-        if plan.complex_plain or plan.complex_computed:
-            active_complex: Sequence[str]
-            active_query_ids: frozenset[str] | set[str]
-            if plan.complex_computed:
-                subscriptions = self._subscriptions
-                passing = [
-                    sub_id
-                    for sub_id in plan.complex_computed
-                    if subscriptions[sub_id].computed_hold(item)
-                ]
-                active_complex = [*plan.complex_plain, *passing]
-                active_query_ids = set(plan.plain_query_ids)
-                for sub_id in passing:
-                    active_query_ids.update(self._query_ids[sub_id])
-            else:
-                active_complex = plan.complex_plain
-                active_query_ids = plan.plain_query_ids
+            query_ids = self._query_ids
+            extra = [s for s in plan.simple_computed if subscriptions[s].computed_hold(item)]
+            active_complex: Sequence[str] = plan.complex_plain
+            active_query_ids: frozenset[str] | set[str] = plan.plain_query_ids
+            passing = [s for s in plan.complex_computed if subscriptions[s].computed_hold(item)]
+            if passing:
+                active_complex = [*active_complex, *passing]
+                active_query_ids = active_query_ids.union(*(query_ids[s] for s in passing))
             if active_complex:
                 self.complex_evaluations += len(active_complex)
                 target = self._extensional_view(item)
                 matched_queries = self.yfilter.match(target, active_query_ids)
-                query_ids = self._query_ids
-                for sub_id in active_complex:
-                    for query_id in query_ids[sub_id]:
-                        if query_id not in matched_queries:
-                            break
-                    else:
-                        matched.append(sub_id)
-                        needs_sort = True
-
-        if needs_sort:
-            matched.sort()
+                extra += [s for s in active_complex if matched_queries.issuperset(query_ids[s])]
+            if extra:
+                # plan.simple_plain is pre-sorted; only additions force a re-sort
+                matched = tuple(sorted((*matched, *extra)))
         if matched:
             self.items_matched += 1
-        return FilterResult(item=item, matched=matched)
+        return matched
+
+    def process(self, item: Element) -> FilterResult:
+        """Match one stream item; returns the identifiers of satisfied subscriptions."""
+        return FilterResult(item=item, matched=list(self.match(item)))
 
     def process_batch(self, items: Iterable[Element]) -> list[FilterResult]:
         """Match a burst of stream items, amortising per-item dispatch."""
@@ -198,33 +195,15 @@ class FilterOperator:
     def _compile_plan(self, satisfied_mask: int, satisfied_ids: list[int]) -> _MaskPlan:
         """Run stage 2 once for this satisfied-mask and memoise its outcome."""
         aes_match = self.aes.match(satisfied_ids, satisfied_mask)
-        subscriptions = self._subscriptions
-        simple_plain: list[str] = []
-        simple_computed: list[str] = []
-        for sub_id in aes_match.simple_matches:
-            if subscriptions[sub_id].computed:
-                simple_computed.append(sub_id)
-            else:
-                simple_plain.append(sub_id)
-        complex_plain: list[str] = []
-        complex_computed: list[str] = []
-        for sub_id in aes_match.active_complex:
-            if subscriptions[sub_id].computed:
-                complex_computed.append(sub_id)
-            else:
-                complex_plain.append(sub_id)
-        plain_query_ids = frozenset(
-            query_id
-            for sub_id in complex_plain
-            for query_id in self._query_ids[sub_id]
-        )
-        simple_plain.sort()
+        subscriptions, query_ids = self._subscriptions, self._query_ids
+        simple, complex_ = aes_match.simple_matches, aes_match.active_complex
+        complex_plain = tuple(s for s in complex_ if not subscriptions[s].computed)
         plan = _MaskPlan(
-            tuple(simple_plain),
-            tuple(simple_computed),
-            tuple(complex_plain),
-            tuple(complex_computed),
-            plain_query_ids,
+            simple_plain=tuple(sorted(s for s in simple if not subscriptions[s].computed)),
+            simple_computed=tuple(s for s in simple if subscriptions[s].computed),
+            complex_plain=complex_plain,
+            complex_computed=tuple(s for s in complex_ if subscriptions[s].computed),
+            plain_query_ids=frozenset(q for s in complex_plain for q in query_ids[s]),
         )
         if len(self._mask_cache) >= MAX_MASK_CACHE:
             self._mask_cache.clear()
@@ -233,9 +212,12 @@ class FilterOperator:
 
     def _extensional_view(self, item: Element) -> Element:
         """Materialise intensional content only when complex queries must run."""
-        if self.service_registry is not None and has_service_calls(item):
+        registry = self.service_registry
+        if registry is not None and not isinstance(registry, ServiceRegistry):
+            registry = registry()
+        if registry is not None and has_service_calls(item):
             self.materializations += 1
-            return materialize(item, self.service_registry)
+            return materialize(item, registry)
         return item
 
     def reset_counters(self) -> None:

@@ -20,7 +20,7 @@ The compiled engine adds two constant-factor refinements:
 
 from __future__ import annotations
 
-from repro.filtering.conditions import ConditionRegistry, SimpleCondition
+from repro.filtering.conditions import ConditionRegistry
 from repro.xmlmodel.tree import Element
 
 #: Bound on the (attribute, value) verdict cache; past it the cache is
@@ -44,19 +44,14 @@ class PreFilter:
 
     def __init__(self, registry: ConditionRegistry) -> None:
         self._registry = registry
-        self._table: dict[str, list[tuple[int, SimpleCondition]]] = {}
+        #: the registry's live attribute table: registrations show up in it
+        self._table = registry.by_attribute()
         self._value_cache: dict[tuple[str, str], tuple[int, tuple[int, ...]]] = {}
         self._built_for = -1
         self.documents_processed = 0
         self.conditions_evaluated = 0
         self.cache_hits = 0
         self.cache_misses = 0
-
-    def _rebuild_if_needed(self) -> None:
-        if self._built_for != len(self._registry):
-            self._table = self._registry.by_attribute()
-            self._value_cache.clear()
-            self._built_for = len(self._registry)
 
     def satisfied_parts(self, item: Element) -> tuple[int, list[tuple[int, ...]]]:
         """Bitmask plus per-attribute satisfied-id tuples (unflattened).
@@ -67,10 +62,13 @@ class PreFilter:
         (:class:`~repro.filtering.filter.FilterOperator`) can skip building
         the sorted id list entirely when the mask hits their plan cache.
         """
-        self._rebuild_if_needed()
         self.documents_processed += 1
         table = self._table
         cache = self._value_cache
+        if self._built_for != len(self._registry):
+            # a verdict cached before a condition was registered misses its bit
+            cache.clear()
+            self._built_for = len(self._registry)
         mask = 0
         parts: list[tuple[int, ...]] = []
         for attribute, value in item.attrib.items():

@@ -25,14 +25,8 @@ callers share one DFA regardless of their active sets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
-from repro.xmlmodel.axml import ServiceRegistry, has_service_calls, materialize
 from repro.xmlmodel.tree import Element
 from repro.xmlmodel.xpath import Step, XPath
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.filtering.conditions import FilterSubscription
 
 #: Interned DFA states are capped to keep adversarial tag vocabularies from
 #: growing the subset-construction cache without bound; beyond the cap,
@@ -192,6 +186,9 @@ class YFilterSigma:
     def query_count(self) -> int:
         return len(self._queries)
 
+    def __contains__(self, query_id: str) -> bool:
+        return query_id in self._queries
+
     def query(self, query_id: str) -> XPath:
         return self._queries[query_id]
 
@@ -296,64 +293,3 @@ class YFilterSigma:
         self.dfa_cache_hits = 0
         self.dfa_cache_misses = 0
 
-
-def compile_tree_predicate(
-    subscription: "FilterSubscription",
-    service_registry: (
-        ServiceRegistry | Callable[[], ServiceRegistry | None] | None
-    ) = None,
-) -> Callable[[Element], bool]:
-    """Fuse a *complex* subscription into one ``item -> bool`` closure.
-
-    The counterpart of
-    :func:`repro.filtering.conditions.compile_simple_predicate` for
-    subscriptions carrying tree-pattern queries: simple and LET-derived
-    conditions are checked on the root attributes first (cheap rejection,
-    same order as the interpreted :class:`~repro.filtering.filter.FilterOperator`),
-    then a private :class:`YFilterSigma` — its lazy DFA built once per
-    compiled stage and shared across every item the stage sees — decides the
-    conjunction of the subscription's tree patterns in a single traversal.
-
-    ActiveXML laziness is preserved: intensional content is materialised only
-    after the attribute conditions pass, exactly when the interpreted filter
-    would run its stage-3 check.  ``service_registry`` may be the registry
-    itself or a zero-argument resolver; compiled programs outlive peer
-    objects in the plan cache, so deployment passes a resolver that always
-    reads the *current* peer's registry (a rejoined peer gets a fresh one).
-    """
-    simple = tuple(
-        (condition.attribute, condition.holds) for condition in subscription.simple
-    )
-    computed = tuple(subscription.computed)
-    nfa = YFilterSigma()
-    for index, query in enumerate(subscription.complex_queries):
-        nfa.add_query(str(index), query)
-    n_queries = nfa.query_count
-    match = nfa.match
-    if callable(service_registry):
-        resolve = service_registry
-    else:
-        pinned = service_registry
-
-        def resolve() -> ServiceRegistry | None:
-            return pinned
-
-    def predicate(item: Element) -> bool:
-        attrib = item.attrib
-        for attribute, holds in simple:
-            actual = attrib.get(attribute)
-            if actual is None or not holds(actual):
-                return False
-        for condition in computed:
-            if not condition.evaluate(attrib):
-                return False
-        registry = resolve()
-        if registry is not None and has_service_calls(item):
-            target = materialize(item, registry)
-        else:
-            target = item
-        return len(match(target)) == n_queries
-
-    # observability hook: tests and stats can reach the stage's automaton
-    predicate.yfilter = nfa  # type: ignore[attr-defined]
-    return predicate

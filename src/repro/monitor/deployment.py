@@ -34,6 +34,7 @@ from repro.algebra.plan import (
     ALERTER,
     DISTINCT,
     EXISTING,
+    FILTER,
     GROUP,
     JOIN,
     PUBLISH,
@@ -373,7 +374,8 @@ class Deployer:
         Definition Database advertisement, predecessor adoption link and
         ledger entry, exactly like an :class:`Operator` -- only the per-node
         processing is fused stage closures, and intermediate boundary streams
-        are written through solely when an external consumer is attached.
+        are written through solely when an external consumer is attached.  A
+        FILTER head joins its input stream's ``FilterGroup`` instead of subscribing.
         """
         peer = self.system.peer(chain[-1].placement)
         compiler = self.system.compiler
@@ -385,11 +387,17 @@ class Deployer:
         handle = self._deploy_node(chain[0].children[0], task)
         for index, node in enumerate(chain):
 
-            def wire(inputs: list[Stream], output: Stream, index: int = index):
+            def wire(inputs: list[Stream], output: Stream, index: int = index, node: PlanNode = node):
                 (input_stream,) = inputs
-                pipeline.attach_entry(
-                    index, input_stream.subscribe(pipeline.make_entry(index))
-                )
+                entry = pipeline.make_entry(index)
+                if node.kind == FILTER:
+                    group = peer.system.compiler.filter_group(input_stream, peer)
+                    leave = group.join(
+                        pipeline.stages[0].signature, node.params["subscription"], entry
+                    )
+                    pipeline.attach_entry(0, leave, group)
+                else:
+                    pipeline.attach_entry(index, input_stream.subscribe(entry))
                 if index > 0:
                     # the continuation for the previous boundary is wired now;
                     # snapshot its liveness baselines (channel subscribers are
@@ -412,6 +420,9 @@ class Deployer:
                     # after the deploying subscription cancelled: stay
                     # listed on the peer until the last stage goes
                     pipeline.detach_stage(index)
+                    stage = pipeline.stages[index]
+                    if stage.apply is not None:  # a FILTER has no table entry
+                        peer.system.materialized.forget(stage.signature)
                     if pipeline.detached:
                         _discard(peer.operators, pipeline)
 
@@ -455,18 +466,18 @@ class Deployer:
             node, peer.peer_id, stream_id, originals
         )
         self._record(task, peer.peer_id, operator)
-        for action in stop_consuming:
-            ledger.add_undo(key, action)
-        ledger.add_undo(key, output.close)
+        undo = [*stop_consuming, output.close]
         if created_channel:
-            ledger.add_undo(key, lambda: peer.net.unpublish_channel(stream_id))
-        ledger.add_undo(key, lambda: peer.net.drop_stream(stream_id))
-        ledger.add_undo(key, lambda: self.system.stream_db.retract(doc_id))
-        for action in sink:
-            ledger.add_undo(key, action)
+            undo.append(lambda: peer.net.unpublish_channel(stream_id))
+        undo += [
+            lambda: peer.net.drop_stream(stream_id),
+            lambda: self.system.stream_db.retract(doc_id),
+            *sink,
+        ]
         for original in originals:
             self._retain_stream(original, holder)
-            ledger.add_undo(key, lambda k=original: ledger.release(k, holder))
+            undo.append(lambda k=original: ledger.release(k, holder))
+        ledger.add_undo(key, *undo)
         return _StreamHandle(peer.peer_id, output, stream_id)
 
     def _link_predecessor(

@@ -204,9 +204,9 @@ class ResourceLedger:
         self._entries[key] = _Entry()
         return True
 
-    def add_undo(self, key: object, action: UndoAction) -> None:
-        """Append a teardown action to run when ``key``'s last holder leaves."""
-        self._entries[key].undo.append(action)
+    def add_undo(self, key: object, *actions: UndoAction) -> None:
+        """Append teardown actions to run, in order, when ``key``'s last holder leaves."""
+        self._entries[key].undo.extend(actions)
 
     # -- reference counting ----------------------------------------------------
 

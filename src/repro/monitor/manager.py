@@ -39,6 +39,9 @@ from repro.p2pml.parser import parse_subscription
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer
 
+#: Bound on ``P2PMSystem.ast_table`` (cleared wholesale when full).
+AST_TABLE_LIMIT = 4096
+
 
 class SubmitManyError(RuntimeError):
     """A batch submission failed partway through.
@@ -107,8 +110,8 @@ class SubscriptionManager:
 
         Equivalent to calling :meth:`submit` in a loop (same handles in the
         same order, same reuse reports, same deployed operators), but the
-        whole batch shares one parse cache, one reuse engine (and with it
-        the system-wide signature cache), and one deployer, so overlapping
+        whole batch shares one reuse engine (and with it the system-wide
+        signature cache) and one deployer, so overlapping
         subscriptions pay the discovery/reuse machinery once instead of once
         each.  Later entries reuse streams deployed by earlier entries of
         the same batch, exactly as sequential submission would.
@@ -124,7 +127,6 @@ class SubscriptionManager:
             )
         engine = self._reuse_engine() if reuse else None
         deployer = self._deployer()
-        ast_cache: dict[str, SubscriptionAST] = {}
         handles: list[SubscriptionHandle] = []
         for index, subscription in enumerate(subscriptions):
             try:
@@ -136,7 +138,6 @@ class SubscriptionManager:
                         deployer=deployer,
                         push_selections=push_selections,
                         max_results=max_results,
-                        ast_cache=ast_cache,
                     )
                 )
             except Exception as exc:
@@ -166,17 +167,19 @@ class SubscriptionManager:
         deployer: Deployer,
         push_selections: bool,
         max_results: int | None,
-        ast_cache: dict[str, SubscriptionAST] | None = None,
     ) -> SubscriptionHandle:
         # the sharded runtime freezes deployment once its workers fork
         self.peer.system.runtime.check_mutable("subscribe")
         if isinstance(subscription, str):
             text: str | None = subscription
-            ast = ast_cache.get(subscription) if ast_cache is not None else None
+            # one AST per distinct text and system; plans are compiled from
+            # it, never into it, so sharing it between subscriptions is safe
+            asts = self.peer.system.ast_table
+            ast = asts.get(subscription)
             if ast is None:
-                ast = parse_subscription(subscription)
-                if ast_cache is not None:
-                    ast_cache[subscription] = ast
+                if len(asts) >= AST_TABLE_LIMIT:
+                    asts.clear()
+                ast = asts[subscription] = parse_subscription(subscription)
         elif isinstance(subscription, SubscriptionBuilder):
             text = None
             ast = subscription.build()

@@ -33,6 +33,7 @@ from repro.net.peer import Peer
 from repro.net.rpc import RpcEndpoint
 from repro.net.runtime import RUNTIMES, create_runtime
 from repro.net.simnet import SimNetwork
+from repro.p2pml.ast import SubscriptionAST
 from repro.streams.stream import Stream
 from repro.xmlmodel.axml import ServiceRegistry
 
@@ -147,17 +148,17 @@ class P2PMSystem:
         #: detects orphaned resources after a peer failure and redeploys the
         #: affected subscriptions on surviving peers
         self.recovery = RecoveryManager(self)
-        #: plan compiler: fused FILTER/RESTRUCTURE pipeline closures with a
-        #: system-wide materialized-expression table (cross-plan CSE)
+        #: plan compiler: fused pipelines, one shared filter per source stream
+        #: and a system-wide materialized-expression table (cross-plan CSE)
         self.materialized = MaterializedTable()
         self.compile_cache = CompiledPlanCache()
         self.compile_stats = CompileStats()
         self.compiler = PlanCompiler(
-            self.materialized,
-            self.compile_cache,
-            self.compile_stats,
-            registry_for=self._service_registry_for,
+            self.materialized, self.compile_cache, self.compile_stats
         )
+        #: P2PML text -> parsed AST, shared by every peer's subscription
+        #: manager (cleared wholesale at ``AST_TABLE_LIMIT`` texts)
+        self.ast_table: dict[str, SubscriptionAST] = {}
         self._peers: dict[str, P2PMPeer] = {}
         #: execution backend: who drains the event scheduler(s), and where
         #: (see :mod:`repro.net.runtime`)
@@ -198,17 +199,6 @@ class P2PMSystem:
 
     def has_peer(self, peer_id: str) -> bool:
         return peer_id in self._peers
-
-    def _service_registry_for(self, peer_id: str) -> "ServiceRegistry | None":
-        """Current service registry of ``peer_id`` (None once the peer left).
-
-        Handed to the plan compiler as the tree-pattern stages' lazy
-        resolver: compiled programs live in the plan cache across peer
-        departures and rejoins, so the registry must be looked up per item,
-        never captured at compile time.
-        """
-        peer = self._peers.get(peer_id)
-        return peer.service_registry if peer is not None else None
 
     @property
     def peer_ids(self) -> list[str]:
@@ -422,15 +412,9 @@ class P2PMSystem:
             f"stage invocations: {invocations['batch']} batch "
             f"({invocations['batch_items']} items) / {invocations['item']} per-item"
         )
-        # fallback reasons arrive sorted from the snapshot; the seen-set
-        # guards against duplicates so the report is deterministic even if a
-        # future recorder double-counts a (kind, reason) pair
-        seen_fallbacks: set[tuple[str, str]] = set()
+        # fallback kinds and reasons arrive sorted from the snapshot
         for kind, reasons in snapshot["fallbacks"].items():
-            for reason, count in sorted(reasons.items()):
-                if (kind, reason) in seen_fallbacks:
-                    continue
-                seen_fallbacks.add((kind, reason))
+            for reason, count in reasons.items():
                 lines.append(f"fallback {kind}: {reason} x{count}")
         for pipeline in self.compiled_pipelines():
             info = pipeline.describe()

@@ -232,9 +232,7 @@ class ChannelRegistry:
         self._free_epoch += 1
         if callable(channel.unsubscribe):
             channel.unsubscribe()
-        payload = Element("channelEos", {"channelId": channel.channel_id})
-        for subscriber in channel.sorted_subscribers():
-            self._peer.send(subscriber, MSG_EOS, payload)
+        self._send_eos(channel)
         channel.clear_subscribers()
         return True
 
@@ -289,11 +287,16 @@ class ChannelRegistry:
     def published_ids(self) -> list[str]:
         return sorted(self._published)
 
+    def _send_eos(self, channel: Channel) -> None:
+        subscribers = channel.sorted_subscribers()
+        if subscribers:  # most channels never gain one: build nothing for them
+            payload = Element("channelEos", {"channelId": channel.channel_id})
+            for subscriber in subscribers:
+                self._peer.send(subscriber, MSG_EOS, payload)
+
     def _forward(self, channel: Channel, item: object) -> None:
         if is_eos(item):
-            payload = Element("channelEos", {"channelId": channel.channel_id})
-            for subscriber in channel.sorted_subscribers():
-                self._peer.send(subscriber, MSG_EOS, payload)
+            self._send_eos(channel)
             return
         assert isinstance(item, Element)
         self._forward_batch(channel, [item])

@@ -105,6 +105,15 @@ class TestSubscription:
         network.run()
         assert proxy.closed
 
+    def test_end_of_a_channel_nobody_subscribed_to_sends_nothing(self, network, publisher):
+        closed = publisher.create_stream("closed")
+        publisher.publish_channel("X", closed)
+        publisher.publish_channel("Y", publisher.create_stream("withdrawn"))
+        closed.close()
+        assert publisher.channels.unpublish("Y")
+        network.run()
+        assert network.stats.total_messages == 0
+
     def test_unsubscribe_stops_delivery(self, network, publisher, subscriber):
         stream = publisher.create_stream("alerts")
         publisher.publish_channel("X", stream)

@@ -25,11 +25,12 @@ from pathlib import Path
 import pytest
 
 from repro.algebra.plan import ALERTER, FILTER, GROUP, RESTRUCTURE, PlanNode
+from repro.algebra.template import RestructureTemplate
 from repro.filtering.conditions import FilterSubscription, SimpleCondition
-from repro.filtering.yfilter import compile_tree_predicate
 from repro.monitor import P2PMSystem
 from repro.monitor.deployment import Deployer
 from repro.scenarios import make_scenario, scenario_names
+from repro.streams import Stream
 from repro.workloads import EdosNetwork, MeteoScenario
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
 from repro.workloads.soap_traffic import SoapCall
@@ -319,8 +320,11 @@ class TestFusedPipelines:
             alerter.emit_numbered(n)
         system.run()
         assert len(got) == 9  # n >= 1 filters out n=0
-        assert pipelines[0].items_in == 10
+        assert pipelines[0].items_in == 10  # offered to the segment, rejected or not
         assert pipelines[0].items_out == 9
+        handle.cancel()
+        alerter.emit_numbered(10)
+        assert pipelines[0].items_in == 10  # frozen when the head left its group
         # the intermediate filter boundary is dark: fused straight through
         stats = handle.stats()["compile"]
         assert stats["segments_fused"] == 1
@@ -363,6 +367,41 @@ class TestFusedPipelines:
         assert not any(p.detached for p in pipelines)
         assert system.compile_snapshot()["pipelines_active"] == 2
         assert "pipeline sub=qa @solo [live]" in system.compile_report()
+
+    def test_a_filter_always_heads_its_segment(self):
+        # FILTER over FILTER, and FILTER over RESTRUCTURE: both used to fuse
+        # into one chain; now every FILTER is evaluated by its input stream's
+        # group, so it starts a segment of its own
+        system, peer = _single_peer()
+        inner = FilterSubscription("in", [SimpleCondition("kind", "=", "chaos")], [])
+        outer = FilterSubscription("out", [SimpleCondition("n", ">=", "2")], [])
+        template = RestructureTemplate(Element("seen", {"n": "{$x.n}"}))
+        first = _filter_node(inner, [_chaos_alerter_node()])
+        shaped = PlanNode(RESTRUCTURE, {"template": template, "var": "x"}, [first], placement="solo")
+        second = _filter_node(
+            FilterSubscription("late", [SimpleCondition("n", "!=", "9")], []), [shaped]
+        )
+        stacked = _filter_node(outer, [_filter_node(inner, [_chaos_alerter_node()])])
+        for plan, expected in [(second, [[FILTER], [FILTER, RESTRUCTURE]]),
+                               (stacked, [[FILTER], [FILTER]])]:
+            chains = system.compiler.plan_segments(plan).values()
+            assert [[node.kind for node in chain] for chain in chains] == expected
+        task = Deployer(system, publish_replicas=system.publish_replicas).deploy(
+            stacked, "st", manager_peer="solo"
+        )
+        got: list[str] = []
+        task.delivery.subscribe(
+            lambda item: got.append(item.attrib["n"]) if isinstance(item, Element) else None
+        )
+        alerter = peer.alerter(CHAOS_FUNCTION)
+        for n in range(4):
+            alerter.emit_numbered(n)
+        alerter.output.emit_many(_chaos_alerts(range(4, 6)))
+        assert got == ["2", "3", "4", "5"]
+        # one group on the alerter's stream, one on the inner filter's output
+        assert len(system.compiler.groups) == 2
+        task.teardown()
+        assert system.compiler.groups == {} and len(system.resources) == 0
 
     def test_compile_report_is_printable(self):
         system, peer = _single_peer()
@@ -416,10 +455,14 @@ class TestTreePatternFusion:
         "/alert/error",
     ]
 
-    def test_compiled_tree_predicate_matches_extensional_oracle(self):
+    def test_group_tree_verdicts_match_extensional_oracle(self):
         rng = random.Random(3)
         items = _soap_alert_items(60)
         methods = ["GetTemperature", "GetHumidity", "Invoice"]
+        system, _ = _single_peer()
+        stream = Stream("src")
+        subscriptions = []
+        got: dict[str, list] = {}
         for index in range(40):
             simple = [SimpleCondition("callMethod", "=", rng.choice(methods))]
             if rng.random() < 0.5:
@@ -428,12 +471,24 @@ class TestTreePatternFusion:
             if rng.random() < 0.4:
                 queries.append(XPath.compile(rng.choice(self.TREE_PATHS)))
             subscription = FilterSubscription(f"t{index}", simple, queries)
-            predicate = compile_tree_predicate(subscription)
-            for item in items:
-                assert predicate(item) == subscription.matches_extensionally(item), (
-                    f"{subscription.sub_id}: fused tree predicate diverges from "
-                    f"the extensional oracle on {to_xml(item)[:120]}"
-                )
+            subscriptions.append(subscription)
+            sink = got.setdefault(subscription.sub_id, [])
+
+            def entry(item, sink=sink) -> None:
+                sink.append(item)
+
+            entry.batch = None  # the per-item path only
+            node = _filter_node(subscription, [_chaos_alerter_node()])
+            (stage,) = system.compiler.compile_segment([node], epoch=0)
+            system.compiler.filter_group(stream, system.peer("solo")).join(
+                stage.signature, subscription, entry
+            )
+        for item in items:
+            stream.emit(item)
+        for subscription in subscriptions:
+            assert got[subscription.sub_id] == [
+                item for item in items if subscription.matches_extensionally(item)
+            ], f"{subscription.sub_id}: group verdicts diverge from the extensional oracle"
 
     def test_tree_pattern_subscription_fuses(self):
         system, handle, _ = _run_tree_subscription()
@@ -464,10 +519,22 @@ class TestCompileStats:
         alerter.output.emit_many(_chaos_alerts(range(1, 6)))
         system.run()
         assert len(got) == 6
+        # FILTER counts once per group and item or burst, RESTRUCTURE once
+        # per pipeline it ran in
         invocations = handle.stats()["compile"]["stage_invocations"]
-        assert invocations["batch"] >= 2  # both fused stages saw the burst
-        assert invocations["batch_items"] >= 10
-        assert invocations["item"] >= 2  # the single emit ran per-item
+        assert invocations == {"item": 2, "batch": 2, "batch_items": 10}
+        twin = peer.subscribe(
+            f'for $x in {CHAOS_FUNCTION}(<p>solo</p>) '
+            'where $x.kind = "chaos" return <seen><n>{$x.n}</n></seen>',
+            sub_id="q1",
+            reuse=False,
+        )
+        alerter.emit_numbered(6)
+        alerter.output.emit_many(_chaos_alerts(range(7, 10)))
+        invocations = twin.stats()["compile"]["stage_invocations"]
+        assert invocations == {"item": 2 + 3, "batch": 2 + 3, "batch_items": 10 + 9}
+        # offered, not matched: q1 joined after the first six items
+        assert [p.items_in for p in system.compiled_pipelines()] == [10, 4]
 
     def test_report_fallback_lines_sorted_and_unique(self):
         system, peer = _single_peer()

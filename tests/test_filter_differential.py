@@ -9,6 +9,7 @@ sets, item by item and subscription by subscription.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -225,30 +226,44 @@ class TestBatchPaths:
         assert per_item == batched
         assert one.items_processed == two.items_processed == len(items)
 
-    def test_compiled_filter_stage_batch_equals_per_item(self):
-        """``apply_many`` keeps exactly the items ``apply`` keeps, per NaiveFilter."""
+    def test_filter_group_batch_equals_per_item(self):
+        """Per member, a burst through the group keeps exactly the items a loop
+        of ``emit`` keeps, and both are what NaiveFilter says."""
         items = make_alert_items(40, seed=32)
         subscriptions = make_subscription_set(60, seed=33, computed_fraction=0.25)
-        compiler = PlanCompiler(MaterializedTable(), CompiledPlanCache(), CompileStats())
         naive_results = NaiveFilter(subscriptions).process_batch(items)
-        memoised = 0
+        compiler = PlanCompiler(MaterializedTable(), CompiledPlanCache(), CompileStats())
+        stream = Stream("src")
+        singly: dict[str, list] = {s.sub_id: [] for s in subscriptions}
+        batched: dict[str, list] = {s.sub_id: [] for s in subscriptions}
         for subscription in subscriptions:
             node = PlanNode(
                 FILTER, {"subscription": subscription}, [PlanNode(ALERTER, placement="p")],
                 placement="p",
             )
             (stage,) = compiler.compile_segment([node], epoch=0)
+            assert stage.apply is None and stage.apply_many is None  # decided by the group
+
+            def entry(item, sink=singly[subscription.sub_id]) -> None:
+                sink.append(item)
+
+            entry.batch = lambda batch, memo, sink=batched[subscription.sub_id]: sink.extend(batch)
+            compiler.filter_group(stream, SimpleNamespace(service_registry=None)).join(
+                stage.signature, subscription, entry
+            )
+        group = compiler.groups[stream]
+        assert 1 < len(group.index) < len(subscriptions), "twins must share index entries"
+        for item in items:
+            stream.emit(item)
+        stream.emit_many(items)
+        for subscription in subscriptions:
             expected = [
                 result.item for result in naive_results
                 if subscription.sub_id in result.matched
             ]
-            assert [item for item in items if stage.apply(item)] == expected
-            assert stage.apply_many(items) == expected
-            # a second burst of the same list object is served from the table
-            assert stage.apply_many(items) == expected
-            memoised += bool(subscription.computed) or len(subscription.simple) >= 3
-        assert 0 < memoised < len(subscriptions), "both stage shapes must be covered"
-
+            assert singly[subscription.sub_id] == expected
+            assert batched[subscription.sub_id] == expected
+        assert group.items == 2 * len(items)
 
     def test_group_operator_cadence_identical_under_batching(self):
         """items_in must advance per item so `every`-based snapshots agree."""
@@ -297,8 +312,6 @@ class TestCounterConsistency:
         assert filter_op.prefilter.cache_hits == 0
         assert filter_op.prefilter.cache_misses == 0
         assert filter_op.aes.nodes_visited == 0
-        assert filter_op.aes.match_cache_hits == 0
-        assert filter_op.aes.match_cache_misses == 0
         assert filter_op.yfilter.elements_processed == 0
         assert filter_op.yfilter.dfa_cache_hits == 0
         assert filter_op.yfilter.dfa_cache_misses == 0

@@ -229,3 +229,76 @@ def test_property_two_stage_agrees_with_naive(subscription_specs, items):
     naive = NaiveFilter(subs)
     for item in items:
         assert fast.process(item).matched == naive.process(item).matched
+
+
+# --------------------------------------------------------------------------- #
+# Removal: subscriptions leave, dead conditions/queries are forgotten.
+# --------------------------------------------------------------------------- #
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    subscription_specs=st.lists(_subscriptions(), min_size=1, max_size=8),
+    removals=st.lists(st.integers(min_value=0, max_value=7), max_size=8),
+    items=st.lists(_items(), min_size=1, max_size=4),
+)
+def test_property_removed_subscriptions_stop_matching(subscription_specs, removals, items):
+    live = {
+        f"q{i}": FilterSubscription(f"q{i}", simple, complex_queries)
+        for i, (simple, complex_queries) in enumerate(subscription_specs)
+    }
+    fast = FilterOperator(list(live.values()))
+    for item in items:
+        fast.process(item)  # warm every cache a removal must invalidate
+    for index in removals:
+        sub_id = f"q{index}"
+        if sub_id in live:
+            del live[sub_id]
+            fast.remove_subscription(sub_id)
+        else:
+            # leave-then-rejoin, under the same id
+            simple, complex_queries = subscription_specs[index % len(subscription_specs)]
+            live[sub_id] = FilterSubscription(sub_id, simple, complex_queries)
+            fast.add_subscription(live[sub_id])
+        naive = NaiveFilter(list(live.values()))
+        for item in items:
+            assert fast.process(item).matched == naive.process(item).matched
+        assert len(fast) == fast.aes.subscription_count == len(live)
+    for sub_id in list(live):
+        fast.remove_subscription(sub_id)
+    # nothing but the root is left of the hash tree, no condition, no query
+    assert fast.aes.node_count() == 1
+    assert len(fast.conditions) == fast.yfilter.query_count == 0
+
+
+class TestRemoval:
+    def test_twin_tree_patterns_are_one_query_and_die_with_their_last_user(self):
+        subs = [
+            FilterSubscription(f"q{i}", [SimpleCondition("a", "=", str(i))], [XPath.compile("//u")])
+            for i in range(3)
+        ] + [FilterSubscription("w", [SimpleCondition("a", "=", "9")], [XPath.compile("//w")])]
+        filter_op = FilterOperator(subs)
+        assert filter_op.yfilter.query_count == 2  # one per distinct path text
+        item = Element("item", {"a": "1"}, [Element("u")])
+        assert filter_op.process(item).matched == ["q1"]
+        filter_op.remove_subscription("q1")
+        assert filter_op.process(item).matched == []
+        assert filter_op.yfilter.query_count == 2  # //u still has two users
+
+    def test_rebuild_once_more_than_half_is_dead(self):
+        subs = [FilterSubscription(f"q{i}", [SimpleCondition("a", "=", str(i))]) for i in range(8)]
+        filter_op = FilterOperator(subs)
+        registry = filter_op.conditions
+        for i in range(4):
+            filter_op.remove_subscription(f"q{i}")
+        # half dead: condition ids stay stable, nothing is rebuilt yet
+        assert filter_op.conditions is registry and len(registry) == 8
+        assert filter_op.aes.live_conditions == 4
+        filter_op.remove_subscription("q4")
+        assert filter_op.conditions is not registry and len(filter_op.conditions) == 3
+        assert filter_op.process(Element("item", {"a": "7"})).matched == ["q7"]
+        assert filter_op.process(Element("item", {"a": "4"})).matched == []
+
+    def test_unknown_subscription_raises(self):
+        with pytest.raises(KeyError):
+            FilterOperator().remove_subscription("nope")

@@ -460,6 +460,39 @@ class TestSubmitMany:
         # ...and the survivor can be retired normally
         assert survivor.cancel()
 
+    def test_one_ast_per_text_and_system(self, monkeypatch):
+        from repro.monitor import manager
+
+        parsed = []
+        real_parse = manager.parse_subscription
+        monkeypatch.setattr(
+            manager, "parse_subscription", lambda text: parsed.append(text) or real_parse(text)
+        )
+        system = P2PMSystem(seed=5)
+        system.add_peer("p0.example")
+        first, second = system.add_peer("m1.example"), system.add_peer("m2.example")
+        texts = [
+            f'for $c in outCOM(<p>p0.example</p>) where $c.callMethod = "M{i}" '
+            "return <hit>{$c.caller}</hit>"
+            for i in range(3)
+        ]
+        # submit, submit_many, another peer's manager: the system's one table
+        first.subscribe(texts[0])
+        first.subscribe_many(texts + texts)
+        handle = second.subscribe(texts[2])
+        assert parsed == texts and list(system.ast_table) == texts
+        record = second.manager.database.get(handle.sub_id)
+        assert record.ast is system.ast_table[texts[2]]
+        # another system starts from nothing (the table is not module state)
+        other = P2PMSystem(seed=5)
+        other.add_peer("p0.example")
+        other.add_peer("m1.example").subscribe(texts[0])
+        assert parsed == texts + texts[:1]
+        # bounded: cleared wholesale when full
+        monkeypatch.setattr(manager, "AST_TABLE_LIMIT", 3)
+        first.subscribe(texts[0].replace("M0", "M9"))
+        assert len(system.ast_table) == 1
+
     def test_batch_cancellation_is_independent(self):
         system = P2PMSystem(seed=5)
         system.add_peer("p0.example")

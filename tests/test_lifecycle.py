@@ -78,12 +78,13 @@ class TestResourceLedger:
         done = []
         ledger.register("r")
         ledger.add_undo("r", lambda: done.append("a"))
-        ledger.add_undo("r", lambda: done.append("b"))
+        # several at once (a deployed output hands over its whole list)
+        ledger.add_undo("r", lambda: done.append("b"), lambda: done.append("c"))
         ledger.retain("r", "h1")
         ledger.retain("r", "h2")
         assert not ledger.release("r", "h1") and done == []
         assert ledger.release("r", "h2")
-        assert done == ["a", "b"]
+        assert done == ["a", "b", "c"]
         assert not ledger.known("r")
         # further releases of a gone entry are harmless
         assert not ledger.release("r", "h2")
