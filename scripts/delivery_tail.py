@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Where the calls of one delivery go, and what is left for the cycle collector.
+
+    python3 scripts/delivery_tail.py functions fanout [--top 15]
+        the counted burst of ``perf/harness.py`` (seed 1, ``cProfile`` exactly
+        as the harness takes it), per function: calls per delivery
+    python3 scripts/delivery_tail.py collector fanout
+        one measured burst with the collector on (collections per generation)
+        and one with it off (unreachable objects a ``gc.collect()`` then finds)
+
+These are the tables of "The delivery tail" in ``docs/PERFORMANCE.md``.  The
+benchmark itself (``perf/``) is only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 1
+
+
+def functions(workload, top: int) -> None:
+    from perf import harness
+
+    calls: Counter = Counter()
+    plain_exit = harness._Phase.__exit__
+
+    def counting_exit(phase, *exc_info) -> None:
+        if phase.profile is not None and phase.name == "burst":
+            phase.profile.disable()
+            for entry in phase.profile.getstats():
+                code = entry.code
+                name = code if isinstance(code, str) else (
+                    f"{code.co_filename.rpartition('/repro/')[2]}:{code.co_name}"
+                )
+                calls[name] += entry.callcount
+        plain_exit(phase, *exc_info)
+
+    harness._Phase.__exit__ = counting_exit
+    sizes = workload.sizes(1.0).counted(1.0)
+    counted = harness._counted_cycle(workload, SEED, sizes, harness.Tally())
+    deliveries = sum(calls.values()) / counted["per_delivery"]
+    print(f"{workload.name}: pycalls_per_delivery {counted['per_delivery']:.3f}, {deliveries:.0f} deliveries")
+    for name, count in calls.most_common(top):
+        print(f"{count / deliveries:8.3f}  {name}")
+
+
+def collector(workload) -> None:
+    from perf import harness
+
+    sizes = workload.sizes(1.0)
+    plan = workload.deal(harness._plan_rng(workload, SEED, 0), sizes)
+    cycle = harness.Cycle(workload, plan, harness.PhaseClock(), harness.Tally())
+    cycle.subscribe()
+    cycle.cancel(plan.cancels)
+    cycle.warm_up(check_payloads=False)
+
+    def burst(index: int) -> int:
+        before = sum(cycle.counts)
+        cycle._publish_burst(cycle.rig.prepare(plan.bursts[index]))
+        return sum(cycle.counts) - before
+
+    gc.collect()
+    before = [generation["collections"] for generation in gc.get_stats()]
+    deliveries = burst(0)
+    ran = [generation["collections"] - was for generation, was in zip(gc.get_stats(), before)]
+    print(f"{workload.name}: {deliveries} deliveries, collector on: collections per generation {ran}")
+    gc.collect()
+    gc.disable()
+    try:
+        deliveries = burst(1)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    print(f"{workload.name}: {deliveries} deliveries, collector off: {unreachable} unreachable objects afterwards")
+    cycle.close()
+
+
+def main() -> int:
+    for entry in (str(REPO), str(REPO / "src")):
+        sys.path.insert(0, entry)
+    from perf.workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("what", choices=("functions", "collector"))
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--top", type=int, default=15)
+    args = parser.parse_args()
+    if args.what == "functions":
+        functions(WORKLOADS[args.workload], args.top)
+    else:
+        collector(WORKLOADS[args.workload])
+    return 0
+
+
+if __name__ == "__main__":
+    if "PYTHONHASHSEED" not in os.environ:
+        # as perf/run.py: one seed means one execution
+        sys.stdout.flush()
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    raise SystemExit(main())

@@ -9,10 +9,10 @@ compiler (:mod:`repro.compile`) fuses them into pipeline stages.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.algebra.template import Binding, ValueRef, get_binding, make_tuple_item
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
@@ -62,14 +62,13 @@ class Operator:
         while self._unsubscribes:
             self._unsubscribes.pop()()
 
-    def _receive(self, index: int, item: object) -> None:
-        if is_eos(item):
+    def _receive(self, index: int, item: Any) -> None:
+        if item is EOS:
             self._open_inputs -= 1
             if self._open_inputs <= 0:
                 self.on_close()
                 self.output.close()
             return
-        assert isinstance(item, Element)
         self.items_in += 1
         self.on_item(index, item)
 

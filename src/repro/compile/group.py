@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from repro.filtering.conditions import FilterSubscription
 from repro.filtering.filter import FilterOperator
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.axml import ServiceRegistry
 
@@ -122,7 +122,7 @@ class FilterGroup:
     # -- dispatch (the stream calls these) -----------------------------------
 
     def __call__(self, item: Any) -> None:
-        if is_eos(item):
+        if item is EOS:
             matched = tuple(self._buckets)
         else:
             self.items += 1

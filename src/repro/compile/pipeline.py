@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 
 from .compiler import CompiledStage
@@ -123,7 +123,7 @@ class CompiledPipeline:
         """
 
         def deliver(item: Any, _i: int = index) -> None:
-            if is_eos(item):
+            if item is EOS:
                 # mirror Operator.on_close: input ended -> close own output,
                 # cascading stage by stage through the boundary streams
                 self.boundaries[_i].stream.close()

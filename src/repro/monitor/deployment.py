@@ -99,7 +99,7 @@ class DeployedTask:
     manager_peer: str
     #: raw plan output at the manager peer (pre-valve)
     output_stream: Stream | None = None
-    #: post-valve stream the publisher / result buffer / callbacks consume
+    #: the stream the publisher / result buffer / callbacks consume: the valve
     delivery: Stream | None = None
     valve: DeliveryValve | None = None
     results_buffer: ResultBuffer | None = None
@@ -666,11 +666,10 @@ class Deployer:
         """Insert the pause/resume valve and the (opt-in, bounded) result buffer."""
         task.output_stream = input_stream
         valve = DeliveryValve(input_stream)
-        task.valve = valve
-        task.delivery = valve.out
+        task.valve = task.delivery = valve
         if max_results is not None:
             buffer = ResultBuffer(max_results)
-            valve.out.subscribe(buffer.push)
+            valve.subscribe(buffer.push)
             task.results_buffer = buffer
         task.undo.append(valve.detach)
 

@@ -9,9 +9,9 @@ and the paper's full subscription lifecycle (Section 3.1) is driven through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
@@ -104,7 +104,7 @@ class SubscriptionHandle:
 
     @property
     def delivery_stream(self) -> Stream | None:
-        """The post-valve stream results are delivered on (pauses with the task)."""
+        """The stream results are delivered on: the valve (pauses with the task)."""
         return self._require_task().delivery
 
     # -- results ---------------------------------------------------------------
@@ -137,9 +137,8 @@ class SubscriptionHandle:
         if task.delivery is None:
             raise RuntimeError(f"subscription {self.sub_id!r} has no delivery stream")
 
-        def deliver(item: object) -> None:
-            if not is_eos(item):
-                assert isinstance(item, Element)
+        def deliver(item: Any) -> None:
+            if item is not EOS:
                 callback(item)
 
         return task.delivery.subscribe(deliver)

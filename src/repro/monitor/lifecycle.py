@@ -7,10 +7,11 @@ mechanisms the lifecycle verbs are built on:
 * :class:`ResultBuffer` -- a bounded, subscriber-driven replacement for the
   unbounded ``collect()`` sink: at the paper's millions-of-users scale a
   result list that only ever grows is a memory leak.
-* :class:`DeliveryValve` -- a gate between a task's output stream and its
-  delivery targets (publisher, result buffer, callbacks).  ``pause()``
-  stops delivery without tearing anything down; ``resume()`` restarts it,
-  flushing whatever the valve retained while paused.
+* :class:`DeliveryValve` -- the delivery stream of a task: a gated stream
+  between the task's output stream and its delivery targets (publisher,
+  result buffer, callbacks).  ``pause()`` stops delivery without tearing
+  anything down; ``resume()`` restarts it, flushing whatever the valve
+  retained while paused.
 * :class:`ResourceLedger` -- reference counting over deployed resources
   (operator output streams, alerter advertisements, channel proxies).  A
   stream feeding two subscriptions must survive the cancellation of one of
@@ -22,10 +23,10 @@ mechanisms the lifecycle verbs are built on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.streams.item import is_eos
-from repro.streams.stream import Stream
+from repro.streams.item import EOS
+from repro.streams.stream import Stream, StreamClosedError
 from repro.xmlmodel.tree import Element
 
 #: Default bound of the buffer a paused valve retains items in.
@@ -68,12 +69,11 @@ class ResultBuffer:
         self.closed = False
         self._items: deque[Element] = deque(maxlen=max_results)
 
-    def push(self, item: object) -> None:
+    def push(self, item: Any) -> None:
         """Stream-subscriber entry point (accepts EOS)."""
-        if is_eos(item):
+        if item is EOS:
             self.closed = True
             return
-        assert isinstance(item, Element)
         if len(self._items) == self.max_results:
             self.dropped += 1
         self._items.append(item)
@@ -98,24 +98,22 @@ class ResultBuffer:
         )
 
 
-class DeliveryValve:
-    """Gate between a task's output stream and its delivery targets.
+class DeliveryValve(Stream):
+    """The delivery stream of a task, gated: what the publisher, the result
+    buffer and user callbacks subscribe to.
 
-    The valve subscribes to ``source`` and forwards into :attr:`out`, the
-    stream the publisher, result buffer and user callbacks are attached to.
-    While paused, up to ``max_pause_buffer`` items are retained (oldest
-    evicted beyond that) and flushed on resume, so a paused subscription
-    loses nothing within its retention window and needs no redeployment.
+    The valve subscribes to ``source`` and is itself the stream its items
+    come out of, so an open valve costs one call per item.  While paused, up
+    to ``max_pause_buffer`` items are retained (oldest evicted beyond that)
+    and flushed on resume, so a paused subscription loses nothing within its
+    retention window and needs no redeployment.  The inherited
+    :meth:`~repro.streams.stream.Stream.emit` bypasses the gate (resume and
+    the sharded harvest inject through it).
     """
 
-    def __init__(
-        self,
-        source: Stream,
-        out: Stream | None = None,
-        max_pause_buffer: int = DEFAULT_PAUSE_BUFFER,
-    ) -> None:
+    def __init__(self, source: Stream, max_pause_buffer: int = DEFAULT_PAUSE_BUFFER) -> None:
+        super().__init__(f"{source.stream_id}.delivery", source.peer_id)
         self.source = source
-        self.out = out if out is not None else Stream(f"{source.stream_id}.delivery", source.peer_id)
         self.paused = False
         self.items_delivered = 0
         self.dropped_while_paused = 0
@@ -124,21 +122,34 @@ class DeliveryValve:
         self._eos_pending = False
         self._unsubscribe = source.subscribe(self._receive)
 
-    def _receive(self, item: object) -> None:
-        if is_eos(item):
+    def _receive(self, item: Any) -> None:
+        """Pause gate, then :meth:`Stream.emit` without its item check:
+        ``source`` validated the item when it was emitted there."""
+        if item is EOS:
             if self.paused:
                 self._eos_pending = True
             else:
-                self.out.close()
+                self.close()
             return
-        assert isinstance(item, Element)
         if self.paused:
             if len(self._pending) == self._max_pause_buffer:
                 self.dropped_while_paused += 1
             self._pending.append(item)
             return
+        if self.closed:
+            raise StreamClosedError(f"stream {self.qualified_id} is closed")
         self.items_delivered += 1
-        self.out.emit(item)
+        stats = self.stats
+        stats.items += 1
+        stats.bytes += item.weight()
+        if self.keep_history:
+            self.history.append(item)
+        subscribers = self._subscribers
+        if len(subscribers) == 1:
+            subscribers[0](item)
+        else:
+            for subscriber in list(subscribers):
+                subscriber(item)
 
     @property
     def pending_count(self) -> int:
@@ -149,23 +160,26 @@ class DeliveryValve:
         self.paused = True
 
     def resume(self) -> None:
-        """Restart delivery, flushing what was retained while paused."""
+        """Restart delivery, flushing what was retained while paused.
+
+        A subscriber may pause again from inside the flush: the flush stops
+        there, the rest (a pending EOS included) stays retained.
+        """
         if not self.paused:
             return
         self.paused = False
-        while self._pending:
+        while self._pending and not self.paused:
             self.items_delivered += 1
-            self.out.emit(self._pending.popleft())
-        if self._eos_pending:
+            self.emit(self._pending.popleft())
+        if self._eos_pending and not self.paused:
             self._eos_pending = False
-            self.out.close()
+            self.close()
 
     def detach(self) -> None:
         """Unsubscribe from the source and terminate the delivery stream."""
         self._unsubscribe()
         self._pending.clear()
-        if not self.out.closed:
-            self.out.close()
+        self.close()
 
 
 class _Entry:

@@ -14,10 +14,10 @@ downstream operators cannot tell a remote stream from a local one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.net.errors import UnknownChannelError
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
@@ -66,6 +66,10 @@ class Channel:
     _sorted_cache: tuple[str, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    #: weight of a ``channelItem`` wrapper of this channel before its
+    #: sequence digits and its payload are added; measured at the first
+    #: fan-out, because most channels never gain a subscriber
+    _wrapper_overhead: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def qualified_id(self) -> str:
@@ -93,18 +97,32 @@ class Channel:
         self._sorted_cache = None
 
 
+def _wrapper(
+    channel: Channel, seq_text: str, payload: list[Element], weight: int | None = None
+) -> Element:
+    """The ``channelItem`` message of ``channel`` carrying ``payload``."""
+    return Element.fast_new(
+        "channelItem",
+        {"channelId": channel.channel_id, "publisher": channel.peer_id, "seq": seq_text},
+        payload,
+        weight=weight,
+    )
+
+
 class RemoteChannelProxy(Stream):
     """Local stream mirroring a channel published at another peer.
 
     Item messages carry per-subscriber sequence numbers, and the proxy drops
     any sequence number it has already delivered: a faulty network that
     duplicates messages (see :class:`repro.net.faults.FaultModel`) still
-    yields exactly-once delivery into the local stream.
+    yields exactly-once delivery into the local stream.  The floor is
+    *contiguous*: every number up to it was delivered, ``seen_seqs`` parks
+    only what arrived ahead of a gap, so an in-order channel holds no set.
     """
 
-    #: out-of-order window for duplicate detection; sequence numbers this far
-    #: behind the newest seen are compacted into a floor (jitter reorders
-    #: messages by bounded amounts, so the window bounds dedup memory)
+    #: out-of-order window for duplicate detection; a gap this far behind the
+    #: newest number seen is given up on and compacted into the floor (jitter
+    #: reorders messages by bounded amounts, so the window bounds dedup memory)
     SEQ_WINDOW = 4096
 
     def __init__(self, publisher_id: str, channel_id: str, local_peer_id: str) -> None:
@@ -115,42 +133,29 @@ class RemoteChannelProxy(Stream):
         self._seq_floor = -1  # every seq <= floor counts as already seen
         self.duplicates_dropped = 0
 
-    def receive_remote(self, item: Element) -> None:
-        """Deliver one remote item into the local stream (hot path).
-
-        A leaner :meth:`~repro.streams.stream.Stream.emit`: the channel layer
-        already checked that the proxy is open and only ever hands over
-        Elements, so the guard checks and the per-call stats dispatch are
-        skipped.  Accounting stays identical -- the cached item weight is
-        reused, not re-walked.
-        """
-        stats = self.stats
-        stats.items += 1
-        stats.bytes += item.weight()
-        if self.keep_history:
-            self.history.append(item)
-        subscribers = self._subscribers
-        if len(subscribers) == 1:
-            subscribers[0](item)
-        else:
-            for subscriber in list(subscribers):
-                subscriber(item)
-
     def accept_seq(self, seq: int) -> bool:
         """Record a sequence number; False when it was already delivered.
 
         Memory stays bounded: once more than ``SEQ_WINDOW`` numbers are
-        retained, everything older than ``newest - SEQ_WINDOW`` collapses
-        into a floor (a pathologically late copy beyond the window would be
-        mistaken for a duplicate -- the safe direction for exactly-once).
+        parked, everything older than ``newest - SEQ_WINDOW`` collapses
+        into the floor (a pathologically late copy beyond the window would
+        be mistaken for a duplicate -- the safe direction for exactly-once).
         """
-        if seq <= self._seq_floor or seq in self.seen_seqs:
+        seen = self.seen_seqs
+        if seq <= self._seq_floor or seq in seen:
             return False
-        self.seen_seqs.add(seq)
-        if len(self.seen_seqs) > self.SEQ_WINDOW:
-            floor = max(self.seen_seqs) - self.SEQ_WINDOW
-            self.seen_seqs = {s for s in self.seen_seqs if s > floor}
-            self._seq_floor = max(self._seq_floor, floor)
+        floor = seq
+        if seq != self._seq_floor + 1:
+            seen.add(seq)
+            if len(seen) <= self.SEQ_WINDOW:
+                return True
+            floor = max(seen) - self.SEQ_WINDOW
+            self.seen_seqs = seen = {s for s in seen if s > floor}
+        # the floor moves up, and on over the parked numbers that follow it
+        while floor + 1 in seen:
+            floor += 1
+            seen.remove(floor)
+        self._seq_floor = floor
         return True
 
 
@@ -208,12 +213,22 @@ class ChannelRegistry:
         channel = Channel(self._peer.peer_id, channel_id, stream)
         self._published[channel_id] = channel
 
-        def forward(item: object) -> None:
-            self._forward(channel, item)
+        # most channels never gain a subscriber: an idle one costs this call
+        def forward(item: Any) -> None:
+            if not channel.subscribers:
+                return
+            if item is EOS:
+                self._send_eos(channel)
+            else:
+                self._forward_batch(channel, [item])
+
+        def forward_batch(items: list[Element]) -> None:
+            if channel.subscribers:
+                self._forward_batch(channel, items)
 
         # advertise the batch entry point so Stream.emit_many hands a burst
-        # over in one call instead of one _forward per item
-        forward.batch = lambda items: self._forward_batch(channel, items)  # type: ignore[attr-defined]
+        # over in one call instead of one forward per item
+        forward.batch = forward_batch  # type: ignore[attr-defined]
         channel.unsubscribe = stream.subscribe(forward)
         return channel
 
@@ -294,13 +309,6 @@ class ChannelRegistry:
             for subscriber in subscribers:
                 self._peer.send(subscriber, MSG_EOS, payload)
 
-    def _forward(self, channel: Channel, item: object) -> None:
-        if is_eos(item):
-            self._send_eos(channel)
-            return
-        assert isinstance(item, Element)
-        self._forward_batch(channel, [item])
-
     def _forward_batch(self, channel: Channel, items: list[Element]) -> None:
         """Fan a burst of items out to every subscriber of ``channel``.
 
@@ -309,15 +317,16 @@ class ChannelRegistry:
         wrapper (receivers treat stream items as immutable, and the local
         stream layer already delivers one object to all local subscribers).
         Only the thin wrapper -- which carries the per-subscriber sequence
-        number -- is built per message, via the trusted Element constructor.
+        number -- is built per message, via the trusted Element constructor;
+        its weight is set from its parts instead of walking it.
         """
         subscribers = channel.sorted_subscribers()
         if not subscribers or not items:
             return
         next_seq = channel.next_seq
-        channel_id = channel.channel_id
-        publisher_id = channel.peer_id
-        wrap = Element.fast_new
+        overhead = channel._wrapper_overhead
+        if overhead is None:
+            overhead = channel._wrapper_overhead = _wrapper(channel, "", []).weight()
         reliable = self.reliable
         sends: list[tuple[str, str, Element]] = []
         for item in items:
@@ -333,14 +342,9 @@ class ChannelRegistry:
                 next_seq[subscriber] = seq + 1
                 wrapper = wrappers.get(seq)
                 if wrapper is None:
-                    wrapper = wrappers[seq] = wrap(
-                        "channelItem",
-                        {
-                            "channelId": channel_id,
-                            "publisher": publisher_id,
-                            "seq": str(seq),
-                        },
-                        [shared],
+                    seq_text = str(seq)
+                    wrapper = wrappers[seq] = _wrapper(
+                        channel, seq_text, [shared], overhead + len(seq_text) + shared.weight()
                     )
                 if reliable:
                     self._record_unacked(channel, subscriber, seq, wrapper)
@@ -490,10 +494,27 @@ class ChannelRegistry:
         if proxy is None or proxy.closed:
             return  # late item for an unsubscribed/closed proxy: drop it
         seq_text = attrib.get("seq")
-        if seq_text is not None and not proxy.accept_seq(int(seq_text)):
-            proxy.duplicates_dropped += 1
-            return  # a faulty (or retransmitting) network duplicated this item
-        proxy.receive_remote(payload.children[0])
+        if seq_text is not None:
+            seq = int(seq_text)
+            if seq == proxy._seq_floor + 1 and not proxy.seen_seqs:
+                proxy._seq_floor = seq  # in order, nothing parked: no set
+            elif not proxy.accept_seq(seq):
+                proxy.duplicates_dropped += 1
+                return  # a faulty (or retransmitting) network duplicated this item
+        # Stream.emit without its checks: the proxy is open and the publisher's
+        # stream validated the item
+        item = payload.children[0]
+        stats = proxy.stats
+        stats.items += 1
+        stats.bytes += item.weight()
+        if proxy.keep_history:
+            proxy.history.append(item)
+        subscribers = proxy._subscribers
+        if len(subscribers) == 1:
+            subscribers[0](item)
+        else:
+            for subscriber in list(subscribers):
+                subscriber(item)
 
     def _on_ack(self, message) -> None:
         attrib = message.payload.attrib
@@ -607,20 +628,11 @@ class ChannelRegistry:
     ) -> None:
         """Send claimed payloads to the takeover subscriber as fresh items."""
         next_seq = channel.next_seq
-        wrap = Element.fast_new
         sends: list[tuple[str, str, Element]] = []
         for payload in payloads:
             seq = next_seq.get(subscriber, 0)
             next_seq[subscriber] = seq + 1
-            wrapper = wrap(
-                "channelItem",
-                {
-                    "channelId": channel.channel_id,
-                    "publisher": channel.peer_id,
-                    "seq": str(seq),
-                },
-                [payload],
-            )
+            wrapper = _wrapper(channel, str(seq), [payload])
             self._record_unacked(channel, subscriber, seq, wrapper)
             sends.append((subscriber, MSG_ITEM, wrapper))
         self._peer.network.stats.items_replayed += len(sends)

@@ -80,7 +80,7 @@ from repro.net.supervisor import (
     WorkerFaultInjector,
 )
 from repro.net.wire import decode_batch, decode_element, encode_batch, encode_element
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMSystem
@@ -176,8 +176,8 @@ class _ResultCollector:
 
     @staticmethod
     def _tap(row: list) -> Callable[[object], None]:
-        def tap(item: object) -> None:
-            if is_eos(item):
+        def tap(item: Any) -> None:
+            if item is EOS:
                 return
             row[0] += 1
             if row[1] is not None:

@@ -34,12 +34,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, final
 
 from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
 from repro.net.scheduler import EventScheduler
-from repro.net.stats import NetworkStats
+from repro.net.stats import LinkStats, NetworkStats
 from repro.net.wire import decode_element, encode_element
 from repro.xmlmodel.tree import Element
 
@@ -130,11 +130,14 @@ class ShardBoundary(Protocol):
         ...
 
 
+@final
 class Timer:
     """A scheduled callback on the delivery heap (see :meth:`SimNetwork.call_later`).
 
     Timers share the event queue with messages, so callback order relative
     to deliveries is part of the same deterministic (time, sequence) order.
+    Final, so that ``type(event) is Timer`` tells the type checker that every
+    other event is a :class:`Message` without a per-message run-time check.
     """
 
     __slots__ = ("fire_at", "callback", "cancelled")
@@ -553,9 +556,9 @@ class SimNetwork:
         # inline the whole schedule step (latency lookup, stats, heap push)
         scheduler = self.scheduler
         now = scheduler.now
-        latency = self.latency
+        latencies = self._latency_cache
         stats = self.stats
-        pending = stats._pending
+        links = stats.links
         queue = scheduler.queue
         heappush = heapq.heappush
         sequence = scheduler.sequence
@@ -573,17 +576,23 @@ class SimNetwork:
                 continue
             size = payload.weight()
             total_bytes += size
-            pending.append((source, destination, size))
-            deliver_at = now + latency(source, destination)
+            # NetworkStats.record, with the two totals added after the loop
+            link = links.get((source, destination))
+            if link is None:
+                link = links[(source, destination)] = LinkStats()
+            link.messages += 1
+            link.bytes += size
+            latency = latencies.get((source, destination))
+            if latency is None:
+                latency = self.latency(source, destination)
+            deliver_at = now + latency
             message = Message(source, destination, kind, payload, size, now, deliver_at)
             sequence += 1
             heappush(queue, (deliver_at, sequence, message))
             messages.append(message)
-        scheduler.sequence = sequence
-        stats.total_messages += len(messages)
+        stats.total_messages += sequence - scheduler.sequence  # the scheduled ones
         stats.total_bytes += total_bytes
-        if len(pending) >= stats.FLUSH_THRESHOLD:
-            stats._flush()
+        scheduler.sequence = sequence
         return messages
 
     def _make_message(
@@ -705,7 +714,6 @@ class SimNetwork:
             if not message.cancelled:
                 message.callback()
             return
-        assert isinstance(message, Message)
         destination = message.destination
         boundary = self.boundary
         if boundary is not None and destination not in boundary.owned:

@@ -4,10 +4,9 @@ The optimisation questions the paper cares about -- "save on data transfers",
 "balance the load", "select a provider that is close and not overloaded" --
 are all answered by reading these counters after running a scenario.
 
-Aggregation is lazy: :meth:`NetworkStats.record` sits on the per-message
-send path, so it only bumps two integers and appends one tuple to a pending
-buffer.  The per-link and per-peer breakdowns are materialised from that
-buffer the first time a read needs them.
+:meth:`NetworkStats.record` sits on the per-message send path: it bumps the
+two totals and the counters of the message's link (one dict lookup).  The
+per-peer breakdowns are derived from the links when they are read.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ class NetworkStats:
         "total_messages",
         "total_bytes",
         "_links",
-        "_per_peer_sent",
-        "_per_peer_received",
-        "_pending",
         "rpc_calls",
         "rpc_retries",
         "rpc_timeouts",
@@ -56,9 +52,6 @@ class NetworkStats:
         self.total_messages = 0
         self.total_bytes = 0
         self._links: dict[tuple[str, str], LinkStats] = {}
-        self._per_peer_sent: dict[str, int] = {}
-        self._per_peer_received: dict[str, int] = {}
-        self._pending: list[tuple[str, str, int]] = []
         # reliability-layer counters (RPC, heartbeats, reliable channels);
         # kept out of snapshot() so message accounting stays comparable
         # across reliable and plain runs
@@ -80,53 +73,36 @@ class NetworkStats:
         self.peers_failed_over = 0
         self.epochs_stalled = 0
 
-    #: pending-buffer size at which record() folds the buffer into the
-    #: aggregate dicts, so a long run that never reads the breakdowns keeps
-    #: memory bounded by O(links + peers), not O(messages)
-    FLUSH_THRESHOLD = 8192
-
     def record(self, source: str, destination: str, size: int) -> None:
-        """Hot path: called once per scheduled message."""
+        """Hot path: called once per scheduled message (the perfect-network
+        loop of ``SimNetwork.send_many`` inlines this rule)."""
         self.total_messages += 1
         self.total_bytes += size
-        pending = self._pending
-        pending.append((source, destination, size))
-        if len(pending) >= self.FLUSH_THRESHOLD:
-            self._flush()
+        link = self._links.get((source, destination))
+        if link is None:
+            link = self._links[(source, destination)] = LinkStats()
+        link.messages += 1
+        link.bytes += size
 
-    def _flush(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        links = self._links
-        sent = self._per_peer_sent
-        received = self._per_peer_received
-        for source, destination, size in pending:
-            link = links.get((source, destination))
-            if link is None:
-                link = links[(source, destination)] = LinkStats()
-            link.messages += 1
-            link.bytes += size
-            sent[source] = sent.get(source, 0) + 1
-            received[destination] = received.get(destination, 0) + 1
-        pending.clear()
-
-    # -- aggregated views (materialise the pending buffer on first read) ----- #
+    # -- views, computed from the links on read -------------------------------- #
 
     @property
     def links(self) -> dict[tuple[str, str], LinkStats]:
-        self._flush()
         return self._links
+
+    def _per_peer(self, end: int) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for link, stats in self._links.items():
+            counts[link[end]] = counts.get(link[end], 0) + stats.messages
+        return counts
 
     @property
     def per_peer_sent(self) -> dict[str, int]:
-        self._flush()
-        return self._per_peer_sent
+        return self._per_peer(0)
 
     @property
     def per_peer_received(self) -> dict[str, int]:
-        self._flush()
-        return self._per_peer_received
+        return self._per_peer(1)
 
     def bytes_between(self, source: str, destination: str) -> int:
         link = self.links.get((source, destination))
@@ -148,36 +124,15 @@ class NetworkStats:
 
     def busiest_peer(self) -> str | None:
         """Peer with the highest number of sent+received messages."""
-        self._flush()
-        load: dict[str, int] = {}
-        for peer, count in self._per_peer_sent.items():
-            load[peer] = load.get(peer, 0) + count
-        for peer, count in self._per_peer_received.items():
+        load = self.per_peer_sent
+        for peer, count in self.per_peer_received.items():
             load[peer] = load.get(peer, 0) + count
         if not load:
             return None
         return max(load, key=lambda peer: (load[peer], peer))
 
     def reset(self) -> None:
-        self.total_messages = 0
-        self.total_bytes = 0
-        self._links.clear()
-        self._per_peer_sent.clear()
-        self._per_peer_received.clear()
-        self._pending.clear()
-        self.rpc_calls = 0
-        self.rpc_retries = 0
-        self.rpc_timeouts = 0
-        self.rpc_rejected = 0
-        self.circuits_opened = 0
-        self.heartbeats_sent = 0
-        self.items_retransmitted = 0
-        self.items_replayed = 0
-        self.items_shed = 0
-        self.acks_sent = 0
-        self.worker_restarts = 0
-        self.peers_failed_over = 0
-        self.epochs_stalled = 0
+        NetworkStats.__init__(self)
 
     def snapshot(self) -> dict[str, int]:
         return {"messages": self.total_messages, "bytes": self.total_bytes}

@@ -2,9 +2,10 @@
 
 The sharded runtime (:mod:`repro.net.shard`) moves messages between worker
 processes over :mod:`multiprocessing` pipes.  Pickling
-:class:`~repro.xmlmodel.tree.Element` instances directly would drag each
-item's ``_parent`` back-chain -- and with it whole ancestor trees -- across
-the boundary, so payloads are flattened to plain nested tuples first:
+:class:`~repro.xmlmodel.tree.Element` instances directly would pay one
+reduce call and one reconstructor call per node (parent links are weak and
+never cross: ``Element.__reduce__`` rebuilds them), so payloads are
+flattened to plain nested tuples first:
 ``(tag, attrib-or-None, text, children-or-None)``.
 
 Channel fan-out deliberately shares one payload Element across every

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
-from repro.streams.item import is_eos
+from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
@@ -39,12 +39,11 @@ class Publisher:
         """
         self.disconnect()
 
-    def _receive(self, item: object) -> None:
-        if is_eos(item):
+    def _receive(self, item: Any) -> None:
+        if item is EOS:
             self.closed = True
             self.on_close()
             return
-        assert isinstance(item, Element)
         self.items_published += 1
         self.publish(item)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.streams.item import EOS, is_eos
+from repro.streams.item import EOS
 from repro.xmlmodel.tree import Element
 
 Subscriber = Callable[[object], None]
@@ -33,14 +33,6 @@ class StreamStats:
 
     items: int = 0
     bytes: int = 0
-
-    def record(self, item: Element) -> None:
-        self.items += 1
-        self.bytes += item.weight()
-
-    def record_many(self, items: list[Element]) -> None:
-        self.items += len(items)
-        self.bytes += sum(item.weight() for item in items)
 
 
 class Stream:
@@ -152,7 +144,9 @@ class Stream:
             raise StreamClosedError(f"stream {self.qualified_id} is closed")
         if not isinstance(item, Element):
             raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
-        self.stats.record(item)
+        stats = self.stats
+        stats.items += 1
+        stats.bytes += item.weight()
         if self.keep_history:
             self.history.append(item)
         subscribers = self._subscribers
@@ -198,7 +192,9 @@ class Stream:
                 raise TypeError(
                     f"stream items must be Elements, got {type(item).__name__}"
                 )
-        self.stats.record_many(batch)
+        stats = self.stats
+        stats.items += len(batch)
+        stats.bytes += sum(item.weight() for item in batch)
         if self.keep_history:
             self.history.extend(batch)
         batch_subscribers = []
@@ -234,7 +230,7 @@ class Stream:
 
     def push(self, item: object) -> None:
         """Forward either an item or EOS (convenient for chaining streams)."""
-        if is_eos(item):
+        if item is EOS:
             self.close()
         else:
             self.emit(item)  # type: ignore[arg-type]
@@ -256,7 +252,7 @@ def collect(stream: Stream) -> list[Element]:
     sink: list[Element] = []
 
     def _collector(item: object) -> None:
-        if not is_eos(item):
+        if item is not EOS:
             sink.append(item)  # type: ignore[arg-type]
 
     stream.subscribe(_collector)

@@ -9,6 +9,7 @@ elements.  Stream items in P2PM are instances of this class; the paper's
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
+from weakref import ref
 
 
 class Element:
@@ -25,9 +26,15 @@ class Element:
         Ordered child elements.
     text:
         Optional character data directly under this element.
+
+    Parent links are weak (one ``weakref.ref`` per non-leaf node, shared by
+    its children), so a tree is acyclic: a stream item, its per-hop copy and
+    its ``channelItem`` wrapper are freed by reference count the moment the
+    last hop drops them instead of waiting for the cyclic collector.  A node
+    therefore does not keep its ancestors alive -- hold the root.
     """
 
-    __slots__ = ("tag", "attrib", "children", "_text", "_parent", "_weight", "_size")
+    __slots__ = ("tag", "attrib", "children", "_text", "_parent", "_weight", "__weakref__")
 
     def __init__(
         self,
@@ -43,13 +50,14 @@ class Element:
             str(k): str(v) for k, v in (attrib or {}).items()
         }
         self.children: list[Element] = list(children or [])
-        self._parent: Element | None = None
+        self._parent: ref[Element] | None = None
         self._weight: int | None = None
-        self._size: int | None = None
-        for child in self.children:
-            if not isinstance(child, Element):
-                raise TypeError(f"child must be an Element, got {type(child).__name__}")
-            child._parent = self
+        if self.children:
+            parent = ref(self)
+            for child in self.children:
+                if not isinstance(child, Element):
+                    raise TypeError(f"child must be an Element, got {type(child).__name__}")
+                child._parent = parent
         self._text = text
 
     @classmethod
@@ -59,30 +67,34 @@ class Element:
         attrib: dict[str, str],
         children: list["Element"],
         text: str | None = None,
+        weight: int | None = None,
     ) -> "Element":
         """Trusted constructor for hot paths (channel fan-out, batch wrappers).
 
         Skips validation and attribute coercion: ``attrib`` must already map
         ``str`` to ``str`` and be owned by the new element, ``children`` must
-        be a list of Elements owned by the new element.
+        be a list of Elements owned by the new element, and ``weight`` -- when
+        the caller knows it from the parts -- must be what :meth:`weight`
+        would compute.
         """
         node = cls.__new__(cls)
         node.tag = tag
         node.attrib = attrib
         node.children = children
         node._parent = None
-        node._weight = None
-        node._size = None
-        for child in children:
-            child._parent = node
+        node._weight = weight
+        if children:
+            parent = ref(node)
+            for child in children:
+                child._parent = parent
         node._text = text
         return node
 
     # -- measurement caching ------------------------------------------------- #
     #
-    # ``weight()`` and ``size()`` memoise per node and are invalidated by every
-    # mutation performed through the Element API (``append``/``extend``/
-    # ``set``/assigning ``text``): the mutated node and its ancestor chain are
+    # ``weight()`` memoises per node and is invalidated by every mutation
+    # performed through the Element API (``append``/``extend``/``set``/
+    # assigning ``text``): the mutated node and its ancestor chain are
     # cleared, child caches stay valid.  An element is assumed to live in at
     # most one tree (use :meth:`copy` to attach a subtree elsewhere); code
     # that mutates ``attrib``/``children`` directly must call
@@ -100,23 +112,22 @@ class Element:
 
     @property
     def parent(self) -> "Element | None":
-        """The element this node is attached under (``None`` at a root)."""
-        return self._parent
+        """The element this node is attached under (``None`` at a root, or
+        once nothing else references the parent: the link is weak)."""
+        parent = self._parent
+        return parent() if parent is not None else None
 
     def invalidate_caches(self) -> None:
-        """Drop cached weight/size here and along the ancestor chain.
+        """Drop the cached weight here and along the ancestor chain.
 
         The walk stops early at the first uncached ancestor: a cached node
         implies its whole subtree is cached, so an uncached node can have no
         cached ancestors.
         """
         node: Element | None = self
-        while node is not None and (
-            node._weight is not None or node._size is not None
-        ):
+        while node is not None and node._weight is not None:
             node._weight = None
-            node._size = None
-            node = node._parent
+            node = node.parent
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -127,7 +138,7 @@ class Element:
         if not isinstance(child, Element):
             raise TypeError(f"child must be an Element, got {type(child).__name__}")
         self.children.append(child)
-        child._parent = self
+        child._parent = ref(self)
         self.invalidate_caches()
         return child
 
@@ -183,13 +194,8 @@ class Element:
     # ------------------------------------------------------------------ #
 
     def size(self) -> int:
-        """Number of elements in the subtree rooted here (cached)."""
-        cached = self._size
-        if cached is not None:
-            return cached
-        total = 1 + sum(child.size() for child in self.children)
-        self._size = total
-        return total
+        """Number of elements in the subtree rooted here."""
+        return 1 + sum(child.size() for child in self.children)
 
     def depth(self) -> int:
         """Height of the subtree (a leaf has depth 1)."""
@@ -227,21 +233,28 @@ class Element:
     def copy(self) -> "Element":
         """Deep copy of the subtree.
 
-        Cached weight/size travel with the copy: a deep copy is structurally
+        The cached weight travels with the copy: a deep copy is structurally
         identical, so the channel layer's one-copy-per-item fan-out never
-        re-walks the tree for accounting.
+        re-walks the tree for accounting.  Like every tree the copy is
+        acyclic (weak parent links), so it dies with its last reference.
         """
         node = Element.__new__(Element)
         node.tag = self.tag
         node.attrib = dict(self.attrib)
-        node.children = [child.copy() for child in self.children]
-        for child in node.children:
-            child._parent = node
         node._text = self._text
         node._parent = None
         node._weight = self._weight
-        node._size = self._size
+        if self.children:
+            parent = ref(node)
+            children = node.children = [child.copy() for child in self.children]
+            for child in children:
+                child._parent = parent
+        else:
+            node.children = []
         return node
+
+    def __reduce__(self):  # weak parent links cannot be pickled: fast_new rebuilds them
+        return Element.fast_new, (self.tag, self.attrib, self.children, self._text)
 
     def structural_key(self) -> tuple:
         """A hashable key identifying the subtree up to structural equality.

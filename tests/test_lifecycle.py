@@ -31,7 +31,7 @@ class TestDeliveryValve:
     def test_pause_retains_and_resume_flushes(self):
         source = Stream("src")
         valve = DeliveryValve(source)
-        seen = collect(valve.out)
+        seen = collect(valve)
         source.emit(item(1))
         valve.pause()
         source.emit(item(2))
@@ -44,7 +44,7 @@ class TestDeliveryValve:
     def test_pause_buffer_is_bounded(self):
         source = Stream("src")
         valve = DeliveryValve(source, max_pause_buffer=2)
-        seen = collect(valve.out)
+        seen = collect(valve)
         valve.pause()
         for n in range(5):
             source.emit(item(n))
@@ -58,18 +58,18 @@ class TestDeliveryValve:
         valve.pause()
         source.emit(item(1))
         source.close()
-        assert not valve.out.closed
+        assert not valve.closed
         valve.resume()
-        assert valve.out.closed
-        assert valve.out.stats.items == 1
+        assert valve.closed
+        assert valve.stats.items == 1
 
     def test_detach_stops_delivery(self):
         source = Stream("src")
         valve = DeliveryValve(source)
-        seen = collect(valve.out)
+        seen = collect(valve)
         valve.detach()
         source.emit(item(1))
-        assert seen == [] and valve.out.closed
+        assert seen == [] and valve.closed
 
 
 class TestResourceLedger:
