@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Where the calls of one delivery go, and what is left for the cycle collector.
 
-    python3 scripts/delivery_tail.py functions fanout [--top 15]
-        the counted burst of ``perf/harness.py`` (seed 1, ``cProfile`` exactly
-        as the harness takes it), per function: calls per delivery
+    python3 scripts/delivery_tail.py functions fanout [--top 15] [--phase subscribe]
+        one counted phase of ``perf/harness.py`` (seed 1, ``cProfile`` exactly
+        as the harness takes it), per function: calls per delivery (``burst``,
+        the default), per subscription (``subscribe``) or per cancel
     python3 scripts/delivery_tail.py collector fanout
         one measured burst with the collector on (collections per generation)
         and one with it off (unreachable objects a ``gc.collect()`` then finds)
 
-These are the tables of "The delivery tail" in ``docs/PERFORMANCE.md``.  The
-benchmark itself (``perf/``) is only imported, never changed.
+These are the tables of "The delivery tail" and "The DHT write path" in
+``docs/PERFORMANCE.md``.  The benchmark itself (``perf/``) is only imported, never changed.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 1
+#: counted phase -> the metric of ``harness._counted_cycle`` that divides it
+PHASES = {"burst": "per_delivery", "subscribe": "per_sub", "cancel": "per_cancel"}
 
 
-def functions(workload, top: int) -> None:
+def functions(workload, top: int, phase_name: str) -> None:
     from perf import harness
 
     calls: Counter = Counter()
     plain_exit = harness._Phase.__exit__
 
     def counting_exit(phase, *exc_info) -> None:
-        if phase.profile is not None and phase.name == "burst":
+        if phase.profile is not None and phase.name == phase_name:
             phase.profile.disable()
             for entry in phase.profile.getstats():
                 code = entry.code
@@ -45,10 +48,11 @@ def functions(workload, top: int) -> None:
     harness._Phase.__exit__ = counting_exit
     sizes = workload.sizes(1.0).counted(1.0)
     counted = harness._counted_cycle(workload, SEED, sizes, harness.Tally())
-    deliveries = sum(calls.values()) / counted["per_delivery"]
-    print(f"{workload.name}: pycalls_per_delivery {counted['per_delivery']:.3f}, {deliveries:.0f} deliveries")
+    per_op = counted[PHASES[phase_name]]
+    ops = sum(calls.values()) / per_op
+    print(f"{workload.name}: pycalls_{PHASES[phase_name]} {per_op:.3f}, {ops:.0f} operations")
     for name, count in calls.most_common(top):
-        print(f"{count / deliveries:8.3f}  {name}")
+        print(f"{count / ops:8.3f}  {name}")
 
 
 def collector(workload) -> None:
@@ -91,9 +95,10 @@ def main() -> int:
     parser.add_argument("what", choices=("functions", "collector"))
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--top", type=int, default=15)
+    parser.add_argument("--phase", choices=sorted(PHASES), default="burst")
     args = parser.parse_args()
     if args.what == "functions":
-        functions(WORKLOADS[args.workload], args.top)
+        functions(WORKLOADS[args.workload], args.top, args.phase)
     else:
         collector(WORKLOADS[args.workload])
     return 0

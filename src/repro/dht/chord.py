@@ -10,11 +10,11 @@ membership alerter.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.dht.hashing import M_BITS, hash_key, in_interval
+from repro.dht.hashing import M_BITS, hash_key
 
 
 @dataclass
@@ -35,6 +35,8 @@ class ChordNode:
         self.storage: dict[str, object] = {}
         # finger table, rebuilt lazily when the ring membership changes
         self.fingers: list["ChordNode"] = []
+        # what a lookup walks: the distinct other fingers, farthest first (last: the successor)
+        self.routes: list["ChordNode"] = []
         self._fingers_version = -1
 
     def __repr__(self) -> str:
@@ -67,11 +69,13 @@ class ChordRing:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already in the ring")
         position = hash_key(node_id, self.bits)
-        while any(node.position == position for node in self._sorted):
+        positions = self._positions
+        index = bisect_left(positions, position)
+        while index < len(positions) and positions[index] == position:
             position = (position + 1) % (1 << self.bits)  # avoid collisions
+            index = bisect_left(positions, position)
         node = ChordNode(node_id, position)
         self._nodes[node_id] = node
-        index = bisect.bisect_left(self._positions, position)
         self._sorted.insert(index, node)
         self._positions.insert(index, position)
         self._version += 1
@@ -105,7 +109,7 @@ class ChordRing:
         node = self._nodes.pop(node_id, None)
         if node is None:
             raise KeyError(f"node {node_id!r} is not in the ring")
-        index = self._sorted.index(node)
+        index = bisect_left(self._positions, node.position)  # positions are unique
         del self._sorted[index]
         del self._positions[index]
         self._version += 1
@@ -131,18 +135,25 @@ class ChordRing:
 
     def _successor_node(self, position: int) -> ChordNode:
         """First node whose position is >= ``position`` (wrapping around)."""
-        index = bisect.bisect_left(self._positions, position)
-        if index == len(self._sorted):
-            index = 0
-        return self._sorted[index]
+        return self._sorted[bisect_left(self._positions, position) % len(self._sorted)]
 
     def _fingers_of(self, node: ChordNode) -> list[ChordNode]:
         """The node's finger table, rebuilt lazily after membership changes."""
         if node._fingers_version != self._version:
-            node.fingers = [
-                self._successor_node((node.position + (1 << i)) % (1 << self.bits))
-                for i in range(self.bits)
-            ]
+            size = 1 << self.bits
+            position = node.position
+            fingers: list[ChordNode] = []
+            filled = 0
+            while filled < self.bits:
+                finger = self._successor_node((position + (1 << filled)) % size)
+                reach = (finger.position - position) % size or size - 1  # itself: all the way round
+                # every power of two up to its distance leads to the same finger
+                upto = reach.bit_length()
+                fingers += [finger] * (upto - filled)
+                filled = upto
+            node.fingers = fingers
+            distinct = dict.fromkeys(reversed(fingers))  # keeps first occurrences, in order
+            node.routes = [finger for finger in distinct if finger is not node]
             node._fingers_version = self._version
         return node.fingers
 
@@ -166,48 +177,46 @@ class ChordRing:
         """Route to the node responsible for ``key`` using finger tables."""
         if not self._sorted:
             raise RuntimeError("the ring is empty")
+        size = 1 << self.bits
         target = hash_key(key, self.bits)
         current = self._nodes[start] if start else self._sorted[0]
         hops = 0
         path = [current.node_id]
-        # Follow fingers: jump to the finger closest to (but not past) the target.
+        # Follow fingers: jump to the finger closest to (but not past) the
+        # target.  Intervals are clockwise distances on plain ints: x lies in
+        # (a, b] exactly when 0 < (x - a) % size <= (b - a) % size.
         while True:
-            successor = self._successor_of(current)
-            if in_interval(target, current.position, successor.position, self.bits):
-                responsible = successor
+            if current._fingers_version != self._version:
+                self._fingers_of(current)
+            routes = current.routes
+            if not routes:  # a ring of one: the node is its own successor
                 break
-            next_node = self._closest_preceding(current, target)
-            if next_node is current:
-                responsible = self._successor_node(target)
+            position = current.position
+            gap = (target - position) % size
+            successor = routes[-1]
+            if 0 < gap <= (successor.position - position) % size:
+                current = successor  # target in (node, successor]: it is responsible
+                hops += 1
+                path.append(current.node_id)
                 break
-            current = next_node
+            # the farthest finger in (node, target - 1]; the successor is one
+            # (it is nearer than the target), or every finger is (gap == 0:
+            # the interval ends just behind the node and spans the ring)
+            limit = (gap - 1) % size
+            for current in routes:
+                if (current.position - position) % size <= limit:
+                    break
             hops += 1
             path.append(current.node_id)
-        if responsible.node_id != path[-1]:
-            hops += 1
-            path.append(responsible.node_id)
         self.lookup_count += 1
         self.total_hops += hops
-        return LookupResult(responsible.node_id, hops, path)
-
-    def _successor_of(self, node: ChordNode) -> ChordNode:
-        index = self._sorted.index(node)
-        return self._sorted[(index + 1) % len(self._sorted)]
-
-    def _closest_preceding(self, node: ChordNode, target: int) -> ChordNode:
-        for finger in reversed(self._fingers_of(node)):
-            if finger is node:
-                continue
-            if in_interval(
-                finger.position,
-                node.position,
-                (target - 1) % (1 << self.bits),
-                self.bits,
-            ):
-                return finger
-        return node
+        return LookupResult(current.node_id, hops, path)
 
     # -- storage -------------------------------------------------------------------
+
+    def storage_for(self, key: str, start: str | None = None) -> dict[str, object]:
+        """Route to ``key`` (one counted lookup); the responsible node's storage."""
+        return self._nodes[self.lookup(key, start).node_id].storage
 
     def put(self, key: str, value: object, start: str | None = None) -> LookupResult:
         """Store ``value`` under ``key`` at the responsible node."""
@@ -221,8 +230,7 @@ class ChordRing:
         return self._nodes[result.node_id].storage.get(key), result
 
     def remove(self, key: str, start: str | None = None) -> bool:
-        result = self.lookup(key, start)
-        return self._nodes[result.node_id].storage.pop(key, None) is not None
+        return self.storage_for(key, start).pop(key, None) is not None
 
     @property
     def average_hops(self) -> float:

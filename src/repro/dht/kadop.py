@@ -135,12 +135,11 @@ class KadopIndex:
             elif key.startswith("term:"):
                 term = key[len("term:"):]
                 postings = {
-                    doc_id
-                    for doc_id in self._doc_replicas
-                    if term in self._terms_of(doc_id)
+                    doc_id for doc_id, terms in self._doc_terms.items() if term in terms
                 }
-                self.ring.put(key, postings)
-                restored += 1
+                if postings:  # a term no document has any more stays gone
+                    self.ring.put(key, postings)
+                    restored += 1
         return restored
 
     def subscribe_membership(self, listener: MembershipListener) -> None:
@@ -162,43 +161,65 @@ class KadopIndex:
     # -- publication ---------------------------------------------------------------
 
     def publish(self, document: Element, doc_id: str | None = None) -> str:
-        """Index ``document`` and return its identifier."""
+        """Index ``document`` and return its identifier.
+
+        One copy is stored: the ring entry and the replica mirror share it,
+        and listeners and queries are handed that object.  Published documents
+        are immutable -- to change one, publish its ``doc_id`` again; postings
+        of terms the new version no longer has are withdrawn.
+        """
         if doc_id is None:
             self._doc_count += 1
             doc_id = f"doc{self._doc_count}"
-        self.ring.put(f"doc:{doc_id}", document.copy())
-        mirror = document.copy()
-        self._doc_replicas[doc_id] = mirror
-        terms = frozenset(self._terms_of_document(document))
+        stored = document.copy()
+        self.ring.put(f"doc:{doc_id}", stored)
+        self._doc_replicas[doc_id] = stored
+        terms = frozenset(self._terms_of_document(stored))
+        # a republish: the terms only the version being replaced had
+        stale = self._doc_terms.get(doc_id, terms) - terms
         self._doc_terms[doc_id] = terms
-        catalogue, _ = self.ring.get(_DOCS_KEY)
+        catalogue = self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY]
         assert isinstance(catalogue, set)
         catalogue.add(doc_id)
-        for term in terms:
-            self._add_posting(term, doc_id)
+        for term in terms:  # one routed lookup per posting, new term or known
+            key = f"term:{term}"
+            storage = self.ring.storage_for(key)
+            postings = storage.get(key)
+            if postings is None:
+                postings = storage[key] = set()
+            assert isinstance(postings, set)
+            postings.add(doc_id)
+        for term in stale:
+            self._drop_posting(term, doc_id)
         self._query_cache.clear()
-        self._notify_documents("publish", doc_id, mirror)
+        self._notify_documents("publish", doc_id, stored)
         return doc_id
 
     def unpublish(self, doc_id: str) -> bool:
         """Remove a document from the index.  Returns False when unknown."""
         document, _ = self.ring.get(f"doc:{doc_id}")
-        if document is None:
+        if not isinstance(document, Element):
             return False
-        assert isinstance(document, Element)
-        for term in self._terms_of(doc_id, document):
-            postings, _ = self.ring.get(f"term:{term}")
-            if isinstance(postings, set):
-                postings.discard(doc_id)
+        for term in self._doc_terms.pop(doc_id, ()):
+            self._drop_posting(term, doc_id)
         catalogue, _ = self.ring.get(_DOCS_KEY)
         if isinstance(catalogue, set):
             catalogue.discard(doc_id)
         self.ring.remove(f"doc:{doc_id}")
-        mirror = self._doc_replicas.pop(doc_id, None)
-        self._doc_terms.pop(doc_id, None)
+        self._doc_replicas.pop(doc_id, None)
         self._query_cache.clear()
-        self._notify_documents("unpublish", doc_id, mirror if mirror is not None else document)
+        self._notify_documents("unpublish", doc_id, document)
         return True
+
+    def _drop_posting(self, term: str, doc_id: str) -> None:
+        """Withdraw ``doc_id`` from a term's postings; an emptied set goes with it."""
+        key = f"term:{term}"
+        storage = self.ring.storage_for(key)
+        postings = storage.get(key)
+        if isinstance(postings, set):
+            postings.discard(doc_id)
+            if not postings:
+                del storage[key]
 
     def document(self, doc_id: str) -> Element | None:
         document, _ = self.ring.get(f"doc:{doc_id}")
@@ -262,41 +283,21 @@ class KadopIndex:
 
     # -- internals -----------------------------------------------------------------------
 
-    def _add_posting(self, term: str, doc_id: str) -> None:
-        key = f"term:{term}"
-        postings, _ = self.ring.get(key)
-        if not isinstance(postings, set):
-            postings = set()
-            self.ring.put(key, postings)
-        postings.add(doc_id)
-
     def _postings(self, term: str) -> set[str]:
         postings, _ = self.ring.get(f"term:{term}")
         return set(postings) if isinstance(postings, set) else set()
 
-    def _terms_of(self, doc_id: str, document: Element | None = None) -> frozenset[str]:
-        """Terms of a published document, from the publish-time cache.
-
-        Falls back to re-extracting (and caching) from ``document`` or the
-        replica store for documents indexed before the cache existed.
-        """
-        terms = self._doc_terms.get(doc_id)
-        if terms is None:
-            if document is None:
-                document = self._doc_replicas.get(doc_id)
-            if document is None:
-                return frozenset()
-            terms = frozenset(self._terms_of_document(document))
-            self._doc_terms[doc_id] = terms
-        return terms
-
     @staticmethod
     def _terms_of_document(document: Element) -> set[str]:
         terms: set[str] = set()
-        for node in document.iter():
-            terms.add(f"tag:{node.tag}")
+        stack = [document]
+        while stack:
+            node = stack.pop()
+            tag = node.tag
+            terms.add(f"tag:{tag}")
             for name, value in node.attrib.items():
-                terms.add(f"attr:{node.tag}@{name}={value}")
+                terms.add(f"attr:{tag}@{name}={value}")
+            stack.extend(node.children)
         return terms
 
     def _candidate_doc_ids(self, path: XPath) -> set[str]:

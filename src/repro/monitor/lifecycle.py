@@ -141,7 +141,6 @@ class DeliveryValve(Stream):
         self.items_delivered += 1
         stats = self.stats
         stats.items += 1
-        stats.bytes += item.weight()
         if self.keep_history:
             self.history.append(item)
         subscribers = self._subscribers

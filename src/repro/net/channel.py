@@ -330,6 +330,8 @@ class ChannelRegistry:
         reliable = self.reliable
         sends: list[tuple[str, str, Element]] = []
         for item in items:
+            # weigh before copying: the memoised walk then travels with every copy
+            weight = item.weight()
             shared = item.copy()
             # group subscribers by their next sequence number: counters
             # advance in lock-step in steady state, so one wrapper (and one
@@ -344,7 +346,7 @@ class ChannelRegistry:
                 if wrapper is None:
                     seq_text = str(seq)
                     wrapper = wrappers[seq] = _wrapper(
-                        channel, seq_text, [shared], overhead + len(seq_text) + shared.weight()
+                        channel, seq_text, [shared], overhead + len(seq_text) + weight
                     )
                 if reliable:
                     self._record_unacked(channel, subscriber, seq, wrapper)
@@ -506,7 +508,6 @@ class ChannelRegistry:
         item = payload.children[0]
         stats = proxy.stats
         stats.items += 1
-        stats.bytes += item.weight()
         if proxy.keep_history:
             proxy.history.append(item)
         subscribers = proxy._subscribers

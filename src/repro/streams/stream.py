@@ -23,16 +23,9 @@ class StreamClosedError(RuntimeError):
 
 @dataclass
 class StreamStats:
-    """Counters maintained per stream; benchmarks read these.
-
-    ``bytes`` accounting reuses the weight memoised on the
-    :class:`~repro.xmlmodel.tree.Element` itself, so an item that already
-    crossed the network (or another stream) is not walked a second time per
-    emit.
-    """
+    """Per-stream counters (bytes are a link account: ``NetworkStats``)."""
 
     items: int = 0
-    bytes: int = 0
 
 
 class Stream:
@@ -146,7 +139,6 @@ class Stream:
             raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
         stats = self.stats
         stats.items += 1
-        stats.bytes += item.weight()
         if self.keep_history:
             self.history.append(item)
         subscribers = self._subscribers
@@ -194,7 +186,6 @@ class Stream:
                 )
         stats = self.stats
         stats.items += len(batch)
-        stats.bytes += sum(item.weight() for item in batch)
         if self.keep_history:
             self.history.extend(batch)
         batch_subscribers = []

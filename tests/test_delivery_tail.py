@@ -152,7 +152,7 @@ class TestValveIsTheDeliveryStream:
         source.emit(alert(1))
         assert seen == also == valve.history == [alert(1)]
         assert valve.items_delivered == 1 and valve.stats.items == 1
-        assert valve.stats.bytes == alert(1).weight() == source.stats.bytes
+        assert source.stats.items == 1  # bytes are a link account: see the total_bytes tests below
         assert valve.qualified_id == "src.delivery@p"
 
     def test_emit_bypasses_the_pause_gate_and_counts_nothing(self):
