@@ -8,9 +8,13 @@
     python3 scripts/delivery_tail.py collector fanout
         one measured burst with the collector on (collections per generation)
         and one with it off (unreachable objects a ``gc.collect()`` then finds)
+    python3 scripts/delivery_tail.py stages fanout
+        the counted subscribe phase again, under ``sys.setprofile``: inclusive
+        calls per subscription of each control-plane stage (``STAGES``)
 
-These are the tables of "The delivery tail" and "The DHT write path" in
-``docs/PERFORMANCE.md``.  The benchmark itself (``perf/``) is only imported, never changed.
+These are the tables of "The delivery tail", "The DHT write path" and "A twin
+subscription costs its delta" in ``docs/PERFORMANCE.md``.  The benchmark
+itself (``perf/``) is only imported, never changed.
 """
 
 from __future__ import annotations
@@ -55,6 +59,80 @@ def functions(workload, top: int, phase_name: str) -> None:
         print(f"{count / ops:8.3f}  {name}")
 
 
+#: label, file under ``src/repro``, functions: a stage is everything called
+#: from the outermost activation of one of them (itself included).  Stages
+#: may nest -- the indented ones always do; the reuse key was derived inside
+#: ``ReuseEngine.apply`` until the plan template took it over
+STAGES = (
+    ("parse", "p2pml/parser.py", ("parse_subscription",)),
+    ("compile", "p2pml/compiler.py", ("compile_subscription",)),
+    ("optimise", "monitor/optimizer.py", ("optimize_plan",)),
+    ("reuse key", "monitor/reuse.py", ("reuse_cache_key",)),
+    ("instantiate the template", "p2pml/compiler.py", ("instantiate",)),
+    ("reuse", "monitor/reuse.py", ("apply",)),
+    ("  of which replay", "monitor/reuse.py", ("_replay",)),
+    ("  of which provider choice", "monitor/reuse.py", ("_select_provider",)),
+    ("place", "monitor/placement.py", ("place_plan",)),
+    ("deploy", "monitor/deployment.py", ("deploy",)),
+    ("  of which stream-definition publish", "monitor/stream_db.py", ("publish_stream", "publish_replica")),
+)
+
+
+def stages(workload) -> None:
+    from perf import harness
+
+    label_of = {(file, name): label for label, file, names in STAGES for name in names}
+    inclusive: Counter = Counter()
+    depth: Counter = Counter()
+    active: list[str] = []
+    total = outside = 0
+
+    def tracer(frame, event, argument) -> None:
+        nonlocal total, outside
+        label = None
+        if event == "call" or event == "return":
+            code = frame.f_code
+            label = label_of.get((code.co_filename.rpartition("/repro/")[2], code.co_name))
+        if event == "call" and label is not None:
+            depth[label] += 1
+            if depth[label] == 1:
+                active.append(label)  # before counting: a stage includes its own call
+        if event == "call" or event == "c_call":
+            total += 1
+            outside += not active
+            for open_stage in active:
+                inclusive[open_stage] += 1
+        elif event == "return" and label is not None:
+            depth[label] -= 1
+            if depth[label] == 0:
+                active.remove(label)
+
+    plain_enter, plain_exit = harness._Phase.__enter__, harness._Phase.__exit__
+
+    def traced_enter(phase) -> None:
+        if not (phase.clock.count_calls and phase.name == "subscribe"):
+            return plain_enter(phase)
+        phase.clock.count_calls = False  # one profiler at a time: ours, for this phase
+        plain_enter(phase)
+        sys.setprofile(tracer)
+
+    def traced_exit(phase, *exc_info) -> None:
+        if phase.name == "subscribe" and sys.getprofile() is tracer:
+            sys.setprofile(None)
+            phase.clock.count_calls = True
+            phase.clock.calls[phase.name] = Counter({"all": total})
+        plain_exit(phase, *exc_info)
+
+    harness._Phase.__enter__, harness._Phase.__exit__ = traced_enter, traced_exit
+    sizes = workload.sizes(1.0).counted(1.0)
+    counted = harness._counted_cycle(workload, SEED, sizes, harness.Tally())
+    subs = total / counted["per_sub"]
+    print(f"{workload.name}: pycalls_per_sub {counted['per_sub']:.1f} over {subs:.0f} subscriptions")
+    for label, _, _ in STAGES:
+        print(f"{inclusive[label] / subs:8.1f}  {label}")
+    print(f"{outside / subs:8.1f}  outside every stage (ids, records, handles, the harness's own frames)")
+
+
 def collector(workload) -> None:
     from perf import harness
 
@@ -92,13 +170,15 @@ def main() -> int:
     from perf.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("what", choices=("functions", "collector"))
+    parser.add_argument("what", choices=("functions", "collector", "stages"))
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--top", type=int, default=15)
     parser.add_argument("--phase", choices=sorted(PHASES), default="burst")
     args = parser.parse_args()
     if args.what == "functions":
         functions(WORKLOADS[args.workload], args.top, args.phase)
+    elif args.what == "stages":
+        stages(WORKLOADS[args.workload])
     else:
         collector(WORKLOADS[args.workload])
     return 0

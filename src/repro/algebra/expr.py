@@ -159,8 +159,3 @@ def intern_signature(text: str) -> str:
     those lookups pointer-comparison fast on the hit path.
     """
     return sys.intern(text)
-
-
-def expr_signature(expr: Expr) -> str:
-    """Interned canonical signature of an algebraic expression."""
-    return intern_signature(str(expr))

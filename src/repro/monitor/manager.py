@@ -21,7 +21,8 @@ from repro.monitor.handle import SubscriptionHandle
 from repro.monitor.optimizer import optimize_plan
 from repro.monitor.placement import place_plan
 from repro.monitor.recovery import prune_dead_sources
-from repro.monitor.reuse import ReuseEngine
+from repro.monitor.reuse import ReuseEngine, reuse_cache_key
+from repro.monitor.stream_db import operator_spec
 from repro.monitor.subscription import (
     CANCELLED,
     DEPLOYED,
@@ -33,14 +34,23 @@ from repro.monitor.subscription import (
 )
 from repro.p2pml.ast import SubscriptionAST
 from repro.p2pml.builder import SubscriptionBuilder
-from repro.p2pml.compiler import compile_subscription
+from repro.p2pml.compiler import PlanTemplate, compile_subscription
 from repro.p2pml.parser import parse_subscription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer
 
-#: Bound on ``P2PMSystem.ast_table`` (cleared wholesale when full).
-AST_TABLE_LIMIT = 4096
+#: Bound on ``P2PMSystem.plan_templates`` (cleared wholesale when full).
+TEMPLATE_TABLE_LIMIT = 4096
+
+
+def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate:
+    """Compile and optimise ``ast`` once, under the empty sub-id, for every subscription to it."""
+    plan = optimize_plan(compile_subscription(ast, ""), push_selections=push_selections)
+    key = reuse_cache_key(plan)  # fills every node's signature detail on the way
+    for node in plan.iter_nodes():
+        operator_spec(node)
+    return PlanTemplate(ast, plan, push_selections, key)
 
 
 class SubmitManyError(RuntimeError):
@@ -170,32 +180,13 @@ class SubscriptionManager:
     ) -> SubscriptionHandle:
         # the sharded runtime freezes deployment once its workers fork
         self.peer.system.runtime.check_mutable("subscribe")
-        if isinstance(subscription, str):
-            text: str | None = subscription
-            # one AST per distinct text and system; plans are compiled from
-            # it, never into it, so sharing it between subscriptions is safe
-            asts = self.peer.system.ast_table
-            ast = asts.get(subscription)
-            if ast is None:
-                if len(asts) >= AST_TABLE_LIMIT:
-                    asts.clear()
-                ast = asts[subscription] = parse_subscription(subscription)
-        elif isinstance(subscription, SubscriptionBuilder):
-            text = None
-            ast = subscription.build()
-        else:
-            text = None
-            ast = subscription
+        template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
-
-        plan = compile_subscription(ast, sub_id)
-        plan = optimize_plan(plan, push_selections=push_selections)
+        plan = template.instantiate(sub_id)
 
         reuse_report = None
         if engine is not None:
-            # the optimiser handed us a fresh tree: rewrite it in place
-            # instead of copying it once more per subscription
-            plan, reuse_report = engine.apply(plan, in_place=True)
+            plan, reuse_report = engine.apply(plan, template.key)
 
         # a subscription submitted while peers are down must not place
         # movable operators on them (recovery redeploys the same way)
@@ -212,8 +203,7 @@ class SubscriptionManager:
 
         record = Subscription(
             sub_id=sub_id,
-            text=text,
-            ast=ast,
+            template=template,
             plan=plan,
             manager_peer=self.peer.peer_id,
         )
@@ -233,6 +223,25 @@ class SubscriptionManager:
         self.database.mark(sub_id, DEPLOYED)
         return SubscriptionHandle(self, record)
 
+    def _template_for(
+        self, subscription: str | SubscriptionAST | SubscriptionBuilder, push_selections: bool
+    ) -> PlanTemplate:
+        """What every plan is instantiated from: for a text the entry of
+        ``P2PMSystem.plan_templates`` (parsed, compiled and optimised once per
+        system and ``push_selections`` setting), for an AST or a builder a one-off."""
+        if isinstance(subscription, SubscriptionBuilder):
+            subscription = subscription.build()
+        if not isinstance(subscription, str):
+            return _build_template(subscription, push_selections)
+        templates = self.peer.system.plan_templates
+        template = templates.get((subscription, push_selections))
+        if template is None:
+            if len(templates) >= TEMPLATE_TABLE_LIMIT:
+                templates.clear()
+            template = _build_template(parse_subscription(subscription), push_selections)
+            templates[subscription, push_selections] = template
+        return template
+
     def handle(self, sub_id: str) -> SubscriptionHandle:
         """A (new) handle on an already-registered subscription."""
         return SubscriptionHandle(self, self.database.get(sub_id))
@@ -245,8 +254,8 @@ class SubscriptionManager:
         """Redeploy the subscription around ``down`` peers, then retire the old task.
 
         Called by the :class:`~repro.monitor.recovery.RecoveryManager` while
-        the subscription is ``RECOVERING``.  The plan is recompiled from the
-        stored AST (reuse is deliberately skipped: advertisements may be
+        the subscription is ``RECOVERING``.  The plan is instantiated afresh from
+        the record's template (reuse is deliberately skipped: advertisements may be
         mid-retraction during a failure), union branches whose source peer
         is down are pruned, and placement avoids every down peer.  Result
         buffers and ``on_result`` callbacks are handed over to the new
@@ -297,9 +306,7 @@ class SubscriptionManager:
                     pass
 
         try:
-            plan = compile_subscription(record.ast, sub_id)
-            plan = optimize_plan(plan)
-            pruned, pending = prune_dead_sources(plan, down)
+            pruned, pending = prune_dead_sources(record.template.instantiate(sub_id), down)
             if pruned is None:
                 record.notes["recovery_parked"] = parked
                 record.notes["recovery_parked_from"] = parked_from
@@ -312,12 +319,11 @@ class SubscriptionManager:
                 load=self.peer.system.placement_load,
                 avoid=down,
             )
-            deployer = self._deployer()
             # each redeployment gets a fresh stream-id epoch, so stale control
             # messages of the dead incarnation cannot reach its replacement
             epoch = int(record.notes.get("recovery_epoch", 0)) + 1
             record.notes["recovery_epoch"] = epoch
-            task = deployer.deploy(
+            task = self._deployer().deploy(
                 pruned,
                 sub_id,
                 manager_peer=self.peer.peer_id,

@@ -22,11 +22,8 @@ def optimize_plan(plan: PlanNode, push_selections: bool = True) -> PlanNode:
     ``push_selections`` can be disabled to obtain the unoptimised baseline
     used by the communication benchmarks (experiment E5).
     """
-    optimized = plan.copy()
-    if push_selections:
-        optimized = push_selections_down(optimized)
-    optimized = _collapse_duplicate_distinct(optimized)
-    return optimized
+    optimized = push_selections_down(plan) if push_selections else plan.copy()
+    return _collapse_duplicate_distinct(optimized)
 
 
 def _collapse_duplicate_distinct(node: PlanNode) -> PlanNode:

@@ -33,7 +33,7 @@ from repro.net.peer import Peer
 from repro.net.rpc import RpcEndpoint
 from repro.net.runtime import RUNTIMES, create_runtime
 from repro.net.simnet import SimNetwork
-from repro.p2pml.ast import SubscriptionAST
+from repro.p2pml.compiler import PlanTemplate
 from repro.streams.stream import Stream
 from repro.xmlmodel.axml import ServiceRegistry
 
@@ -156,9 +156,9 @@ class P2PMSystem:
         self.compiler = PlanCompiler(
             self.materialized, self.compile_cache, self.compile_stats
         )
-        #: P2PML text -> parsed AST, shared by every peer's subscription
-        #: manager (cleared wholesale at ``AST_TABLE_LIMIT`` texts)
-        self.ast_table: dict[str, SubscriptionAST] = {}
+        #: (P2PML text, push_selections) -> plan template, shared by every peer's
+        #: subscription manager (cleared wholesale at ``TEMPLATE_TABLE_LIMIT``)
+        self.plan_templates: dict[tuple[str, bool], PlanTemplate] = {}
         self._peers: dict[str, P2PMPeer] = {}
         #: execution backend: who drains the event scheduler(s), and where
         #: (see :mod:`repro.net.runtime`)
@@ -515,10 +515,6 @@ class P2PMPeer:
 
     def alerter(self, function: str) -> Alerter | None:
         return self._alerters.get(function)
-
-    @property
-    def hosted_alerters(self) -> list[str]:
-        return sorted(self._alerters)
 
     def get_or_create_alerter(self, function: str) -> Alerter:
         """Return the alerter implementing ``function``, creating it if needed.

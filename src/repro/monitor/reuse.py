@@ -146,27 +146,27 @@ class ReuseEngine:
         #: order -- the replayable part of ``report.reused``
         self._reused_originals: list[tuple[str, tuple[str, str]]] = []
 
-    def apply(self, plan: PlanNode, in_place: bool = False) -> tuple[PlanNode, ReuseReport]:
-        """Return a rewritten ``plan`` plus a report of what was reused.
+    def apply(
+        self, plan: PlanNode, key: tuple[str, str] | None = None
+    ) -> tuple[PlanNode, ReuseReport]:
+        """Rewrite ``plan``, which the caller donates, and report what was reused.
 
-        With ``in_place`` the caller donates ``plan`` (it is rewritten on the
-        single copy it already owns -- the compiler hands the manager a fresh
-        tree, so there is nothing to protect); otherwise a copy is rewritten
-        and the input stays untouched.
+        ``key`` is the plan's :func:`reuse_cache_key` when the caller holds it
+        already: a plan template computes it once for all its instances.
         """
         report = ReuseReport()
         cache = self.signature_cache
-        key = reuse_cache_key(plan) if cache is not None else None
-        if cache is not None and key is not None:
+        if cache is not None:
+            if key is None:
+                key = reuse_cache_key(plan)
             entry = cache.get(key, self.stream_db.reuse_version)
             if entry is not None:
                 cache.hits += 1
                 return self._replay(entry, report), report
             cache.misses += 1
-        working = plan if in_place else plan.copy()
         self._existing_entries.clear()
         self._reused_originals = []
-        rewritten, _ = self._visit(working, report)
+        rewritten, _ = self._visit(plan, report)
         if cache is not None and key is not None:
             existing_indices = [
                 self._existing_entries[id(node)]
@@ -216,8 +216,7 @@ class ReuseEngine:
         """Returns (rewritten node, (peer, stream) of the matching stream or None)."""
         if node.kind == PUBLISH:
             # publication is always performed anew for the new subscription
-            new_children = [self._visit(child, report)[0] for child in node.children]
-            node.children = new_children
+            node.children = [self._visit(child, report)[0] for child in node.children]
             return node, None
 
         child_results = [self._visit(child, report) for child in node.children]
@@ -288,33 +287,12 @@ class ReuseEngine:
         self, original: tuple[str, str], report: ReuseReport
     ) -> tuple[str, str]:
         """Pick the original stream or one of its replicas, preferring a close provider."""
-        peer_id, stream_id = original
         if self.network is None or self.consumer_peer is None:
             # no network/consumer context to rank candidates: the original
             # stream is the answer, so don't touch the database at all
             return original
         report.queries_issued += 1
-        candidates = [(peer_id, stream_id)] + self.stream_db.find_replicas(peer_id, stream_id)
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 2:
-            # replicas of popular streams pile up on the same few peers; all
-            # candidates of one peer share a distance (and liveness), and
-            # ties resolve to the earliest candidate, so only the first per
-            # peer can ever win the ranking below
-            first_per_peer: dict[str, tuple[str, str]] = {}
-            for candidate in candidates:
-                first_per_peer.setdefault(candidate[0], candidate)
-            candidates = list(first_per_peer.values())
-        # a provider that is registered but currently failed cannot serve the
-        # stream; prefer alive providers (fall back to mere registration so a
-        # fully dark candidate set still resolves deterministically)
-        reachable = [c for c in candidates if self.network.is_alive(c[0])]
-        if not reachable:
-            reachable = [c for c in candidates if self.network.has_peer(c[0])]
-        if not reachable:
-            return candidates[0]
-        return min(
-            reachable,
-            key=lambda candidate: self.network.distance(self.consumer_peer, candidate[0]),
-        )
+        replicas = self.stream_db.find_replicas(*original)
+        if not replicas:
+            return original
+        return self.network.nearest(self.consumer_peer, [original, *replicas])

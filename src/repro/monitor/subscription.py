@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.algebra.plan import PlanNode
-from repro.p2pml.ast import SubscriptionAST
+from repro.p2pml.compiler import PlanTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.deployment import DeployedTask
@@ -44,8 +44,8 @@ class Subscription:
     """One monitoring subscription managed by a peer."""
 
     sub_id: str
-    text: str | None
-    ast: SubscriptionAST
+    #: what the plan was (and, after a failure, is again) instantiated from
+    template: PlanTemplate
     plan: PlanNode | None = None
     status: str = PENDING
     manager_peer: str | None = None

@@ -87,13 +87,6 @@ class Peer:
                 f"peer {self.peer_id!r} has no stream {stream_id!r}"
             ) from exc
 
-    def has_stream(self, stream_id: str) -> bool:
-        return stream_id in self._streams
-
-    @property
-    def stream_ids(self) -> list[str]:
-        return sorted(self._streams)
-
     # -- channels (thin wrappers over the registry) ------------------------------
 
     def publish_channel(self, channel_id: str, stream: Stream):

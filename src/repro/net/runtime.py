@@ -59,10 +59,6 @@ def apply_control(network: Any, op: str, args: tuple) -> Any:
     raise ValueError(f"unknown control op {op!r}")
 
 
-class RuntimeError_(RuntimeError):
-    """A runtime refused an operation its backend cannot support."""
-
-
 class Runtime:
     """Base class of execution backends (see module docstring)."""
 

@@ -40,7 +40,6 @@ from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
 from repro.net.scheduler import EventScheduler
 from repro.net.stats import LinkStats, NetworkStats
-from repro.net.wire import decode_element, encode_element
 from repro.xmlmodel.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,29 +87,6 @@ class Message:
             f"Message({self.source!r}->{self.destination!r}, {self.kind!r}, "
             f"size={self.size}, deliver_at={self.deliver_at:.6f})"
         )
-
-    def to_wire(self) -> tuple:
-        """Flatten to plain tuples for a cross-process shard boundary.
-
-        The payload Element is encoded without its parent links (see
-        :mod:`repro.net.wire`); batches should prefer
-        :func:`repro.net.wire.encode_batch`, which shares fan-out payloads.
-        """
-        return (
-            self.source,
-            self.destination,
-            self.kind,
-            encode_element(self.payload),
-            self.size,
-            self.sent_at,
-            self.deliver_at,
-        )
-
-    @classmethod
-    def from_wire(cls, data: tuple) -> "Message":
-        """Rebuild a message flattened by :meth:`to_wire`."""
-        source, destination, kind, payload, size, sent_at, deliver_at = data
-        return cls(source, destination, kind, decode_element(payload), size, sent_at, deliver_at)
 
 
 PeerLifecycleListener = Callable[[str], None]
@@ -281,6 +257,28 @@ class SimNetwork:
         ax, ay = self.coordinates(peer_a)
         bx, by = self.coordinates(peer_b)
         return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
+
+    def nearest(self, consumer: str, candidates: list[tuple[str, str]]) -> tuple[str, str]:
+        """The ``(peer, stream)`` candidate whose peer is closest to ``consumer``.
+
+        Alive peers rank before failed ones, unregistered ones last, and the
+        earliest candidate wins a tie.  One frame, :meth:`distance` written
+        out: a subscriber must not pay a call per replica of a popular stream.
+        """
+        coordinates, down = self._coordinates, self._down
+        origin = coordinates.get(consumer)
+        best, best_rank = candidates[0], (2, 0.0)
+        for candidate in candidates:
+            peer = candidate[0]
+            if peer not in coordinates:
+                continue
+            if origin is None:
+                raise UnknownPeerError(f"unknown peer {consumer!r}")
+            (ax, ay), (bx, by) = origin, coordinates[peer]
+            rank = (peer in down, ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5)
+            if rank < best_rank:
+                best, best_rank = candidate, rank
+        return best
 
     def latency(self, source: str, destination: str) -> float:
         cached = self._latency_cache.get((source, destination))

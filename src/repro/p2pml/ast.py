@@ -166,6 +166,3 @@ class SubscriptionAST:
 
     def variables(self) -> list[str]:
         return [binding.var for binding in self.bindings]
-
-    def let_names(self) -> set[str]:
-        return {definition.name for definition in self.lets}

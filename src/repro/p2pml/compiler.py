@@ -54,6 +54,48 @@ def compile_subscription(ast: SubscriptionAST, sub_id: str = "subscription") -> 
     return _Compiler(ast, sub_id).compile()
 
 
+class PlanTemplate:
+    """What all subscriptions to one P2PML text share, next to what each owns.
+
+    ``plan`` is the optimised plan of ``ast`` compiled under the *empty*
+    sub-id, memos filled, and ``key`` its reuse cache key.  The compiler only
+    writes the sub-id as a prefix -- of nested ids (``sub/var``), FILTER
+    subscription ids (``sub:var``) and the PUBLISH target it adds without a BY
+    clause -- so under the empty id each such slot holds just its suffix.
+    Slots are positions (``stamps_target``: the root; ``filter_paths``: child-index
+    paths to the FILTER nodes), never text looked for in the user's data.
+    """
+
+    __slots__ = ("ast", "plan", "push_selections", "key", "stamps_target", "filter_paths")
+
+    def __init__(self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str]) -> None:
+        self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
+        self.stamps_target = ast.by is None
+        self.filter_paths: list[tuple[int, ...]] = []
+        self._find_filters(plan, ())
+
+    def _find_filters(self, node: PlanNode, path: tuple[int, ...]) -> None:
+        for index, child in enumerate(node.children):
+            self._find_filters(child, (*path, index))
+        if node.kind == FILTER:
+            self.filter_paths.append(path)
+
+    def instantiate(self, sub_id: str) -> PlanNode:
+        """A copy of ``plan`` stamped with ``sub_id``; no ``params`` dict or ``children`` list is shared."""
+        plan = self.plan.copy()
+        if self.stamps_target:
+            plan.params["target"] = sub_id
+        for path in self.filter_paths:
+            node = plan
+            for index in path:
+                node = node.children[index]
+            blank = node.params["subscription"]
+            node.params["subscription"] = FilterSubscription(
+                sub_id + blank.sub_id, blank.simple, blank.complex_queries, blank.computed
+            )
+        return plan
+
+
 class _ConditionBuckets:
     """Per-variable filter conditions plus the cross-variable join predicates."""
 

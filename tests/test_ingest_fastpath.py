@@ -480,18 +480,19 @@ class TestSubmitMany:
         first.subscribe(texts[0])
         first.subscribe_many(texts + texts)
         handle = second.subscribe(texts[2])
-        assert parsed == texts and list(system.ast_table) == texts
+        assert parsed == texts
+        assert list(system.plan_templates) == [(text, True) for text in texts]
         record = second.manager.database.get(handle.sub_id)
-        assert record.ast is system.ast_table[texts[2]]
+        assert record.template is system.plan_templates[texts[2], True]
         # another system starts from nothing (the table is not module state)
         other = P2PMSystem(seed=5)
         other.add_peer("p0.example")
         other.add_peer("m1.example").subscribe(texts[0])
         assert parsed == texts + texts[:1]
         # bounded: cleared wholesale when full
-        monkeypatch.setattr(manager, "AST_TABLE_LIMIT", 3)
+        monkeypatch.setattr(manager, "TEMPLATE_TABLE_LIMIT", 3)
         first.subscribe(texts[0].replace("M0", "M9"))
-        assert len(system.ast_table) == 1
+        assert len(system.plan_templates) == 1
 
     def test_batch_cancellation_is_independent(self):
         system = P2PMSystem(seed=5)
