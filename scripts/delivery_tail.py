@@ -4,7 +4,12 @@
     python3 scripts/delivery_tail.py functions fanout [--top 15] [--phase subscribe]
         one counted phase of ``perf/harness.py`` (seed 1, ``cProfile`` exactly
         as the harness takes it), per function: calls per delivery (``burst``,
-        the default), per subscription (``subscribe``) or per cancel
+        the default; ``single``: the single alerts of the counted round, which
+        the harness times but does not count), per subscription
+        (``subscribe``) or per cancel
+    python3 scripts/delivery_tail.py frames fanout
+        the counted burst again with the network's trace on: how many items
+        each ``channel.item`` / ``channel.items`` message carried
     python3 scripts/delivery_tail.py collector fanout
         one measured burst with the collector on (collections per generation)
         and one with it off (unreachable objects a ``gc.collect()`` then finds)
@@ -12,14 +17,16 @@
         the counted subscribe phase again, under ``sys.setprofile``: inclusive
         calls per subscription of each control-plane stage (``STAGES``)
 
-These are the tables of "The delivery tail", "The DHT write path" and "A twin
-subscription costs its delta" in ``docs/PERFORMANCE.md``.  The benchmark
+These are the tables of "The delivery tail", "The DHT write path", "A twin
+subscription costs its delta" and "A burst stays a burst" in
+``docs/PERFORMANCE.md``.  The benchmark
 itself (``perf/``) is only imported, never changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import gc
 import os
 import sys
@@ -29,14 +36,28 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEED = 1
 #: counted phase -> the metric of ``harness._counted_cycle`` that divides it
-PHASES = {"burst": "per_delivery", "subscribe": "per_sub", "cancel": "per_cancel"}
+PHASES = {"burst": "per_delivery", "single": "per_delivery", "subscribe": "per_sub", "cancel": "per_cancel"}
 
 
 def functions(workload, top: int, phase_name: str) -> None:
     from perf import harness
 
     calls: Counter = Counter()
-    plain_exit = harness._Phase.__exit__
+    single_deliveries = 0
+    plain_enter, plain_exit = harness._Phase.__enter__, harness._Phase.__exit__
+    plain_round = harness.Cycle.round
+
+    def counting_enter(phase) -> None:
+        plain_enter(phase)
+        if phase.clock.count_calls and phase.name == phase_name and phase.profile is None:
+            phase.profile = cProfile.Profile(subcalls=False)  # as the harness, for a phase it only times
+            phase.profile.enable()
+
+    def counting_round(cycle, burst, singles) -> None:
+        nonlocal single_deliveries
+        before = sum(cycle.counts)
+        plain_round(cycle, burst, singles)
+        single_deliveries += sum(cycle.counts) - before - cycle.deliveries[-1]
 
     def counting_exit(phase, *exc_info) -> None:
         if phase.profile is not None and phase.name == phase_name:
@@ -49,12 +70,17 @@ def functions(workload, top: int, phase_name: str) -> None:
                 calls[name] += entry.callcount
         plain_exit(phase, *exc_info)
 
-    harness._Phase.__exit__ = counting_exit
+    harness._Phase.__enter__, harness._Phase.__exit__ = counting_enter, counting_exit
+    harness.Cycle.round = counting_round
     sizes = workload.sizes(1.0).counted(1.0)
     counted = harness._counted_cycle(workload, SEED, sizes, harness.Tally())
-    per_op = counted[PHASES[phase_name]]
-    ops = sum(calls.values()) / per_op
-    print(f"{workload.name}: pycalls_{PHASES[phase_name]} {per_op:.3f}, {ops:.0f} operations")
+    if phase_name == "single":
+        ops = single_deliveries  # of the counted round's single alerts only
+        per_op = sum(calls.values()) / ops
+    else:
+        per_op = counted[PHASES[phase_name]]
+        ops = sum(calls.values()) / per_op
+    print(f"{workload.name}: pycalls_{PHASES[phase_name]} {per_op:.3f} ({phase_name}), {ops:.0f} operations")
     for name, count in calls.most_common(top):
         print(f"{count / ops:8.3f}  {name}")
 
@@ -133,6 +159,43 @@ def stages(workload) -> None:
     print(f"{outside / subs:8.1f}  outside every stage (ids, records, handles, the harness's own frames)")
 
 
+def frames(workload) -> None:
+    from perf import harness
+    from repro.net.channel import MSG_ITEM, MSG_ITEMS
+
+    plain_round = harness.Cycle.round
+    sizes_seen: Counter = Counter()
+    deliveries = 0
+
+    def traced_round(cycle, burst, singles) -> None:
+        nonlocal deliveries
+        network = cycle.system.network
+        plain_burst = cycle._publish_burst
+
+        def traced_burst(prepared) -> None:
+            network.trace_enabled = True
+            try:
+                plain_burst(prepared)
+            finally:
+                network.trace_enabled = False
+
+        cycle._publish_burst = traced_burst
+        plain_round(cycle, burst, singles)
+        deliveries = cycle.deliveries[-1]
+        for message in network.trace:
+            if message.kind in (MSG_ITEM, MSG_ITEMS):
+                sizes_seen[len(message.payload.children)] += 1
+
+    harness.Cycle.round = traced_round
+    sizes = workload.sizes(1.0).counted(1.0)
+    harness._counted_cycle(workload, SEED, sizes, harness.Tally())
+    messages = sum(sizes_seen.values())
+    items = sum(size * count for size, count in sizes_seen.items())
+    print(f"{workload.name}: {messages} item messages carrying {items} items for {deliveries} deliveries")
+    for size, count in sorted(sizes_seen.items()):
+        print(f"{count:8d}  messages x {size} item{'s' if size > 1 else ''}")
+
+
 def collector(workload) -> None:
     from perf import harness
 
@@ -170,7 +233,7 @@ def main() -> int:
     from perf.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("what", choices=("functions", "collector", "stages"))
+    parser.add_argument("what", choices=("functions", "collector", "stages", "frames"))
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--top", type=int, default=15)
     parser.add_argument("--phase", choices=sorted(PHASES), default="burst")
@@ -179,6 +242,8 @@ def main() -> int:
         functions(WORKLOADS[args.workload], args.top, args.phase)
     elif args.what == "stages":
         stages(WORKLOADS[args.workload])
+    elif args.what == "frames":
+        frames(WORKLOADS[args.workload])
     else:
         collector(WORKLOADS[args.workload])
     return 0

@@ -103,7 +103,7 @@ class DeliveryValve(Stream):
     buffer and user callbacks subscribe to.
 
     The valve subscribes to ``source`` and is itself the stream its items
-    come out of, so an open valve costs one call per item.  While paused, up
+    come out of, so an open valve costs one call per item or burst.  While paused, up
     to ``max_pause_buffer`` items are retained (oldest evicted beyond that)
     and flushed on resume, so a paused subscription loses nothing within its
     retention window and needs no redeployment.  The inherited
@@ -149,6 +149,26 @@ class DeliveryValve(Stream):
         else:
             for subscriber in list(subscribers):
                 subscriber(item)
+
+    def _receive_many(self, items: list[Element]) -> None:
+        """A burst through the gate in one frame, item-major, to the subscribers
+        of the moment it arrives; the accounts commit when it ends.  Whatever is
+        not plain delivery stays ``_receive``'s: a paused valve retains the rest."""
+        subscribers = list(self._subscribers)
+        delivered = 0
+        for item in items:
+            if self.paused or self.closed or self.keep_history:
+                break
+            delivered += 1
+            for subscriber in subscribers:
+                subscriber(item)
+        self.items_delivered += delivered
+        self.stats.items += delivered
+        if not (delivered and self.closed):  # closed by a subscriber's cancel: detached, the rest is not offered
+            for item in items[delivered:]:
+                self._receive(item)
+
+    _receive.batch = _receive_many  # type: ignore[attr-defined]  # see Stream.deliver_many
 
     @property
     def pending_count(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.net.errors import UnknownChannelError
+from repro.net.errors import UnknownChannelError, UnknownPeerError
 from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MSG_SUBSCRIBE = "channel.subscribe"
 MSG_UNSUBSCRIBE = "channel.unsubscribe"
 MSG_ITEM = "channel.item"
+MSG_ITEMS = "channel.items"
 MSG_EOS = "channel.eos"
 MSG_ACK = "channel.ack"
 
@@ -97,12 +98,11 @@ class Channel:
         self._sorted_cache = None
 
 
-def _wrapper(
-    channel: Channel, seq_text: str, payload: list[Element], weight: int | None = None
-) -> Element:
-    """The ``channelItem`` message of ``channel`` carrying ``payload``."""
+def _wrapper(tag: str, channel: Channel, seq_text: str, payload: list[Element], weight: int | None = None) -> Element:
+    """The ``channelItem`` message of ``channel`` carrying ``payload``; tagged
+    ``channelItems`` a frame, whose ``seq`` numbers the first of its children."""
     return Element.fast_new(
-        "channelItem",
+        tag,
         {"channelId": channel.channel_id, "publisher": channel.peer_id, "seq": seq_text},
         payload,
         weight=weight,
@@ -118,6 +118,7 @@ class RemoteChannelProxy(Stream):
     yields exactly-once delivery into the local stream.  The floor is
     *contiguous*: every number up to it was delivered, ``seen_seqs`` parks
     only what arrived ahead of a gap, so an in-order channel holds no set.
+    A frame is K consecutive numbers, each of them deduplicated on its own.
     """
 
     #: out-of-order window for duplicate detection; a gap this far behind the
@@ -199,6 +200,7 @@ class ChannelRegistry:
         peer.register_handler(MSG_SUBSCRIBE, self._on_subscribe)
         peer.register_handler(MSG_UNSUBSCRIBE, self._on_unsubscribe)
         peer.register_handler(MSG_ITEM, self._on_item)
+        peer.register_handler(MSG_ITEMS, self._on_item)
         peer.register_handler(MSG_EOS, self._on_eos)
         peer.register_handler(MSG_ACK, self._on_ack)
 
@@ -223,8 +225,13 @@ class ChannelRegistry:
                 self._forward_batch(channel, [item])
 
         def forward_batch(items: list[Element]) -> None:
-            if channel.subscribers:
-                self._forward_batch(channel, items)
+            if not channel.subscribers:
+                return
+            if self.reliable:  # the outbox, acks and retransmission are per sequence number
+                for item in items:
+                    self._forward_batch(channel, [item])
+            else:
+                self._forward_batch(channel, items, len(items))
 
         # advertise the batch entry point so Stream.emit_many hands a burst
         # over in one call instead of one forward per item
@@ -309,55 +316,63 @@ class ChannelRegistry:
             for subscriber in subscribers:
                 self._peer.send(subscriber, MSG_EOS, payload)
 
-    def _forward_batch(self, channel: Channel, items: list[Element]) -> None:
-        """Fan a burst of items out to every subscriber of ``channel``.
+    def _forward_batch(self, channel: Channel, items: list[Element], count: int = 1) -> None:
+        """Send ``items`` -- ``count`` of them -- to every subscriber of
+        ``channel`` in one message each: an item as ``channel.item``, a burst
+        (never on a reliable registry) as one ``channel.items`` frame.
 
-        One message *template* is built per item: the payload tree is copied
-        once and that copy is shared by every subscriber's ``channelItem``
-        wrapper (receivers treat stream items as immutable, and the local
-        stream layer already delivers one object to all local subscribers).
-        Only the thin wrapper -- which carries the per-subscriber sequence
-        number -- is built per message, via the trusted Element constructor;
-        its weight is set from its parts instead of walking it.
+        The payload trees are copied once and the copies are shared by every
+        subscriber's wrapper (receivers treat stream items as immutable, and
+        the local stream layer already delivers one object to all local
+        subscribers).  Only the thin wrapper -- it carries the number of the
+        subscriber's next item -- is built per message, via the trusted
+        Element constructor, its weight set from its parts, not by a walk.
         """
         subscribers = channel.sorted_subscribers()
         if not subscribers or not items:
             return
-        next_seq = channel.next_seq
-        overhead = channel._wrapper_overhead
-        if overhead is None:
-            overhead = channel._wrapper_overhead = _wrapper(channel, "", []).weight()
-        reliable = self.reliable
-        sends: list[tuple[str, str, Element]] = []
+        weight = channel._wrapper_overhead
+        if weight is None:
+            weight = channel._wrapper_overhead = _wrapper("channelItem", channel, "", []).weight()
+        kind, tag = MSG_ITEM, "channelItem"
+        if count > 1:
+            kind, tag = MSG_ITEMS, "channelItems"
+            weight += 2  # one more letter in the opening and in the closing tag
+        # weigh before copying: the memoised walk then travels with every copy
         for item in items:
-            # weigh before copying: the memoised walk then travels with every copy
-            weight = item.weight()
-            shared = item.copy()
-            # group subscribers by their next sequence number: counters
-            # advance in lock-step in steady state, so one wrapper (and one
-            # weight computation) usually serves the entire fan-out; only
-            # subscribers whose counter diverged (late join, prior loss of a
-            # send) get their own wrapper
-            wrappers: dict[int, Element] = {}
+            weight += item.weight()
+        shared = [items[0].copy()] if count == 1 else [item.copy() for item in items]
+        next_seq, reliable = channel.next_seq, self.reliable
+        # group subscribers by their next sequence number: counters advance in
+        # lock-step in steady state, so one wrapper usually serves the entire
+        # fan-out; only a diverged counter (late join) gets its own wrapper
+        wrappers: dict[int, Element] = {}
+        sends: list[tuple[str, str, Element]] = []
+        for subscriber in subscribers:
+            seq = next_seq.get(subscriber, 0)
+            next_seq[subscriber] = seq + count
+            wrapper = wrappers.get(seq)
+            if wrapper is None:
+                seq_text = str(seq)
+                wrapper = wrappers[seq] = _wrapper(tag, channel, seq_text, shared, weight + len(seq_text))
+            if reliable:
+                self._record_unacked(channel, subscriber, seq, wrapper)
+                if subscriber in channel.dead:
+                    # no point transmitting to a confirmed-dead peer: the
+                    # entry waits in the outbox for a takeover claim (or
+                    # the subscriber's rejoin)
+                    continue
+            sends.append((subscriber, kind, wrapper))
+        network = self._peer.network
+        try:
+            network.send_many(self._peer.peer_id, sends)
+        except UnknownPeerError:
+            # a subscriber left the network without unsubscribing, and nothing
+            # was sent (send_many checks first): forget it, serve the rest
             for subscriber in subscribers:
-                seq = next_seq.get(subscriber, 0)
-                next_seq[subscriber] = seq + 1
-                wrapper = wrappers.get(seq)
-                if wrapper is None:
-                    seq_text = str(seq)
-                    wrapper = wrappers[seq] = _wrapper(
-                        channel, seq_text, [shared], overhead + len(seq_text) + weight
-                    )
-                if reliable:
-                    self._record_unacked(channel, subscriber, seq, wrapper)
-                    if subscriber in channel.dead:
-                        # no point transmitting to a confirmed-dead peer:
-                        # the entry waits in the outbox for a takeover
-                        # claim (or the subscriber's rejoin)
-                        continue
-                sends.append((subscriber, MSG_ITEM, wrapper))
-        if sends:
-            self._peer.network.send_many(self._peer.peer_id, sends)
+                if not network.has_peer(subscriber):
+                    self.drop_subscriber(channel.channel_id, subscriber)
+            network.send_many(self._peer.peer_id, [send for send in sends if network.has_peer(send[0])])
 
     def _record_unacked(
         self, channel: Channel, subscriber: str, seq: int, wrapper: Element
@@ -495,6 +510,18 @@ class ChannelRegistry:
         proxy = self._proxies.get((attrib["publisher"], attrib["channelId"]))
         if proxy is None or proxy.closed:
             return  # late item for an unsubscribed/closed proxy: drop it
+        if message.kind == MSG_ITEMS:
+            items, first = payload.children, int(attrib["seq"])
+            if first == proxy._seq_floor + 1 and not proxy.seen_seqs:
+                proxy._seq_floor += len(items)  # in order, nothing parked: K numbers, one comparison
+            else:
+                items = [item for seq, item in enumerate(items, first) if proxy.accept_seq(seq)]
+                proxy.duplicates_dropped += len(payload.children) - len(items)
+            if items:
+                # Stream.emit_many without its checks: a replica channel of
+                # the proxy forwards one frame and never sees an item
+                proxy.deliver_many(items)
+            return
         seq_text = attrib.get("seq")
         if seq_text is not None:
             seq = int(seq_text)
@@ -633,7 +660,7 @@ class ChannelRegistry:
         for payload in payloads:
             seq = next_seq.get(subscriber, 0)
             next_seq[subscriber] = seq + 1
-            wrapper = _wrapper(channel, str(seq), [payload])
+            wrapper = _wrapper("channelItem", channel, str(seq), [payload])
             self._record_unacked(channel, subscriber, seq, wrapper)
             sends.append((subscriber, MSG_ITEM, wrapper))
         self._peer.network.stats.items_replayed += len(sends)
@@ -655,22 +682,25 @@ class ChannelRegistry:
         """
         if not channel.dead:
             return 0
-        payloads: list[Element] = []
-        seen: set[int] = set()
-        for dead_subscriber in sorted(channel.dead):
-            entries = channel.outbox.pop(dead_subscriber, None)
-            if entries:
-                for seq in sorted(entries):
-                    payload = entries[seq].wrapper.children[0]
-                    if id(payload) not in seen:
-                        seen.add(id(payload))
-                        payloads.append(payload)
-            channel.remove_subscriber(dead_subscriber)
-            channel.next_seq.pop(dead_subscriber, None)
-        channel.dead.clear()
+        payloads = self._take_orphans(channel)
         if payloads:
             self._pending_replays.append((channel, subscriber, payloads))
         return len(payloads)
+
+    @staticmethod
+    def _take_orphans(channel: Channel) -> list[Element]:
+        """Drop the dead subscribers of ``channel``; their unacked payloads,
+        each once (dead subscribers' wrappers share them), oldest first."""
+        payloads: dict[int, Element] = {}
+        for dead_subscriber in sorted(channel.dead):
+            entries = channel.outbox.pop(dead_subscriber, {})
+            for seq in sorted(entries):
+                payload = entries[seq].wrapper.children[0]
+                payloads.setdefault(id(payload), payload)
+            channel.remove_subscriber(dead_subscriber)
+            channel.next_seq.pop(dead_subscriber, None)
+        channel.dead.clear()
+        return list(payloads.values())
 
     def adopt_orphans(self, old_channel_id: str, successor: Stream) -> int:
         """Hand a retiring channel's orphaned items over to its successor.
@@ -691,19 +721,7 @@ class ChannelRegistry:
         channel = self._published.get(old_channel_id)
         if channel is None or not channel.dead:
             return 0
-        payloads: list[Element] = []
-        seen: set[int] = set()
-        for dead_subscriber in sorted(channel.dead):
-            entries = channel.outbox.pop(dead_subscriber, None)
-            if entries:
-                for seq in sorted(entries):
-                    payload = entries[seq].wrapper.children[0]
-                    if id(payload) not in seen:
-                        seen.add(id(payload))
-                        payloads.append(payload)
-            channel.remove_subscriber(dead_subscriber)
-            channel.next_seq.pop(dead_subscriber, None)
-        channel.dead.clear()
+        payloads = self._take_orphans(channel)
         if payloads:
             self._pending_adoptions.append([successor, payloads, 0])
         return len(payloads)

@@ -477,79 +477,40 @@ class SimNetwork:
         if source not in self._peers:
             raise UnknownPeerError(f"cannot send from unknown peer {source!r}")
         down = self._down
-        if down:
-            if source in down:
-                self.messages_dropped_peer_down += 1
-                if self.record_events:
-                    self._log(f"drop source-down {source}->{destination} {kind}")
-                return self._make_message(source, destination, kind, payload, payload.weight())
-            if destination in down:
-                self.messages_dropped_peer_down += 1
-                if self.record_events:
-                    self._log(f"drop destination-down {source}->{destination} {kind}")
-                return self._make_message(source, destination, kind, payload, payload.weight())
+        if down and (source in down or destination in down):
+            self.messages_dropped_peer_down += 1
+            if self.record_events:
+                end = "source" if source in down else "destination"
+                self._log(f"drop {end}-down {source}->{destination} {kind}")
+            return self._make_message(source, destination, kind, payload, payload.weight())
         return self._schedule(source, destination, kind, payload, payload.weight())
 
-    def send_many(
-        self, source: str, sends: list[tuple[str, str, Element]]
-    ) -> list[Message]:
+    def send_many(self, source: str, sends: list[tuple[str, str, Element]]) -> None:
         """Queue a burst of ``(destination, kind, payload)`` sends from one peer.
 
-        Semantically identical to a loop of :meth:`send` calls -- same
-        scheduling, fault draws, stats and trace -- but the source liveness
-        check is hoisted out of the loop, which matters for channel fan-out
-        to thousands of subscribers.
+        A loop of :meth:`send` calls -- same scheduling, fault draws, stats
+        and trace -- and literally one unless the network is perfect, which
+        is what channel fan-out to thousands of subscribers runs on.  Every
+        destination is checked before anything is scheduled: a caller that
+        catches :class:`UnknownPeerError` has sent nothing yet.
         """
-        if source not in self._peers:
-            raise UnknownPeerError(f"cannot send from unknown peer {source!r}")
-        if source in self._down:
-            messages = []
-            record = self.record_events
-            for destination, kind, payload in sends:
-                if destination not in self._peers:
-                    raise UnknownPeerError(
-                        f"cannot send to unknown peer {destination!r}"
-                    )
-                self.messages_dropped_peer_down += 1
-                if record:
-                    self._log(f"drop source-down {source}->{destination} {kind}")
-                messages.append(
-                    self._make_message(
-                        source, destination, kind, payload, payload.weight()
-                    )
-                )
-            return messages
         peers = self._peers
+        if source not in peers:
+            raise UnknownPeerError(f"cannot send from unknown peer {source!r}")
+        for destination, _, _ in sends:
+            if destination not in peers:
+                raise UnknownPeerError(f"cannot send to unknown peer {destination!r}")
         down = self._down
-        messages: list[Message] = []
         if (
-            self.fault_model is not None
+            source in down
+            or self.fault_model is not None
             or self._partitions
             or self.trace_enabled
             or self.record_events
         ):
-            schedule = self._schedule
             for destination, kind, payload in sends:
-                if destination not in peers:
-                    raise UnknownPeerError(
-                        f"cannot send to unknown peer {destination!r}"
-                    )
-                if down and destination in down:
-                    self.messages_dropped_peer_down += 1
-                    if self.record_events:
-                        self._log(
-                            f"drop destination-down {source}->{destination} {kind}"
-                        )
-                    messages.append(
-                        self._make_message(
-                            source, destination, kind, payload, payload.weight()
-                        )
-                    )
-                    continue
-                messages.append(
-                    schedule(source, destination, kind, payload, payload.weight())
-                )
-            return messages
+                self.send(source, destination, kind, payload)
+            return
         # perfect-network burst: no faults, no partitions, no tracing --
         # inline the whole schedule step (latency lookup, stats, heap push)
         scheduler = self.scheduler
@@ -562,15 +523,8 @@ class SimNetwork:
         sequence = scheduler.sequence
         total_bytes = 0
         for destination, kind, payload in sends:
-            if destination not in peers:
-                raise UnknownPeerError(f"cannot send to unknown peer {destination!r}")
             if down and destination in down:
                 self.messages_dropped_peer_down += 1
-                messages.append(
-                    self._make_message(
-                        source, destination, kind, payload, payload.weight()
-                    )
-                )
                 continue
             size = payload.weight()
             total_bytes += size
@@ -587,11 +541,9 @@ class SimNetwork:
             message = Message(source, destination, kind, payload, size, now, deliver_at)
             sequence += 1
             heappush(queue, (deliver_at, sequence, message))
-            messages.append(message)
         stats.total_messages += sequence - scheduler.sequence  # the scheduled ones
         stats.total_bytes += total_bytes
         scheduler.sequence = sequence
-        return messages
 
     def _make_message(
         self, source: str, destination: str, kind: str, payload: Element, size: int

@@ -9,6 +9,7 @@ top by :mod:`repro.net.channel`, which subscribes a forwarding callback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MethodType
 from typing import Callable, Iterable
 
 from repro.streams.item import EOS
@@ -161,8 +162,8 @@ class Stream:
         Delivery contract:
 
         * Subscribers that advertise a batch entry point (a ``batch``
-          attribute on the callback, as installed by
-          :meth:`repro.algebra.operators.Operator.connect`) are **batch
+          attribute on the callback, as ``Operator.connect`` installs it, or
+          on the function of a bound method, as :meth:`push` has it) are **batch
           atomic**: each receives the whole burst in one call, before
           per-item subscribers.  A close they perform takes effect only
           after their call returns.
@@ -184,6 +185,13 @@ class Stream:
                 raise TypeError(
                     f"stream items must be Elements, got {type(item).__name__}"
                 )
+        self.deliver_many(batch)
+        if self.closed:
+            raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
+
+    def deliver_many(self, batch: list[Element]) -> None:
+        """:meth:`emit_many` past its checks, for a non-empty list a stream has
+        validated (a channel proxy's frame); stops silently once closed."""
         stats = self.stats
         stats.items += len(batch)
         if self.keep_history:
@@ -192,24 +200,24 @@ class Stream:
         item_subscribers = []
         for subscriber in list(self._subscribers):
             deliver_batch = getattr(subscriber, "batch", None)
-            if deliver_batch is not None:
-                batch_subscribers.append(deliver_batch)
-            else:
+            if deliver_batch is None:
                 item_subscribers.append(subscriber)
+            elif type(subscriber) is MethodType:
+                # a bound method cannot carry attributes: it reads ``batch``
+                # off its function, which takes the method's object first
+                batch_subscribers.append(MethodType(deliver_batch, subscriber.__self__))
+            else:
+                batch_subscribers.append(deliver_batch)
         for deliver_batch in batch_subscribers:
             deliver_batch(batch)
             if self.closed:
-                raise StreamClosedError(
-                    f"stream {self.qualified_id} closed during batch delivery"
-                )
+                return
         if item_subscribers:
             for item in batch:
                 for subscriber in item_subscribers:
                     subscriber(item)
                 if self.closed:
-                    raise StreamClosedError(
-                        f"stream {self.qualified_id} closed during batch delivery"
-                    )
+                    return
 
     def close(self) -> None:
         """Emit the end-of-stream marker and refuse further items."""
@@ -225,6 +233,8 @@ class Stream:
             self.close()
         else:
             self.emit(item)  # type: ignore[arg-type]
+
+    push.batch = emit_many  # type: ignore[attr-defined]  # a relayed burst stays one burst
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

@@ -333,17 +333,37 @@ def test_wrapper_weights_are_what_a_walk_would_compute():
     stream.emit_many([alert(n) for n in range(3)])
     network.run()
     items = [m for m in network.trace if m.kind == "channel.item"]
-    assert len(items) == 12 + 2 * 3
-    assert {m.payload.attrib["seq"] for m in items if m.destination == "late"} == {"0", "1", "2"}
-    for message in items:
+    frames = {m.destination: m.payload for m in network.trace if m.kind == "channel.items"}
+    # the three-item burst crosses each of the two links as one frame, not three messages
+    assert len(items) == 12 and set(frames) == {"early", "late"}
+    assert frames["late"].attrib["seq"] == "0" and frames["early"].attrib["seq"] == "12"
+    assert [len(frame.children) for frame in frames.values()] == [3, 3]
+    for message in network.trace:  # the subscribe requests too
         assert message.size == message.payload.weight() == uncached_weight(message.payload)
     assert network.stats.total_bytes == sum(m.size for m in network.trace)
 
 
 def test_byte_totals_are_the_parents():
-    """The same script at 9603535 printed these numbers."""
+    """A 40-alert burst and 12 single alerts down a chain of three links.  At
+    9603535 the same script printed 150 messages / 15 896 bytes: the burst was
+    37 matching items on each link; it is one frame per link now."""
     system, alerter, _, counts = fanout()
     alerter.output.emit_many([alert(n % 20) for n in range(40)])
+    for n in range(12):
+        alerter.emit_numbered(n)
+    system.run()
+    stats = system.network.stats
+    assert counts == [49, 49, 49]
+    assert (stats.total_messages, stats.total_bytes) == (39, 7974)
+    assert stats.per_peer_sent == {"src": 12, "sub0": 13, "sub1": 13, "sub2": 1}
+    assert stats.busiest_peer() == "sub1"
+
+
+def test_byte_totals_item_by_item_are_the_parents():
+    """The same 52 alerts published one by one: what 9603535 printed."""
+    system, alerter, _, counts = fanout()
+    for n in range(40):
+        alerter.output.emit(alert(n % 20))
     for n in range(12):
         alerter.emit_numbered(n)
     system.run()

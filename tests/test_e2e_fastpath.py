@@ -240,12 +240,12 @@ class TestSendMany:
         network = self.build()
         got = self.collect(network)
         network.fail_peer("a")
-        messages = network.send_many(
+        sent = network.send_many(
             "a", [("b", "t.msg", Element("m", {"n": "0"}))]
         )
         network.run()
         assert got == []
-        assert len(messages) == 1
+        assert sent is None  # no list of messages: nobody read it
         assert network.messages_dropped_peer_down == 1
 
     def test_send_many_unknown_destination_raises(self):
