@@ -4,6 +4,8 @@ Claim: because simple conditions are checked before the tree-pattern stage,
 items whose simple conditions fail never trigger the Web-service call that
 would materialise their intensional content, whereas a naive filter has to
 materialise every item.
+
+Counted, not timed: ``ServiceRegistry.calls_performed``.
 """
 
 import pytest
@@ -46,7 +48,7 @@ def paper_subscription() -> FilterSubscription:
 
 @pytest.mark.parametrize("fail_fraction", FAIL_FRACTIONS)
 @pytest.mark.parametrize("strategy", ["lazy", "eager"])
-def test_service_calls_avoided(benchmark, strategy, fail_fraction):
+def test_service_calls_avoided(strategy, fail_fraction):
     items = make_active_items(N_ITEMS, fail_fraction)
     registry = make_registry()
     if strategy == "lazy":
@@ -54,21 +56,10 @@ def test_service_calls_avoided(benchmark, strategy, fail_fraction):
     else:
         filter_op = NaiveFilter([paper_subscription()], service_registry=registry)
 
-    def run():
-        matches = 0
-        for item in items:
-            matches += len(filter_op.process(item).matched)
-        return matches
-
-    matches = benchmark.pedantic(run, rounds=1, iterations=1)
+    matches = sum(len(filter_op.process(item).matched) for item in items)
     expected_matches = round(N_ITEMS * (1 - fail_fraction))
     assert matches == expected_matches
     if strategy == "lazy":
         assert registry.calls_performed == expected_matches
     else:
         assert registry.calls_performed == N_ITEMS
-    benchmark.extra_info["experiment"] = "E6"
-    benchmark.extra_info["strategy"] = strategy
-    benchmark.extra_info["fail_fraction"] = fail_fraction
-    benchmark.extra_info["service_calls"] = registry.calls_performed
-    benchmark.extra_info["items"] = N_ITEMS

@@ -5,9 +5,8 @@ a central bottleneck: publications and discovery queries touch O(log n)
 peers, storage is spread over all peers, and the cost per declared stream
 does not grow with the ring.
 
-A counter check, not a timing: every number below is read from the ring's
-own ``lookup_count`` / ``total_hops`` accounts, so the module takes no
-``benchmark`` fixture and ``tests/test_claim_checks.py`` runs it in tier-1.
+Counted, not timed: every number below is read from the ring's own
+``lookup_count`` / ``total_hops`` accounts.
 (``find_alerter_streams`` answers from the in-memory indexes and routes
 nothing; the routed path is the publication and the Section-5 XPath query.)
 """

@@ -4,7 +4,8 @@ The motivating Edos deployment gathers "statistics about the peers (e.g.,
 number, efficiency, reliability) and the usage of the system (e.g., query
 rate)".  Two P2PML subscriptions monitor the synthetic Edos network: one
 counting failed downloads per mirror, one watching the query traffic; the
-monitored numbers are checked against the workload's ground truth.
+monitored numbers are checked against the workload's ground truth
+(``EdosNetwork.reference_statistics``); nothing is timed.
 """
 
 import pytest
@@ -51,36 +52,22 @@ def build_monitored_edos(n_mirrors=3, n_clients=25, seed=61):
     return system, edos, failures, queries
 
 
-def test_edos_statistics_match_ground_truth(benchmark):
-    def run():
-        system, edos, failures, queries = build_monitored_edos()
-        edos.run(N_EVENTS)
-        system.run()
-        return system, edos, failures, queries
-
-    system, edos, failures, queries = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_edos_statistics_match_ground_truth():
+    system, edos, failures, queries = build_monitored_edos()
+    edos.run(N_EVENTS)
+    system.run()
     reference = edos.reference_statistics()
-    assert len(failures.results()) == reference["failed_downloads"]
-    assert len(queries.results()) == reference["queries"]
-    benchmark.extra_info["experiment"] = "E10"
-    benchmark.extra_info["events"] = N_EVENTS
-    benchmark.extra_info["failed_downloads"] = len(failures.results())
-    benchmark.extra_info["queries_observed"] = len(queries.results())
-    benchmark.extra_info["second_subscription_reused_nodes"] = (
-        queries.reuse_report.nodes_reused if queries.reuse_report else 0
-    )
+    assert len(failures.results()) == reference["failed_downloads"] > 0
+    assert len(queries.results()) == reference["queries"] > 0
+    # the second subscription reads the first one's alerter streams
+    assert queries.reuse_report.nodes_reused > 0
 
 
 @pytest.mark.parametrize("n_clients", [10, 50, 100])
-def test_edos_monitoring_throughput(benchmark, n_clients):
+def test_edos_statistics_hold_at_every_client_count(n_clients):
     system, edos, failures, queries = build_monitored_edos(n_clients=n_clients, seed=62)
-
-    def run():
-        edos.run(300)
-        system.run()
-        return len(failures.results()) + len(queries.results())
-
-    observed = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = "E10"
-    benchmark.extra_info["clients"] = n_clients
-    benchmark.extra_info["observations"] = observed
+    edos.run(300)
+    system.run()
+    reference = edos.reference_statistics()
+    assert len(failures.results()) == reference["failed_downloads"]
+    assert len(queries.results()) == reference["queries"]

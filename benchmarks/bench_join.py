@@ -4,6 +4,10 @@ Claim: "For each new tree t in one of the input streams, the history of the
 other stream is searched ... An index over that history is used to speed up
 the search."  We compare the indexed JoinOperator against an unindexed
 variant that scans the whole history of the other side for every item.
+
+Counted, not timed: ``JoinOperator.index_probes`` (one per item, whatever
+the history holds) against the baseline's key ``comparisons`` (one per item
+per stored opposite item), and ``history_size`` under a window.
 """
 
 import pytest
@@ -28,6 +32,7 @@ class UnindexedJoin(Operator):
         self.right_var = right_var
         self.predicate = predicate
         self._history = [[], []]
+        self.comparisons = 0
 
     def _key(self, side, item):
         var = self.left_var if side == 0 else self.right_var
@@ -41,6 +46,7 @@ class UnindexedJoin(Operator):
         other = 1 - index
         key = self._key(index, item)
         for candidate in self._history[other]:
+            self.comparisons += 1
             if self._key(other, candidate) == key:
                 left, right = (item, candidate) if index == 0 else (candidate, item)
                 binding = get_binding(left, self.left_var)
@@ -53,6 +59,11 @@ def make_call_pairs(n_pairs):
     outs = [Element("alert", {"callId": str(i), "caller": "a.com"}) for i in range(n_pairs)]
     ins = [Element("alert", {"callId": str(i), "server": "meteo.com"}) for i in range(n_pairs)]
     return outs, ins
+
+
+def call_id_join(join_class, **options):
+    predicate = [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))]
+    return join_class("c1", "c2", predicate, **options)
 
 
 def run_join(join_operator, outs, ins):
@@ -68,56 +79,24 @@ def run_join(join_operator, outs, ins):
 
 
 @pytest.mark.parametrize("history", HISTORY_SIZES)
-def test_indexed_join(benchmark, history):
+def test_indexed_join_probes_once_per_item(history):
     outs, ins = make_call_pairs(history)
-
-    def run():
-        join = JoinOperator(
-            "c1", "c2",
-            [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))],
-        )
-        return run_join(join, outs, ins)
-
-    matches = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert matches == history
-    benchmark.extra_info["experiment"] = "E9"
-    benchmark.extra_info["strategy"] = "indexed"
-    benchmark.extra_info["history"] = history
+    join = call_id_join(JoinOperator)
+    assert run_join(join, outs, ins) == history
+    assert join.index_probes == 2 * history  # per item: 1, at every history size
 
 
 @pytest.mark.parametrize("history", [size for size in HISTORY_SIZES if size <= 1000])
-def test_unindexed_join(benchmark, history):
+def test_unindexed_join_compares_with_the_whole_history(history):
     outs, ins = make_call_pairs(history)
-
-    def run():
-        join = UnindexedJoin(
-            "c1", "c2",
-            [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))],
-        )
-        return run_join(join, outs, ins)
-
-    matches = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert matches == history
-    benchmark.extra_info["experiment"] = "E9"
-    benchmark.extra_info["strategy"] = "unindexed"
-    benchmark.extra_info["history"] = history
+    join = call_id_join(UnindexedJoin)
+    assert run_join(join, outs, ins) == history
+    assert join.comparisons == history * history
 
 
-def test_window_bounds_state(benchmark):
+def test_window_bounds_state():
     """Future-work note of Section 7: bounding the stateful operators' storage."""
     outs, ins = make_call_pairs(2000)
-
-    def run():
-        join = JoinOperator(
-            "c1", "c2",
-            [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))],
-            window=100,
-        )
-        run_join(join, outs, ins)
-        return join.history_size(0), join.history_size(1)
-
-    left_size, right_size = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert left_size <= 100 and right_size <= 100
-    benchmark.extra_info["experiment"] = "E9"
-    benchmark.extra_info["strategy"] = "windowed"
-    benchmark.extra_info["bounded_history"] = max(left_size, right_size)
+    join = call_id_join(JoinOperator, window=100)
+    run_join(join, outs, ins)
+    assert 0 < join.history_size(0) <= 100 and 0 < join.history_size(1) <= 100

@@ -2,8 +2,8 @@
 
 The subscription of Figure 1 is compiled, optimised, placed and deployed
 over a.com, b.com, meteo.com and the monitor peer; synthetic SOAP traffic
-then flows through the distributed plan.  The benchmark measures end-to-end
-monitoring throughput and checks the detected incidents against the
+then flows through the distributed plan.  Checked, not timed: where the
+plan's operators are placed, and the detected incidents against the
 reference semantics computed directly from the generated calls.
 """
 
@@ -15,39 +15,20 @@ from repro.workloads import MeteoScenario
 N_CALLS = 400
 
 
-def test_meteo_deployment_shape(benchmark):
-    def run():
-        scenario = MeteoScenario(threshold=10.0, slow_fraction=0.15, seed=51)
-        scenario.deploy()
-        return scenario
-
-    scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_meteo_deployment_shape():
+    scenario = MeteoScenario(threshold=10.0, slow_fraction=0.15, seed=51)
+    scenario.deploy()
     plan = scenario.task.plan
     # the Figure 4 shape: filters at the clients, union at a client, join at the server
     for node in plan.find_all(FILTER):
         assert node.placement in ("a.com", "b.com", "meteo.com")
     assert plan.find_all(UNION)[0].placement in ("a.com", "b.com")
     assert plan.find_all(JOIN)[0].placement == "meteo.com"
-    benchmark.extra_info["experiment"] = "E1"
-    benchmark.extra_info["peers_involved"] = ",".join(scenario.task.peers_involved())
-    benchmark.extra_info["operators"] = scenario.task.operator_count
-    benchmark.extra_info["channels"] = len(scenario.task.channels_created)
 
 
 @pytest.mark.parametrize("slow_fraction", [0.05, 0.2])
-def test_meteo_end_to_end_throughput(benchmark, slow_fraction):
+def test_meteo_detects_every_slow_call(slow_fraction):
     scenario = MeteoScenario(threshold=10.0, slow_fraction=slow_fraction, seed=52)
     scenario.deploy()
-
-    def run():
-        scenario.run_traffic(N_CALLS)
-        return len(scenario.incidents())
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    expected = scenario.expected_incidents(scenario.calls)
-    assert len(scenario.incidents()) == len(expected)
-    benchmark.extra_info["experiment"] = "E1"
-    benchmark.extra_info["slow_fraction"] = slow_fraction
-    benchmark.extra_info["calls"] = len(scenario.calls)
-    benchmark.extra_info["incidents"] = len(scenario.incidents())
-    benchmark.extra_info["network_bytes"] = scenario.system.network.stats.total_bytes
+    scenario.run_traffic(N_CALLS)
+    assert len(scenario.incidents()) == len(scenario.expected_incidents(scenario.calls)) > 0

@@ -4,6 +4,10 @@ Claim: when overlapping subscriptions arrive, detecting that existing streams
 (including joined streams) already compute parts of the new plan saves CPU
 (fewer operators) and network traffic, at the cost of a few Stream Definition
 Database queries per subscription.
+
+Counted, not timed: ``operator_count`` and ``reuse_report.nodes_reused`` per
+handle, ``network.stats.total_messages`` / ``total_bytes`` of the deployment
+and of the traffic phase, with reuse against without.
 """
 
 import pytest
@@ -14,7 +18,7 @@ SUBSCRIPTION_COUNTS = [2, 10, 25]
 N_CALLS = 150
 
 
-def run_overlapping(n_subscriptions: int, reuse: bool):
+def run_overlapping(n_subscriptions: int, reuse: bool) -> dict[str, int]:
     scenario = MeteoScenario(threshold=10.0, slow_fraction=0.2, seed=41)
     tasks = [scenario.deploy(reuse=reuse)]
     for index in range(1, n_subscriptions):
@@ -27,49 +31,27 @@ def run_overlapping(n_subscriptions: int, reuse: bool):
             )
         )
     scenario.system.run()
-    deployment_messages = scenario.system.network.stats.total_messages
-    scenario.system.network.stats.reset()
+    stats = scenario.system.network.stats
+    deployment_messages = stats.total_messages
+    stats.reset()
     scenario.run_traffic(N_CALLS)
-    return scenario, tasks, deployment_messages
+    # every subscription keeps producing the same incidents
+    (incidents,) = {len(task.results()) for task in tasks}
+    return {
+        "incidents": incidents,
+        "operators": sum(task.operator_count for task in tasks),
+        "nodes_reused": sum(task.reuse_report.nodes_reused for task in tasks if task.reuse_report),
+        "deployment_messages": deployment_messages,
+        "runtime_messages": stats.total_messages,
+        "runtime_bytes": stats.total_bytes,
+    }
 
 
 @pytest.mark.parametrize("n_subscriptions", SUBSCRIPTION_COUNTS)
-@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
-def test_overlapping_subscriptions(benchmark, n_subscriptions, reuse):
-    def run():
-        return run_overlapping(n_subscriptions, reuse)
-
-    scenario, tasks, deployment_messages = benchmark.pedantic(run, rounds=1, iterations=1)
-    # every subscription keeps producing the same incidents
-    reference = len(tasks[0].results())
-    assert reference > 0
-    assert all(len(task.results()) == reference for task in tasks)
-
-    total_operators = sum(task.operator_count for task in tasks)
-    reused_nodes = sum(
-        task.reuse_report.nodes_reused for task in tasks if task.reuse_report is not None
-    )
-    benchmark.extra_info["experiment"] = "E7"
-    benchmark.extra_info["strategy"] = "reuse" if reuse else "no-reuse"
-    benchmark.extra_info["subscriptions"] = n_subscriptions
-    benchmark.extra_info["operators_deployed"] = total_operators
-    benchmark.extra_info["nodes_reused"] = reused_nodes
-    benchmark.extra_info["runtime_messages"] = scenario.system.network.stats.total_messages
-    benchmark.extra_info["runtime_bytes"] = scenario.system.network.stats.total_bytes
-    benchmark.extra_info["deployment_messages"] = deployment_messages
-
-
-def test_reuse_saves_operators_and_traffic(benchmark):
-    def run():
-        _, with_reuse, _ = run_overlapping(10, True)
-        _, without_reuse, _ = run_overlapping(10, False)
-        return with_reuse, without_reuse
-
-    with_reuse, without_reuse = benchmark.pedantic(run, rounds=1, iterations=1)
-    ops_with = sum(task.operator_count for task in with_reuse)
-    ops_without = sum(task.operator_count for task in without_reuse)
-    assert ops_with < ops_without
-    benchmark.extra_info["experiment"] = "E7"
-    benchmark.extra_info["operators_with_reuse"] = ops_with
-    benchmark.extra_info["operators_without_reuse"] = ops_without
-    benchmark.extra_info["savings_factor"] = round(ops_without / max(ops_with, 1), 2)
+def test_reuse_saves_operators_and_traffic(n_subscriptions):
+    shared = run_overlapping(n_subscriptions, reuse=True)
+    separate = run_overlapping(n_subscriptions, reuse=False)
+    assert shared["incidents"] == separate["incidents"] > 0
+    assert shared["nodes_reused"] > 0 == separate["nodes_reused"]
+    for counter in ("operators", "deployment_messages", "runtime_messages", "runtime_bytes"):
+        assert shared[counter] < separate[counter], counter

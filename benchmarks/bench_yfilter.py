@@ -3,9 +3,15 @@
 Claim: grouping path queries by their common prefixes in one NFA makes the
 per-document matching cost grow sub-linearly with the number of registered
 queries, unlike evaluating every XPath separately.
+
+Counted, not timed: ``YFilterSigma.elements_processed`` (one visit per
+document element, whatever the query count -- the per-query baseline walks
+the document once per query) and ``states_created`` (shared prefixes: fewer
+states per query the more queries there are).
 """
 
 import random
+from functools import cache
 
 import pytest
 
@@ -31,64 +37,46 @@ def make_path_queries(n_queries: int, seed: int = 0) -> list[str]:
     return queries
 
 
-@pytest.mark.parametrize("n_queries", QUERY_COUNTS)
-def test_yfilter_nfa_matching(benchmark, n_queries):
-    items = make_alert_items(N_ITEMS, seed=5)
+def build_nfa(queries: list[str]) -> YFilterSigma:
     nfa = YFilterSigma()
-    for index, query in enumerate(make_path_queries(n_queries, seed=6)):
-        nfa.add_query(f"q{index}", query)
-
-    def run():
-        total = 0
-        for item in items:
-            total += len(nfa.match(item))
-        return total
-
-    total = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["experiment"] = "E4"
-    benchmark.extra_info["strategy"] = "yfilter-nfa"
-    benchmark.extra_info["queries"] = n_queries
-    benchmark.extra_info["matches"] = total
-    benchmark.extra_info["nfa_states"] = nfa.states_created
-
-
-@pytest.mark.parametrize("n_queries", QUERY_COUNTS)
-def test_per_query_xpath_matching(benchmark, n_queries):
-    items = make_alert_items(N_ITEMS, seed=5)
-    compiled = [XPath.compile(query) for query in make_path_queries(n_queries, seed=6)]
-
-    def run():
-        total = 0
-        for item in items:
-            for query in compiled:
-                if query.matches(item):
-                    total += 1
-        return total
-
-    total = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = "E4"
-    benchmark.extra_info["strategy"] = "per-query-xpath"
-    benchmark.extra_info["queries"] = n_queries
-    benchmark.extra_info["matches"] = total
-
-
-def test_nfa_and_xpath_agree(benchmark):
-    items = make_alert_items(30, seed=9)
-    queries = make_path_queries(100, seed=10)
-    nfa = YFilterSigma()
-    compiled = {}
     for index, query in enumerate(queries):
         nfa.add_query(f"q{index}", query)
-        compiled[f"q{index}"] = XPath.compile(query)
+    return nfa
 
-    def run():
-        mismatches = 0
-        for item in items:
-            nfa_result = nfa.match(item)
-            xpath_result = {qid for qid, query in compiled.items() if query.matches(item)}
-            if nfa_result != xpath_result:
-                mismatches += 1
-        return mismatches
 
-    mismatches = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert mismatches == 0
+@cache
+def measure(n_queries: int) -> dict[str, int]:
+    items = make_alert_items(N_ITEMS, seed=5)
+    queries = make_path_queries(n_queries, seed=6)
+    nfa = build_nfa(queries)
+    compiled = [XPath.compile(query) for query in queries]
+    return {
+        "matches": sum(len(nfa.match(item)) for item in items),
+        "xpath_matches": sum(query.matches(item) for item in items for query in compiled),
+        "elements_processed": nfa.elements_processed,
+        "document_elements": sum(1 for item in items for _ in item.iter()),
+        "states_created": nfa.states_created,
+        "query_steps": sum(len(query.steps) for query in compiled),
+    }
+
+
+@pytest.mark.parametrize("n_queries", QUERY_COUNTS)
+def test_nfa_visits_each_element_once_whatever_the_query_count(n_queries):
+    counters = measure(n_queries)
+    assert counters["elements_processed"] == counters["document_elements"]
+    assert counters["matches"] == counters["xpath_matches"] > 0
+
+
+def test_states_grow_sublinearly_with_the_query_count():
+    per_query = [measure(n)["states_created"] / n for n in QUERY_COUNTS]
+    assert per_query == sorted(per_query, reverse=True) and per_query[-1] < per_query[0] / 2
+    # one automaton per query would need a state per step
+    assert measure(QUERY_COUNTS[-1])["states_created"] < measure(QUERY_COUNTS[-1])["query_steps"] / 2
+
+
+def test_nfa_and_xpath_agree():
+    queries = make_path_queries(100, seed=10)
+    nfa = build_nfa(queries)
+    compiled = {f"q{index}": XPath.compile(query) for index, query in enumerate(queries)}
+    for item in make_alert_items(30, seed=9):
+        assert nfa.match(item) == {qid for qid, query in compiled.items() if query.matches(item)}

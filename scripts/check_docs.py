@@ -20,7 +20,8 @@ when no file is named -- one on the span table of the repository benchmark:
   self-contained.
 * **Option matrix** — every option named in the "System option matrix"
   table of ``docs/ARCHITECTURE.md`` must be a parameter of
-  ``P2PMSystem.__init__`` whose default equals the documented one.
+  ``P2PMSystem.__init__`` whose default equals the documented one, and
+  every parameter of the constructor must have a row.
 * **Span table** — every dotted path in ``SPANS`` of ``perf/layers.py`` must
   resolve to an attribute defined under ``src/``: the tracer patches these
   entry points by name, so a renamed one would otherwise break only the
@@ -85,7 +86,7 @@ def check_option_matrix(text: str, rel: Path) -> list[str]:
     parameters = inspect.signature(P2PMSystem.__init__).parameters
     problems = []
     in_section = False
-    rows = 0
+    documented_options = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("## "):
             in_section = line.strip() == OPTION_MATRIX_HEADING
@@ -93,8 +94,8 @@ def check_option_matrix(text: str, rel: Path) -> list[str]:
         match = OPTION_ROW_RE.match(line) if in_section else None
         if match is None:
             continue
-        rows += 1
         option, documented = match.groups()
+        documented_options.add(option)
         if option not in parameters:
             problems.append(
                 f"{rel}:{lineno}: option `{option}` is not a P2PMSystem parameter"
@@ -104,8 +105,11 @@ def check_option_matrix(text: str, rel: Path) -> list[str]:
                 f"{rel}:{lineno}: option `{option}` documents default {documented}, "
                 f"the signature says {parameters[option].default!r}"
             )
-    if rows == 0:
-        problems.append(f"{rel}: no option rows under {OPTION_MATRIX_HEADING!r}")
+    for option in parameters:
+        if option != "self" and option not in documented_options:
+            problems.append(
+                f"{rel}: P2PMSystem parameter `{option}` has no row under {OPTION_MATRIX_HEADING!r}"
+            )
     return problems
 
 

@@ -3,8 +3,7 @@
 Recovery and make-before-break redeployments bump the deployment epoch; keying
 compiled programs on it guarantees a replacement deployment never inherits a
 program whose stages were built against the failed epoch's assumptions, while
-steady-state redeployments of the same plan shape (the ~0.99 reuse hit rate
-from BENCH_ingest) compile exactly once.
+steady-state redeployments of the same plan shape compile exactly once.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ class P2PMSystem:
       drive DHT re-replication, channel-subscriber death marking and
       recovery redeployment, and its rejoin handshake replaces revive
       notifications.  Channels switch to acknowledged delivery with
-      per-tick retransmission (``reliable_channels``).
+      per-tick retransmission (the derived ``reliable_channels`` attribute).
 
     Orthogonally, ``reliable_control=True`` routes Stream Definition
     Database publications/retractions and deployment control messages
@@ -69,14 +69,11 @@ class P2PMSystem:
         fault_model: FaultModel | None = None,
         failure_mode: str = "oracle",
         reliable_control: bool = False,
-        reliable_channels: bool | None = None,
         detector_config: DetectorConfig | None = None,
         runtime: str = "single",
         shards: int = 0,
         shard_assigner=None,
-        supervise: bool = True,
         supervisor_config=None,
-        placement_mode: str | None = None,
     ) -> None:
         if failure_mode not in ("oracle", "detector"):
             raise ValueError(
@@ -96,31 +93,19 @@ class P2PMSystem:
                 raise ValueError(
                     "runtime='sharded' does not support reliable_control=True"
                 )
-            if reliable_channels:
-                raise ValueError(
-                    "runtime='sharded' does not support reliable_channels=True"
-                )
-        if placement_mode is None:
-            # sharded runs want whole pipelines inside one worker: colocating
-            # movable operators at the manager peer keeps cross-shard traffic
-            # down to source->pipeline hops
-            placement_mode = "manager" if runtime == "sharded" else "source"
-        if placement_mode not in ("source", "manager"):
-            raise ValueError(
-                f"placement_mode must be 'source' or 'manager', got {placement_mode!r}"
-            )
-        self.placement_mode = placement_mode
+        #: sharded runs want whole pipelines inside one worker: colocating
+        #: movable operators at the manager peer keeps cross-shard traffic
+        #: down to source->pipeline hops
+        self.placement_mode = "manager" if runtime == "sharded" else "source"
         self.network = SimNetwork(seed=seed, fault_model=fault_model)
         self.kadop = KadopIndex(ChordRing())
         self.stream_db = StreamDefinitionDatabase(self.kadop)
         self.failure_mode = failure_mode
         self.reliable_control = reliable_control
-        #: acknowledged channel delivery; defaults to on exactly when the
-        #: failure oracle is off (detection latency opens a loss window the
+        #: acknowledged channel delivery: on exactly when the failure oracle
+        #: is off (detection latency opens a loss window the
         #: retransmit/takeover machinery must cover)
-        self.reliable_channels = (
-            failure_mode == "detector" if reliable_channels is None else reliable_channels
-        )
+        self.reliable_channels = failure_mode == "detector"
         self.detector: HeartbeatDetector | None = None
         if failure_mode == "detector":
             self.detector = HeartbeatDetector(
@@ -167,7 +152,6 @@ class P2PMSystem:
             self,
             shards=shards,
             assigner=shard_assigner,
-            supervise=supervise,
             supervisor_config=supervisor_config,
         )
 

@@ -158,14 +158,12 @@ def create_runtime(
     system: "P2PMSystem",
     shards: int | None = None,
     assigner: Any = None,
-    supervise: bool = True,
     supervisor_config: Any = None,
 ) -> Runtime:
     """Instantiate the runtime backend ``name`` for ``system``.
 
-    ``supervise``/``supervisor_config`` configure the sharded backend's
-    worker supervision and failover layer (see :mod:`repro.net.supervisor`);
-    the single-process backend ignores them.
+    ``supervisor_config`` tunes the sharded backend's worker supervision
+    (see :mod:`repro.net.supervisor`); the single-process backend ignores it.
     """
     if name == "single":
         return SingleProcessRuntime(system)
@@ -176,7 +174,6 @@ def create_runtime(
             system,
             shards=shards or 2,
             assigner=assigner,
-            supervise=supervise,
             supervisor_config=supervisor_config,
         )
     raise ValueError(f"runtime must be one of {RUNTIMES}, got {name!r}")

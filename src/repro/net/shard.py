@@ -31,16 +31,16 @@ multisets, not over event-log fingerprints.
 
 v1 restrictions (each enforced with an explicit error):
 
-* ``failure_mode="oracle"`` only, and no reliable control/channels -- the
-  detector and retransmission layers assume one global clock;
+* ``failure_mode="oracle"`` only (so channels are never the acknowledged
+  kind) and no ``reliable_control`` -- the detector and retransmission layers
+  assume one global clock;
 * deployment is frozen once workers fork: ``subscribe``/``cancel``/
   ``pause``/``resume`` and peer churn raise after :meth:`start`;
 * result callbacks (``handle.on_result``) must be attached before
   :meth:`start`, so the forked workers know which subscriptions need their
   items (not just their counts) shipped back to the parent.
 
-Worker supervision and failover (on by default, ``supervise=False`` opts
-out): every worker turn is bounded by a
+Worker supervision and failover: every worker turn is bounded by a
 :class:`~repro.net.supervisor.ShardSupervisor` deadline and liveness check.
 A worker that crashes, hangs past the deadline or replies off-protocol is
 *lost*: the parent fails over every peer the dead shard owned through the
@@ -67,12 +67,7 @@ from hashlib import sha1
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.net.errors import (
-    FailoverImpossible,
-    ShardWorkerError,
-    WorkerCrashed,
-    WorkerFailure,
-)
+from repro.net.errors import FailoverImpossible, ShardWorkerError, WorkerFailure
 from repro.net.runtime import Runtime, SingleProcessRuntime, apply_control
 from repro.net.supervisor import (
     ShardSupervisor,
@@ -320,7 +315,6 @@ class ShardedRuntime(Runtime):
         system: "P2PMSystem",
         shards: int = 2,
         assigner: ShardAssigner | None = None,
-        supervise: bool = True,
         supervisor_config: SupervisorConfig | None = None,
     ) -> None:
         super().__init__(system)
@@ -332,9 +326,8 @@ class ShardedRuntime(Runtime):
         self._assignments: dict[str, int] = {}
         self._conns: list[Any] = []
         self._procs: list[Any] = []
-        #: worker turn deadlines + liveness classification (None = legacy
-        #: unsupervised mode, where a loss raises instead of failing over)
-        self.supervisor = ShardSupervisor(supervisor_config) if supervise else None
+        #: worker turn deadlines + liveness classification
+        self.supervisor = ShardSupervisor(supervisor_config)
         #: deterministic worker-level fault injection (scenarios, tests)
         self.fault_injector: WorkerFaultInjector | None = None
         #: shards whose worker was lost and failed over; epochs skip them
@@ -403,14 +396,11 @@ class ShardedRuntime(Runtime):
                     # mid-start failure leaks no descriptors
                     child_conn.close()
                 self._procs.append(proc)
-            if self.supervisor is not None and self.supervisor.config.startup_ping:
-                # confirm every worker survived the fork and is serving
-                # before the first epoch; a startup death is a hard,
-                # typed error, not a failover (nothing ran yet)
-                for index in range(self.shards):
-                    self.supervisor.heartbeat(
-                        index, self._procs[index], self._conns[index]
-                    )
+            # confirm every worker survived the fork and is serving before
+            # the first epoch; a startup death is a hard, typed error, not a
+            # failover (nothing ran yet)
+            for index in range(self.shards):
+                self.supervisor.heartbeat(index, self._procs[index], self._conns[index])
         except BaseException:
             self.started = False
             self._teardown()
@@ -544,8 +534,6 @@ class ShardedRuntime(Runtime):
         try:
             self._send(shard, ("drive", peer_id, function, method, args))
         except WorkerFailure as failure:
-            if self.supervisor is None:
-                raise  # unsupervised mode reports, it does not fail over
             self._failover({shard: failure})
         return None
 
@@ -591,7 +579,6 @@ class ShardedRuntime(Runtime):
             "messages_exchanged": self.messages_exchanged,
             "results_harvested": self.results_harvested,
             "peers_per_shard": [len(owned) for owned in self.owned_by_shard],
-            "supervised": self.supervisor is not None,
             "workers_lost": sorted(self.lost_shards),
             "peers_failed_over": len(self.failed_over_peers),
             "batches_dropped": self.batches_dropped,
@@ -619,26 +606,13 @@ class ShardedRuntime(Runtime):
         blocked in ``recv`` when the parent sends, and the parent only
         sends one command before draining the matching reply.
 
-        Supervised mode returns the turns that ended in a confirmed worker
-        loss as ``{shard: WorkerFailure}`` for the caller to fail over;
-        unsupervised mode raises the first loss (typed, never a hang on
-        EOF -- only a deadline needs the supervisor).
+        The turns that ended in a confirmed worker loss come back as
+        ``{shard: WorkerFailure}`` for the caller to fail over.
         """
         replies = []
         failures: dict[int, WorkerFailure] = {}
         for index, command in commands.items():
             conn, proc = self._conns[index], self._procs[index]
-            if self.supervisor is None:
-                try:
-                    conn.send(command)
-                    replies.append(conn.recv())
-                except (EOFError, BrokenPipeError, OSError) as exc:
-                    raise WorkerCrashed(
-                        index,
-                        "pipe closed (unsupervised mode: see the worker's "
-                        "stderr for its traceback)",
-                    ) from exc
-                continue
             try:
                 replies.append(
                     self.supervisor.request(
@@ -650,18 +624,8 @@ class ShardedRuntime(Runtime):
         return replies, failures
 
     def _send(self, index: int, command: tuple) -> None:
-        """Fire-and-forget send to one worker (supervised when enabled)."""
-        if self.supervisor is None:
-            try:
-                self._conns[index].send(command)
-            except (BrokenPipeError, OSError) as exc:
-                raise WorkerCrashed(
-                    index,
-                    "pipe closed (unsupervised mode: see the worker's "
-                    "stderr for its traceback)",
-                ) from exc
-        else:
-            self.supervisor.send(index, self._procs[index], self._conns[index], command)
+        """Fire-and-forget send to one worker; a broken pipe is a typed loss."""
+        self.supervisor.send(index, self._procs[index], self._conns[index], command)
 
     def _broadcast(self, command: tuple) -> None:
         failures: dict[int, WorkerFailure] = {}
@@ -671,8 +635,6 @@ class ShardedRuntime(Runtime):
             try:
                 self._send(index, command)
             except WorkerFailure as failure:
-                if self.supervisor is None:
-                    raise  # unsupervised mode reports, it does not fail over
                 failures[index] = failure
         if failures:
             self._failover(failures)

@@ -58,9 +58,6 @@ class SupervisorConfig:
 
     turn_timeout: float = 30.0
     poll_interval: float = 0.05
-    #: ping every worker right after the fork, so a worker that dies during
-    #: startup is reported as a typed error before the first epoch
-    startup_ping: bool = True
 
 
 class ShardSupervisor:

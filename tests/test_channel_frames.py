@@ -11,6 +11,7 @@ once-per-link guard and everything that looks for a ``channel.items`` message
 fail; the single-alert call budget is the parent's own number.
 """
 
+import gc
 import sys
 
 import pytest
@@ -378,11 +379,16 @@ def _profile(action, watch: str | None = None) -> tuple[int, int]:
             if event == "call" and frame.f_code.co_name == watch:
                 entries += 1
 
+    # a collection that falls into the counted action runs `gc.callbacks`
+    # (hypothesis registers one), and they would be counted as its calls
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         action()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, entries
 
 

@@ -8,7 +8,6 @@ randomized benchmark workloads through both and require identical match
 sets, item by item and subscription by subscription.
 """
 
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -337,20 +336,3 @@ class TestCounterConsistency:
         assert naive.items_processed == 0
         assert naive.evaluations == 0
         assert naive.materializations == 0
-
-
-class TestBenchmarkSmoke:
-    def test_run_benchmarks_quick_mode(self, tmp_path):
-        """The perf tracker runs end-to-end and writes a sane summary."""
-        from benchmarks.run_benchmarks import main
-
-        out = tmp_path / "BENCH_filter.json"
-        assert main(["--quick", "--out", str(out)]) == 0
-        summary = json.loads(out.read_text())
-        assert summary["quick"] is True
-        assert summary["differential_check"]["agrees_with_naive_oracle"] is True
-        assert len(summary["filter_scaling"]) == 2
-        assert len(summary["yfilter"]) == 2
-        for row in summary["filter_scaling"] + summary["yfilter"]:
-            assert row["items_per_sec"] > 0
-        assert summary["naive_reference"]["items_per_sec"] > 0

@@ -34,6 +34,15 @@ return
 by publish as channel "alertQoS";
 """
 
+EDOS_TEMPLATE = """
+for $c in outCOM(<p>{mirror}</p>)
+where $c.callMethod = "{method}" and $c.callee = "{mirror}"
+return <hit method="{method}"><peer>{{$c.caller}}</peer></hit>
+by publish as channel "edos-{short}-{method}";
+"""
+
+EDOS_MIRRORS = [f"mirror{k}.edos.org" for k in range(3)]
+
 
 def alerter(peer="a.com", kind="outCOM"):
     return PlanNode(ALERTER, {"alerter": kind, "peer": peer, "var": "c1"}, placement=peer)
@@ -374,23 +383,37 @@ class TestReuseFastPath:
 
 
 class TestSubmitMany:
-    @pytest.mark.parametrize("mix", ["meteo", "overlap"])
+    @pytest.mark.parametrize("mix", ["meteo", "overlap", "edos"])
     def test_equivalent_to_sequential_submit(self, mix):
         if mix == "meteo":
             texts = [
                 METEO_TEMPLATE.format(threshold=[5, 10, 15][i % 3]) for i in range(9)
             ]
-        else:
+        elif mix == "overlap":
             texts = [
                 'for $c in outCOM(<p>p0.example</p>) where $c.callMethod = "M" '
                 'return <hit>{$c.caller}</hit> by publish as channel "ch"'
             ] * 6
-        systems = {}
-        for strategy in ("sequential", "batch"):
+        else:  # per-mirror method filters, six variants cycled twice
+            texts = [
+                EDOS_TEMPLATE.format(
+                    mirror=f"mirror{i % 3}.edos.org",
+                    method=["GetPackage", "QueryIndex"][(i // 3) % 2],
+                    short=f"m{i % 3}",
+                )
+                for i in range(12)
+            ]
+        deployed = {}
+        # "oracle": sequential submits with every ingestion fast path off --
+        # XPath queries instead of the secondary indexes, no signature cache
+        for strategy in ("sequential", "batch", "oracle"):
             system = P2PMSystem(seed=5)
-            for peer_id in ("a.com", "b.com", "meteo.com", "p0.example"):
+            for peer_id in ("a.com", "b.com", "meteo.com", "p0.example", *EDOS_MIRRORS):
                 system.add_peer(peer_id)
             monitor = system.add_peer("monitor.example")
+            if strategy == "oracle":
+                system.stream_db.use_index = False
+                system.reuse_cache = None
             sub_ids = [f"s-{i}" for i in range(len(texts))]
             if strategy == "batch":
                 handles = monitor.subscribe_many(texts, sub_ids=sub_ids)
@@ -399,23 +422,48 @@ class TestSubmitMany:
                     monitor.subscribe(text, sub_id=sub_id)
                     for text, sub_id in zip(texts, sub_ids)
                 ]
-            systems[strategy] = (system, handles)
-        _, sequential = systems["sequential"]
-        _, batch = systems["batch"]
-        assert [h.sub_id for h in batch] == [h.sub_id for h in sequential]
-        for batch_handle, sequential_handle in zip(batch, sequential):
-            assert batch_handle.operator_count == sequential_handle.operator_count
-            assert batch_handle.peers_involved() == sequential_handle.peers_involved()
-            assert (
-                batch_handle.task.channels_created
-                == sequential_handle.task.channels_created
-            )
-            batch_report = batch_handle.reuse_report
-            sequential_report = sequential_handle.reuse_report
-            assert batch_report.nodes_reused == sequential_report.nodes_reused
-            assert batch_report.nodes_considered == sequential_report.nodes_considered
-            assert batch_report.reused == sequential_report.reused
-            assert batch_handle.plan.describe() == sequential_handle.plan.describe()
+            assert system.stream_db.verify_index_coherence() == []
+            deployed[strategy] = handles
+        sequential = deployed.pop("sequential")
+        assert sum(h.reuse_report.nodes_reused for h in sequential) > 0
+        for strategy, handles in deployed.items():
+            assert [h.sub_id for h in handles] == [h.sub_id for h in sequential], strategy
+            for handle, sequential_handle in zip(handles, sequential):
+                assert handle.operator_count == sequential_handle.operator_count
+                assert handle.peers_involved() == sequential_handle.peers_involved()
+                assert handle.task.channels_created == sequential_handle.task.channels_created
+                report, sequential_report = handle.reuse_report, sequential_handle.reuse_report
+                assert report.nodes_reused == sequential_report.nodes_reused
+                assert report.nodes_considered == sequential_report.nodes_considered
+                assert report.reused == sequential_report.reused
+                assert handle.plan.describe() == sequential_handle.plan.describe()
+
+    def test_index_stays_coherent_while_ingesting_under_mirror_churn(self):
+        """Per wave: fail a mirror, ingest against the survivors, revive it;
+        the secondary indexes agree with the document store at every step."""
+        system = P2PMSystem(seed=3)
+        for mirror in EDOS_MIRRORS:
+            system.add_peer(mirror)
+        monitor = system.add_peer("monitor.example")
+        for wave in range(2):
+            victim = EDOS_MIRRORS[wave]
+            alive = [mirror for mirror in EDOS_MIRRORS if mirror != victim]
+            texts = [
+                EDOS_TEMPLATE.format(
+                    mirror=alive[i % 2],
+                    method=["GetPackage", "QueryIndex"][i % 2],
+                    short=f"w{wave}-{i % 2}",
+                )
+                for i in range(20)
+            ]
+            system.fail_peer(victim)
+            assert system.stream_db.verify_index_coherence() == []
+            handles = monitor.subscribe_many(texts, sub_ids=[f"churn-{wave}-{i}" for i in range(20)])
+            assert all(handle.status == "deployed" for handle in handles)
+            system.revive_peer(victim)
+            assert system.stream_db.verify_index_coherence() == []
+        system.run()
+        assert system.stream_db.verify_index_coherence() == []
 
     def test_batch_delivers_results(self):
         from repro.workloads import MeteoScenario
@@ -506,27 +554,6 @@ class TestSubmitMany:
         assert first.cancel()
         assert second.is_active
         assert second.cancel()
-
-
-class TestIngestGate:
-    def test_small_rows_are_not_gated(self):
-        """Sub-100ms cells flake on scheduler noise; only >=1k rows gate."""
-        from benchmarks.bench_ingest import GATE_MIN_SUBSCRIPTIONS, compare_to_baseline
-
-        def row(n, rate):
-            return {"mix": "meteo", "subscriptions": n, "mode": "batch",
-                    "subs_per_sec": rate}
-
-        baseline = {"throughput": [row(100, 1000.0), row(1000, 1000.0)]}
-        # a collapsed small row is ignored; a collapsed gated row is flagged
-        assert compare_to_baseline(
-            {"throughput": [row(100, 1.0), row(1000, 999.0)]}, baseline, 0.4
-        ) == []
-        problems = compare_to_baseline(
-            {"throughput": [row(1000, 1.0)]}, baseline, 0.4
-        )
-        assert len(problems) == 1 and "subs=1000" in problems[0]
-        assert GATE_MIN_SUBSCRIPTIONS == 1000
 
 
 class TestChannelNameAllocation:

@@ -206,15 +206,6 @@ class TestShardedRestrictions:
                 reliable_control=True,
             )
 
-    def test_reliable_channels_is_rejected(self):
-        with pytest.raises(ValueError, match="reliable_channels"):
-            P2PMSystem(
-                runtime="sharded",
-                shards=2,
-                failure_mode="oracle",
-                reliable_channels=True,
-            )
-
     def test_fewer_than_two_shards_is_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             P2PMSystem(runtime="sharded", shards=1, failure_mode="oracle")

@@ -211,22 +211,6 @@ class TestCrashFailover:
         assert sorted(error.lost) == [1, 2]
         assert error.shards == 3
 
-    def test_unsupervised_mode_raises_typed_error_on_crash(self):
-        """supervise=False keeps PR8 behaviour minus the hang: typed, no failover."""
-        system, sources, _ = build_system(supervise=False)
-        runtime = system.runtime
-        assert runtime.supervisor is None
-
-        def scenario():
-            pump(system, sources, range(2))
-            os.kill(runtime._procs[1].pid, signal.SIGKILL)
-            with pytest.raises(WorkerCrashed, match="unsupervised"):
-                pump(system, sources, range(2, 4))
-            system.shutdown()
-
-        finishes_within(scenario)
-        assert runtime.failed_over_peers == []
-
 
 class TestTypedWorkerErrors:
     def test_remote_exception_carries_traceback(self):
