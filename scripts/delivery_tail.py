@@ -13,9 +13,10 @@
     python3 scripts/delivery_tail.py collector fanout
         one measured burst with the collector on (collections per generation)
         and one with it off (unreachable objects a ``gc.collect()`` then finds)
-    python3 scripts/delivery_tail.py stages fanout
-        the counted subscribe phase again, under ``sys.setprofile``: inclusive
-        calls per subscription of each control-plane stage (``STAGES``)
+    python3 scripts/delivery_tail.py stages fanout [--phase cancel]
+        the counted subscribe (or cancel) phase again, under ``sys.setprofile``:
+        inclusive calls per subscription (per cancel) of each control-plane
+        stage (``STAGES``)
 
 These are the tables of "The delivery tail", "The DHT write path", "A twin
 subscription costs its delta" and "A burst stays a burst" in
@@ -85,11 +86,14 @@ def functions(workload, top: int, phase_name: str) -> None:
         print(f"{count / ops:8.3f}  {name}")
 
 
-#: label, file under ``src/repro``, functions: a stage is everything called
-#: from the outermost activation of one of them (itself included).  Stages
-#: may nest -- the indented ones always do; the reuse key was derived inside
-#: ``ReuseEngine.apply`` until the plan template took it over
-STAGES = (
+#: KadoP's routed lookups, wherever they happen
+ROUTING = ("  of which KadoP routing", "dht/chord.py", ("_route", "lookup"))
+
+#: phase -> (label, file under ``src/repro``, functions): a stage is
+#: everything called from the outermost activation of one of them (itself
+#: included).  Stages may nest -- the indented ones always do; the reuse key
+#: was derived inside ``ReuseEngine.apply`` until the plan template took it over
+STAGES = {"subscribe": (
     ("parse", "p2pml/parser.py", ("parse_subscription",)),
     ("compile", "p2pml/compiler.py", ("compile_subscription",)),
     ("optimise", "monitor/optimizer.py", ("optimize_plan",)),
@@ -101,13 +105,19 @@ STAGES = (
     ("place", "monitor/placement.py", ("place_plan",)),
     ("deploy", "monitor/deployment.py", ("deploy",)),
     ("  of which stream-definition publish", "monitor/stream_db.py", ("publish_stream", "publish_replica")),
-)
+    ROUTING,
+), "cancel": (
+    ("cancel", "monitor/handle.py", ("cancel",)),
+    ("  of which stream-definition retract", "monitor/stream_db.py", ("retract",)),
+    ROUTING,
+)}
 
 
-def stages(workload) -> None:
+def stages(workload, phase_name: str) -> None:
     from perf import harness
 
-    label_of = {(file, name): label for label, file, names in STAGES for name in names}
+    table = STAGES[phase_name]
+    label_of = {(file, name): label for label, file, names in table for name in names}
     inclusive: Counter = Counter()
     depth: Counter = Counter()
     active: list[str] = []
@@ -136,14 +146,14 @@ def stages(workload) -> None:
     plain_enter, plain_exit = harness._Phase.__enter__, harness._Phase.__exit__
 
     def traced_enter(phase) -> None:
-        if not (phase.clock.count_calls and phase.name == "subscribe"):
+        if not (phase.clock.count_calls and phase.name == phase_name):
             return plain_enter(phase)
         phase.clock.count_calls = False  # one profiler at a time: ours, for this phase
         plain_enter(phase)
         sys.setprofile(tracer)
 
     def traced_exit(phase, *exc_info) -> None:
-        if phase.name == "subscribe" and sys.getprofile() is tracer:
+        if phase.name == phase_name and sys.getprofile() is tracer:
             sys.setprofile(None)
             phase.clock.count_calls = True
             phase.clock.calls[phase.name] = Counter({"all": total})
@@ -152,11 +162,12 @@ def stages(workload) -> None:
     harness._Phase.__enter__, harness._Phase.__exit__ = traced_enter, traced_exit
     sizes = workload.sizes(1.0).counted(1.0)
     counted = harness._counted_cycle(workload, SEED, sizes, harness.Tally())
-    subs = total / counted["per_sub"]
-    print(f"{workload.name}: pycalls_per_sub {counted['per_sub']:.1f} over {subs:.0f} subscriptions")
-    for label, _, _ in STAGES:
-        print(f"{inclusive[label] / subs:8.1f}  {label}")
-    print(f"{outside / subs:8.1f}  outside every stage (ids, records, handles, the harness's own frames)")
+    metric = PHASES[phase_name]
+    ops = total / counted[metric]
+    print(f"{workload.name}: pycalls_{metric} {counted[metric]:.1f} over {ops:.0f} operations ({phase_name})")
+    for label, _, _ in table:
+        print(f"{inclusive[label] / ops:8.1f}  {label}")
+    print(f"{outside / ops:8.1f}  outside every stage (ids, records, handles, the harness's own frames)")
 
 
 def frames(workload) -> None:
@@ -236,12 +247,15 @@ def main() -> int:
     parser.add_argument("what", choices=("functions", "collector", "stages", "frames"))
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--top", type=int, default=15)
-    parser.add_argument("--phase", choices=sorted(PHASES), default="burst")
+    parser.add_argument("--phase", choices=sorted(PHASES), help="functions: burst (default); stages: subscribe (default) or cancel")
     args = parser.parse_args()
     if args.what == "functions":
-        functions(WORKLOADS[args.workload], args.top, args.phase)
+        functions(WORKLOADS[args.workload], args.top, args.phase or "burst")
     elif args.what == "stages":
-        stages(WORKLOADS[args.workload])
+        phase = args.phase or "subscribe"
+        if phase not in STAGES:
+            parser.error(f"stages splits the {' / '.join(STAGES)} phase, not {phase!r}")
+        stages(WORKLOADS[args.workload], phase)
     elif args.what == "frames":
         frames(WORKLOADS[args.workload])
     else:

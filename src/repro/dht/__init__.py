@@ -13,13 +13,12 @@ provides a self-contained equivalent:
   membership event stream consumed by the ``areRegistered`` alerter.
 """
 
-from repro.dht.hashing import hash_key, ring_distance
+from repro.dht.hashing import hash_key
 from repro.dht.chord import ChordNode, ChordRing, LookupResult
 from repro.dht.kadop import KadopIndex, MembershipEvent
 
 __all__ = [
     "hash_key",
-    "ring_distance",
     "ChordNode",
     "ChordRing",
     "LookupResult",

@@ -16,6 +16,10 @@ from typing import Iterator
 
 from repro.dht.hashing import M_BITS, hash_key
 
+#: Bound on a ring's key -> position memo: positions never go stale, but keys
+#: embed stream and peer ids, so the memo is cleared wholesale when full.
+POSITION_MEMO_LIMIT = 1 << 16
+
 
 @dataclass
 class LookupResult:
@@ -59,6 +63,7 @@ class ChordRing:
         self._positions: list[int] = []  # sorted positions, parallel to _sorted
         self._version = 0  # bumped on every membership change (invalidates fingers)
         self.membership_log: list[tuple[str, str]] = []  # (event, node_id)
+        self._key_positions: dict[str, int] = {}  # hashed once per key; not a home cache
         self.lookup_count = 0
         self.total_hops = 0
 
@@ -173,15 +178,23 @@ class ChordRing:
 
     # -- routing ------------------------------------------------------------------
 
-    def lookup(self, key: str, start: str | None = None) -> LookupResult:
-        """Route to the node responsible for ``key`` using finger tables."""
+    def _route(self, key: str, start: str | None, path: list[str] | None) -> ChordNode:
+        """Walk the fingers from ``start`` (default: the first node) to the node
+        responsible for ``key``; count the lookup and its hops, and append every
+        node visited, the start included, to ``path`` unless it is ``None``."""
         if not self._sorted:
             raise RuntimeError("the ring is empty")
         size = 1 << self.bits
-        target = hash_key(key, self.bits)
+        try:
+            target = self._key_positions[key]
+        except KeyError:
+            if len(self._key_positions) >= POSITION_MEMO_LIMIT:
+                self._key_positions.clear()
+            target = self._key_positions[key] = hash_key(key, self.bits)
         current = self._nodes[start] if start else self._sorted[0]
+        if path is not None:
+            path.append(current.node_id)
         hops = 0
-        path = [current.node_id]
         # Follow fingers: jump to the finger closest to (but not past) the
         # target.  Intervals are clockwise distances on plain ints: x lies in
         # (a, b] exactly when 0 < (x - a) % size <= (b - a) % size.
@@ -194,10 +207,11 @@ class ChordRing:
             position = current.position
             gap = (target - position) % size
             successor = routes[-1]
+            hops += 1
             if 0 < gap <= (successor.position - position) % size:
                 current = successor  # target in (node, successor]: it is responsible
-                hops += 1
-                path.append(current.node_id)
+                if path is not None:
+                    path.append(current.node_id)
                 break
             # the farthest finger in (node, target - 1]; the successor is one
             # (it is nearer than the target), or every finger is (gap == 0:
@@ -206,31 +220,34 @@ class ChordRing:
             for current in routes:
                 if (current.position - position) % size <= limit:
                     break
-            hops += 1
-            path.append(current.node_id)
+            if path is not None:
+                path.append(current.node_id)
         self.lookup_count += 1
         self.total_hops += hops
-        return LookupResult(current.node_id, hops, path)
+        return current
 
-    # -- storage -------------------------------------------------------------------
+    def lookup(self, key: str, start: str | None = None) -> LookupResult:
+        """Route to the node responsible for ``key`` using finger tables."""
+        path: list[str] = []
+        node = self._route(key, start, path)
+        return LookupResult(node.node_id, len(path) - 1, path)
+
+    # -- storage: one counted lookup each, no LookupResult ---------------------------
 
     def storage_for(self, key: str, start: str | None = None) -> dict[str, object]:
-        """Route to ``key`` (one counted lookup); the responsible node's storage."""
-        return self._nodes[self.lookup(key, start).node_id].storage
+        """Route to ``key``; the responsible node's storage."""
+        return self._route(key, start, None).storage
 
-    def put(self, key: str, value: object, start: str | None = None) -> LookupResult:
+    def put(self, key: str, value: object, start: str | None = None) -> None:
         """Store ``value`` under ``key`` at the responsible node."""
-        result = self.lookup(key, start)
-        self._nodes[result.node_id].storage[key] = value
-        return result
+        self._route(key, start, None).storage[key] = value
 
-    def get(self, key: str, start: str | None = None) -> tuple[object | None, LookupResult]:
-        """Fetch the value stored under ``key`` (``None`` when absent)."""
-        result = self.lookup(key, start)
-        return self._nodes[result.node_id].storage.get(key), result
+    def get(self, key: str, start: str | None = None) -> object | None:
+        """The value stored under ``key`` (``None`` when absent)."""
+        return self._route(key, start, None).storage.get(key)
 
     def remove(self, key: str, start: str | None = None) -> bool:
-        return self.storage_for(key, start).pop(key, None) is not None
+        return self._route(key, start, None).storage.pop(key, None) is not None
 
     @property
     def average_hops(self) -> float:

@@ -1,4 +1,4 @@
-"""Consistent hashing helpers for the identifier ring."""
+"""Consistent hashing onto the identifier ring."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import hashlib
 
 #: Number of bits of the identifier space (2**M positions on the ring).
 M_BITS = 32
-RING_SIZE = 1 << M_BITS
 
 
 def hash_key(key: str, bits: int = M_BITS) -> int:
@@ -18,22 +17,3 @@ def hash_key(key: str, bits: int = M_BITS) -> int:
     digest = hashlib.sha1(key.encode("utf-8")).digest()
     value = int.from_bytes(digest, "big")
     return value % (1 << bits)
-
-
-def ring_distance(start: int, end: int, bits: int = M_BITS) -> int:
-    """Clockwise distance from ``start`` to ``end`` on the ring."""
-    size = 1 << bits
-    return (end - start) % size
-
-
-def in_interval(value: int, start: int, end: int, bits: int = M_BITS) -> bool:
-    """True when ``value`` lies in the half-open clockwise interval (start, end]."""
-    size = 1 << bits
-    value %= size
-    start %= size
-    end %= size
-    if start < end:
-        return start < value <= end
-    if start > end:  # interval wraps around zero
-        return value > start or value <= end
-    return True  # start == end: the interval is the full ring

@@ -78,7 +78,7 @@ class KadopIndex:
         self._doc_terms: dict[str, frozenset[str]] = {}
         self.keys_restored = 0
         # ensure the catalogue of all doc ids exists
-        if self.ring.get(_DOCS_KEY)[0] is None:
+        if self.ring.get(_DOCS_KEY) is None:
             self.ring.put(_DOCS_KEY, set())
 
     # -- peer membership --------------------------------------------------------
@@ -197,15 +197,17 @@ class KadopIndex:
 
     def unpublish(self, doc_id: str) -> bool:
         """Remove a document from the index.  Returns False when unknown."""
-        document, _ = self.ring.get(f"doc:{doc_id}")
+        key = f"doc:{doc_id}"
+        storage = self.ring.storage_for(key)  # read and remove in the one visit
+        document = storage.get(key)
         if not isinstance(document, Element):
             return False
+        del storage[key]
         for term in self._doc_terms.pop(doc_id, ()):
             self._drop_posting(term, doc_id)
-        catalogue, _ = self.ring.get(_DOCS_KEY)
+        catalogue = self.ring.get(_DOCS_KEY)
         if isinstance(catalogue, set):
             catalogue.discard(doc_id)
-        self.ring.remove(f"doc:{doc_id}")
         self._doc_replicas.pop(doc_id, None)
         self._query_cache.clear()
         self._notify_documents("unpublish", doc_id, document)
@@ -222,12 +224,12 @@ class KadopIndex:
                 del storage[key]
 
     def document(self, doc_id: str) -> Element | None:
-        document, _ = self.ring.get(f"doc:{doc_id}")
+        document = self.ring.get(f"doc:{doc_id}")
         return document if isinstance(document, Element) else None
 
     @property
     def document_ids(self) -> list[str]:
-        catalogue, _ = self.ring.get(_DOCS_KEY)
+        catalogue = self.ring.get(_DOCS_KEY)
         return sorted(catalogue) if isinstance(catalogue, set) else []
 
     # -- querying ---------------------------------------------------------------------
@@ -284,7 +286,7 @@ class KadopIndex:
     # -- internals -----------------------------------------------------------------------
 
     def _postings(self, term: str) -> set[str]:
-        postings, _ = self.ring.get(f"term:{term}")
+        postings = self.ring.get(f"term:{term}")
         return set(postings) if isinstance(postings, set) else set()
 
     @staticmethod
@@ -308,7 +310,7 @@ class KadopIndex:
                 self._query_terms.clear()
             self._query_terms[path.expression] = terms
         if not terms:
-            catalogue, _ = self.ring.get(_DOCS_KEY)
+            catalogue = self.ring.get(_DOCS_KEY)
             return set(catalogue) if isinstance(catalogue, set) else set()
         # fetch in deterministic term order (lookup accounting stays stable),
         # then intersect smallest-set-first: the running intersection can

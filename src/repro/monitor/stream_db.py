@@ -140,40 +140,33 @@ class StreamDefinitionDatabase:
         is_channel: bool = True,
         avg_volume: float = 0.0,
     ) -> Element:
-        """Build the ``<Stream>`` description of a deployed plan node."""
+        """Build the ``<Stream>`` description of a deployed plan node (every
+        attribute is already a ``str``: the trusted constructor suffices)."""
         operator_name = OPERATOR_NAMES.get(node.kind)
         if node.kind == ALERTER:
             operator_name = node.params.get("alerter", "alerter")
         if operator_name is None:
             raise ValueError(f"plan node of kind {node.kind!r} does not produce a stream")
-        operator = Element("Operator", children=[
-            Element(operator_name, {"spec": operator_spec(node)})
-        ])
-        operands = Element("Operands", children=[
-            Element("Operand", {"OPeerId": op_peer, "OStreamId": op_stream})
+        new = Element.fast_new
+        operator = new("Operator", {}, [new(operator_name, {"spec": operator_spec(node)}, [])])
+        operands = new("Operands", {}, [
+            new("Operand", {"OPeerId": op_peer, "OStreamId": op_stream}, [])
             for op_peer, op_stream in operand_streams
         ])
-        stats = Element("Stats", {"avgVolume": f"{avg_volume:.1f}"})
-        return Element(
-            "Stream",
-            {
-                "PeerId": peer_id,
-                "StreamId": stream_id,
-                "isAChannel": "true" if is_channel else "false",
-            },
-            [operator, operands, stats],
-        )
+        stats = new("Stats", {"avgVolume": f"{avg_volume:.1f}"}, [])
+        attrib = {"PeerId": peer_id, "StreamId": stream_id, "isAChannel": "true" if is_channel else "false"}
+        return new("Stream", attrib, [operator, operands, stats])
 
     def publish_stream(self, description: Element) -> str:
         """Store a ``<Stream>`` description; returns its document id."""
         if description.tag != "Stream":
             raise ValueError("expected a <Stream> description")
-        self.streams_published += 1
         doc_id = f"stream:{description.attrib['StreamId']}@{description.attrib['PeerId']}"
         if self.router is not None:
             self.router.publish_document(description, doc_id)
         else:
             self.index.publish(description, doc_id)
+        self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
     def publish_node(
@@ -192,8 +185,7 @@ class StreamDefinitionDatabase:
         self, peer_id: str, stream_id: str, replica_peer_id: str, replica_stream_id: str
     ) -> str:
         """Declare that ``replica_peer_id`` can also provide ``stream_id@peer_id``."""
-        self.replicas_published += 1
-        description = Element(
+        description = Element.fast_new(
             "InChannel",
             {
                 "PeerId": peer_id,
@@ -201,12 +193,14 @@ class StreamDefinitionDatabase:
                 "ReplicaPeerId": replica_peer_id,
                 "ReplicaStreamId": replica_stream_id,
             },
+            [],
         )
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
         if self.router is not None:
             self.router.publish_document(description, doc_id)
         else:
             self.index.publish(description, doc_id)
+        self.replicas_published += 1
         return doc_id
 
     # -- retraction ---------------------------------------------------------------
@@ -307,6 +301,7 @@ class StreamDefinitionDatabase:
         by_operator: dict[tuple[str, tuple[tuple[str, str], ...]], set[str]] = {}
         by_alerter: dict[tuple[str, str], set[str]] = {}
         replica_map: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
+        replica_keys: dict[str, tuple[str, str]] = {}
         for doc_id in self.index.document_ids:
             document = self.index.document(doc_id)
             if document is None:
@@ -326,11 +321,13 @@ class StreamDefinitionDatabase:
                     document.attrib["ReplicaPeerId"],
                     document.attrib["ReplicaStreamId"],
                 )
+                replica_keys[doc_id] = original
         for name, expected, actual in (
             ("descriptions", descriptions, self._descriptions),
             ("by_operator", by_operator, self._by_operator),
             ("by_alerter", by_alerter, self._by_alerter),
             ("replica_map", replica_map, self._replica_map),
+            ("replica_keys", replica_keys, self._replica_keys),
         ):
             if expected != actual:
                 missing = expected.keys() - actual.keys()

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dht import ChordRing, hash_key, ring_distance
-from repro.dht.hashing import M_BITS, in_interval
+from repro.dht import ChordRing, hash_key
+from repro.dht.hashing import M_BITS
 
 
 class TestHashing:
@@ -17,20 +17,6 @@ class TestHashing:
 
     def test_different_keys_differ(self):
         assert hash_key("peer1") != hash_key("peer2")
-
-    def test_ring_distance(self):
-        assert ring_distance(10, 20, bits=8) == 10
-        assert ring_distance(250, 5, bits=8) == 11
-        assert ring_distance(7, 7, bits=8) == 0
-
-    def test_in_interval_plain_and_wrapping(self):
-        assert in_interval(5, 1, 10, bits=8)
-        assert not in_interval(1, 1, 10, bits=8)  # half-open at start
-        assert in_interval(10, 1, 10, bits=8)  # closed at end
-        assert in_interval(3, 250, 10, bits=8)  # wraps
-        assert in_interval(255, 250, 10, bits=8)
-        assert not in_interval(100, 250, 10, bits=8)
-        assert in_interval(42, 7, 7, bits=8)  # full ring
 
 
 class TestMembership:
@@ -67,11 +53,10 @@ class TestStorage:
         for name in ("a", "b", "c"):
             ring.join(name)
         ring.put("key1", "value1")
-        value, result = ring.get("key1")
-        assert value == "value1"
-        assert result.node_id in ring.node_ids
+        assert ring.get("key1") == "value1"
+        assert ring.storage_for("key1") is ring.node(ring.lookup("key1").node_id).storage
         assert ring.remove("key1")
-        assert ring.get("key1")[0] is None
+        assert ring.get("key1") is None
         assert not ring.remove("key1")
 
     def test_lookup_on_empty_ring_raises(self):
@@ -94,7 +79,7 @@ class TestStorage:
         for name in ("b", "c", "d", "e"):
             ring.join(name)
         for key in keys:
-            assert ring.get(key)[0] == key.upper()
+            assert ring.get(key) == key.upper()
         # keys are actually spread over several nodes
         occupied = [n for n, count in ring.storage_distribution().items() if count]
         assert len(occupied) > 1
@@ -109,7 +94,7 @@ class TestStorage:
         ring.leave("b")
         ring.leave("c")
         for key in keys:
-            assert ring.get(key)[0] == key
+            assert ring.get(key) == key
 
     def test_lookup_consistent_from_any_start(self):
         ring = ChordRing()
@@ -165,7 +150,7 @@ def test_property_every_stored_key_is_retrievable(node_names, keys):
     for key in keys:
         ring.put(key, f"value-{key}")
     for key in keys:
-        assert ring.get(key)[0] == f"value-{key}"
+        assert ring.get(key) == f"value-{key}"
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,4 +169,4 @@ def test_property_keys_survive_churn(keys, leavers):
         ring.leave(name)
     ring.join("latecomer")
     for key in keys:
-        assert ring.get(key)[0] == key
+        assert ring.get(key) == key

@@ -1,30 +1,58 @@
 """The DHT write path: same routing to the hop, at what the hops cost.
 
-(a) ``ChordRing.lookup`` against a frozen copy of the routine it replaced
-    (commit f3a816a: ``lookup`` + ``_successor_of`` + ``_closest_preceding``
-    over ``hashing.in_interval``) on random join / leave / fail scripts.
-    Passes at the parent too -- it pins the routing, not the cost.
-(b) Calls per lookup on a 1 024-node ring: 3 Python calls whatever the hops.
-    Fails at the parent (52.1 Python calls and 5.8 ``list.index`` scans).
-(c) Routed lookups per ``publish`` / ``unpublish``.  The known-terms half
-    passes at the parent, the new-terms half fails there (one extra lookup
-    per new term).
-(d) One stored copy per published document.  The identity half fails at the
-    parent (two copies), the failure half passes there.
+(a) ``ChordRing.lookup`` and the storage accesses (``storage_for`` / ``put``
+    / ``get`` / ``remove``) against a frozen copy of the routine of commit
+    f3a816a (``lookup`` + ``_successor_of`` + ``_closest_preceding`` over
+    ``in_interval``) on random join / leave / fail scripts: same node, same
+    hops, same path, same ``lookup_count`` / ``total_hops``.
+(b) Calls per routed lookup on a warm 1 024-node ring, whatever the hops: a
+    storage access is 2 Python calls and builds no ``LookupResult``, a
+    ``lookup`` at most 4; no list scan.
+(c) Routed lookups per ``publish`` (``2 + T``) / ``unpublish`` (``2 + T``: the
+    document is read and removed in one visit).
+(d) One stored copy per published document.
+(e) Subscribing the ``filter`` deck routes exactly the lookups and hops it
+    did before keys were hashed once and storage stopped building results.
 """
 
+import gc
 import math
 import sys
 from bisect import bisect_left
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dht import ChordRing, KadopIndex, hash_key
-from repro.dht.hashing import in_interval
+from repro.dht import ChordRing, KadopIndex, LookupResult, hash_key
+from repro.dht.hashing import M_BITS
+from repro.monitor import P2PMSystem
 from repro.xmlmodel import parse_xml
 
 
 # -- (a) the routine of f3a816a, frozen ---------------------------------------------------
+
+
+def in_interval(value: int, start: int, end: int, bits: int = M_BITS) -> bool:
+    """True when ``value`` lies in the half-open clockwise interval (start, end]."""
+    size = 1 << bits
+    value %= size
+    start %= size
+    end %= size
+    if start < end:
+        return start < value <= end
+    if start > end:  # interval wraps around zero
+        return value > start or value <= end
+    return True  # start == end: the interval is the full ring
+
+
+def test_frozen_in_interval_plain_and_wrapping():
+    assert in_interval(5, 1, 10, bits=8)
+    assert not in_interval(1, 1, 10, bits=8)  # half-open at start
+    assert in_interval(10, 1, 10, bits=8)  # closed at end
+    assert in_interval(3, 250, 10, bits=8)  # wraps
+    assert in_interval(255, 250, 10, bits=8)
+    assert not in_interval(100, 250, 10, bits=8)
+    assert in_interval(42, 7, 7, bits=8)  # full ring
 
 
 def _frozen_successor_node(ring, position):
@@ -105,6 +133,30 @@ class _Differential:
             node = self.ring.node(node_id)
             assert self.ring._fingers_of(node) == _frozen_fingers_of(self.ring, node)
 
+    def access(self, how: str, key: str, start: str | None) -> None:
+        """A storage access reaches the node the frozen routine names, and
+        counts one lookup with the frozen routine's hops."""
+        node_id, hops, _ = frozen_lookup(self.ring, key, start)
+        storage = self.ring.node(node_id).storage
+        marker = object()
+        if how == "storage_for":
+            assert self.ring.storage_for(key, start) is storage
+        elif how == "put":
+            self.ring.put(key, marker, start)
+            assert storage[key] is marker
+        elif how == "get":
+            storage[key] = marker
+            assert self.ring.get(key, start) is marker
+        else:
+            storage[key] = marker
+            assert self.ring.remove(key, start) and key not in storage
+        self.lookups += 1
+        self.hops += hops
+        assert (self.ring.lookup_count, self.ring.total_hops) == (self.lookups, self.hops)
+
+
+ACCESSES = ("storage_for", "put", "get", "remove")
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -112,7 +164,7 @@ class _Differential:
     size=st.integers(1, 300),
     script=st.lists(
         st.tuples(
-            st.sampled_from(["join", "leave", "fail", "lookup", "lookup"]),
+            st.sampled_from(["join", "leave", "fail", "lookup", "lookup", *ACCESSES]),
             st.integers(0, 10**6),
             st.text("abcdef0123456789:@", min_size=0, max_size=12),
         ),
@@ -127,13 +179,15 @@ def test_routes_exactly_as_the_frozen_routine(bits, size, script):
     world.check("first", None)
     for action, number, key in script:
         members = ring.node_ids
+        # even numbers start at the ring's first node, as KadoP does
+        start = None if number % 2 == 0 else members[number % len(members)]
         if action == "join":
             if len(ring) < (200 if bits == 8 else 300):
                 world.join()
         elif action == "lookup":
-            # even numbers start at the ring's first node, as KadoP does
-            start = None if number % 2 == 0 else members[number % len(members)]
             world.check(key, start)
+        elif action in ACCESSES:
+            world.access(action, key, start)
         elif len(ring) > 1:
             getattr(ring, action)(members[number % len(members)])
         world.check(key, None)
@@ -152,12 +206,41 @@ def test_single_node_ring_and_collided_positions():
     assert any(node.position != hash_key(node.node_id, 8) for node in ring.nodes())
     for i in range(300):
         crowded.check(f"key{i}", f"n{i % 200}")
+        crowded.access(ACCESSES[i % 4], f"key{i}", f"n{(i * 7) % 200}")
     for node_id in ("n3", "n77", "n150"):
         ring.leave(node_id)
         crowded.check(node_id, None)
+        crowded.access("get", node_id, None)
 
 
-# -- (b) a lookup costs its hops --------------------------------------------------------
+# -- (b) a routed lookup costs its hops ---------------------------------------------------
+
+
+def _profiled(ring: ChordRing, keys: list[str], route) -> tuple[int, int, int]:
+    """Python calls, ``LookupResult`` constructions and ``list.index`` scans
+    while ``route(key)`` runs for every key."""
+    python_calls = results = scans = 0
+
+    def count(frame, event, argument) -> None:
+        nonlocal python_calls, results, scans
+        if event == "call":
+            python_calls += 1
+            results += isinstance(frame.f_locals.get("self"), LookupResult)
+        elif event == "c_call" and getattr(argument, "__qualname__", "") == "list.index":
+            scans += 1
+
+    # a collection inside the count would run `gc.callbacks` (hypothesis
+    # registers one) and add their frames to it
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        for key in keys:
+            route(key)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return python_calls, results, scans
 
 
 def test_a_lookup_on_1024_nodes_costs_its_hops_not_a_list_scan():
@@ -166,26 +249,18 @@ def test_a_lookup_on_1024_nodes_costs_its_hops_not_a_list_scan():
         ring.join(f"peer{i}")
     for node in ring.nodes():
         ring._fingers_of(node)  # warm: rebuilds are paid once per membership change
-    python_calls = 0
-    scans = 0
-
-    def count(frame, event, argument) -> None:
-        nonlocal python_calls, scans
-        if event == "call":
-            python_calls += 1
-        elif event == "c_call" and getattr(argument, "__qualname__", "") == "list.index":
-            scans += 1
-
     keys = [f"stream:{i}@peer{i % 97}" for i in range(400)]
-    sys.setprofile(count)
-    try:
-        for key in keys:
-            ring.lookup(key)
-    finally:
-        sys.setprofile(None)
-    assert scans == 0
-    assert python_calls / len(keys) <= 4  # lookup, hash_key, LookupResult: none per hop
+    for key in keys:
+        ring.lookup(key)  # warm: a key is hashed once
+    calls, results, scans = _profiled(ring, keys, ring.lookup)
+    assert scans == 0 and results == len(keys)
+    assert calls / len(keys) <= 4  # lookup, _route, LookupResult: none per hop
+    for access in (ring.storage_for, ring.get, ring.remove, partial(ring.put, value=1)):
+        calls, results, scans = _profiled(ring, keys, access)
+        assert (calls, results, scans) == (2 * len(keys), 0, 0)  # the access and _route
+    assert ring.lookup_count == 6 * len(keys)
     assert 4.0 < ring.average_hops <= math.log2(1024)
+    assert len(ring._key_positions) == len(keys)
 
 
 # -- (c) one routed lookup per posting -----------------------------------------------------
@@ -224,8 +299,8 @@ def test_publish_routes_once_per_posting_new_or_known():
     assert _lookups(index, lambda: index.publish(parse_xml(_stream("p2", "s2")), "C")) == 2 + terms
     # republishing an unchanged document withdraws nothing
     assert _lookups(index, lambda: index.publish(first, "A")) == 2 + terms
-    # read the document, one visit per posting, catalogue, remove the document
-    assert _lookups(index, lambda: index.unpublish("A")) == 3 + terms
+    # read and remove the document in one visit, one visit per posting, catalogue
+    assert _lookups(index, lambda: index.unpublish("A")) == 2 + terms
     assert _lookups(index, lambda: index.unpublish("A")) == 1  # unknown: one read
 
 
@@ -236,10 +311,55 @@ def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
     index = _index()
     original = parse_xml(_stream("p1", "s1"))
     index.publish(original, "X")
-    stored, result = index.ring.get("doc:X")
+    stored = index.ring.get("doc:X")
     assert stored is index._doc_replicas["X"] is index.document("X")
     assert stored is not original and stored == original
-    assert index.fail_peer(result.node_id) >= 1
+    assert index.fail_peer(index.ring.lookup("doc:X").node_id) >= 1
     restored = index.document("X")
     assert restored == original
     assert index.query("/Stream[@PeerId = 'p1']") == [("X", restored)]
+
+
+# -- (e) the filter deck routes what it routed ------------------------------------------------
+
+
+def filter_deck(n: int) -> list[str]:
+    """The ``filter`` workload's subscriptions, in deck order: 4 methods; 70 %
+    name a callee, 30 % a duration threshold, 30 % a tree pattern."""
+    methods = ("GetTemperature", "GetHumidity", "GetPressure", "GetWind")
+    paths = ("$c/alert/Envelope/Body", "$c/alert/Envelope//param", "$c/alert/error")
+    texts = []
+    for k in range(n):
+        role, variant = (k // 4) % 10, k // 40
+        let, conditions = "", [f'$c.callMethod = "{methods[k % 4]}"']
+        if role < 7:
+            conditions.append(f'$c.callee = "{("meteo.com", "tele.com")[variant % 2]}"')
+        if role in (0, 3, 7):
+            let = "let $d := $c.responseTimestamp - $c.callTimestamp "
+            conditions.append(f"$d > {(5, 10, 15)[variant % 3]}")
+        if role in (1, 5, 8):
+            conditions.append(paths[(variant // 2) % 3])
+        texts.append(
+            f"for $c in outCOM(<p>hub</p>) {let}where {' and '.join(conditions)} "
+            "return <hit><id>{$c.callId}</id></hit>"
+        )
+    return texts
+
+
+def test_the_filter_deck_routes_the_lookups_and_hops_it_routed_before():
+    system = P2PMSystem(seed=0)
+    system.add_peer("hub")
+    ring = system.kadop.ring
+    handles = system.peer("hub").subscribe_many(
+        filter_deck(2000), sub_ids=[f"s{k}" for k in range(2000)], reuse=False
+    )
+    system.run()
+    assert system.stream_db.streams_published == 4001  # the alerter + 2 per subscription
+    assert (ring.lookup_count, ring.total_hops) == (60015, 119774)  # as at 374e1bd
+    for handle in handles[::5]:
+        handle.cancel()
+    system.run()
+    assert system.stream_db.descriptions_retracted == 800
+    # 374e1bd read (72 815, 145 331): one more visit per retraction, to the
+    # document's home, which cost 1 585 hops in all
+    assert (ring.lookup_count, ring.total_hops) == (72815 - 800, 145331 - 1585)

@@ -9,7 +9,7 @@ Every test in this file fails at the parent.
 """
 
 from repro.algebra.plan import ALERTER, PlanNode
-from repro.dht import ChordRing, KadopIndex
+from repro.dht import ChordRing, KadopIndex, chord
 from repro.monitor import StreamDefinitionDatabase
 from repro.xmlmodel import parse_xml
 
@@ -98,6 +98,25 @@ class TestEmptyPostingKeys:
         assert all(db.retract(doc_id) for doc_id in doc_ids)
         assert ring_keys(db.index).keys() == baseline
         assert db.verify_index_coherence() == []
+
+    def test_the_position_memo_stays_within_its_bound(self, monkeypatch):
+        def publish_all_retract_all() -> ChordRing:
+            db = StreamDefinitionDatabase(make_index())
+            doc_ids = [
+                db.publish_node(alerter_node(f"peer{i % 10}"), f"peer{i % 10}", f"s{i}", [])
+                for i in range(300)
+            ]
+            assert all(db.retract(doc_id) for doc_id in doc_ids)
+            assert len(ring_keys(db.index)) == 1
+            return db.index.ring
+
+        ring = publish_all_retract_all()
+        assert 600 < len(ring._key_positions) <= chord.POSITION_MEMO_LIMIT
+        monkeypatch.setattr(chord, "POSITION_MEMO_LIMIT", 64)
+        cleared = publish_all_retract_all()
+        assert len(cleared._key_positions) <= 64
+        # clearing the memo re-hashes; it routes nothing differently
+        assert (cleared.lookup_count, cleared.total_hops) == (ring.lookup_count, ring.total_hops)
 
     def test_the_same_with_a_peer_failing_in_the_middle(self):
         db = StreamDefinitionDatabase(make_index())

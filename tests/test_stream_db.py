@@ -5,8 +5,10 @@ import pytest
 from repro.algebra.plan import ALERTER, FILTER, JOIN, PUBLISH, RESTRUCTURE, UNION, PlanNode
 from repro.filtering import FilterSubscription, SimpleCondition
 from repro.monitor import StreamDefinitionDatabase, optimize_plan, place_plan
-from repro.monitor.stream_db import operator_spec
+from repro.monitor.stream_db import OPERATOR_NAMES, operator_spec
+from repro.net.errors import RpcTimeout
 from repro.p2pml import compile_text
+from repro.xmlmodel import Element
 
 
 def alerter_node(peer="a.com", kind="outCOM"):
@@ -72,8 +74,6 @@ class TestStreamDefinitionDatabase:
         assert db.find_replicas("a.com", "other") == []
 
     def test_describe_rejects_non_stream_nodes(self):
-        from repro.xmlmodel import Element
-
         db = StreamDefinitionDatabase()
         from repro.algebra.plan import EXISTING
 
@@ -88,6 +88,67 @@ class TestStreamDefinitionDatabase:
         db.publish_node(alerter_node(), "a.com", "outCOM", [])
         db.publish_node(alerter_node("b.com"), "b.com", "outCOM", [])
         assert len(db.all_stream_descriptions()) == 2
+
+    def test_descriptions_equal_the_validated_construction(self):
+        source, other = alerter_node(), alerter_node("b.com", "inCOM")
+        join = PlanNode(JOIN, {"left_var": "a", "right_var": "b", "predicate": []}, [source, other])
+        publish = PlanNode(PUBLISH, {"mode": "channel", "target": "out"}, [join])
+        cases = [
+            (source, "a.com", "outCOM", [], True, 0.0),
+            (filter_node(source), "a.com", "f1", [("a.com", "outCOM")], False, 2.25),
+            (join, "b.com", "j1", [("a.com", "s1"), ("b.com", "s2")], True, 0.0),
+            (publish, "m.com", "out", [("b.com", "j1")], True, 0.0),
+        ]
+        db = StreamDefinitionDatabase()
+        for node, peer, stream, operands, is_channel, volume in cases:
+            built = db.describe_node(node, peer, stream, operands, is_channel, volume)
+            assert built == Element(
+                "Stream",
+                {"PeerId": peer, "StreamId": stream, "isAChannel": "true" if is_channel else "false"},
+                [
+                    Element("Operator", children=[
+                        Element(node.params.get("alerter") or OPERATOR_NAMES[node.kind],
+                                {"spec": operator_spec(node)})
+                    ]),
+                    Element("Operands", children=[
+                        Element("Operand", {"OPeerId": p, "OStreamId": s}) for p, s in operands
+                    ]),
+                    Element("Stats", {"avgVolume": f"{volume:.1f}"}),
+                ],
+            )
+            assert all(child.parent is built for child in built.children)
+        db.publish_replica("a.com", "s1", "cache.com", "s1-copy")
+        assert db.index.document("replica:s1-copy@cache.com") == Element("InChannel", {
+            "PeerId": "a.com", "StreamId": "s1", "ReplicaPeerId": "cache.com", "ReplicaStreamId": "s1-copy",
+        })
+
+    def test_a_publication_the_router_refuses_is_not_counted(self):
+        class Refusing:
+            def publish_document(self, description, doc_id):
+                raise RpcTimeout("home", "kadop.publish", 3)
+
+        db = StreamDefinitionDatabase()
+        db.router = Refusing()
+        with pytest.raises(RpcTimeout):
+            db.publish_node(alerter_node(), "a.com", "outCOM", [])
+        with pytest.raises(RpcTimeout):
+            db.publish_replica("a.com", "outCOM", "cache.com", "copy")
+        assert (db.streams_published, db.replicas_published) == (0, 0)
+        db.router = None
+        db.publish_node(alerter_node(), "a.com", "outCOM", [])
+        db.publish_replica("a.com", "outCOM", "cache.com", "copy")
+        assert (db.streams_published, db.replicas_published) == (1, 1)
+
+    def test_coherence_check_sees_a_stale_replica_key(self):
+        db = StreamDefinitionDatabase()
+        db.publish_replica("a.com", "s1", "cache.com", "s1-copy")
+        assert db.verify_index_coherence() == []
+        db._replica_keys["replica:gone@cache.com"] = ("a.com", "s1")
+        assert db.verify_index_coherence() == [
+            "replica_keys: 0 missing, 1 stale, first differing keys []"
+        ]
+        db._replica_keys["replica:s1-copy@cache.com"] = ("b.com", "s1")
+        assert db.verify_index_coherence()[0].endswith("['replica:s1-copy@cache.com']")
 
 
 class TestOptimizer:
