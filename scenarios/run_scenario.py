@@ -52,8 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shards",
         type=int,
-        default=0,
-        help="worker-process count for --runtime sharded (default 2)",
+        default=None,
+        help="worker-process count of a sharded run (default: the scenario's "
+        "own, 2, or 3 for the worker-fault scenarios)",
     )
     parser.add_argument(
         "--compare-runtimes",

@@ -9,6 +9,7 @@ compiler (:mod:`repro.compile`) fuses them into pipeline stages.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Sequence
 
 from repro.algebra.template import Binding, ValueRef, get_binding, make_tuple_item
@@ -160,7 +161,10 @@ class JoinOperator(Operator):
         self.window = window
         # history index: join key -> items seen on that side
         self._index: list[dict[tuple, list[Element]]] = [{}, {}]
-        self._arrival: list[list[tuple]] = [[], []]  # keys in arrival order, per side
+        # keys in arrival order, per side: only a window evicts by them
+        self._arrival: tuple[deque[tuple], deque[tuple]] | None = (
+            None if window is None else (deque(), deque())
+        )
         self.index_probes = 0
 
     def _key(self, side: int, item: Element) -> tuple | None:
@@ -192,9 +196,12 @@ class JoinOperator(Operator):
 
     def _store(self, side: int, key: tuple, item: Element) -> None:
         self._index[side].setdefault(key, []).append(item)
-        self._arrival[side].append(key)
-        if self.window is not None and len(self._arrival[side]) > self.window:
-            oldest_key = self._arrival[side].pop(0)
+        if self._arrival is None:
+            return
+        arrival = self._arrival[side]
+        arrival.append(key)
+        if len(arrival) > self.window:
+            oldest_key = arrival.popleft()
             bucket = self._index[side].get(oldest_key)
             if bucket:
                 bucket.pop(0)

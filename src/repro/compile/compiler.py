@@ -157,7 +157,6 @@ class PlanCompiler:
             if below.placement != cursor.placement:
                 # fusable but on another peer: the chain splits here and the
                 # remote hop stays a real channel
-                self.stats.record_remote_split()
                 break
             chain.append(below)
             cursor = below

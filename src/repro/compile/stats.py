@@ -10,7 +10,6 @@ class CompileStats:
         "segments_fused",
         "stages_fused",
         "fallbacks",
-        "remote_splits",
         "ticks",
         "item_invocations",
         "batch_invocations",
@@ -22,7 +21,6 @@ class CompileStats:
         self.stages_fused = 0
         #: operator kind -> {reason: count}
         self.fallbacks: dict[str, dict[str, int]] = {}
-        self.remote_splits = 0
         self.ticks = 0
         # stage-invocation split: how much of the fused work ran through the
         # vectorized ``apply_many`` path vs the per-item ``apply`` path
@@ -38,9 +36,6 @@ class CompileStats:
         bucket = self.fallbacks.setdefault(kind, {})
         bucket[reason] = bucket.get(reason, 0) + 1
 
-    def record_remote_split(self) -> None:
-        self.remote_splits += 1
-
     def record_tick(self) -> None:
         self.ticks += 1
 
@@ -55,7 +50,6 @@ class CompileStats:
                 kind: dict(sorted(reasons.items()))
                 for kind, reasons in sorted(self.fallbacks.items())
             },
-            "remote_splits": self.remote_splits,
             "ticks": self.ticks,
             "stage_invocations": {
                 "item": self.item_invocations,

@@ -10,12 +10,14 @@ later subscriptions can reuse it (Section 5).
 
 Deployment is *reversible*: every resource a plan instantiates (operator,
 stream, channel, channel subscription, Stream Definition Database
-advertisement) registers undo actions in the system's
-:class:`~repro.monitor.lifecycle.ResourceLedger`, reference-counted by its
-consumers.  Cancelling a subscription releases its references; resources
-whose last holder leaves are torn down and their advertisements retracted,
-while streams still feeding other subscriptions (Section 5 reuse) survive
-untouched.
+advertisement) is an entry of the system's
+:class:`~repro.monitor.lifecycle.ResourceLedger`, registered with its undo
+actions and the ledger keys it consumes, and reference-counted by its
+consumers.  A subscription's terminal -- ``("sub", sub_id, epoch)``, its
+delivery valve and publisher -- is the top of that graph: cancelling
+releases it, resources whose last holder leaves are torn down and their
+advertisements retracted, while streams still feeding other subscriptions
+(Section 5 reuse) survive untouched.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.monitor.control import (
     RPC_CHANNEL_UNSUBSCRIBE,
     RPC_DEPLOY_PREPARE,
 )
-from repro.monitor.lifecycle import DeliveryValve, ResultBuffer, run_all
+from repro.monitor.lifecycle import DeliveryValve, ResourceLedger, ResultBuffer
 from repro.net.errors import CircuitOpen
 from repro.publishers import Publisher, PublisherContext, create_publisher
 from repro.streams.stream import Stream
@@ -97,6 +99,11 @@ class DeployedTask:
     sub_id: str
     plan: PlanNode
     manager_peer: str
+    #: the ledger holding this task's resources ...
+    ledger: ResourceLedger
+    #: ... and its terminal entry there, ``("sub", sub_id, epoch)``: undoes
+    #: the valve and the publisher, holds the plan's root stream
+    terminal: tuple[str, str, int]
     #: raw plan output at the manager peer (pre-valve)
     output_stream: Stream | None = None
     #: the stream the publisher / result buffer / callbacks consume: the valve
@@ -113,11 +120,6 @@ class DeployedTask:
     #: ids are epoch-namespaced.
     produced: dict[str, tuple[str, str] | None] = field(default_factory=dict)
     reuse_report: object | None = None
-    #: terminal teardown actions (valve, publisher, reference releases), run
-    #: in order by :meth:`teardown`; shared upstream resources are handled by
-    #: the resource ledger's refcounts.
-    undo: list[UndoAction] = field(default_factory=list)
-    torn_down: bool = False
 
     @property
     def operator_count(self) -> int:
@@ -129,16 +131,12 @@ class DeployedTask:
     def teardown(self) -> None:
         """Detach delivery and release every resource reference this task holds.
 
-        All undo actions run even if one fails (the first error is re-raised
-        afterwards), so a transient failure cannot strand stale state such as
-        an unretracted advertisement.
+        One release of the terminal: the ledger runs every undo action and
+        every release even if one fails (the first error is re-raised
+        afterwards), so a transient failure cannot strand stale state such
+        as an unretracted advertisement.  A second call finds nothing.
         """
-        if self.torn_down:
-            return
-        self.torn_down = True
-        actions = list(self.undo)
-        self.undo.clear()
-        run_all(actions)
+        self.ledger.release(self.terminal)
 
 
 class DynamicAlerterSource:
@@ -230,25 +228,31 @@ class Deployer:
             )
         if self.system.reliable_control:
             self._prepare_placements(plan, sub_id, manager_peer)
-        task = DeployedTask(sub_id=sub_id, plan=plan, manager_peer=manager_peer)
+        ledger = self.system.resources
+        task = DeployedTask(
+            sub_id=sub_id,
+            plan=plan,
+            manager_peer=manager_peer,
+            ledger=ledger,
+            terminal=("sub", sub_id, epoch),
+        )
         self._counter = 0
         self._epoch = epoch
         self._predecessor = predecessor
         self._segments = self.system.compiler.plan_segments(plan)
-        holder = f"sub:{sub_id}"
         if plan.kind == PUBLISH:
             handle = self._deploy_node(plan.children[0], task)
-            self._deploy_publisher(plan, handle, task, max_results)
+            consumer_peer_id = plan.placement
         else:
             handle = self._deploy_node(plan, task)
-            sink: list[UndoAction] = []
-            input_stream = self._local_input(manager_peer, handle, task, holder, sink)
-            self._attach_delivery(task, input_stream, max_results)
-            task.undo.extend(sink)
+            consumer_peer_id = manager_peer
+        input_stream, proxy_key = self._local_input(consumer_peer_id, handle, task)
+        undo = [self._attach_delivery(task, input_stream, max_results)]
+        if plan.kind == PUBLISH:
+            undo += self._deploy_publisher(plan, handle, task)
         # the subscription terminal holds the plan's root stream alive
-        ledger = self.system.resources
-        self._retain_stream(handle.original, holder)
-        task.undo.append(lambda: ledger.release(handle.original, holder))
+        inputs = [handle.original] if proxy_key is None else [proxy_key, handle.original]
+        ledger.register(task.terminal, undo, inputs)
         return task
 
     def _prepare_placements(self, plan: PlanNode, sub_id: str, manager_peer: str) -> None:
@@ -286,15 +290,6 @@ class Deployer:
             return f"{sub_id}.e{self._epoch}.s{self._counter}"
         return f"{sub_id}.s{self._counter}"
 
-    def _retain_stream(self, key: tuple[str, str], holder: str) -> None:
-        """Hold a reference on a (possibly foreign) stream's ledger entry."""
-        ledger = self.system.resources
-        if not ledger.known(key):
-            # stream advertised outside this deployer (tests, external
-            # systems): track holders, nothing to undo
-            ledger.register(key)
-        ledger.retain(key, holder)
-
     def _deploy_node(self, node: PlanNode, task: DeployedTask) -> _StreamHandle:
         chain = self._segments.get(id(node))
         if chain is not None:
@@ -321,7 +316,7 @@ class Deployer:
         stream_id = alerter.output.stream_id
         key = (peer.peer_id, stream_id)
         ledger = self.system.resources
-        if ledger.register(key):
+        if not ledger.known(key):
             # first subscription over this alerter: publish the channel and
             # the advertisement, and schedule their withdrawal for when the
             # last consumer releases the stream.  The alerter object itself
@@ -329,9 +324,9 @@ class Deployer:
             # later subscription finds it again.
             created_channel = peer.ensure_channel(stream_id, alerter.output)
             doc_id = self.system.stream_db.publish_node(node, peer.peer_id, stream_id, [])
-            if created_channel:
-                ledger.add_undo(key, lambda: peer.net.unpublish_channel(stream_id))
-            ledger.add_undo(key, lambda: self.system.stream_db.retract(doc_id))
+            undo = [lambda: peer.net.unpublish_channel(stream_id)] if created_channel else []
+            undo.append(lambda: self.system.stream_db.retract(doc_id))
+            ledger.register(key, undo)
         self._record(task, peer.peer_id, None)
         return _StreamHandle(peer.peer_id, alerter.output, stream_id)
 
@@ -445,18 +440,17 @@ class Deployer:
         inputs, output stream and channel, then the caller's ``wire`` installs
         whatever consumes the inputs, then predecessor link, advertisement and
         the ledger entry whose undo order is: stop consuming, withdraw the
-        output, release the inputs.
+        output; then it releases its inputs: the channel subscriptions it
+        reads through, then the streams it reads.
         """
         stream_id = self._next_stream_id(task.sub_id)
-        key = (peer.peer_id, stream_id)
-        holder = f"stream:{stream_id}@{peer.peer_id}"
-        ledger = self.system.resources
-        ledger.register(key)
-        sink: list[UndoAction] = []
-        input_streams = [
-            self._local_input(peer.peer_id, handle, task, holder, sink)
-            for handle in child_handles
-        ]
+        input_streams: list[Stream] = []
+        proxy_keys: list[object] = []
+        for handle in child_handles:
+            input_stream, proxy_key = self._local_input(peer.peer_id, handle, task)
+            input_streams.append(input_stream)
+            if proxy_key is not None:
+                proxy_keys.append(proxy_key)
         output = peer.net.create_stream(stream_id)
         created_channel = peer.ensure_channel(stream_id, output)
         operator, stop_consuming = wire(input_streams, output)
@@ -472,12 +466,10 @@ class Deployer:
         undo += [
             lambda: peer.net.drop_stream(stream_id),
             lambda: self.system.stream_db.retract(doc_id),
-            *sink,
         ]
-        for original in originals:
-            self._retain_stream(original, holder)
-            undo.append(lambda k=original: ledger.release(k, holder))
-        ledger.add_undo(key, *undo)
+        self.system.resources.register(
+            (peer.peer_id, stream_id), undo, proxy_keys + originals
+        )
         return _StreamHandle(peer.peer_id, output, stream_id)
 
     def _link_predecessor(
@@ -532,19 +524,16 @@ class Deployer:
     # -- cross-peer wiring ------------------------------------------------------------------
 
     def _local_input(
-        self,
-        consumer_peer_id: str,
-        handle: _StreamHandle,
-        task: DeployedTask,
-        holder: str,
-        sink: list[UndoAction],
-    ) -> Stream:
-        """Return a stream local to ``consumer_peer_id`` carrying ``handle``'s items.
+        self, consumer_peer_id: str, handle: _StreamHandle, task: DeployedTask
+    ) -> tuple[Stream, tuple[str, str, str, str] | None]:
+        """A stream local to ``consumer_peer_id`` carrying ``handle``'s items,
+        and the ledger key of the channel subscription it is read through
+        (``None`` when the stream itself is local).
 
         Cross-peer consumption allocates a channel subscription (and possibly
-        a replica advertisement); both are ledger entries shared between every
-        local consumer of the same channel, so ``holder``'s release -- queued
-        on ``sink`` -- only tears them down when the last consumer leaves.
+        a replica advertisement): one ledger entry shared between every local
+        consumer of the same channel, which the caller's entry holds as an
+        input, so it is only torn down when the last consumer leaves.
 
         With reliable channels even *same-peer* consumption goes through a
         local proxy subscription instead of the direct-stream shortcut:
@@ -559,14 +548,14 @@ class Deployer:
             and handle.stream is not None
             and not self.system.reliable_channels
         ):
-            return handle.stream
+            return handle.stream, None
         producer = self.system.peer(handle.peer_id)
         if handle.stream is not None:
             producer.ensure_channel(handle.stream_id, handle.stream)
         consumer = self.system.peer(consumer_peer_id)
         ledger = self.system.resources
         proxy_key = ("proxy", consumer_peer_id, handle.peer_id, handle.stream_id)
-        first_local_consumer = ledger.register(proxy_key)
+        first_local_consumer = not ledger.known(proxy_key)
         channels = consumer.net.channels
         rpc_announced = (
             self.system.reliable_control and handle.peer_id != consumer_peer_id
@@ -588,6 +577,7 @@ class Deployer:
             )
         task.channels_created.append(f"#{handle.stream_id}@{handle.peer_id}")
         if first_local_consumer:
+            undo: list[UndoAction] = []
             if self.publish_replicas and handle.original[0] != consumer_peer_id:
                 # the consumer re-publishes the proxy as a channel, so it genuinely
                 # can provide the stream to others, and declares the replica
@@ -597,18 +587,12 @@ class Deployer:
                 )
                 replica_id = (consumer_peer_id, proxy.stream_id)
                 self.system.replica_providers[replica_id] = proxy_key
-                ledger.add_undo(
-                    proxy_key, lambda: self.system.stream_db.retract(replica_doc)
-                )
-                ledger.add_undo(
-                    proxy_key,
+                undo += [
+                    lambda: self.system.stream_db.retract(replica_doc),
                     lambda: self.system.replica_providers.pop(replica_id, None),
-                )
+                ]
                 if replica_channel:
-                    ledger.add_undo(
-                        proxy_key,
-                        lambda: consumer.net.unpublish_channel(proxy.stream_id),
-                    )
+                    undo.append(lambda: consumer.net.unpublish_channel(proxy.stream_id))
             if rpc_announced:
 
                 def _unsubscribe_via_rpc() -> None:
@@ -633,13 +617,12 @@ class Deployer:
                         # with it, nothing to withdraw from
                         pass
 
-                ledger.add_undo(proxy_key, _unsubscribe_via_rpc)
+                undo.append(_unsubscribe_via_rpc)
             else:
-                ledger.add_undo(
-                    proxy_key,
+                undo.append(
                     lambda: consumer.net.channels.unsubscribe_remote(
                         handle.peer_id, handle.stream_id
-                    ),
+                    )
                 )
             # a replica provider is itself carried by another channel
             # subscription: hold that upstream entry so the transport chain
@@ -647,23 +630,17 @@ class Deployer:
             upstream_key = self.system.replica_providers.get(
                 (handle.peer_id, handle.stream_id)
             )
-            if upstream_key is not None and upstream_key != proxy_key:
-                upstream_holder = f"proxy:{consumer_peer_id}:{handle.peer_id}:{handle.stream_id}"
-                ledger.retain(upstream_key, upstream_holder)
-                ledger.add_undo(
-                    proxy_key,
-                    lambda: ledger.release(upstream_key, upstream_holder),
-                )
-        ledger.retain(proxy_key, holder)
-        sink.append(lambda: ledger.release(proxy_key, holder))
-        return proxy
+            inputs = () if upstream_key in (None, proxy_key) else (upstream_key,)
+            ledger.register(proxy_key, undo, inputs)
+        return proxy, proxy_key
 
     # -- delivery & publishers ---------------------------------------------------------------
 
     def _attach_delivery(
         self, task: DeployedTask, input_stream: Stream, max_results: int | None
-    ) -> None:
-        """Insert the pause/resume valve and the (opt-in, bounded) result buffer."""
+    ) -> UndoAction:
+        """Insert the pause/resume valve and the (opt-in, bounded) result
+        buffer; returns the undo action that detaches them."""
         task.output_stream = input_stream
         valve = DeliveryValve(input_stream)
         task.valve = task.delivery = valve
@@ -671,40 +648,32 @@ class Deployer:
             buffer = ResultBuffer(max_results)
             valve.subscribe(buffer.push)
             task.results_buffer = buffer
-        task.undo.append(valve.detach)
+        return valve.detach
 
     def _deploy_publisher(
-        self,
-        node: PlanNode,
-        handle: _StreamHandle,
-        task: DeployedTask,
-        max_results: int | None,
-    ) -> None:
-        peer = self.system.peer(node.placement)
-        holder = f"sub:{task.sub_id}"
-        sink: list[UndoAction] = []
-        input_stream = self._local_input(peer.peer_id, handle, task, holder, sink)
-        self._attach_delivery(task, input_stream, max_results)
+        self, node: PlanNode, handle: _StreamHandle, task: DeployedTask
+    ) -> list[UndoAction]:
+        """Connect the BY-clause publisher to the delivery stream; returns its
+        undo actions, the publisher context's last."""
         mode = node.params.get("mode", "local")
-        if mode != "local":
-            ctx = PublisherContext(
-                peer=peer,
-                params=node.params,
-                system=self.system,
-                sub_id=task.sub_id,
-                operand=handle.original,
-                node=node,
-            )
-            publisher = create_publisher(mode, ctx)
-            publisher.connect(task.delivery)
-            peer.publishers.append(publisher)
-            task.channels_created.extend(ctx.channels_created)
-            self._record(task, peer.peer_id, None)
-            task.publisher = publisher
-            task.undo.append(publisher.disconnect)
-            task.undo.append(lambda: _discard(peer.publishers, publisher))
-            task.undo.extend(ctx.undo)
-        task.undo.extend(sink)
+        if mode == "local":
+            return []
+        peer = self.system.peer(node.placement)
+        ctx = PublisherContext(
+            peer=peer,
+            params=node.params,
+            system=self.system,
+            sub_id=task.sub_id,
+            operand=handle.original,
+            node=node,
+        )
+        publisher = create_publisher(mode, ctx)
+        publisher.connect(task.delivery)
+        peer.publishers.append(publisher)
+        task.channels_created.extend(ctx.channels_created)
+        self._record(task, peer.peer_id, None)
+        task.publisher = publisher
+        return [publisher.disconnect, lambda: _discard(peer.publishers, publisher), *ctx.undo]
 
     # -- bookkeeping -----------------------------------------------------------------------------
 

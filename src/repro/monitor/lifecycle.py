@@ -12,18 +12,20 @@ mechanisms the lifecycle verbs are built on:
   result buffer, callbacks).  ``pause()`` stops delivery without tearing
   anything down; ``resume()`` restarts it, flushing whatever the valve
   retained while paused.
-* :class:`ResourceLedger` -- reference counting over deployed resources
-  (operator output streams, alerter advertisements, channel proxies).  A
-  stream feeding two subscriptions must survive the cancellation of one of
-  them; only when the last holder releases a resource do its recorded undo
-  actions run (detach operators, close streams, retract Stream Definition
-  Database advertisements).
+* :class:`ResourceLedger` -- the deployment graph and its only teardown
+  mechanism.  Every deployed resource (operator output stream, alerter
+  advertisement, channel proxy, subscription terminal) is an entry holding
+  the entries it consumes.  A stream feeding two subscriptions must survive
+  the cancellation of one of them; only when the last holder releases a
+  resource do its undo actions run (detach operators, close streams,
+  retract Stream Definition Database advertisements) and its own inputs
+  get released in turn.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.streams.item import EOS
 from repro.streams.stream import Stream, StreamClosedError
@@ -35,17 +37,29 @@ DEFAULT_PAUSE_BUFFER = 1024
 UndoAction = Callable[[], None]
 
 
-def run_all(actions: list[UndoAction]) -> None:
-    """Run every teardown action even if some fail, then re-raise the first error.
+def run_all(
+    actions: Sequence[UndoAction],
+    release: Callable[[object, object], bool],
+    inputs: Sequence[object],
+    holder: object,
+) -> None:
+    """Run every undo action, then ``release(key, holder)`` for every input
+    key, even if some fail; re-raise the first error afterwards.
 
     A cancel must never leave stale state (e.g. an unretracted Stream
-    Definition Database advertisement) because an earlier undo action hit a
-    transient error such as a departed subscriber peer.
+    Definition Database advertisement, or an input nobody releases) because
+    an earlier step hit a transient error such as a departed subscriber peer.
     """
     first_error: BaseException | None = None
     for action in actions:
         try:
             action()
+        except Exception as exc:  # noqa: BLE001 - teardown must make progress
+            if first_error is None:
+                first_error = exc
+    for key in inputs:
+        try:
+            release(key, holder)
         except Exception as exc:  # noqa: BLE001 - teardown must make progress
             if first_error is None:
                 first_error = exc
@@ -202,23 +216,26 @@ class DeliveryValve(Stream):
 
 
 class _Entry:
-    __slots__ = ("holders", "undo")
+    __slots__ = ("holders", "undo", "inputs")
 
-    def __init__(self) -> None:
-        self.holders: set[str] = set()
-        self.undo: list[UndoAction] = []
+    def __init__(self, undo: Sequence[UndoAction], inputs: Sequence[object]) -> None:
+        self.holders: set[object] = set()
+        self.undo = undo
+        self.inputs = inputs
 
 
 class ResourceLedger:
-    """Reference-counted registry of deployed resources and their undo actions.
+    """Reference-counted registry of deployed resources: the deployment graph.
 
-    Keys are opaque hashable identities (canonical ``(peer, stream)`` pairs
-    for deployed streams, longer tuples for channel proxies).  Holders are
-    strings naming the consuming entity (a downstream stream entry or a
-    subscription terminal), so releases are idempotent per consumer.  When
-    the last holder releases an entry, its undo actions run in registration
-    order -- releasing child resources from inside an undo action cascades
-    naturally.
+    Keys are opaque hashable identities; the deployer's are told apart by
+    shape -- ``(peer, stream)`` for a deployed stream, ``("proxy", consumer,
+    producer, stream)`` for a channel subscription, ``("sub", sub_id,
+    epoch)`` for a subscription terminal.  An entry is registered with its
+    undo actions and the keys it consumes; it holds each of those inputs
+    with its own key as holder, so releases are idempotent per consumer and
+    the holders of a key are the keys that consume it.  When the last holder
+    releases an entry, its undo actions run in registration order and then
+    its inputs are released in order, which cascades down the graph.
     """
 
     def __init__(self) -> None:
@@ -230,25 +247,38 @@ class ResourceLedger:
     def known(self, key: object) -> bool:
         return key in self._entries
 
-    def register(self, key: object) -> bool:
-        """Ensure an entry for ``key`` exists; True when newly created."""
+    def register(
+        self, key: object, undo: Sequence[UndoAction] = (), inputs: Sequence[object] = ()
+    ) -> bool:
+        """Create ``key``'s entry, holding every key of ``inputs``; False (and
+        nothing changes) when ``key`` is already registered.
+
+        ``undo`` runs, then ``inputs`` are released, when the last holder of
+        ``key`` leaves.  An input nobody registered (a stream advertised
+        outside the deployer) gets an entry with nothing to undo.
+        """
         if key in self._entries:
             return False
-        self._entries[key] = _Entry()
+        self._entries[key] = _Entry(undo, inputs)
+        for input_key in inputs:
+            self.retain(input_key, key)
         return True
-
-    def add_undo(self, key: object, *actions: UndoAction) -> None:
-        """Append teardown actions to run, in order, when ``key``'s last holder leaves."""
-        self._entries[key].undo.extend(actions)
 
     # -- reference counting ----------------------------------------------------
 
-    def retain(self, key: object, holder: str) -> None:
+    def retain(self, key: object, holder: object) -> None:
         """Record that ``holder`` depends on the resource ``key``."""
-        self._entries[key].holders.add(holder)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Entry((), ())
+        entry.holders.add(holder)
 
-    def release(self, key: object, holder: str) -> bool:
-        """Drop ``holder``'s reference; returns True when this tore ``key`` down."""
+    def release(self, key: object, holder: object = None) -> bool:
+        """Drop ``holder``'s reference; returns True when this tore ``key`` down.
+
+        An entry nothing holds (a subscription terminal) is torn down by
+        ``release(key)``; releasing a key that is gone is harmless.
+        """
         entry = self._entries.get(key)
         if entry is None:
             return False
@@ -257,10 +287,10 @@ class ResourceLedger:
             return False
         del self._entries[key]
         self.teardowns += 1
-        run_all(entry.undo)
+        run_all(entry.undo, self.release, entry.inputs, key)
         return True
 
-    def holders(self, key: object) -> set[str]:
+    def holders(self, key: object) -> set[object]:
         entry = self._entries.get(key)
         return set(entry.holders) if entry is not None else set()
 

@@ -71,7 +71,7 @@ class P2PMSystem:
         reliable_control: bool = False,
         detector_config: DetectorConfig | None = None,
         runtime: str = "single",
-        shards: int = 0,
+        shards: int = 2,
         shard_assigner=None,
         supervisor_config=None,
     ) -> None:
@@ -377,8 +377,7 @@ class P2PMSystem:
         snapshot = self.compile_snapshot()
         lines = [
             f"segments fused: {snapshot['segments_fused']} "
-            f"({snapshot['stages_fused']} stages), "
-            f"remote splits: {snapshot['remote_splits']}"
+            f"({snapshot['stages_fused']} stages)"
         ]
         cse = snapshot["cse"]
         lines.append(

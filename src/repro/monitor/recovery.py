@@ -7,8 +7,8 @@ half of that story:
 * when a peer fails, the :class:`RecoveryManager` walks the system's
   :class:`~repro.monitor.lifecycle.ResourceLedger` to find the *orphaned*
   resources (streams, operators and channel proxies hosted by or wired
-  through the dead peer) and, from their holder chains, the subscriptions
-  that depend on them;
+  through the dead peer) and, following the keys that hold them, the
+  subscriptions that depend on them;
 * each affected subscription is marked ``RECOVERING`` and its plan is
   rebuilt and redeployed on surviving peers.  Union branches whose alerter
   source died are *pruned* (the inCOM-style semantics: a departed peer
@@ -147,44 +147,36 @@ class RecoveryManager:
     def orphaned_resources(self, peer_id: str) -> list[object]:
         """Ledger entries stranded by ``peer_id``'s failure.
 
-        Streams are keyed ``(peer, stream_id)`` and channel subscriptions
-        ``("proxy", consumer, producer, stream_id)``; an entry is orphaned
-        when the failed peer hosts the resource or carries its transport.
+        Keys are told apart by shape, never by what a peer is called: a
+        stream is ``(peer, stream_id)``, a channel subscription ``("proxy",
+        consumer, producer, stream_id)``.  An entry is orphaned when the
+        failed peer hosts the stream or carries the subscription's transport.
         """
-        orphans: list[object] = []
-        for key in self.system.resources.keys():
-            if not isinstance(key, tuple):
-                continue
-            if len(key) == 2 and key[0] == peer_id:
-                orphans.append(key)
-            elif len(key) == 4 and key[0] == "proxy" and peer_id in (key[1], key[2]):
-                orphans.append(key)
-        return orphans
+        return [
+            key
+            for key in self.system.resources.keys()
+            if (len(key) == 2 and key[0] == peer_id)
+            or (len(key) == 4 and peer_id in (key[1], key[2]))
+        ]
 
     def affected_subscriptions(self, peer_id: str) -> list[str]:
         """Subscriptions holding (directly or transitively) orphaned resources.
 
-        Walks holder chains upward through the ResourceLedger: a stream's
-        holders are downstream streams, channel subscriptions or
-        subscription terminals (``sub:<id>``); following them from every
-        orphaned key reaches exactly the subscriptions that span the failed
-        peer.
+        The holders of a ledger key are the keys that consume it --
+        downstream streams, channel subscriptions and subscription
+        terminals ``("sub", sub_id, epoch)``, the only three-element keys.
+        Walking holders upward from every orphaned key reaches exactly the
+        terminals of the subscriptions that span the failed peer.
         """
         ledger = self.system.resources
         frontier: list[object] = self.orphaned_resources(peer_id)
-        visited: set[object] = set(frontier)
-        subscriptions: set[str] = set()
+        reached: set[object] = set(frontier)
         while frontier:
-            key = frontier.pop()
-            for holder in ledger.holders(key):
-                if holder.startswith("sub:"):
-                    subscriptions.add(holder[len("sub:"):])
-                    continue
-                next_key = _holder_to_key(holder)
-                if next_key is not None and next_key not in visited:
-                    visited.add(next_key)
-                    frontier.append(next_key)
-        return sorted(subscriptions)
+            for holder in ledger.holders(frontier.pop()):
+                if holder not in reached:
+                    reached.add(holder)
+                    frontier.append(holder)
+        return sorted({key[1] for key in reached if len(key) == 3})
 
     # -- lifecycle hooks --------------------------------------------------------
 
@@ -317,20 +309,3 @@ class RecoveryManager:
                 # starve the others (or abort the recovery that emitted this)
                 self.listener_errors += 1
         return event
-
-
-def _holder_to_key(holder: str) -> object | None:
-    """Map a ledger holder string back to the ledger key it stands for."""
-    if holder.startswith("stream:"):
-        rest = holder[len("stream:"):]
-        if "@" in rest:
-            stream_id, peer_id = rest.rsplit("@", 1)
-            return (peer_id, stream_id)
-        return None
-    if holder.startswith("proxy:"):
-        parts = holder[len("proxy:"):].split(":", 2)
-        if len(parts) == 3:
-            consumer, producer, stream_id = parts
-            return ("proxy", consumer, producer, stream_id)
-        return None
-    return None

@@ -156,7 +156,7 @@ class SingleProcessRuntime(Runtime):
 def create_runtime(
     name: str,
     system: "P2PMSystem",
-    shards: int | None = None,
+    shards: int = 2,
     assigner: Any = None,
     supervisor_config: Any = None,
 ) -> Runtime:
@@ -172,7 +172,7 @@ def create_runtime(
 
         return ShardedRuntime(
             system,
-            shards=shards or 2,
+            shards=shards,
             assigner=assigner,
             supervisor_config=supervisor_config,
         )

@@ -272,7 +272,7 @@ def make_scenario(
     seed: int = 0,
     failure_mode: str | None = None,
     runtime: str | None = None,
-    shards: int = 0,
+    shards: int | None = None,
 ) -> ChaosScenario:
     """Instantiate a named scenario for the given seed.
 
@@ -282,7 +282,8 @@ def make_scenario(
     ``runtime="sharded"`` partitions the peers across ``shards`` worker
     processes -- only scenarios in :data:`SHARDABLE_SCENARIOS` qualify (no
     peer churn), and the failure mode is forced to ``oracle`` (the sharded
-    v1 restriction).
+    v1 restriction).  ``shards=None`` keeps the scenario's own count: 2, or
+    3 for the worker-fault scenarios.
     """
     try:
         factory = SCENARIOS[name]
@@ -302,8 +303,6 @@ def make_scenario(
                 f"scenario {name!r} injects worker faults and only runs "
                 "sharded"
             )
-        if shards:
-            scenario.shards = shards
     elif runtime is not None and runtime != "single":
         if name not in SHARDABLE_SCENARIOS:
             raise ValueError(
@@ -311,7 +310,8 @@ def make_scenario(
                 f"reliable control plane); shardable: {', '.join(SHARDABLE_SCENARIOS)}"
             )
         scenario.runtime = runtime
-        scenario.shards = shards or 2
         scenario.failure_mode = "oracle"
         scenario.reliable_control = False
+    if shards is not None:
+        scenario.shards = shards
     return scenario

@@ -176,7 +176,7 @@ class ChaosScenario:
     #: schedule without peer churn; equivalence is stated over the received
     #: multiset, not the event-log fingerprint (per-shard logs interleave).
     runtime: str = "single"
-    shards: int = 0
+    shards: int = 2
     #: optional ``(peer_id, shards) -> shard | None`` placement override for
     #: sharded runs; worker-fault scenarios pin the topology so the same
     #: shard owns the same peers for every seed

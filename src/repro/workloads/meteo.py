@@ -53,7 +53,7 @@ class MeteoScenario:
     max_results: int = 10_000
     #: execution runtime ("single" or "sharded") and worker count
     runtime: str = "single"
-    shards: int = 0
+    shards: int = 2
 
     def __post_init__(self) -> None:
         self.system = P2PMSystem(

@@ -403,6 +403,52 @@ class TestFusedPipelines:
         task.teardown()
         assert system.compiler.groups == {} and len(system.resources) == 0
 
+    def test_a_cross_peer_edge_splits_the_segment(self):
+        # placement never splits FILTER from its RESTRUCTURE, so the split is
+        # reached by hand: FILTER@solo -> RESTRUCTURE@far
+        def deploy(restructure_peer: str):
+            system = P2PMSystem(seed=1)
+            system.add_peer("solo")
+            system.add_peer("far")
+            conditions = [SimpleCondition("kind", "=", "chaos"), SimpleCondition("n", ">=", "2")]
+            plan = PlanNode(
+                RESTRUCTURE,
+                {"template": RestructureTemplate(Element("seen", {"n": "{$x.n}"})), "var": "x"},
+                [_filter_node(FilterSubscription("x0", conditions, []), [_chaos_alerter_node()])],
+                placement=restructure_peer,
+            )
+            task = Deployer(system, publish_replicas=system.publish_replicas).deploy(
+                plan, "x0", manager_peer=restructure_peer
+            )
+            system.run()
+            got: list[str] = []
+            task.delivery.subscribe(
+                lambda item: got.append(to_xml(item)) if isinstance(item, Element) else None
+            )
+            alerter = system.peer("solo").alerter(CHAOS_FUNCTION)
+            for n in range(4):
+                alerter.emit_numbered(n)
+            alerter.output.emit_many(_chaos_alerts(range(4, 7)))
+            system.run()
+            segments = [
+                (pipeline.describe()["peer"], [stage.kind for stage in pipeline.stages])
+                for pipeline in system.compiled_pipelines()
+            ]
+            # channel subscriptions, as (consumer, producer)
+            channels = [key[1:3] for key in system.resources.keys() if len(key) == 4]
+            task.teardown()
+            system.run()
+            assert len(system.resources) == 0 and system.compiler.groups == {}
+            return segments, channels, system.compile_snapshot()["fallbacks"], got
+
+        split, split_channels, split_fallbacks, split_got = deploy("far")
+        together, channels, fallbacks, together_got = deploy("solo")
+        assert split == [("far", [RESTRUCTURE]), ("solo", [FILTER])]
+        assert split_channels == [("far", "solo")]
+        assert together == [("solo", [FILTER, RESTRUCTURE])] and channels == []
+        assert split_fallbacks == fallbacks  # a split is not a fallback
+        assert split_got == together_got == [f'<seen n="{n}"/>' for n in range(2, 7)]
+
     def test_compile_report_is_printable(self):
         system, peer = _single_peer()
         _chaos_subscription(peer, "q0", "<seen><n>{$x.n}</n></seen>")

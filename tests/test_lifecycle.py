@@ -1,12 +1,20 @@
 """Subscription lifecycle: handles, bounded results, pause/resume, cancel/teardown."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.algebra.plan import EXISTING
 from repro.monitor import P2PMSystem, SubscriptionStateError
 from repro.monitor.lifecycle import DeliveryValve, ResourceLedger, ResultBuffer
 from repro.streams.stream import Stream, collect
 from repro.workloads import MeteoScenario, RSSFeedSimulator
+from repro.workloads.chaos_feed import CHAOS_FUNCTION
+from repro.xmlmodel.serialize import to_xml
 from repro.xmlmodel.tree import Element
+
+CANCEL_RECORDING_PATH = Path(__file__).parent / "data" / "cancel_recording.json"
 
 
 def item(n):
@@ -76,10 +84,7 @@ class TestResourceLedger:
     def test_teardown_runs_when_last_holder_releases(self):
         ledger = ResourceLedger()
         done = []
-        ledger.register("r")
-        ledger.add_undo("r", lambda: done.append("a"))
-        # several at once (a deployed output hands over its whole list)
-        ledger.add_undo("r", lambda: done.append("b"), lambda: done.append("c"))
+        ledger.register("r", [lambda n=n: done.append(n) for n in "abc"])
         ledger.retain("r", "h1")
         ledger.retain("r", "h2")
         assert not ledger.release("r", "h1") and done == []
@@ -99,15 +104,37 @@ class TestResourceLedger:
     def test_failing_undo_does_not_skip_the_rest(self):
         ledger = ResourceLedger()
         done = []
-        ledger.register("r")
-        ledger.add_undo("r", lambda: done.append("a"))
-        ledger.add_undo("r", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        ledger.add_undo("r", lambda: done.append("b"))
+        ledger.register("in", [lambda: done.append("in")])
+        ledger.register(
+            "r",
+            [
+                lambda: done.append("a"),
+                lambda: (_ for _ in ()).throw(RuntimeError("boom")),
+                lambda: done.append("b"),
+            ],
+            inputs=["in"],
+        )
         ledger.retain("r", "h")
         with pytest.raises(RuntimeError, match="boom"):
             ledger.release("r", "h")
-        assert done == ["a", "b"]  # later undos still ran
-        assert not ledger.known("r")
+        assert done == ["a", "b", "in"]  # later undos and the inputs still went
+        assert len(ledger) == 0
+
+    def test_entries_hold_their_inputs_and_release_them_after_their_undo(self):
+        ledger = ResourceLedger()
+        done = []
+        ledger.register("shared", [lambda: done.append("shared")])
+        ledger.register("left", [lambda: done.append("left")], inputs=["shared", "foreign"])
+        ledger.register("right", [lambda: done.append("right")], inputs=["shared"])
+        # an input nobody registered is held all the same, with nothing to undo
+        assert ledger.holders("foreign") == {"left"}
+        assert ledger.holders("shared") == {"left", "right"}
+        # an entry nothing holds goes on release(key)
+        assert ledger.release("left")
+        assert done == ["left"] and not ledger.known("foreign")
+        assert ledger.release("right")
+        assert done == ["left", "right", "shared"]
+        assert len(ledger) == 0 and not ledger.release("right")
 
 
 def rss_system(seed=5, **subscribe_options):
@@ -412,3 +439,85 @@ class TestChannelNameLifecycle:
         first.cancel()
         third.cancel()
         assert len(scenario.system.resources) == 0
+
+
+# -- teardown order, frozen ------------------------------------------------------
+
+REPLICA_TEXT = (
+    f'for $x in {CHAOS_FUNCTION}(<p>s0</p><p>s1</p>) where $x.kind = "chaos" '
+    "return <seen><src>{$x.source}</src><n>{$x.n}</n></seen>"
+)
+
+#: system options the recording covers: plain, RPC-announced unsubscribes and
+#: retractions, and reliable channels (local consumers read through proxies)
+RECORDED_SYSTEMS = {
+    "oracle": {},
+    "reliable-control": {"reliable_control": True},
+    "detector": {"failure_mode": "detector"},
+}
+
+#: cancel orders: the consumer alone, and producer first so the consumer's
+#: cancel tears down the whole graph
+RECORDED_ORDERS = {"b": ["b"], "a-then-b": ["a", "b"]}
+
+
+def record_cancels(options: dict, order: list[str]) -> list[dict]:
+    """What cancelling ``order`` sends, delivers and unpublishes, in order.
+
+    ``a`` deploys a two-source union at ``m1``; ``b`` at ``m2`` (placed next
+    to ``m1``) reuses ``a``'s root stream through ``m1``'s replica and
+    publishes it as channel ``seen``.
+    """
+    system = P2PMSystem(seed=5, **options)
+    for peer_id, coordinates in [
+        ("s0", (0.0, 0.0)), ("s1", (0.0, 0.1)), ("m1", (1.0, 1.0)), ("m2", (1.0, 1.02))
+    ]:
+        system.add_peer(peer_id, coordinates=coordinates)
+    handles = {"a": system.peer("m1").subscribe(REPLICA_TEXT, sub_id="a")}
+    system.run()
+    handles["b"] = system.peer("m2").subscribe(
+        REPLICA_TEXT + ' by publish as channel "seen"', sub_id="b"
+    )
+    system.run()
+    (existing,) = handles["b"].plan.find_all(EXISTING)
+    assert existing.params["provider_peer"] == "m1", "b must read m1's replica"
+    network = system.network
+    network.trace_enabled = network.record_events = True
+    documents: list[str] = []
+    system.kadop.subscribe_documents(
+        lambda kind, doc_id, document: documents.append(f"{kind} {doc_id}")
+    )
+    recording = []
+    for sub_id in order:
+        sent, logged = len(network.trace), len(network.event_log)
+        documents.clear()
+        handles[sub_id].cancel()
+        system.run()
+        recording.append({
+            "cancel": sub_id,
+            "sent": [
+                f"{m.source}->{m.destination} {m.kind} {to_xml(m.payload)}"
+                for m in network.trace[sent:]
+            ],
+            "delivered": [line for line in network.event_log[logged:] if " deliver " in line],
+            "documents": list(documents),
+        })
+    if len(order) == len(handles):
+        assert len(system.resources) == 0
+    return recording
+
+
+def cancel_recordings() -> dict:
+    return {
+        f"{system}/{order}": record_cancels(options, RECORDED_ORDERS[order])
+        for system, options in RECORDED_SYSTEMS.items()
+        for order in RECORDED_ORDERS
+    }
+
+
+class TestTeardownOrder:
+    def test_cancel_reproduces_the_frozen_recording(self):
+        """Every send, delivery and unpublication of a cancel, in the order the
+        per-task undo lists and holder strings produced them."""
+        frozen = json.loads(CANCEL_RECORDING_PATH.read_text())["cases"]
+        assert cancel_recordings() == frozen

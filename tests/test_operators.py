@@ -1,6 +1,8 @@
 """Tests for the runtime stream operators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import (
     DuplicateRemovalOperator,
@@ -16,6 +18,26 @@ from repro.xmlmodel import Element
 
 def alert(**attrs) -> Element:
     return Element("alert", attrs)
+
+
+class _ListArrivalJoin(JoinOperator):
+    """The join with the arrival store it had before the deque: a list per
+    side, kept even without a window, evicted by ``pop(0)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arrival_lists = [[], []]
+
+    def _store(self, side, key, item):
+        self._index[side].setdefault(key, []).append(item)
+        self._arrival_lists[side].append(key)
+        if self.window is not None and len(self._arrival_lists[side]) > self.window:
+            oldest_key = self._arrival_lists[side].pop(0)
+            bucket = self._index[side].get(oldest_key)
+            if bucket:
+                bucket.pop(0)
+                if not bucket:
+                    del self._index[side][oldest_key]
 
 
 class TestOperatorBase:
@@ -123,6 +145,43 @@ class TestJoin:
         assert sink == []
         right.emit(alert(callId="3"))
         assert len(sink) == 1
+
+    def test_unwindowed_join_keeps_no_arrival_record(self):
+        left, right, join, sink = self.make_join()
+        for n in range(5_000):
+            left.emit(alert(callId=str(n)))
+            right.emit(alert(callId=str(n + 4_990)))
+        assert join._arrival is None
+        assert join.history_size(0) == join.history_size(1) == 5_000
+        assert len(sink) == 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=st.one_of(st.none(), st.integers(1, 6)),
+        events=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4)), max_size=60),
+    )
+    def test_join_matches_the_list_arrival_store(self, window, events):
+        """Outputs and history sizes equal those of the list-based ``_store``
+        (one ``pop(0)`` per eviction) it replaced, frozen as ``_ListArrivalJoin``."""
+        items = [alert(callId=str(key), n=str(n)) for n, (_, key) in enumerate(events)]
+        runs = []
+        for join_class in (JoinOperator, _ListArrivalJoin):
+            left, right = Stream("l"), Stream("r")
+            join = join_class(
+                "c1",
+                "c2",
+                predicate=[(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))],
+                window=window,
+            )
+            join.connect(left).connect(right)
+            sink = collect(join.output)
+            sizes = []
+            for (side, _), item in zip(events, items):
+                (left if side == 0 else right).emit(item)
+                sizes.append((join.history_size(0), join.history_size(1)))
+            pairs = [(get_binding(out)["c1"], get_binding(out)["c2"]) for out in sink]
+            runs.append(([(items.index(a), items.index(b)) for a, b in pairs], sizes))
+        assert runs[0] == runs[1]
 
     def test_empty_predicate_rejected(self):
         with pytest.raises(ValueError):

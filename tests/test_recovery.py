@@ -1,8 +1,10 @@
 """Tests for self-healing deployments: orphan detection, redeployment, revival."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.algebra.plan import UNION
+from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, UNION, plan_signature
 from repro.monitor import (
     DEPLOYED,
     PAUSED,
@@ -14,9 +16,9 @@ from repro.workloads import ChaosFeedWorkload
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
 
 
-def build_system(n_sources: int = 3, seed: int = 1):
+def build_system(n_sources: int = 3, seed: int = 1, sources=None):
     system = P2PMSystem(seed=seed)
-    sources = [f"s{i}" for i in range(n_sources)]
+    sources = sources or [f"s{i}" for i in range(n_sources)]
     for source in sources:
         system.add_peer(source)
     monitor = system.add_peer("monitor")
@@ -72,6 +74,23 @@ class TestOrphanDetection:
         assert system.recovery.affected_subscriptions("idle") == []
         # every source peer hosts its alerter + filter branch
         assert system.recovery.affected_subscriptions(outsider) == ["chaos"]
+
+    @pytest.mark.parametrize(
+        "sources",
+        [["s0@x", "s1@x", "s2@x"], ["s0", "s1", "a@b:c"], ["sub", "proxy", "s2"]],
+    )
+    def test_peer_ids_are_opaque(self, sources):
+        """A peer may be called anything a key could be confused with: the
+        failed source's branch is pruned whatever the union host is called."""
+        system, sources, monitor = build_system(sources=sources)
+        handle = deploy(system, sources, monitor)
+        outcomes = []
+        handle.on_recovery(lambda event: outcomes.append(event.outcome))
+        assert system.recovery.affected_subscriptions(sources[0]) == ["chaos"]
+        system.fail_peer(sources[0])
+        system.run()
+        assert outcomes == ["recovering", "degraded"]
+        assert sources[0] not in handle.peers_involved()
 
 
 class TestFailover:
@@ -338,3 +357,178 @@ class TestReviewRegressions:
         workload.tick(system, 2)
         system.run()
         assert received == []
+
+
+# -- recovery against a brute-force oracle -------------------------------------------
+
+#: peer ids: short strings over an alphabet with the separators the ledger's
+#: holders once were parsed by, and the two names its keys are tagged with
+PEER_IDS = st.one_of(st.sampled_from(["sub", "proxy"]), st.text(alphabet="ab@:", min_size=1, max_size=4))
+
+SUB_IDS = ["A", "sub", "C@p:q", "proxy"]
+
+
+def plan_reach(records) -> dict[str, set[str]]:
+    """Every peer each subscription's deployment runs on or reads a channel
+    from or to -- computed from the deployed plans alone, following a reused
+    stream to the plan that produced it and a replica to the stream it copies."""
+    produced = {}  # (peer, stream id) -> the plan node whose output it is
+    sources = {}  # (consumer, original stream) -> providers it is read from
+    for record in records:
+        for node in record.plan.iter_nodes():
+            where = record.task.produced.get(plan_signature(node))
+            if where is not None:
+                produced[where] = node
+
+    def output_of(node, record) -> tuple[str, str]:
+        if node.kind == ALERTER:
+            return node.placement, node.params["alerter"]
+        return record.task.produced[plan_signature(node)]
+
+    def reads(node, consumer, record):
+        if node.kind == EXISTING:
+            original = (node.params["peer"], node.params["stream_id"])
+            provider = node.params.get("provider_peer") or original[0]
+        else:
+            original, provider = output_of(node, record), node.placement
+        if provider != consumer:
+            sources.setdefault((consumer, original), set()).add(provider)
+
+    for record in records:
+        for node in record.plan.iter_nodes():
+            for child in node.children:
+                reads(child, node.placement, record)
+        if record.plan.kind != PUBLISH:
+            reads(record.plan, record.manager_peer, record)
+
+    def chain(provider: str, original: tuple[str, str]) -> set[str]:
+        peers, frontier = {provider}, [provider]
+        while frontier:
+            peer = frontier.pop()
+            if peer == original[0]:
+                continue
+            for upstream in sources[(peer, original)] - peers:
+                peers.add(upstream)
+                frontier.append(upstream)
+        return peers
+
+    def reach(node, consumer: str) -> set[str]:
+        if node.kind == EXISTING:
+            original = (node.params["peer"], node.params["stream_id"])
+            peers = {consumer} | chain(node.params.get("provider_peer") or original[0], original)
+            origin = produced.get(original)
+            return peers | (reach(origin, original[0]) if origin is not None else {original[0]})
+        peers = {consumer, node.placement}
+        for child in node.children:
+            peers |= reach(child, node.placement)
+        return peers
+
+    return {
+        record.sub_id: reach(record.plan, record.manager_peer) for record in records
+    }
+
+
+class LedgerAudit:
+    """Who holds what, recorded beside the ledger through its own entry
+    points: nothing may be torn down while a live entry still holds it."""
+
+    def __init__(self, ledger) -> None:
+        self.edges: set[tuple[object, object]] = set()  # (holder, key)
+        self.violations: list[tuple[object, object]] = []
+        register, retain, release = ledger.register, ledger.retain, ledger.release
+
+        def audited_register(key, undo=(), inputs=()):
+            created = register(key, undo, inputs)
+            if created:
+                self.edges.update((key, input_key) for input_key in inputs)
+            return created
+
+        def audited_retain(key, holder):
+            self.edges.add((holder, key))
+            retain(key, holder)
+
+        def audited_release(key, holder=None):
+            self.edges.discard((holder, key))
+            torn_down = release(key, holder)
+            if torn_down:
+                self.violations += [
+                    (other, key) for other, held in self.edges
+                    if held == key and ledger.known(other)
+                ]
+            return torn_down
+
+        ledger.register, ledger.retain, ledger.release = (
+            audited_register, audited_retain, audited_release
+        )
+
+
+class TestRecoveryOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sources=st.integers(2, 5),
+        names=st.lists(PEER_IDS, min_size=8, max_size=8, unique=True),
+        producer_sources=st.sets(st.integers(0, 4), min_size=1),
+        other_sources=st.sets(st.integers(0, 4), min_size=1),
+        other_shares_filters=st.booleans(),
+        other_manager=st.integers(0, 2),
+        victim=st.integers(0, 7),
+        cancel_order=st.permutations(range(4)),
+    )
+    @example(  # the three-source union whose holder strings lost "s0@x"
+        n_sources=3,
+        names=["s0@x", "s1@x", "s2@x", "s3@x", "s4@x", "m0", "m1", "m2"],
+        producer_sources={0, 1, 2},
+        other_sources={0},
+        other_shares_filters=False,
+        other_manager=0,
+        victim=0,
+        cancel_order=[0, 1, 2, 3],
+    )
+    def test_affected_subscriptions_match_the_plans(
+        self, n_sources, names, producer_sources, other_sources,
+        other_shares_filters, other_manager, victim, cancel_order,
+    ):
+        """Twins of one subscription reuse its stream -- the last one through
+        a replica of a replica -- beside an overlapping subscription; one peer
+        fails.  Recovery must reach exactly the subscriptions whose plans
+        touch the failed peer, and cancelling everything must empty the ledger
+        without tearing down anything still held."""
+        sources, managers = names[:n_sources], names[5:]
+        system = P2PMSystem(seed=1)
+        audit = LedgerAudit(system.resources)
+        for index, source in enumerate(sources):
+            system.add_peer(source, coordinates=(0.0, 0.1 * index))
+        # the producer's twin is nearest the producer, the reader nearest the twin
+        for manager, coordinates in zip(managers, [(1.0, 0.0), (1.0, 1.0), (1.0, 1.01)]):
+            system.add_peer(manager, coordinates=coordinates)
+        text = subscription_text([sources[i] for i in sorted({i % n_sources for i in producer_sources})])
+        other = subscription_text([sources[i] for i in sorted({i % n_sources for i in other_sources})])
+        if other_shares_filters:
+            other = other.replace("<seen>", "<other>").replace("</seen>", "</other>")
+        else:
+            other = other.replace('"chaos"', '"chaos" and $x.n >= 1')
+        handles, records = [], []
+        for sub_id, manager, subscription in zip(
+            SUB_IDS,
+            [*managers, managers[other_manager]],
+            [text, text, text + ' by publish as channel "copy"', other],
+        ):
+            handles.append(system.peer(manager).subscribe(subscription, sub_id=sub_id))
+            records.append(system.peer(manager).manager.database.get(sub_id))
+            system.run()
+        (read,) = handles[2].plan.find_all(EXISTING)
+        assert read.params["provider_peer"] == managers[1], "the reader must read a replica"
+
+        failed = (sources + managers)[victim % (n_sources + 3)]
+        expected = sorted(
+            sub_id for sub_id, peers in plan_reach(records).items() if failed in peers
+        )
+        assert system.recovery.affected_subscriptions(failed) == expected
+
+        system.fail_peer(failed)
+        system.run()
+        for index in cancel_order:
+            handles[index].cancel()
+            system.run()
+        assert len(system.resources) == 0
+        assert audit.edges == set() and audit.violations == []

@@ -94,7 +94,7 @@ class TestWireCodec:
 
 
 class TestMeteoEquivalence:
-    def run_meteo(self, runtime: str, shards: int = 0):
+    def run_meteo(self, runtime: str, shards: int = 2):
         scenario = MeteoScenario(
             threshold=10.0,
             slow_fraction=0.2,
@@ -140,7 +140,7 @@ class TestEdosEquivalence:
         edos.run(300)
         return edos
 
-    def run_monitoring(self, event_log, runtime: str, shards: int = 0):
+    def run_monitoring(self, event_log, runtime: str, shards: int = 2):
         kwargs = {"seed": 23}
         if runtime == "sharded":
             kwargs.update(runtime="sharded", shards=shards)
@@ -207,8 +207,9 @@ class TestShardedRestrictions:
             )
 
     def test_fewer_than_two_shards_is_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            P2PMSystem(runtime="sharded", shards=1, failure_mode="oracle")
+        for shards in (0, 1):  # 0 is not a stand-in for the default
+            with pytest.raises(ValueError, match="shards"):
+                P2PMSystem(runtime="sharded", shards=shards, failure_mode="oracle")
 
     def test_unknown_runtime_is_rejected(self):
         with pytest.raises(ValueError, match="runtime"):
