@@ -27,7 +27,7 @@ from repro.monitor.manager import SubscriptionManager
 from repro.monitor.recovery import RecoveryManager
 from repro.monitor.reuse import ReuseSignatureCache
 from repro.monitor.stream_db import StreamDefinitionDatabase
-from repro.net.detector import DetectorConfig, HeartbeatDetector
+from repro.net.detector import HeartbeatDetector
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
 from repro.net.rpc import RpcEndpoint
@@ -69,11 +69,10 @@ class P2PMSystem:
         fault_model: FaultModel | None = None,
         failure_mode: str = "oracle",
         reliable_control: bool = False,
-        detector_config: DetectorConfig | None = None,
         runtime: str = "single",
         shards: int = 2,
         shard_assigner=None,
-        supervisor_config=None,
+        shard_turn_timeout: float = 30.0,
     ) -> None:
         if failure_mode not in ("oracle", "detector"):
             raise ValueError(
@@ -108,9 +107,7 @@ class P2PMSystem:
         self.reliable_channels = failure_mode == "detector"
         self.detector: HeartbeatDetector | None = None
         if failure_mode == "detector":
-            self.detector = HeartbeatDetector(
-                self.network, seed=seed, config=detector_config
-            )
+            self.detector = HeartbeatDetector(self.network, seed=seed)
             self.detector.on_confirm = self._on_peer_confirmed_down
             self.detector.on_rejoin = self._on_peer_rejoined
         if reliable_control:
@@ -152,7 +149,7 @@ class P2PMSystem:
             self,
             shards=shards,
             assigner=shard_assigner,
-            supervisor_config=supervisor_config,
+            shard_turn_timeout=shard_turn_timeout,
         )
 
     # -- peers ------------------------------------------------------------------

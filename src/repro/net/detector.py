@@ -70,15 +70,10 @@ class DetectorConfig:
 class HeartbeatDetector:
     """Failure detection for every peer attached to one :class:`SimNetwork`."""
 
-    def __init__(
-        self,
-        network: SimNetwork,
-        seed: int = 0,
-        config: DetectorConfig | None = None,
-    ) -> None:
+    def __init__(self, network: SimNetwork, seed: int = 0) -> None:
         self.network = network
         self.seed = seed
-        self.config = config or DetectorConfig()
+        self.config = DetectorConfig()
         self.tick_count = 0
         #: peers in sha1(seed:peer_id) order -- the observation ring
         self._ring: list[str] = []

@@ -81,11 +81,11 @@ class WorkerFailure(ShardError):
     """A shard worker *process* was lost (see the concrete subclasses).
 
     Distinct from :class:`ShardWorkerError`: here the worker itself is gone
-    (or untrustworthy) and cannot report anything -- the supervisor
+    (or untrustworthy) and cannot report anything -- the parent
     classified the loss from the outside.
     """
 
-    #: how the supervisor classified the loss; set by subclasses
+    #: how the parent classified the loss; set by subclasses
     kind = "lost"
 
     def __init__(self, shard: int, detail: str) -> None:

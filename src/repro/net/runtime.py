@@ -158,12 +158,14 @@ def create_runtime(
     system: "P2PMSystem",
     shards: int = 2,
     assigner: Any = None,
-    supervisor_config: Any = None,
+    shard_turn_timeout: float = 30.0,
 ) -> Runtime:
     """Instantiate the runtime backend ``name`` for ``system``.
 
-    ``supervisor_config`` tunes the sharded backend's worker supervision
-    (see :mod:`repro.net.supervisor`); the single-process backend ignores it.
+    ``shard_turn_timeout`` is how many seconds the sharded backend waits on
+    one worker turn before it declares the worker hung and fails its shard
+    over (see :mod:`repro.net.shard`); the single-process backend ignores
+    it.
     """
     if name == "single":
         return SingleProcessRuntime(system)
@@ -174,7 +176,7 @@ def create_runtime(
             system,
             shards=shards,
             assigner=assigner,
-            supervisor_config=supervisor_config,
+            shard_turn_timeout=shard_turn_timeout,
         )
     raise ValueError(f"runtime must be one of {RUNTIMES}, got {name!r}")
 

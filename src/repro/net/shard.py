@@ -17,9 +17,11 @@ Execution is a lock-step epoch protocol driven by the parent's
    destined for its shard (empty in the first round);
 2. each worker pushes the imported messages onto its scheduler (at their
    original ``deliver_at``; the local clock only ever advances forward),
-   drains its heap to empty, and replies with its outboxes;
-3. the parent routes the outboxes to their destination shards and starts
-   the next round; the epoch ends when a round moves no cross-shard traffic.
+   drains its heap to empty, and replies with its outboxes and the result
+   deltas of the subscriptions its peers manage;
+3. the parent absorbs the results into its handles, routes the outboxes to
+   their destination shards and starts the next round; the epoch ends when
+   a round moves no cross-shard traffic.
 
 Determinism: shard assignment is :func:`shard_of` -- a salt-free SHA-1 hash
 of the peer id -- so the same peer set always partitions the same way
@@ -40,10 +42,15 @@ v1 restrictions (each enforced with an explicit error):
   :meth:`start`, so the forked workers know which subscriptions need their
   items (not just their counts) shipped back to the parent.
 
-Worker supervision and failover: every worker turn is bounded by a
-:class:`~repro.net.supervisor.ShardSupervisor` deadline and liveness check.
-A worker that crashes, hangs past the deadline or replies off-protocol is
-*lost*: the parent fails over every peer the dead shard owned through the
+Worker supervision and failover: a turn is one request and one reply, and
+the parent waits on the worker's pipe *and* its process sentinel, for at
+most ``shard_turn_timeout`` seconds.  A worker that exits mid-turn is
+:class:`~repro.net.errors.WorkerCrashed` the moment it dies; one still
+silent at the deadline is :class:`~repro.net.errors.WorkerHung` and is
+killed; a reply of the wrong shape is
+:class:`~repro.net.errors.WorkerPoisoned` and is killed too.  Every such
+worker is *lost* (``runtime.lost``): the parent fails over every peer the
+dead shard owned through the
 ordinary oracle chain -- ``network.fail_peer`` + KadoP re-replication in the
 parent mirror *and* (via a control broadcast) in every surviving worker,
 with :class:`~repro.monitor.recovery.RecoveryManager` redeployment running
@@ -61,19 +68,23 @@ degrading past quorum -- and never, in any of these paths, hangs.
 from __future__ import annotations
 
 import gc
+import signal
 import time
 import traceback
 from hashlib import sha1
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.net.errors import FailoverImpossible, ShardWorkerError, WorkerFailure
-from repro.net.runtime import Runtime, SingleProcessRuntime, apply_control
-from repro.net.supervisor import (
-    ShardSupervisor,
-    SupervisorConfig,
-    WorkerFaultInjector,
+from repro.net.errors import (
+    FailoverImpossible,
+    ShardWorkerError,
+    WorkerCrashed,
+    WorkerFailure,
+    WorkerHung,
+    WorkerPoisoned,
 )
+from repro.net.runtime import Runtime, SingleProcessRuntime, apply_control
 from repro.net.wire import decode_batch, decode_element, encode_batch, encode_element
 from repro.streams.item import EOS
 
@@ -84,6 +95,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: peer-id -> shard override hook: ``assigner(peer_id, shards)`` may return
 #: a shard index or ``None`` to fall back to :func:`shard_of`
 ShardAssigner = Callable[[str, int], int | None]
+
+#: worker faults :meth:`ShardedRuntime.inject_worker_fault` accepts: SIGKILL
+#: the process, make it sleep forever, make its next drain reply malformed
+WORKER_FAULTS = ("kill", "hang", "corrupt")
 
 
 def shard_of(peer_id: str, shards: int) -> int:
@@ -107,16 +122,14 @@ class ShardOutboxes:
     already applied in the sender's shard when the message was scheduled.
     """
 
-    __slots__ = ("owned", "assign", "outboxes", "exported")
+    __slots__ = ("owned", "assign", "outboxes")
 
     def __init__(self, owned: frozenset[str], assign: Callable[[str], int]) -> None:
         self.owned = owned
         self.assign = assign
         self.outboxes: dict[int, list["Message"]] = {}
-        self.exported = 0
 
     def export(self, message: "Message") -> None:
-        self.exported += 1
         shard = self.assign(message.destination)
         bucket = self.outboxes.get(shard)
         if bucket is None:
@@ -142,8 +155,8 @@ class _ResultCollector:
     Counts every delivered result; ships the items themselves only for
     subscriptions with a parent-side consumer (a result buffer or
     ``on_result`` callbacks attached before the fork).  At bench scale the
-    difference matters: counters are a few bytes per collect, items are the
-    whole result set re-encoded over a pipe.
+    difference matters: counters are a few bytes per drain reply, items are
+    the whole result set re-encoded over a pipe.
     """
 
     def __init__(self, system: "P2PMSystem", owned: frozenset[str]) -> None:
@@ -181,7 +194,7 @@ class _ResultCollector:
         return tap
 
     def take(self) -> list[tuple[str, str, int, list | None]]:
-        """Drain per-subscription deltas since the previous collect."""
+        """Drain per-subscription deltas since the previous drain reply."""
         out = []
         for (peer_id, sub_id), row in self.rows.items():
             count, items = row
@@ -245,7 +258,9 @@ def _worker_main(system: "P2PMSystem", index: int, conn: Any) -> None:
                     poison_next = False
                     conn.send(("oops", "injected protocol corruption"))
                 else:
-                    conn.send(("out", boundary.take(), delivered, errors))
+                    conn.send(
+                        ("out", boundary.take(), delivered, collector.take(), errors)
+                    )
                     errors = []
             elif op == "drive":
                 _, peer_id, function, method, args = command
@@ -274,14 +289,11 @@ def _worker_main(system: "P2PMSystem", index: int, conn: Any) -> None:
                         network.run()
                 else:
                     apply_control(network, name, args)
-            elif op == "collect":
-                conn.send(("results", collector.take(), errors))
-                errors = []
             elif op == "ping":
                 conn.send(("pong", index))
             elif op == "hang":
                 # injected: a worker stuck in a busy loop / lost to the
-                # scheduler; only the supervisor's deadline can notice
+                # scheduler; only the parent's turn deadline can notice
                 time.sleep(3600.0)
             elif op == "corrupt":
                 poison_next = True
@@ -292,10 +304,8 @@ def _worker_main(system: "P2PMSystem", index: int, conn: Any) -> None:
             # request/reply ops must still reply to keep the protocol in
             # lock-step; fire-and-forget errors ride along on the next reply
             if op == "drain":
-                conn.send(("out", [], 0, errors + [err]))
-                errors = []
-            elif op == "collect":
-                conn.send(("results", [], errors + [err]))
+                # the collector keeps its deltas for the next drain reply
+                conn.send(("out", [], 0, [], errors + [err]))
                 errors = []
             elif op == "ping":
                 conn.send(("pong", index))
@@ -315,23 +325,26 @@ class ShardedRuntime(Runtime):
         system: "P2PMSystem",
         shards: int = 2,
         assigner: ShardAssigner | None = None,
-        supervisor_config: SupervisorConfig | None = None,
+        shard_turn_timeout: float = 30.0,
     ) -> None:
         super().__init__(system)
         if shards < 2:
             raise ValueError(f"sharded runtime needs shards >= 2, got {shards}")
         self.shards = shards
         self.assigner = assigner
+        #: seconds one worker turn may take before the worker counts as hung;
+        #: generous, because a missed deadline is a loss, not a retry
+        self.shard_turn_timeout = shard_turn_timeout
         self.owned_by_shard: list[list[str]] = []
         self._assignments: dict[str, int] = {}
         self._conns: list[Any] = []
         self._procs: list[Any] = []
-        #: worker turn deadlines + liveness classification
-        self.supervisor = ShardSupervisor(supervisor_config)
-        #: deterministic worker-level fault injection (scenarios, tests)
-        self.fault_injector: WorkerFaultInjector | None = None
-        #: shards whose worker was lost and failed over; epochs skip them
-        self.lost_shards: set[int] = set()
+        #: shard -> the classified failure that lost its worker; epochs skip it
+        self.lost: dict[int, WorkerFailure] = {}
+        #: (kind, shard) worker faults to apply when the next epoch starts
+        self._faults: list[tuple[str, int]] = []
+        #: (epoch, kind, shard) worker faults actually applied, in order
+        self.injected_faults: list[tuple[int, str, int]] = []
         #: peers transferred through failover, in fail_peer order -- chaos
         #: scenarios drain this to attribute the failures to their tick
         self.failed_over_peers: list[str] = []
@@ -400,9 +413,10 @@ class ShardedRuntime(Runtime):
             # the first epoch; a startup death is a hard, typed error, not a
             # failover (nothing ran yet)
             for index in range(self.shards):
-                self.supervisor.heartbeat(index, self._procs[index], self._conns[index])
+                self._turn(index, ("ping",))
         except BaseException:
             self.started = False
+            self.lost.clear()  # nothing ran: a retried start owns every shard
             self._teardown()
             raise
         # the parent becomes a mirror: workers execute the pipelines, the
@@ -416,7 +430,7 @@ class ShardedRuntime(Runtime):
         if not self._procs:
             return
         for index, conn in enumerate(self._conns):
-            if index in self.lost_shards:
+            if index in self.lost:
                 continue  # already dead; its pipe may be broken
             try:
                 conn.send(("stop",))
@@ -452,7 +466,7 @@ class ShardedRuntime(Runtime):
             return self.system.network.run(max_steps)
         self._check_aborted()
         self.epochs += 1
-        lost_at_entry = len(self.lost_shards)
+        lost_at_entry = len(self.lost)
         self._inject_faults()
         delivered = 0
         incoming: list[list] = [[] for _ in range(self.shards)]
@@ -466,7 +480,7 @@ class ShardedRuntime(Runtime):
             active = [
                 i
                 for i in range(self.shards)
-                if i not in self.lost_shards and (first or incoming[i])
+                if i not in self.lost and (first or incoming[i])
             ]
             first = False
             replies, failures = self._exchange(
@@ -474,12 +488,12 @@ class ShardedRuntime(Runtime):
             )
             incoming = [[] for _ in range(self.shards)]
             traffic = 0
-            dead = self.lost_shards | set(failures)
-            for _, outgoing, count, errs in replies:
+            for _, outgoing, count, rows, errs in replies:
                 self._raise_on(errs)
                 delivered += count
+                self._absorb(rows)
                 for destination, batch in outgoing:
-                    if destination in dead:
+                    if destination in self.lost:
                         # in-flight traffic addressed to a shard that died
                         # this round: crash semantics, dropped and counted
                         self.batches_dropped += 1
@@ -499,8 +513,7 @@ class ShardedRuntime(Runtime):
                 continue
             if not traffic:
                 break
-        self._harvest()
-        if len(self.lost_shards) > lost_at_entry:
+        if len(self.lost) > lost_at_entry:
             self.system.network.stats.epochs_stalled += 1
         return delivered
 
@@ -529,28 +542,20 @@ class ShardedRuntime(Runtime):
             return getattr(alerter, method)(*args)
         self._check_aborted()
         shard = self.shard_for(peer_id)
-        if shard in self.lost_shards:
+        if shard in self.lost:
             return None  # the peer died with its worker; callers see it down
         try:
             self._send(shard, ("drive", peer_id, function, method, args))
-        except WorkerFailure as failure:
-            self._failover({shard: failure})
+        except WorkerFailure:
+            self._failover([shard])
         return None
 
-    def inject_worker_fault(
-        self, kind: str, shard: int | None = None, epoch: int | None = None
-    ) -> None:
-        """Arm a deterministic worker fault (``kill``/``hang``/``corrupt``).
-
-        With ``epoch=None`` the fault fires at the start of the next
-        :meth:`run`; otherwise when the epoch counter reaches ``epoch``.
-        """
-        if self.fault_injector is None:
-            self.fault_injector = WorkerFaultInjector()
-        if epoch is None:
-            self.fault_injector.arm(kind, shard)
-        else:
-            self.fault_injector.at_epoch(epoch, kind, shard)
+    def inject_worker_fault(self, kind: str, shard: int) -> None:
+        """Apply a real worker fault (:data:`WORKER_FAULTS`) to ``shard``
+        when the next :meth:`run` starts its epoch."""
+        if kind not in WORKER_FAULTS:
+            raise ValueError(f"fault kind must be one of {WORKER_FAULTS}, got {kind!r}")
+        self._faults.append((kind, shard))
 
     # -- capability guards -------------------------------------------------
 
@@ -579,19 +584,19 @@ class ShardedRuntime(Runtime):
             "messages_exchanged": self.messages_exchanged,
             "results_harvested": self.results_harvested,
             "peers_per_shard": [len(owned) for owned in self.owned_by_shard],
-            "workers_lost": sorted(self.lost_shards),
+            "workers_lost": sorted(self.lost),
             "peers_failed_over": len(self.failed_over_peers),
             "batches_dropped": self.batches_dropped,
         }
 
     # -- internals ---------------------------------------------------------
 
-    #: reply tag each request op expects (shape-validated by the supervisor)
-    _EXPECT = {"drain": "out", "collect": "results", "ping": "pong"}
+    #: request op -> (tag, arity) of the only reply the worker may send
+    _REPLY_SHAPES = {"drain": ("out", 5), "ping": ("pong", 2)}
 
     def _exchange(
         self, commands: dict[int, tuple]
-    ) -> tuple[list[tuple], dict[int, WorkerFailure]]:
+    ) -> tuple[list[tuple], list[int]]:
         """Run one request/reply turn per addressed worker, strictly in
         sequence: worker *i* finishes its command before worker *i+1* even
         receives one.
@@ -606,57 +611,118 @@ class ShardedRuntime(Runtime):
         blocked in ``recv`` when the parent sends, and the parent only
         sends one command before draining the matching reply.
 
-        The turns that ended in a confirmed worker loss come back as
-        ``{shard: WorkerFailure}`` for the caller to fail over.
+        The shards whose turn ended in a confirmed worker loss come back as
+        a list for the caller to fail over.
         """
         replies = []
-        failures: dict[int, WorkerFailure] = {}
+        failures: list[int] = []
         for index, command in commands.items():
-            conn, proc = self._conns[index], self._procs[index]
             try:
-                replies.append(
-                    self.supervisor.request(
-                        index, proc, conn, command, expect=self._EXPECT[command[0]]
-                    )
-                )
-            except WorkerFailure as failure:
-                failures[index] = failure
+                replies.append(self._turn(index, command))
+            except WorkerFailure:
+                failures.append(index)
         return replies, failures
 
+    def _turn(self, index: int, command: tuple) -> tuple:
+        """One supervised turn: send, wait on the pipe and the process,
+        validate the reply's shape."""
+        conn, proc = self._conns[index], self._procs[index]
+        self._send(index, command)
+        ready = wait([conn, proc.sentinel], timeout=self.shard_turn_timeout)
+        if not ready:
+            # alive but silent past the deadline: a hang.  Kill it so the
+            # straggler cannot wedge shutdown or wake up later with a stale
+            # view of the shard map
+            self._kill(proc)
+            raise self._lose(
+                WorkerHung(index, f"no reply within {self.shard_turn_timeout:.1f}s")
+            )
+        try:
+            # only the sentinel is ready: the worker exited, but a reply it
+            # sent before dying may still sit in the pipe
+            if conn not in ready and not conn.poll():
+                raise EOFError
+            reply = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._lose(WorkerCrashed(index, self._exit_detail(proc))) from exc
+        tag, arity = self._REPLY_SHAPES[command[0]]
+        if not isinstance(reply, tuple) or len(reply) != arity or reply[0] != tag:
+            self._kill(proc)  # the worker is off-protocol: state untrusted
+            raise self._lose(
+                WorkerPoisoned(
+                    index, f"expected a {tag!r}/{arity} reply, got {reply!r:.200}"
+                )
+            )
+        return reply
+
     def _send(self, index: int, command: tuple) -> None:
-        """Fire-and-forget send to one worker; a broken pipe is a typed loss."""
-        self.supervisor.send(index, self._procs[index], self._conns[index], command)
+        """Send one command to one worker; a broken pipe is a confirmed crash."""
+        try:
+            self._conns[index].send(command)
+        except OSError as exc:
+            raise self._lose(
+                WorkerCrashed(index, self._exit_detail(self._procs[index]))
+            ) from exc
+
+    def _lose(self, failure: WorkerFailure) -> WorkerFailure:
+        self.lost.setdefault(failure.shard, failure)
+        return failure
+
+    @staticmethod
+    def _exit_detail(proc: Any) -> str:
+        code = proc.exitcode
+        if code is None:
+            return "pipe closed while the process was still running"
+        if code < 0:
+            try:
+                name = signal.Signals(-code).name
+            except ValueError:  # pragma: no cover - unknown signal number
+                name = f"signal {-code}"
+            return f"process killed by {name}"
+        return f"process exited with code {code}"
+
+    @staticmethod
+    def _kill(proc: Any) -> None:
+        """SIGKILL ``proc`` -- the real thing, not a cooperative stop."""
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5)
 
     def _broadcast(self, command: tuple) -> None:
-        failures: dict[int, WorkerFailure] = {}
+        failures: list[int] = []
         for index in range(self.shards):
-            if index in self.lost_shards:
+            if index in self.lost:
                 continue
             try:
                 self._send(index, command)
-            except WorkerFailure as failure:
-                failures[index] = failure
+            except WorkerFailure:
+                failures.append(index)
         if failures:
             self._failover(failures)
 
     def _inject_faults(self) -> None:
-        """Apply the fault injector's faults due at this epoch, if any."""
-        if self.fault_injector is None:
-            return
-        alive = [i for i in range(self.shards) if i not in self.lost_shards]
-        for kind, shard in self.fault_injector.take(self.epochs, alive):
+        """Apply the faults injected since the previous epoch."""
+        faults, self._faults = self._faults, []
+        failures: list[int] = []
+        for kind, shard in faults:
+            if shard in self.lost:
+                continue  # already lost: the fault has nothing to do
+            self.injected_faults.append((self.epochs, kind, shard))
             if kind == "kill":
-                WorkerFaultInjector.kill_process(self._procs[shard])
-            elif kind == "hang":
-                self._conns[shard].send(("hang",))
-            elif kind == "corrupt":
-                self._conns[shard].send(("corrupt",))
+                self._kill(self._procs[shard])
+                continue
+            try:
+                self._send(shard, (kind,))
+            except WorkerFailure:
+                failures.append(shard)
+        if failures:
+            self._failover(failures)
 
     def _check_aborted(self) -> None:
         if self._aborted is not None:
             raise self._aborted
 
-    def _failover(self, failures: dict[int, WorkerFailure]) -> None:
+    def _failover(self, failures: list[int]) -> None:
         """Transfer every peer of the lost shards through oracle fail_peer.
 
         The parent mirror applies the full chain (network down-marking,
@@ -669,12 +735,9 @@ class ShardedRuntime(Runtime):
         system = self.system
         stats = system.network.stats
         queue = sorted(failures)
-        self.lost_shards.update(queue)
         while queue:
-            if 2 * len(self.lost_shards) > self.shards:
-                self._aborted = FailoverImpossible(
-                    sorted(self.lost_shards), self.shards
-                )
+            if 2 * len(self.lost) > self.shards:
+                self._aborted = FailoverImpossible(sorted(self.lost), self.shards)
                 raise self._aborted
             shard = queue.pop(0)
             stats.worker_restarts += 1
@@ -688,12 +751,11 @@ class ShardedRuntime(Runtime):
                 self.failed_over_peers.append(peer_id)
                 stats.peers_failed_over += 1
                 for other in range(self.shards):
-                    if other in self.lost_shards:
+                    if other in self.lost:
                         continue
                     try:
                         self._send(other, ("ctrl", "fail_peer", (peer_id,)))
                     except WorkerFailure:
-                        self.lost_shards.add(other)
                         queue.append(other)
         # the mirror's recovery redeploys scheduled control sends the parent
         # never executes (workers run the authoritative copies) and created
@@ -723,41 +785,28 @@ class ShardedRuntime(Runtime):
                 if task is not None and task.publisher is not None:
                     task.publisher.disconnect()
 
-    def _harvest(self) -> None:
-        """Pull result deltas from every worker into the parent's handles.
+    def _absorb(self, rows: list) -> None:
+        """Replay one drain reply's result deltas into the parent's handles.
 
         Counts update the delivery valves (so ``handle.stats()`` stays
         truthful); shipped items are re-emitted on the parent's delivery
         streams, firing result buffers and ``on_result`` callbacks exactly
         like a local delivery would (the mirror's publishers were
         disconnected at start, so nothing is re-published).  A worker lost
-        during harvest forfeits its uncollected deltas (crash semantics)
-        and is failed over like any other loss.
+        mid-turn forfeits the deltas of that turn (crash semantics).
         """
         system = self.system
-        replies, failures = self._exchange(
-            {
-                index: ("collect",)
-                for index in range(self.shards)
-                if index not in self.lost_shards
-            }
-        )
-        for _, rows, errs in replies:
-            self._raise_on(errs)
-            for manager_peer, sub_id, count, items in rows:
-                database = system.peer(manager_peer).manager.database
-                task = database.get(sub_id).task
-                if task is None:
-                    continue
-                self.results_harvested += count
-                if task.valve is not None:
-                    task.valve.items_delivered += count
-                if items and task.delivery is not None:
-                    emit = task.delivery.emit
-                    for data in items:
-                        emit(decode_element(data))
-        if failures:
-            self._failover(failures)
+        for manager_peer, sub_id, count, items in rows:
+            task = system.peer(manager_peer).manager.database.get(sub_id).task
+            if task is None:
+                continue
+            self.results_harvested += count
+            if task.valve is not None:
+                task.valve.items_delivered += count
+            if items and task.delivery is not None:
+                emit = task.delivery.emit
+                for data in items:
+                    emit(decode_element(data))
 
     @staticmethod
     def _raise_on(errors: list[str]) -> None:
@@ -765,4 +814,10 @@ class ShardedRuntime(Runtime):
             raise ShardWorkerError(errors)
 
 
-__all__ = ["ShardAssigner", "ShardOutboxes", "ShardedRuntime", "shard_of"]
+__all__ = [
+    "WORKER_FAULTS",
+    "ShardAssigner",
+    "ShardOutboxes",
+    "ShardedRuntime",
+    "shard_of",
+]

@@ -66,7 +66,7 @@ class NetworkStats:
         self.items_shed = 0
         self.acks_sent = 0
         # sharded-runtime failover accounting: worker processes lost and
-        # failed over (the supervisor "restarts" the epoch without them),
+        # failed over (the runtime "restarts" the epoch without them),
         # peers transferred through oracle fail_peer, and epochs that lost
         # at least one worker turn to a confirmed failure
         self.worker_restarts = 0

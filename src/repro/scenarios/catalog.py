@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.net.faults import FaultModel
-from repro.net.supervisor import SupervisorConfig
 from repro.scenarios.chaos import ChaosScenario, ChurnSpec, ScenarioAction
 
 ScenarioFactory = Callable[[int], ChaosScenario]
@@ -208,7 +207,7 @@ def _worker_crash(seed: int) -> ChaosScenario:
         ),
         description=(
             "The worker process owning source s0 is SIGKILLed mid-run (a "
-            "real crash, no cleanup): the supervisor must classify the loss, "
+            "real crash, no cleanup): the runtime must classify the loss, "
             "fail over every peer the shard owned within one tick, and keep "
             "the survivors' alerts flowing exactly-once with no duplicate "
             "ever -- and the run must terminate (no hang) with the failover "
@@ -227,7 +226,7 @@ def _worker_hang(seed: int) -> ChaosScenario:
         shards=3,
         failure_mode="oracle",
         shard_assigner=_worker_shard_assigner,
-        supervisor_config=SupervisorConfig(turn_timeout=2.0, poll_interval=0.02),
+        shard_turn_timeout=2.0,
         schedule=(ScenarioAction(7, "worker-hang", "@owner-of:s0"),),
         invariants=(
             "no-duplicates",
@@ -237,7 +236,7 @@ def _worker_hang(seed: int) -> ChaosScenario:
         ),
         description=(
             "The worker owning source s0 wedges in an uninterruptible sleep: "
-            "only the supervisor's turn deadline can notice.  The straggler "
+            "only the runtime's turn deadline can notice.  The straggler "
             "must be killed and failed over like a crash -- the epoch "
             "protocol may stall for at most the configured turn timeout, "
             "never forever."

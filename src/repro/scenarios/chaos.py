@@ -181,9 +181,9 @@ class ChaosScenario:
     #: sharded runs; worker-fault scenarios pin the topology so the same
     #: shard owns the same peers for every seed
     shard_assigner: object = None
-    #: optional :class:`~repro.net.supervisor.SupervisorConfig`; worker-hang
-    #: scenarios tighten ``turn_timeout`` so the run stays fast
-    supervisor_config: object = None
+    #: seconds a sharded run waits on one worker turn before declaring the
+    #: worker hung; worker-hang scenarios tighten it so the run stays fast
+    shard_turn_timeout: float = 30.0
 
     # -- execution ---------------------------------------------------------------
 
@@ -195,7 +195,7 @@ class ChaosScenario:
             runtime=self.runtime,
             shards=self.shards,
             shard_assigner=self.shard_assigner,
-            supervisor_config=self.supervisor_config,
+            shard_turn_timeout=self.shard_turn_timeout,
         )
         sources = [f"s{i}" for i in range(self.n_sources)]
         for source in sources:
@@ -317,11 +317,7 @@ class ChaosScenario:
             rejoins=rejoins,
             recovery_timeline=recovery_timeline,
             reliability_counters=system.network.stats.reliability_snapshot(),
-            worker_faults=(
-                list(system.runtime.fault_injector.injected)
-                if getattr(system.runtime, "fault_injector", None) is not None
-                else []
-            ),
+            worker_faults=list(getattr(system.runtime, "injected_faults", [])),
         )
         result.invariants = [
             check_invariant(name, result) for name in self.invariants

@@ -180,8 +180,12 @@ class TestRejoinHandshake:
 
 class TestDetectorConfig:
     def test_custom_config_changes_latency(self):
-        config = DetectorConfig(fanout=2, suspect_after=3, confirm_after=5)
-        system = P2PMSystem(seed=3, failure_mode="detector", detector_config=config)
+        system = P2PMSystem(seed=3, failure_mode="detector")
+        # read lazily by targets() and tick(), so setting it before the
+        # peers join is the same as building the detector with it
+        system.detector.config = DetectorConfig(
+            fanout=2, suspect_after=3, confirm_after=5
+        )
         for i in range(4):
             system.add_peer(f"p{i}")
         run_ticks(system, 2)

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.net.errors import (
     WorkerHung,
     WorkerPoisoned,
 )
-from repro.net.supervisor import SupervisorConfig, WorkerFaultInjector
+from repro.net.shard import WORKER_FAULTS
 from repro.scenarios import make_scenario
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
 
@@ -130,8 +131,8 @@ class TestCrashFailover:
             return victim
 
         victim = finishes_within(scenario)
-        assert runtime.lost_shards == {victim}
-        assert isinstance(runtime.supervisor.lost[victim], WorkerCrashed)
+        assert list(runtime.lost) == [victim]
+        assert isinstance(runtime.lost[victim], WorkerCrashed)
         assert sorted(runtime.failed_over_peers) == ["s0", "s2"]
         # the failed-over sources stop at the kill; the survivors cover the
         # whole run (the kill lands between epochs here, so not even the
@@ -146,9 +147,7 @@ class TestCrashFailover:
 
     def test_hung_worker_is_killed_and_failed_over(self):
         """A wedged worker trips the turn deadline, not an infinite wait."""
-        system, sources, received = build_system(
-            supervisor_config=SupervisorConfig(turn_timeout=1.0, poll_interval=0.02)
-        )
+        system, sources, received = build_system(shard_turn_timeout=1.0)
         runtime = system.runtime
 
         def scenario():
@@ -162,7 +161,7 @@ class TestCrashFailover:
             return victim, straggler_killed
 
         victim, straggler_killed = finishes_within(scenario)
-        assert isinstance(runtime.supervisor.lost[victim], WorkerHung)
+        assert isinstance(runtime.lost[victim], WorkerHung)
         assert straggler_killed
         assert sorted(runtime.failed_over_peers) == ["s0", "s2"]
         # the hang was noticed mid-epoch: that epoch stalled, on record
@@ -184,7 +183,7 @@ class TestCrashFailover:
 
         finishes_within(scenario)
         victim = runtime.shard_for("s0")
-        failure = runtime.supervisor.lost[victim]
+        failure = runtime.lost[victim]
         assert isinstance(failure, WorkerPoisoned)
         assert "expected" in str(failure)
         assert sorted(runtime.failed_over_peers) == ["s0", "s2"]
@@ -210,6 +209,112 @@ class TestCrashFailover:
         error = finishes_within(scenario)
         assert sorted(error.lost) == [1, 2]
         assert error.shards == 3
+
+    @pytest.mark.parametrize("kind", WORKER_FAULTS)
+    def test_fault_against_a_dead_worker_fails_over(self, kind):
+        """Injecting into a worker that already died is a supervised send."""
+        system, sources, _ = build_system()
+        runtime = system.runtime
+
+        def scenario():
+            pump(system, sources, range(2))
+            victim = runtime.shard_for("s0")
+            os.kill(runtime._procs[victim].pid, signal.SIGKILL)
+            runtime._procs[victim].join(timeout=10)
+            runtime.inject_worker_fault(kind, victim)
+            system.run()
+            system.shutdown()
+            return victim
+
+        victim = finishes_within(scenario)
+        assert isinstance(runtime.lost[victim], WorkerCrashed)
+        assert sorted(runtime.failed_over_peers) == ["s0", "s2"]
+        assert runtime._procs == [] and runtime._conns == []
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_mid_turn_is_a_crash_not_a_hang(self):
+        """The parent waits on the process too: a death ends the wait at once."""
+        system, sources, _ = build_system(shard_turn_timeout=30.0)
+        runtime = system.runtime
+
+        def scenario():
+            pump(system, sources, range(2))
+            victim = runtime.shard_for("s0")
+            runtime.inject_worker_fault("hang", victim)
+            # the straggler dies while the parent is waiting on its turn
+            killer = threading.Timer(
+                0.5, os.kill, (runtime._procs[victim].pid, signal.SIGKILL)
+            )
+            killer.start()
+            started = time.monotonic()
+            system.run()
+            elapsed = time.monotonic() - started
+            killer.join(timeout=10)
+            system.shutdown()
+            return victim, elapsed
+
+        victim, elapsed = finishes_within(scenario)
+        assert isinstance(runtime.lost[victim], WorkerCrashed)
+        assert elapsed < 5.0
+
+    def test_reply_sent_just_before_exit_is_read(self, monkeypatch):
+        """A worker that replies and exits at once still has its reply read."""
+        from repro.net import shard as shard_module
+
+        real_worker = shard_module._worker_main
+
+        def replies_then_exits(system, index, conn):
+            if index == 1:  # owns s0 and s2
+                send = conn.send
+
+                def send_then_exit(reply):
+                    send(reply)
+                    if reply[0] == "out":
+                        os._exit(0)
+
+                conn.send = send_then_exit
+            real_worker(system, index, conn)
+
+        monkeypatch.setattr(shard_module, "_worker_main", replies_then_exits)
+        system, sources, received = build_system()
+        runtime = system.runtime
+
+        def scenario():
+            # the tick-0 alerts of s0 and s2 leave shard 1 in the outboxes
+            # of the very reply it sends before exiting
+            pump(system, sources, range(2))
+            system.shutdown()
+
+        finishes_within(scenario)
+        assert ("s0", 0) in received and ("s2", 0) in received
+        assert isinstance(runtime.lost[1], WorkerCrashed)
+        assert sorted(runtime.failed_over_peers) == ["s0", "s2"]
+
+    def test_one_request_per_worker_per_round(self):
+        """A quiet epoch is one drain per live worker, and nothing else."""
+        system, sources, _ = build_system()
+        runtime = system.runtime
+
+        def scenario():
+            pump(system, sources, range(2))
+            sent = []
+            for index, conn in enumerate(runtime._conns):
+
+                def record(command, index=index, send=conn.send):
+                    sent.append((index, command[0]))
+                    send(command)
+
+                conn.send = record
+            rounds = runtime.rounds
+            system.run()
+            rounds = runtime.rounds - rounds
+            ops = list(sent)
+            system.shutdown()
+            return ops, rounds
+
+        ops, rounds = finishes_within(scenario)
+        assert rounds == 1
+        assert sorted(ops) == [(index, "drain") for index in range(3)]
 
 
 class TestTypedWorkerErrors:
@@ -305,28 +410,26 @@ class TestResourceHygiene:
 
 
 class TestFaultInjector:
-    def test_unspecified_shard_is_drawn_deterministically(self):
-        picks = [
-            WorkerFaultInjector(schedule=((5, "kill", None),), seed=42).take(
-                5, [1, 2, 3]
-            )
-            for _ in range(3)
-        ]
-        assert picks[0] == picks[1] == picks[2]
-        assert picks[0][0][0] == "kill"
-
     def test_faults_against_lost_shards_are_skipped(self):
-        injector = WorkerFaultInjector()
-        injector.at_epoch(3, "kill", 1)
-        assert injector.take(3, [2]) == []  # shard 1 already lost
-        assert injector.injected == []
+        system, sources, _ = build_system()
+        runtime = system.runtime
+
+        def scenario():
+            runtime.inject_worker_fault("kill", 1)
+            pump(system, sources, range(1))
+            runtime.inject_worker_fault("hang", 1)  # shard 1 already lost
+            pump(system, sources, range(1, 2))
+            system.shutdown()
+
+        finishes_within(scenario)
+        assert runtime.injected_faults == [(1, "kill", 1)]
+        assert list(runtime.lost) == [1]
 
     def test_unknown_kind_is_rejected(self):
-        injector = WorkerFaultInjector()
+        runtime = P2PMSystem(runtime="sharded", shards=2).runtime
         with pytest.raises(ValueError, match="kind"):
-            injector.at_epoch(1, "explode")
-        with pytest.raises(ValueError, match="kind"):
-            injector.arm("explode")
+            runtime.inject_worker_fault("explode", 1)
+        assert runtime._faults == []
 
 
 class TestWorkerFaultScenarios:
