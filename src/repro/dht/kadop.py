@@ -10,6 +10,9 @@ value) triples -- to document identifiers.  A tree-pattern query is answered
 by intersecting the postings of the terms it mentions and then verifying the
 full XPath on the candidate documents, mirroring how KadoP narrows down
 candidates before structural verification.
+
+Here it is the write-behind replica of the Stream Definition Database
+(``repro.monitor.stream_db``), whose own indexes answer every reuse probe.
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ class MembershipEvent:
 
 MembershipListener = Callable[[MembershipEvent], None]
 
-#: ``listener(kind, doc_id, document)`` with kind ``"publish"`` or
-#: ``"unpublish"``.  Secondary indexes over the document store (the Stream
-#: Definition Database's in-memory indexes) subscribe here so they stay
-#: coherent no matter who publishes into the index.
-DocumentListener = Callable[[str, str, Element], None]
-
 _DOCS_KEY = "__all_documents__"
 
 #: Bound on the per-query caches; generated queries embed peer/stream ids, so
@@ -50,7 +47,7 @@ _QUERY_CACHE_LIMIT = 4096
 
 
 class KadopIndex:
-    """The Stream Definition Database: publish XML descriptions, query by XPath."""
+    """The Stream Definition Database's DHT replica: publish XML descriptions, query by XPath."""
 
     def __init__(self, ring: ChordRing | None = None) -> None:
         self.ring = ring if ring is not None else ChordRing()
@@ -58,7 +55,6 @@ class KadopIndex:
             self.ring.join("kadop-seed")
         self._doc_count = 0
         self._membership_listeners: list[MembershipListener] = []
-        self._document_listeners: list[DocumentListener] = []
         #: query-result cache keyed on the canonical query string; any
         #: mutation of the document store (publish, unpublish, failure-time
         #: key restoration) invalidates it wholesale
@@ -150,21 +146,13 @@ class KadopIndex:
         for listener in list(self._membership_listeners):
             listener(event)
 
-    def subscribe_documents(self, listener: DocumentListener) -> None:
-        """Register a callback invoked on every document publish/unpublish."""
-        self._document_listeners.append(listener)
-
-    def _notify_documents(self, kind: str, doc_id: str, document: Element) -> None:
-        for listener in list(self._document_listeners):
-            listener(kind, doc_id, document)
-
     # -- publication ---------------------------------------------------------------
 
     def publish(self, document: Element, doc_id: str | None = None) -> str:
         """Index ``document`` and return its identifier.
 
         One copy is stored: the ring entry and the replica mirror share it,
-        and listeners and queries are handed that object.  Published documents
+        and queries are handed that object.  Published documents
         are immutable -- to change one, publish its ``doc_id`` again; postings
         of terms the new version no longer has are withdrawn.
         """
@@ -192,7 +180,6 @@ class KadopIndex:
         for term in stale:
             self._drop_posting(term, doc_id)
         self._query_cache.clear()
-        self._notify_documents("publish", doc_id, stored)
         return doc_id
 
     def unpublish(self, doc_id: str) -> bool:
@@ -210,7 +197,6 @@ class KadopIndex:
             catalogue.discard(doc_id)
         self._doc_replicas.pop(doc_id, None)
         self._query_cache.clear()
-        self._notify_documents("unpublish", doc_id, document)
         return True
 
     def _drop_posting(self, term: str, doc_id: str) -> None:

@@ -220,6 +220,9 @@ class Deployer:
         (:meth:`~repro.net.channel.ChannelRegistry.adopt_orphans`), so
         traffic emitted during the detection window survives the epoch
         swap.
+
+        A deployment that raises tears down what it wired before the error
+        propagates.
         """
         unplaced = plan.unplaced_nodes()
         if unplaced:
@@ -239,21 +242,37 @@ class Deployer:
         self._counter = 0
         self._epoch = epoch
         self._predecessor = predecessor
-        self._segments = self.system.compiler.plan_segments(plan)
-        if plan.kind == PUBLISH:
-            handle = self._deploy_node(plan.children[0], task)
-            consumer_peer_id = plan.placement
-        else:
-            handle = self._deploy_node(plan, task)
-            consumer_peer_id = manager_peer
-        input_stream, proxy_key = self._local_input(consumer_peer_id, handle, task)
-        undo = [self._attach_delivery(task, input_stream, max_results)]
-        if plan.kind == PUBLISH:
-            undo += self._deploy_publisher(plan, handle, task)
-        # the subscription terminal holds the plan's root stream alive
-        inputs = [handle.original] if proxy_key is None else [proxy_key, handle.original]
-        ledger.register(task.terminal, undo, inputs)
+        try:
+            self._segments = self.system.compiler.plan_segments(plan)
+            if plan.kind == PUBLISH:
+                handle = self._deploy_node(plan.children[0], task)
+                consumer_peer_id = plan.placement
+            else:
+                handle = self._deploy_node(plan, task)
+                consumer_peer_id = manager_peer
+            input_stream, proxy_key = self._local_input(consumer_peer_id, handle, task)
+            undo = [self._attach_delivery(task, input_stream, max_results)]
+            # the subscription terminal holds the plan's root stream alive
+            inputs = [handle.original] if proxy_key is None else [proxy_key, handle.original]
+            ledger.register(task.terminal, undo, inputs)
+            if plan.kind == PUBLISH:
+                undo += self._deploy_publisher(plan, handle, task)
+        except Exception:
+            self._unwind(task)
+            raise
         return task
+
+    def _unwind(self, task: DeployedTask) -> None:
+        """Release, newest first, every entry nothing holds but a foreign
+        terminal (the only three-element keys): outside a deployment only
+        terminals are unheld, so these are the failed deployment's pieces."""
+        ledger = self.system.resources
+        for key in reversed(ledger.keys()):
+            if (len(key) != 3 or key == task.terminal) and not ledger.holders(key):
+                try:
+                    ledger.release(key)
+                except Exception:  # noqa: BLE001 - the deployment's error is the one raised
+                    pass
 
     def _prepare_placements(self, plan: PlanNode, sub_id: str, manager_peer: str) -> None:
         """Reliable-control prepare handshake: prove every placement is reachable.
@@ -323,10 +342,10 @@ class Deployer:
             # stays hosted (it keeps observing its external system) so a
             # later subscription finds it again.
             created_channel = peer.ensure_channel(stream_id, alerter.output)
-            doc_id = self.system.stream_db.publish_node(node, peer.peer_id, stream_id, [])
             undo = [lambda: peer.net.unpublish_channel(stream_id)] if created_channel else []
-            undo.append(lambda: self.system.stream_db.retract(doc_id))
             ledger.register(key, undo)
+            doc_id = self.system.stream_db.publish_node(node, peer.peer_id, stream_id, [])
+            undo.append(lambda: self.system.stream_db.retract(doc_id))
         self._record(task, peer.peer_id, None)
         return _StreamHandle(peer.peer_id, alerter.output, stream_id)
 
@@ -378,8 +397,8 @@ class Deployer:
         pipeline = CompiledPipeline(
             program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats
         )
-        peer.operators.append(pipeline)
         handle = self._deploy_node(chain[0].children[0], task)
+        peer.operators.append(pipeline)
         for index, node in enumerate(chain):
 
             def wire(inputs: list[Stream], output: Stream, index: int = index, node: PlanNode = node):
@@ -438,10 +457,10 @@ class Deployer:
 
         Shared by every node kind that produces a stream of its own: local
         inputs, output stream and channel, then the caller's ``wire`` installs
-        whatever consumes the inputs, then predecessor link, advertisement and
-        the ledger entry whose undo order is: stop consuming, withdraw the
-        output; then it releases its inputs: the channel subscriptions it
-        reads through, then the streams it reads.
+        whatever consumes the inputs, then predecessor link, the ledger entry
+        and the advertisement.  The entry's undo order is: stop consuming,
+        withdraw the output; then it releases its inputs: the channel
+        subscriptions it reads through, then the streams it reads.
         """
         stream_id = self._next_stream_id(task.sub_id)
         input_streams: list[Stream] = []
@@ -456,20 +475,15 @@ class Deployer:
         operator, stop_consuming = wire(input_streams, output)
         self._link_predecessor(node, task, peer.peer_id, stream_id, output)
         originals = [handle.original for handle in child_handles]
+        withdraw = (lambda: peer.net.unpublish_channel(stream_id),) if created_channel else ()
+        undo = [*stop_consuming, output.close, *withdraw, lambda: peer.net.drop_stream(stream_id)]
+        # registered before the advertisement, which may raise
+        self.system.resources.register((peer.peer_id, stream_id), undo, proxy_keys + originals)
         doc_id = self.system.stream_db.publish_node(
             node, peer.peer_id, stream_id, originals
         )
+        undo.append(lambda: self.system.stream_db.retract(doc_id))
         self._record(task, peer.peer_id, operator)
-        undo = [*stop_consuming, output.close]
-        if created_channel:
-            undo.append(lambda: peer.net.unpublish_channel(stream_id))
-        undo += [
-            lambda: peer.net.drop_stream(stream_id),
-            lambda: self.system.stream_db.retract(doc_id),
-        ]
-        self.system.resources.register(
-            (peer.peer_id, stream_id), undo, proxy_keys + originals
-        )
         return _StreamHandle(peer.peer_id, output, stream_id)
 
     def _link_predecessor(
@@ -566,33 +580,8 @@ class Deployer:
         proxy = channels.subscribe_remote(
             handle.peer_id, handle.stream_id, announce=not rpc_announced
         )
-        if newly_subscribed:
-            consumer.rpc.call_sync(
-                handle.peer_id,
-                RPC_CHANNEL_SUBSCRIBE,
-                Element(
-                    "subscribe",
-                    {"channelId": handle.stream_id, "subscriber": consumer_peer_id},
-                ),
-            )
-        task.channels_created.append(f"#{handle.stream_id}@{handle.peer_id}")
+        undo: list[UndoAction] = []
         if first_local_consumer:
-            undo: list[UndoAction] = []
-            if self.publish_replicas and handle.original[0] != consumer_peer_id:
-                # the consumer re-publishes the proxy as a channel, so it genuinely
-                # can provide the stream to others, and declares the replica
-                replica_channel = consumer.ensure_channel(proxy.stream_id, proxy)
-                replica_doc = self.system.stream_db.publish_replica(
-                    handle.original[0], handle.original[1], consumer_peer_id, proxy.stream_id
-                )
-                replica_id = (consumer_peer_id, proxy.stream_id)
-                self.system.replica_providers[replica_id] = proxy_key
-                undo += [
-                    lambda: self.system.stream_db.retract(replica_doc),
-                    lambda: self.system.replica_providers.pop(replica_id, None),
-                ]
-                if replica_channel:
-                    undo.append(lambda: consumer.net.unpublish_channel(proxy.stream_id))
             if rpc_announced:
 
                 def _unsubscribe_via_rpc() -> None:
@@ -631,7 +620,33 @@ class Deployer:
                 (handle.peer_id, handle.stream_id)
             )
             inputs = () if upstream_key in (None, proxy_key) else (upstream_key,)
+            # registered before the subscribe RPC and the replica advertisement,
+            # which may raise; the replica's undo actions go in front
             ledger.register(proxy_key, undo, inputs)
+        if newly_subscribed:
+            consumer.rpc.call_sync(
+                handle.peer_id,
+                RPC_CHANNEL_SUBSCRIBE,
+                Element(
+                    "subscribe",
+                    {"channelId": handle.stream_id, "subscriber": consumer_peer_id},
+                ),
+            )
+        task.channels_created.append(f"#{handle.stream_id}@{handle.peer_id}")
+        if first_local_consumer and self.publish_replicas and handle.original[0] != consumer_peer_id:
+            # the consumer re-publishes the proxy as a channel, so it genuinely
+            # can provide the stream to others, and declares the replica
+            if consumer.ensure_channel(proxy.stream_id, proxy):
+                undo.insert(0, lambda: consumer.net.unpublish_channel(proxy.stream_id))
+            replica_doc = self.system.stream_db.publish_replica(
+                handle.original[0], handle.original[1], consumer_peer_id, proxy.stream_id
+            )
+            replica_id = (consumer_peer_id, proxy.stream_id)
+            self.system.replica_providers[replica_id] = proxy_key
+            undo[:0] = [
+                lambda: self.system.stream_db.retract(replica_doc),
+                lambda: self.system.replica_providers.pop(replica_id, None),
+            ]
         return proxy, proxy_key
 
     # -- delivery & publishers ---------------------------------------------------------------

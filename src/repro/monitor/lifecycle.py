@@ -254,8 +254,10 @@ class ResourceLedger:
         nothing changes) when ``key`` is already registered.
 
         ``undo`` runs, then ``inputs`` are released, when the last holder of
-        ``key`` leaves.  An input nobody registered (a stream advertised
-        outside the deployer) gets an entry with nothing to undo.
+        ``key`` leaves; the sequence is kept, not copied, so actions a caller
+        appends after registering run too.  An input nobody registered (a
+        stream advertised outside the deployer) gets an entry with nothing
+        to undo.
         """
         if key in self._entries:
             return False

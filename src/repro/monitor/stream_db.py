@@ -1,4 +1,4 @@
-"""The Stream Definition Database (Section 5), backed by the KadoP index.
+"""The Stream Definition Database (Section 5), replicated into the KadoP index.
 
 Every stream produced in the system is described by an XML document::
 
@@ -82,21 +82,18 @@ class StreamDescription:
 
 
 class StreamDefinitionDatabase:
-    """Publish and query stream descriptions over the DHT-backed index.
+    """Publish and query stream descriptions; KadoP is the write-behind replica.
 
-    The XPath queries of Section 5 stay available (``find_*_oracle``), but
-    the default lookup path is a set of in-memory secondary indexes over the
-    document store -- (operator, operand-set), (peer, alerter kind) and the
-    replica map -- kept coherent through the index's document-event stream,
-    so a reuse probe costs a dict lookup instead of a posting-list
-    intersection plus per-candidate XML decoding.  The indexes observe the
-    *index*, not this facade: descriptions published directly into KadoP (or
-    restored after a peer failure) are picked up all the same.
+    The primary is three in-memory indexes -- (operator, operand-set),
+    (peer, alerter kind), the replica map -- filed by a publication once it
+    returned and withdrawn before a retraction is routed.  Every Section-5
+    probe reads them, never KadoP; descriptions written to KadoP directly are
+    invisible to reuse.  The XPath queries stay as ``find_*_oracle`` and
+    :meth:`verify_index_coherence`, the proof that the replica equals them.
     """
 
-    def __init__(self, index: KadopIndex | None = None, use_index: bool = True) -> None:
+    def __init__(self, index: KadopIndex | None = None) -> None:
         self.index = index if index is not None else KadopIndex()
-        self.use_index = use_index
         #: optional control-plane router (reliable mode): publications and
         #: retractions travel as RPCs to the document's DHT home peer instead
         #: of mutating the index in place -- must expose
@@ -123,11 +120,6 @@ class StreamDefinitionDatabase:
         #: affect provider choice, which is re-ranked on every probe).  The
         #: reuse signature cache keys its entries on this counter.
         self.reuse_version = 0
-        for doc_id in self.index.document_ids:
-            document = self.index.document(doc_id)
-            if document is not None:
-                self._index_document(doc_id, document)
-        self.index.subscribe_documents(self._on_document_event)
 
     # -- publication ---------------------------------------------------------------
 
@@ -162,10 +154,7 @@ class StreamDefinitionDatabase:
         if description.tag != "Stream":
             raise ValueError("expected a <Stream> description")
         doc_id = f"stream:{description.attrib['StreamId']}@{description.attrib['PeerId']}"
-        if self.router is not None:
-            self.router.publish_document(description, doc_id)
-        else:
-            self.index.publish(description, doc_id)
+        self._publish(description, doc_id)
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
@@ -196,12 +185,22 @@ class StreamDefinitionDatabase:
             [],
         )
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        if self.router is not None:
-            self.router.publish_document(description, doc_id)
-        else:
-            self.index.publish(description, doc_id)
+        self._publish(description, doc_id)
         self.replicas_published += 1
         return doc_id
+
+    def _publish(self, description: Element, doc_id: str) -> None:
+        """Write ``description`` to KadoP, then index it; a routed write that
+        raised may have landed, so it is withdrawn and nothing is indexed."""
+        if self.router is None:
+            self.index.publish(description, doc_id)
+        else:
+            try:
+                self.router.publish_document(description, doc_id)
+            except Exception:
+                self.retract(doc_id)
+                raise
+        self._index_document(doc_id, description)
 
     # -- retraction ---------------------------------------------------------------
 
@@ -209,8 +208,11 @@ class StreamDefinitionDatabase:
         """Withdraw a published description (stream or replica) by document id.
 
         Cancellation uses this so that the Reuse algorithm stops matching
-        streams that are no longer produced.  Returns False when unknown.
+        streams that are no longer produced: the indexes forget it first,
+        then the withdrawal is routed.  Returns False when KadoP did not
+        hold it.
         """
+        self._deindex_document(doc_id)
         if self.router is not None:
             removed = self.router.retract_document(doc_id)
         else:
@@ -223,8 +225,6 @@ class StreamDefinitionDatabase:
 
     def find_alerter_streams(self, peer_id: str, alerter_kind: str) -> list[StreamDescription]:
         """``/Stream[@PeerId = $p1][Operator/inCom]`` and friends."""
-        if not self.use_index:
-            return self.find_alerter_streams_oracle(peer_id, alerter_kind)
         doc_ids = self._by_alerter.get((peer_id, alerter_kind), ())
         return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
 
@@ -235,8 +235,6 @@ class StreamDefinitionDatabase:
         operands: list[tuple[str, str]],
     ) -> list[StreamDescription]:
         """Find streams computing ``operator`` over exactly the given operands."""
-        if not self.use_index:
-            return self.find_operator_streams_oracle(operator, spec, operands)
         doc_ids = self._by_operator.get((operator, tuple(sorted(operands))), ())
         found = [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
         if spec:
@@ -245,17 +243,13 @@ class StreamDefinitionDatabase:
 
     def find_replicas(self, peer_id: str, stream_id: str) -> list[tuple[str, str]]:
         """Replica providers of ``stream_id@peer_id`` as (peer, stream) pairs."""
-        if not self.use_index:
-            return self.find_replicas_oracle(peer_id, stream_id)
         providers = self._replica_map.get((peer_id, stream_id), {})
         return [providers[doc_id] for doc_id in sorted(providers)]
 
     def all_stream_descriptions(self) -> list[StreamDescription]:
-        if not self.use_index:
-            return [self._decode(doc) for _, doc in self.index.query("/Stream")]
         return [self._descriptions[doc_id] for doc_id in sorted(self._descriptions)]
 
-    # -- the XPath query path, retained as the differential oracle ----------------------
+    # -- the XPath query path over the replica, retained as the differential oracle -----
 
     def find_alerter_streams_oracle(
         self, peer_id: str, alerter_kind: str
@@ -288,12 +282,12 @@ class StreamDefinitionDatabase:
         ]
 
     def verify_index_coherence(self) -> list[str]:
-        """Compare every secondary index against the document store.
+        """Compare every index against its KadoP replica.
 
         Rebuilds what the indexes *should* contain from the raw ``<Stream>``
-        and ``<InChannel>`` documents (the XPath oracle's ground truth) and
-        returns a list of human-readable discrepancies -- empty when the
-        indexes are coherent.  Exercised by the differential tests and the
+        and ``<InChannel>`` documents KadoP holds (the XPath oracle's ground
+        truth) and returns a list of human-readable discrepancies -- empty
+        when the replica equals the primary.  Exercised by the differential tests and the
         nightly chaos soak after publish/retract/failure churn.
         """
         problems: list[str] = []
@@ -343,18 +337,12 @@ class StreamDefinitionDatabase:
                 )
         return problems
 
-    # -- secondary-index maintenance ----------------------------------------------------
-
-    def _on_document_event(self, kind: str, doc_id: str, document: Element) -> None:
-        if kind == "publish":
-            self._index_document(doc_id, document)
-        elif kind == "unpublish":
-            self._deindex_document(doc_id)
+    # -- index maintenance --------------------------------------------------------------
 
     def _index_document(self, doc_id: str, document: Element) -> None:
-        # doc ids are deterministic and KadoP overwrites silently: drop any
-        # earlier filing first, or a republished description would linger
-        # under its old operator/alerter/replica keys
+        # doc ids are deterministic and a republish replaces: drop any earlier
+        # filing first, or the description would linger under its old
+        # operator/alerter/replica keys
         self._deindex_document(doc_id)
         if document.tag == "Stream":
             description = self._decode(document)

@@ -147,17 +147,8 @@ class TestIndexedStreamDatabase:
         assert [d.qualified_id for d in found] == ["s1@p.example"]
         assert_db_matches_oracle(db)
         # replicas too: republish the same replica doc id for another original
-        from repro.xmlmodel import Element
-
         db.publish_replica("p.example", "s1", "cache.example", "copy")
-        db.index.publish(
-            Element(
-                "InChannel",
-                {"PeerId": "other.example", "StreamId": "s9",
-                 "ReplicaPeerId": "cache.example", "ReplicaStreamId": "copy"},
-            ),
-            "replica:copy@cache.example",
-        )
+        db.publish_replica("other.example", "s9", "cache.example", "copy")
         assert db.find_replicas("p.example", "s1") == []
         assert db.find_replicas("other.example", "s9") == [("cache.example", "copy")]
         assert_db_matches_oracle(db)
@@ -187,41 +178,12 @@ class TestIndexedStreamDatabase:
         b = PlanNode(RESTRUCTURE, {"template": RestructureTemplate(two)}, [alerter()])
         assert operator_spec(a) != operator_spec(b)
 
-    def test_index_picks_up_direct_index_publishes(self):
-        index = KadopIndex()
-        db = StreamDefinitionDatabase(index)
-        # bypass the facade entirely: publish a raw description into KadoP
-        description = db.describe_node(alerter("x.example"), "x.example", "s1", [])
-        index.publish(description, "stream:s1@x.example")
-        found = db.find_alerter_streams("x.example", "outCOM")
-        assert [d.qualified_id for d in found] == ["s1@x.example"]
-        index.unpublish("stream:s1@x.example")
-        assert db.find_alerter_streams("x.example", "outCOM") == []
-        assert db.verify_index_coherence() == []
-
-    def test_preexisting_documents_are_indexed_on_construction(self):
-        index = KadopIndex()
-        helper = StreamDefinitionDatabase(index)  # noqa: F841 - used to build the doc
-        description = helper.describe_node(alerter("y.example"), "y.example", "s2", [])
-        index.publish(description, "stream:s2@y.example")
-        late = StreamDefinitionDatabase(index)
-        assert [d.qualified_id for d in late.find_alerter_streams("y.example", "outCOM")] == [
-            "s2@y.example"
-        ]
-
     def test_verify_index_coherence_detects_tampering(self):
         db = StreamDefinitionDatabase()
         db.publish_node(alerter(), "a.com", "outCOM", [])
         assert db.verify_index_coherence() == []
         db._descriptions.clear()  # simulate a desynchronised index
         assert db.verify_index_coherence() != []
-
-    def test_use_index_false_routes_to_oracle(self):
-        db = StreamDefinitionDatabase(use_index=False)
-        db.publish_node(alerter(), "a.com", "outCOM", [])
-        assert [d.qualified_id for d in db.find_alerter_streams("a.com", "outCOM")] == [
-            "outCOM@a.com"
-        ]
 
     def test_stream_description_is_slotted(self):
         description = StreamDescription("p", "s", True, "Filter", "spec", ())
@@ -232,39 +194,39 @@ class TestIndexedStreamDatabase:
 class TestKadopQueryCache:
     def test_repeat_query_hits_cache(self):
         index = KadopIndex()
-        db = StreamDefinitionDatabase(index, use_index=False)
+        db = StreamDefinitionDatabase(index)
         db.publish_node(alerter(), "a.com", "outCOM", [])
-        first = db.find_alerter_streams("a.com", "outCOM")
+        first = db.find_alerter_streams_oracle("a.com", "outCOM")
         hits_before = index.query_cache_hits
-        assert db.find_alerter_streams("a.com", "outCOM") == first
+        assert db.find_alerter_streams_oracle("a.com", "outCOM") == first
         assert index.query_cache_hits == hits_before + 1
 
     def test_publish_and_unpublish_invalidate(self):
         index = KadopIndex()
-        db = StreamDefinitionDatabase(index, use_index=False)
+        db = StreamDefinitionDatabase(index)
         doc = db.publish_node(alerter(), "a.com", "outCOM", [])
-        assert len(db.find_alerter_streams("a.com", "outCOM")) == 1
+        assert len(db.find_alerter_streams_oracle("a.com", "outCOM")) == 1
         other = db.publish_node(alerter("b.com"), "b.com", "outCOM", [])
-        assert len(db.find_alerter_streams("b.com", "outCOM")) == 1
+        assert len(db.find_alerter_streams_oracle("b.com", "outCOM")) == 1
         db.retract(doc)
-        assert db.find_alerter_streams("a.com", "outCOM") == []
+        assert db.find_alerter_streams_oracle("a.com", "outCOM") == []
         db.retract(other)
-        assert db.find_alerter_streams("b.com", "outCOM") == []
+        assert db.find_alerter_streams_oracle("b.com", "outCOM") == []
 
     def test_failure_invalidates(self):
         index = KadopIndex()
         for peer in ("p1", "p2", "p3"):
             index.join_peer(peer)
-        db = StreamDefinitionDatabase(index, use_index=False)
+        db = StreamDefinitionDatabase(index)
         db.publish_node(alerter(), "a.com", "outCOM", [])
-        before = db.find_alerter_streams("a.com", "outCOM")
+        before = db.find_alerter_streams_oracle("a.com", "outCOM")
         index.fail_peer("p2")
         # the cache was dropped wholesale; the restored store answers fresh
-        assert db.find_alerter_streams("a.com", "outCOM") == before
+        assert db.find_alerter_streams_oracle("a.com", "outCOM") == before
 
     def test_query_lookup_cost_bypasses_cache(self):
         index = KadopIndex()
-        db = StreamDefinitionDatabase(index, use_index=False)
+        db = StreamDefinitionDatabase(index)
         db.publish_node(alerter(), "a.com", "outCOM", [])
         query = "/Stream[@PeerId = 'a.com'][Operator/outCOM]"
         index.query(query)
@@ -412,7 +374,10 @@ class TestSubmitMany:
                 system.add_peer(peer_id)
             monitor = system.add_peer("monitor.example")
             if strategy == "oracle":
-                system.stream_db.use_index = False
+                db = system.stream_db
+                db.find_alerter_streams = db.find_alerter_streams_oracle
+                db.find_operator_streams = db.find_operator_streams_oracle
+                db.find_replicas = db.find_replicas_oracle
                 system.reuse_cache = None
             sub_ids = [f"s-{i}" for i in range(len(texts))]
             if strategy == "batch":

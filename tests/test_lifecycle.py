@@ -484,9 +484,15 @@ def record_cancels(options: dict, order: list[str]) -> list[dict]:
     network = system.network
     network.trace_enabled = network.record_events = True
     documents: list[str] = []
-    system.kadop.subscribe_documents(
-        lambda kind, doc_id, document: documents.append(f"{kind} {doc_id}")
-    )
+    unpublish = system.kadop.unpublish
+
+    def recording_unpublish(doc_id: str) -> bool:
+        removed = unpublish(doc_id)
+        if removed:
+            documents.append(f"unpublish {doc_id}")
+        return removed
+
+    system.kadop.unpublish = recording_unpublish
     recording = []
     for sub_id in order:
         sent, logged = len(network.trace), len(network.event_log)

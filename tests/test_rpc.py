@@ -9,6 +9,7 @@ raises a typed :class:`~repro.net.errors.RpcError`.
 
 import pytest
 
+from repro.algebra.plan import EXISTING
 from repro.monitor import P2PMSystem
 from repro.net.errors import CircuitOpen, RpcError, RpcRemoteError, RpcTimeout
 from repro.net.faults import FaultModel
@@ -252,6 +253,60 @@ class TestLossyControlPlaneSoak:
             assert len(bucket) == len(sources)
         counters = deployed[0].stats()["reliability"]
         assert counters["rpc_calls"] >= 1000
+        assert system.stream_db.verify_index_coherence() == []
+        for handle in deployed:
+            handle.cancel()
+        system.run()
+        assert len(system.resources) == 0
+
+
+class TestFailedPublication:
+    """A stream publication whose reply is lost after it landed at its DHT
+    home: the subscription fails typed and leaves nothing behind, neither a
+    reusable advertisement nor a wired operator nor a ledger entry."""
+
+    TEXT = 'for $c in outCOM(<p>s0</p>) where $c.callMethod = "a" return $c;'
+
+    @classmethod
+    def fail_publication(cls, failing_call=2):
+        """Subscribe ``TEXT`` at m1 while the ``failing_call``-th routed
+        publication lands and then times out: the 1st is the alerter's
+        stream at s0, the 2nd the filter's."""
+        system = P2PMSystem(seed=3, reliable_control=True, failure_mode="detector")
+        for peer_id in ("s0", "m1", "m2"):
+            system.add_peer(peer_id)
+        router = system.stream_db.router
+        publish = router.publish_document
+        calls = []
+
+        def lands_then_times_out(description, doc_id):
+            calls.append(doc_id)
+            publish(description, doc_id)
+            if len(calls) == failing_call:
+                raise RpcTimeout("home", "kadop.publish", 3)
+
+        router.publish_document = lands_then_times_out
+        with pytest.raises(RpcTimeout):
+            system.peer("m1").subscribe(cls.TEXT, sub_id="a")
+        del router.publish_document
+        return system
+
+    def test_a_timed_out_publication_is_never_reused(self):
+        system = self.fail_publication()
+        assert system.stream_db.all_stream_descriptions() == []
+        handle = system.peer("m2").subscribe(self.TEXT, sub_id="b")
+        assert handle.plan.find_all(EXISTING) == []
+        assert handle.reuse_report.nodes_reused == 0
+        assert system.stream_db.verify_index_coherence() == []
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_a_subscribe_that_raises_mid_deploy_leaves_nothing(self, failing_call):
+        system = self.fail_publication(failing_call)
+        assert len(system.resources) == 0
+        assert system.peer("s0").operators == []
+        assert system.compiler.groups == {}
+        assert system.stream_db.verify_index_coherence() == []
+        assert system.kadop.document_ids == []
 
 
 class TestReliableCancel:

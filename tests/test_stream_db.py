@@ -127,6 +127,9 @@ class TestStreamDefinitionDatabase:
             def publish_document(self, description, doc_id):
                 raise RpcTimeout("home", "kadop.publish", 3)
 
+            def retract_document(self, doc_id):
+                return False
+
         db = StreamDefinitionDatabase()
         db.router = Refusing()
         with pytest.raises(RpcTimeout):
