@@ -13,11 +13,14 @@ stream, channel, channel subscription, Stream Definition Database
 advertisement) is an entry of the system's
 :class:`~repro.monitor.lifecycle.ResourceLedger`, registered with its undo
 actions and the ledger keys it consumes, and reference-counted by its
-consumers.  A subscription's terminal -- ``("sub", sub_id, epoch)``, its
-delivery valve and publisher -- is the top of that graph: cancelling
-releases it, resources whose last holder leaves are torn down and their
-advertisements retracted, while streams still feeding other subscriptions
-(Section 5 reuse) survive untouched.
+consumers.  A deployment's terminal, ``("sub", sub_id, epoch)``, is the top
+of that graph: it holds the plan's root stream and connects it to the
+subscription's delivery valve.  Releasing it disconnects the valve, and
+resources whose last holder leaves are torn down and their advertisements
+retracted, while streams still feeding other subscriptions (Section 5
+reuse) survive untouched.  The delivery end itself -- valve, result buffer,
+publisher -- belongs to the subscription record and outlives every
+deployment.
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ from repro.monitor.control import (
     RPC_CHANNEL_UNSUBSCRIBE,
     RPC_DEPLOY_PREPARE,
 )
-from repro.monitor.lifecycle import DeliveryValve, ResourceLedger, ResultBuffer
+from repro.monitor.lifecycle import ResourceLedger
 from repro.net.errors import CircuitOpen
-from repro.publishers import Publisher, PublisherContext, create_publisher
+from repro.publishers import PublisherContext, create_publisher
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer, P2PMSystem
+    from repro.monitor.subscription import Subscription
 
 UndoAction = Callable[[], None]
 #: ``(input streams, output stream) -> (operator to record, stop-consuming
@@ -101,16 +105,11 @@ class DeployedTask:
     manager_peer: str
     #: the ledger holding this task's resources ...
     ledger: ResourceLedger
-    #: ... and its terminal entry there, ``("sub", sub_id, epoch)``: undoes
-    #: the valve and the publisher, holds the plan's root stream
+    #: ... and its terminal entry there, ``("sub", sub_id, epoch)``: holds
+    #: the plan's root stream, and its undo disconnects the valve from it
     terminal: tuple[str, str, int]
-    #: raw plan output at the manager peer (pre-valve)
+    #: raw plan output at the manager peer (what the valve reads)
     output_stream: Stream | None = None
-    #: the stream the publisher / result buffer / callbacks consume: the valve
-    delivery: Stream | None = None
-    valve: DeliveryValve | None = None
-    results_buffer: ResultBuffer | None = None
-    publisher: Publisher | None = None
     operators_by_peer: dict[str, list[Operator]] = field(default_factory=dict)
     channels_created: list[str] = field(default_factory=list)
     #: structural plan signature -> where that node's output channel lives;
@@ -129,7 +128,7 @@ class DeployedTask:
         return sorted(self.operators_by_peer)
 
     def teardown(self) -> None:
-        """Detach delivery and release every resource reference this task holds.
+        """Disconnect the valve and release every resource reference this task holds.
 
         One release of the terminal: the ledger runs every undo action and
         every release even if one fails (the first error is re-raised
@@ -201,13 +200,12 @@ class Deployer:
     def deploy(
         self,
         plan: PlanNode,
-        sub_id: str,
-        manager_peer: str,
-        max_results: int | None = None,
-        epoch: int = 0,
+        record: "Subscription",
         predecessor: DeployedTask | None = None,
     ) -> DeployedTask:
-        """Instantiate ``plan``; ``epoch`` > 0 marks a recovery redeployment.
+        """Instantiate ``plan`` for ``record`` and connect its root stream to
+        the record's delivery valve; ``record.epoch`` > 0 marks a recovery
+        redeployment.
 
         Each epoch gets its own stream-id namespace so that control messages
         of a dead incarnation (a subscribe or EOS still in flight when a
@@ -229,6 +227,7 @@ class Deployer:
             raise ValueError(
                 f"cannot deploy: {len(unplaced)} plan node(s) have no placement"
             )
+        sub_id, manager_peer = record.sub_id, record.manager_peer
         if self.system.reliable_control:
             self._prepare_placements(plan, sub_id, manager_peer)
         ledger = self.system.resources
@@ -237,10 +236,10 @@ class Deployer:
             plan=plan,
             manager_peer=manager_peer,
             ledger=ledger,
-            terminal=("sub", sub_id, epoch),
+            terminal=("sub", sub_id, record.epoch),
         )
         self._counter = 0
-        self._epoch = epoch
+        self._epoch = record.epoch
         self._predecessor = predecessor
         try:
             self._segments = self.system.compiler.plan_segments(plan)
@@ -251,12 +250,12 @@ class Deployer:
                 handle = self._deploy_node(plan, task)
                 consumer_peer_id = manager_peer
             input_stream, proxy_key = self._local_input(consumer_peer_id, handle, task)
-            undo = [self._attach_delivery(task, input_stream, max_results)]
+            task.output_stream = input_stream
             # the subscription terminal holds the plan's root stream alive
             inputs = [handle.original] if proxy_key is None else [proxy_key, handle.original]
-            ledger.register(task.terminal, undo, inputs)
+            ledger.register(task.terminal, (record.valve.connect(input_stream),), inputs)
             if plan.kind == PUBLISH:
-                undo += self._deploy_publisher(plan, handle, task)
+                self._deploy_publisher(plan, handle, task, record)
         except Exception:
             self._unwind(task)
             raise
@@ -649,46 +648,41 @@ class Deployer:
             ]
         return proxy, proxy_key
 
-    # -- delivery & publishers ---------------------------------------------------------------
-
-    def _attach_delivery(
-        self, task: DeployedTask, input_stream: Stream, max_results: int | None
-    ) -> UndoAction:
-        """Insert the pause/resume valve and the (opt-in, bounded) result
-        buffer; returns the undo action that detaches them."""
-        task.output_stream = input_stream
-        valve = DeliveryValve(input_stream)
-        task.valve = task.delivery = valve
-        if max_results is not None:
-            buffer = ResultBuffer(max_results)
-            valve.subscribe(buffer.push)
-            task.results_buffer = buffer
-        return valve.detach
+    # -- publishers ---------------------------------------------------------------------------
 
     def _deploy_publisher(
-        self, node: PlanNode, handle: _StreamHandle, task: DeployedTask
-    ) -> list[UndoAction]:
-        """Connect the BY-clause publisher to the delivery stream; returns its
-        undo actions, the publisher context's last."""
+        self, node: PlanNode, handle: _StreamHandle, task: DeployedTask, record: "Subscription"
+    ) -> None:
+        """Build the BY-clause publisher on the record's valve, or, for a
+        redeployment, describe its stream over the new root.
+
+        The publisher and its context belong to the record: the context's
+        undo actions, the publisher's own in front, run at cancel.  The
+        context is on the record before the factory runs, so a factory that
+        raises leaves what it allocated where the manager can undo it.
+        """
         mode = node.params.get("mode", "local")
         if mode == "local":
-            return []
+            return
         peer = self.system.peer(node.placement)
-        ctx = PublisherContext(
-            peer=peer,
-            params=node.params,
-            system=self.system,
-            sub_id=task.sub_id,
-            operand=handle.original,
-            node=node,
-        )
-        publisher = create_publisher(mode, ctx)
-        publisher.connect(task.delivery)
-        peer.publishers.append(publisher)
+        ctx = record.publication
+        if ctx is not None:
+            ctx.readvertise(handle.original)
+        else:
+            ctx = record.publication = PublisherContext(
+                peer=peer,
+                params=node.params,
+                system=self.system,
+                sub_id=task.sub_id,
+                operand=handle.original,
+                node=node,
+            )
+            publisher = record.publisher = create_publisher(mode, ctx)
+            publisher.connect(record.valve)
+            peer.publishers.append(publisher)
+            ctx.undo[:0] = [publisher.disconnect, lambda: _discard(peer.publishers, publisher)]
         task.channels_created.extend(ctx.channels_created)
         self._record(task, peer.peer_id, None)
-        task.publisher = publisher
-        return [publisher.disconnect, lambda: _discard(peer.publishers, publisher), *ctx.undo]
 
     # -- bookkeeping -----------------------------------------------------------------------------
 

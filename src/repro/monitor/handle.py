@@ -84,7 +84,7 @@ class SubscriptionHandle:
 
     @property
     def publisher(self) -> "Publisher | None":
-        return self._require_task().publisher
+        return self._record.publisher
 
     @property
     def channels_created(self) -> list[str]:
@@ -103,9 +103,10 @@ class SubscriptionHandle:
         return self._require_task().output_stream
 
     @property
-    def delivery_stream(self) -> Stream | None:
-        """The stream results are delivered on: the valve (pauses with the task)."""
-        return self._require_task().delivery
+    def delivery_stream(self) -> Stream:
+        """The stream results are delivered on: the valve, one stream for the
+        subscription's whole life (it pauses with the subscription)."""
+        return self._record.valve
 
     # -- results ---------------------------------------------------------------
 
@@ -115,14 +116,14 @@ class SubscriptionHandle:
         Buffering is opt-in: submit the subscription with ``max_results=N``.
         Without it, consume results incrementally through :meth:`on_result`.
         """
-        task = self._require_task()
-        if task.results_buffer is None:
+        buffer = self._record.results
+        if buffer is None:
             raise RuntimeError(
                 f"subscription {self.sub_id!r} was submitted without result "
                 "buffering; pass max_results=N to subscribe()/submit() or "
                 "attach a callback with on_result()"
             )
-        return task.results_buffer.snapshot()
+        return buffer.snapshot()
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.results())
@@ -133,15 +134,12 @@ class SubscriptionHandle:
         Callbacks attach to the delivery stream, after the pause/resume
         valve: a paused subscription delivers nothing until resumed.
         """
-        task = self._require_task()
-        if task.delivery is None:
-            raise RuntimeError(f"subscription {self.sub_id!r} has no delivery stream")
 
         def deliver(item: Any) -> None:
             if item is not EOS:
                 callback(item)
 
-        return task.delivery.subscribe(deliver)
+        return self._record.valve.subscribe(deliver)
 
     def on_recovery(self, callback) -> Callable[[], None]:
         """Invoke ``callback(event)`` whenever this subscription is recovered.
@@ -149,8 +147,8 @@ class SubscriptionHandle:
         ``event`` is a :class:`~repro.monitor.recovery.RecoveryEvent`
         describing the trigger (peer failure or revival) and the outcome
         (``redeployed``, ``degraded``, ``waiting``).  Returns an
-        unsubscriber.  ``on_result`` callbacks survive recovery: they are
-        handed over to the replacement task's delivery stream.
+        unsubscriber.  ``on_result`` callbacks survive recovery: the delivery
+        stream they are on outlives every deployment.
         """
         sub_id = self.sub_id
 
@@ -193,8 +191,8 @@ class SubscriptionHandle:
         infrastructure, not per-subscription state.
         """
         task = self._require_task()
-        valve = task.valve
-        buffer = task.results_buffer
+        valve = self._record.valve
+        buffer = self._record.results
         system = self._manager.peer.system
         reliability: dict[str, int] = dict(
             system.network.stats.reliability_snapshot()
@@ -203,9 +201,9 @@ class SubscriptionHandle:
         return {
             "sub_id": self.sub_id,
             "status": self.status,
-            "items_delivered": valve.items_delivered if valve is not None else 0,
-            "items_pending": valve.pending_count if valve is not None else 0,
-            "dropped_while_paused": valve.dropped_while_paused if valve is not None else 0,
+            "items_delivered": valve.items_delivered,
+            "items_pending": valve.pending_count,
+            "dropped_while_paused": valve.dropped_while_paused,
             "results_buffered": len(buffer) if buffer is not None else 0,
             "results_dropped": buffer.dropped if buffer is not None else 0,
             "operators": task.operator_count,

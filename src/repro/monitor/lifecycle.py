@@ -7,11 +7,11 @@ mechanisms the lifecycle verbs are built on:
 * :class:`ResultBuffer` -- a bounded, subscriber-driven replacement for the
   unbounded ``collect()`` sink: at the paper's millions-of-users scale a
   result list that only ever grows is a memory leak.
-* :class:`DeliveryValve` -- the delivery stream of a task: a gated stream
-  between the task's output stream and its delivery targets (publisher,
-  result buffer, callbacks).  ``pause()`` stops delivery without tearing
-  anything down; ``resume()`` restarts it, flushing whatever the valve
-  retained while paused.
+* :class:`DeliveryValve` -- the delivery stream of a subscription: a gated
+  stream between the root stream of whichever deployment runs now and the
+  delivery targets (publisher, result buffer, callbacks).  ``pause()`` stops
+  delivery without tearing anything down; ``resume()`` restarts it, flushing
+  whatever the valve retained while paused.
 * :class:`ResourceLedger` -- the deployment graph and its only teardown
   mechanism.  Every deployed resource (operator output stream, alerter
   advertisement, channel proxy, subscription terminal) is an entry holding
@@ -39,9 +39,9 @@ UndoAction = Callable[[], None]
 
 def run_all(
     actions: Sequence[UndoAction],
-    release: Callable[[object, object], bool],
-    inputs: Sequence[object],
-    holder: object,
+    release: Callable[[object, object], bool] | None = None,
+    inputs: Sequence[object] = (),
+    holder: object = None,
 ) -> None:
     """Run every undo action, then ``release(key, holder)`` for every input
     key, even if some fail; re-raise the first error afterwards.
@@ -113,28 +113,52 @@ class ResultBuffer:
 
 
 class DeliveryValve(Stream):
-    """The delivery stream of a task, gated: what the publisher, the result
-    buffer and user callbacks subscribe to.
+    """The delivery stream of a subscription, gated: what the publisher, the
+    result buffer and user callbacks subscribe to.
 
-    The valve subscribes to ``source`` and is itself the stream its items
-    come out of, so an open valve costs one call per item or burst.  While paused, up
-    to ``max_pause_buffer`` items are retained (oldest evicted beyond that)
-    and flushed on resume, so a paused subscription loses nothing within its
-    retention window and needs no redeployment.  The inherited
-    :meth:`~repro.streams.stream.Stream.emit` bypasses the gate (resume and
-    the sharded harvest inject through it).
+    The valve reads at most one source at a time (:meth:`connect`) and is
+    itself the stream its items come out of, so an open valve costs one call
+    per item or burst.  A subscription keeps its valve for its whole life: a
+    recovery redeployment re-points it at the replacement's root stream, so
+    its subscribers, retained items and counts stay where they are.  While
+    paused, up to ``max_pause_buffer`` items are retained (oldest evicted
+    beyond that) and flushed on resume, so a paused subscription loses
+    nothing within its retention window and needs no redeployment.  The
+    inherited :meth:`~repro.streams.stream.Stream.emit` bypasses the gate
+    (resume and the sharded harvest inject through it).
     """
 
-    def __init__(self, source: Stream, max_pause_buffer: int = DEFAULT_PAUSE_BUFFER) -> None:
-        super().__init__(f"{source.stream_id}.delivery", source.peer_id)
-        self.source = source
+    def __init__(
+        self,
+        stream_id: str,
+        peer_id: str | None = None,
+        max_pause_buffer: int = DEFAULT_PAUSE_BUFFER,
+    ) -> None:
+        super().__init__(stream_id, peer_id)
+        self.source: Stream | None = None
         self.paused = False
         self.items_delivered = 0
         self.dropped_while_paused = 0
         self._pending: deque[Element] = deque(maxlen=max_pause_buffer)
         self._max_pause_buffer = max_pause_buffer
         self._eos_pending = False
+        self._unsubscribe: Callable[[], None] | None = None
+
+    def connect(self, source: Stream) -> Callable[[], None]:
+        """Read ``source`` instead of the current source, if any; returns the
+        unsubscriber that stops reading it."""
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+        self.source = source
         self._unsubscribe = source.subscribe(self._receive)
+        return self._unsubscribe
+
+    def disconnect(self) -> None:
+        """Stop reading the current source: what it emits from now on reaches
+        nobody, and the valve stays open for the next :meth:`connect`."""
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+            self.source = self._unsubscribe = None
 
     def _receive(self, item: Any) -> None:
         """Pause gate, then :meth:`Stream.emit` without its item check:
@@ -207,12 +231,6 @@ class DeliveryValve(Stream):
         if self._eos_pending and not self.paused:
             self._eos_pending = False
             self.close()
-
-    def detach(self) -> None:
-        """Unsubscribe from the source and terminate the delivery stream."""
-        self._unsubscribe()
-        self._pending.clear()
-        self.close()
 
 
 class _Entry:

@@ -14,10 +14,12 @@ recorded in the Subscription Database.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import TYPE_CHECKING, Sequence
 
 from repro.monitor.deployment import Deployer
 from repro.monitor.handle import SubscriptionHandle
+from repro.monitor.lifecycle import ResultBuffer, run_all
 from repro.monitor.optimizer import optimize_plan
 from repro.monitor.placement import place_plan
 from repro.monitor.recovery import prune_dead_sources
@@ -206,17 +208,20 @@ class SubscriptionManager:
             template=template,
             plan=plan,
             manager_peer=self.peer.peer_id,
+            results=ResultBuffer(max_results) if max_results is not None else None,
         )
         self.database.add(record)
 
         try:
-            task = deployer.deploy(
-                plan, sub_id, manager_peer=self.peer.peer_id, max_results=max_results
-            )
+            task = deployer.deploy(plan, record)
         except Exception:
             # a failed deployment must not poison the sub_id with a phantom
-            # pending record: the caller may retry under the same id
+            # pending record, nor keep a name its publisher claimed: the
+            # caller may retry under the same id
             self.database.remove(sub_id)
+            if record.publication is not None:
+                with suppress(Exception):  # the deployment's error is the one raised
+                    run_all(record.publication.undo)
             raise
         task.reuse_report = reuse_report
         record.task = task
@@ -257,9 +262,11 @@ class SubscriptionManager:
         the subscription is ``RECOVERING``.  The plan is instantiated afresh from
         the record's template (reuse is deliberately skipped: advertisements may be
         mid-retraction during a failure), union branches whose source peer
-        is down are pruned, and placement avoids every down peer.  Result
-        buffers and ``on_result`` callbacks are handed over to the new
-        task's delivery stream, so existing handles keep delivering.
+        is down are pruned, and placement avoids every down peer.  The
+        record's delivery end -- valve, result buffer, ``on_result``
+        callbacks, publisher -- stays where it is: the valve stops reading
+        the old root stream here and reads the replacement's once it is
+        deployed, so existing handles keep delivering.
 
         The replacement is deployed *before* the old incarnation is torn
         down (make-before-break): shared resources -- alerter channels in
@@ -275,43 +282,13 @@ class SubscriptionManager:
         ``"waiting"`` (nothing deployable until a pending source revives).
         """
         record = self.database.get(sub_id)
-        old_task = record.task
-        # the delivery audience may already be parked from a prior round that
-        # ended in "waiting" (nothing was deployable at the time)
-        parked = list(record.notes.pop("recovery_parked", []))
-        parked_from = list(record.notes.pop("recovery_parked_from", []))
-        buffer = record.notes.pop("recovery_buffer", None)
-        if old_task is not None:
-            if old_task.publisher is not None:
-                # the replacement deployment builds its own publisher; the old
-                # one must not ride along in the parked audience (results
-                # would publish twice after recovery), and any name it owns
-                # -- its published channel -- must be free again before the
-                # replacement claims it (deployment is make-before-break)
-                old_task.publisher.retire()
-            if old_task.delivery is not None:
-                # hand the delivery audience over before teardown closes the
-                # old stream, so nobody observes a spurious EOS
-                parked.extend(old_task.delivery.detach_subscribers())
-                parked_from.append(old_task.delivery)
-            if old_task.results_buffer is not None:
-                buffer = old_task.results_buffer
-            record.task = None
-
-        def retire_old_task() -> None:
-            if old_task is not None:
-                try:
-                    old_task.teardown()
-                except Exception:  # noqa: BLE001 - teardown around a dead peer is best-effort
-                    pass
-
+        old_task, record.task = record.task, None
+        # what reaches the old root stream from now on reaches nobody, and
+        # teardown closing it cannot end the delivery stream
+        record.valve.disconnect()
         try:
             pruned, pending = prune_dead_sources(record.template.instantiate(sub_id), down)
             if pruned is None:
-                record.notes["recovery_parked"] = parked
-                record.notes["recovery_parked_from"] = parked_from
-                record.notes["recovery_buffer"] = buffer
-                retire_old_task()
                 return "waiting", tuple(sorted(pending))
             place_plan(
                 pruned,
@@ -321,55 +298,42 @@ class SubscriptionManager:
             )
             # each redeployment gets a fresh stream-id epoch, so stale control
             # messages of the dead incarnation cannot reach its replacement
-            epoch = int(record.notes.get("recovery_epoch", 0)) + 1
-            record.notes["recovery_epoch"] = epoch
-            task = self._deployer().deploy(
-                pruned,
-                sub_id,
-                manager_peer=self.peer.peer_id,
-                epoch=epoch,
-                predecessor=old_task,
-            )
-        except Exception:
-            # park the delivery audience for the next recovery attempt, or the
-            # handle's callbacks and buffer would be lost with the failed task
-            record.notes["recovery_parked"] = parked
-            record.notes["recovery_parked_from"] = parked_from
-            record.notes["recovery_buffer"] = buffer
-            retire_old_task()
-            raise
-        retire_old_task()
+            record.epoch += 1
+            task = self._deployer().deploy(pruned, record, predecessor=old_task)
+        finally:
+            if old_task is not None:
+                try:
+                    old_task.teardown()
+                except Exception:  # noqa: BLE001 - teardown around a dead peer is best-effort
+                    pass
         record.plan = pruned
         record.task = task
-        if buffer is not None:
-            task.results_buffer = buffer
-        if parked and task.delivery is not None:
-            task.delivery.attach_subscribers(parked)
-        if task.delivery is not None:
-            # unsubscribers issued against earlier delivery streams follow
-            # the chain to wherever their callback lives now
-            for origin in parked_from:
-                task.delivery.attach_subscribers((), moved_from=origin)
         return ("degraded" if pending else "deployed"), tuple(sorted(pending))
 
     # -- lifecycle verbs --------------------------------------------------------
 
     def cancel(self, sub_id: str) -> bool:
-        """Retire a subscription: detach, release references, mark cancelled.
+        """Retire a subscription: close its delivery end, release references,
+        mark cancelled.
 
-        Resources shared with other subscriptions (reused streams, shared
-        alerters) survive; everything this subscription exclusively owns is
-        torn down and its Stream Definition Database advertisements are
-        retracted.  Returns False when the subscription was already
-        cancelled.
+        The valve stops reading and ends (EOS to the result buffer, the
+        callbacks and the publisher), the publisher's undo actions run, then
+        the running deployment is released -- every step even if an earlier
+        one fails.  Resources shared with other subscriptions (reused
+        streams, shared alerters) survive; everything this subscription
+        exclusively owns is torn down and its Stream Definition Database
+        advertisements are retracted.  Returns False when the subscription
+        was already cancelled.
         """
         self.peer.system.runtime.check_mutable("cancel")
         record = self.database.get(sub_id)
         if record.status == CANCELLED:
             return False
         self.database.mark(sub_id, CANCELLED)
-        if record.task is not None:
-            record.task.teardown()
+        valve = record.valve
+        publication = record.publication.undo if record.publication is not None else ()
+        deployment = (record.task.teardown,) if record.task is not None else ()
+        run_all([valve.disconnect, valve.close, *publication, *deployment])
         return True
 
     def pause(self, sub_id: str) -> None:
@@ -379,8 +343,7 @@ class SubscriptionManager:
         if record.status == PAUSED:
             return
         self.database.mark(sub_id, PAUSED)
-        if record.task is not None and record.task.valve is not None:
-            record.task.valve.pause()
+        record.valve.pause()
 
     def resume(self, sub_id: str) -> None:
         """Restart delivery after :meth:`pause`, without redeployment."""
@@ -394,8 +357,7 @@ class SubscriptionManager:
                 "delivery resumes automatically once it is redeployed"
             )
         self.database.mark(sub_id, DEPLOYED)
-        if record.task is not None and record.task.valve is not None:
-            record.task.valve.resume()
+        record.valve.resume()
 
     # -- introspection ----------------------------------------------------------
 

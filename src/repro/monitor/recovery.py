@@ -16,10 +16,12 @@ half of that story:
 * when a pending source revives, the subscription is redeployed once more
   to restore full coverage.
 
-Delivery continuity: result buffers and ``on_result`` callbacks survive a
-redeployment -- they are handed over from the dying task's delivery stream
-to the replacement's, so a handle obtained before a failure keeps working
-after it.
+Delivery continuity: the delivery end -- valve, result buffer,
+``on_result`` callbacks, BY-clause publisher and its channel -- belongs to
+the subscription record, not to a deployment.  A redeployment only
+re-points the valve at the replacement's root stream, so a handle obtained
+before a failure keeps working after it, items a paused valve retains stay
+retained, and a channel's remote readers keep reading.
 """
 
 from __future__ import annotations
@@ -258,11 +260,9 @@ class RecoveryManager:
             # instead and let retransmission finish the job.
             self.pending_sources.pop(sub_id, None)
             return self._emit(sub_id, manager_peer, trigger, peer_id, "intact")
-        # a pause issued before (or during) recovery must survive any number
-        # of waiting rounds, so it is persisted on the record, not a local
-        was_paused = record.status == PAUSED or bool(
-            record.notes.get("recovery_was_paused", False)
-        )
+        # a pause issued before (or during) recovery survives any number of
+        # waiting rounds: the valve outlives every deployment, paused or not
+        was_paused = record.valve.paused
         if record.status in (DEPLOYED, PAUSED):
             manager.database.mark(sub_id, RECOVERING)
         # redeployment is synchronous, so announce the RECOVERING state first:
@@ -274,18 +274,12 @@ class RecoveryManager:
             outcome, pending_peers = "waiting", tuple(sorted(down))
         if outcome == "waiting":
             self.pending_sources[sub_id] = set(pending_peers)
-            record.notes["recovery_was_paused"] = was_paused
         else:
             if pending_peers:
                 self.pending_sources[sub_id] = set(pending_peers)
             else:
                 self.pending_sources.pop(sub_id, None)
-            record.notes.pop("recovery_was_paused", None)
-            manager.database.mark(sub_id, DEPLOYED)
-            if was_paused:
-                manager.database.mark(sub_id, PAUSED)
-                if record.task is not None and record.task.valve is not None:
-                    record.task.valve.pause()
+            manager.database.mark(sub_id, PAUSED if was_paused else DEPLOYED)
             self.recoveries += 1
         return self._emit(
             sub_id, manager_peer, trigger, peer_id, outcome, tuple(pending_peers)

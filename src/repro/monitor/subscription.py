@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.algebra.plan import PlanNode
+from repro.monitor.lifecycle import DeliveryValve, ResultBuffer
 from repro.p2pml.compiler import PlanTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.deployment import DeployedTask
+    from repro.publishers import Publisher, PublisherContext
 
 #: Lifecycle states of a subscription.
 PENDING = "pending"
@@ -41,16 +43,39 @@ class SubscriptionStateError(RuntimeError):
 
 @dataclass
 class Subscription:
-    """One monitoring subscription managed by a peer."""
+    """One monitoring subscription managed by a peer.
+
+    The record owns the subscription's delivery end -- the valve, the
+    opt-in result buffer and the BY-clause publisher -- from submit to
+    cancel.  A deployment only connects its root stream to the valve, so a
+    recovery redeployment re-points the valve and the audience stays put.
+    """
 
     sub_id: str
-    #: what the plan was (and, after a failure, is again) instantiated from
-    template: PlanTemplate
+    #: what the plan was (and, after a failure, is again) instantiated from;
+    #: ``None`` for a plan built by hand, which recovery cannot rebuild
+    template: PlanTemplate | None = None
     plan: PlanNode | None = None
     status: str = PENDING
     manager_peer: str | None = None
     task: "DeployedTask | None" = None
-    notes: dict[str, object] = field(default_factory=dict)
+    #: the epoch of the latest deployment: 0 at submit, one more per
+    #: redeployment (it namespaces that deployment's stream ids)
+    epoch: int = 0
+    #: the opt-in bounded buffer ``handle.results()`` reads
+    results: ResultBuffer | None = None
+    #: the BY-clause publisher, built by the first deployment ...
+    publisher: "Publisher | None" = None
+    #: ... from this context: its undo actions run at cancel, and every
+    #: later deployment re-advertises the publisher's stream through it
+    publication: "PublisherContext | None" = None
+    #: the delivery stream each deployment connects its root stream to
+    valve: DeliveryValve = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.valve = DeliveryValve(f"{self.sub_id}.delivery", self.manager_peer)
+        if self.results is not None:
+            self.valve.subscribe(self.results.push)
 
 
 class SubscriptionDatabase:
@@ -94,7 +119,7 @@ class SubscriptionDatabase:
         record = self._subscriptions[sub_id]
         if status == record.status:
             return
-        if status not in TRANSITIONS.get(record.status, set()):
+        if status not in TRANSITIONS[record.status]:
             raise SubscriptionStateError(
                 f"subscription {sub_id!r} cannot go from {record.status!r} to {status!r}"
             )

@@ -258,19 +258,6 @@ class ChannelRegistry:
         channel.clear_subscribers()
         return True
 
-    def unpublish_exact(self, channel_id: str, channel: Channel) -> bool:
-        """Withdraw ``channel_id`` only while it is still bound to ``channel``.
-
-        Channel names are reusable: a retiring incarnation's name may
-        already have been reclaimed by its replacement (make-before-break
-        recovery), in which case a name-based :meth:`unpublish` would tear
-        down the *new* channel.  Returns False when the name is unbound or
-        bound to a different channel object.
-        """
-        if self._published.get(channel_id) is not channel:
-            return False
-        return self.unpublish(channel_id)
-
     def published(self, channel_id: str) -> Channel:
         try:
             return self._published[channel_id]

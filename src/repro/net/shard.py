@@ -168,19 +168,16 @@ class _ResultCollector:
             peer = system.peer(peer_id)
             database = peer.manager.database
             for sub_id in database.subscription_ids:
-                task = database.get(sub_id).task
-                if task is None or task.delivery is None:
-                    continue
+                record = database.get(sub_id)
                 # infrastructure subscribers on the delivery stream: the
                 # result buffer and the publisher; anything beyond them is a
                 # user callback, which needs the items shipped back
-                infra = (task.results_buffer is not None) + (task.publisher is not None)
+                infra = (record.results is not None) + (record.publisher is not None)
                 ship_items = (
-                    task.results_buffer is not None
-                    or task.delivery.subscriber_count > infra
+                    record.results is not None or record.valve.subscriber_count > infra
                 )
                 row = self.rows[(peer_id, sub_id)] = [0, [] if ship_items else None]
-                task.delivery.subscribe(self._tap(row))
+                record.valve.subscribe(self._tap(row))
 
     @staticmethod
     def _tap(row: list) -> Callable[[object], None]:
@@ -758,10 +755,8 @@ class ShardedRuntime(Runtime):
                     except WorkerFailure:
                         queue.append(other)
         # the mirror's recovery redeploys scheduled control sends the parent
-        # never executes (workers run the authoritative copies) and created
-        # fresh, connected publishers; neutralise both
+        # never executes (workers run the authoritative copies); drop them
         system.network.scheduler.retain(lambda event: False)
-        self._disconnect_mirror_publishers()
 
     def _mirror_fail_peer(self, peer_id: str) -> None:
         """The oracle fail_peer chain, applied to the parent mirror.
@@ -781,9 +776,9 @@ class ShardedRuntime(Runtime):
         for peer_id in system.peer_ids:
             database = system.peer(peer_id).manager.database
             for sub_id in database.subscription_ids:
-                task = database.get(sub_id).task
-                if task is not None and task.publisher is not None:
-                    task.publisher.disconnect()
+                publisher = database.get(sub_id).publisher
+                if publisher is not None:
+                    publisher.disconnect()
 
     def _absorb(self, rows: list) -> None:
         """Replay one drain reply's result deltas into the parent's handles.
@@ -792,21 +787,17 @@ class ShardedRuntime(Runtime):
         truthful); shipped items are re-emitted on the parent's delivery
         streams, firing result buffers and ``on_result`` callbacks exactly
         like a local delivery would (the mirror's publishers were
-        disconnected at start, so nothing is re-published).  A worker lost
-        mid-turn forfeits the deltas of that turn (crash semantics).
+        disconnected at start, and a redeployment builds none, so nothing
+        is re-published).  A worker lost mid-turn forfeits the deltas of
+        that turn (crash semantics).
         """
         system = self.system
         for manager_peer, sub_id, count, items in rows:
-            task = system.peer(manager_peer).manager.database.get(sub_id).task
-            if task is None:
-                continue
+            valve = system.peer(manager_peer).manager.database.get(sub_id).valve
             self.results_harvested += count
-            if task.valve is not None:
-                task.valve.items_delivered += count
-            if items and task.delivery is not None:
-                emit = task.delivery.emit
-                for data in items:
-                    emit(decode_element(data))
+            valve.items_delivered += count
+            for data in items or ():
+                valve.emit(decode_element(data))
 
     @staticmethod
     def _raise_on(errors: list[str]) -> None:

@@ -28,17 +28,6 @@ class Publisher:
         while self._unsubscribes:
             self._unsubscribes.pop()()
 
-    def retire(self) -> None:
-        """Release externally-visible identities ahead of a replacement.
-
-        Recovery redeploys make-before-break, so the replacement publisher
-        is created while this one still exists; publishers that own a
-        per-peer-unique name (a published channel, say) must give it up
-        here or the replacement would be forced onto a collision-suffixed
-        one.  The base implementation only disconnects.
-        """
-        self.disconnect()
-
     def _receive(self, item: Any) -> None:
         if item is EOS:
             self.closed = True

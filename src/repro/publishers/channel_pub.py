@@ -39,8 +39,3 @@ class ChannelPublisher(Publisher):
     def add_subscriber(self, subscriber_peer_id: str) -> None:
         """Register an initial subscriber without a network round-trip."""
         self.channel.add_subscriber(subscriber_peer_id)
-
-    def retire(self) -> None:
-        """Give the channel name back so a replacement can republish it."""
-        self.disconnect()
-        self.peer.channels.unpublish_exact(self.channel_id, self.channel)

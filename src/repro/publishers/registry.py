@@ -54,6 +54,8 @@ class PublisherContext:
     channels_created: list[str] = field(default_factory=list)
     #: teardown actions, run in order when the subscription is cancelled
     undo: list[Callable[[], None]] = field(default_factory=list)
+    #: the stream :meth:`advertise_channel` described, if any
+    advertised: str | None = None
 
     def unique_channel_name(self, base: str) -> str:
         """Resolve per-peer channel-name collisions by suffixing.
@@ -78,7 +80,19 @@ class PublisherContext:
             self.node, self.peer.peer_id, stream_id, [self.operand]
         )
         self.undo.append(lambda: self.system.stream_db.retract(doc_id))
+        self.advertised = stream_id
         return doc_id
+
+    def readvertise(self, operand: tuple[str, str]) -> None:
+        """Describe the advertised stream over ``operand``, a redeployment's
+        root stream.  The document id is the same, so the new description
+        replaces the old one, and the retraction registered the first time
+        still withdraws it."""
+        self.operand = operand
+        if self.advertised is not None and self.node is not None:
+            self.system.stream_db.publish_node(
+                self.node, self.peer.peer_id, self.advertised, [operand]
+            )
 
 
 PublisherFactory = Callable[[PublisherContext], Publisher]
@@ -126,17 +140,14 @@ def create_publisher(mode: str, ctx: PublisherContext) -> Publisher:
 def _make_channel(ctx: PublisherContext) -> Publisher:
     target = ctx.unique_channel_name(ctx.params["target"])
     publisher = ChannelPublisher(ctx.peer.net, target)
+    # cancelling unpublishes the channel, freeing the name for reuse;
+    # registered before the advertisement, which may raise
+    ctx.undo.append(lambda: ctx.peer.net.unpublish_channel(target))
     subscriber = ctx.params.get("subscriber")
     if subscriber:
         publisher.add_subscriber(subscriber[0])
     ctx.channels_created.append(f"#{target}@{ctx.peer.peer_id}")
     ctx.advertise_channel(target)
-    # cancelling unpublishes the channel, freeing the name for reuse; bound
-    # to the channel object, not the name -- after a make-before-break
-    # recovery the name already belongs to the replacement's channel
-    ctx.undo.append(
-        lambda: ctx.peer.net.channels.unpublish_exact(target, publisher.channel)
-    )
     return publisher
 
 

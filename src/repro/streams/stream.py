@@ -57,10 +57,6 @@ class Stream:
         self.stats = StreamStats()
         self.closed = False
         self._subscribers: list[Subscriber] = []
-        #: successor stream after a recovery handover; unsubscribers issued
-        #: against this stream chase the chain so they keep working after
-        #: their callback was moved to a replacement delivery stream
-        self._moved_to: "Stream | None" = None
 
     # -- identity ------------------------------------------------------------
 
@@ -74,20 +70,15 @@ class Stream:
     def subscribe(self, callback: Subscriber) -> Callable[[], None]:
         """Register ``callback`` and return a function that unsubscribes it.
 
-        The unsubscriber stays valid across recovery handovers: if the
-        callback was moved to a successor stream (see
-        :meth:`attach_subscribers`), it is removed from wherever it
-        currently lives.
+        The unsubscriber is idempotent.  A subscription's delivery valve is
+        one stream for the subscription's whole life, so an unsubscriber
+        from ``handle.on_result`` keeps working across recoveries.
         """
         self._subscribers.append(callback)
 
         def unsubscribe() -> None:
-            stream: Stream | None = self
-            while stream is not None:
-                if callback in stream._subscribers:
-                    stream._subscribers.remove(callback)
-                    return
-                stream = stream._moved_to
+            if callback in self._subscribers:
+                self._subscribers.remove(callback)
 
         return unsubscribe
 
@@ -105,30 +96,6 @@ class Stream:
         through instead of fused past.
         """
         return len(self._subscribers) > baseline
-
-    def detach_subscribers(self) -> list[Subscriber]:
-        """Remove and return all subscribers (they stop receiving items).
-
-        Recovery uses this handover pair: result buffers and user callbacks
-        are detached from a dying task's delivery stream *before* teardown
-        closes it (so they never see a spurious EOS) and re-attached to the
-        replacement task's delivery stream with :meth:`attach_subscribers`.
-        """
-        detached = self._subscribers[:]
-        self._subscribers.clear()
-        return detached
-
-    def attach_subscribers(
-        self, subscribers: Iterable[Subscriber], moved_from: "Stream | None" = None
-    ) -> None:
-        """Attach previously detached subscribers (see :meth:`detach_subscribers`).
-
-        Pass the stream they came from as ``moved_from`` so unsubscribers
-        issued by that stream keep working (they follow the chain here).
-        """
-        self._subscribers.extend(subscribers)
-        if moved_from is not None and moved_from is not self:
-            moved_from._moved_to = self
 
     # -- emission ----------------------------------------------------------------
 

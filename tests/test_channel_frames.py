@@ -18,9 +18,8 @@ import pytest
 import test_e2e_fastpath  # its uncached weight walk is the reference here too
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_delivery_tail import alert, fanout
+from test_delivery_tail import alert, fanout, valve_on
 
-from repro.monitor.lifecycle import DeliveryValve
 from repro.net.channel import MSG_ITEM, MSG_ITEMS, _wrapper
 from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
@@ -292,7 +291,7 @@ VALVE_SCRIPTS = st.lists(
 
 def _play_valve(script, pauses_at: frozenset, resumes_at: frozenset, framed: bool, history: bool):
     source = Stream("src", "p")
-    valve = DeliveryValve(source, max_pause_buffer=50)
+    valve = valve_on(source, max_pause_buffer=50)
     valve.keep_history = history
     first, second = [], []
 
@@ -345,20 +344,21 @@ def test_the_valve_takes_a_burst_as_it_takes_a_loop_of_items(script, pauses_at, 
 
 def test_a_cancel_from_a_callback_stops_the_burst_without_raising():
     source = Stream("src")
-    valve, other = DeliveryValve(source), DeliveryValve(source)
+    valve, other = valve_on(source), valve_on(source)
     seen, unaffected = [], collect(other)
 
     def cancel_on_second(item) -> None:
         if item is not EOS:
             seen.append(item)
             if len(seen) == 2:
-                valve.detach()
+                valve.disconnect()
+                valve.close()
 
     valve.subscribe(cancel_on_second)
     source.emit_many([alert(n) for n in range(5)])
     assert numbers(seen) == [0, 1] and valve.items_delivered == 2 and valve.closed
     assert numbers(unaffected) == [0, 1, 2, 3, 4]  # the stream's other subscription is served
-    closed = DeliveryValve(source)
+    closed = valve_on(source)
     closed.close()  # closed but still subscribed: refuses, item or burst
     for publish in (lambda: source.emit(alert(5)), lambda: source.emit_many([alert(5), alert(6)])):
         with pytest.raises(StreamClosedError):

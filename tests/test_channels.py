@@ -374,17 +374,3 @@ class TestReliableDelivery:
             publisher.channels.retransmit_tick()
         assert network.stats.items_shed == 1
         assert publisher.channels._pending_adoptions == []
-
-    def test_unpublish_exact_only_removes_the_given_incarnation(self):
-        network = SimNetwork(seed=6)
-        publisher = Peer("pub.com", network)
-        old = publisher.publish_channel("X", publisher.create_stream("old"))
-        assert publisher.channels.unpublish_exact("X", old) is True
-        assert not publisher.channels.publishes("X")
-        # the name is reused by a replacement; a stale teardown holding the
-        # old channel object must not tear the replacement down
-        new = publisher.publish_channel("X", publisher.create_stream("new"))
-        assert publisher.channels.unpublish_exact("X", old) is False
-        assert publisher.channels.published("X") is new
-        assert publisher.channels.unpublish_exact("X", new) is True
-        assert not publisher.channels.publishes("X")

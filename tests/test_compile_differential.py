@@ -29,6 +29,7 @@ from repro.algebra.template import RestructureTemplate
 from repro.filtering.conditions import FilterSubscription, SimpleCondition
 from repro.monitor import P2PMSystem
 from repro.monitor.deployment import Deployer
+from repro.monitor.subscription import Subscription
 from repro.scenarios import make_scenario, scenario_names
 from repro.streams import Stream
 from repro.workloads import EdosNetwork, MeteoScenario
@@ -243,6 +244,14 @@ def _chaos_alerter_node() -> PlanNode:
     return PlanNode(ALERTER, {"alerter": CHAOS_FUNCTION}, [], placement="solo")
 
 
+def _deploy(system: P2PMSystem, plan: PlanNode, sub_id: str, manager_peer: str = "solo"):
+    """Deploy a hand-built plan through the same Deployer the manager uses;
+    returns the subscription record, whose valve delivers the results."""
+    record = Subscription(sub_id, manager_peer=manager_peer)
+    record.task = Deployer(system, publish_replicas=system.publish_replicas).deploy(plan, record)
+    return record
+
+
 def group_after_pipeline() -> list[str]:
     # GROUP has no P2PML surface syntax: deploy a programmatic plan through
     # the same Deployer the manager uses
@@ -254,10 +263,9 @@ def group_after_pipeline() -> list[str]:
         [_filter_node(subscription, [_chaos_alerter_node()])],
         placement="solo",
     )
-    deployer = Deployer(system, publish_replicas=system.publish_replicas)
-    task = deployer.deploy(plan, "g0", manager_peer="solo")
+    record = _deploy(system, plan, "g0")
     got: list[str] = []
-    task.delivery.subscribe(lambda item: got.append(to_xml(item)))
+    record.valve.subscribe(lambda item: got.append(to_xml(item)))
     system.run()
     alerter = peer.alerter(CHAOS_FUNCTION)
     for n in range(10):
@@ -386,11 +394,9 @@ class TestFusedPipelines:
                                (stacked, [[FILTER], [FILTER]])]:
             chains = system.compiler.plan_segments(plan).values()
             assert [[node.kind for node in chain] for chain in chains] == expected
-        task = Deployer(system, publish_replicas=system.publish_replicas).deploy(
-            stacked, "st", manager_peer="solo"
-        )
+        record = _deploy(system, stacked, "st")
         got: list[str] = []
-        task.delivery.subscribe(
+        record.valve.subscribe(
             lambda item: got.append(item.attrib["n"]) if isinstance(item, Element) else None
         )
         alerter = peer.alerter(CHAOS_FUNCTION)
@@ -400,7 +406,7 @@ class TestFusedPipelines:
         assert got == ["2", "3", "4", "5"]
         # one group on the alerter's stream, one on the inner filter's output
         assert len(system.compiler.groups) == 2
-        task.teardown()
+        record.task.teardown()
         assert system.compiler.groups == {} and len(system.resources) == 0
 
     def test_a_cross_peer_edge_splits_the_segment(self):
@@ -417,12 +423,10 @@ class TestFusedPipelines:
                 [_filter_node(FilterSubscription("x0", conditions, []), [_chaos_alerter_node()])],
                 placement=restructure_peer,
             )
-            task = Deployer(system, publish_replicas=system.publish_replicas).deploy(
-                plan, "x0", manager_peer=restructure_peer
-            )
+            record = _deploy(system, plan, "x0", manager_peer=restructure_peer)
             system.run()
             got: list[str] = []
-            task.delivery.subscribe(
+            record.valve.subscribe(
                 lambda item: got.append(to_xml(item)) if isinstance(item, Element) else None
             )
             alerter = system.peer("solo").alerter(CHAOS_FUNCTION)
@@ -436,7 +440,7 @@ class TestFusedPipelines:
             ]
             # channel subscriptions, as (consumer, producer)
             channels = [key[1:3] for key in system.resources.keys() if len(key) == 4]
-            task.teardown()
+            record.task.teardown()
             system.run()
             assert len(system.resources) == 0 and system.compiler.groups == {}
             return segments, channels, system.compile_snapshot()["fallbacks"], got
@@ -463,9 +467,8 @@ class TestFusedPipelines:
             plan = _filter_node(subscription, [_chaos_alerter_node(), _chaos_alerter_node()])
         else:
             plan = _filter_node(None, [_chaos_alerter_node()])
-        deployer = Deployer(system, publish_replicas=system.publish_replicas)
         with pytest.raises(ValueError, match="filter"):
-            deployer.deploy(plan, "m0", manager_peer="solo")
+            _deploy(system, plan, "m0")
         assert len(system.resources) == 0
 
 

@@ -40,6 +40,13 @@ def alert(n: int) -> Element:
     return Element("alert", {"kind": "chaos", "source": "src", "n": str(n)})
 
 
+def valve_on(source: Stream, **options) -> DeliveryValve:
+    """A delivery valve reading ``source``, named after it."""
+    valve = DeliveryValve(f"{source.stream_id}.delivery", source.peer_id, **options)
+    valve.connect(source)
+    return valve
+
+
 def fanout(subscribers: int = 3):
     """``src`` and ``sub0..``, each with the same subscription, reuse on:
     ``sub0`` reads the source's channel, every later one its predecessor's
@@ -139,14 +146,14 @@ def test_a_channel_nobody_subscribed_to_costs_one_call():
 class TestValveIsTheDeliveryStream:
     def test_handle_delivers_on_the_valve(self):
         _, _, handles, _ = fanout(1)
-        task = handles[0].task
-        assert isinstance(task.valve, Stream)
-        assert handles[0].delivery_stream is task.valve is task.delivery
-        assert task.valve.source is handles[0].output_stream
+        valve = handles[0].delivery_stream
+        assert isinstance(valve, DeliveryValve)
+        assert valve.source is handles[0].output_stream
+        assert valve.qualified_id == "s0.delivery@sub0"
 
     def test_one_call_per_item_keeps_every_account(self):
         source = Stream("src", "p")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         valve.keep_history = True
         seen, also = collect(valve), collect(valve)
         source.emit(alert(1))
@@ -158,7 +165,7 @@ class TestValveIsTheDeliveryStream:
     def test_emit_bypasses_the_pause_gate_and_counts_nothing(self):
         """What the sharded harvest relies on: it adds the workers' counts to
         ``items_delivered`` itself and re-emits the shipped items."""
-        valve = DeliveryValve(Stream("src"))
+        valve = valve_on(Stream("src"))
         seen = collect(valve)
         valve.pause()
         valve.emit(alert(1))
@@ -166,23 +173,38 @@ class TestValveIsTheDeliveryStream:
 
     def test_closed_valve_refuses_items(self):
         source = Stream("src")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         ended = []
         valve.subscribe(lambda item: ended.append(item is EOS))
-        valve.detach()
+        valve.disconnect()
+        valve.close()
         assert ended == [True] and valve.closed
-        source.emit(alert(1))  # detached: not even offered
+        source.emit(alert(1))  # disconnected: not even offered
         with pytest.raises(StreamClosedError):
             valve.emit(alert(1))
         with pytest.raises(TypeError):
-            DeliveryValve(Stream("other")).emit("not an element")
-        attached = DeliveryValve(source)
+            valve_on(Stream("other")).emit("not an element")
+        attached = valve_on(source)
         attached.close()
         with pytest.raises(StreamClosedError):
             source.emit(alert(2))
         assert attached.items_delivered == 0
 
-    def test_callback_attached_before_a_handover_fires_after_it(self):
+    def test_a_connect_replaces_the_source(self):
+        first, second = Stream("first"), Stream("second")
+        valve = valve_on(first)
+        seen = collect(valve)
+        valve.connect(second)
+        first.emit(alert(1))
+        second.emit(alert(2))
+        assert seen == [alert(2)] and valve.source is second
+        assert first.subscriber_count == 0
+        valve.disconnect()
+        valve.disconnect()  # idempotent
+        second.close()
+        assert not valve.closed and valve.source is None
+
+    def test_callback_attached_before_a_recovery_fires_after_it(self):
         system = P2PMSystem(seed=1)
         sources = [system.add_peer(f"s{i}").peer_id for i in range(3)]
         peers = " ".join(f"<p>{source}</p>" for source in sources)
@@ -197,7 +219,7 @@ class TestValveIsTheDeliveryStream:
         system.fail_peer(handle.plan.find_all(UNION)[0].placement)
         system.run()
         after = handle.delivery_stream
-        assert after is not before and after is handle.task.valve and before.closed
+        assert after is before and after.source is handle.output_stream and not after.closed
         for source in sources:
             if system.is_alive(source):
                 system.peer(source).alerter(CHAOS_FUNCTION).emit_numbered(4)
@@ -226,7 +248,7 @@ class TestResumeWhileRepaused:
 
     def test_on_the_valve(self):
         source = Stream("src")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         seen = []
 
         def pause_on_first(item) -> None:
@@ -234,7 +256,7 @@ class TestResumeWhileRepaused:
                 seen.append(item.attrib["n"])
                 valve.pause()
 
-        valve.subscribe(pause_on_first)
+        unsubscribe = valve.subscribe(pause_on_first)
         valve.pause()
         for n in range(3):
             source.emit(alert(n))
@@ -244,7 +266,7 @@ class TestResumeWhileRepaused:
         assert valve.items_delivered == 1 and not valve.closed
         valve.resume()
         assert seen == ["0", "1"] and valve.pending_count == 1 and not valve.closed
-        valve.detach_subscribers()
+        unsubscribe()
         valve.resume()
         assert valve.pending_count == 0 and valve.closed  # the pending EOS went last
 

@@ -4,10 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from test_delivery_tail import valve_on
 
 from repro.algebra.plan import EXISTING
 from repro.monitor import P2PMSystem, SubscriptionStateError
-from repro.monitor.lifecycle import DeliveryValve, ResourceLedger, ResultBuffer
+from repro.monitor.lifecycle import ResourceLedger, ResultBuffer
 from repro.streams.stream import Stream, collect
 from repro.workloads import MeteoScenario, RSSFeedSimulator
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
@@ -38,7 +39,7 @@ class TestResultBuffer:
 class TestDeliveryValve:
     def test_pause_retains_and_resume_flushes(self):
         source = Stream("src")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         seen = collect(valve)
         source.emit(item(1))
         valve.pause()
@@ -51,7 +52,7 @@ class TestDeliveryValve:
 
     def test_pause_buffer_is_bounded(self):
         source = Stream("src")
-        valve = DeliveryValve(source, max_pause_buffer=2)
+        valve = valve_on(source, max_pause_buffer=2)
         seen = collect(valve)
         valve.pause()
         for n in range(5):
@@ -62,7 +63,7 @@ class TestDeliveryValve:
 
     def test_eos_while_paused_closes_on_resume(self):
         source = Stream("src")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         valve.pause()
         source.emit(item(1))
         source.close()
@@ -71,13 +72,14 @@ class TestDeliveryValve:
         assert valve.closed
         assert valve.stats.items == 1
 
-    def test_detach_stops_delivery(self):
+    def test_disconnect_stops_delivery(self):
         source = Stream("src")
-        valve = DeliveryValve(source)
+        valve = valve_on(source)
         seen = collect(valve)
-        valve.detach()
+        valve.disconnect()
         source.emit(item(1))
-        assert seen == [] and valve.closed
+        source.close()
+        assert seen == [] and not valve.closed
 
 
 class TestResourceLedger:

@@ -12,6 +12,7 @@ from repro.monitor import (
     P2PMSystem,
     SubscriptionStateError,
 )
+from repro.streams.stream import collect
 from repro.workloads import ChaosFeedWorkload
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
 
@@ -201,21 +202,20 @@ class TestFailover:
         )
         handle = monitor.subscribe(text, sub_id="chaos")
         system.run()
-        old_publisher = handle.publisher
-        assert old_publisher is not None
+        publisher = handle.publisher
+        assert publisher is not None
         victim = union_host(handle)
         system.fail_peer(victim)
         system.run()
-        new_publisher = handle.publisher
-        assert new_publisher is not None and new_publisher is not old_publisher
+        # the publisher outlives the deployment it was built by
+        assert handle.publisher is publisher
+        assert monitor.publishers == [publisher]
         workload = ChaosFeedWorkload(sources)
         workload.tick(system, 4)
         system.run()
         survivors = [s for s in sources if s != victim]
-        # each surviving source's alert published exactly once, by the new
-        # publisher only
-        assert new_publisher.items_published == len(survivors)
-        assert old_publisher.items_published == 0
+        # each surviving source's alert published exactly once
+        assert publisher.items_published == len(survivors)
         assert monitor.net.channels.publishes("chaosAlerts")
 
     def test_paused_subscription_recovers_paused(self):
@@ -234,6 +234,85 @@ class TestFailover:
         handle.resume()
         survivors = {s for s in sources if s != victim}
         assert set(received) == {(s, 2) for s in survivors}
+
+
+class TestDeliveryEndOutlivesRecovery:
+    """What a redeployment used to lose when it handed the delivery audience
+    over to a new valve and a new publisher: the delivery end is the record's,
+    and the union host's failure only re-points the valve."""
+
+    def emit_one_per_source(self, system, sources, n: int) -> None:
+        for source in sources:
+            if system.is_alive(source):
+                system.peer(source).alerter(CHAOS_FUNCTION).emit_numbered(n)
+        system.run()
+
+    def publishing(self, system, sources, monitor):
+        text = subscription_text(sources) + ' by publish as channel "X"'
+        handle = monitor.subscribe(text, sub_id="chaos", max_results=50)
+        system.run()
+        return handle
+
+    @staticmethod
+    def publisher_descriptions(system):
+        return [
+            description
+            for description in system.stream_db.all_stream_descriptions()
+            if description.operator == "Publisher"
+        ]
+
+    def test_items_held_during_a_pause_are_delivered_on_resume(self):
+        system, sources, monitor = build_system()
+        handle = deploy(system, sources, monitor, max_results=50)
+        handle.pause()
+        self.emit_one_per_source(system, sources, 1)
+        assert handle.stats()["items_pending"] == 3
+        system.fail_peer(union_host(handle))
+        system.run()
+        assert handle.status == PAUSED and handle.stats()["items_pending"] == 3
+        handle.resume()
+        assert sorted(r.find("src").text for r in handle.results()) == sorted(sources)
+        assert handle.stats()["items_pending"] == 0
+
+    def test_the_delivered_count_survives(self):
+        system, sources, monitor = build_system()
+        handle = deploy(system, sources, monitor, max_results=50)
+        self.emit_one_per_source(system, sources, 1)
+        assert handle.stats()["items_delivered"] == 3
+        system.fail_peer(union_host(handle))
+        system.run()
+        assert handle.status == DEPLOYED and handle.stats()["items_delivered"] == 3
+
+    def test_the_publisher_description_follows_the_redeployed_root(self):
+        system, sources, monitor = build_system()
+        handle = self.publishing(system, sources, monitor)
+        assert [d.qualified_id for d in self.publisher_descriptions(system)] == ["X@monitor"]
+        system.fail_peer(union_host(handle))
+        system.run()
+        (description,) = self.publisher_descriptions(system)
+        root = handle.task.produced[plan_signature(handle.plan.children[0])]
+        assert description.qualified_id == "X@monitor" and description.operands == (root,)
+        handle.cancel()
+        system.run()
+        assert self.publisher_descriptions(system) == []
+        assert len(system.resources) == 0
+
+    def test_a_remote_reader_keeps_reading(self):
+        system, sources, monitor = build_system()
+        handle = self.publishing(system, sources, monitor)
+        reader = system.add_peer("reader")
+        read = collect(reader.net.channels.subscribe_remote("monitor", "X"))
+        system.run()
+        self.emit_one_per_source(system, sources, 1)
+        assert len(read) == 3
+        victim = union_host(handle)
+        system.fail_peer(victim)
+        system.run()
+        self.emit_one_per_source(system, sources, 2)
+        assert sorted(item.find("src").text for item in read[3:]) == sorted(
+            source for source in sources if source != victim
+        )
+        assert monitor.net.channels.published("X").subscribers
 
 
 class TestLifecycleInteraction:
@@ -352,7 +431,7 @@ class TestReviewRegressions:
         victim = union_host(handle)
         system.fail_peer(victim)
         system.run()
-        unsubscribe()  # callback was moved to the replacement delivery stream
+        unsubscribe()  # the valve it is on outlived the redeployment
         workload = ChaosFeedWorkload(sources)
         workload.tick(system, 2)
         system.run()

@@ -308,6 +308,30 @@ class TestFailedPublication:
         assert system.stream_db.verify_index_coherence() == []
         assert system.kadop.document_ids == []
 
+    def test_a_failed_publisher_advertisement_gives_its_channel_back(self):
+        system = P2PMSystem(seed=3, reliable_control=True, failure_mode="detector")
+        for peer_id in ("s0", "m1"):
+            system.add_peer(peer_id)
+        router = system.stream_db.router
+        publish = router.publish_document
+
+        def publisher_times_out(description, doc_id):
+            operator = description.find("Operator")
+            if operator is not None and operator.find("Publisher") is not None:
+                raise RpcTimeout("home", "kadop.publish", 3)
+            publish(description, doc_id)
+
+        router.publish_document = publisher_times_out
+        text = self.TEXT.replace("return $c;", 'return $c by publish as channel "X";')
+        with pytest.raises(RpcTimeout):
+            system.peer("m1").subscribe(text, sub_id="a")
+        del router.publish_document
+        assert len(system.resources) == 0
+        assert not system.peer("m1").net.channels.publishes("X")
+        # a retry under the same id gets the name back, not a suffixed one
+        handle = system.peer("m1").subscribe(text, sub_id="a")
+        assert handle.publisher.channel_id == "X" and "#X@m1" in handle.channels_created
+
 
 class TestReliableCancel:
     """Cancellation under ``reliable_control=True``: advertisements are
