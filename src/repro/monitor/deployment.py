@@ -186,9 +186,8 @@ class DynamicAlerterSource:
 class Deployer:
     """Instantiates placed plans on the peers of a :class:`P2PMSystem`."""
 
-    def __init__(self, system: "P2PMSystem", publish_replicas: bool = True) -> None:
+    def __init__(self, system: "P2PMSystem") -> None:
         self.system = system
-        self.publish_replicas = publish_replicas
         self._counter = 0
         self._epoch = 0
         self._predecessor: DeployedTask | None = None
@@ -632,9 +631,12 @@ class Deployer:
                 ),
             )
         task.channels_created.append(f"#{handle.stream_id}@{handle.peer_id}")
-        if first_local_consumer and self.publish_replicas and handle.original[0] != consumer_peer_id:
-            # the consumer re-publishes the proxy as a channel, so it genuinely
-            # can provide the stream to others, and declares the replica
+        if first_local_consumer and handle.peer_id != consumer_peer_id:
+            # the consumer re-publishes the proxy of a remote provider as a
+            # channel, so it genuinely can provide the stream to others, and
+            # declares the replica; a proxy of a provider on its own peer is
+            # a copy of a local stream, and publishing it would chain a
+            # replica of a replica onto every such consumer
             if consumer.ensure_channel(proxy.stream_id, proxy):
                 undo.insert(0, lambda: consumer.net.unpublish_channel(proxy.stream_id))
             replica_doc = self.system.stream_db.publish_replica(

@@ -168,8 +168,7 @@ class SubscriptionManager:
         )
 
     def _deployer(self) -> Deployer:
-        system = self.peer.system
-        return Deployer(system, publish_replicas=system.publish_replicas)
+        return Deployer(self.peer.system)
 
     def _submit_one(
         self,

@@ -65,7 +65,6 @@ class P2PMSystem:
     def __init__(
         self,
         seed: int = 0,
-        publish_replicas: bool = True,
         fault_model: FaultModel | None = None,
         failure_mode: str = "oracle",
         reliable_control: bool = False,
@@ -123,7 +122,6 @@ class P2PMSystem:
         #: ledger key of the channel subscription that carries it, so a
         #: consumer picking a replica provider keeps the transport chain alive
         self.replica_providers: dict[tuple[str, str], object] = {}
-        self.publish_replicas = publish_replicas
         #: operators assigned per peer so far; shared across subscription
         #: managers so that placement balances the load globally
         self.placement_load: dict[str, int] = {}

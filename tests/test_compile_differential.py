@@ -248,7 +248,7 @@ def _deploy(system: P2PMSystem, plan: PlanNode, sub_id: str, manager_peer: str =
     """Deploy a hand-built plan through the same Deployer the manager uses;
     returns the subscription record, whose valve delivers the results."""
     record = Subscription(sub_id, manager_peer=manager_peer)
-    record.task = Deployer(system, publish_replicas=system.publish_replicas).deploy(plan, record)
+    record.task = Deployer(system).deploy(plan, record)
     return record
 
 

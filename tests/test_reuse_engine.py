@@ -116,6 +116,37 @@ class TestReuseEngine:
         )
 
 
+class TestReplicaPublication:
+    def test_identical_subscriptions_from_one_peer_build_no_replica_chain(self):
+        """A consumer whose nearest provider is a replica on its own peer
+        reads it locally and publishes no replica of the replica: a thousand
+        identical subscriptions at one peer leave one replica per stream it
+        reads from a remote peer, not a relay chain a thousand deep."""
+        from repro.workloads import ChaosFeedWorkload
+        from repro.workloads.chaos_feed import CHAOS_FUNCTION
+
+        system = P2PMSystem()
+        sources = [system.add_peer(f"s{i}").peer_id for i in range(4)]
+        monitor = system.add_peer("monitor")
+        peers = " ".join(f"<p>{source}</p>" for source in sources)
+        text = (
+            f'for $x in {CHAOS_FUNCTION}({peers}) where $x.kind = "chaos" '
+            "return <seen><src>{$x.source}</src><n>{$x.n}</n></seen>"
+        )
+        handles = monitor.subscribe_many([text] * 1000)
+        system.run()
+        counts = [0] * len(handles)
+        for index, handle in enumerate(handles):
+            handle.on_result(lambda item, i=index: counts.__setitem__(i, counts[i] + 1))
+        ChaosFeedWorkload(sources).tick(system, 0)
+        system.run()
+        assert counts == [len(sources)] * len(handles)
+        # a replica's provider key is ("proxy", consumer, producer, stream)
+        providers = list(system.replica_providers.values())
+        assert len(providers) == 4
+        assert all(consumer != producer for _, consumer, producer, _ in providers)
+
+
 class TestP2PMSystemBasics:
     def test_duplicate_peer_rejected(self):
         system = P2PMSystem()

@@ -209,23 +209,22 @@ class TestLossyControlPlaneSoak:
     fully or raises a typed RPC error."""
 
     def test_thousand_subscriptions_deploy_or_fail_typed(self):
-        # publish_replicas=False keeps 1k *identical* subscriptions from
-        # daisy-chaining replica relays (each sub reusing its predecessor's
-        # replica advertisement), which is reuse-engine behaviour unrelated
-        # to the control plane under test here
-        system = P2PMSystem(seed=17, reliable_control=True, publish_replicas=False)
+        system = P2PMSystem(seed=17, reliable_control=True)
         sources = [f"s{i}" for i in range(4)]
         for source in sources:
             system.add_peer(source)
         monitor = system.add_peer("monitor")
         system.network.set_fault_model(FaultModel(loss_rate=0.1, jitter=0.01))
         peers = " ".join(f"<p>{source}</p>" for source in sources)
-        text = (
-            f'for $x in {CHAOS_FUNCTION}({peers}) where $x.kind = "chaos" '
-            "return <seen><src>{$x.source}</src><n>{$x.n}</n></seen>"
-        )
         deployed, failed = [], []
         for n in range(1000):
+            # a RETURN of its own per subscription: reuse shares the filters,
+            # but every subscription still deploys and publishes a stream
+            # through the control plane under test
+            text = (
+                f'for $x in {CHAOS_FUNCTION}({peers}) where $x.kind = "chaos" '
+                f"return <seen{n}><src>{{$x.source}}</src><n>{{$x.n}}</n></seen{n}>"
+            )
             try:
                 handle = monitor.subscribe(text, sub_id=f"soak-{n}")
             except RpcError as exc:
