@@ -108,8 +108,6 @@ class DeployedTask:
     #: ... and its terminal entry there, ``("sub", sub_id, epoch)``: holds
     #: the plan's root stream, and its undo disconnects the valve from it
     terminal: tuple[str, str, int]
-    #: raw plan output at the manager peer (what the valve reads)
-    output_stream: Stream | None = None
     operators_by_peer: dict[str, list[Operator]] = field(default_factory=dict)
     channels_created: list[str] = field(default_factory=list)
     #: structural plan signature -> where that node's output channel lives;
@@ -249,7 +247,6 @@ class Deployer:
                 handle = self._deploy_node(plan, task)
                 consumer_peer_id = manager_peer
             input_stream, proxy_key = self._local_input(consumer_peer_id, handle, task)
-            task.output_stream = input_stream
             # the subscription terminal holds the plan's root stream alive
             inputs = [handle.original] if proxy_key is None else [proxy_key, handle.original]
             ledger.register(task.terminal, (record.valve.connect(input_stream),), inputs)

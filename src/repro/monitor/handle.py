@@ -99,8 +99,9 @@ class SubscriptionHandle:
 
     @property
     def output_stream(self) -> Stream | None:
-        """The raw plan-output stream at the manager peer (pre-valve)."""
-        return self._require_task().output_stream
+        """The raw plan-output stream at the manager peer: what the valve
+        reads (``None`` while no deployment runs)."""
+        return self._record.valve.source
 
     @property
     def delivery_stream(self) -> Stream:

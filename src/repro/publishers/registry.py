@@ -72,27 +72,26 @@ class PublisherContext:
 
         The advertisement carries the *final* (collision-resolved) name, so
         the name in the database, in ``channels_created`` and on the wire
-        always agree.  Retraction on cancel is registered automatically.
+        always agree.  Retraction on cancel is registered automatically,
+        once: the document id is the stream's, so advertising it again
+        replaces the description.
         """
         if self.node is None:
             return None
         doc_id = self.system.stream_db.publish_node(
             self.node, self.peer.peer_id, stream_id, [self.operand]
         )
-        self.undo.append(lambda: self.system.stream_db.retract(doc_id))
+        if self.advertised is None:
+            self.undo.append(lambda: self.system.stream_db.retract(doc_id))
         self.advertised = stream_id
         return doc_id
 
     def readvertise(self, operand: tuple[str, str]) -> None:
-        """Describe the advertised stream over ``operand``, a redeployment's
-        root stream.  The document id is the same, so the new description
-        replaces the old one, and the retraction registered the first time
-        still withdraws it."""
+        """Describe the advertised stream, if any, over ``operand``: a
+        redeployment's root stream."""
         self.operand = operand
-        if self.advertised is not None and self.node is not None:
-            self.system.stream_db.publish_node(
-                self.node, self.peer.peer_id, self.advertised, [operand]
-            )
+        if self.advertised is not None:
+            self.advertise_channel(self.advertised)
 
 
 PublisherFactory = Callable[[PublisherContext], Publisher]

@@ -68,12 +68,8 @@ class Stream:
     # -- subscription ----------------------------------------------------------
 
     def subscribe(self, callback: Subscriber) -> Callable[[], None]:
-        """Register ``callback`` and return a function that unsubscribes it.
-
-        The unsubscriber is idempotent.  A subscription's delivery valve is
-        one stream for the subscription's whole life, so an unsubscriber
-        from ``handle.on_result`` keeps working across recoveries.
-        """
+        """Register ``callback`` and return a function that unsubscribes it
+        (calling it again does nothing)."""
         self._subscribers.append(callback)
 
         def unsubscribe() -> None:

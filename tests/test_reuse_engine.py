@@ -7,6 +7,8 @@ from repro.filtering import FilterSubscription, SimpleCondition
 from repro.monitor import P2PMSystem, ReuseEngine, StreamDefinitionDatabase
 from repro.monitor.stream_db import operator_spec
 from repro.net import SimNetwork, Peer
+from repro.workloads import ChaosFeedWorkload
+from repro.workloads.chaos_feed import CHAOS_FUNCTION
 
 
 def alerter(peer="a.com", kind="outCOM"):
@@ -122,9 +124,6 @@ class TestReplicaPublication:
         reads it locally and publishes no replica of the replica: a thousand
         identical subscriptions at one peer leave one replica per stream it
         reads from a remote peer, not a relay chain a thousand deep."""
-        from repro.workloads import ChaosFeedWorkload
-        from repro.workloads.chaos_feed import CHAOS_FUNCTION
-
         system = P2PMSystem()
         sources = [system.add_peer(f"s{i}").peer_id for i in range(4)]
         monitor = system.add_peer("monitor")
