@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Sequence
 
-from repro.algebra.template import Binding, ValueRef, get_binding, make_tuple_item
+from repro.algebra.template import TUPLE_TAG, ValueRef, get_binding, merge_tuple_items
 from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
@@ -74,10 +74,7 @@ class Operator:
         self.on_item(index, item)
 
     def _receive_batch(self, index: int, items: list[Element]) -> None:
-        # emit_many never delivers EOS, so no end-of-stream handling here.
-        # items_in accounting is owned by on_batch: the default loop
-        # increments between on_item calls so cadence logic reading items_in
-        # (e.g. GroupOperator's `every`) sees per-item-identical values.
+        # emit_many never delivers EOS, so no end-of-stream handling here
         self.on_batch(index, items)
 
     def emit(self, item: Element) -> None:
@@ -94,11 +91,9 @@ class Operator:
         raise NotImplementedError
 
     def on_batch(self, index: int, items: list[Element]) -> None:
-        """Process a burst; the default just loops :meth:`on_item`.
-
-        Overrides must account ``items_in`` themselves (bulk increment is
-        fine for operators that never read it mid-batch).
-        """
+        """Process a burst; the default loops :meth:`on_item`, counting
+        ``items_in`` between calls so cadence logic reading it (GroupOperator's
+        ``every``) sees per-item values.  Overrides count ``items_in`` themselves."""
         on_item = self.on_item
         for item in items:
             self.items_in += 1
@@ -166,39 +161,53 @@ class JoinOperator(Operator):
             None if window is None else (deque(), deque())
         )
         self.index_probes = 0
-
-    def _key(self, side: int, item: Element) -> tuple | None:
-        var = self.left_var if side == 0 else self.right_var
-        binding = get_binding(item, var)
-        values = []
-        for left_ref, right_ref in self.predicate:
-            ref = left_ref if side == 0 else right_ref
-            value = ref.value(binding)
-            if value is None:
-                return None
-            values.append(value)
-        return tuple(values)
+        # per side, the root attribute that is a raw item's whole key, if any
+        self._attribute = [
+            ref.detail if len(self.predicate) == 1 and ref.kind == "attribute" and ref.var == var else None
+            for ref, var in zip(self.predicate[0], (left_var, right_var))
+        ]
 
     def on_item(self, index: int, item: Element) -> None:
+        self._probe(index, (item,))
+
+    def on_batch(self, index: int, items: list[Element]) -> None:
+        self.items_in += len(items)
+        self._probe(index, items)
+
+    def _probe(self, index: int, items: Sequence[Element]) -> None:
+        """Store each keyed item and search the other side's history index
+        with it; the joined tuples leave as one burst."""
         if index not in (0, 1):
             raise ValueError("JoinOperator has exactly two inputs")
-        key = self._key(index, item)
-        if key is None:
-            return
-        self._store(index, key, item)
-        other = 1 - index
-        self.index_probes += 1
-        for match in self._index[other].get(key, ()):  # indexed history search
-            left_item, right_item = (item, match) if index == 0 else (match, item)
-            binding: Binding = get_binding(left_item, self.left_var)
-            binding.update(get_binding(right_item, self.right_var))
-            self.emit(make_tuple_item(binding))
+        var, attribute = (self.left_var, self.right_var)[index], self._attribute[index]
+        refs = [pair[index] for pair in self.predicate]
+        own, other, windowed = self._index[index], self._index[1 - index], self._arrival is not None
+        joined = []
+        for item in items:
+            if attribute is not None and item.tag != TUPLE_TAG:
+                key: tuple = (item.attrib.get(attribute),)
+            else:
+                binding = get_binding(item, var)
+                key = tuple([ref.value(binding) for ref in refs])
+            if None in key:
+                continue
+            if windowed:
+                self._store(index, key, item)
+            elif key in own:
+                own[key].append(item)
+            else:
+                own[key] = [item]
+            self.index_probes += 1
+            for match in other.get(key, ()):  # indexed history search
+                pair = (item, match) if index == 0 else (match, item)
+                joined.append(merge_tuple_items(*pair, self.left_var, self.right_var))
+        if joined:
+            self.emit_batch(joined)
 
     def _store(self, side: int, key: tuple, item: Element) -> None:
+        """Index ``item``, evicting its side's oldest one beyond the window."""
         self._index[side].setdefault(key, []).append(item)
-        if self._arrival is None:
-            return
-        arrival = self._arrival[side]
+        arrival = self._arrival[side]  # type: ignore[index]
         arrival.append(key)
         if len(arrival) > self.window:
             oldest_key = arrival.popleft()

@@ -23,12 +23,13 @@ BINDING_TAG = "binding"
 
 
 def make_tuple_item(binding: Binding) -> Element:
-    """Encode a binding as an XML tree so it can travel on a stream."""
-    children = [
-        Element(BINDING_TAG, {"var": name}, [tree.copy()])
-        for name, tree in sorted(binding.items())
-    ]
-    return Element(TUPLE_TAG, children=children)
+    """Encode a binding as an XML tree so it can travel on a stream.
+
+    The bound trees are shared, not copied: stream items are immutable once
+    emitted (see :class:`~repro.xmlmodel.tree.Element`).
+    """
+    bound = [Element.fast_new(BINDING_TAG, {"var": name}, [tree]) for name, tree in sorted(binding.items())]
+    return Element.fast_new(TUPLE_TAG, {}, bound)
 
 
 def is_tuple_item(item: Element) -> bool:
@@ -42,7 +43,7 @@ def get_binding(item: Element, default_var: str | None = None) -> Binding:
     to the whole tree, so operators work uniformly on raw alerter output and
     on joined tuples.
     """
-    if not is_tuple_item(item):
+    if item.tag != TUPLE_TAG:
         return {default_var or "item": item}
     binding: Binding = {}
     for child in item.children:
@@ -108,18 +109,13 @@ class ValueRef:
         return first.text if isinstance(first, Element) else str(first)
 
     def node(self, binding: Binding) -> Element | None:
-        """The node value of this reference (for ``self`` and element paths)."""
-        if self.kind == "literal":
-            return Element("value", text=self.detail)
+        """The element a ``self`` or path reference selects, if any."""
         tree = binding.get(self.var)
-        if tree is None:
-            return None
-        if self.kind == "self":
+        if tree is None or self.kind == "self":
             return tree
-        if self.kind == "attribute":
+        if self.kind != "path":
             return None
-        result = XPath.compile(self.detail).select(tree, relative=True)
-        for item in result:
+        for item in XPath.compile(self.detail).select(tree, relative=True):
             if isinstance(item, Element):
                 return item
         return None
@@ -139,68 +135,64 @@ class RestructureTemplate:
 
     The skeleton is an :class:`Element` tree.  Attribute values and text
     payloads of the form ``{$var.attr}`` / ``{$var/path}`` / ``{$var}`` are
-    replaced at runtime by the corresponding value from the binding.
+    replaced at runtime by the corresponding value from the binding.  Every
+    hole is parsed once, into nested ``(tag, attrs, text, text_ref,
+    children)`` tuples whose ``(name, value, ref)`` attributes take ``ref``'s
+    value when there is a hole.
     """
 
     def __init__(self, skeleton: Element) -> None:
         self.skeleton = skeleton
+        self._variables: set[str] = set()
+        self._compiled = _compile(skeleton, self._variables)
 
     def instantiate(self, binding: Binding) -> Element:
         """Build the output tree for one binding."""
-        return self._build(self.skeleton, binding)
-
-    def _build(self, node: Element, binding: Binding) -> Element:
-        attrib = {
-            name: self._substitute_scalar(value, binding)
-            for name, value in node.attrib.items()
-        }
-        out = Element(node.tag, attrib)
-        if node.text is not None:
-            expression = _hole_expression(node.text)
-            if expression is not None:
-                ref = parse_value_ref(expression)
-                embedded = ref.node(binding)
-                if embedded is not None and ref.kind in ("self", "path"):
-                    out.append(embedded.copy())
-                else:
-                    out.text = ref.value(binding) or ""
-            else:
-                out.text = node.text
-        for child in node.children:
-            out.append(self._build(child, binding))
-        return out
-
-    def _substitute_scalar(self, raw: str, binding: Binding) -> str:
-        expression = _hole_expression(raw)
-        if expression is None:
-            return raw
-        value = parse_value_ref(expression).value(binding)
-        return value if value is not None else ""
+        return _instantiate(self._compiled, binding)
 
     def variables(self) -> set[str]:
         """All variables mentioned by the template's holes."""
-        found: set[str] = set()
-        for node in self.skeleton.iter():
-            for value in list(node.attrib.values()) + ([node.text] if node.text else []):
-                expression = _hole_expression(value)
-                if expression is not None:
-                    ref = parse_value_ref(expression)
-                    if ref.var:
-                        found.add(ref.var)
-        return found
+        return set(self._variables)
 
     def __repr__(self) -> str:
         return f"RestructureTemplate({self.skeleton.tag!r})"
 
 
-def _hole_expression(raw: str | None) -> str | None:
-    """Return the expression inside ``{...}`` when the whole value is a hole."""
-    if raw is None:
-        return None
+def _compile(node: Element, found: set[str]) -> tuple:
+    """``node`` with its holes parsed; their variables are added to ``found``."""
+    attrs = tuple([(name, raw, _hole(raw, found)) for name, raw in node.attrib.items()])
+    text_ref = _hole(node.text, found) if node.text is not None else None
+    children = tuple([_compile(child, found) for child in node.children]) if node.children else ()
+    return node.tag, attrs, node.text if text_ref is None else None, text_ref, children
+
+
+def _hole(raw: str, found: set[str]) -> ValueRef | None:
+    """The reference of ``raw`` when the whole value is a ``{...}`` hole."""
     stripped = raw.strip()
-    if stripped.startswith("{") and stripped.endswith("}"):
-        return stripped[1:-1].strip()
-    return None
+    if not (stripped.startswith("{") and stripped.endswith("}")):
+        return None
+    ref = parse_value_ref(stripped[1:-1])
+    if ref.var:
+        found.add(ref.var)
+    return ref
+
+
+def _instantiate(node: tuple, binding: Binding) -> Element:
+    tag, attrs, text, text_ref, children = node
+    attrib = {}
+    for name, value, ref in attrs:
+        attrib[name] = value if ref is None else ref.value(binding) or ""
+    built = []
+    if text_ref is not None:
+        # a whole-variable or path hole embeds a copy of the element it selects
+        embedded = text_ref.node(binding) if text_ref.kind in ("self", "path") else None
+        if embedded is not None:
+            built.append(embedded.copy())
+        else:
+            text = text_ref.value(binding) or ""
+    for child in children:
+        built.append(_instantiate(child, binding))
+    return Element.fast_new(tag, attrib, built, text)
 
 
 def parse_value_ref(expression: str) -> ValueRef:

@@ -421,20 +421,12 @@ class _Compiler:
             if len(self.output_vars) == 1:
                 return plan  # identity projection over the single variable
             template_root = Element("result", text=f"{{${self.ast.return_var}}}")
-        self._check_template_variables(template_root)
         template = RestructureTemplate(template_root)
-        default_var = self.output_vars[0] if len(self.output_vars) == 1 else None
-        return PlanNode(
-            RESTRUCTURE, {"template": template, "var": default_var}, [plan]
-        )
-
-    def _check_template_variables(self, template_root: Element) -> None:
-        known = set(self.stream_vars) | set(self.lets)
-        unknown = RestructureTemplate(template_root).variables() - known
+        unknown = template.variables() - set(self.stream_vars) - set(self.lets)
         if unknown:
-            raise P2PMLCompileError(
-                f"the RETURN template refers to unknown variables: {sorted(unknown)}"
-            )
+            raise P2PMLCompileError(f"the RETURN template refers to unknown variables: {sorted(unknown)}")
+        default_var = self.output_vars[0] if len(self.output_vars) == 1 else None
+        return PlanNode(RESTRUCTURE, {"template": template, "var": default_var}, [plan])
 
     def _publish(self, plan: PlanNode) -> PlanNode:
         by = self.ast.by

@@ -13,10 +13,10 @@ class Publisher:
     """Base class: consumes a stream and exposes it in some external form."""
 
     mode = "publisher"
+    items_published = 0  # items received so far
+    closed = False  # whether the input stream has ended
 
     def __init__(self) -> None:
-        self.items_published = 0
-        self.closed = False
         self._unsubscribes: list[Callable[[], None]] = []
 
     def connect(self, stream: Stream) -> "Publisher":

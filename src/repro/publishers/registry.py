@@ -138,13 +138,11 @@ def create_publisher(mode: str, ctx: PublisherContext) -> Publisher:
 @register_publisher("channel")
 def _make_channel(ctx: PublisherContext) -> Publisher:
     target = ctx.unique_channel_name(ctx.params["target"])
-    publisher = ChannelPublisher(ctx.peer.net, target)
+    subscriber = ctx.params.get("subscriber")
+    publisher = ChannelPublisher(ctx.peer.net, target, subscriber[:1] if subscriber else ())
     # cancelling unpublishes the channel, freeing the name for reuse;
     # registered before the advertisement, which may raise
     ctx.undo.append(lambda: ctx.peer.net.unpublish_channel(target))
-    subscriber = ctx.params.get("subscriber")
-    if subscriber:
-        publisher.add_subscriber(subscriber[0])
     ctx.channels_created.append(f"#{target}@{ctx.peer.peer_id}")
     ctx.advertise_channel(target)
     return publisher

@@ -95,8 +95,10 @@ class Element:
     # ``weight()`` memoises per node and is invalidated by every mutation
     # performed through the Element API (``append``/``extend``/``set``/
     # assigning ``text``): the mutated node and its ancestor chain are
-    # cleared, child caches stay valid.  An element is assumed to live in at
-    # most one tree (use :meth:`copy` to attach a subtree elsewhere); code
+    # cleared, child caches stay valid.  A stream item is immutable once
+    # emitted, so several trees may share it (a join's binding tuples do);
+    # its parent link, read only by this invalidation, names the last of
+    # them.  Mutate a tree before emitting it, or a copy; code
     # that mutates ``attrib``/``children`` directly must call
     # :meth:`invalidate_caches` on the mutated node afterwards.
 

@@ -1,5 +1,7 @@
 """Tests for the runtime stream operators."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.algebra import (
     ValueRef,
     get_binding,
 )
+from repro.algebra.operators import Operator
 from repro.streams import Stream, collect
 from repro.xmlmodel import Element
 
@@ -38,6 +41,36 @@ class _ListArrivalJoin(JoinOperator):
                 bucket.pop(0)
                 if not bucket:
                     del self._index[side][oldest_key]
+
+
+def _copied_tuple(binding) -> Element:
+    return Element("tuple", children=[
+        Element("binding", {"var": name}, [tree.copy()]) for name, tree in sorted(binding.items())
+    ])
+
+
+class _ItemJoin(_ListArrivalJoin):
+    """The join before it took bursts: every item keyed through its binding,
+    probed and emitted on its own, every joined tuple holding copies."""
+
+    def _key(self, side, item):
+        binding = get_binding(item, self.left_var if side == 0 else self.right_var)
+        values = tuple(pair[side].value(binding) for pair in self.predicate)
+        return None if None in values else values
+
+    def on_item(self, index, item):
+        key = self._key(index, item)
+        if key is None:
+            return
+        self._store(index, key, item)
+        self.index_probes += 1
+        for match in self._index[1 - index].get(key, ()):
+            left, right = (item, match) if index == 0 else (match, item)
+            binding = get_binding(left, self.left_var)
+            binding.update(get_binding(right, self.right_var))
+            self.emit(_copied_tuple(binding))
+
+    on_batch = Operator.on_batch
 
 
 class TestOperatorBase:
@@ -182,6 +215,74 @@ class TestJoin:
             pairs = [(get_binding(out)["c1"], get_binding(out)["c2"]) for out in sink]
             runs.append(([(items.index(a), items.index(b)) for a, b in pairs], sizes))
         assert runs[0] == runs[1]
+
+    @staticmethod
+    def three_way(join_class, window):
+        """``($c1 ⋈ $c2) ⋈ $c3`` on callId: raw inputs, then tuple inputs."""
+        streams = [Stream("c1"), Stream("c2"), Stream("c3")]
+        first = join_class(
+            "c1", "c2", [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c2", "callId"))], window=window
+        )
+        second = join_class(
+            "pair", "c3", [(ValueRef.attribute("c1", "callId"), ValueRef.attribute("c3", "callId"))], window=window
+        )
+        first.connect(streams[0]).connect(streams[1])
+        second.connect(first.output).connect(streams[2])
+        return streams, (first, second), (collect(first.output), collect(second.output))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.one_of(st.none(), st.integers(1, 6)),
+        events=st.lists(st.tuples(st.integers(0, 2), st.one_of(st.none(), st.integers(0, 4))), max_size=60),
+        cuts=st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    def test_a_join_is_the_same_however_its_input_is_cut_into_bursts(self, window, events, cuts):
+        """Fed in random bursts, the join emits, as multisets, what the
+        per-item join (``_ItemJoin``) emits fed item by item: the same trees
+        of the same weight, binding the very items it stored."""
+        items = [
+            alert(n=str(n)) if key is None else alert(callId=str(key), n=str(n)) for n, (_, key) in enumerate(events)
+        ]
+        streams, joins, sinks = self.three_way(JoinOperator, window)
+        bursts: list[tuple[int, list]] = []
+        for n, ((side, _), item) in enumerate(zip(events, items)):
+            if bursts and bursts[-1][0] == side and not cuts[n]:
+                bursts[-1][1].append(item)
+            else:
+                bursts.append((side, [item]))
+        for side, burst in bursts:
+            if len(burst) == 1:
+                streams[side].emit(burst[0])
+            else:
+                streams[side].emit_many(burst)
+            if window is not None:
+                assert all(join.history_size(s) <= window for join in joins for s in (0, 1))
+
+        ref_streams, ref_joins, ref_sinks = self.three_way(_ItemJoin, window)
+        for (side, _), item in zip(events, items):
+            ref_streams[side].emit(item)
+
+        for sink, ref_sink in zip(sinks, ref_sinks):
+            assert Counter((out.structural_key(), out.weight()) for out in sink) == Counter(
+                (out.structural_key(), out.weight()) for out in ref_sink
+            )
+        keyed = Counter(side for side, key in events if key is not None)
+        assert joins[0].index_probes == ref_joins[0].index_probes == keyed[0] + keyed[1]
+        assert joins[1].index_probes == ref_joins[1].index_probes == keyed[2] + len(sinks[0])
+        stored = {id(item) for item in items}
+        for sink in sinks:
+            for out in sink:
+                assert all(id(tree) in stored for tree in get_binding(out).values())
+
+    def test_a_joined_tuple_shares_the_stored_items(self):
+        left, right, join, sink = self.make_join()
+        out_call, in_call = alert(callId="1", caller="a.com"), alert(callId="1", server="meteo")
+        left.emit(out_call)
+        right.emit_many([in_call, alert(callId="2")])
+        (joined,) = sink
+        binding = get_binding(joined)
+        assert binding["c1"] is out_call and binding["c2"] is in_call
+        assert joined.weight() == _copied_tuple(binding).weight()
 
     def test_empty_predicate_rejected(self):
         with pytest.raises(ValueError):

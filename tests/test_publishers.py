@@ -37,13 +37,14 @@ class TestChannelPublisher:
         publisher_peer = Peer("pub.com", network)
         Peer("client.com", network)
         results = Stream("results", "pub.com")
-        publisher = ChannelPublisher(publisher_peer, "X")
+        publisher = ChannelPublisher(publisher_peer, "X", ["client.com"])
         publisher.connect(results)
-        publisher.add_subscriber("client.com")
         assert "client.com" in publisher.channel.subscribers
+        # the channel forwards off the connected stream: no relay of its own
+        assert publisher.channel.stream is results
         results.close()
         assert publisher.closed
-        assert publisher.relay.closed
+        assert publisher.items_published == 0
 
 
 class TestFilePublisher:
