@@ -243,8 +243,9 @@ class ChannelRegistry:
         """Withdraw a published channel, freeing its name for reuse.
 
         The forwarder is detached from the underlying stream and remote
-        subscribers are notified with an end-of-channel message.  Returns
-        False when the channel was not published here.
+        subscribers are notified with an end-of-channel message, unless
+        closing that stream notified them already.  Returns False when the
+        channel was not published here.
         """
         channel = self._published.pop(channel_id, None)
         if channel is None:
@@ -254,7 +255,8 @@ class ChannelRegistry:
         self._free_epoch += 1
         if callable(channel.unsubscribe):
             channel.unsubscribe()
-        self._send_eos(channel)
+        if not channel.stream.closed:
+            self._send_eos(channel)
         channel.clear_subscribers()
         return True
 

@@ -55,7 +55,7 @@ PINNED_GOLDEN = {
         "1dfc3881162bba9eefbf37cebb15a79fdeaf63450b9abd9d633d7dbca238dcdf"
     ),
     ("churn-soak", 42): (
-        "d9e1656c98e27aaee85be891ec2af41c08f5ef1245a25648fd0148849db22091"
+        "565f029688872909c37a570a84c22de1e8a52bd59ad638e33dd0ca9ab1466d30"
     ),
 }
 

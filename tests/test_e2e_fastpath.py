@@ -40,15 +40,17 @@ GOLDEN_FINGERPRINTS = {
     ("lossy-network", 0): (
         "1dfc3881162bba9eefbf37cebb15a79fdeaf63450b9abd9d633d7dbca238dcdf"
     ),
-    # re-pinned twice: first when dead-destination drops became symmetric
-    # (sends *to* an already-failed peer drop at send time, moving 15
-    # churn-soak drop lines earlier in the trace), then when recovery
+    # re-pinned three times: first when dead-destination drops became
+    # symmetric (sends *to* an already-failed peer drop at send time, moving
+    # 15 churn-soak drop lines earlier in the trace), then when recovery
     # redeployment became make-before-break (the replacement deploys before
     # the old incarnation is torn down, so unpublish/EOS traffic now follows
-    # the new subscribes).  The other three scenarios never redeploy and
-    # never send to a down peer, so their traces are untouched.
+    # the new subscribes), then when unpublishing a channel whose stream had
+    # closed stopped sending its subscribers a second channel.eos.  The
+    # other three scenarios never redeploy, never send to a down peer and
+    # never tear a channel down, so their traces are untouched.
     ("churn-soak", 42): (
-        "d9e1656c98e27aaee85be891ec2af41c08f5ef1245a25648fd0148849db22091"
+        "565f029688872909c37a570a84c22de1e8a52bd59ad638e33dd0ca9ab1466d30"
     ),
 }
 

@@ -1,6 +1,7 @@
 """Subscription lifecycle: handles, bounded results, pause/resume, cancel/teardown."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -529,3 +530,25 @@ class TestTeardownOrder:
         per-task undo lists and holder strings produced them."""
         frozen = json.loads(CANCEL_RECORDING_PATH.read_text())["cases"]
         assert cancel_recordings() == frozen
+
+
+class TestEndOfChannel:
+    def test_a_torn_down_channel_sends_one_eos_per_subscriber(self):
+        """Closing a published stream sends its subscribers ``channel.eos``;
+        unpublishing the channel afterwards must not send it again."""
+        from test_recovery import build_system, subscription_text
+
+        system, sources, monitor = build_system()
+        handle = monitor.subscribe(
+            subscription_text(sources) + ' by publish as channel "X"', sub_id="chaos"
+        )
+        reader = system.add_peer("reader")
+        reader.net.subscribe_channel("monitor", "X")
+        system.run()
+        network = system.network
+        network.trace_enabled = True
+        handle.cancel()
+        system.run()
+        eos = Counter((m.source, m.destination) for m in network.trace if m.kind == "channel.eos")
+        assert ("monitor", "reader") in eos and len(eos) >= 4
+        assert set(eos.values()) == {1}, eos
