@@ -91,9 +91,8 @@ class Operator:
         raise NotImplementedError
 
     def on_batch(self, index: int, items: list[Element]) -> None:
-        """Process a burst; the default loops :meth:`on_item`, counting
-        ``items_in`` between calls so cadence logic reading it (GroupOperator's
-        ``every``) sees per-item values.  Overrides count ``items_in`` themselves."""
+        """Process a burst; the default loops :meth:`on_item`, counting ``items_in``
+        between calls (GroupOperator's ``every`` reads it).  Overrides count it."""
         on_item = self.on_item
         for item in items:
             self.items_in += 1
@@ -180,7 +179,6 @@ class JoinOperator(Operator):
         if index not in (0, 1):
             raise ValueError("JoinOperator has exactly two inputs")
         var, attribute = (self.left_var, self.right_var)[index], self._attribute[index]
-        refs = [pair[index] for pair in self.predicate]
         own, other, windowed = self._index[index], self._index[1 - index], self._arrival is not None
         joined = []
         for item in items:
@@ -188,7 +186,7 @@ class JoinOperator(Operator):
                 key: tuple = (item.attrib.get(attribute),)
             else:
                 binding = get_binding(item, var)
-                key = tuple([ref.value(binding) for ref in refs])
+                key = tuple([pair[index].value(binding) for pair in self.predicate])
             if None in key:
                 continue
             if windowed:

@@ -23,11 +23,8 @@ BINDING_TAG = "binding"
 
 
 def make_tuple_item(binding: Binding) -> Element:
-    """Encode a binding as an XML tree so it can travel on a stream.
-
-    The bound trees are shared, not copied: stream items are immutable once
-    emitted (see :class:`~repro.xmlmodel.tree.Element`).
-    """
+    """Encode a binding as an XML tree so it can travel on a stream; the bound
+    trees are shared, not copied (stream items are immutable once emitted)."""
     bound = [Element.fast_new(BINDING_TAG, {"var": name}, [tree]) for name, tree in sorted(binding.items())]
     return Element.fast_new(TUPLE_TAG, {}, bound)
 
