@@ -128,15 +128,16 @@ class ControlPlaneRouter:
             Element("publish", {"docId": doc_id}, [description]),
         )
 
-    def retract_document(self, doc_id: str) -> bool:
-        """Retract via RPC; falls back to a direct unpublish on RPC failure.
+    def retract_document(self, doc_id: str, owner: str | None) -> bool:
+        """Retract via RPC from ``owner``, the peer that published the
+        document (None when the database does not know it); falls back to a
+        direct unpublish on RPC failure.
 
         Retraction is teardown bookkeeping: when the RPC cannot complete
         (circuit open towards a dead home, retries exhausted) the entry is
         removed locally so reuse stops matching a stream that is gone --
         the anti-entropy a real KadoP node would perform on its own copy.
         """
-        owner = doc_id.rsplit("@", 1)[1] if "@" in doc_id else ""
         via = self._via_peer(owner)
         home = self._home_peer(doc_id)
         if via is None or home is None:

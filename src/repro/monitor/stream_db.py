@@ -98,7 +98,8 @@ class StreamDefinitionDatabase:
         #: retractions travel as RPCs to the document's DHT home peer instead
         #: of mutating the index in place -- must expose
         #: ``publish_document(description, doc_id)`` and
-        #: ``retract_document(doc_id) -> bool``
+        #: ``retract_document(doc_id, owner) -> bool``, ``owner`` being the
+        #: publishing peer (None when the database never filed the document)
         self.router = None
         self.streams_published = 0
         self.replicas_published = 0
@@ -154,7 +155,7 @@ class StreamDefinitionDatabase:
         if description.tag != "Stream":
             raise ValueError("expected a <Stream> description")
         doc_id = f"stream:{description.attrib['StreamId']}@{description.attrib['PeerId']}"
-        self._publish(description, doc_id)
+        self._publish(description, doc_id, description.attrib["PeerId"])
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
@@ -185,11 +186,11 @@ class StreamDefinitionDatabase:
             [],
         )
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        self._publish(description, doc_id)
+        self._publish(description, doc_id, replica_peer_id)
         self.replicas_published += 1
         return doc_id
 
-    def _publish(self, description: Element, doc_id: str) -> None:
+    def _publish(self, description: Element, doc_id: str, owner: str) -> None:
         """Write ``description`` to KadoP, then index it; a routed write that
         raised may have landed, so it is withdrawn and nothing is indexed."""
         if self.router is None:
@@ -198,7 +199,8 @@ class StreamDefinitionDatabase:
             try:
                 self.router.publish_document(description, doc_id)
             except Exception:
-                self.retract(doc_id)
+                self._deindex_document(doc_id)
+                self._withdraw(doc_id, owner)
                 raise
         self._index_document(doc_id, description)
 
@@ -212,9 +214,11 @@ class StreamDefinitionDatabase:
         then the withdrawal is routed.  Returns False when KadoP did not
         hold it.
         """
-        self._deindex_document(doc_id)
+        return self._withdraw(doc_id, self._deindex_document(doc_id))
+
+    def _withdraw(self, doc_id: str, owner: str | None) -> bool:
         if self.router is not None:
-            removed = self.router.retract_document(doc_id)
+            removed = self.router.retract_document(doc_id, owner)
         else:
             removed = self.index.unpublish(doc_id)
         if removed:
@@ -362,7 +366,9 @@ class StreamDefinitionDatabase:
             )
             self._replica_keys[doc_id] = original
 
-    def _deindex_document(self, doc_id: str) -> None:
+    def _deindex_document(self, doc_id: str) -> str | None:
+        """Forget ``doc_id``'s filing; returns the peer that published it
+        (None when it was not filed)."""
         description = self._descriptions.pop(doc_id, None)
         if description is not None:
             operator_key = (description.operator, tuple(sorted(description.operands)))
@@ -379,14 +385,15 @@ class StreamDefinitionDatabase:
                     del self._by_alerter[alerter_key]
             if description.operator != OPERATOR_NAMES[PUBLISH]:
                 self.reuse_version += 1
-            return
+            return description.peer_id
         original = self._replica_keys.pop(doc_id, None)
-        if original is not None:
-            providers = self._replica_map.get(original)
-            if providers is not None:
-                providers.pop(doc_id, None)
-                if not providers:
-                    del self._replica_map[original]
+        if original is None:
+            return None
+        providers = self._replica_map.get(original, {})
+        replica = providers.pop(doc_id, None)
+        if not providers:
+            self._replica_map.pop(original, None)
+        return replica[0] if replica is not None else None
 
     # -- decoding -----------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ raises a typed :class:`~repro.net.errors.RpcError`.
 
 import pytest
 
-from repro.algebra.plan import EXISTING
+from repro.algebra.plan import ALERTER, EXISTING, PlanNode
 from repro.monitor import P2PMSystem
 from repro.net.errors import CircuitOpen, RpcError, RpcRemoteError, RpcTimeout
 from repro.net.faults import FaultModel
@@ -330,6 +330,39 @@ class TestFailedPublication:
         # a retry under the same id gets the name back, not a suffixed one
         handle = system.peer("m1").subscribe(text, sub_id="a")
         assert handle.publisher.channel_id == "X" and "#X@m1" in handle.channels_created
+
+
+class TestRetractionOwner:
+    """A description is retracted over RPC from the peer that published it,
+    whatever its id contains: the owner is the database's record
+    (``PeerId`` of a stream, ``ReplicaPeerId`` of a replica), never a parse
+    of the doc id, whose last ``@`` is not the owner's when the owner's id
+    has one."""
+
+    @pytest.mark.parametrize("owner", ["plain", "a@b"])
+    def test_every_routed_publication_is_retracted_from_its_owner(self, owner):
+        system = P2PMSystem(seed=5, reliable_control=True)
+        peer_ids = ("s0", "b", owner)  # "b": what the last "@" of "a@b" names
+        calls = []
+        for peer_id in peer_ids:
+            rpc = system.add_peer(peer_id).rpc
+
+            def recording(destination, method, params=None, _peer=peer_id, _call=rpc.call_sync):
+                calls.append((_peer, method))
+                return _call(destination, method, params)
+
+            rpc.call_sync = recording
+        db = system.stream_db
+        docs = [db.publish_replica("s0", f"s{n}", owner, f"copy-{n}") for n in range(20)]
+        alerter = PlanNode(ALERTER, {"alerter": "outCOM", "peer": owner})
+        docs += [db.publish_node(alerter, owner, f"out{n}", []) for n in range(20)]
+        published = calls.count((owner, "kadop.publish"))
+        assert published > 30  # the rest have a home that is not a peer
+        for doc_id in docs:
+            assert db.retract(doc_id)
+        assert calls.count((owner, "kadop.retract")) == published
+        assert [call for call in calls if call[0] != owner] == []
+        assert system.kadop.document_ids == [] and db.verify_index_coherence() == []
 
 
 class TestReliableCancel:

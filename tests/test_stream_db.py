@@ -127,7 +127,7 @@ class TestStreamDefinitionDatabase:
             def publish_document(self, description, doc_id):
                 raise RpcTimeout("home", "kadop.publish", 3)
 
-            def retract_document(self, doc_id):
+            def retract_document(self, doc_id, owner):
                 return False
 
         db = StreamDefinitionDatabase()
