@@ -68,8 +68,8 @@ class KadopIndex:
         #: replicates index entries across peers; we model that as a full
         #: mirror from which keys lost to an abrupt node failure are restored.
         self._doc_replicas: dict[str, Element] = {}
-        #: per-document term extraction, computed once at publish time --
-        #: unpublish and failure-time re-replication reuse it instead of
+        #: per-document terms, given or walked once at publish time --
+        #: unpublish and failure-time re-replication reuse them instead of
         #: re-walking the document tree per term key
         self._doc_terms: dict[str, frozenset[str]] = {}
         self.keys_restored = 0
@@ -126,7 +126,7 @@ class KadopIndex:
                 doc_id = key[len("doc:"):]
                 document = self._doc_replicas.get(doc_id)
                 if document is not None:
-                    self.ring.put(key, document.copy())
+                    self.ring.put(key, document)
                     restored += 1
             elif key.startswith("term:"):
                 term = key[len("term:"):]
@@ -148,66 +148,55 @@ class KadopIndex:
 
     # -- publication ---------------------------------------------------------------
 
-    def publish(self, document: Element, doc_id: str | None = None) -> str:
+    def publish(self, document: Element, doc_id: str | None = None, terms: frozenset[str] | None = None) -> str:
         """Index ``document`` and return its identifier.
 
-        One copy is stored: the ring entry and the replica mirror share it,
-        and queries are handed that object.  Published documents
-        are immutable -- to change one, publish its ``doc_id`` again; postings
-        of terms the new version no longer has are withdrawn.
-        """
+        ``document`` itself is stored, uncopied (ring entry, mirror and query
+        results are that object), and belongs to the index from then on: to
+        change it, publish a new one under its ``doc_id``, whose lost terms'
+        postings are withdrawn.  ``terms``, exactly what the walk
+        (:meth:`_terms_of_document`) would find, spare the walk."""
         if doc_id is None:
             self._doc_count += 1
             doc_id = f"doc{self._doc_count}"
-        stored = document.copy()
-        self.ring.put(f"doc:{doc_id}", stored)
-        self._doc_replicas[doc_id] = stored
-        terms = frozenset(self._terms_of_document(stored))
+        if terms is None:
+            terms = frozenset(self._terms_of_document(document))
+        self.ring.put(f"doc:{doc_id}", document)
+        self._doc_replicas[doc_id] = document
         # a republish: the terms only the version being replaced had
         stale = self._doc_terms.get(doc_id, terms) - terms
         self._doc_terms[doc_id] = terms
-        catalogue = self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY]
-        assert isinstance(catalogue, set)
-        catalogue.add(doc_id)
+        self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY].add(doc_id)  # type: ignore[attr-defined]
         for term in terms:  # one routed lookup per posting, new term or known
             key = f"term:{term}"
-            storage = self.ring.storage_for(key)
-            postings = storage.get(key)
-            if postings is None:
-                postings = storage[key] = set()
-            assert isinstance(postings, set)
-            postings.add(doc_id)
-        for term in stale:
-            self._drop_posting(term, doc_id)
+            self.ring.storage_for(key).setdefault(key, set()).add(doc_id)  # type: ignore[attr-defined]
+        if stale:
+            self._drop_postings(stale, doc_id)
         self._query_cache.clear()
         return doc_id
 
     def unpublish(self, doc_id: str) -> bool:
         """Remove a document from the index.  Returns False when unknown."""
         key = f"doc:{doc_id}"
-        storage = self.ring.storage_for(key)  # read and remove in the one visit
-        document = storage.get(key)
-        if not isinstance(document, Element):
+        if self.ring.storage_for(key).pop(key, None) is None:  # read and remove in the one visit
             return False
-        del storage[key]
-        for term in self._doc_terms.pop(doc_id, ()):
-            self._drop_posting(term, doc_id)
-        catalogue = self.ring.get(_DOCS_KEY)
-        if isinstance(catalogue, set):
-            catalogue.discard(doc_id)
+        self._drop_postings(self._doc_terms.pop(doc_id, frozenset()), doc_id)
+        self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY].discard(doc_id)  # type: ignore[attr-defined]
         self._doc_replicas.pop(doc_id, None)
         self._query_cache.clear()
         return True
 
-    def _drop_posting(self, term: str, doc_id: str) -> None:
-        """Withdraw ``doc_id`` from a term's postings; an emptied set goes with it."""
-        key = f"term:{term}"
-        storage = self.ring.storage_for(key)
-        postings = storage.get(key)
-        if isinstance(postings, set):
-            postings.discard(doc_id)
-            if not postings:
-                del storage[key]
+    def _drop_postings(self, terms: frozenset[str], doc_id: str) -> None:
+        """Withdraw ``doc_id`` from each term's postings, one visit per term;
+        an emptied set goes with it."""
+        for term in terms:
+            key = f"term:{term}"
+            storage = self.ring.storage_for(key)
+            postings = storage.get(key)
+            if postings is not None:
+                postings.discard(doc_id)  # type: ignore[attr-defined]
+                if not postings:
+                    del storage[key]
 
     def document(self, doc_id: str) -> Element | None:
         document = self.ring.get(f"doc:{doc_id}")

@@ -67,7 +67,8 @@ def operator_spec(node: PlanNode) -> str:
 
 @dataclass(frozen=True, slots=True)
 class StreamDescription:
-    """Decoded view of one ``<Stream>`` document."""
+    """One ``<Stream>`` description: the record a deployment publishes and
+    the indexes file; :meth:`to_element` is its KadoP document."""
 
     peer_id: str
     stream_id: str
@@ -79,6 +80,20 @@ class StreamDescription:
     @property
     def qualified_id(self) -> str:
         return f"{self.stream_id}@{self.peer_id}"
+
+    def to_element(self, avg_volume: float = 0.0) -> Element:
+        """The ``<Stream>`` document (every attribute is already a ``str``:
+        the trusted constructor suffices)."""
+        new = Element.fast_new
+        operator = new("Operator", {}, [new(self.operator, {"spec": self.spec}, [])])
+        operands = new("Operands", {}, [
+            new("Operand", {"OPeerId": op_peer, "OStreamId": op_stream}, [])
+            for op_peer, op_stream in self.operands
+        ])
+        stats = new("Stats", {"avgVolume": f"{avg_volume:.1f}"}, [])
+        channel = "true" if self.is_channel else "false"
+        attrib = {"PeerId": self.peer_id, "StreamId": self.stream_id, "isAChannel": channel}
+        return new("Stream", attrib, [operator, operands, stats])
 
 
 class StreamDefinitionDatabase:
@@ -104,7 +119,7 @@ class StreamDefinitionDatabase:
         self.streams_published = 0
         self.replicas_published = 0
         self.descriptions_retracted = 0
-        #: decoded ``<Stream>`` documents by doc id (the decode cache)
+        #: published ``<Stream>`` descriptions by doc id
         self._descriptions: dict[str, StreamDescription] = {}
         #: (operator name, sorted operand pairs) -> doc ids
         self._by_operator: dict[tuple[str, tuple[tuple[str, str], ...]], set[str]] = {}
@@ -115,6 +130,8 @@ class StreamDefinitionDatabase:
         #: replica doc id -> its original (peer, stream) key, so a replica can
         #: be deindexed even when its document has since been overwritten
         self._replica_keys: dict[str, tuple[str, str]] = {}
+        #: (operator, spec, is_channel, has operands) -> the id-free terms of that shape
+        self._skeletons: dict[tuple[str, str, bool, bool], frozenset[str]] = {}
         #: bumped whenever a description that can influence reuse *matching*
         #: changes: any ``<Stream>`` except Publisher outputs (a PUBLISH node
         #: is never matched) and excluding ``<InChannel>`` replicas (they only
@@ -131,31 +148,33 @@ class StreamDefinitionDatabase:
         stream_id: str,
         operand_streams: list[tuple[str, str]],
         is_channel: bool = True,
-        avg_volume: float = 0.0,
-    ) -> Element:
-        """Build the ``<Stream>`` description of a deployed plan node (every
-        attribute is already a ``str``: the trusted constructor suffices)."""
+    ) -> StreamDescription:
+        """The description of a deployed plan node's output stream."""
         operator_name = OPERATOR_NAMES.get(node.kind)
         if node.kind == ALERTER:
             operator_name = node.params.get("alerter", "alerter")
         if operator_name is None:
             raise ValueError(f"plan node of kind {node.kind!r} does not produce a stream")
-        new = Element.fast_new
-        operator = new("Operator", {}, [new(operator_name, {"spec": operator_spec(node)}, [])])
-        operands = new("Operands", {}, [
-            new("Operand", {"OPeerId": op_peer, "OStreamId": op_stream}, [])
-            for op_peer, op_stream in operand_streams
-        ])
-        stats = new("Stats", {"avgVolume": f"{avg_volume:.1f}"}, [])
-        attrib = {"PeerId": peer_id, "StreamId": stream_id, "isAChannel": "true" if is_channel else "false"}
-        return new("Stream", attrib, [operator, operands, stats])
+        return StreamDescription(
+            peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams)
+        )
 
-    def publish_stream(self, description: Element) -> str:
-        """Store a ``<Stream>`` description; returns its document id."""
-        if description.tag != "Stream":
-            raise ValueError("expected a <Stream> description")
-        doc_id = f"stream:{description.attrib['StreamId']}@{description.attrib['PeerId']}"
-        self._publish(description, doc_id, description.attrib["PeerId"])
+    def publish_stream(self, description: StreamDescription | Element) -> str:
+        """Store a stream description; returns its document id.  A record's
+        document is :meth:`StreamDescription.to_element` and its terms come
+        from :meth:`_terms_of`; a raw ``<Stream>`` is decoded, and walked."""
+        if isinstance(description, Element):
+            if description.tag != "Stream":
+                raise ValueError("expected a <Stream> description")
+            document, terms, description = description, None, self._decode(description)
+        else:
+            document, terms = description.to_element(), self._terms_of(description)
+        doc_id = f"stream:{description.stream_id}@{description.peer_id}"
+        self._publish(document, doc_id, description.peer_id, terms)
+        self._deindex_document(doc_id)  # a republish replaces the earlier filing
+        self._file(doc_id, description)
+        if description.operator != OPERATOR_NAMES[PUBLISH]:
+            self.reuse_version += 1
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
@@ -168,41 +187,56 @@ class StreamDefinitionDatabase:
         is_channel: bool = True,
     ) -> str:
         """Describe and publish a deployed node's output stream."""
-        description = self.describe_node(node, peer_id, stream_id, operand_streams, is_channel)
-        return self.publish_stream(description)
+        return self.publish_stream(self.describe_node(node, peer_id, stream_id, operand_streams, is_channel))
 
     def publish_replica(
         self, peer_id: str, stream_id: str, replica_peer_id: str, replica_stream_id: str
     ) -> str:
         """Declare that ``replica_peer_id`` can also provide ``stream_id@peer_id``."""
-        description = Element.fast_new(
-            "InChannel",
-            {
-                "PeerId": peer_id,
-                "StreamId": stream_id,
-                "ReplicaPeerId": replica_peer_id,
-                "ReplicaStreamId": replica_stream_id,
-            },
-            [],
-        )
+        attrib = {"PeerId": peer_id, "StreamId": stream_id,
+                  "ReplicaPeerId": replica_peer_id, "ReplicaStreamId": replica_stream_id}
+        terms = frozenset({
+            "tag:InChannel", f"attr:InChannel@PeerId={peer_id}", f"attr:InChannel@StreamId={stream_id}",
+            f"attr:InChannel@ReplicaPeerId={replica_peer_id}", f"attr:InChannel@ReplicaStreamId={replica_stream_id}",
+        })
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        self._publish(description, doc_id, replica_peer_id)
+        self._publish(Element.fast_new("InChannel", attrib, []), doc_id, replica_peer_id, terms)
+        self._deindex_document(doc_id)
+        self._file_replica(doc_id, (peer_id, stream_id), (replica_peer_id, replica_stream_id))
         self.replicas_published += 1
         return doc_id
 
-    def _publish(self, description: Element, doc_id: str, owner: str) -> None:
-        """Write ``description`` to KadoP, then index it; a routed write that
-        raised may have landed, so it is withdrawn and nothing is indexed."""
+    def _terms_of(self, description: StreamDescription) -> frozenset[str]:
+        """The KadoP terms of ``description``'s document: the ones naming no
+        peer or stream, worked out once per shape, plus the id terms."""
+        operator, spec, operands = description.operator, description.spec, description.operands
+        shape = (operator, spec, description.is_channel, bool(operands))
+        skeleton = self._skeletons.get(shape)
+        if skeleton is None:
+            skeleton = self._skeletons[shape] = frozenset({
+                "tag:Stream", "tag:Operator", f"tag:{operator}", f"attr:{operator}@spec={spec}",
+                f"attr:Stream@isAChannel={'true' if description.is_channel else 'false'}",
+                "tag:Operands", *(["tag:Operand"] if operands else []), "tag:Stats", "attr:Stats@avgVolume=0.0",
+            })
+        return skeleton | {
+            f"attr:Stream@PeerId={description.peer_id}", f"attr:Stream@StreamId={description.stream_id}"
+        } | {
+            term for peer, stream in operands
+            for term in (f"attr:Operand@OPeerId={peer}", f"attr:Operand@OStreamId={stream}")
+        }
+
+    def _publish(self, document: Element, doc_id: str, owner: str, terms: frozenset[str] | None) -> None:
+        """Write ``document`` to KadoP; a routed write that raised may have
+        landed, so it is withdrawn and the error propagates."""
         if self.router is None:
-            self.index.publish(description, doc_id)
-        else:
-            try:
-                self.router.publish_document(description, doc_id)
-            except Exception:
-                self._deindex_document(doc_id)
-                self._withdraw(doc_id, owner)
-                raise
-        self._index_document(doc_id, description)
+            self.index.publish(document, doc_id, terms)
+            return
+        try:
+            self.router.publish_document(document, doc_id)
+        except Exception:
+            self._deindex_document(doc_id)
+            self._withdraw(doc_id, owner)
+            raise
 
     # -- retraction ---------------------------------------------------------------
 
@@ -290,51 +324,36 @@ class StreamDefinitionDatabase:
 
         Rebuilds what the indexes *should* contain from the raw ``<Stream>``
         and ``<InChannel>`` documents KadoP holds (the XPath oracle's ground
-        truth) and returns a list of human-readable discrepancies -- empty
-        when the replica equals the primary.  Exercised by the differential tests and the
-        nightly chaos soak after publish/retract/failure churn.
+        truth), and walks each document for the terms KadoP filed it under
+        (so a term skeleton that drifts from its documents shows); returns a
+        list of human-readable discrepancies -- empty when the replica equals
+        the primary.  Exercised by the differential tests and the nightly
+        chaos soak after publish/retract/failure churn.
         """
-        problems: list[str] = []
-        descriptions: dict[str, StreamDescription] = {}
-        by_operator: dict[tuple[str, tuple[tuple[str, str], ...]], set[str]] = {}
-        by_alerter: dict[tuple[str, str], set[str]] = {}
-        replica_map: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
-        replica_keys: dict[str, tuple[str, str]] = {}
+        expected = StreamDefinitionDatabase(self.index)
+        misfiled: list[str] = []
         for doc_id in self.index.document_ids:
             document = self.index.document(doc_id)
             if document is None:
                 continue
+            if self.index._doc_terms.get(doc_id) != KadopIndex._terms_of_document(document):
+                misfiled.append(doc_id)
             if document.tag == "Stream":
-                description = self._decode(document)
-                descriptions[doc_id] = description
-                by_operator.setdefault(
-                    (description.operator, tuple(sorted(description.operands))), set()
-                ).add(doc_id)
-                by_alerter.setdefault(
-                    (description.peer_id, description.operator), set()
-                ).add(doc_id)
+                expected._file(doc_id, self._decode(document))
             elif document.tag == "InChannel":
-                original = (document.attrib["PeerId"], document.attrib["StreamId"])
-                replica_map.setdefault(original, {})[doc_id] = (
-                    document.attrib["ReplicaPeerId"],
-                    document.attrib["ReplicaStreamId"],
-                )
-                replica_keys[doc_id] = original
-        for name, expected, actual in (
-            ("descriptions", descriptions, self._descriptions),
-            ("by_operator", by_operator, self._by_operator),
-            ("by_alerter", by_alerter, self._by_alerter),
-            ("replica_map", replica_map, self._replica_map),
-            ("replica_keys", replica_keys, self._replica_keys),
-        ):
-            if expected != actual:
-                missing = expected.keys() - actual.keys()
-                extra = actual.keys() - expected.keys()
-                differing = sorted(
-                    key
-                    for key in expected.keys() & actual.keys()
-                    if expected[key] != actual[key]  # type: ignore[index]
-                )[:5]
+                attrib = document.attrib
+                original = (attrib["PeerId"], attrib["StreamId"])
+                expected._file_replica(doc_id, original, (attrib["ReplicaPeerId"], attrib["ReplicaStreamId"]))
+        problems = []
+        if misfiled:
+            problems.append(f"terms: {len(misfiled)} documents filed under terms their walk does not find, "
+                            f"first {misfiled[:5]}")
+        for name in ("descriptions", "by_operator", "by_alerter", "replica_map", "replica_keys"):
+            wanted, actual = getattr(expected, f"_{name}"), getattr(self, f"_{name}")
+            if wanted != actual:
+                missing = wanted.keys() - actual.keys()
+                extra = actual.keys() - wanted.keys()
+                differing = sorted(key for key in wanted.keys() & actual.keys() if wanted[key] != actual[key])[:5]
                 problems.append(
                     f"{name}: {len(missing)} missing, {len(extra)} stale, "
                     f"first differing keys {differing}"
@@ -343,28 +362,14 @@ class StreamDefinitionDatabase:
 
     # -- index maintenance --------------------------------------------------------------
 
-    def _index_document(self, doc_id: str, document: Element) -> None:
-        # doc ids are deterministic and a republish replaces: drop any earlier
-        # filing first, or the description would linger under its old
-        # operator/alerter/replica keys
-        self._deindex_document(doc_id)
-        if document.tag == "Stream":
-            description = self._decode(document)
-            self._descriptions[doc_id] = description
-            operator_key = (description.operator, tuple(sorted(description.operands)))
-            self._by_operator.setdefault(operator_key, set()).add(doc_id)
-            self._by_alerter.setdefault(
-                (description.peer_id, description.operator), set()
-            ).add(doc_id)
-            if description.operator != OPERATOR_NAMES[PUBLISH]:
-                self.reuse_version += 1
-        elif document.tag == "InChannel":
-            original = (document.attrib["PeerId"], document.attrib["StreamId"])
-            self._replica_map.setdefault(original, {})[doc_id] = (
-                document.attrib["ReplicaPeerId"],
-                document.attrib["ReplicaStreamId"],
-            )
-            self._replica_keys[doc_id] = original
+    def _file(self, doc_id: str, description: StreamDescription) -> None:
+        self._descriptions[doc_id] = description
+        self._by_operator.setdefault((description.operator, tuple(sorted(description.operands))), set()).add(doc_id)
+        self._by_alerter.setdefault((description.peer_id, description.operator), set()).add(doc_id)
+
+    def _file_replica(self, doc_id: str, original: tuple[str, str], replica: tuple[str, str]) -> None:
+        self._replica_map.setdefault(original, {})[doc_id] = replica
+        self._replica_keys[doc_id] = original
 
     def _deindex_document(self, doc_id: str) -> str | None:
         """Forget ``doc_id``'s filing; returns the peer that published it
@@ -372,17 +377,13 @@ class StreamDefinitionDatabase:
         description = self._descriptions.pop(doc_id, None)
         if description is not None:
             operator_key = (description.operator, tuple(sorted(description.operands)))
-            bucket = self._by_operator.get(operator_key)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                if not bucket:
-                    del self._by_operator[operator_key]
             alerter_key = (description.peer_id, description.operator)
-            bucket = self._by_alerter.get(alerter_key)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                if not bucket:
-                    del self._by_alerter[alerter_key]
+            for filing, key in ((self._by_operator, operator_key), (self._by_alerter, alerter_key)):
+                bucket = filing.get(key)
+                if bucket is not None:
+                    bucket.discard(doc_id)
+                    if not bucket:
+                        del filing[key]
             if description.operator != OPERATOR_NAMES[PUBLISH]:
                 self.reuse_version += 1
             return description.peer_id
@@ -399,6 +400,8 @@ class StreamDefinitionDatabase:
 
     @staticmethod
     def _decode(document: Element) -> StreamDescription:
+        """The record of a raw ``<Stream>`` document: what the oracle and
+        the coherence check read off KadoP."""
         operator_element = document.find("Operator")
         operator_child = operator_element.children[0] if operator_element and operator_element.children else None
         operands_element = document.find("Operands")

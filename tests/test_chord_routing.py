@@ -304,7 +304,7 @@ def test_publish_routes_once_per_posting_new_or_known():
     assert _lookups(index, lambda: index.unpublish("A")) == 1  # unknown: one read
 
 
-# -- (d) one stored copy ---------------------------------------------------------------------
+# -- (d) one stored object --------------------------------------------------------------------
 
 
 def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
@@ -312,12 +312,13 @@ def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
     original = parse_xml(_stream("p1", "s1"))
     index.publish(original, "X")
     stored = index.ring.get("doc:X")
-    assert stored is index._doc_replicas["X"] is index.document("X")
-    assert stored is not original and stored == original
+    # the index keeps the published object itself: no copy is made
+    assert stored is original is index._doc_replicas["X"] is index.document("X")
     assert index.fail_peer(index.ring.lookup("doc:X").node_id) >= 1
+    # the mirror puts that same object back on the new home
     restored = index.document("X")
-    assert restored == original
-    assert index.query("/Stream[@PeerId = 'p1']") == [("X", restored)]
+    assert restored is original is index._doc_replicas["X"]
+    assert index.query("/Stream[@PeerId = 'p1']") == [("X", original)]
 
 
 # -- (e) the filter deck routes what it routed ------------------------------------------------

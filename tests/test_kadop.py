@@ -50,12 +50,18 @@ class TestPublication:
     def test_document_lookup_missing(self, index):
         assert index.document("ghost") is None
 
-    def test_published_copy_is_independent(self):
+    def test_published_document_is_stored_uncopied(self):
         index = KadopIndex()
         source = parse_xml("<Stream PeerId='p'/>")
         index.publish(source, "d")
-        source.set("PeerId", "mutated")
-        assert index.document("d").attrib["PeerId"] == "p"
+        # the published object belongs to the index: ring entry, mirror and
+        # query results are that object
+        assert index.document("d") is source is index._doc_replicas["d"]
+        assert index.query("/Stream[@PeerId = 'p']") == [("d", source)]
+        # a new version is a new publication under the same id
+        index.publish(parse_xml("<Stream PeerId='q'/>"), "d")
+        assert index.document("d").attrib["PeerId"] == "q"
+        assert index.query("/Stream[@PeerId = 'p']") == []
 
     def test_unpublish(self, index):
         assert index.unpublish("d1")

@@ -101,7 +101,7 @@ class TestStreamDefinitionDatabase:
         ]
         db = StreamDefinitionDatabase()
         for node, peer, stream, operands, is_channel, volume in cases:
-            built = db.describe_node(node, peer, stream, operands, is_channel, volume)
+            built = db.describe_node(node, peer, stream, operands, is_channel).to_element(volume)
             assert built == Element(
                 "Stream",
                 {"PeerId": peer, "StreamId": stream, "isAChannel": "true" if is_channel else "false"},
