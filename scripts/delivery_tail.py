@@ -104,7 +104,8 @@ STAGES = {"subscribe": (
     ("  of which provider choice", "monitor/reuse.py", ("_select_provider",)),
     ("place", "monitor/placement.py", ("place_plan",)),
     ("deploy", "monitor/deployment.py", ("deploy",)),
-    ("  of which stream-definition publish", "monitor/stream_db.py", ("publish_node", "publish_stream", "publish_replica")),
+    ("  of which stream-definition publish", "monitor/stream_db.py",
+     ("publish_node", "publish_stream", "publish_replica")),
     ROUTING,
 ), "cancel": (
     ("cancel", "monitor/handle.py", ("cancel",)),
