@@ -154,8 +154,8 @@ class KadopIndex:
         ``document`` itself is stored, uncopied (ring entry, mirror and query
         results are that object), and belongs to the index from then on: to
         change it, publish a new one under its ``doc_id``, whose lost terms'
-        postings are withdrawn.  ``terms``, exactly what the walk
-        (:meth:`_terms_of_document`) would find, spare the walk."""
+        postings are withdrawn.  Given ``terms`` (exactly what
+        :meth:`_terms_of_document` would find), the document is not walked."""
         if doc_id is None:
             self._doc_count += 1
             doc_id = f"doc{self._doc_count}"
@@ -187,8 +187,7 @@ class KadopIndex:
         return True
 
     def _drop_postings(self, terms: frozenset[str], doc_id: str) -> None:
-        """Withdraw ``doc_id`` from each term's postings, one visit per term;
-        an emptied set goes with it."""
+        """Withdraw ``doc_id`` from each term's postings; an emptied set goes with it."""
         for term in terms:
             key = f"term:{term}"
             storage = self.ring.storage_for(key)

@@ -67,8 +67,7 @@ def operator_spec(node: PlanNode) -> str:
 
 @dataclass(frozen=True, slots=True)
 class StreamDescription:
-    """One ``<Stream>`` description: the record a deployment publishes and
-    the indexes file; :meth:`to_element` is its KadoP document."""
+    """The record of one published stream; :meth:`to_element` is its KadoP document."""
 
     peer_id: str
     stream_id: str
@@ -130,8 +129,9 @@ class StreamDefinitionDatabase:
         #: replica doc id -> its original (peer, stream) key, so a replica can
         #: be deindexed even when its document has since been overwritten
         self._replica_keys: dict[str, tuple[str, str]] = {}
-        #: (operator, spec, is_channel, has operands) -> the id-free terms of that shape
-        self._skeletons: dict[tuple[str, str, bool, bool], frozenset[str]] = {}
+        #: (operator, is_channel, has operands) -> the terms all documents of that
+        #: shape share; not keyed on the spec, which grows with the subscriptions
+        self._skeletons: dict[tuple[str, bool, bool], frozenset[str]] = {}
         #: bumped whenever a description that can influence reuse *matching*
         #: changes: any ``<Stream>`` except Publisher outputs (a PUBLISH node
         #: is never matched) and excluding ``<InChannel>`` replicas (they only
@@ -208,26 +208,27 @@ class StreamDefinitionDatabase:
 
     def _terms_of(self, description: StreamDescription) -> frozenset[str]:
         """The KadoP terms of ``description``'s document: the ones naming no
-        peer or stream, worked out once per shape, plus the id terms."""
-        operator, spec, operands = description.operator, description.spec, description.operands
-        shape = (operator, spec, description.is_channel, bool(operands))
+        peer, stream or spec, worked out once per shape, plus the rest."""
+        operator, operands = description.operator, description.operands
+        shape = (operator, description.is_channel, bool(operands))
         skeleton = self._skeletons.get(shape)
         if skeleton is None:
             skeleton = self._skeletons[shape] = frozenset({
-                "tag:Stream", "tag:Operator", f"tag:{operator}", f"attr:{operator}@spec={spec}",
+                "tag:Stream", "tag:Operator", f"tag:{operator}", "tag:Operands",
+                *(["tag:Operand"] if operands else []), "tag:Stats", "attr:Stats@avgVolume=0.0",
                 f"attr:Stream@isAChannel={'true' if description.is_channel else 'false'}",
-                "tag:Operands", *(["tag:Operand"] if operands else []), "tag:Stats", "attr:Stats@avgVolume=0.0",
             })
         return skeleton | {
-            f"attr:Stream@PeerId={description.peer_id}", f"attr:Stream@StreamId={description.stream_id}"
+            f"attr:{operator}@spec={description.spec}",
+            f"attr:Stream@PeerId={description.peer_id}",
+            f"attr:Stream@StreamId={description.stream_id}",
         } | {
             term for peer, stream in operands
             for term in (f"attr:Operand@OPeerId={peer}", f"attr:Operand@OStreamId={stream}")
         }
 
     def _publish(self, document: Element, doc_id: str, owner: str, terms: frozenset[str] | None) -> None:
-        """Write ``document`` to KadoP; a routed write that raised may have
-        landed, so it is withdrawn and the error propagates."""
+        """Write ``document`` to KadoP; a routed write that raised may have landed: withdraw it."""
         if self.router is None:
             self.index.publish(document, doc_id, terms)
             return

@@ -1,9 +1,9 @@
 """A description's KadoP terms are its shape's skeleton plus its id terms.
 
 The Stream Definition Database never walks a ``<Stream>`` document it
-publishes: the terms naming no peer or stream are worked out once per
-``(operator, spec, is_channel, has operands)`` and the id terms are added per
-publication.  The walk (``KadopIndex._terms_of_document``) stays the oracle
+publishes: the terms naming no peer, stream or spec are worked out once per
+``(operator, is_channel, has operands)`` and the spec and id terms are added
+per publication.  The walk (``KadopIndex._terms_of_document``) stays the oracle
 they are held to, here and in ``verify_index_coherence``; the indexed
 lookups are held to the XPath ``find_*_oracle`` queries.
 """
@@ -91,7 +91,7 @@ def test_one_skeleton_per_shape_across_many_publications():
                     stream = f"{kind}-{name}-{is_channel}"
                     description = db.describe_node(node, peer, stream, operands, is_channel)
                     db.publish_stream(description)
-                    shapes.add((description.operator, description.spec, is_channel, bool(operands)))
+                    shapes.add((description.operator, is_channel, bool(operands)))
     db.publish_replica("m.com", "alerter-one-True", "cache.com", "copy")
     assert set(db._skeletons) == shapes
     assert_filed_under_the_walk(db)
