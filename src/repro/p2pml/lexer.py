@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.p2pml.errors import P2PMLSyntaxError
-from repro.xmlmodel.parse import _Parser as _XMLParser
+from repro.xmlmodel.parse import XMLParseError, _Parser as _XMLParser
 from repro.xmlmodel.tree import Element
 
 KEYWORDS = {
@@ -152,7 +152,7 @@ class Lexer:
         parser.pos = self.pos
         try:
             element = parser.parse_element()
-        except Exception as exc:  # XMLParseError carries its own location info
+        except XMLParseError as exc:  # carries its own location info
             raise self.error(f"invalid XML fragment: {exc}", self.pos) from exc
         self.pos = parser.pos
         return element

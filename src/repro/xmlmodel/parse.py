@@ -8,6 +8,8 @@ implement DTDs or namespaces -- stream items in the paper do not use them.
 
 from __future__ import annotations
 
+import re
+
 from repro.xmlmodel.tree import Element
 
 
@@ -31,6 +33,8 @@ _ENTITIES = {
     "quot": '"',
 }
 
+# at most 6 / 7 significant digits, so int() cannot fail
+_CHAR_REF = re.compile(r"#[xX]0*([0-9a-fA-F]{1,6})|#0*([0-9]{1,7})")
 
 def _unescape(text: str, pos: int, source: str) -> str:
     if "&" not in text:
@@ -47,10 +51,12 @@ def _unescape(text: str, pos: int, source: str) -> str:
         if end == -1:
             raise XMLParseError("unterminated entity reference", pos + i, source)
         name = text[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
+        if name.startswith("#"):
+            ref = _CHAR_REF.fullmatch(name)
+            code = -1 if ref is None else int(ref[1], 16) if ref[1] else int(ref[2])
+            if not 0 <= code <= 0x10FFFF:
+                raise XMLParseError(f"invalid character reference &{name};", pos + i, source)
+            out.append(chr(code))
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:

@@ -215,3 +215,18 @@ class TestParserErrors:
     def test_non_string_input(self):
         with pytest.raises(P2PMLSyntaxError):
             parse_subscription(None)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize(
+        "fragment", ["<p>&#xZZ;</p>", "<p b='&#;'/>", "<p>&#99999999;</p>"]
+    )
+    def test_bad_character_reference_in_alerter_argument(self, fragment):
+        text = f"for $x in rss({fragment}) return $x"
+        with pytest.raises(P2PMLSyntaxError, match="invalid character reference") as err:
+            parse_subscription(text)
+        assert err.value.position == text.index("<p")
+
+    def test_bad_character_reference_in_return_template(self):
+        text = "for $x in rss(<p>a</p>) return <a>&#xD800x;</a>"
+        with pytest.raises(P2PMLSyntaxError, match="invalid character reference") as err:
+            parse_subscription(text)
+        assert err.value.position == text.index("<a>")

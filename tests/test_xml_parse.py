@@ -81,6 +81,27 @@ class TestParseErrors:
             parse_xml("<a>\n<b></c>\n</a>")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "source, offset",
+        [
+            ("<a>&#xZZ;</a>", 3),
+            ("<a b='&#;'/>", 6),
+            ("<a>&#99999999;</a>", 3),
+            ("<a>x&#x110000;</a>", 4),
+            ("<a b='&#x;'/>", 6),
+            ("<a>&#+65;</a>", 3),
+            pytest.param("<a>&#" + "9" * 5000 + ";</a>", 3, id="5000-digits"),
+        ],
+    )
+    def test_bad_character_reference_is_located(self, source, offset):
+        with pytest.raises(XMLParseError, match="invalid character reference") as err:
+            parse_xml(source)
+        assert err.value.position == offset
+
+    def test_character_references_at_the_edges(self):
+        text = parse_xml("<a>&#x10FFFF;&#X41;&#0000000000065;&#x00000000042;</a>").text
+        assert text == "\U0010ffffAAB"
+
     def test_non_string_input(self):
         with pytest.raises(TypeError):
             parse_xml(b"<a/>")  # type: ignore[arg-type]
