@@ -4,10 +4,17 @@ The lexer is *pull-based*: the parser asks for one token at a time, which
 lets the parser switch to XML mode (``read_xml_fragment``) when a clause
 embeds an XML fragment (alerter arguments, the RETURN template) and to
 path mode (``read_path_tail``) for XPath operands inside WHERE conditions.
+
+Each token costs one match of ``_TOKEN_MATCH`` at the current offset, and
+the lexer holds one token of lookahead, so a ``peek`` followed by ``next``
+lexes once.  A name starts with a letter or ``_`` and a number with a
+decimal digit (``str.isdecimal``), so a digit that is not decimal, such as
+``²``, is an unexpected character where a token starts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.p2pml.errors import P2PMLSyntaxError
@@ -34,8 +41,15 @@ KEYWORDS = {
     "subscribe",
 }
 
-# multi-character symbols first so they win over single-character ones
-_SYMBOLS = (":=", "!=", "<=", ">=", "=", "<", ">", "(", ")", ",", ";", ".", "#", "@", "+", "-")
+# whitespace and '%' comments, which run to end of line (as in the paper's listings);
+# possessive, so a failed token match never backtracks into what was skipped
+_SKIP = r"(?:[ \t\r\n]+|%[^\n]*\n?)*+"
+_SKIP_MATCH = re.compile(_SKIP).match
+# one group per token class; multi-character symbols first so they win
+_TOKEN_MATCH = re.compile(
+    _SKIP + r"""(?:\$(?P<var>[\w-]+)|(?P<string>'[^']*'|"[^"]*")|(?P<number>\d[\d.]*)"""
+    r"|(?P<symbol>:=|!=|<=|>=|[=<>(),;.#@+-])|(?P<name>[^\W\d][\w-]*)|(?P<eof>\Z))"
+).match
 
 
 @dataclass(frozen=True)
@@ -57,98 +71,76 @@ class Lexer:
     def __init__(self, source: str) -> None:
         self.source = source
         self.pos = 0
-
-    # -- helpers ----------------------------------------------------------------
+        self._ahead: Token | None = None  # the peeked token, which ends at _ahead_end
+        self._ahead_end = 0
+        self._xml = _XMLParser(source)
 
     def error(self, message: str, position: int | None = None) -> P2PMLSyntaxError:
         return P2PMLSyntaxError(message, position if position is not None else self.pos, self.source)
 
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            char = self.source[self.pos]
-            if char in " \t\r\n":
-                self.pos += 1
-            elif self.source.startswith("%", self.pos):
-                # '%' starts a comment running to end of line (as in the paper's listings)
-                end = self.source.find("\n", self.pos)
-                self.pos = len(self.source) if end == -1 else end + 1
-            else:
-                return
-
     # -- token production -----------------------------------------------------------
 
     def peek(self) -> Token:
-        saved = self.pos
-        token = self.next()
-        self.pos = saved
+        token = self._ahead
+        if token is None:
+            pos = self.pos
+            token = self._ahead = self.next()
+            self._ahead_end, self.pos = self.pos, pos
         return token
 
     def next(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.source):
-            return Token("eof", "", self.pos)
-        start = self.pos
-        char = self.source[start]
-
-        if char == "$":
-            self.pos += 1
-            name = self._read_name()
-            if not name:
-                raise self.error("expected a variable name after '$'", start)
-            return Token("var", name, start)
-
-        if char in "'\"":
-            end = self.source.find(char, start + 1)
-            if end == -1:
-                raise self.error("unterminated string literal", start)
-            self.pos = end + 1
-            return Token("string", self.source[start + 1 : end], start)
-
-        if char.isdigit():
-            self.pos += 1
-            while self.pos < len(self.source) and (
-                self.source[self.pos].isdigit() or self.source[self.pos] == "."
-            ):
-                self.pos += 1
-            return Token("number", self.source[start : self.pos], start)
-
-        for symbol in _SYMBOLS:
-            if self.source.startswith(symbol, start):
-                self.pos = start + len(symbol)
-                return Token("symbol", symbol, start)
-
-        if char.isalpha() or char == "_":
-            name = self._read_name()
-            if name.lower() in KEYWORDS:
-                return Token("keyword", name.lower(), start)
-            return Token("ident", name, start)
-
-        raise self.error(f"unexpected character {char!r}")
-
-    def _read_name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source):
-            char = self.source[self.pos]
-            if char.isalnum() or char in "_-":
-                self.pos += 1
+        token = self._ahead
+        if token is not None:
+            self._ahead = None
+            self.pos = self._ahead_end
+            return token
+        source = self.source
+        match = _TOKEN_MATCH(source, self.pos)
+        if match is None:
+            raise self._unexpected()
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        value = source[start:end]
+        if kind == "name":
+            if value in KEYWORDS:
+                kind = "keyword"
+            elif value[0] > "\x7f" and not value[0].isalpha():  # '²', '½': not a letter
+                raise self._unexpected()
             else:
-                break
-        return self.source[start : self.pos]
+                lowered = value.lower()
+                kind, value = ("keyword", lowered) if lowered in KEYWORDS else ("ident", value)
+        elif kind == "var":
+            start -= 1
+        elif kind == "string":
+            value = value[1:-1]
+        self.pos = end
+        return Token(kind, value, start)
+
+    def _unexpected(self) -> P2PMLSyntaxError:
+        """The error for the token at ``pos``, which ``_TOKEN_MATCH`` does not match."""
+        start = _SKIP_MATCH(self.source, self.pos).end()
+        char = self.source[start]
+        if char == "$":
+            return self.error("expected a variable name after '$'", start)
+        if char in "'\"":
+            return self.error("unterminated string literal", start)
+        return self.error(f"unexpected character {char!r}", start)
 
     # -- mode switches -------------------------------------------------------------------
 
     def at_xml_fragment(self) -> bool:
         """True when the next non-space character starts an XML element."""
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.source) or self.source[self.pos] != "<":
+        self.pos = _SKIP_MATCH(self.source, self.pos).end()
+        if self.source[self.pos : self.pos + 1] != "<":
             return False
         nxt = self.source[self.pos + 1 : self.pos + 2]
         return bool(nxt) and (nxt.isalpha() or nxt in "_")
 
     def read_xml_fragment(self) -> Element:
-        """Parse one balanced XML element starting at the current position."""
-        self._skip_whitespace_and_comments()
-        parser = _XMLParser(self.source)
+        """Parse the balanced XML element at the current position, where
+        ``at_xml_fragment`` has found one."""
+        self._ahead = None
+        parser = self._xml
         parser.pos = self.pos
         try:
             element = parser.parse_element()
@@ -163,6 +155,7 @@ class Lexer:
         Consumes characters until a whitespace, comma, closing parenthesis or
         semicolon at bracket depth zero.
         """
+        self._ahead = None
         start = self.pos
         depth = 0
         in_string: str | None = None

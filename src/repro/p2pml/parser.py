@@ -31,18 +31,14 @@ def parse_subscription(text: str) -> SubscriptionAST:
 class _Parser:
     def __init__(self, lexer: Lexer) -> None:
         self.lexer = lexer
+        self.peek = lexer.peek
+        self.next = lexer.next
 
     # -- token helpers -----------------------------------------------------------
 
     def error(self, message: str, token: Token | None = None) -> P2PMLSyntaxError:
         position = token.position if token is not None else self.lexer.pos
         return P2PMLSyntaxError(message, position, self.lexer.source)
-
-    def peek(self) -> Token:
-        return self.lexer.peek()
-
-    def next(self) -> Token:
-        return self.lexer.next()
 
     def expect_keyword(self, word: str) -> Token:
         token = self.next()
@@ -158,9 +154,11 @@ class _Parser:
         name = self.expect_type("var").value
         self.expect_symbol(":=")
         terms: list[tuple[int, Operand]] = [(1, self.parse_operand())]
-        while self.peek().is_symbol("+") or self.peek().is_symbol("-"):
+        token = self.peek()
+        while token.is_symbol("+") or token.is_symbol("-"):
             sign = 1 if self.next().value == "+" else -1
             terms.append((sign, self.parse_operand()))
+            token = self.peek()
         return LetDefinition(name=name, terms=terms)
 
     # WHERE ----------------------------------------------------------------------------
@@ -168,10 +166,12 @@ class _Parser:
     def parse_where_clause(self) -> list[Condition]:
         self.expect_keyword("where")
         conditions = [self.parse_condition()]
-        while self.peek().is_keyword("and"):
+        token = self.peek()
+        while token.is_keyword("and"):
             self.next()
             conditions.append(self.parse_condition())
-        if self.peek().is_keyword("or"):
+            token = self.peek()
+        if token.is_keyword("or"):
             raise self.error("only conjunctions of conditions are supported")
         return conditions
 

@@ -1,5 +1,10 @@
 """Tests for the P2PML lexer and parser."""
 
+import gc
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.p2pml import P2PMLSyntaxError, parse_subscription
@@ -58,6 +63,18 @@ class TestLexer:
         with pytest.raises(P2PMLSyntaxError):
             lexer.next()
 
+    def test_a_failed_token_does_not_reread_a_comment(self):
+        with pytest.raises(P2PMLSyntaxError, match="unterminated string literal") as err:
+            Lexer("% c\n'q").next()
+        assert err.value.position == 4
+
+    def test_a_failed_token_after_whitespace_fails_fast(self):
+        # a skip that backtracks tries every split of the run: seconds at 26
+        started = time.perf_counter()
+        with pytest.raises(P2PMLSyntaxError, match="unterminated string literal"):
+            Lexer(" " * 26 + '"q').next()
+        assert time.perf_counter() - started < 0.5
+
     def test_path_tail_reading(self):
         lexer = Lexer("/alert[@callMethod = \"GetTemperature\"] and")
         path = lexer.read_path_tail()
@@ -70,6 +87,56 @@ class TestLexer:
         with pytest.raises(P2PMLSyntaxError) as err:
             lexer.next()
         assert "line 1" in str(err.value)
+
+
+def count_calls(work) -> dict[str, int]:
+    """Profiler events of ``work()``: every call, and the compiled-pattern matches."""
+    counts = {"calls": 0, "Pattern.match": 0}
+
+    def count(frame, event, argument) -> None:
+        if event == "call" or event == "c_call":
+            counts["calls"] += 1
+        if event == "c_call" and getattr(argument, "__qualname__", "") == "Pattern.match":
+            counts["Pattern.match"] += 1
+
+    # a collection inside the count would run `gc.callbacks` (hypothesis
+    # registers one) and add their frames to it
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counts
+
+
+class TestLexerCost:
+    def test_peek_then_next_lexes_once(self):
+        lexer = Lexer("for $x in")
+        lexer.next()
+        counts = count_calls(lambda: (lexer.peek(), lexer.peek(), lexer.next()))
+        assert counts["Pattern.match"] == 1
+        assert lexer.pos == len("for $x")
+        assert lexer.next().is_keyword("in")
+
+    def test_parsing_the_ingest_texts_stays_within_its_call_budget(self):
+        root = str(Path(__file__).resolve().parent.parent)
+        sys.path.insert(0, root)
+        try:
+            from perf.decks import ingest_variants
+        finally:
+            sys.path.remove(root)
+        texts = [variant.text() for variant in ingest_variants(150)]
+
+        def parse_all():
+            for text in texts:
+                parse_subscription(text)
+
+        calls = count_calls(parse_all)["calls"] / len(texts)
+        # 2 169 per text with the per-character lexer, 592 with one match per token
+        assert calls <= 620, calls
 
 
 class TestParserMeteoExample:
