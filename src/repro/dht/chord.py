@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.dht.hashing import M_BITS, hash_key
 
@@ -93,8 +93,7 @@ class ChordRing:
         node = self._remove(node_id)
         self.membership_log.append(("leave", node_id))
         if self._sorted:
-            successor = self._successor_node(node.position)
-            successor.storage.update(node.storage)
+            self._successor_node(node.position).storage.update(node.storage)
 
     def fail(self, node_id: str) -> list[str]:
         """Abrupt departure: the node crashes and its keys are *lost*.
@@ -163,10 +162,8 @@ class ChordRing:
         return node.fingers
 
     def _transfer_keys_to(self, new_node: ChordNode) -> None:
-        if len(self._sorted) == 1:
-            return
         successor = self._successor_node((new_node.position + 1) % (1 << self.bits))
-        if successor is new_node:
+        if successor is new_node:  # a ring of one
             return
         moved = [
             key
@@ -178,76 +175,79 @@ class ChordRing:
 
     # -- routing ------------------------------------------------------------------
 
-    def _route(self, key: str, start: str | None, path: list[str] | None) -> ChordNode:
+    def _route(self, keys: Sequence[str], start: str | None, path: list[str] | None) -> list[ChordNode]:
         """Walk the fingers from ``start`` (default: the first node) to the node
-        responsible for ``key``; count the lookup and its hops, and append every
-        node visited, the start included, to ``path`` unless it is ``None``."""
+        responsible for each key in turn; count one lookup per key and its hops.
+        ``path``, for one key only, gets every node visited, the start included."""
         if not self._sorted:
             raise RuntimeError("the ring is empty")
         size = 1 << self.bits
-        try:
-            target = self._key_positions[key]
-        except KeyError:
-            if len(self._key_positions) >= POSITION_MEMO_LIMIT:
-                self._key_positions.clear()
-            target = self._key_positions[key] = hash_key(key, self.bits)
-        current = self._nodes[start] if start else self._sorted[0]
-        if path is not None:
-            path.append(current.node_id)
+        origin = self._nodes[start] if start else self._sorted[0]
+        lookups = len(keys)
+        homes: list[ChordNode] = [origin] * lookups
         hops = 0
-        # Follow fingers: jump to the finger closest to (but not past) the
-        # target.  Intervals are clockwise distances on plain ints: x lies in
-        # (a, b] exactly when 0 < (x - a) % size <= (b - a) % size.
-        while True:
-            if current._fingers_version != self._version:
-                self._fingers_of(current)
-            routes = current.routes
-            if not routes:  # a ring of one: the node is its own successor
-                break
-            position = current.position
-            gap = (target - position) % size
-            successor = routes[-1]
-            hops += 1
-            if 0 < gap <= (successor.position - position) % size:
-                current = successor  # target in (node, successor]: it is responsible
+        for index, key in enumerate(keys):
+            try:
+                target = self._key_positions[key]
+            except KeyError:
+                if len(self._key_positions) >= POSITION_MEMO_LIMIT:
+                    self._key_positions.clear()
+                target = self._key_positions[key] = hash_key(key, self.bits)
+            current = origin
+            # Follow fingers: jump to the finger closest to (but not past) the
+            # target.  Intervals are clockwise distances on plain ints: x lies in
+            # (a, b] exactly when 0 < (x - a) % size <= (b - a) % size.
+            while True:
                 if path is not None:
                     path.append(current.node_id)
-                break
-            # the farthest finger in (node, target - 1]; the successor is one
-            # (it is nearer than the target), or every finger is (gap == 0:
-            # the interval ends just behind the node and spans the ring)
-            limit = (gap - 1) % size
-            for current in routes:
-                if (current.position - position) % size <= limit:
+                if current._fingers_version != self._version:
+                    self._fingers_of(current)
+                routes = current.routes
+                if not routes:  # a ring of one: the node is its own successor
                     break
-            if path is not None:
-                path.append(current.node_id)
-        self.lookup_count += 1
+                position = current.position
+                gap = (target - position) % size
+                successor = routes[-1]
+                hops += 1
+                if 0 < gap <= (successor.position - position) % size:
+                    current = successor  # target in (node, successor]: it is responsible
+                    if path is not None:
+                        path.append(current.node_id)
+                    break
+                # the farthest finger in (node, target - 1]; the successor is one
+                # (it is nearer than the target), or every finger is (gap == 0:
+                # the interval ends just behind the node and spans the ring)
+                limit = (gap - 1) % size
+                for current in routes:
+                    if (current.position - position) % size <= limit:
+                        break
+            homes[index] = current
+        self.lookup_count += lookups
         self.total_hops += hops
-        return current
+        return homes
 
     def lookup(self, key: str, start: str | None = None) -> LookupResult:
         """Route to the node responsible for ``key`` using finger tables."""
         path: list[str] = []
-        node = self._route(key, start, path)
+        (node,) = self._route((key,), start, path)
         return LookupResult(node.node_id, len(path) - 1, path)
 
     # -- storage: one counted lookup each, no LookupResult ---------------------------
 
     def storage_for(self, key: str, start: str | None = None) -> dict[str, object]:
         """Route to ``key``; the responsible node's storage."""
-        return self._route(key, start, None).storage
+        return self._route((key,), start, None)[0].storage
 
     def put(self, key: str, value: object, start: str | None = None) -> None:
         """Store ``value`` under ``key`` at the responsible node."""
-        self._route(key, start, None).storage[key] = value
+        self._route((key,), start, None)[0].storage[key] = value
 
     def get(self, key: str, start: str | None = None) -> object | None:
         """The value stored under ``key`` (``None`` when absent)."""
-        return self._route(key, start, None).storage.get(key)
+        return self._route((key,), start, None)[0].storage.get(key)
 
     def remove(self, key: str, start: str | None = None) -> bool:
-        return self._route(key, start, None).storage.pop(key, None) is not None
+        return self._route((key,), start, None)[0].storage.pop(key, None) is not None
 
     @property
     def average_hops(self) -> float:

@@ -13,6 +13,7 @@ candidates before structural verification.
 
 Here it is the write-behind replica of the Stream Definition Database
 (``repro.monitor.stream_db``), whose own indexes answer every reuse probe.
+A write routes all its keys in one batch and touches each posting once.
 """
 
 from __future__ import annotations
@@ -155,47 +156,52 @@ class KadopIndex:
         results are that object), and belongs to the index from then on: to
         change it, publish a new one under its ``doc_id``, whose lost terms'
         postings are withdrawn.  Given ``terms`` (exactly what
-        :meth:`_terms_of_document` would find), the document is not walked."""
+        :meth:`_terms_of_document` would find), the document is not walked.
+        All ``2 + T`` keys are routed in one batch; each posting is one ``set.add``."""
         if doc_id is None:
             self._doc_count += 1
             doc_id = f"doc{self._doc_count}"
         if terms is None:
             terms = frozenset(self._terms_of_document(document))
-        self.ring.put(f"doc:{doc_id}", document)
+        keys = [f"doc:{doc_id}", _DOCS_KEY, *[f"term:{term}" for term in terms]]
+        homes = self.ring._route(keys, None, None)  # the document's home, then one per posting
+        homes[0].storage[keys[0]] = document
         self._doc_replicas[doc_id] = document
         # a republish: the terms only the version being replaced had
         stale = self._doc_terms.get(doc_id, terms) - terms
         self._doc_terms[doc_id] = terms
-        self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY].add(doc_id)  # type: ignore[attr-defined]
-        for term in terms:  # one routed lookup per posting, new term or known
-            key = f"term:{term}"
-            self.ring.storage_for(key).setdefault(key, set()).add(doc_id)  # type: ignore[attr-defined]
+        for key, home in zip(keys[1:], homes[1:]):
+            try:
+                home.storage[key].add(doc_id)  # type: ignore[attr-defined]
+            except KeyError:
+                home.storage[key] = {doc_id}
         if stale:
-            self._drop_postings(stale, doc_id)
+            self._drop_postings([f"term:{term}" for term in stale], doc_id)
         self._query_cache.clear()
         return doc_id
 
     def unpublish(self, doc_id: str) -> bool:
-        """Remove a document from the index.  Returns False when unknown."""
+        """Remove a document from the index.  Returns False when unknown.
+        One visit reads and removes the document, then one routed batch withdraws its postings."""
         key = f"doc:{doc_id}"
         if self.ring.storage_for(key).pop(key, None) is None:  # read and remove in the one visit
             return False
-        self._drop_postings(self._doc_terms.pop(doc_id, frozenset()), doc_id)
-        self.ring.storage_for(_DOCS_KEY)[_DOCS_KEY].discard(doc_id)  # type: ignore[attr-defined]
+        keys = [f"term:{term}" for term in self._doc_terms.pop(doc_id, frozenset())]
+        self._drop_postings(keys + [_DOCS_KEY], doc_id)
         self._doc_replicas.pop(doc_id, None)
         self._query_cache.clear()
         return True
 
-    def _drop_postings(self, terms: frozenset[str], doc_id: str) -> None:
-        """Withdraw ``doc_id`` from each term's postings; an emptied set goes with it."""
-        for term in terms:
-            key = f"term:{term}"
-            storage = self.ring.storage_for(key)
-            postings = storage.get(key)
-            if postings is not None:
-                postings.discard(doc_id)  # type: ignore[attr-defined]
-                if not postings:
-                    del storage[key]
+    def _drop_postings(self, keys: list[str], doc_id: str) -> None:
+        """Withdraw ``doc_id`` from the sets under ``keys``, routed in one batch; emptied term sets go."""
+        for key, home in zip(keys, self.ring._route(keys, None, None)):
+            try:
+                postings = home.storage[key]
+            except KeyError:
+                continue
+            postings.discard(doc_id)  # type: ignore[attr-defined]
+            if not postings and key != _DOCS_KEY:
+                del home.storage[key]
 
     def document(self, doc_id: str) -> Element | None:
         document = self.ring.get(f"doc:{doc_id}")

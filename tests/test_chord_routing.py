@@ -1,15 +1,17 @@
 """The DHT write path: same routing to the hop, at what the hops cost.
 
-(a) ``ChordRing.lookup`` and the storage accesses (``storage_for`` / ``put``
-    / ``get`` / ``remove``) against a frozen copy of the routine of commit
-    f3a816a (``lookup`` + ``_successor_of`` + ``_closest_preceding`` over
-    ``in_interval``) on random join / leave / fail scripts: same node, same
-    hops, same path, same ``lookup_count`` / ``total_hops``.
+(a) ``ChordRing.lookup``, the storage accesses (``storage_for`` / ``put`` /
+    ``get`` / ``remove``) and a batched ``_route(keys, start, None)`` against a
+    frozen copy of the routine of commit f3a816a (``lookup`` +
+    ``_successor_of`` + ``_closest_preceding`` over ``in_interval``) on random
+    join / leave / fail scripts: same node, same hops, same path, same
+    ``lookup_count`` / ``total_hops``.
 (b) Calls per routed lookup on a warm 1 024-node ring, whatever the hops: a
     storage access is 2 Python calls and builds no ``LookupResult``, a
     ``lookup`` at most 4; no list scan.
 (c) Routed lookups per ``publish`` (``2 + T``) / ``unpublish`` (``2 + T``: the
-    document is read and removed in one visit).
+    document is read and removed in one visit), each in at most T + 8 / T + 16
+    calls: one routed batch and one set call per posting.
 (d) One stored copy per published document.
 (e) Subscribing the ``filter`` deck routes exactly the lookups and hops it
     did before keys were hashed once and storage stopped building results.
@@ -21,6 +23,7 @@ import sys
 from bisect import bisect_left
 from functools import partial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dht import ChordRing, KadopIndex, LookupResult, hash_key
@@ -154,6 +157,16 @@ class _Differential:
         self.hops += hops
         assert (self.ring.lookup_count, self.ring.total_hops) == (self.lookups, self.hops)
 
+    def batch(self, keys: list[str], start: str | None) -> None:
+        """One batched ``_route`` gives every key the frozen routine's node, and
+        counts one lookup per key with the frozen routine's hops."""
+        expected = [frozen_lookup(self.ring, key, start) for key in keys]
+        homes = self.ring._route(keys, start, None)
+        assert [home.node_id for home in homes] == [node_id for node_id, _, _ in expected]
+        self.lookups += len(keys)
+        self.hops += sum(hops for _, hops, _ in expected)
+        assert (self.ring.lookup_count, self.ring.total_hops) == (self.lookups, self.hops)
+
 
 ACCESSES = ("storage_for", "put", "get", "remove")
 
@@ -211,6 +224,58 @@ def test_single_node_ring_and_collided_positions():
         ring.leave(node_id)
         crowded.check(node_id, None)
         crowded.access("get", node_id, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.sampled_from([8, 16, 32]),
+    size=st.integers(1, 200),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["join", "leave", "fail", "batch", "batch"]),
+            st.integers(0, 10**6),
+            # a small alphabet: batches repeat keys, and meet keys never hashed
+            st.lists(st.text("abc:@", max_size=3), max_size=12),
+        ),
+        max_size=30,
+    ),
+)
+def test_a_batch_routes_each_key_as_the_frozen_routine(bits, size, script):
+    world = _Differential(bits, size)
+    ring = world.ring
+    for action, number, keys in script:
+        members = ring.node_ids
+        start = None if number % 2 == 0 else members[number % len(members)]
+        if action == "join":
+            if len(ring) < 200:
+                world.join()
+        elif action == "batch":
+            world.batch(keys, start)
+        elif len(ring) > 1:
+            getattr(ring, action)(members[number % len(members)])
+
+
+def test_batch_edge_cases():
+    world = _Differential(16, 50)
+    ring = world.ring
+    world.batch(["a", "b"], None)
+    # duplicates, a key first hashed inside the batch, an explicit start
+    assert "fresh" not in ring._key_positions
+    world.batch(["fresh", "a", "fresh", "a", "fresh"], "n7")
+    assert "fresh" in ring._key_positions
+    world.batch(["b", "fresh"], "n0")
+    # an empty batch routes nothing and counts nothing
+    assert ring._route([], "n3", None) == []
+    world.batch([], None)
+    # one key's path is the path `lookup` reports
+    path: list[str] = []
+    (home,) = ring._route(["fresh"], "n9", path)
+    assert frozen_lookup(ring, "fresh", "n9")[::2] == (home.node_id, path)
+    empty = ChordRing()
+    for keys in (["a"], []):
+        with pytest.raises(RuntimeError):
+            empty._route(keys, None, None)
+    assert (empty.lookup_count, empty.total_hops) == (0, 0)
 
 
 # -- (b) a routed lookup costs its hops ---------------------------------------------------
@@ -366,3 +431,51 @@ def test_the_filter_deck_routes_the_lookups_and_hops_it_routed_before():
     # 374e1bd read (72 815, 145 331): one more visit per retraction, to the
     # document's home, which cost 1 585 hops in all
     assert (ring.lookup_count, ring.total_hops) == (72815 - 800 - 1, 145331 - 1585)
+
+
+def _write_cost(write, *arguments) -> tuple[int, int]:
+    """Python and C calls (``call`` and ``c_call`` events) while ``write(*arguments)``
+    runs, ``write`` itself included, and the lookups it routes."""
+    ring = write.__self__.ring
+    calls = 0
+    here = sys._getframe()
+
+    def count(frame, event, argument) -> None:
+        nonlocal calls
+        if event in ("call", "c_call") and frame is not here:  # not `sys.setprofile(None)`
+            calls += 1
+
+    before = ring.lookup_count
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        write(*arguments)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, ring.lookup_count - before
+
+
+def test_a_write_costs_one_set_call_per_posting():
+    index = _index()
+    shared = '<Probe kind="k"/>' * 3
+    for width in (0, 1, 12):
+        extra = "".join(f'<Field name="f{i}" width="{width}"/>' for i in range(width))
+        xml = _stream("p1", f"s{width}").replace("<Operands/>", f"<Operands>{shared}{extra}</Operands>")
+        document = parse_xml(xml)
+        terms = frozenset(KadopIndex._terms_of_document(document))
+        t = len(terms)
+        for doc_id in ("A", "B", "A"):  # warm: every key hashed
+            index.publish(document, doc_id, terms)
+        assert index.unpublish("A") and index.unpublish("B")
+        # every posting new, then every posting known
+        for doc_id in ("A", "B"):
+            calls, lookups = _write_cost(index.publish, document, doc_id, terms)
+            assert lookups == 2 + t and calls <= t + 8  # 4T + 8 when each posting was routed alone
+        # one discard per posting, then each emptied posting set deleted
+        for doc_id in ("B", "A"):
+            calls, lookups = _write_cost(index.unpublish, doc_id)
+            assert lookups == 2 + t and calls <= t + 16  # 4T + 11 when each posting was routed alone
+        assert _write_cost(index.unpublish, "A")[1] == 1  # unknown: one read
+    assert [key for node in index.ring.nodes() for key in node.storage] == ["__all_documents__"]
