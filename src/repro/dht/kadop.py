@@ -109,35 +109,29 @@ class KadopIndex:
         """
         restored = 0
         if peer_id in self.ring and len(self.ring) > 1:
-            lost = self.ring.fail(peer_id)
-            restored = self._restore_keys(lost)
+            restored = self._restore_keys(self.ring.fail(peer_id))
             self.keys_restored += restored
             self._query_cache.clear()
         self._notify(MembershipEvent("leave", peer_id))
         return restored
 
     def _restore_keys(self, lost: list[str]) -> int:
-        """Re-insert lost index keys from the replicated document store."""
-        restored = 0
-        for key in lost:
-            if key == _DOCS_KEY:
-                self.ring.put(_DOCS_KEY, set(self._doc_replicas))
-                restored += 1
-            elif key.startswith("doc:"):
-                doc_id = key[len("doc:"):]
-                document = self._doc_replicas.get(doc_id)
-                if document is not None:
-                    self.ring.put(key, document)
-                    restored += 1
-            elif key.startswith("term:"):
-                term = key[len("term:"):]
-                postings = {
-                    doc_id for doc_id, terms in self._doc_terms.items() if term in terms
-                }
-                if postings:  # a term no document has any more stays gone
-                    self.ring.put(key, postings)
-                    restored += 1
-        return restored
+        """Re-insert lost index keys from the replicated store in one routed batch."""
+        restored: dict[str, object] = {
+            key: self._doc_replicas[key[len("doc:"):]]
+            for key in lost
+            if key.startswith("doc:") and key[len("doc:"):] in self._doc_replicas
+        }
+        if _DOCS_KEY in lost:
+            restored[_DOCS_KEY] = set(self._doc_replicas)
+        # the lost terms' postings in one pass; a term no document has any more stays gone
+        lost_terms = {key[len("term:"):] for key in lost if key.startswith("term:")}
+        for doc_id, terms in self._doc_terms.items():
+            for term in terms & lost_terms:
+                restored.setdefault(f"term:{term}", set()).add(doc_id)  # type: ignore[attr-defined]
+        for key, home in zip(restored, self.ring._route(list(restored), None, None)):
+            home.storage[key] = restored[key]
+        return len(restored)
 
     def subscribe_membership(self, listener: MembershipListener) -> None:
         """Register a callback invoked on every join/leave (the DHT event stream)."""
