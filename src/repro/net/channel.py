@@ -187,7 +187,7 @@ class ChannelRegistry:
         #: takeover replays staged for the next :meth:`retransmit_tick` --
         #: flushed there, not immediately, so a claiming subscriber's
         #: operator is connected before the first replayed item arrives
-        self._pending_replays: list[tuple[Channel, str, list[Element]]] = []
+        self._pending_replays: list[tuple[Channel, str, list[list[Element]]]] = []
         #: epoch-handoff adoptions (:meth:`adopt_orphans`): payloads rescued
         #: from a retiring channel, emitted into its successor stream once
         #: that stream's channel has gained a subscriber.  Each entry is
@@ -310,12 +310,12 @@ class ChannelRegistry:
         ``channel`` in one message each: an item as ``channel.item``, a burst
         (never on a reliable registry) as one ``channel.items`` frame.
 
-        The payload trees are copied once and the copies are shared by every
-        subscriber's wrapper (receivers treat stream items as immutable, and
-        the local stream layer already delivers one object to all local
-        subscribers).  Only the thin wrapper -- it carries the number of the
-        subscriber's next item -- is built per message, via the trusted
-        Element constructor, its weight set from its parts, not by a walk.
+        The emitted trees cross the link themselves, uncopied, as every local
+        subscriber gets them (a stream item is immutable once emitted); only
+        the thin wrapper -- it carries the number of the subscriber's next
+        item -- is built per message, via the trusted Element constructor,
+        its weight set from its parts, not by a walk.  All wrappers of one
+        call share one fresh list of the items as their children.
         """
         subscribers = channel.sorted_subscribers()
         if not subscribers or not items:
@@ -327,10 +327,9 @@ class ChannelRegistry:
         if count > 1:
             kind, tag = MSG_ITEMS, "channelItems"
             weight += 2  # one more letter in the opening and in the closing tag
-        # weigh before copying: the memoised walk then travels with every copy
         for item in items:
             weight += item.weight()
-        shared = [items[0].copy()] if count == 1 else [item.copy() for item in items]
+        shared = list(items)
         next_seq, reliable = channel.next_seq, self.reliable
         # group subscribers by their next sequence number: counters advance in
         # lock-step in steady state, so one wrapper usually serves the entire
@@ -605,8 +604,8 @@ class ChannelRegistry:
                         (self._peer.peer_id, channel.channel_id)
                     )
                     if proxy is not None and not proxy.closed:
-                        for payload in payloads:
-                            proxy.push(payload)
+                        for sent in payloads:
+                            proxy.push(sent[0])
                         stats.items_replayed += len(payloads)
                 elif subscriber in channel.subscribers:
                     self._replay_to(channel, subscriber, payloads)
@@ -641,15 +640,15 @@ class ChannelRegistry:
                 network.send_many(self._peer.peer_id, sends)
 
     def _replay_to(
-        self, channel: Channel, subscriber: str, payloads: list[Element]
+        self, channel: Channel, subscriber: str, payloads: list[list[Element]]
     ) -> None:
-        """Send claimed payloads to the takeover subscriber as fresh items."""
+        """Send claimed items to the takeover subscriber as fresh items."""
         next_seq = channel.next_seq
         sends: list[tuple[str, str, Element]] = []
-        for payload in payloads:
+        for sent in payloads:
             seq = next_seq.get(subscriber, 0)
             next_seq[subscriber] = seq + 1
-            wrapper = _wrapper("channelItem", channel, str(seq), [payload])
+            wrapper = _wrapper("channelItem", channel, str(seq), sent)
             self._record_unacked(channel, subscriber, seq, wrapper)
             sends.append((subscriber, MSG_ITEM, wrapper))
         self._peer.network.stats.items_replayed += len(sends)
@@ -677,15 +676,16 @@ class ChannelRegistry:
         return len(payloads)
 
     @staticmethod
-    def _take_orphans(channel: Channel) -> list[Element]:
-        """Drop the dead subscribers of ``channel``; their unacked payloads,
-        each once (dead subscribers' wrappers share them), oldest first."""
-        payloads: dict[int, Element] = {}
+    def _take_orphans(channel: Channel) -> list[list[Element]]:
+        """Drop the dead subscribers of ``channel``; their unacked sends -- the
+        one-item list all wrappers of an emit share, so an item emitted twice
+        is claimed twice -- each once, oldest first."""
+        payloads: dict[int, list[Element]] = {}
         for dead_subscriber in sorted(channel.dead):
             entries = channel.outbox.pop(dead_subscriber, {})
             for seq in sorted(entries):
-                payload = entries[seq].wrapper.children[0]
-                payloads.setdefault(id(payload), payload)
+                sent = entries[seq].wrapper.children
+                payloads.setdefault(id(sent), sent)
             channel.remove_subscriber(dead_subscriber)
             channel.next_seq.pop(dead_subscriber, None)
         channel.dead.clear()
@@ -712,7 +712,7 @@ class ChannelRegistry:
             return 0
         payloads = self._take_orphans(channel)
         if payloads:
-            self._pending_adoptions.append([successor, payloads, 0])
+            self._pending_adoptions.append([successor, [sent[0] for sent in payloads], 0])
         return len(payloads)
 
     def handle_peer_death(self, peer_id: str) -> None:

@@ -28,10 +28,10 @@ class Element:
         Optional character data directly under this element.
 
     Parent links are weak (one ``weakref.ref`` per non-leaf node, shared by
-    its children), so a tree is acyclic: a stream item, its per-hop copy and
-    its ``channelItem`` wrapper are freed by reference count the moment the
-    last hop drops them instead of waiting for the cyclic collector.  A node
-    therefore does not keep its ancestors alive -- hold the root.
+    its children), so a tree is acyclic: a stream item and the wrappers that
+    carry it across links are freed by reference count the moment the last
+    hop drops them, not by the cyclic collector.  A node therefore does not
+    keep its ancestors alive -- hold the root.
     """
 
     __slots__ = ("tag", "attrib", "children", "_text", "_parent", "_weight", "__weakref__")
@@ -96,11 +96,11 @@ class Element:
     # performed through the Element API (``append``/``extend``/``set``/
     # assigning ``text``): the mutated node and its ancestor chain are
     # cleared, child caches stay valid.  A stream item is immutable once
-    # emitted, so several trees may share it (a join's binding tuples do);
-    # its parent link, read only by this invalidation, names the last of
-    # them.  Mutate a tree before emitting it, or a copy; code
-    # that mutates ``attrib``/``children`` directly must call
-    # :meth:`invalidate_caches` on the mutated node afterwards.
+    # emitted, so several trees share it -- a join's binding tuples and the
+    # wrappers that carry it across links -- and its parent link, read only
+    # by this invalidation, names the last of them.  Mutate a tree before
+    # emitting it, or a copy; code that mutates ``attrib``/``children``
+    # directly must call :meth:`invalidate_caches` on it afterwards.
 
     @property
     def text(self) -> str | None:
@@ -233,12 +233,12 @@ class Element:
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "Element":
-        """Deep copy of the subtree.
+        """Deep copy of the subtree, for a caller that will mutate it.
 
         The cached weight travels with the copy: a deep copy is structurally
-        identical, so the channel layer's one-copy-per-item fan-out never
-        re-walks the tree for accounting.  Like every tree the copy is
-        acyclic (weak parent links), so it dies with its last reference.
+        identical, so it is never re-walked for accounting.  Like every tree
+        the copy is acyclic (weak parent links), so it dies with its last
+        reference.
         """
         node = Element.__new__(Element)
         node.tag = self.tag

