@@ -10,10 +10,8 @@ Usage::
 
 Exit codes: 0 all invariants hold (and, with ``--check-determinism``, the
 two same-seed runs produced byte-identical traces); 1 an invariant failed;
-2 the determinism check failed; 4 the ``--compare-runtimes`` differential
-found a single-vs-sharded result-multiset divergence.  The nightly
-``chaos-soak`` workflow sweeps the (scenario x seed) matrix through this
-entry point.
+2 the determinism check failed.  The nightly ``chaos-soak`` workflow sweeps
+the (scenario x seed) matrix through this entry point.
 """
 
 from __future__ import annotations
@@ -42,26 +40,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override how failures are noticed (default: the scenario's own, "
         "normally 'detector')",
     )
-    parser.add_argument(
-        "--runtime",
-        choices=("single", "sharded"),
-        default=None,
-        help="execution runtime (default 'single'; 'sharded' partitions the "
-        "peers across worker processes and forces failure-mode 'oracle')",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker-process count of a sharded run (default: the scenario's "
-        "own, 2, or 3 for the worker-fault scenarios)",
-    )
-    parser.add_argument(
-        "--compare-runtimes",
-        action="store_true",
-        help="run the scenario single-process and sharded (both in oracle "
-        "failure mode) and require the same multiset of delivered results",
-    )
     parser.add_argument("--list", action="store_true", help="list known scenarios")
     parser.add_argument(
         "--check-determinism",
@@ -82,8 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scenario,
         seed=args.seed,
         failure_mode=args.failure_mode,
-        runtime=args.runtime,
-        shards=args.shards,
     ).run()
 
     if args.json:
@@ -114,32 +90,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         print("  determinism: identical trace on replay")
-
-    if args.compare_runtimes:
-        # sharded forces oracle failure mode, so the single-process baseline
-        # must run oracle too for the delivered multisets to be comparable
-        single = make_scenario(
-            args.scenario,
-            seed=args.seed,
-            failure_mode="oracle",
-        ).run()
-        sharded = make_scenario(
-            args.scenario,
-            seed=args.seed,
-            runtime="sharded",
-            shards=args.shards,
-        ).run()
-        if sorted(single.received) != sorted(sharded.received):
-            print(
-                "RUNTIME DIVERGENCE: single-process and sharded runs "
-                f"delivered different result multisets "
-                f"({len(single.received)} vs {len(sharded.received)} results)"
-            )
-            return 4
-        print(
-            f"  runtimes: sharded delivered the same {len(single.received)} "
-            "results as single-process"
-        )
 
     return exit_code
 

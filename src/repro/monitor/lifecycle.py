@@ -125,7 +125,7 @@ class DeliveryValve(Stream):
     beyond that) and flushed on resume, so a paused subscription loses
     nothing within its retention window and needs no redeployment.  The
     inherited :meth:`~repro.streams.stream.Stream.emit` bypasses the gate
-    (resume and the sharded harvest inject through it).
+    (:meth:`resume` flushes the retained items through it).
     """
 
     def __init__(

@@ -179,8 +179,6 @@ class SubscriptionManager:
         push_selections: bool,
         max_results: int | None,
     ) -> SubscriptionHandle:
-        # the sharded runtime freezes deployment once its workers fork
-        self.peer.system.runtime.check_mutable("subscribe")
         template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
         plan = template.instantiate(sub_id)
@@ -199,7 +197,6 @@ class SubscriptionManager:
             # suspect that is then confirmed would trigger an immediate
             # recovery, so suspicion is enough to steer placement away
             avoid=self.peer.system.avoid_peers(),
-            colocate=self.peer.system.placement_mode,
         )
 
         record = Subscription(
@@ -324,7 +321,6 @@ class SubscriptionManager:
         advertisements are retracted.  Returns False when the subscription
         was already cancelled.
         """
-        self.peer.system.runtime.check_mutable("cancel")
         record = self.database.get(sub_id)
         if record.status == CANCELLED:
             return False
@@ -337,7 +333,6 @@ class SubscriptionManager:
 
     def pause(self, sub_id: str) -> None:
         """Suspend result delivery; the deployed plan keeps running."""
-        self.peer.system.runtime.check_mutable("pause")
         record = self.database.get(sub_id)
         if record.status == PAUSED:
             return
@@ -346,7 +341,6 @@ class SubscriptionManager:
 
     def resume(self, sub_id: str) -> None:
         """Restart delivery after :meth:`pause`, without redeployment."""
-        self.peer.system.runtime.check_mutable("resume")
         record = self.database.get(sub_id)
         if record.status == DEPLOYED:
             return

@@ -31,7 +31,6 @@ from repro.net.detector import HeartbeatDetector
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
 from repro.net.rpc import RpcEndpoint
-from repro.net.runtime import RUNTIMES, create_runtime
 from repro.net.simnet import SimNetwork
 from repro.p2pml.compiler import PlanTemplate
 from repro.streams.stream import Stream
@@ -68,33 +67,11 @@ class P2PMSystem:
         fault_model: FaultModel | None = None,
         failure_mode: str = "oracle",
         reliable_control: bool = False,
-        runtime: str = "single",
-        shards: int = 2,
-        shard_assigner=None,
-        shard_turn_timeout: float = 30.0,
     ) -> None:
         if failure_mode not in ("oracle", "detector"):
             raise ValueError(
                 f"failure_mode must be 'oracle' or 'detector', got {failure_mode!r}"
             )
-        if runtime not in RUNTIMES:
-            raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
-        if runtime == "sharded":
-            # v1 sharded restrictions: detection, retransmission and retrying
-            # control RPCs all assume one global clock and one event heap
-            if failure_mode != "oracle":
-                raise ValueError(
-                    "runtime='sharded' requires failure_mode='oracle' "
-                    "(heartbeat detection needs a global clock)"
-                )
-            if reliable_control:
-                raise ValueError(
-                    "runtime='sharded' does not support reliable_control=True"
-                )
-        #: sharded runs want whole pipelines inside one worker: colocating
-        #: movable operators at the manager peer keeps cross-shard traffic
-        #: down to source->pipeline hops
-        self.placement_mode = "manager" if runtime == "sharded" else "source"
         self.network = SimNetwork(seed=seed, fault_model=fault_model)
         self.kadop = KadopIndex(ChordRing())
         self.stream_db = StreamDefinitionDatabase(self.kadop)
@@ -140,15 +117,6 @@ class P2PMSystem:
         #: subscription manager (cleared wholesale at ``TEMPLATE_TABLE_LIMIT``)
         self.plan_templates: dict[tuple[str, bool], PlanTemplate] = {}
         self._peers: dict[str, P2PMPeer] = {}
-        #: execution backend: who drains the event scheduler(s), and where
-        #: (see :mod:`repro.net.runtime`)
-        self.runtime = create_runtime(
-            runtime,
-            self,
-            shards=shards,
-            assigner=shard_assigner,
-            shard_turn_timeout=shard_turn_timeout,
-        )
 
     # -- peers ------------------------------------------------------------------
 
@@ -156,7 +124,6 @@ class P2PMSystem:
         self, peer_id: str, coordinates: tuple[float, float] | None = None
     ) -> "P2PMPeer":
         """Create a new P2PM peer and register it with the network and the DHT."""
-        self.runtime.check_lifecycle("add_peer")
         if peer_id in self._peers:
             raise ValueError(f"peer {peer_id!r} already exists")
         peer = P2PMPeer(peer_id, self, coordinates)
@@ -184,56 +151,30 @@ class P2PMSystem:
         return sorted(self._peers)
 
     def run(self, max_steps: int | None = None) -> int:
-        """Deliver pending network messages (returns how many were delivered).
-
-        Delegated to the execution runtime: the single-process backend drains
-        the one event heap in place; the sharded backend runs one lock-step
-        exchange epoch across its workers and harvests results back into the
-        local handles.
-        """
-        return self.runtime.run(max_steps)
-
-    # -- execution runtime -------------------------------------------------------
+        """Deliver pending network messages (returns how many were delivered)."""
+        return self.network.run(max_steps)
 
     def start_runtime(self) -> None:
-        """Freeze deployment and hand execution to the runtime backend.
+        """A no-op: the system runs in this process from construction on.
 
-        A no-op for the default single-process runtime.  For
-        ``runtime="sharded"`` this forks the worker processes: every peer,
-        operator and pending message moves to its owning shard, and further
-        deployment mutation (subscribe/cancel/pause/resume, peer churn)
-        raises until :meth:`shutdown`.
+        Kept so that callers which separate deployment from execution (the
+        repository benchmark) can mark the point where one ends.
         """
-        self.runtime.start()
 
     def shutdown(self) -> None:
-        """Release runtime resources (worker processes); idempotent."""
-        self.runtime.shutdown()
+        """A no-op: the system holds no process or file resources."""
 
     def partition(self, name: str, *groups) -> None:
-        """Partition the network (applied in every shard when sharded)."""
-        self.runtime.control("partition", name, tuple(groups))
+        """Partition the network into named groups of peers."""
+        self.network.partition(name, *groups)
 
     def heal(self, name: str) -> None:
-        """Heal a named partition (applied in every shard when sharded)."""
-        self.runtime.control("heal", name)
+        """Heal a named partition."""
+        self.network.heal(name)
 
     def set_fault_model(self, fault_model: FaultModel | None) -> None:
-        """Swap the network fault model (applied in every shard when sharded)."""
-        self.runtime.control("faults", fault_model)
-
-    def drive_alerter(self, peer_id: str, function: str, method: str, *args):
-        """Invoke ``method(*args)`` on the alerter hosting ``function`` at
-        ``peer_id``, wherever that peer's state lives.
-
-        Workload generators drive event sources through this instead of
-        holding direct alerter references: under the single-process runtime
-        it is a plain method call; under the sharded runtime the call is
-        shipped to the worker that owns the peer.  Returns ``False`` when the
-        peer hosts no such alerter, ``None`` when the call was shipped
-        asynchronously.
-        """
-        return self.runtime.drive(peer_id, function, method, args)
+        """Swap the network fault model."""
+        self.network.set_fault_model(fault_model)
 
     # -- peer lifecycle (churn) --------------------------------------------------
 
@@ -253,7 +194,6 @@ class P2PMSystem:
 
         Returns False when the peer was already down.
         """
-        self.runtime.check_lifecycle("fail_peer")
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
         if notify is None:
@@ -275,7 +215,6 @@ class P2PMSystem:
         performs the rejoin handshake and reintegration happens when an
         observer hears it.  Returns False when the peer was not down.
         """
-        self.runtime.check_lifecycle("revive_peer")
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
         if notify is None:
@@ -327,13 +266,8 @@ class P2PMSystem:
         """One control round: heartbeats plus channel retransmissions.
 
         A no-op in oracle mode, so scenario loops can call it
-        unconditionally without perturbing golden traces.  Delegated to the
-        runtime so the sharded backend can fan the round out to its workers.
+        unconditionally without perturbing golden traces.
         """
-        self.runtime.tick()
-
-    def _local_tick(self) -> None:
-        """The in-process part of :meth:`tick` (what runtimes actually run)."""
         if self.detector is not None:
             self.detector.tick()
         if self.reliable_channels:

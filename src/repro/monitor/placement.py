@@ -33,7 +33,6 @@ def place_plan(
     manager_peer: str,
     load: dict[str, int] | None = None,
     avoid: frozenset[str] | set[str] | None = None,
-    colocate: str = "source",
 ) -> PlanNode:
     """Assign a concrete peer to every node of ``plan`` (modified in place).
 
@@ -41,20 +40,9 @@ def place_plan(
     peers during recovery redeployment).  Fixed placements -- alerters at
     their monitored peer, existing streams at their provider -- are not
     affected; recovery prunes or defers those before placing.
-
-    ``colocate`` picks the placement policy for movable operators:
-
-    * ``"source"`` (the paper's Figure 4 default): operators run close to
-      the data, joins/unions at their least-loaded input peer;
-    * ``"manager"``: every movable operator runs at the Subscription
-      Manager's peer.  The sharded runtime defaults to this so each
-      pipeline executes whole inside the worker that owns its manager,
-      leaving only source->pipeline hops to cross shard boundaries.
     """
-    if colocate not in ("source", "manager"):
-        raise ValueError(f"colocate must be 'source' or 'manager', got {colocate!r}")
     load = load if load is not None else {}
-    _place(plan, manager_peer, load, frozenset(avoid or ()), colocate)
+    _place(plan, manager_peer, load, frozenset(avoid or ()))
     return plan
 
 
@@ -63,11 +51,8 @@ def _place(
     manager_peer: str,
     load: dict[str, int],
     avoid: frozenset[str],
-    colocate: str = "source",
 ) -> str:
-    child_placements = [
-        _place(child, manager_peer, load, avoid, colocate) for child in node.children
-    ]
+    child_placements = [_place(child, manager_peer, load, avoid) for child in node.children]
 
     if node.kind == ALERTER:
         peer = node.params.get("peer")
@@ -78,8 +63,6 @@ def _place(
         node.placement = node.params.get("provider_peer") or node.params.get("peer") or manager_peer
     elif node.kind == PUBLISH:
         node.placement = manager_peer
-    elif colocate == "manager":
-        node.placement = node.placement or manager_peer
     elif node.kind == JOIN and len(child_placements) == 2:
         node.placement = node.placement or _less_loaded(
             [child_placements[1], child_placements[0]], load, avoid

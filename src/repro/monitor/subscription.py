@@ -107,10 +107,6 @@ class SubscriptionDatabase:
     def __len__(self) -> int:
         return len(self._subscriptions)
 
-    @property
-    def subscription_ids(self) -> list[str]:
-        return sorted(self._subscriptions)
-
     def with_status(self, status: str) -> list[Subscription]:
         return [sub for sub in self._subscriptions.values() if sub.status == status]
 

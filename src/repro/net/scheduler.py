@@ -4,15 +4,9 @@
 deterministic -- the simulated clock, the event heap and the tie-breaking
 sequence counter -- and nothing else.  :class:`~repro.net.simnet.SimNetwork`
 layers the *transport* semantics (latency, faults, partitions, peer
-liveness) on top; execution runtimes (:mod:`repro.net.runtime`) layer the
-*drive* semantics (who pops the heap, and where) on top of both.
-
-The split exists for the sharded runtime: each worker process runs one
-scheduler over its own shard of the peer set, while the single-process
-runtime runs exactly one.  Keeping the heap discipline in one class means
-the two backends cannot diverge on ordering rules: events are always
-processed in ``(time, sequence)`` order, and the sequence number is unique
-per scheduler, so heap entries themselves are never compared.
+liveness) on top.  Events are always processed in ``(time, sequence)``
+order, and the sequence number is unique per scheduler, so heap entries
+themselves are never compared.
 """
 
 from __future__ import annotations
@@ -83,21 +77,6 @@ class EventScheduler:
             handler(event)
             dispatched += 1
         return dispatched
-
-    def retain(self, predicate: Callable[[object], bool]) -> int:
-        """Keep only entries whose event satisfies ``predicate``.
-
-        Used by sharded workers at startup: the forked heap contains every
-        shard's pending events, and each worker keeps only its own.  Returns
-        the number of entries dropped.  Existing (fire_at, sequence) keys
-        are preserved, so the surviving events keep their relative order.
-        """
-        kept = [entry for entry in self.queue if predicate(entry[2])]
-        dropped = len(self.queue) - len(kept)
-        if dropped:
-            heapq.heapify(kept)
-            self.queue = kept
-        return dropped
 
     def events(self) -> Iterable[object]:
         """The queued events, in arbitrary (heap) order."""

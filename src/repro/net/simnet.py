@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import TYPE_CHECKING, Callable, Protocol, final
+from typing import TYPE_CHECKING, Callable, final
 
 from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
@@ -90,20 +90,6 @@ class Message:
 
 
 PeerLifecycleListener = Callable[[str], None]
-
-
-class ShardBoundary(Protocol):
-    """What :class:`SimNetwork` needs from a shard boundary (duck-typed).
-
-    Installed by the sharded runtime's workers: events popped for a peer the
-    local shard does not own are exported to the owning shard instead of
-    being delivered.  ``None`` (the default) keeps the network whole.
-    """
-
-    owned: frozenset[str]
-
-    def export(self, message: Message) -> None:  # pragma: no cover - protocol
-        ...
 
 
 @final
@@ -165,9 +151,6 @@ class SimNetwork:
         #: messages and timers, tie-broken by a unique sequence number so
         #: entries themselves are never compared
         self.scheduler = EventScheduler()
-        #: sharded-runtime hook: when set, events for peers the local shard
-        #: does not own are exported at delivery time instead of delivered
-        self.boundary: ShardBoundary | None = None
         self.stats = NetworkStats()
         self._peers: dict[str, "Peer"] = {}
         self._coordinates: dict[str, tuple[float, float]] = {}
@@ -656,19 +639,13 @@ class SimNetwork:
         :meth:`run` drain loop funnel through here, so drop rules, logging
         and handler dispatch cannot diverge between single-stepping and
         batch draining.  Timers share the funnel: the callback fires unless
-        the timer was cancelled.  With a shard boundary installed, messages
-        for peers the local shard does not own are exported to the owning
-        shard instead -- liveness and departure are the owner's call.
+        the timer was cancelled.
         """
         if type(message) is Timer:
             if not message.cancelled:
                 message.callback()
             return
         destination = message.destination
-        boundary = self.boundary
-        if boundary is not None and destination not in boundary.owned:
-            boundary.export(message)
-            return
         if destination in self._down:
             self.messages_dropped_peer_down += 1
             if self.record_events:

@@ -43,9 +43,6 @@ class NetworkStats:
         "items_replayed",
         "items_shed",
         "acks_sent",
-        "worker_restarts",
-        "peers_failed_over",
-        "epochs_stalled",
     )
 
     def __init__(self) -> None:
@@ -65,13 +62,6 @@ class NetworkStats:
         self.items_replayed = 0
         self.items_shed = 0
         self.acks_sent = 0
-        # sharded-runtime failover accounting: worker processes lost and
-        # failed over (the runtime "restarts" the epoch without them),
-        # peers transferred through oracle fail_peer, and epochs that lost
-        # at least one worker turn to a confirmed failure
-        self.worker_restarts = 0
-        self.peers_failed_over = 0
-        self.epochs_stalled = 0
 
     def record(self, source: str, destination: str, size: int) -> None:
         """Hot path: called once per scheduled message (the perfect-network
@@ -154,7 +144,4 @@ class NetworkStats:
             "items_replayed": self.items_replayed,
             "items_shed": self.items_shed,
             "acks_sent": self.acks_sent,
-            "worker_restarts": self.worker_restarts,
-            "peers_failed_over": self.peers_failed_over,
-            "epochs_stalled": self.epochs_stalled,
         }

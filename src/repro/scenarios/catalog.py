@@ -16,20 +16,6 @@ from repro.scenarios.chaos import ChaosScenario, ChurnSpec, ScenarioAction
 ScenarioFactory = Callable[[int], ChaosScenario]
 
 
-def _worker_shard_assigner(peer_id: str, shards: int) -> int | None:
-    """Pin the monitor to shard 0 and spread sources over the other shards.
-
-    Worker-fault scenarios need a topology where killing one worker takes
-    down *some* sources but never the monitor (whose shard holds the
-    subscription manager and the result delivery), for every seed alike.
-    """
-    if peer_id == "monitor":
-        return 0
-    if peer_id.startswith("s") and peer_id[1:].isdigit():
-        return 1 + int(peer_id[1:]) % (shards - 1)
-    return None
-
-
 def _partition_heal(seed: int) -> ChaosScenario:
     return ChaosScenario(
         name="partition-heal",
@@ -188,62 +174,6 @@ def _lossy_control_plane(seed: int) -> ChaosScenario:
     )
 
 
-def _worker_crash(seed: int) -> ChaosScenario:
-    return ChaosScenario(
-        name="worker-crash",
-        seed=seed,
-        n_sources=4,
-        ticks=16,
-        runtime="sharded",
-        shards=3,
-        failure_mode="oracle",
-        shard_assigner=_worker_shard_assigner,
-        schedule=(ScenarioAction(8, "worker-kill", "@owner-of:s0"),),
-        invariants=(
-            "no-duplicates",
-            "survivor-exactly-once",
-            "recovers-within:1",
-            "worker-failover",
-        ),
-        description=(
-            "The worker process owning source s0 is SIGKILLed mid-run (a "
-            "real crash, no cleanup): the runtime must classify the loss, "
-            "fail over every peer the shard owned within one tick, and keep "
-            "the survivors' alerts flowing exactly-once with no duplicate "
-            "ever -- and the run must terminate (no hang) with the failover "
-            "counters on record."
-        ),
-    )
-
-
-def _worker_hang(seed: int) -> ChaosScenario:
-    return ChaosScenario(
-        name="worker-hang",
-        seed=seed,
-        n_sources=4,
-        ticks=14,
-        runtime="sharded",
-        shards=3,
-        failure_mode="oracle",
-        shard_assigner=_worker_shard_assigner,
-        shard_turn_timeout=2.0,
-        schedule=(ScenarioAction(7, "worker-hang", "@owner-of:s0"),),
-        invariants=(
-            "no-duplicates",
-            "survivor-exactly-once",
-            "recovers-within:1",
-            "worker-failover",
-        ),
-        description=(
-            "The worker owning source s0 wedges in an uninterruptible sleep: "
-            "only the runtime's turn deadline can notice.  The straggler "
-            "must be killed and failed over like a crash -- the epoch "
-            "protocol may stall for at most the configured turn timeout, "
-            "never forever."
-        ),
-    )
-
-
 SCENARIOS: dict[str, ScenarioFactory] = {
     "partition-heal": _partition_heal,
     "churn-failover": _churn_failover,
@@ -252,8 +182,6 @@ SCENARIOS: dict[str, ScenarioFactory] = {
     "churn-soak": _churn_soak,
     "silent-kill": _silent_kill,
     "lossy-control-plane": _lossy_control_plane,
-    "worker-crash": _worker_crash,
-    "worker-hang": _worker_hang,
 }
 
 
@@ -261,28 +189,12 @@ def scenario_names() -> list[str]:
     return sorted(SCENARIOS)
 
 
-#: Scenarios the sharded runtime can execute: no peer churn (fail/revive
-#: raise once the shard workers fork) and no reliable control plane.
-SHARDABLE_SCENARIOS = ("partition-heal", "flaky-network", "lossy-network")
-
-
-def make_scenario(
-    name: str,
-    seed: int = 0,
-    failure_mode: str | None = None,
-    runtime: str | None = None,
-    shards: int | None = None,
-) -> ChaosScenario:
+def make_scenario(name: str, seed: int = 0, failure_mode: str | None = None) -> ChaosScenario:
     """Instantiate a named scenario for the given seed.
 
     ``failure_mode`` overrides the scenario's default (``detector``):
     golden-trace tests pin ``oracle`` to keep the legacy byte-identical
     traces, and A/B comparisons run the same scenario in both modes.
-    ``runtime="sharded"`` partitions the peers across ``shards`` worker
-    processes -- only scenarios in :data:`SHARDABLE_SCENARIOS` qualify (no
-    peer churn), and the failure mode is forced to ``oracle`` (the sharded
-    v1 restriction).  ``shards=None`` keeps the scenario's own count: 2, or
-    3 for the worker-fault scenarios.
     """
     try:
         factory = SCENARIOS[name]
@@ -291,26 +203,6 @@ def make_scenario(
             f"unknown scenario {name!r} (known: {', '.join(scenario_names())})"
         ) from exc
     scenario = factory(seed)
-    if failure_mode is not None and scenario.runtime != "sharded":
+    if failure_mode is not None:
         scenario.failure_mode = failure_mode
-    if scenario.runtime == "sharded":
-        # inherently sharded (worker-fault) scenarios: the fault *is* a
-        # worker process, so there is no single-process variant to fall
-        # back to -- only the shard count can be overridden
-        if runtime == "single":
-            raise ValueError(
-                f"scenario {name!r} injects worker faults and only runs "
-                "sharded"
-            )
-    elif runtime is not None and runtime != "single":
-        if name not in SHARDABLE_SCENARIOS:
-            raise ValueError(
-                f"scenario {name!r} cannot run sharded (peer churn or a "
-                f"reliable control plane); shardable: {', '.join(SHARDABLE_SCENARIOS)}"
-            )
-        scenario.runtime = runtime
-        scenario.failure_mode = "oracle"
-        scenario.reliable_control = False
-    if shards is not None:
-        scenario.shards = shards
     return scenario

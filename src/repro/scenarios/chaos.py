@@ -39,15 +39,11 @@ class ScenarioAction:
     """One scheduled disruption.
 
     ``action`` is one of ``fail``, ``revive``, ``partition``, ``heal``,
-    ``faults``, ``clear-faults`` or (sharded runs only) ``worker-kill``,
-    ``worker-hang``, ``worker-corrupt``.  Peer targets may use the symbolic
+    ``faults`` or ``clear-faults``.  Peer targets may use the symbolic
     names ``@monitor``, ``@union-host`` (the peer hosting the plan's union
     operator at that moment) or a concrete peer id; partition targets are
     ``{"name": ..., "groups": [[...], [...]]}`` where groups may contain
-    ``@monitor`` / ``@sources`` / peer ids.  Worker-fault targets are a
-    shard index or ``"@owner-of:<peer>"`` (the shard owning that peer); the
-    fault is armed and fires at the start of the tick's settle run, before
-    this tick's alerts are emitted.
+    ``@monitor`` / ``@sources`` / peer ids.
     """
 
     tick: int
@@ -94,8 +90,6 @@ class ScenarioResult:
     #: (scenario tick, trigger, peer, outcome) recovery events, in order
     recovery_timeline: list[tuple[int, str, str, str]] = field(default_factory=list)
     reliability_counters: dict[str, int] = field(default_factory=dict)
-    #: (epoch, kind, shard) worker faults actually injected (sharded runs)
-    worker_faults: list[tuple[int, str, int]] = field(default_factory=list)
     invariants: list[InvariantResult] = field(default_factory=list)
 
     @property
@@ -138,7 +132,6 @@ class ScenarioResult:
             "recovery_timeline": [list(entry) for entry in self.recovery_timeline],
             "network": dict(self.network_counters),
             "reliability": dict(self.reliability_counters),
-            "worker_faults": [list(entry) for entry in self.worker_faults],
             "fingerprint": self.fingerprint,
             "invariants": [
                 {"name": inv.name, "ok": inv.ok, "detail": inv.detail}
@@ -171,19 +164,6 @@ class ChaosScenario:
     #: install the fault model before the subscription is submitted, so the
     #: control plane itself runs over the faulty network
     apply_faults_before_subscribe: bool = False
-    #: "single" (default) or "sharded" (peer set partitioned across worker
-    #: processes).  Sharded runs require ``failure_mode="oracle"`` and a
-    #: schedule without peer churn; equivalence is stated over the received
-    #: multiset, not the event-log fingerprint (per-shard logs interleave).
-    runtime: str = "single"
-    shards: int = 2
-    #: optional ``(peer_id, shards) -> shard | None`` placement override for
-    #: sharded runs; worker-fault scenarios pin the topology so the same
-    #: shard owns the same peers for every seed
-    shard_assigner: object = None
-    #: seconds a sharded run waits on one worker turn before declaring the
-    #: worker hung; worker-hang scenarios tighten it so the run stays fast
-    shard_turn_timeout: float = 30.0
 
     # -- execution ---------------------------------------------------------------
 
@@ -192,10 +172,6 @@ class ChaosScenario:
             seed=self.seed,
             failure_mode=self.failure_mode,
             reliable_control=self.reliable_control,
-            runtime=self.runtime,
-            shards=self.shards,
-            shard_assigner=self.shard_assigner,
-            shard_turn_timeout=self.shard_turn_timeout,
         )
         sources = [f"s{i}" for i in range(self.n_sources)]
         for source in sources:
@@ -218,10 +194,6 @@ class ChaosScenario:
             received.append((item.find("src").text, int(item.find("n").text)))
 
         handle.on_result(collect)
-        # hand execution to the runtime backend (a no-op for "single"; forks
-        # the shard workers for "sharded" -- callbacks are attached above so
-        # the workers know this subscription's items must ship back)
-        system.start_runtime()
 
         workload = ChaosFeedWorkload(sources)
         churn_rng = random.Random(f"{self.seed}:churn")
@@ -229,7 +201,7 @@ class ChaosScenario:
         detections: list[tuple[int, str]] = []
         rejoins: list[tuple[int, str]] = []
         recovery_timeline: list[tuple[int, str, str, str]] = []
-        timeline_marks = [0, 0, 0, 0]
+        timeline_marks = [0, 0, 0]
 
         def drain_timelines(tick: int) -> None:
             """Attribute new detector/recovery entries to scenario ``tick``."""
@@ -246,15 +218,6 @@ class ChaosScenario:
                     (tick, event.trigger, event.peer_id, event.outcome)
                 )
             timeline_marks[2] = len(system.recovery.events)
-            # peers the sharded runtime failed over after losing their worker
-            # become synthetic ``fail`` disruptions, so window-based
-            # invariants (``recovers-within``) see worker crashes exactly
-            # like scheduled peer failures
-            failed_over = getattr(system.runtime, "failed_over_peers", None)
-            if failed_over is not None:
-                for peer_id in failed_over[timeline_marks[3]:]:
-                    disruptions.append((tick, "fail", peer_id))
-                timeline_marks[3] = len(failed_over)
 
         for tick in range(self.ticks):
             for action in self.schedule:
@@ -275,13 +238,7 @@ class ChaosScenario:
         for partition_name in list(system.network.active_partitions):
             system.heal(partition_name)
         for peer_id in sorted(system.down_peers()):
-            try:
-                system.revive_peer(peer_id)
-            except RuntimeError:
-                # sharded runs freeze the peer lifecycle after start: peers
-                # failed over because their worker died stay down (their
-                # process is gone), so the heal phase checks survivors only
-                continue
+            system.revive_peer(peer_id)
         system.run()
         for tick in range(self.ticks, self.ticks + self.drain_ticks):
             # detector-mode revivals reintegrate through the rejoin
@@ -292,7 +249,6 @@ class ChaosScenario:
             system.run()
             drain_timelines(tick)
         system.run()
-        system.shutdown()
 
         result = ScenarioResult(
             name=self.name,
@@ -317,7 +273,6 @@ class ChaosScenario:
             rejoins=rejoins,
             recovery_timeline=recovery_timeline,
             reliability_counters=system.network.stats.reliability_snapshot(),
-            worker_faults=list(getattr(system.runtime, "injected_faults", [])),
         )
         result.invariants = [
             check_invariant(name, result) for name in self.invariants
@@ -372,30 +327,8 @@ class ChaosScenario:
         elif action.action == "clear-faults":
             system.set_fault_model(None)
             disruptions.append((tick, "clear-faults", ""))
-        elif action.action in ("worker-kill", "worker-hang", "worker-corrupt"):
-            kind = action.action.removeprefix("worker-")
-            shard = self._resolve_shard(system, action.target)
-            system.runtime.inject_worker_fault(kind, shard)
-            disruptions.append((tick, action.action, f"shard:{shard}"))
         else:
             raise ValueError(f"unknown scenario action {action.action!r}")
-
-    def _resolve_shard(self, system: P2PMSystem, target: object) -> int:
-        """Resolve a worker-fault target to a shard index.
-
-        Accepts a shard index directly, or ``"@owner-of:<peer>"`` naming the
-        shard that owns a peer -- scenarios usually care about *whose*
-        pipelines die, not about shard numbering.
-        """
-        runtime = system.runtime
-        if not hasattr(runtime, "inject_worker_fault"):
-            raise ValueError(
-                "worker-fault actions need runtime='sharded' "
-                f"(got {self.runtime!r})"
-            )
-        if isinstance(target, str) and target.startswith("@owner-of:"):
-            return runtime.shard_for(target.removeprefix("@owner-of:"))
-        return int(target)  # type: ignore[call-overload]
 
     def _resolve_peer(
         self, target: object, handle: "SubscriptionHandle", sources: list[str]

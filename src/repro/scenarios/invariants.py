@@ -51,53 +51,6 @@ def _exactly_once(result: "ScenarioResult") -> tuple[bool, str]:
     )
 
 
-def _survivor_exactly_once(result: "ScenarioResult") -> tuple[bool, str]:
-    """Alerts from peers that never failed are delivered exactly once.
-
-    The worker-fault counterpart of ``exactly-once``: peers owned by a
-    killed worker are failed over (their alerters die with the process, so
-    their in-flight alerts may be lost), but every alert emitted by a peer
-    that never appears in a ``fail`` disruption -- scheduled or synthetic --
-    must still arrive exactly once, across the failover included.
-    """
-    failed = {peer for _, action, peer in result.disruptions if action == "fail"}
-    emitted = {pair for pair in result.emitted if pair[0] not in failed}
-    received = [pair for pair in result.received if pair[0] not in failed]
-    missing = emitted - set(received)
-    duplicates = len(received) - len(set(received))
-    ok = not missing and duplicates == 0
-    return ok, (
-        f"{len(missing)} missing, {duplicates} duplicates of "
-        f"{len(emitted)} survivor alerts (failed peers: {sorted(failed) or 'none'})"
-    )
-
-
-def _worker_failover(result: "ScenarioResult") -> tuple[bool, str]:
-    """A lost worker was detected, failed over, and the subscription survived.
-
-    Checks the failover accounting the sharded runtime feeds into
-    ``NetworkStats.reliability_snapshot()``: at least one worker loss was
-    handled, at least one peer was failed over, every injected fault is on
-    record, and the subscription ends the run serving results (``deployed``,
-    or ``degraded`` when the dead peers hosted irreplaceable sources).
-    """
-    counters = result.reliability_counters
-    restarts = counters.get("worker_restarts", 0)
-    failed_over = counters.get("peers_failed_over", 0)
-    status_ok = result.final_status in ("deployed", "degraded")
-    ok = (
-        restarts >= 1
-        and failed_over >= 1
-        and bool(result.worker_faults)
-        and status_ok
-    )
-    return ok, (
-        f"worker_restarts={restarts} peers_failed_over={failed_over} "
-        f"faults_injected={len(result.worker_faults)} "
-        f"final-status={result.final_status}"
-    )
-
-
 def _recovers(result: "ScenarioResult") -> tuple[bool, str]:
     """The subscription went through RECOVERING and is deployed again at the end."""
     entered = any(event.outcome == "recovering" for event in result.recovery_events)
@@ -223,8 +176,6 @@ def _recovers_within(result: "ScenarioResult", bound: int) -> tuple[bool, str]:
 INVARIANTS: dict[str, InvariantCheck] = {
     "no-duplicates": _no_duplicates,
     "exactly-once": _exactly_once,
-    "survivor-exactly-once": _survivor_exactly_once,
-    "worker-failover": _worker_failover,
     "recovers": _recovers,
     "drain-delivered": _drain_delivered,
 }

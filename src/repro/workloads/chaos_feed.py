@@ -55,14 +55,7 @@ class ChaosFeedWorkload:
         self.emitted: list[tuple[str, int]] = []
 
     def tick(self, system: "P2PMSystem", tick: int) -> int:
-        """Emit one alert per alive source; returns how many were emitted.
-
-        Emission goes through :meth:`P2PMSystem.drive_alerter` rather than a
-        direct alerter reference: under the sharded runtime the call is
-        shipped to the worker process that owns the source peer (liveness and
-        stream-closure checks read the local mirror, whose pre-start state
-        matches every shard).
-        """
+        """Emit one alert per alive source; returns how many were emitted."""
         count = 0
         for source in self.sources:
             if not system.is_alive(source):
@@ -71,7 +64,7 @@ class ChaosFeedWorkload:
             if alerter is None or alerter.output.closed:
                 continue
             assert isinstance(alerter, ChaosFeedAlerter)
-            system.drive_alerter(source, CHAOS_FUNCTION, "emit_numbered", tick)
+            alerter.emit_numbered(tick)
             self.emitted.append((source, tick))
             count += 1
         return count

@@ -51,16 +51,9 @@ class MeteoScenario:
     calls: list[SoapCall] = field(init=False, default_factory=list)
     #: result-buffer bound passed to subscribe() (results are opt-in + bounded)
     max_results: int = 10_000
-    #: execution runtime ("single" or "sharded") and worker count
-    runtime: str = "single"
-    shards: int = 2
 
     def __post_init__(self) -> None:
-        self.system = P2PMSystem(
-            seed=self.seed,
-            runtime=self.runtime,
-            shards=self.shards,
-        )
+        self.system = P2PMSystem(seed=self.seed)
         for peer_id in self.clients + [self.server]:
             self.system.add_peer(peer_id)
         self.monitor = self.system.add_peer("monitor.meteo.com")
@@ -72,15 +65,11 @@ class MeteoScenario:
             slow_fraction=self.slow_fraction,
             seed=self.seed,
         )
-        if self.runtime == "single":
-            # whenever deployment creates a WS alerter on a monitored peer,
-            # attach it to the traffic generator so it observes the calls
-            for peer_id in self.clients + [self.server]:
-                peer = self.system.peer(peer_id)
-                peer.add_alerter_hook(self._attach_ws_alerter)
-        # sharded: the generator stays pure (the parent's alerter mirrors
-        # must not observe anything); run_traffic ships each call to the
-        # WS alerters inside the workers that own the monitored peers
+        # whenever deployment creates a WS alerter on a monitored peer,
+        # attach it to the traffic generator so it observes the calls
+        for peer_id in self.clients + [self.server]:
+            peer = self.system.peer(peer_id)
+            peer.add_alerter_hook(self._attach_ws_alerter)
 
     def _attach_ws_alerter(self, alerter) -> None:
         if hasattr(alerter, "observe_call"):
@@ -96,22 +85,12 @@ class MeteoScenario:
         options.setdefault("max_results", self.max_results)
         self.task = self.monitor.subscribe(self.subscription_text(), sub_id="meteo-qos", **options)
         self.system.run()
-        # no-op for the single-process runtime; forks the shard workers for
-        # "sharded" (deployment is frozen from here on)
-        self.system.start_runtime()
         return self.task
 
     def run_traffic(self, n_calls: int) -> list[SoapCall]:
         """Generate SOAP calls and deliver all resulting monitoring messages."""
         calls = self.traffic.run(n_calls)
         self.calls.extend(calls)
-        if self.runtime == "sharded":
-            # each call is observed at both endpoints; the WS alerters
-            # self-filter by peer and direction, exactly like the attached
-            # alerters do under the single-process runtime
-            for call in calls:
-                self.system.drive_alerter(call.caller, "outCOM", "observe_call", call)
-                self.system.drive_alerter(call.callee, "inCOM", "observe_call", call)
         self.system.run()
         return calls
 

@@ -146,4 +146,12 @@ class TestRunnerCli:
         from scenarios.run_scenario import main
 
         assert main(["--list"]) == 0
-        assert "partition-heal" in capsys.readouterr().out
+        assert capsys.readouterr().out.split() == [
+            "churn-failover",
+            "churn-soak",
+            "flaky-network",
+            "lossy-control-plane",
+            "lossy-network",
+            "partition-heal",
+            "silent-kill",
+        ]

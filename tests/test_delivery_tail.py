@@ -1,12 +1,12 @@
 """The delivery tail: one call per hop, nothing left for the cycle collector.
 
-At the parent commit (9603535) three of these pass -- the sharded harvest,
-the wrapper weights and the byte totals, which pin unchanged behaviour on the
-new code paths -- and all the others fail: cyclic garbage is found, parent
-links are strong, an idle channel costs more than one call, the valve is not
-a stream (every ``TestValveIsTheDeliveryStream`` case but the harvest), a
-callback that pauses during ``resume()`` keeps receiving, an in-order proxy
-parks every number it saw, ``send_many`` counts a message it dropped.
+At the parent commit (9603535) two of these pass -- the wrapper weights and
+the byte totals, which pin unchanged behaviour on the new code paths -- and
+all the others fail: cyclic garbage is found, parent links are strong, an
+idle channel costs more than one call, the valve is not a stream (every
+``TestValveIsTheDeliveryStream`` case), a callback that pauses during
+``resume()`` keeps receiving, an in-order proxy parks every number it saw,
+``send_many`` counts a message it dropped.
 """
 
 import gc
@@ -163,8 +163,8 @@ class TestValveIsTheDeliveryStream:
         assert valve.qualified_id == "src.delivery@p"
 
     def test_emit_bypasses_the_pause_gate_and_counts_nothing(self):
-        """What the sharded harvest relies on: it adds the workers' counts to
-        ``items_delivered`` itself and re-emits the shipped items."""
+        """What ``resume()`` relies on: it counts each retained item in
+        ``items_delivered`` itself and flushes it through ``emit``."""
         valve = valve_on(Stream("src"))
         seen = collect(valve)
         valve.pause()
@@ -225,22 +225,6 @@ class TestValveIsTheDeliveryStream:
                 system.peer(source).alerter(CHAOS_FUNCTION).emit_numbered(4)
         system.run()
         assert received and after.items_delivered == len(received)
-
-    def test_sharded_harvest_counts_each_result_once(self):
-        system = P2PMSystem(runtime="sharded", shards=2, failure_mode="oracle")
-        system.add_peer("src")
-        handle = system.add_peer("monitor").subscribe(SEEN, sub_id="watch", max_results=8)
-        system.run()
-        system.start_runtime()
-        try:
-            for n in (0, 3, 7):
-                system.drive_alerter("src", CHAOS_FUNCTION, "emit_numbered", n)
-            system.run()
-            assert [item.find("n").text for item in handle.results()] == ["3", "7"]
-            assert handle.stats()["items_delivered"] == 2
-            assert handle.delivery_stream.stats.items == 2
-        finally:
-            system.shutdown()
 
 
 class TestResumeWhileRepaused:

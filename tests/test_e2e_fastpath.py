@@ -52,6 +52,26 @@ GOLDEN_FINGERPRINTS = {
     ("churn-soak", 42): (
         "565f029688872909c37a570a84c22de1e8a52bd59ad638e33dd0ca9ab1466d30"
     ),
+    # crash-recovery delivery order beyond seed 0: the union host fails and
+    # the subscription redeploys on the surviving sources (captured at
+    # 143abcc, the commit before these pins were added)
+    ("churn-failover", 7): (
+        "d51121c0a82acf907d906859633d3b7b24900c1ee86417c87c6154214582d748"
+    ),
+    ("churn-failover", 42): (
+        "7624060372869376eaa147723d730c16edca167cb3c3d96205ecc5823f111e3f"
+    ),
+}
+
+#: The same crash recovery in the scenario's own failure mode (``detector``:
+#: the failure is noticed by heartbeats, not announced), captured at 143abcc.
+GOLDEN_DETECTOR_FINGERPRINTS = {
+    ("churn-failover", 7): (
+        "6cb82c61850ebf48e7f0289bdbded1de3876cdb7edc5721c5cdf3ee67901c0a9"
+    ),
+    ("churn-failover", 42): (
+        "80ccd9d9de1eb5be05f70e382e3179ee81a482803a579373132964ae4ca88089"
+    ),
 }
 
 #: sha256(repr(order)) of the (subscriber, item-number) delivery sequence of
@@ -75,6 +95,13 @@ class TestSchedulerDifferential:
         result = make_scenario(name, seed=seed, failure_mode="oracle").run()
         assert result.ok, [inv for inv in result.invariants if not inv.ok]
         assert result.fingerprint == GOLDEN_FINGERPRINTS[(name, seed)]
+
+    @pytest.mark.parametrize("name,seed", sorted(GOLDEN_DETECTOR_FINGERPRINTS))
+    def test_detector_mode_fingerprints_unchanged(self, name: str, seed: int):
+        result = make_scenario(name, seed=seed).run()
+        assert result.failure_mode == "detector"
+        assert result.ok, [inv for inv in result.invariants if not inv.ok]
+        assert result.fingerprint == GOLDEN_DETECTOR_FINGERPRINTS[(name, seed)]
 
     def test_faulty_fanout_delivery_order_unchanged(self):
         network = SimNetwork(
