@@ -142,6 +142,17 @@ class TestRunnerCli:
         assert payload["ok"] is True
         assert payload["scenario"] == "churn-failover"
 
+    @pytest.mark.parametrize(
+        "flag", [["--runtime", "sharded"], ["--shards", "2"], ["--compare-runtimes"]]
+    )
+    def test_removed_runtime_flags_are_rejected(self, flag, capsys):
+        from scenarios.run_scenario import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition-heal", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_main_list(self, capsys):
         from scenarios.run_scenario import main
 
