@@ -10,6 +10,7 @@ compiler (:mod:`repro.compile`) fuses them into pipeline stages.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.algebra.template import TUPLE_TAG, ValueRef, get_binding, merge_tuple_items
@@ -43,12 +44,10 @@ class Operator:
         self.inputs.append(stream)
         self._open_inputs += 1
 
-        def deliver(item: object, i: int = index) -> None:
-            self._receive(i, item)
-
+        deliver = partial(self._receive, index)
         # Advertise the batch entry point so Stream.emit_many can hand over
-        # whole bursts in one call (see Stream.emit_many).
-        deliver.batch = lambda items, i=index: self._receive_batch(i, items)  # type: ignore[attr-defined]
+        # whole bursts in one call (see Stream.emit_many); it never delivers EOS.
+        deliver.batch = partial(self.on_batch, index)  # type: ignore[attr-defined]
         self._unsubscribes.append(stream.subscribe(deliver))
         return self
 
@@ -73,17 +72,13 @@ class Operator:
         self.items_in += 1
         self.on_item(index, item)
 
-    def _receive_batch(self, index: int, items: list[Element]) -> None:
-        # emit_many never delivers EOS, so no end-of-stream handling here
-        self.on_batch(index, items)
-
     def emit(self, item: Element) -> None:
         self.items_out += 1
         self.output.emit(item)
 
     def emit_batch(self, items: list[Element]) -> None:
         self.items_out += len(items)
-        self.output.emit_many(items)
+        self.output.emit_trusted(items)
 
     # -- to override ------------------------------------------------------------
 

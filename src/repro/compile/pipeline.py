@@ -16,9 +16,8 @@ boundary 0, under the same rules:
   (stream reuse, replicas, test taps) -- the continuation then carries on, so
   each item is processed by exactly one path;
 * a *dark* intermediate boundary (no external consumer) is skipped entirely.
-  This is network-invisible: the channel forwarder drops emits into
-  subscriber-less channels before touching sequence numbers, so skipping the
-  emit produces byte-identical traffic.
+  This is network-invisible: a channel without subscribers has no forwarder
+  on its stream, so skipping the emit produces byte-identical traffic.
 
 EOS ordering matches :class:`~repro.algebra.operators.Operator` exactly: each
 stage entry closes its own boundary on EOS, which cascades to the next entry
@@ -45,8 +44,8 @@ class _Boundary:
     def __init__(self, stream: Stream, channel: Any) -> None:
         self.stream = stream
         self.channel = channel
-        #: tuple of (stream, baseline subscriber count); counts above the
-        #: baseline mean an external consumer attached after deployment
+        #: tuple of (stream, baseline subscriber count); a count above the baseline means an
+        #: external consumer (reuse, a replica, a channel's forwarder, a test tap) attached later
         self.watches: tuple[tuple[Stream, int], ...] = ()
 
     def is_live(self) -> bool:
@@ -54,7 +53,7 @@ class _Boundary:
         if channel is not None and channel.subscribers:
             return True
         for stream, baseline in self.watches:
-            if stream.has_subscribers_beyond(baseline):
+            if stream.subscriber_count > baseline:
                 return True
         return False
 
@@ -74,6 +73,7 @@ class CompiledPipeline:
         "_items_in",
         "_group",
         "_entries",
+        "_last",
         "stats",
     )
 
@@ -94,6 +94,7 @@ class CompiledPipeline:
         self._group: FilterGroup | None = None
         #: per-stage unsubscribers for the entry callbacks; None once detached
         self._entries: list[Callable[[], None] | None] = [None] * len(stages)
+        self._last = len(stages) - 1
         self.stats = stats
 
     @property
@@ -164,10 +165,7 @@ class CompiledPipeline:
     # -- execution -----------------------------------------------------------
 
     def _run_from(self, i: int, item: Any) -> None:
-        stages = self.stages
-        boundaries = self.boundaries
-        stats = self.stats
-        last = len(stages) - 1
+        stages, boundaries, stats, last = self.stages, self.boundaries, self.stats, self._last
         apply = stages[i].apply
         while True:
             if apply is not None:  # a FILTER head has none: its group let ``item`` pass
@@ -191,10 +189,7 @@ class CompiledPipeline:
             apply = stages[i].apply
 
     def _run_batch_from(self, i: int, batch: Any, memo: dict) -> None:
-        stages = self.stages
-        boundaries = self.boundaries
-        stats = self.stats
-        last = len(stages) - 1
+        stages, boundaries, stats, last = self.stages, self.boundaries, self.stats, self._last
         while True:
             stage = stages[i]
             if stage.apply_many is not None:
@@ -209,10 +204,10 @@ class CompiledPipeline:
             boundary = boundaries[i]
             if i == last:
                 self.items_out += len(batch)
-                boundary.stream.emit_many(batch)
+                boundary.stream.emit_trusted(batch)
                 return
             if self._entries[i + 1] is None or boundary.is_live():
-                boundary.stream.emit_many(batch)
+                boundary.stream.emit_trusted(batch)
                 return
             i += 1
 

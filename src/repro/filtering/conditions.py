@@ -55,10 +55,10 @@ def _compile_simple(op: str, value: str) -> Callable[[str], bool]:
     else:
 
         def holds(actual: str) -> bool:
-            left_num = _as_number(actual)
-            if left_num is None:
+            try:
+                return compare(float(actual), right_num)
+            except (TypeError, ValueError):
                 return compare(actual, value)
-            return compare(left_num, right_num)
 
     return holds
 
@@ -175,12 +175,11 @@ class ComputedCondition:
 
     def evaluate(self, attributes: dict[str, str]) -> bool:
         total = self._base
-        for sign, term in self._attr_terms:
-            raw = attributes.get(term)
-            number = _as_number(raw) if raw is not None else None
-            if number is None:
-                return False
-            total += sign * number
+        try:
+            for sign, term in self._attr_terms:
+                total += sign * float(attributes[term])
+        except (KeyError, TypeError, ValueError):  # missing or non-numeric
+            return False
         return self._compare(total, self._target)
 
     def __str__(self) -> str:
@@ -216,8 +215,7 @@ class FilterSubscription:
 
     def condition_ids(self, registry: ConditionRegistry) -> list[int]:
         """Register this subscription's simple conditions; return ordered ids."""
-        ids = sorted({registry.register(condition) for condition in self.simple})
-        return ids
+        return sorted({registry.register(condition) for condition in self.simple})
 
     def condition_mask(self, registry: ConditionRegistry) -> int:
         """Bitmask with bit ``i`` set for each registered simple-condition id ``i``."""

@@ -14,7 +14,7 @@ downstream operators cannot tell a remote stream from a local one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.errors import UnknownChannelError, UnknownPeerError
 from repro.streams.item import EOS
@@ -51,8 +51,10 @@ class Channel:
     channel_id: str
     stream: Stream
     subscribers: set[str] = field(default_factory=set)
-    #: detaches the registry's forwarder from the underlying stream
-    unsubscribe: object | None = field(default=None, repr=False)
+    #: the registry's forwarder, on the stream only while the channel has a
+    #: subscriber (an idle channel costs nothing); None once withdrawn
+    forward: Callable[[Any], None] | None = field(default=None, repr=False)
+    _detach: Callable[[], None] | None = field(default=None, repr=False, compare=False)  # takes it off again
     #: per-subscriber item sequence numbers (exactly-once deduplication)
     next_seq: dict[str, int] = field(default_factory=dict, repr=False)
     #: reliable mode: per-subscriber unacked wrappers, keyed by sequence
@@ -85,6 +87,8 @@ class Channel:
 
     def add_subscriber(self, peer_id: str) -> None:
         if peer_id not in self.subscribers:
+            if not (self.subscribers or self.forward is None or self.stream.closed):
+                self._detach = self.stream.subscribe(self.forward)
             self.subscribers.add(peer_id)
             self._sorted_cache = None
 
@@ -92,10 +96,19 @@ class Channel:
         if peer_id in self.subscribers:
             self.subscribers.discard(peer_id)
             self._sorted_cache = None
+            if not self.subscribers and self._detach is not None:
+                self._detach()
+                self._detach = None
 
     def clear_subscribers(self) -> None:
         self.subscribers.clear()
         self._sorted_cache = None
+
+    def unsubscribe(self) -> None:
+        """Withdraw the forwarder for good: the channel forwards nothing more."""
+        detach, self._detach, self.forward = self._detach, None, None
+        if detach is not None:
+            detach()
 
 
 def _wrapper(tag: str, channel: Channel, seq_text: str, payload: list[Element], weight: int | None = None) -> Element:
@@ -181,7 +194,7 @@ class ChannelRegistry:
         self._peer = peer
         self._published: dict[str, Channel] = {}
         self._proxies: dict[tuple[str, str], RemoteChannelProxy] = {}
-        self._proxy_unsubscribes: dict[tuple[str, str], object] = {}
+        self._proxy_unsubscribes: dict[tuple[str, str], Callable[[], None]] = {}
         #: acknowledged delivery + retransmission (off on oracle systems)
         self.reliable = False
         #: takeover replays staged for the next :meth:`retransmit_tick` --
@@ -215,18 +228,14 @@ class ChannelRegistry:
         channel = Channel(self._peer.peer_id, channel_id, stream)
         self._published[channel_id] = channel
 
-        # most channels never gain a subscriber: an idle one costs this call
+        # attached by the channel's first subscriber, detached with its last
         def forward(item: Any) -> None:
-            if not channel.subscribers:
-                return
             if item is EOS:
                 self._send_eos(channel)
             else:
                 self._forward_batch(channel, [item])
 
         def forward_batch(items: list[Element]) -> None:
-            if not channel.subscribers:
-                return
             if self.reliable:  # the outbox, acks and retransmission are per sequence number
                 for item in items:
                     self._forward_batch(channel, [item])
@@ -236,7 +245,7 @@ class ChannelRegistry:
         # advertise the batch entry point so Stream.emit_many hands a burst
         # over in one call instead of one forward per item
         forward.batch = forward_batch  # type: ignore[attr-defined]
-        channel.unsubscribe = stream.subscribe(forward)
+        channel.forward = forward
         return channel
 
     def unpublish(self, channel_id: str) -> bool:
@@ -253,8 +262,7 @@ class ChannelRegistry:
         # a freed name may sit before any probe's resume point: restart
         # name-allocation probes from their base so it is found again
         self._free_epoch += 1
-        if callable(channel.unsubscribe):
-            channel.unsubscribe()
+        channel.unsubscribe()
         if not channel.stream.closed:
             self._send_eos(channel)
         channel.clear_subscribers()
@@ -328,7 +336,7 @@ class ChannelRegistry:
             kind, tag = MSG_ITEMS, "channelItems"
             weight += 2  # one more letter in the opening and in the closing tag
         for item in items:
-            weight += item.weight()
+            weight += item._weight or item.weight()  # an emitted item's weight is memoised
         shared = list(items)
         next_seq, reliable = channel.next_seq, self.reliable
         # group subscribers by their next sequence number: counters advance in
@@ -417,7 +425,7 @@ class ChannelRegistry:
         key = (publisher_id, channel_id)
         self._proxies.pop(key, None)
         unsubscribe = self._proxy_unsubscribes.pop(key, None)
-        if callable(unsubscribe):
+        if unsubscribe is not None:
             unsubscribe()
         if publisher_id != self._peer.peer_id and announce:
             request = Element(

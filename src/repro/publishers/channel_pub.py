@@ -35,7 +35,7 @@ class ChannelPublisher(Publisher):
         channel = self.channel = self.peer.publish_channel(self.channel_id, stream)
         for subscriber in self.subscribers:
             channel.add_subscriber(subscriber)
-        self._unsubscribes.append(channel.unsubscribe)  # type: ignore[arg-type]  # detaches the forwarder
+        self._unsubscribes.append(channel.unsubscribe)  # withdraws the forwarder
         return self
 
     @property  # type: ignore[override]

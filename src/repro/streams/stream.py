@@ -57,6 +57,8 @@ class Stream:
         self.stats = StreamStats()
         self.closed = False
         self._subscribers: list[Subscriber] = []
+        #: (batch entry points, per-item subscribers), built by the first burst after a (un)subscribe
+        self._split: tuple[tuple, tuple] | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -71,27 +73,18 @@ class Stream:
         """Register ``callback`` and return a function that unsubscribes it
         (calling it again does nothing)."""
         self._subscribers.append(callback)
+        self._split = None
 
         def unsubscribe() -> None:
             if callback in self._subscribers:
                 self._subscribers.remove(callback)
+                self._split = None
 
         return unsubscribe
 
     @property
     def subscriber_count(self) -> int:
         return len(self._subscribers)
-
-    def has_subscribers_beyond(self, baseline: int) -> bool:
-        """True when more than ``baseline`` subscribers are attached.
-
-        Compiled pipelines snapshot the subscriber count of each intermediate
-        boundary stream right after wiring their own continuation; any count
-        above that baseline means an external consumer (stream reuse, a test
-        tap, a replica) attached later, so the boundary must be written
-        through instead of fused past.
-        """
-        return len(self._subscribers) > baseline
 
     # -- emission ----------------------------------------------------------------
 
@@ -107,10 +100,8 @@ class Stream:
             self.history.append(item)
         subscribers = self._subscribers
         if len(subscribers) == 1:
-            # common delivery-path shape (channel proxy -> one forwarder):
-            # skip the defensive copy; a lone subscriber that unsubscribes
-            # or subscribes others mid-call sees the same behaviour a
-            # snapshot would give it
+            # common delivery-path shape: no defensive copy; a lone subscriber that
+            # (un)subscribes mid-call sees the same behaviour a snapshot would give it
             subscribers[0](item)
         else:
             for subscriber in list(subscribers):
@@ -139,15 +130,17 @@ class Stream:
           raised to the producer.
         """
         batch = items if isinstance(items, list) else list(items)
+        for item in () if self.closed else batch:  # a closed stream raises StreamClosedError first
+            if not isinstance(item, Element):
+                raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
+        self.emit_trusted(batch)
+
+    def emit_trusted(self, batch: list[Element]) -> None:
+        """:meth:`emit_many` minus the item check, for an engine's list of Elements."""
         if not batch:
             return
         if self.closed:
             raise StreamClosedError(f"stream {self.qualified_id} is closed")
-        for item in batch:
-            if not isinstance(item, Element):
-                raise TypeError(
-                    f"stream items must be Elements, got {type(item).__name__}"
-                )
         self.deliver_many(batch)
         if self.closed:
             raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
@@ -159,18 +152,7 @@ class Stream:
         stats.items += len(batch)
         if self.keep_history:
             self.history.extend(batch)
-        batch_subscribers = []
-        item_subscribers = []
-        for subscriber in list(self._subscribers):
-            deliver_batch = getattr(subscriber, "batch", None)
-            if deliver_batch is None:
-                item_subscribers.append(subscriber)
-            elif type(subscriber) is MethodType:
-                # a bound method cannot carry attributes: it reads ``batch``
-                # off its function, which takes the method's object first
-                batch_subscribers.append(MethodType(deliver_batch, subscriber.__self__))
-            else:
-                batch_subscribers.append(deliver_batch)
+        batch_subscribers, item_subscribers = self._split or self._split_subscribers()
         for deliver_batch in batch_subscribers:
             deliver_batch(batch)
             if self.closed:
@@ -181,6 +163,23 @@ class Stream:
                     subscriber(item)
                 if self.closed:
                     return
+
+    def _split_subscribers(self) -> tuple[tuple, tuple]:
+        """Cache the batch entry points and the per-item rest, in order, as tuples."""
+        batch_subscribers: list = []
+        item_subscribers: list = []
+        for subscriber in self._subscribers:
+            deliver_batch = getattr(subscriber, "batch", None)
+            if deliver_batch is None:
+                item_subscribers.append(subscriber)
+            elif type(subscriber) is MethodType:
+                # a bound method cannot carry attributes: it reads ``batch``
+                # off its function, which takes the method's object first
+                batch_subscribers.append(MethodType(deliver_batch, subscriber.__self__))
+            else:
+                batch_subscribers.append(deliver_batch)
+        self._split = (tuple(batch_subscribers), tuple(item_subscribers))
+        return self._split
 
     def close(self) -> None:
         """Emit the end-of-stream marker and refuse further items."""
@@ -197,7 +196,7 @@ class Stream:
         else:
             self.emit(item)  # type: ignore[arg-type]
 
-    push.batch = emit_many  # type: ignore[attr-defined]  # a relayed burst stays one burst
+    push.batch = emit_trusted  # type: ignore[attr-defined]  # a relayed burst stays one burst
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
