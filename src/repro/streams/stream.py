@@ -3,7 +3,8 @@
 A :class:`Stream` is the in-process representation of the paper's XML
 streams.  Producers (alerters, operators) call :meth:`Stream.emit`; every
 subscriber callback receives the item.  Cross-peer delivery is layered on
-top by :mod:`repro.net.channel`, which subscribes a forwarding callback.
+top by :mod:`repro.net.channel`, whose forwarder subscribes while a channel
+has a subscriber.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ class Stream:
           raised to the producer.
         """
         batch = items if isinstance(items, list) else list(items)
-        for item in () if self.closed else batch:  # a closed stream raises StreamClosedError first
-            if not isinstance(item, Element):
-                raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
+        if not self.closed:  # a closed stream raises StreamClosedError before any item is checked
+            for item in batch:
+                if not isinstance(item, Element):
+                    raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
         self.emit_trusted(batch)
 
     def emit_trusted(self, batch: list[Element]) -> None:
