@@ -35,13 +35,30 @@ MSG_ACK = "channel.ack"
 
 
 class OutboxEntry:
-    """One unacknowledged item wrapper awaiting (re)transmission."""
+    """One unacknowledged message -- an item or a frame -- awaiting (re)transmission."""
 
     __slots__ = ("wrapper", "attempts")
 
     def __init__(self, wrapper: Element) -> None:
         self.wrapper = wrapper
         self.attempts = 0
+
+
+class Outbox(dict[int, OutboxEntry]):
+    """One subscriber's unacknowledged messages, keyed by the number of
+    their first item; ``items_held`` counts the items they carry, so that
+    dropping the outbox drops its count too."""
+
+    items_held = 0
+
+    def drop(self, seq: int) -> int:
+        """Forget message ``seq`` (acked or shed); the items it carried."""
+        entry = self.pop(seq, None)
+        if entry is None:
+            return 0
+        count = len(entry.wrapper.children)
+        self.items_held -= count
+        return count
 
 
 @dataclass(slots=True)
@@ -61,8 +78,8 @@ class Channel:
     _detach: Callable[[], None] | None = field(default=None, repr=False, compare=False)  # takes it off again
     #: per-subscriber item sequence numbers (exactly-once deduplication)
     next_seq: dict[str, int] = field(default_factory=dict, repr=False)
-    #: reliable mode: per-subscriber unacked wrappers, keyed by sequence
-    outbox: dict[str, dict[int, OutboxEntry]] = field(
+    #: reliable mode: per-subscriber unacked messages
+    outbox: dict[str, Outbox] = field(
         default_factory=dict, repr=False
     )
     #: reliable mode: subscribers the failure detector confirmed dead --
@@ -188,17 +205,19 @@ class ChannelRegistry:
     """Per-peer registry of published channels and remote subscriptions.
 
     With ``reliable = True`` (set network-wide by detector-mode systems)
-    item delivery becomes acknowledged: every sent wrapper is held in the
-    channel's per-subscriber outbox until the receiver acks its sequence
-    number, and :meth:`retransmit_tick` re-sends whatever is still pending.
+    item delivery becomes acknowledged: every sent message -- an item, or
+    a burst's frame -- is held in the channel's per-subscriber outbox until
+    the receiver acks the number of its first item, and
+    :meth:`retransmit_tick` re-sends whatever is still pending.
     Subscribers the failure detector confirms dead are skipped by the
     sweep; their unacked items survive until a takeover subscriber claims
     them (:meth:`claim_orphans`) or the peer rejoins.
     """
 
-    #: retransmission attempts per item before shedding it (with accounting)
+    #: retransmission attempts per message before shedding it (with accounting)
     RETRY_LIMIT = 8
-    #: per-subscriber outbox size; the oldest entry is shed beyond this
+    #: items held per subscriber; whole oldest messages are shed beyond
+    #: this, never the newest
     OUTBOX_LIMIT = 1024
 
     def __init__(self, peer: "Peer") -> None:
@@ -211,7 +230,7 @@ class ChannelRegistry:
         #: takeover replays staged for the next :meth:`retransmit_tick` --
         #: flushed there, not immediately, so a claiming subscriber's
         #: operator is connected before the first replayed item arrives
-        self._pending_replays: list[tuple[Channel, str, list[list[Element]]]] = []
+        self._pending_replays: list[tuple[Channel, str, list[Element]]] = []
         #: epoch-handoff adoptions (:meth:`adopt_orphans`): payloads rescued
         #: from a retiring channel, emitted into its successor stream once
         #: that stream's channel has gained a subscriber.  Each entry is
@@ -248,11 +267,7 @@ class ChannelRegistry:
             self._forward_batch(channel, [item])
 
     def _forward_many(self, channel: Channel, items: list[Element]) -> None:
-        if self.reliable:  # the outbox, acks and retransmission are per sequence number
-            for item in items:
-                self._forward_batch(channel, [item])
-        else:
-            self._forward_batch(channel, items, len(items))
+        self._forward_batch(channel, items, len(items))
 
     def unpublish(self, channel_id: str) -> bool:
         """Withdraw a published channel, freeing its name for reuse.
@@ -319,10 +334,10 @@ class ChannelRegistry:
             for subscriber in subscribers:
                 self._peer.send(subscriber, MSG_EOS, payload)
 
-    def _forward_batch(self, channel: Channel, items: list[Element], count: int = 1) -> None:
+    def _forward_batch(self, channel: Channel, items: list[Element], count: int = 1, to: tuple[str, ...] = ()) -> None:
         """Send ``items`` -- ``count`` of them -- to every subscriber of
-        ``channel`` in one message each: an item as ``channel.item``, a burst
-        (never on a reliable registry) as one ``channel.items`` frame.
+        ``channel``, or to the ``to`` ones, in one message each: an item as
+        ``channel.item``, a burst as one ``channel.items`` frame.
 
         The emitted trees cross the link themselves, uncopied, as every local
         subscriber gets them (a stream item is immutable once emitted); only
@@ -331,7 +346,7 @@ class ChannelRegistry:
         its weight set from its parts, not by a walk.  All wrappers of one
         call share one fresh list of the items as their children.
         """
-        subscribers = channel.sorted_subscribers()
+        subscribers = to or channel.sorted_subscribers()
         if not subscribers or not items:
             return
         weight = channel._wrapper_overhead
@@ -381,11 +396,11 @@ class ChannelRegistry:
     ) -> None:
         bucket = channel.outbox.get(subscriber)
         if bucket is None:
-            bucket = channel.outbox[subscriber] = {}
+            bucket = channel.outbox[subscriber] = Outbox()
         bucket[seq] = OutboxEntry(wrapper)
-        if len(bucket) > self.OUTBOX_LIMIT:
-            bucket.pop(min(bucket))
-            self._peer.network.stats.items_shed += 1
+        bucket.items_held += len(wrapper.children)
+        while bucket.items_held > self.OUTBOX_LIMIT and len(bucket) > 1:
+            self._peer.network.stats.items_shed += bucket.drop(min(bucket))
 
     # -- subscribing side -----------------------------------------------------
 
@@ -494,47 +509,36 @@ class ChannelRegistry:
     def _on_item(self, message) -> None:
         payload = message.payload
         attrib = payload.attrib
-        if self.reliable:
-            # ack everything carrying a sequence number -- duplicates and
-            # items for an already-gone proxy included -- so the publisher's
-            # outbox drains regardless of what happens to the item here
-            seq_text = attrib.get("seq")
-            if seq_text is not None and message.source != self._peer.peer_id:
-                self._peer.send(
-                    message.source,
-                    MSG_ACK,
-                    Element(
-                        "channelAck",
-                        {"channelId": attrib["channelId"], "seq": seq_text},
-                    ),
-                )
-                self._peer.network.stats.acks_sent += 1
+        seq_text = attrib["seq"]
+        if self.reliable and message.source != self._peer.peer_id:
+            # ack every message by its first number -- duplicates and
+            # messages for an already-gone proxy included -- so the
+            # publisher's outbox drains regardless of what happens here
+            self._peer.send(
+                message.source,
+                MSG_ACK,
+                Element("channelAck", {"channelId": attrib["channelId"], "seq": seq_text}),
+            )
+            self._peer.network.stats.acks_sent += 1
         proxy = self._proxies.get((attrib["publisher"], attrib["channelId"]))
         if proxy is None or proxy.closed:
             return  # late item for an unsubscribed/closed proxy: drop it
+        items, first = payload.children, int(seq_text)
+        if first == proxy._seq_floor + 1 and not proxy.seen_seqs:
+            proxy._seq_floor += len(items)  # in order, nothing parked: K numbers, one comparison
+        else:
+            items = [item for seq, item in enumerate(items, first) if proxy.accept_seq(seq)]
+            proxy.duplicates_dropped += len(payload.children) - len(items)
+            if not items:
+                return  # a faulty (or retransmitting) network duplicated all of it
         if message.kind == MSG_ITEMS:
-            items, first = payload.children, int(attrib["seq"])
-            if first == proxy._seq_floor + 1 and not proxy.seen_seqs:
-                proxy._seq_floor += len(items)  # in order, nothing parked: K numbers, one comparison
-            else:
-                items = [item for seq, item in enumerate(items, first) if proxy.accept_seq(seq)]
-                proxy.duplicates_dropped += len(payload.children) - len(items)
-            if items:
-                # Stream.emit_many without its checks: a replica channel of
-                # the proxy forwards one frame and never sees an item
-                proxy.deliver_many(items)
+            # Stream.emit_many without its checks: a replica channel of the
+            # proxy forwards one frame and never sees an item
+            proxy.deliver_many(items)
             return
-        seq_text = attrib.get("seq")
-        if seq_text is not None:
-            seq = int(seq_text)
-            if seq == proxy._seq_floor + 1 and not proxy.seen_seqs:
-                proxy._seq_floor = seq  # in order, nothing parked: no set
-            elif not proxy.accept_seq(seq):
-                proxy.duplicates_dropped += 1
-                return  # a faulty (or retransmitting) network duplicated this item
         # Stream.emit without its checks: the proxy is open and the publisher's
         # stream validated the item
-        item = payload.children[0]
+        item = items[0]
         stats = proxy.stats
         stats.items += 1
         if proxy.keep_history:
@@ -553,7 +557,7 @@ class ChannelRegistry:
             return
         bucket = channel.outbox.get(message.source)
         if bucket is not None:
-            bucket.pop(int(attrib["seq"]), None)
+            bucket.drop(int(attrib["seq"]))
             if not bucket:
                 channel.outbox.pop(message.source, None)
 
@@ -566,12 +570,12 @@ class ChannelRegistry:
     # -- reliable delivery (retransmission, death, takeover) -------------------
 
     def retransmit_tick(self) -> None:
-        """One reliability round: flush staged replays, re-send unacked items.
+        """One reliability round: flush staged replays, re-send unacked messages.
 
-        Called once per system tick in detector mode.  Items for
-        confirmed-dead subscribers are skipped (held for takeover); items
-        re-sent more than :data:`RETRY_LIMIT` times are shed with
-        accounting.
+        Called once per system tick in detector mode.  Messages for
+        confirmed-dead subscribers are skipped (held for takeover); messages
+        re-sent more than :data:`RETRY_LIMIT` times are shed, and their
+        items counted.
         """
         if not self.reliable:
             return
@@ -610,63 +614,46 @@ class ChannelRegistry:
             self._pending_adoptions = still_pending
         if self._pending_replays:
             replays, self._pending_replays = self._pending_replays, []
-            for channel, subscriber, payloads in replays:
+            for channel, subscriber, items in replays:
                 if self._published.get(channel.channel_id) is not channel:
                     continue  # channel withdrawn while the replay was staged
                 if subscriber == self._peer.peer_id:
                     proxy = self._proxies.get(
                         (self._peer.peer_id, channel.channel_id)
                     )
-                    if proxy is not None and not proxy.closed:
-                        for sent in payloads:
-                            proxy.push(sent[0])
-                        stats.items_replayed += len(payloads)
+                    if proxy is None or proxy.closed:
+                        continue
+                    for item in items:
+                        proxy.push(item)
                 elif subscriber in channel.subscribers:
-                    self._replay_to(channel, subscriber, payloads)
+                    # the claimed items go to the taker as fresh ones
+                    self._forward_batch(channel, items, len(items), (subscriber,))
+                else:
+                    continue
+                stats.items_replayed += len(items)
         for channel_id in sorted(self._published):
             channel = self._published[channel_id]
             outbox = channel.outbox
             if not outbox:
                 continue
             sends: list[tuple[str, str, Element]] = []
-            emptied: list[str] = []
             for subscriber in sorted(outbox):
                 if subscriber in channel.dead:
                     continue
                 entries = outbox[subscriber]
-                expired = []
                 for seq in sorted(entries):
                     entry = entries[seq]
                     entry.attempts += 1
                     if entry.attempts > self.RETRY_LIMIT:
-                        expired.append(seq)
-                        stats.items_shed += 1
+                        stats.items_shed += entries.drop(seq)
                         continue
-                    sends.append((subscriber, MSG_ITEM, entry.wrapper))
-                    stats.items_retransmitted += 1
-                for seq in expired:
-                    del entries[seq]
+                    wrapper = entry.wrapper
+                    sends.append((subscriber, MSG_ITEMS if wrapper.tag == "channelItems" else MSG_ITEM, wrapper))
+                    stats.items_retransmitted += len(wrapper.children)
                 if not entries:
-                    emptied.append(subscriber)
-            for subscriber in emptied:
-                outbox.pop(subscriber, None)
+                    del outbox[subscriber]
             if sends:
                 network.send_many(self._peer.peer_id, sends)
-
-    def _replay_to(
-        self, channel: Channel, subscriber: str, payloads: list[list[Element]]
-    ) -> None:
-        """Send claimed items to the takeover subscriber as fresh items."""
-        next_seq = channel.next_seq
-        sends: list[tuple[str, str, Element]] = []
-        for sent in payloads:
-            seq = next_seq.get(subscriber, 0)
-            next_seq[subscriber] = seq + 1
-            wrapper = _wrapper("channelItem", channel, str(seq), sent)
-            self._record_unacked(channel, subscriber, seq, wrapper)
-            sends.append((subscriber, MSG_ITEM, wrapper))
-        self._peer.network.stats.items_replayed += len(sends)
-        self._peer.network.send_many(self._peer.peer_id, sends)
 
     def claim_orphans(self, channel: Channel, subscriber: str) -> int:
         """Transfer dead subscribers' unacked items to ``subscriber``.
@@ -675,35 +662,36 @@ class ChannelRegistry:
         dead and the subscription is redeployed elsewhere, the replacement's
         subscribe claims whatever the dead consumer never acked, so items
         emitted during the detection window are not lost.  The claimed
-        payloads are staged and delivered on the next
-        :meth:`retransmit_tick` -- by then the takeover deployment has
+        items are staged and sent to ``subscriber`` as one burst on the
+        next :meth:`retransmit_tick` -- by then the takeover deployment has
         connected its operator to the new proxy.  Dead subscribers are
-        dropped from the channel entirely (the claim supersedes them);
-        payloads shared between several dead subscribers' wrappers are
-        claimed once.  Returns the number of claimed payloads.
+        dropped from the channel entirely (the claim supersedes them); a
+        message shared between several dead subscribers is claimed once.
+        Returns the number of claimed items.
         """
         if not channel.dead:
             return 0
-        payloads = self._take_orphans(channel)
-        if payloads:
-            self._pending_replays.append((channel, subscriber, payloads))
-        return len(payloads)
+        items = self._take_orphans(channel)
+        if items:
+            self._pending_replays.append((channel, subscriber, items))
+        return len(items)
 
     @staticmethod
-    def _take_orphans(channel: Channel) -> list[list[Element]]:
-        """Drop the dead subscribers of ``channel``; their unacked sends -- the
-        one-item list all wrappers of an emit share, so an item emitted twice
-        is claimed twice -- each once, oldest first."""
-        payloads: dict[int, list[Element]] = {}
+    def _take_orphans(channel: Channel) -> list[Element]:
+        """Drop the dead subscribers of ``channel``; the items of their unacked
+        messages, oldest first.  A message is taken by the children list all
+        wrappers of one send share, so each send is claimed once and an item
+        emitted twice is claimed twice."""
+        sends: dict[int, list[Element]] = {}
         for dead_subscriber in sorted(channel.dead):
             entries = channel.outbox.pop(dead_subscriber, {})
             for seq in sorted(entries):
                 sent = entries[seq].wrapper.children
-                payloads.setdefault(id(sent), sent)
+                sends.setdefault(id(sent), sent)
             channel.remove_subscriber(dead_subscriber)
             channel.next_seq.pop(dead_subscriber, None)
         channel.dead.clear()
-        return list(payloads.values())
+        return [item for sent in sends.values() for item in sent]
 
     def adopt_orphans(self, old_channel_id: str, successor: Stream) -> int:
         """Hand a retiring channel's orphaned items over to its successor.
@@ -714,20 +702,20 @@ class ChannelRegistry:
         :meth:`claim_orphans` cannot save items the dead consumer left
         unacked there, and the old channel's teardown would drop them.
         Called by the deployer when it re-instantiates an operator on the
-        same peer: the dead subscribers' unacked payloads move from the old
+        same peer: the dead subscribers' unacked items move from the old
         channel's outboxes into a staged adoption, emitted into
         ``successor`` (the replacement's output stream, *post*-operator, so
-        nothing is reprocessed) on the first :meth:`retransmit_tick` where
-        the successor channel has a subscriber to deliver to.  Returns the
-        number of adopted payloads.
+        nothing is reprocessed) as one burst on the first
+        :meth:`retransmit_tick` where the successor channel has a subscriber
+        to deliver to.  Returns the number of adopted items.
         """
         channel = self._published.get(old_channel_id)
         if channel is None or not channel.dead:
             return 0
-        payloads = self._take_orphans(channel)
-        if payloads:
-            self._pending_adoptions.append([successor, [sent[0] for sent in payloads], 0])
-        return len(payloads)
+        items = self._take_orphans(channel)
+        if items:
+            self._pending_adoptions.append([successor, items, 0])
+        return len(items)
 
     def handle_peer_death(self, peer_id: str) -> None:
         """Failure-detector confirmation: stop transmitting to ``peer_id``.
