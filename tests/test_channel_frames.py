@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_delivery_tail import alert, fanout, valve_on
 
-from repro.net.channel import MSG_ITEM, MSG_ITEMS, _wrapper
+from repro.net.channel import MSG_ACK, MSG_ITEM, MSG_ITEMS, _wrapper
 from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
@@ -203,22 +203,21 @@ def test_a_one_item_burst_is_an_emit_on_the_wire():
     assert burst[-1][0] == MSG_ITEM and burst[-1][2:] == ("channelItem", "0")
 
 
-def test_a_reliable_registry_keeps_one_message_and_one_outbox_entry_per_item():
+def test_a_reliable_registry_keeps_one_message_and_one_outbox_entry_per_frame():
     chain = Chain([2], reliable=True)
     chain.network.trace_enabled = True
     chain.stream.emit_many(chain.fresh(5))
     outbox = chain.peers["pub"].channels.published("feed").outbox
-    assert {subscriber: sorted(entries) for subscriber, entries in outbox.items()} == {
-        "h0.0": [0, 1, 2, 3, 4],
-        "h0.1": [0, 1, 2, 3, 4],
-    }
+    assert {subscriber: sorted(entries) for subscriber, entries in outbox.items()} == {"h0.0": [0], "h0.1": [0]}
+    assert [entries.items_held for entries in outbox.values()] == [5, 5]
     chain.network.run()
     sent = [m for m in chain.network.trace if m.source == "pub" and m.kind in ITEM_KINDS]
-    assert [m.kind for m in sent] == [MSG_ITEM] * 10
-    assert [(m.destination, m.payload.attrib["seq"]) for m in sent] == [
-        (subscriber, str(seq)) for seq in range(5) for subscriber in ("h0.0", "h0.1")
+    assert [(m.kind, m.destination, m.payload.attrib["seq"], len(m.payload.children)) for m in sent] == [
+        (MSG_ITEMS, subscriber, "0", 5) for subscriber in ("h0.0", "h0.1")
     ]
-    assert outbox == {}  # every item was acked on its own number
+    acks = [m for m in chain.network.trace if m.destination == "pub" and m.kind == MSG_ACK]
+    assert sorted((m.source, m.payload.attrib["seq"]) for m in acks) == [("h0.0", "0"), ("h0.1", "0")]
+    assert outbox == {}  # each frame was acked once, on its first number
     for name in ("h0.0", "h0.1", "h0.0/local", "pub/local"):
         assert numbers(chain.sinks[name]) == [0, 1, 2, 3, 4]
 

@@ -64,13 +64,15 @@ GOLDEN_FINGERPRINTS = {
 }
 
 #: The same crash recovery in the scenario's own failure mode (``detector``:
-#: the failure is noticed by heartbeats, not announced), captured at 143abcc.
+#: the failure is noticed by heartbeats, not announced), captured at 143abcc
+#: and re-pinned since: an adopted replay now crosses each reliable channel
+#: as one frame, and the delivered sequences are unchanged.
 GOLDEN_DETECTOR_FINGERPRINTS = {
     ("churn-failover", 7): (
-        "6cb82c61850ebf48e7f0289bdbded1de3876cdb7edc5721c5cdf3ee67901c0a9"
+        "4bfd18ce9d998815cb4e2a108583e99a1164b2e7fed96d79e101474de74018c0"
     ),
     ("churn-failover", 42): (
-        "80ccd9d9de1eb5be05f70e382e3179ee81a482803a579373132964ae4ca88089"
+        "cf7aca78271b6b5b0b366fda977b7010c62936cbd222eff2a57eb25ed9bc5c6b"
     ),
 }
 

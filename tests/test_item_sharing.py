@@ -43,10 +43,10 @@ def sent(monkeypatch):
     records: list[tuple[Element, tuple, int]] = []
     forward_batch = ChannelRegistry._forward_batch
 
-    def recording(self, channel, items, count=1):
+    def recording(self, channel, items, count=1, to=()):
         if channel.subscribers:
             records.extend((item, item.structural_key(), item.weight()) for item in items)
-        return forward_batch(self, channel, items, count)
+        return forward_batch(self, channel, items, count, to)
 
     monkeypatch.setattr(ChannelRegistry, "_forward_batch", recording)
     return records
