@@ -621,16 +621,14 @@ class ChannelRegistry:
                     proxy = self._proxies.get(
                         (self._peer.peer_id, channel.channel_id)
                     )
-                    if proxy is None or proxy.closed:
-                        continue
-                    for item in items:
-                        proxy.push(item)
+                    if proxy is not None and not proxy.closed:
+                        for item in items:
+                            proxy.push(item)
+                        stats.items_replayed += len(items)
                 elif subscriber in channel.subscribers:
                     # the claimed items go to the taker as fresh ones
                     self._forward_batch(channel, items, len(items), (subscriber,))
-                else:
-                    continue
-                stats.items_replayed += len(items)
+                    stats.items_replayed += len(items)
         for channel_id in sorted(self._published):
             channel = self._published[channel_id]
             outbox = channel.outbox
