@@ -97,7 +97,8 @@ ROUTING = ("  of which KadoP routing", "dht/chord.py", ("_route", "lookup"))
 #: phase -> (label, file under ``src/repro``, functions): a stage is
 #: everything called from the outermost activation of one of them (itself
 #: included).  Stages may nest -- the indented ones always do; the reuse key
-#: was derived inside ``ReuseEngine.apply`` until the plan template took it over
+#: was derived inside ``ReuseEngine.apply`` until the plan template took it over,
+#: and with reuse on, a template is instantiated inside it on a cache miss only
 STAGES = {"subscribe": (
     ("parse", "p2pml/parser.py", ("parse_subscription",)),
     ("compile", "p2pml/compiler.py", ("compile_subscription",)),

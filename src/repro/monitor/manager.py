@@ -181,11 +181,10 @@ class SubscriptionManager:
     ) -> SubscriptionHandle:
         template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
-        plan = template.instantiate(sub_id)
-
-        reuse_report = None
-        if engine is not None:
-            plan, reuse_report = engine.apply(plan, template.key)
+        if engine is None:
+            plan, reuse_report = template.instantiate(sub_id), None
+        else:
+            plan, reuse_report = engine.apply(template, template.key, sub_id)
 
         # a subscription submitted while peers are down must not place
         # movable operators on them (recovery redeploys the same way)

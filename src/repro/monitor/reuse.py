@@ -12,10 +12,14 @@ not been matched correspond to new streams that have to be produced."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, PlanNode, plan_signature
 from repro.monitor.stream_db import OPERATOR_NAMES, StreamDefinitionDatabase, operator_spec
 from repro.net.simnet import SimNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.p2pml.compiler import PlanTemplate
 
 
 @dataclass
@@ -71,29 +75,32 @@ def reuse_cache_key(plan: PlanNode) -> tuple[str, str]:
 class _CachedRewrite:
     """One replayable reuse outcome: the rewritten plan and what it matched."""
 
+    #: the ``reuse_version`` at which the rewrite was last known to hold
     version: int
     plan: PlanNode
     nodes_considered: int
-    #: (original node kind, canonical (peer, stream)) per match, in visit order
+    #: (original node kind, canonical (peer, stream)) per match, in visit
+    #: order; each EXISTING node of ``plan`` is one of these originals
     reused_originals: list[tuple[str, tuple[str, str]]]
-    #: for each EXISTING node of ``plan`` in post-order: index into
-    #: ``reused_originals`` of the match that produced it
-    existing_indices: list[int]
+    #: the database key of every match probe the visit issued
+    probes: list[tuple]
 
 
 class ReuseSignatureCache:
     """Interned reuse outcomes keyed by plan signature.
 
-    Entries are valid only while the Stream Definition Database's
-    ``reuse_version`` is unchanged (no reuse-relevant description published
-    or retracted since); provider choices are *not* cached -- they are
-    re-ranked on every hit, so replica churn and peer failures never serve a
-    stale provider.
+    A rewrite is decided by the answers to the match probes its visit issued,
+    so an entry holds while none of them changed: while the Stream Definition
+    Database's ``reuse_version`` is the entry's, or while no key in
+    ``probes`` was stamped (``stream_db.watched``) after it.  A probe key
+    missing from ``watched`` counts as changed.  Provider choices are *not*
+    cached -- they are re-ranked on every hit, so replica churn and peer
+    failures never serve a stale provider.
     """
 
-    #: bound on interned rewrites: each entry holds a deep-copied plan, and a
-    #: long run ingesting many distinct subscription shapes would otherwise
-    #: accumulate version-stale entries without limit
+    #: bound on interned rewrites, and on the probe keys they watch: each
+    #: entry holds a deep-copied plan, and a long run ingesting many distinct
+    #: subscription shapes would otherwise accumulate both without limit
     LIMIT = 1024
 
     def __init__(self) -> None:
@@ -101,25 +108,30 @@ class ReuseSignatureCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple[str, str], version: int) -> _CachedRewrite | None:
+    def get(self, key: tuple[str, str], stream_db: StreamDefinitionDatabase) -> _CachedRewrite | None:
         entry = self._entries.get(key)
-        if entry is None or entry.version != version:
+        if entry is None:
             return None
+        version = stream_db.reuse_version
+        if entry.version != version:
+            watched = stream_db.watched
+            for probe in entry.probes:
+                if probe not in watched or watched[probe] > entry.version:
+                    return None
+            entry.version = version  # nothing it read changed up to now
         return entry
 
-    def put(self, key: tuple[str, str], entry: _CachedRewrite) -> None:
-        if len(self._entries) >= self.LIMIT and key not in self._entries:
-            # drop the version-stale dead weight first; clear outright only
-            # when the live entries alone exceed the bound
-            stale = [k for k, e in self._entries.items() if e.version != entry.version]
-            for k in stale:
-                del self._entries[k]
-            if len(self._entries) >= self.LIMIT:
-                self._entries.clear()
+    def put(self, key: tuple[str, str], entry: _CachedRewrite, stream_db: StreamDefinitionDatabase) -> None:
+        watched = stream_db.watched
+        if (len(self._entries) >= self.LIMIT and key not in self._entries
+                or len(watched) + len(entry.probes) > self.LIMIT):
+            self._entries.clear()
+            watched.clear()
         self._entries[key] = entry
-
-    def clear(self) -> None:
-        self._entries.clear()
+        for probe in entry.probes:
+            # a stamp already there is the probe's last change, which the
+            # visit saw: raising it would fail older entries for no change
+            watched.setdefault(probe, entry.version)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,51 +151,49 @@ class ReuseEngine:
         self.network = network
         self.consumer_peer = consumer_peer
         self.signature_cache = signature_cache
-        #: id(EXISTING node) -> index into report.reused, recorded during a
-        #: visit so the signature cache can re-rank providers on replay
-        self._existing_entries: dict[int, int] = {}
         #: (original node kind, canonical (peer, stream)) per match, in visit
         #: order -- the replayable part of ``report.reused``
         self._reused_originals: list[tuple[str, tuple[str, str]]] = []
+        #: the database key of every match probe of the current visit
+        self._probes: list[tuple] = []
 
     def apply(
-        self, plan: PlanNode, key: tuple[str, str] | None = None
+        self, plan: PlanNode | PlanTemplate, key: tuple[str, str] | None = None, sub_id: str | None = None
     ) -> tuple[PlanNode, ReuseReport]:
         """Rewrite ``plan``, which the caller donates, and report what was reused.
 
         ``key`` is the plan's :func:`reuse_cache_key` when the caller holds it
         already: a plan template computes it once for all its instances.
+        With a ``sub_id``, ``plan`` is that template and ``key`` its key: the
+        instance under ``sub_id`` is built only when the cache cannot answer.
         """
         report = ReuseReport()
         cache = self.signature_cache
         if cache is not None:
             if key is None:
                 key = reuse_cache_key(plan)
-            entry = cache.get(key, self.stream_db.reuse_version)
+            entry = cache.get(key, self.stream_db)
             if entry is not None:
                 cache.hits += 1
                 return self._replay(entry, report), report
             cache.misses += 1
-        self._existing_entries.clear()
+        if sub_id is not None:
+            plan = plan.instantiate(sub_id)
         self._reused_originals = []
+        self._probes = []
         rewritten, _ = self._visit(plan, report)
-        if cache is not None and key is not None:
-            existing_indices = [
-                self._existing_entries[id(node)]
-                for node in rewritten.iter_nodes()
-                if node.kind == EXISTING
-            ]
+        if cache is not None:
             cache.put(
                 key,
                 _CachedRewrite(
                     version=self.stream_db.reuse_version,
                     plan=rewritten.copy(),
                     nodes_considered=report.nodes_considered,
-                    reused_originals=list(self._reused_originals),
-                    existing_indices=existing_indices,
+                    reused_originals=self._reused_originals,
+                    probes=self._probes,
                 ),
+                self.stream_db,
             )
-        self._existing_entries.clear()
         return rewritten, report
 
     def _replay(self, entry: _CachedRewrite, report: ReuseReport) -> PlanNode:
@@ -192,20 +202,16 @@ class ReuseEngine:
         report.cache_hit = True
         report.nodes_considered = entry.nodes_considered
         report.nodes_reused = len(entry.reused_originals)
-        providers: list[tuple[str, str]] = []
+        providers: dict[tuple[str, str], tuple[str, str]] = {}
         for kind, original in entry.reused_originals:
-            provider = self._select_provider(original, report)
-            providers.append(provider)
+            provider = providers[original] = self._select_provider(original, report)
             report.reused.append((kind, f"{original[1]}@{original[0]}", provider[0]))
-        existing_nodes = [
-            node for node in rewritten.iter_nodes() if node.kind == EXISTING
-        ]
-        for node, index in zip(existing_nodes, entry.existing_indices):
-            provider_peer, provider_stream = providers[index]
-            # provider_* params are the one sanctioned post-construction
-            # mutation: they never feed signature details or specs
-            node.params["provider_peer"] = provider_peer
-            node.params["provider_stream_id"] = provider_stream
+        for node in rewritten.iter_nodes():
+            if node.kind == EXISTING:
+                params = node.params
+                # provider_* params are the one sanctioned post-construction
+                # mutation: they never feed signature details or specs
+                params["provider_peer"], params["provider_stream_id"] = providers[params["peer"], params["stream_id"]]
         return rewritten
 
     # -- bottom-up matching -----------------------------------------------------------
@@ -232,7 +238,7 @@ class ReuseEngine:
         report.nodes_reused += 1
         report.reused.append((node.kind, f"{match[1]}@{match[0]}", provider_peer))
         self._reused_originals.append((node.kind, match))
-        existing = PlanNode(
+        return PlanNode(
             EXISTING,
             {
                 # canonical (original) identity, used when describing derived streams
@@ -244,9 +250,7 @@ class ReuseEngine:
                 "var": node.params.get("var"),
             },
             [],
-        )
-        self._existing_entries[id(existing)] = len(report.reused) - 1
-        return existing, match
+        ), match
 
     def _match_node(
         self,
@@ -261,7 +265,9 @@ class ReuseEngine:
             if not peer or peer == "local":
                 return None
             report.queries_issued += 1
-            found = self.stream_db.find_alerter_streams(peer, node.params.get("alerter", ""))
+            kind = node.params.get("alerter", "")
+            self._probes.append((peer, kind))
+            found = self.stream_db.find_alerter_streams(peer, kind)
             if found:
                 return found[0].peer_id, found[0].stream_id
             return None
@@ -272,11 +278,9 @@ class ReuseEngine:
         if operator_name is None:
             return None
         report.queries_issued += 1
-        found = self.stream_db.find_operator_streams(
-            operator_name,
-            operator_spec(node),
-            [match for match in child_matches if match is not None],
-        )
+        spec = operator_spec(node)
+        self._probes.append((operator_name, tuple(sorted(child_matches)), spec))
+        found = self.stream_db.find_operator_streams(operator_name, spec, child_matches)
         if found:
             return found[0].peer_id, found[0].stream_id
         return None

@@ -185,11 +185,16 @@ class StreamDefinitionDatabase:
         #: be deindexed even when its document has since been overwritten
         self._replica_keys: dict[str, tuple[str, str]] = {}
         #: bumped whenever a description that can influence reuse *matching*
-        #: changes: any ``<Stream>`` except Publisher outputs (a PUBLISH node
-        #: is never matched) and excluding ``<InChannel>`` replicas (they only
-        #: affect provider choice, which is re-ranked on every probe).  The
-        #: reuse signature cache keys its entries on this counter.
+        #: is filed or deindexed: any ``<Stream>`` except Publisher outputs (a
+        #: PUBLISH node is never matched), never an ``<InChannel>`` replica
+        #: (replicas only affect provider choice, re-ranked on every probe)
         self.reuse_version = 0
+        #: reuse probe keys some signature cache entry watches -- an alerter
+        #: probe's ``(peer, kind)``, an operator probe's ``(operator, sorted
+        #: operands, spec)`` -- -> the ``reuse_version`` at which a filing or
+        #: deindexing last changed that probe's answer; the cache fills it,
+        #: the database only stamps keys already in it
+        self.watched: dict[tuple, int] = {}
 
     # -- publication ---------------------------------------------------------------
 
@@ -218,8 +223,6 @@ class StreamDefinitionDatabase:
         self._publish(document, doc_id, description.peer_id)
         self._deindex_document(doc_id)  # a republish replaces the earlier filing
         self._file(doc_id, description)
-        if description.operator != OPERATOR_NAMES[PUBLISH]:
-            self.reuse_version += 1
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
@@ -382,8 +385,16 @@ class StreamDefinitionDatabase:
 
     def _file(self, doc_id: str, description: StreamDescription) -> None:
         self._descriptions[doc_id] = description
-        self._by_operator.setdefault((description.operator, tuple(sorted(description.operands))), set()).add(doc_id)
-        self._by_alerter.setdefault((description.peer_id, description.operator), set()).add(doc_id)
+        operator_key = (description.operator, tuple(sorted(description.operands)))
+        alerter_key = (description.peer_id, description.operator)
+        self._by_operator.setdefault(operator_key, set()).add(doc_id)
+        self._by_alerter.setdefault(alerter_key, set()).add(doc_id)
+        if description.operator != OPERATOR_NAMES[PUBLISH]:
+            # inline, not a helper: every publication passes here, reuse on or off
+            self.reuse_version += 1
+            for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
+                if key in self.watched:
+                    self.watched[key] = self.reuse_version
 
     def _file_replica(self, doc_id: str, original: tuple[str, str], replica: tuple[str, str]) -> None:
         self._replica_map.setdefault(original, {})[doc_id] = replica
@@ -403,7 +414,11 @@ class StreamDefinitionDatabase:
                     if not bucket:
                         del filing[key]
             if description.operator != OPERATOR_NAMES[PUBLISH]:
+                # the stamp of ``_file``, inline for the same reason: every cancel passes here
                 self.reuse_version += 1
+                for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
+                    if key in self.watched:
+                        self.watched[key] = self.reuse_version
             return description.peer_id
         original = self._replica_keys.pop(doc_id, None)
         if original is None:
