@@ -203,7 +203,6 @@ def test_a_cached_pass_equals_an_uncached_visit_and_hits_where_the_old_rule_did(
     apply = ReuseEngine.apply
     #: cache key -> the database version at which the old rule last recorded it
     recorded: dict[tuple[str, str], int] = {}
-    passes = {"cached": 0, "old hits": 0}
 
     def checked(self, template, key=None, sub_id=None):
         assert sub_id is not None and key == template.key
@@ -214,8 +213,6 @@ def test_a_cached_pass_equals_an_uncached_visit_and_hits_where_the_old_rule_did(
         rewritten, report = apply(self, template, key, sub_id)
         assert outcome(rewritten, report) == outcome(*reference)
         assert report.cache_hit or not old_hit
-        passes["cached"] += report.cache_hit
-        passes["old hits"] += old_hit
         return rewritten, report
 
     ReuseEngine.apply = checked
@@ -229,7 +226,6 @@ def test_a_cached_pass_equals_an_uncached_visit_and_hits_where_the_old_rule_did(
         system.run()
     finally:
         ReuseEngine.apply = apply
-    assert passes["cached"] >= passes["old hits"]
     for handle in live:
         handle.cancel()
     assert len(system.resources) == 0
