@@ -155,7 +155,7 @@ def _make_email(ctx: PublisherContext) -> Publisher:
 
 @register_publisher("file")
 def _make_file(ctx: PublisherContext) -> Publisher:
-    return FilePublisher(ctx.params.get("path"))
+    return FilePublisher(ctx.params["target"])
 
 
 @register_publisher("rss")

@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.plan import EXISTING, FILTER, JOIN, UNION
 from repro.monitor import P2PMSystem
 from repro.workloads import EdosNetwork, MeteoScenario, RSSFeedSimulator
+from repro.xmlmodel import parse_xml, to_xml
 
 
 class TestMeteoScenario:
@@ -93,6 +94,21 @@ class TestSubscriptionManagement:
         outbox = task.publisher.outbox
         assert len(outbox) == len(task.results())
         assert outbox, "slow calls should have been mailed"
+
+    def test_file_publication_writes_its_target(self, tmp_path):
+        path = tmp_path / "incidents.xml"
+        scenario = MeteoScenario(seed=9)
+        text = scenario.subscription_text().replace(
+            'by publish as channel "alertQoS"', f'by file "{path.resolve()}"'
+        )
+        task = scenario.monitor.subscribe(text, sub_id="file-alerts", max_results=1024)
+        scenario.system.run()
+        scenario.run_traffic(200)
+        assert task.results(), "slow calls should have been written"
+        written = parse_xml(path.read_text(encoding="utf-8"))
+        assert [to_xml(item) for item in written.children] == [to_xml(item) for item in task.results()]
+        task.cancel()
+        assert len(parse_xml(path.read_text(encoding="utf-8")).children) == len(task.results())
 
 
 class TestStreamReuseEndToEnd:
