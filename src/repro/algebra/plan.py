@@ -190,9 +190,7 @@ def _signature_detail(node: PlanNode) -> str:
     if node.kind == PUBLISH:
         mode = params.get("mode", "channel")
         if mode == "local":
-            # a local publish target is the subscription id -- a label, not a
-            # parameter of the computed stream; keying on it would make every
-            # locally-consumed subscription's signature unique
+            # a local publish has no target: its subscription's valve reads it
             return "local"
         return f"{mode}:{params.get('target', '')}"
     return ""

@@ -1,29 +1,23 @@
-"""Cache of compiled pipeline programs, keyed by stage signatures + epoch.
+"""Cache of compiled pipeline programs, keyed by their stage signatures.
 
-Recovery and make-before-break redeployments bump the deployment epoch; keying
-compiled programs on it guarantees a replacement deployment never inherits a
-program whose stages were built against the failed epoch's assumptions, while
-steady-state redeployments of the same plan shape compile exactly once.
+A stage's program depends only on its stage signature, so a segment compiles
+once per system: every deployment of the same shape -- a twin subscription,
+a make-before-break or recovery redeploy -- takes the programs already built.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-#: Program cache key: (interned stage signatures of the segment, epoch).
-ProgramKey = tuple[tuple[str, ...], int]
+#: Program cache key: the interned stage signatures of the segment.
+ProgramKey = tuple[str, ...]
 
 
 class CompiledPlanCache:
-    """Interned compiled programs, epoch-invalidated.
+    """Interned compiled programs, cleared outright when full."""
 
-    Mirrors the reuse layer's :class:`ReuseSignatureCache` eviction policy:
-    bounded, dropping entries from dead epochs first and clearing outright
-    only when live entries alone exceed the bound.
-    """
-
-    #: bound on retained programs (each holds its stages' closures): long
-    #: churny runs would otherwise accumulate epoch-stale ones without limit
+    #: bound on retained programs (each holds its stages' closures): a long
+    #: run over many distinct shapes would otherwise accumulate them without limit
     LIMIT = 512
 
     def __init__(self) -> None:
@@ -40,17 +34,9 @@ class CompiledPlanCache:
         return program
 
     def put(self, key: ProgramKey, program: tuple[Any, ...]) -> None:
-        if len(self._entries) >= self.LIMIT and key not in self._entries:
-            epoch = key[1]
-            stale = [k for k in self._entries if k[1] != epoch]
-            for k in stale:
-                del self._entries[k]
-            if len(self._entries) >= self.LIMIT:
-                self._entries.clear()
+        if len(self._entries) >= self.LIMIT:
+            self._entries.clear()
         self._entries[key] = program
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def snapshot(self) -> dict[str, int | float]:
         total = self.hits + self.misses

@@ -170,17 +170,16 @@ class PlanCompiler:
 
     # -- compilation ---------------------------------------------------------
 
-    def compile_segment(self, chain: list[PlanNode], epoch: int) -> tuple[CompiledStage, ...]:
-        """Compile a head-first chain into its stage tuple, cached per epoch."""
+    def compile_segment(self, chain: list[PlanNode]) -> tuple[CompiledStage, ...]:
+        """Compile a head-first chain into its stage tuple, cached by its stage signatures."""
         signatures = tuple(stage_signature(node) for node in chain)
-        key = (signatures, epoch)
-        program = self.cache.get(key)
+        program = self.cache.get(signatures)
         if program is None:
             program = tuple(
                 CompiledStage(FILTER, signature) if node.kind == FILTER else self._build_restructure(node, signature)
                 for node, signature in zip(chain, signatures)
             )
-            self.cache.put(key, program)
+            self.cache.put(signatures, program)
         return program
 
     def _build_restructure(self, node: PlanNode, signature: str) -> CompiledStage:

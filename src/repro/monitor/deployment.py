@@ -393,7 +393,7 @@ class Deployer:
         """
         peer = self.system.peer(chain[-1].placement)
         compiler = self.system.compiler
-        program = compiler.compile_segment(chain, self._epoch)
+        program = compiler.compile_segment(chain)
         pipeline = CompiledPipeline(program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats)
         handle = self._deploy_node(chain[0].children[0], task)
         peer.operators.append(pipeline)

@@ -47,8 +47,8 @@ TEMPLATE_TABLE_LIMIT = 4096
 
 
 def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate:
-    """Compile and optimise ``ast`` once, under the empty sub-id, for every subscription to it."""
-    plan = optimize_plan(compile_subscription(ast, ""), push_selections=push_selections)
+    """Compile and optimise ``ast`` once, for every subscription to it."""
+    plan = optimize_plan(compile_subscription(ast), push_selections=push_selections)
     key = reuse_cache_key(plan)  # fills every node's signature detail on the way
     for node in plan.iter_nodes():
         operator_spec(node)
@@ -182,9 +182,9 @@ class SubscriptionManager:
         template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
         if engine is None:
-            plan, reuse_report = template.instantiate(sub_id), None
+            plan, reuse_report = template.instantiate(), None
         else:
-            plan, reuse_report = engine.apply(template, template.key, sub_id)
+            plan, reuse_report = engine.apply(template)
 
         # a subscription submitted while peers are down must not place
         # movable operators on them (recovery redeploys the same way)
@@ -282,7 +282,7 @@ class SubscriptionManager:
         # teardown closing it cannot end the delivery stream
         record.valve.disconnect()
         try:
-            pruned, pending = prune_dead_sources(record.template.instantiate(sub_id), down)
+            pruned, pending = prune_dead_sources(record.template.instantiate(), down)
             if pruned is None:
                 return "waiting", tuple(sorted(pending))
             place_plan(

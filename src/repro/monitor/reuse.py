@@ -12,14 +12,11 @@ not been matched correspond to new streams that have to be produced."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, PlanNode, plan_signature
 from repro.monitor.stream_db import OPERATOR_NAMES, StreamDefinitionDatabase, operator_spec
 from repro.net.simnet import SimNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.p2pml.compiler import PlanTemplate
+from repro.p2pml.compiler import PlanTemplate
 
 
 @dataclass
@@ -40,34 +37,22 @@ class ReuseReport:
         return self.nodes_reused / self.nodes_considered
 
 
+#: the per-node parameters that shape a deployed plan beyond its signature
+_KEY_PARAMS = (
+    "var", "left_var", "right_var", "membership_var", "mode", "key", "every", "criterion", "target", "subscriber"
+)
+
+
 def reuse_cache_key(plan: PlanNode) -> tuple[str, str]:
     """Cache key under which a whole reuse pass may be replayed.
 
     ``plan_signature`` alone is deliberately coarse (it identifies plans that
-    *compute the same streams*, ignoring variable names and local publication
-    targets), so the key extends it with the per-node parameters that shape
-    the deployed plan.  Plans whose keys are equal get identical rewrites
-    from identical database states.
+    *compute the same streams*, ignoring variable names), so the key extends
+    it with the per-node parameters that shape the deployed plan.  Plans
+    whose keys are equal get identical rewrites from identical database
+    states.
     """
-    parts: list[str] = []
-    for node in plan.iter_nodes():
-        keys = [
-            "var",
-            "left_var",
-            "right_var",
-            "membership_var",
-            "mode",
-            "key",
-            "every",
-            "criterion",
-        ]
-        if node.params.get("mode") != "local":
-            # a local-mode PUBLISH embeds the subscription id as its target,
-            # but deployment ignores it: keying on it would make every
-            # locally-consumed subscription's key unique for no reason
-            keys += ["target", "subscriber"]
-        extras = [str(node.params.get(key, "")) for key in keys]
-        parts.append("\x1f".join(extras))
+    parts = ["\x1f".join([str(node.params.get(name, "")) for name in _KEY_PARAMS]) for node in plan.iter_nodes()]
     return plan_signature(plan), "\x1e".join(parts)
 
 
@@ -157,28 +142,24 @@ class ReuseEngine:
         #: the database key of every match probe of the current visit
         self._probes: list[tuple] = []
 
-    def apply(
-        self, plan: PlanNode | PlanTemplate, key: tuple[str, str] | None = None, sub_id: str | None = None
-    ) -> tuple[PlanNode, ReuseReport]:
-        """Rewrite ``plan``, which the caller donates, and report what was reused.
+    def apply(self, source: PlanNode | PlanTemplate) -> tuple[PlanNode, ReuseReport]:
+        """Rewrite ``source`` and report what was reused.
 
-        ``key`` is the plan's :func:`reuse_cache_key` when the caller holds it
-        already: a plan template computes it once for all its instances.
-        With a ``sub_id``, ``plan`` is that template and ``key`` its key: the
-        instance under ``sub_id`` is built only when the cache cannot answer.
+        ``source`` is a plan, which the caller donates, or a template, which
+        holds its reuse cache key and is instantiated only when the cache
+        cannot answer.
         """
         report = ReuseReport()
         cache = self.signature_cache
+        template = source if type(source) is PlanTemplate else None
         if cache is not None:
-            if key is None:
-                key = reuse_cache_key(plan)
+            key = source.key if template is not None else reuse_cache_key(source)
             entry = cache.get(key, self.stream_db)
             if entry is not None:
                 cache.hits += 1
                 return self._replay(entry, report), report
             cache.misses += 1
-        if sub_id is not None:
-            plan = plan.instantiate(sub_id)
+        plan = template.instantiate() if template is not None else source
         self._reused_originals = []
         self._probes = []
         rewritten, _ = self._visit(plan, report)

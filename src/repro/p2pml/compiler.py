@@ -44,56 +44,37 @@ from repro.xmlmodel.xpath import XPath, XPathError
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def compile_text(text: str, sub_id: str = "subscription") -> PlanNode:
-    """Parse and compile a subscription given as P2PML text."""
-    return compile_subscription(parse_subscription(text), sub_id)
+def compile_text(text: str, prefix: str = "") -> PlanNode:
+    """Parse and compile a subscription given as P2PML text.
+
+    ``prefix`` only names the plan's FILTER subscriptions (``prefix:var``) and
+    nested sources (``prefix/var``); no node records who deploys the plan.
+    """
+    return _Compiler(parse_subscription(text), prefix).compile()
 
 
-def compile_subscription(ast: SubscriptionAST, sub_id: str = "subscription") -> PlanNode:
+def compile_subscription(ast: SubscriptionAST) -> PlanNode:
     """Compile a parsed subscription into a monitoring plan."""
-    return _Compiler(ast, sub_id).compile()
+    return _Compiler(ast, "").compile()
 
 
 class PlanTemplate:
-    """What all subscriptions to one P2PML text share, next to what each owns.
+    """What all subscriptions to one P2PML text share.
 
-    ``plan`` is the optimised plan of ``ast`` compiled under the *empty*
-    sub-id, memos filled, and ``key`` its reuse cache key.  The compiler only
-    writes the sub-id as a prefix -- of nested ids (``sub/var``), FILTER
-    subscription ids (``sub:var``) and the PUBLISH target it adds without a BY
-    clause -- so under the empty id each such slot holds just its suffix.
-    Slots are positions (``stamps_target``: the root; ``filter_paths``: child-index
-    paths to the FILTER nodes), never text looked for in the user's data.
+    ``plan`` is the optimised plan of ``ast``, memos filled, and ``key`` its
+    reuse cache key.  No node names a subscription: a stream is identified by
+    what it computes (Section 5), and what a deployment owns -- stream ids,
+    ledger keys, its valve -- lives on its subscription record.
     """
 
-    __slots__ = ("ast", "plan", "push_selections", "key", "stamps_target", "filter_paths")
+    __slots__ = ("ast", "plan", "push_selections", "key")
 
     def __init__(self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str]) -> None:
         self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
-        self.stamps_target = ast.by is None
-        self.filter_paths: list[tuple[int, ...]] = []
-        self._find_filters(plan, ())
 
-    def _find_filters(self, node: PlanNode, path: tuple[int, ...]) -> None:
-        for index, child in enumerate(node.children):
-            self._find_filters(child, (*path, index))
-        if node.kind == FILTER:
-            self.filter_paths.append(path)
-
-    def instantiate(self, sub_id: str) -> PlanNode:
-        """A copy of ``plan`` stamped with ``sub_id``; no ``params`` dict or ``children`` list is shared."""
-        plan = self.plan.copy()
-        if self.stamps_target:
-            plan.params["target"] = sub_id
-        for path in self.filter_paths:
-            node = plan
-            for index in path:
-                node = node.children[index]
-            blank = node.params["subscription"]
-            node.params["subscription"] = FilterSubscription(
-                sub_id + blank.sub_id, blank.simple, blank.complex_queries, blank.computed
-            )
-        return plan
+    def instantiate(self) -> PlanNode:
+        """A copy of ``plan``; no ``params`` dict or ``children`` list is shared."""
+        return self.plan.copy()
 
 
 class _ConditionBuckets:
@@ -110,9 +91,10 @@ class _ConditionBuckets:
 
 
 class _Compiler:
-    def __init__(self, ast: SubscriptionAST, sub_id: str) -> None:
+    def __init__(self, ast: SubscriptionAST, prefix: str) -> None:
         self.ast = ast
-        self.sub_id = sub_id
+        #: names nested sources (``prefix/var``) and FILTER subscriptions (``prefix:var``)
+        self.prefix = prefix
         self.stream_vars = ast.variables()
         self.lets = {definition.name: definition for definition in ast.lets}
         # membership variables are consumed by dynamic alerters (inCOM($j));
@@ -154,7 +136,7 @@ class _Compiler:
         earlier_plans: dict[str, PlanNode],
     ) -> PlanNode:
         if isinstance(source, NestedSource):
-            inner = compile_subscription(source.subscription, f"{self.sub_id}/{var}")
+            inner = _Compiler(source.subscription, f"{self.prefix}/{var}").compile()
             # a nested subscription used as a source contributes its plan
             # without a publisher on top
             if inner.kind == PUBLISH:
@@ -166,7 +148,7 @@ class _Compiler:
             raise P2PMLCompileError(f"unsupported source for ${var}")
         if buckets.has_filter(var):
             subscription = FilterSubscription(
-                f"{self.sub_id}:{var}",
+                f"{self.prefix}:{var}",
                 simple=buckets.simple[var],
                 complex_queries=buckets.complex[var],
                 computed=buckets.computed[var],
@@ -430,8 +412,9 @@ class _Compiler:
 
     def _publish(self, plan: PlanNode) -> PlanNode:
         by = self.ast.by
-        if by is None:
-            return PlanNode(PUBLISH, {"mode": "local", "target": self.sub_id}, [plan])
+        if by is None or by.mode == "local":
+            # the subscription's own valve reads a local publish: it has no target
+            return PlanNode(PUBLISH, {"mode": "local"}, [plan])
         params = {"mode": by.mode, "target": by.target, "publish": by.publish}
         if by.subscriber is not None:
             params["subscriber"] = by.subscriber

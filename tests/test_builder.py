@@ -57,8 +57,8 @@ class TestBuilderEquivalence:
     def test_compiles_to_the_same_plan_as_text(self):
         text_ast = parse_subscription(METEO_SUBSCRIPTION_TEMPLATE.format(threshold=10))
         built_ast = meteo_builder(threshold=10).build()
-        text_plan = compile_subscription(text_ast, "meteo-qos")
-        built_plan = compile_subscription(built_ast, "meteo-qos")
+        text_plan = compile_subscription(text_ast)
+        built_plan = compile_subscription(built_ast)
         assert plan_signature(built_plan) == plan_signature(text_plan)
 
     def test_built_subscription_reuses_textual_streams(self):
@@ -94,8 +94,8 @@ class TestBuilderEquivalence:
             return <seen callee="{$c.callee}"/>
             """
         )
-        assert plan_signature(compile_subscription(ast, "s")) == plan_signature(
-            compile_subscription(text, "s")
+        assert plan_signature(compile_subscription(ast)) == plan_signature(
+            compile_subscription(text)
         )
 
     def test_identity_projection_and_distinct(self):
@@ -111,8 +111,8 @@ class TestBuilderEquivalence:
             'for $x in rssFeed(<p>feeds.example</p>) where $x.kind = "add" '
             "return distinct $x"
         )
-        assert plan_signature(compile_subscription(ast, "s")) == plan_signature(
-            compile_subscription(text, "s")
+        assert plan_signature(compile_subscription(ast)) == plan_signature(
+            compile_subscription(text)
         )
 
     def test_template_element_accepted_directly(self):

@@ -527,7 +527,7 @@ class TestTreePatternFusion:
 
             entry.batch = None  # the per-item path only
             node = _filter_node(subscription, [_chaos_alerter_node()])
-            (stage,) = system.compiler.compile_segment([node], epoch=0)
+            (stage,) = system.compiler.compile_segment([node])
             system.compiler.filter_group(stream, system.peer("solo")).join(
                 stage.signature, subscription, entry
             )

@@ -240,7 +240,7 @@ class TestBatchPaths:
                 FILTER, {"subscription": subscription}, [PlanNode(ALERTER, placement="p")],
                 placement="p",
             )
-            (stage,) = compiler.compile_segment([node], epoch=0)
+            (stage,) = compiler.compile_segment([node])
             assert stage.apply is None and stage.apply_many is None  # decided by the group
 
             def entry(item, sink=singly[subscription.sub_id]) -> None:

@@ -268,11 +268,6 @@ class TestSignatures:
         assert plan_signature(a) == plan_signature(b)
         assert reuse_cache_key(a) != reuse_cache_key(b)
 
-    def test_cache_key_ignores_local_target(self):
-        a = PlanNode(PUBLISH, {"mode": "local", "target": "sub-1"}, [filter_over(alerter())])
-        b = PlanNode(PUBLISH, {"mode": "local", "target": "sub-2"}, [filter_over(alerter())])
-        assert reuse_cache_key(a) == reuse_cache_key(b)
-
 
 class TestReuseFastPath:
     def test_select_provider_without_network_issues_no_query(self):

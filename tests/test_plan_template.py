@@ -4,11 +4,15 @@
     catalog, ``workloads/meteo.py``, everything ``examples/`` submits --
     ``workloads/edos.py`` has no text of its own, its subscriptions are the
     example's) and for generated ``SubscriptionBuilder`` subscriptions, both
-    ``push_selections`` values: an instance equals what the parent compiled
-    per subscription, memos and reuse key included, and shares nothing
-    mutable with the template or a sibling.  (No GROUP: the compiler emits
-    none.)  New code, so "fails at the parent" means "cannot be imported".
-(b) slots are positions, not text.
+    ``push_selections`` values: an instance equals a plan compiled afresh,
+    memos and reuse key included, and shares nothing mutable with the
+    template or a sibling.  (No GROUP: the compiler emits none.)  Two plans
+    share a reuse key exactly when they did under the key that skipped a
+    local PUBLISH's target (a frozen copy).
+(b) no plan names a subscription: not a template's, not a deployed one's,
+    not after a signature-cache hit (which once deployed the first
+    subscriber's PUBLISH target) or a recovery, over the scenario catalog, the
+    examples and a batch of twins.  Deployment identity is the record's.
 (c) ``submit`` ≡ ``submit_many`` ≡ a system that compiles every subscription
     afresh, on a twin-heavy batch: handles, reports, stream ids, ledger keys.
 (d) recovery keeps ``push_selections``.  Fails at the parent (d7631ec).
@@ -22,6 +26,7 @@
 import contextlib
 import functools
 import gc
+import inspect
 import io
 import runpy
 import sys
@@ -32,8 +37,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.workloads.chaos_feed  # noqa: F401 - registers the chaosFeed alerter
-from repro.algebra.plan import ALERTER, FILTER, PlanNode, plan_signature
+from repro.algebra.plan import ALERTER, FILTER, PUBLISH, PlanNode, plan_signature
 from repro.algebra.template import RestructureTemplate
+from repro.compile.compiler import PlanCompiler
+from repro.filtering import FilterSubscription
 from repro.monitor import P2PMSystem, ReuseEngine, StreamDefinitionDatabase
 from repro.monitor.manager import SubscriptionManager, _build_template
 from repro.monitor.optimizer import optimize_plan
@@ -55,9 +62,9 @@ REPO = Path(__file__).resolve().parent.parent
 # -- (a) template ≡ compiler ---------------------------------------------------------------
 
 
-def parent_plan(ast, sub_id: str, push_selections: bool) -> PlanNode:
-    """A subscription's plan as the parent commit built it: compiled under its own id."""
-    return optimize_plan(compile_subscription(ast, sub_id), push_selections=push_selections)
+def compiled_plan(ast, push_selections: bool) -> PlanNode:
+    """A subscription's plan compiled and optimised afresh."""
+    return optimize_plan(compile_subscription(ast), push_selections=push_selections)
 
 
 def shape(node: PlanNode):
@@ -76,10 +83,10 @@ def containers(plan: PlanNode) -> set[int]:
     return {id(part) for node in plan.iter_nodes() for part in (node.params, node.children)}
 
 
-def check_template(ast, push_selections: bool, sub_id: str = "office.sub-7") -> PlanTemplate:
+def check_template(ast, push_selections: bool) -> PlanTemplate:
     template = _build_template(ast, push_selections)
-    expected = parent_plan(ast, sub_id, push_selections)
-    instance, sibling = template.instantiate(sub_id), template.instantiate("other")
+    expected = compiled_plan(ast, push_selections)
+    instance, sibling = template.instantiate(), template.instantiate()
     assert shape(instance) == shape(expected)
     assert plan_signature(instance) == plan_signature(expected)
     assert template.key == reuse_cache_key(expected)
@@ -88,6 +95,7 @@ def check_template(ast, push_selections: bool, sub_id: str = "office.sub-7") -> 
         assert stamped._detail is not None and stamped._spec is not None
         assert operator_spec(stamped) == operator_spec(compiled)
     assert reuse_cache_key(instance) == template.key
+    assert stamps(instance, ()) == []
     assert not containers(instance) & (containers(sibling) | containers(template.plan))
     return template
 
@@ -182,13 +190,47 @@ def test_generated_subscriptions_instantiate_to_the_compiled_plan(builder, push_
     check_template(builder.build(), push_selections)
 
 
+def frozen_reuse_cache_key(plan: PlanNode) -> tuple[str, str]:
+    """``reuse_cache_key`` as of da99019, when a local PUBLISH's target was its
+    subscription's id and the key skipped it."""
+    parts: list[str] = []
+    for node in plan.iter_nodes():
+        keys = ["var", "left_var", "right_var", "membership_var", "mode", "key", "every", "criterion"]
+        if node.params.get("mode") != "local":
+            keys += ["target", "subscriber"]
+        parts.append("\x1f".join(str(node.params.get(key, "")) for key in keys))
+    return plan_signature(plan), "\x1e".join(parts)
+
+
+def same_partition(plans) -> bool:
+    pairs = {(frozen_reuse_cache_key(plan), reuse_cache_key(plan)) for plan in plans}
+    return len(pairs) == len({old for old, _ in pairs}) == len({new for _, new in pairs})
+
+
+def test_shipped_plans_share_a_key_exactly_when_they_did():
+    asts = [
+        s.build() if isinstance(s, SubscriptionBuilder) else parse_subscription(s) if isinstance(s, str) else s
+        for s in shipped_subscriptions()
+    ]
+    assert same_partition(compiled_plan(ast, push) for ast in asts for push in (True, False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(builders(), min_size=2, max_size=6), st.booleans())
+def test_generated_plans_share_a_key_exactly_when_they_did(batch, push_selections):
+    # each with and without a BY clause that says "local": equal keys, before and now
+    plans = [compiled_plan(builder.build(), push_selections) for builder in batch]
+    plans += [compiled_plan(builder.by("local", "t").build(), push_selections) for builder in batch]
+    assert same_partition(plans)
+
+
 def test_using_an_instance_leaves_template_and_sibling_untouched():
     db = StreamDefinitionDatabase()
     db.publish_node(PlanNode(ALERTER, {"alerter": "outCOM", "peer": "a.com"}), "a.com", "out", [])
     template = _build_template(parse_subscription(MeteoScenario().subscription_text()), True)
-    used, sibling = template.instantiate("used"), template.instantiate("sibling")
+    used, sibling = template.instantiate(), template.instantiate()
     before = shape(template.plan), shape(sibling)
-    rewritten, report = ReuseEngine(db).apply(used, template.key)
+    rewritten, report = ReuseEngine(db).apply(used)
     assert report.nodes_reused == 1 and rewritten.count("existing") == 1  # a.com's alerter
     place_plan(rewritten, manager_peer="monitor.com")
     assert all(node.placement for node in rewritten.iter_nodes())
@@ -196,42 +238,99 @@ def test_using_an_instance_leaves_template_and_sibling_untouched():
     assert all(node.placement is None for node in sibling.iter_nodes() if node.kind != ALERTER)
 
 
-# -- (b) slots are positions, not text -----------------------------------------------------
-
-FILTERED = 'for $c in outCOM(<p>a.com</p>) where $c.callMethod = "M" return <hit>{$c.caller}</hit>'
+# -- (b) no plan names a subscription ------------------------------------------------------
 
 
-@pytest.mark.parametrize("sub_id", ["a/b", "a:b", ":", "/", "", "subscription", "x" * 300])
-def test_any_sub_id_round_trips(sub_id):
-    template = check_template(parse_subscription(FILTERED), True, sub_id=sub_id or "fallback")
-    plan = template.instantiate(sub_id)
-    assert plan.params["target"] == sub_id
-    assert [node.params["subscription"].sub_id for node in plan.find_all(FILTER)] == [f"{sub_id}:c"]
+def stamps(plan: PlanNode, sub_ids) -> list[tuple[str, str, str]]:
+    """(kind, parameter, value) of every node parameter of ``plan`` that names one of
+    ``sub_ids``, alone or as a prefix (``sub:var``, ``sub/var``); a FILTER's
+    subscription by its id.  A local PUBLISH has no target: any it has counts."""
+    found = []
+    for node in plan.iter_nodes():
+        for name, value in node.params.items():
+            if isinstance(value, FilterSubscription):
+                value = value.sub_id
+            if not isinstance(value, str):
+                continue
+            if any(value == sub_id or value.startswith((f"{sub_id}:", f"{sub_id}/")) for sub_id in sub_ids) or (
+                node.kind == PUBLISH and node.params["mode"] == "local" and name == "target"
+            ):
+                found.append((node.kind, name, value))
+    return found
 
 
-def test_user_data_that_looks_like_a_slot_is_left_alone():
-    # no BY clause: the target is a slot.  A BY clause, whatever it says, is the user's
-    own = _build_template(SubscriptionBuilder().for_var("c", "outCOM", "a.com").returns("$c").build(), True)
-    assert own.instantiate("mine").params["target"] == "mine"
-    for mode, target in (("local", ""), ("local", "mine"), ("channel", ""), ("channel", ":c")):
-        builder = SubscriptionBuilder().for_var("c", "outCOM", "a.com").returns("$c").by(mode, target)
-        check_template(builder.build(), True)
-        assert _build_template(builder.build(), True).instantiate("mine").params["target"] == target
-    # ... and a literal equal to a suffix stays a literal
-    text = 'for $c in outCOM(<p>a.com</p>) where $c.callMethod = ":c" return <hit at=":c">{$c.caller}</hit>'
-    plan = check_template(parse_subscription(text), True).instantiate("mine")
-    (node,) = plan.find_all(FILTER)
-    assert node.params["subscription"].sub_id == "mine:c"
-    assert node.params["subscription"].simple[0].value == ":c"
+def test_identical_subscriptions_deploy_plans_that_name_none_of_them():
+    system = P2PMSystem(seed=3)
+    system.add_peer("s")
+    monitor = system.add_peer("monitor")
+    text = f'for $x in {CHAOS_FUNCTION}(<p>s</p>) where $x.kind = "chaos" return <seen>{{$x.n}}</seen>'
+    sub_ids = [f"s{i}" for i in range(4)]
+    handles = [monitor.subscribe(text, sub_id=sub_id) for sub_id in sub_ids]
+    assert [h.reuse_report.cache_hit for h in handles] == [False, False, True, True]
+    # a hit replays the rewrite of the pass that recorded it, s1's
+    assert {h.sub_id: stamps(h.plan, sub_ids) for h in handles} == dict.fromkeys(sub_ids, [])
+    assert stamps(system.plan_templates[text, True].plan, sub_ids) == []
+    # what is the deployment's own: its stream ids and its ledger terminal
+    assert {h.task.terminal for h in handles} == {("sub", sub_id, 0) for sub_id in sub_ids}
 
 
-def test_nested_ids_two_levels_deep():
+@functools.lru_cache(maxsize=None)
+def shipped_deployments() -> tuple:
+    """(template, handle) of every subscription the scenario catalog (seed 0, recoveries
+    included) and the examples deploy, once they have run."""
+    deployed: list = []
+    submit = SubscriptionManager._submit_one
+
+    def recording_submit(self, subscription, *args, **kwargs):
+        handle = submit(self, subscription, *args, **kwargs)
+        deployed.append(handle)
+        return handle
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(SubscriptionManager, "_submit_one", recording_submit)
+        for name in scenario_names():
+            make_scenario(name, seed=0).run()
+        for example in sorted((REPO / "examples").glob("*.py")):
+            runpy.run_path(str(example), run_name="__main__")
+    return tuple((handle._record.template, handle) for handle in deployed)
+
+
+def test_no_shipped_plan_names_a_subscription():
+    deployed = shipped_deployments()
+    sub_ids = {handle.sub_id for _, handle in deployed}
+    assert len(sub_ids) >= 10
+    assert any(handle._record.epoch for _, handle in deployed)  # a recovery redeployed one
+    for template, handle in deployed:
+        assert stamps(template.plan, sub_ids) == []
+        assert stamps(handle.plan, sub_ids) == [], handle.sub_id
+
+
+def test_only_a_publication_the_user_names_has_a_target():
+    builder = SubscriptionBuilder().for_var("c", "outCOM", "a.com").returns("$c")
+    assert check_template(builder.build(), True).instantiate().params == {"mode": "local"}
+    for target in ("", "mine"):  # the builder's escape hatch says "local": no target either
+        assert check_template(builder.by("local", target).build(), True).instantiate().params == {"mode": "local"}
+    for target in ("", ":c", "s0"):
+        assert check_template(builder.by("channel", target).build(), True).instantiate().params["target"] == target
+
+
+def test_nested_sources_are_named_by_position():
     innermost = SubscriptionBuilder().for_var("z", "outCOM", "a.com").where("$z.n", ">", 1).returns("$z")
     inner = SubscriptionBuilder().for_nested("b", innermost).where("$b.n", ">", 2).returns("$b")
     outer = SubscriptionBuilder().for_nested("a", inner).where("$a.n", ">", 3).returns("$a")
-    plan = check_template(outer.build(), True, sub_id="sub").instantiate("sub")
+    plan = check_template(outer.build(), True).instantiate()
     ids = sorted(node.params["subscription"].sub_id for node in plan.find_all(FILTER))
-    assert ids == ["sub/a/b:z", "sub/a:b", "sub:a"]
+    assert ids == ["/a/b:z", "/a:b", ":a"]
+
+
+def test_deployment_identity_is_no_parameter():
+    def parameters(function) -> list[str]:
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(compile_subscription) == ["ast"]
+    assert parameters(PlanTemplate.instantiate) == ["self"]
+    assert parameters(ReuseEngine.apply) == ["self", "source"]
+    assert parameters(PlanCompiler.compile_segment) == ["self", "chain"]
 
 
 # -- (c) submit ≡ submit_many ≡ compile every time -----------------------------------------
@@ -290,7 +389,7 @@ def run_batch(how: str) -> dict:
 
 def test_submit_is_submit_many_is_compiling_every_time(monkeypatch):
     by_submit, by_batch = run_batch("submit"), run_batch("submit_many")
-    # the parent's way: no table, each plan compiled under its own sub-id
+    # no table: each plan compiled afresh
     monkeypatch.setattr(
         SubscriptionManager,
         "_template_for",
@@ -299,10 +398,10 @@ def test_submit_is_submit_many_is_compiling_every_time(monkeypatch):
     monkeypatch.setattr(
         PlanTemplate,
         "instantiate",
-        lambda self, sub_id: parent_plan(self.ast, sub_id, self.push_selections),
+        lambda self: compiled_plan(self.ast, self.push_selections),
     )
-    the_parents_way = run_batch("compile every time")
-    assert by_submit == by_batch == the_parents_way
+    compiled_afresh = run_batch("compile every time")
+    assert by_submit == by_batch == compiled_afresh
     hits, misses = by_submit["reuse_cache"]
     assert hits > misses  # twin-heavy: most passes are replays
     assert any(report[1] for report in by_submit["reports"])

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, UNION, plan_signature
+from repro.compile.pipeline import CompiledPipeline
 from repro.monitor import (
     DEPLOYED,
     PAUSED,
@@ -118,6 +119,28 @@ class TestFailover:
         system.run()
         survivors = {s for s in sources if s != victim}
         assert set(received) == {(s, 0) for s in survivors}
+
+    def test_a_redeploy_takes_its_programs_from_the_cache(self):
+        system, sources, monitor = build_system()
+        handle = deploy(system, sources, monitor, push_selections=False)
+
+        def programs() -> list[tuple]:
+            return [
+                operator.stages
+                for operators in handle._record.task.operators_by_peer.values()
+                for operator in operators
+                if isinstance(operator, CompiledPipeline)
+            ]
+
+        first = {tuple(stage.signature for stage in stages): stages for stages in programs()}
+        assert len(first) == 1  # FILTER and RESTRUCTURE above the union, fused
+        misses = system.compile_cache.misses
+        system.fail_peer(union_host(handle))
+        system.run()
+        assert handle._record.epoch == 1 and handle.status == DEPLOYED
+        (stages,) = programs()
+        assert first[tuple(stage.signature for stage in stages)] is stages
+        assert system.compile_cache.misses == misses
 
     def test_revival_restores_full_coverage(self):
         system, sources, monitor = build_system()
@@ -327,6 +350,19 @@ class TestLifecycleInteraction:
         system.run()
         assert handle.status == "cancelled"
         assert "chaos" not in system.recovery.pending_sources
+
+    def test_an_unsubscribed_recovery_listener_hears_nothing(self):
+        system, sources, monitor = build_system()
+        handle = deploy(system, sources, monitor)
+        dropped, kept = [], []
+        unsubscribe = handle.on_recovery(dropped.append)
+        handle.on_recovery(kept.append)
+        unsubscribe()
+        unsubscribe()  # a second call finds nothing to remove
+        system.fail_peer(union_host(handle))
+        system.run()
+        assert [event.outcome for event in kept] == ["recovering", "degraded"]
+        assert dropped == []
 
     def test_resume_while_recovering_raises(self):
         system, sources, monitor = build_system(n_sources=2)

@@ -136,12 +136,12 @@ def test_a_key_missing_from_watched_counts_as_changed():
 
 
 def test_a_hit_never_instantiates_the_template(monkeypatch):
-    built: list[str] = []
+    built: list[PlanTemplate] = []
     instantiate = PlanTemplate.instantiate
 
-    def counted(self, sub_id):
-        built.append(sub_id)
-        return instantiate(self, sub_id)
+    def counted(self):
+        built.append(self)
+        return instantiate(self)
 
     monkeypatch.setattr(PlanTemplate, "instantiate", counted)
     system = P2PMSystem(seed=3)
@@ -204,13 +204,14 @@ def test_a_cached_pass_equals_an_uncached_visit_and_hits_where_the_old_rule_did(
     #: cache key -> the database version at which the old rule last recorded it
     recorded: dict[tuple[str, str], int] = {}
 
-    def checked(self, template, key=None, sub_id=None):
-        assert sub_id is not None and key == template.key
-        reference = apply(ReuseEngine(db, self.network, self.consumer_peer), template.instantiate(sub_id))
+    def checked(self, template):
+        assert type(template) is PlanTemplate
+        reference = apply(ReuseEngine(db, self.network, self.consumer_peer), template.instantiate())
+        key = template.key
         old_hit = recorded.get(key) == db.reuse_version
         if not old_hit:
             recorded[key] = db.reuse_version
-        rewritten, report = apply(self, template, key, sub_id)
+        rewritten, report = apply(self, template)
         assert outcome(rewritten, report) == outcome(*reference)
         assert report.cache_hit or not old_hit
         return rewritten, report
