@@ -25,7 +25,7 @@ mechanisms the lifecycle verbs are built on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.streams.item import EOS
 from repro.streams.stream import Stream, StreamClosedError
@@ -96,14 +96,8 @@ class ResultBuffer:
         """The currently buffered results, oldest first."""
         return list(self._items)
 
-    def clear(self) -> None:
-        self._items.clear()
-
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(self.snapshot())
 
     def __repr__(self) -> str:
         return (

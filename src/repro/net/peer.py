@@ -79,14 +79,6 @@ class Peer:
         self._streams[stream_id] = stream
         return stream
 
-    def stream(self, stream_id: str) -> Stream:
-        try:
-            return self._streams[stream_id]
-        except KeyError as exc:
-            raise KeyError(
-                f"peer {self.peer_id!r} has no stream {stream_id!r}"
-            ) from exc
-
     # -- channels (thin wrappers over the registry) ------------------------------
 
     def publish_channel(self, channel_id: str, stream: Stream):

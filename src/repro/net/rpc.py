@@ -128,7 +128,6 @@ class RpcCall:
         "done",
         "result",
         "error",
-        "_callbacks",
     )
 
     def __init__(
@@ -143,14 +142,6 @@ class RpcCall:
         self.done = False
         self.result: Element | None = None
         self.error: Exception | None = None
-        self._callbacks: list[Callable[[RpcCall], None]] = []
-
-    def add_done_callback(self, callback: Callable[[RpcCall], None]) -> None:
-        """Invoke ``callback(call)`` on completion (immediately if already done)."""
-        if self.done:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
 
     def value(self) -> Element | None:
         """The result element; raises the call's error if it failed."""
@@ -352,9 +343,6 @@ class RpcEndpoint:
         if call.timer is not None:
             call.timer.cancel()
         self._calls.pop(call.call_id, None)
-        callbacks, call._callbacks = call._callbacks, []
-        for callback in callbacks:
-            callback(call)
 
     @property
     def in_flight(self) -> int:

@@ -12,7 +12,7 @@ themselves are never compared.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import Callable
 
 #: Heap entries are ``(fire_at, sequence, event)``; the event is opaque to
 #: the scheduler (SimNetwork enqueues Messages and Timers).
@@ -39,9 +39,6 @@ class EventScheduler:
 
     def __len__(self) -> int:
         return len(self.queue)
-
-    def __bool__(self) -> bool:
-        return bool(self.queue)
 
     def step(self, handler: Callable[[object], None]) -> bool:
         """Pop and dispatch the next event.  Returns False when idle.
@@ -77,10 +74,6 @@ class EventScheduler:
             handler(event)
             dispatched += 1
         return dispatched
-
-    def events(self) -> Iterable[object]:
-        """The queued events, in arbitrary (heap) order."""
-        return (entry[2] for entry in self.queue)
 
 
 __all__ = ["EventScheduler"]

@@ -21,10 +21,6 @@ class LinkStats:
     messages: int = 0
     bytes: int = 0
 
-    def record(self, size: int) -> None:
-        self.messages += 1
-        self.bytes += size
-
 
 class NetworkStats:
     """Aggregated counters for the whole simulated network."""

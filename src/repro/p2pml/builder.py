@@ -176,24 +176,9 @@ class SubscriptionBuilder:
         self._by = ByClause("channel", target, publish=publish, subscriber=subscriber)
         return self
 
-    def by_email(self, recipient: str) -> "SubscriptionBuilder":
-        self._by = ByClause("email", recipient)
-        return self
-
-    def by_file(self, path: str) -> "SubscriptionBuilder":
-        self._by = ByClause("file", path)
-        return self
-
-    def by_rss(self, title: str) -> "SubscriptionBuilder":
-        self._by = ByClause("rss", title)
-        return self
-
-    def by_webpage(self, title: str) -> "SubscriptionBuilder":
-        self._by = ByClause("webpage", title)
-        return self
-
     def by(self, mode: str, target: str, **options) -> "SubscriptionBuilder":
-        """Escape hatch for publication modes registered by plug-ins."""
+        """Publish results in ``mode`` to ``target``, as ``by <mode> "<target>"``
+        does: ``email``, ``file``, ``rss``, ``webpage`` or a mode a plug-in registered."""
         self._by = ByClause(mode, target, **options)
         return self
 
