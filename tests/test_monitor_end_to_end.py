@@ -95,6 +95,21 @@ class TestSubscriptionManagement:
         assert len(outbox) == len(task.results())
         assert outbox, "slow calls should have been mailed"
 
+    def test_webpage_publication_lists_the_latest_results(self):
+        scenario = MeteoScenario(seed=9)
+        text = scenario.subscription_text().replace(
+            'by publish as channel "alertQoS"', 'by webpage "QoS incidents"'
+        )
+        task = scenario.monitor.subscribe(text, sub_id="page-alerts", max_results=1024)
+        scenario.system.run()
+        scenario.run_traffic(400)
+        page = task.publisher.page()
+        assert page.find("head").find("title").text == "QoS incidents"
+        entries = [to_xml(entry.children[0]) for entry in page.find("body").find("ul").children]
+        newest_first = [to_xml(item) for item in reversed(task.results())]
+        assert len(newest_first) > task.publisher.max_entries
+        assert entries == newest_first[: task.publisher.max_entries]
+
     def test_file_publication_writes_its_target(self, tmp_path):
         path = tmp_path / "incidents.xml"
         scenario = MeteoScenario(seed=9)

@@ -97,6 +97,28 @@ class TestAlerterRegistry:
         assert len(system.resources) == 0
 
 
+    def test_axml_repository_alerter_reports_each_update(self):
+        system = P2PMSystem(seed=4)
+        repo_peer = system.add_peer("repo.example")
+        monitor = system.add_peer("monitor.example")
+        handle = monitor.subscribe(
+            'for $d in axmlRepo(<p>repo.example</p>) where $d.kind != "delete" '
+            'return <changed kind="{$d.kind}" document="{$d.document}"/>',
+            max_results=100,
+        )
+        system.run()
+        repo_peer.repository.store("a.xml", Element("a"))
+        repo_peer.repository.store("b.xml", Element("b"))
+        repo_peer.repository.store("a.xml", Element("a", text="v2"))
+        repo_peer.repository.delete("b.xml")
+        system.run()
+        assert [(e.attrib["kind"], e.attrib["document"]) for e in handle.results()] == [
+            ("insert", "a.xml"), ("insert", "b.xml"), ("replace", "a.xml")
+        ]
+        handle.cancel()
+        assert len(system.resources) == 0
+
+
 class TestPublisherRegistry:
     def test_builtin_modes_registered(self):
         assert {"channel", "email", "file", "rss", "webpage"} <= set(publisher_modes())
