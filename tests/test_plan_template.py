@@ -270,7 +270,7 @@ def test_identical_subscriptions_deploy_plans_that_name_none_of_them():
     # a hit replays the rewrite of the pass that recorded it, s1's
     assert {h.sub_id: stamps(h.plan, sub_ids) for h in handles} == dict.fromkeys(sub_ids, [])
     assert stamps(system.plan_templates[text, True].plan, sub_ids) == []
-    # what is the deployment's own: its stream ids and its ledger terminal
+    # what is the deployment's own is on its record, such as its ledger terminal
     assert {h.task.terminal for h in handles} == {("sub", sub_id, 0) for sub_id in sub_ids}
 
 
