@@ -12,11 +12,14 @@ not been matched correspond to new streams that have to be produced."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, PlanNode, plan_signature
 from repro.monitor.stream_db import OPERATOR_NAMES, StreamDefinitionDatabase, operator_spec
 from repro.net.simnet import SimNetwork
-from repro.p2pml.compiler import PlanTemplate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.p2pml.compiler import PlanTemplate
 
 
 @dataclass
@@ -151,7 +154,7 @@ class ReuseEngine:
         """
         report = ReuseReport()
         cache = self.signature_cache
-        template = source if type(source) is PlanTemplate else None
+        template = None if type(source) is PlanNode else source
         if cache is not None:
             key = source.key if template is not None else reuse_cache_key(source)
             entry = cache.get(key, self.stream_db)
