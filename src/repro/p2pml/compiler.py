@@ -44,18 +44,18 @@ from repro.xmlmodel.xpath import XPath, XPathError
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def compile_text(text: str, prefix: str = "") -> PlanNode:
+def compile_text(text: str, _ignored: object = None) -> PlanNode:
     """Parse and compile a subscription given as P2PML text.
 
-    ``prefix`` only names the plan's FILTER subscriptions (``prefix:var``) and
-    nested sources (``prefix/var``); no node records who deploys the plan.
+    The second argument is ignored: no plan records who deploys it.  It stays
+    only because ``perf/tests/test_oracle.py`` still passes a sub-id.
     """
-    return _Compiler(parse_subscription(text), prefix).compile()
+    return compile_subscription(parse_subscription(text))
 
 
 def compile_subscription(ast: SubscriptionAST) -> PlanNode:
     """Compile a parsed subscription into a monitoring plan."""
-    return _Compiler(ast, "").compile()
+    return _Compiler(ast).compile()
 
 
 class PlanTemplate:
@@ -91,10 +91,8 @@ class _ConditionBuckets:
 
 
 class _Compiler:
-    def __init__(self, ast: SubscriptionAST, prefix: str) -> None:
+    def __init__(self, ast: SubscriptionAST) -> None:
         self.ast = ast
-        #: names nested sources (``prefix/var``) and FILTER subscriptions (``prefix:var``)
-        self.prefix = prefix
         self.stream_vars = ast.variables()
         self.lets = {definition.name: definition for definition in ast.lets}
         # membership variables are consumed by dynamic alerters (inCOM($j));
@@ -136,7 +134,7 @@ class _Compiler:
         earlier_plans: dict[str, PlanNode],
     ) -> PlanNode:
         if isinstance(source, NestedSource):
-            inner = _Compiler(source.subscription, f"{self.prefix}/{var}").compile()
+            inner = compile_subscription(source.subscription)
             # a nested subscription used as a source contributes its plan
             # without a publisher on top
             if inner.kind == PUBLISH:
@@ -148,7 +146,7 @@ class _Compiler:
             raise P2PMLCompileError(f"unsupported source for ${var}")
         if buckets.has_filter(var):
             subscription = FilterSubscription(
-                f"{self.prefix}:{var}",
+                var,
                 simple=buckets.simple[var],
                 complex_queries=buckets.complex[var],
                 computed=buckets.computed[var],

@@ -49,7 +49,7 @@ from repro.monitor.reuse import ReuseReport, reuse_cache_key
 from repro.monitor.stream_db import operator_spec
 from repro.net import Peer, SimNetwork
 from repro.net.errors import UnknownPeerError
-from repro.p2pml import SubscriptionBuilder, compile_subscription, parse_subscription
+from repro.p2pml import SubscriptionBuilder, compile_subscription, compile_text, parse_subscription
 from repro.p2pml.compiler import PlanTemplate
 from repro.scenarios.catalog import make_scenario, scenario_names
 from repro.workloads import MeteoScenario
@@ -314,13 +314,15 @@ def test_only_a_publication_the_user_names_has_a_target():
         assert check_template(builder.by("channel", target).build(), True).instantiate().params["target"] == target
 
 
-def test_nested_sources_are_named_by_position():
-    innermost = SubscriptionBuilder().for_var("z", "outCOM", "a.com").where("$z.n", ">", 1).returns("$z")
-    inner = SubscriptionBuilder().for_nested("b", innermost).where("$b.n", ">", 2).returns("$b")
-    outer = SubscriptionBuilder().for_nested("a", inner).where("$a.n", ">", 3).returns("$a")
-    plan = check_template(outer.build(), True).instantiate()
-    ids = sorted(node.params["subscription"].sub_id for node in plan.find_all(FILTER))
-    assert ids == ["/a/b:z", "/a:b", ":a"]
+def test_compile_text_ignores_a_sub_id():
+    text = (
+        "for $x in ( for $y in rssFeed(<p>news.com</p>) where $y.n > 1 return <a>{$y}</a> ) "
+        "where $x.n > 2 return <b>{$x}</b>"
+    )
+    plain, named = compile_text(text), compile_text(text, "s0")
+    assert shape(named) == shape(plain) == shape(compile_subscription(parse_subscription(text)))
+    assert stamps(named, {"s0"}) == []
+    assert len(named.find_all(FILTER)) == 2  # the nested subscription's filter and the outer one
 
 
 def test_deployment_identity_is_no_parameter():
