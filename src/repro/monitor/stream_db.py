@@ -313,7 +313,8 @@ class StreamDefinitionDatabase:
         self, peer_id: str, alerter_kind: str
     ) -> list[StreamDescription]:
         query = f"/Stream[@PeerId = '{peer_id}'][Operator/{alerter_kind}]"
-        return [self._decode(doc) for _, doc in self.index.query(query)]
+        candidates = [self._decode(doc) for _, doc in self.index.query(query)]
+        return [c for c in candidates if not c.operands]
 
     def find_operator_streams_oracle(
         self,
@@ -388,7 +389,8 @@ class StreamDefinitionDatabase:
         operator_key = (description.operator, tuple(sorted(description.operands)))
         alerter_key = (description.peer_id, description.operator)
         self._by_operator.setdefault(operator_key, set()).add(doc_id)
-        self._by_alerter.setdefault(alerter_key, set()).add(doc_id)
+        if not description.operands:  # a source with operands (membership-driven) is no alerter output
+            self._by_alerter.setdefault(alerter_key, set()).add(doc_id)
         if description.operator != OPERATOR_NAMES[PUBLISH]:
             # inline, not a helper: every publication passes here, reuse on or off
             self.reuse_version += 1

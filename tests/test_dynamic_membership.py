@@ -70,3 +70,43 @@ def test_dynamic_alerter_follows_joins_and_leaves():
     only_server0.run(40)
     system.run()
     assert len(task.results()) == before
+
+
+def test_a_static_subscription_never_reuses_a_membership_driven_source():
+    """``inCOM($j)`` reads other peers' alerters, so its output is not the
+    output of ``inCOM(<p>monitor.example</p>)``, although both are described
+    by an ``inCOM`` operator at the monitor."""
+    system = P2PMSystem(seed=5)
+    servers = ["server0.example", "server1.example"]
+    for peer_id in (*servers, "client.example"):
+        system.add_peer(peer_id)
+    monitor = system.add_peer("monitor.example")
+    traffic = SoapTrafficGenerator(clients=["client.example"], servers=servers, methods=["Get"], seed=5)
+    for peer_id in servers:
+        system.peer(peer_id).add_alerter_hook(
+            lambda alerter: traffic.attach_alerter(alerter) if hasattr(alerter, "observe_call") else None
+        )
+    dynamic = monitor.subscribe(
+        """
+        for $j in areRegistered(<p>monitor.example</p>), $c in inCOM($j)
+        return <dyn callee="{$c.callee}"/>
+        """,
+        sub_id="a-dyn",
+        max_results=1024,
+    )
+    system.run()
+    static = monitor.subscribe(
+        'for $c in inCOM(<p>monitor.example</p>) return <static callee="{$c.callee}"/>',
+        sub_id="a-static",
+        max_results=1024,
+        reuse=True,
+    )
+    system.run()
+    assert static.reuse_report.reused == []
+    system.kadop.join_peer("server0.example")
+    system.run()
+    traffic.run(60)
+    system.run()
+    assert {item.attrib["callee"] for item in dynamic.results()} == {"server0.example"}
+    # nobody calls the monitor itself
+    assert static.results() == []
