@@ -15,7 +15,11 @@ from repro.xmlmodel.tree import Element
 
 
 class FilePublisher(Publisher):
-    """Collects results into an XML document, optionally written to disk."""
+    """Collects results into an XML document, optionally written to disk.
+
+    The file is a well-formed ``<results>`` document after every result:
+    each result is written once, over the closing tag, which follows it.
+    """
 
     mode = "file"
 
@@ -23,15 +27,21 @@ class FilePublisher(Publisher):
         super().__init__()
         self.path = Path(path) if path is not None else None
         self.document = Element(root_tag)
+        self._closing = f"</{root_tag}>\n".encode("utf-8")
+        if self.path is not None:
+            opening = f"<{root_tag}>\n".encode("utf-8")
+            self.path.write_bytes(opening + self._closing)
+            self._end = len(opening)  # where the closing tag starts
 
     def publish(self, item: Element) -> None:
-        self.document.append(item.copy())
+        item = item.copy()
+        self.document.append(item)
         if self.path is not None:
-            self.path.write_text(pretty_xml(self.document), encoding="utf-8")
-
-    def on_close(self) -> None:
-        if self.path is not None:
-            self.path.write_text(pretty_xml(self.document), encoding="utf-8")
+            data = pretty_xml(item).encode("utf-8")
+            with self.path.open("r+b") as file:
+                file.seek(self._end)
+                file.write(data + self._closing)
+            self._end += len(data)
 
 
 class WebPagePublisher(Publisher):

@@ -9,7 +9,8 @@ from repro.publishers import (
     WebPagePublisher,
 )
 from repro.streams import Stream, collect
-from repro.xmlmodel import Element, parse_xml
+from repro.publishers import file_pub
+from repro.xmlmodel import Element, parse_xml, pretty_xml
 
 
 def incident(n: int) -> Element:
@@ -65,6 +66,28 @@ class TestFilePublisher:
         results.close()
         reloaded = parse_xml(path.read_text())
         assert len(reloaded.children) == 1
+
+
+class TestFileWrites:
+    def test_a_result_is_serialised_once_whatever_came_before(self, tmp_path, monkeypatch):
+        serialised: list[int] = []
+
+        def counting_pretty_xml(node):
+            text = pretty_xml(node)
+            serialised.append(len(text))
+            return text
+
+        monkeypatch.setattr(file_pub, "pretty_xml", counting_pretty_xml)
+        path = tmp_path / "results.xml"
+        results = Stream("r")
+        FilePublisher(path).connect(results)
+        for n in range(5):
+            results.emit(incident(n))
+            # well-formed after every result, every result in order
+            assert [item.attrib["n"] for item in parse_xml(path.read_text()).children] == [
+                str(k) for k in range(n + 1)
+            ]
+        assert serialised == [len(pretty_xml(incident(0)))] * 5
 
 
 class TestWebPagePublisher:
