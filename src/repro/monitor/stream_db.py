@@ -47,6 +47,7 @@ OPERATOR_NAMES = {
     PUBLISH: "Publisher",
     EXISTING: None,
 }
+_PUBLISHER = OPERATOR_NAMES[PUBLISH]
 
 
 def operator_spec(node: PlanNode) -> str:
@@ -153,11 +154,10 @@ class ReplicaDescription:
 class StreamDefinitionDatabase:
     """Publish and query stream descriptions; KadoP is the write-behind replica.
 
-    The primary is three in-memory indexes -- (operator, operand-set),
-    (peer, alerter kind), the replica map -- filed by a publication once it
-    returned and withdrawn before a retraction is routed.  Every Section-5
-    probe reads them, never KadoP; descriptions written to KadoP directly are
-    invisible to reuse.  The XPath queries stay as ``find_*_oracle`` and
+    The primary is two in-memory indexes -- one by reuse probe key, the
+    replica map -- filed by a publication once it returned and withdrawn
+    before a retraction is routed.  Every Section-5 probe reads them, never
+    KadoP; descriptions written to KadoP directly are invisible to reuse.  The XPath queries stay as ``find_*_oracle`` and
     :meth:`verify_index_coherence`, the proof that the replica equals them.
     """
 
@@ -175,25 +175,23 @@ class StreamDefinitionDatabase:
         self.descriptions_retracted = 0
         #: published ``<Stream>`` descriptions by doc id
         self._descriptions: dict[str, StreamDescription] = {}
-        #: (operator name, sorted operand pairs) -> doc ids
-        self._by_operator: dict[tuple[str, tuple[tuple[str, str], ...]], set[str]] = {}
-        #: (peer id, operator/alerter element name) -> doc ids
-        self._by_alerter: dict[tuple[str, str], set[str]] = {}
+        #: the one probe key that reads a description -> doc ids: ``(peer,
+        #: alerter kind)`` without operands, ``(operator, sorted operands,
+        #: spec)`` with; a Publisher output is never matched and not filed here
+        self._by_probe: dict[tuple, set[str]] = {}
         #: (original peer, original stream) -> {doc id: (replica peer, replica stream)}
         self._replica_map: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
         #: replica doc id -> its original (peer, stream) key, so a replica can
         #: be deindexed even when its document has since been overwritten
         self._replica_keys: dict[str, tuple[str, str]] = {}
-        #: bumped whenever a description that can influence reuse *matching*
-        #: is filed or deindexed: any ``<Stream>`` except Publisher outputs (a
-        #: PUBLISH node is never matched), never an ``<InChannel>`` replica
-        #: (replicas only affect provider choice, re-ranked on every probe)
+        #: bumped whenever a description is filed in or deindexed from
+        #: ``_by_probe``: never a Publisher output or an ``<InChannel>``
+        #: replica (replicas only affect provider choice, re-ranked on every probe)
         self.reuse_version = 0
-        #: reuse probe keys some signature cache entry watches -- an alerter
-        #: probe's ``(peer, kind)``, an operator probe's ``(operator, sorted
-        #: operands, spec)`` -- -> the ``reuse_version`` at which a filing or
-        #: deindexing last changed that probe's answer; the cache fills it,
-        #: the database only stamps keys already in it
+        #: ``_by_probe`` keys some signature cache entry watches -> the
+        #: ``reuse_version`` at which a filing or deindexing last changed that
+        #: probe's answer; the cache fills it, the database only stamps keys
+        #: already in it
         self.watched: dict[tuple, int] = {}
 
     # -- publication ---------------------------------------------------------------
@@ -282,22 +280,18 @@ class StreamDefinitionDatabase:
     # -- queries (the ones of Section 5) -------------------------------------------------
 
     def find_alerter_streams(self, peer_id: str, alerter_kind: str) -> list[StreamDescription]:
-        """``/Stream[@PeerId = $p1][Operator/inCom]`` and friends."""
-        doc_ids = self._by_alerter.get((peer_id, alerter_kind), ())
+        """``/Stream[@PeerId = $p1][Operator/inCom]`` and friends: the
+        sources of ``peer_id`` that read no stream."""
+        doc_ids = self._by_probe.get((peer_id, alerter_kind), ())
         return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
 
     def find_operator_streams(
-        self,
-        operator: str,
-        spec: str | None,
-        operands: list[tuple[str, str]],
+        self, operator: str, spec: str, operands: list[tuple[str, str]]
     ) -> list[StreamDescription]:
-        """Find streams computing ``operator`` over exactly the given operands."""
-        doc_ids = self._by_operator.get((operator, tuple(sorted(operands))), ())
-        found = [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
-        if spec:
-            found = [description for description in found if description.spec == spec]
-        return found
+        """Find streams computing ``operator`` with ``spec`` over exactly the
+        given (at least one) operands."""
+        doc_ids = self._by_probe.get((operator, tuple(sorted(operands)), spec), ())
+        return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
 
     def find_replicas(self, peer_id: str, stream_id: str) -> list[tuple[str, str]]:
         """Replica providers of ``stream_id@peer_id`` as (peer, stream) pairs."""
@@ -370,7 +364,7 @@ class StreamDefinitionDatabase:
         if misfiled:
             problems.append(f"terms: {len(misfiled)} documents filed under terms their walk does not find, "
                             f"first {misfiled[:5]}")
-        for name in ("descriptions", "by_operator", "by_alerter", "replica_map", "replica_keys"):
+        for name in ("descriptions", "by_probe", "replica_map", "replica_keys"):
             wanted, actual = getattr(expected, f"_{name}"), getattr(self, f"_{name}")
             if wanted != actual:
                 missing = wanted.keys() - actual.keys()
@@ -386,17 +380,17 @@ class StreamDefinitionDatabase:
 
     def _file(self, doc_id: str, description: StreamDescription) -> None:
         self._descriptions[doc_id] = description
-        operator_key = (description.operator, tuple(sorted(description.operands)))
-        alerter_key = (description.peer_id, description.operator)
-        self._by_operator.setdefault(operator_key, set()).add(doc_id)
-        if not description.operands:  # a source with operands (membership-driven) is no alerter output
-            self._by_alerter.setdefault(alerter_key, set()).add(doc_id)
-        if description.operator != OPERATOR_NAMES[PUBLISH]:
-            # inline, not a helper: every publication passes here, reuse on or off
-            self.reuse_version += 1
-            for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
-                if key in self.watched:
-                    self.watched[key] = self.reuse_version
+        operator, operands = description.operator, description.operands
+        if operator == _PUBLISHER:
+            return
+        # the probe key of ReuseEngine._match_node -- a membership-driven
+        # source has an operand, so no alerter probe reads it -- inline, not
+        # a helper: every publication passes here, reuse on or off
+        key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
+        self._by_probe.setdefault(key, set()).add(doc_id)
+        self.reuse_version += 1
+        if key in self.watched:
+            self.watched[key] = self.reuse_version
 
     def _file_replica(self, doc_id: str, original: tuple[str, str], replica: tuple[str, str]) -> None:
         self._replica_map.setdefault(original, {})[doc_id] = replica
@@ -407,20 +401,17 @@ class StreamDefinitionDatabase:
         (None when it was not filed)."""
         description = self._descriptions.pop(doc_id, None)
         if description is not None:
-            operator_key = (description.operator, tuple(sorted(description.operands)))
-            alerter_key = (description.peer_id, description.operator)
-            for filing, key in ((self._by_operator, operator_key), (self._by_alerter, alerter_key)):
-                bucket = filing.get(key)
-                if bucket is not None:
-                    bucket.discard(doc_id)
-                    if not bucket:
-                        del filing[key]
-            if description.operator != OPERATOR_NAMES[PUBLISH]:
-                # the stamp of ``_file``, inline for the same reason: every cancel passes here
+            operator, operands = description.operator, description.operands
+            if operator != _PUBLISHER:
+                # the key and stamp of ``_file``, inline for the same reason: every cancel passes here
+                key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
+                bucket = self._by_probe[key]
+                bucket.discard(doc_id)
+                if not bucket:
+                    del self._by_probe[key]
                 self.reuse_version += 1
-                for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
-                    if key in self.watched:
-                        self.watched[key] = self.reuse_version
+                if key in self.watched:
+                    self.watched[key] = self.reuse_version
             return description.peer_id
         original = self._replica_keys.pop(doc_id, None)
         if original is None:
