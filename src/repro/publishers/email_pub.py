@@ -26,14 +26,13 @@ class EmailPublisher(Publisher):
 
     mode = "email"
 
-    def __init__(self, recipient: str, subject_prefix: str = "[P2PM]") -> None:
+    def __init__(self, recipient: str) -> None:
         super().__init__()
         self.recipient = recipient
-        self.subject_prefix = subject_prefix
         self.outbox: list[Email] = []
 
     def publish(self, item: Element) -> None:
-        subject = f"{self.subject_prefix} {item.tag}"
+        subject = f"[P2PM] {item.tag}"
         if "type" in item.attrib:
             subject = f"{subject}: {item.attrib['type']}"
         self.outbox.append(Email(self.recipient, subject, pretty_xml(item)))

@@ -1,8 +1,8 @@
 """File and Web-page publishers.
 
 ``FilePublisher`` appends every result to an XML log document (optionally
-persisted to disk); ``WebPagePublisher`` maintains a small XHTML page whose
-body lists the most recent results, newest first.
+persisted to disk); ``WebPagePublisher`` maintains, in memory, a small XHTML
+page whose body lists the most recent results, newest first.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from pathlib import Path
 from repro.publishers.base import Publisher
 from repro.xmlmodel.serialize import pretty_xml
 from repro.xmlmodel.tree import Element
+
+_OPENING, _CLOSING = b"<results>\n", b"</results>\n"
 
 
 class FilePublisher(Publisher):
@@ -23,15 +25,13 @@ class FilePublisher(Publisher):
 
     mode = "file"
 
-    def __init__(self, path: str | Path | None = None, root_tag: str = "results") -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         super().__init__()
         self.path = Path(path) if path is not None else None
-        self.document = Element(root_tag)
-        self._closing = f"</{root_tag}>\n".encode("utf-8")
+        self.document = Element("results")
         if self.path is not None:
-            opening = f"<{root_tag}>\n".encode("utf-8")
-            self.path.write_bytes(opening + self._closing)
-            self._end = len(opening)  # where the closing tag starts
+            self.path.write_bytes(_OPENING + _CLOSING)
+            self._end = len(_OPENING)  # where the closing tag starts
 
     def publish(self, item: Element) -> None:
         item = item.copy()
@@ -40,27 +40,24 @@ class FilePublisher(Publisher):
             data = pretty_xml(item).encode("utf-8")
             with self.path.open("r+b") as file:
                 file.seek(self._end)
-                file.write(data + self._closing)
+                file.write(data + _CLOSING)
             self._end += len(data)
 
 
 class WebPagePublisher(Publisher):
-    """Maintains an XHTML page listing the latest results."""
+    """Maintains an XHTML page listing the latest results (:meth:`page`)."""
 
     mode = "webpage"
 
-    def __init__(self, title: str, max_entries: int = 20, path: str | Path | None = None) -> None:
+    def __init__(self, title: str, max_entries: int = 20) -> None:
         super().__init__()
         self.title = title
         self.max_entries = max_entries
-        self.path = Path(path) if path is not None else None
         self._entries: list[Element] = []
 
     def publish(self, item: Element) -> None:
         self._entries.insert(0, item.copy())
         del self._entries[self.max_entries :]
-        if self.path is not None:
-            self.path.write_text(pretty_xml(self.page()), encoding="utf-8")
 
     def page(self) -> Element:
         """The current XHTML page."""

@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.publishers.base import Publisher
-from repro.xmlmodel.serialize import pretty_xml
 from repro.xmlmodel.tree import Element
 
 
 class RSSPublisher(Publisher):
-    """Maintains an RSS document with one ``<item>`` per published result."""
+    """Maintains, in memory, an RSS document (:meth:`feed`) with one
+    ``<item>`` per published result."""
 
     mode = "rss"
 
-    def __init__(self, title: str, max_items: int = 50, path: str | Path | None = None) -> None:
+    def __init__(self, title: str, max_items: int = 50) -> None:
         super().__init__()
         self.title = title
         self.max_items = max_items
-        self.path = Path(path) if path is not None else None
         self._items: list[Element] = []
         self._sequence = 0
 
@@ -31,8 +28,6 @@ class RSSPublisher(Publisher):
         ])
         self._items.insert(0, entry)
         del self._items[self.max_items :]
-        if self.path is not None:
-            self.path.write_text(pretty_xml(self.feed()), encoding="utf-8")
 
     def feed(self) -> Element:
         """The current RSS document."""
