@@ -362,9 +362,7 @@ class Deployer:
 
         def wire(inputs: list[Stream], output: Stream):
             dynamic = DynamicAlerterSource(self.system, function, output)
-            unsubscribe_membership = inputs[0].subscribe(dynamic.on_membership_alert)
-            peer.dynamic_sources.append(dynamic)
-            return None, [unsubscribe_membership, dynamic.shutdown, partial(_discard, peer.dynamic_sources, dynamic)]
+            return None, [inputs[0].subscribe(dynamic.on_membership_alert), dynamic.shutdown]
 
         return self._deploy_output(node, task, peer, [membership_handle], wire)
 
@@ -606,8 +604,7 @@ class Deployer:
             )
             publisher = record.publisher = create_publisher(mode, ctx)
             publisher.connect(record.valve)
-            peer.publishers.append(publisher)
-            ctx.undo[:0] = [publisher.disconnect, partial(_discard, peer.publishers, publisher)]
+            ctx.undo[:0] = [publisher.disconnect]
         task.channels_created.extend(ctx.channels_created)
         self._record(task, peer.peer_id, None)
 

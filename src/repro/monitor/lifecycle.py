@@ -173,8 +173,6 @@ class DeliveryValve(Stream):
         self.items_delivered += 1
         stats = self.stats
         stats.items += 1
-        if self.keep_history:
-            self.history.append(item)
         subscribers = self._subscribers
         if len(subscribers) == 1:
             subscribers[0](item)
@@ -189,7 +187,7 @@ class DeliveryValve(Stream):
         subscribers = list(self._subscribers)
         delivered = 0
         for item in items:
-            if self.paused or self.closed or self.keep_history:
+            if self.paused or self.closed:
                 break
             delivered += 1
             for subscriber in subscribers:

@@ -178,26 +178,25 @@ class P2PMSystem:
 
     # -- peer lifecycle (churn) --------------------------------------------------
 
-    def fail_peer(self, peer_id: str, notify: bool | None = None) -> bool:
+    def fail_peer(self, peer_id: str) -> bool:
         """Simulate an abrupt peer failure.
 
-        With ``notify=True`` (the oracle-mode default) the failure
-        propagates synchronously through every layer: the DHT re-stabilises
-        (its ring node fails abruptly; lost index keys are re-replicated
-        onto the surviving nodes) and the recovery manager redeploys every
-        subscription spanning the dead peer on surviving peers.
+        In oracle mode the failure propagates synchronously through every
+        layer: the DHT re-stabilises (its ring node fails abruptly; lost
+        index keys are re-replicated onto the surviving nodes) and the
+        recovery manager redeploys every subscription spanning the dead
+        peer on surviving peers.
 
-        With ``notify=False`` (the detector-mode default) the kill is
-        *silent*: only the network learns about it, and the system must
-        notice via heartbeat silence -- :meth:`tick` the system until the
-        detector confirms the death and drives the same chain itself.
+        In detector mode the kill is *silent*: only the network learns
+        about it, and the system must notice via heartbeat silence --
+        :meth:`tick` the system until the detector confirms the death and
+        drives the same chain itself.
 
         Returns False when the peer was already down.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
-        if notify is None:
-            notify = self.failure_mode == "oracle"
+        notify = self.failure_mode == "oracle"
         if not self.network.fail_peer(peer_id, notify=notify):
             return False
         if notify:
@@ -205,20 +204,18 @@ class P2PMSystem:
             self.recovery.handle_peer_failure(peer_id)
         return True
 
-    def revive_peer(self, peer_id: str, notify: bool | None = None) -> bool:
+    def revive_peer(self, peer_id: str) -> bool:
         """Bring a failed peer back.
 
-        With ``notify=True`` (oracle-mode default) the peer rejoins the DHT
-        immediately and the recovery manager redeploys subscriptions whose
-        pending sources included it.  With ``notify=False`` (detector-mode
-        default) only the network revives it: the peer's heartbeat layer
-        performs the rejoin handshake and reintegration happens when an
-        observer hears it.  Returns False when the peer was not down.
+        In oracle mode the peer rejoins the DHT immediately and the recovery
+        manager redeploys subscriptions whose pending sources included it.
+        In detector mode only the network revives it: the peer's heartbeat
+        layer performs the rejoin handshake and reintegration happens when
+        an observer hears it.  Returns False when the peer was not down.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
-        if notify is None:
-            notify = self.failure_mode == "oracle"
+        notify = self.failure_mode == "oracle"
         if not self.network.revive_peer(peer_id, notify=notify):
             return False
         if notify:
@@ -371,8 +368,6 @@ class P2PMPeer:
         self.repository = AXMLRepository(peer_id)
         self.service_registry = ServiceRegistry()
         self.operators: list = []
-        self.publishers: list = []
-        self.dynamic_sources: list = []
         self._alerters: dict[str, Alerter] = {}
         self._alerter_hooks: list[AlerterHook] = []
         self._feed_sources: dict[str, Callable] = {}

@@ -541,8 +541,6 @@ class ChannelRegistry:
         item = items[0]
         stats = proxy.stats
         stats.items += 1
-        if proxy.keep_history:
-            proxy.history.append(item)
         subscribers = proxy._subscribers
         if len(subscribers) == 1:
             subscribers[0](item)

@@ -68,14 +68,14 @@ class Peer:
 
     # -- streams ----------------------------------------------------------------
 
-    def create_stream(self, stream_id: str | None = None, keep_history: bool = False) -> Stream:
+    def create_stream(self, stream_id: str | None = None) -> Stream:
         """Create (and register) a local stream owned by this peer."""
         if stream_id is None:
             self._stream_counter += 1
             stream_id = f"s{self._stream_counter}"
         if stream_id in self._streams:
             raise ValueError(f"peer {self.peer_id!r} already owns stream {stream_id!r}")
-        stream = Stream(stream_id, self.peer_id, keep_history=keep_history)
+        stream = Stream(stream_id, self.peer_id)
         self._streams[stream_id] = stream
         return stream
 

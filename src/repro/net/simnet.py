@@ -174,15 +174,6 @@ class SimNetwork:
         self.messages_dropped_peer_down = 0
 
     # ------------------------------------------------------------------ #
-    # Backwards compatibility
-    # ------------------------------------------------------------------ #
-
-    @property
-    def random(self) -> random.Random:
-        """Deprecated alias of :attr:`topology_rng` (pre-fault-kernel name)."""
-        return self.topology_rng
-
-    # ------------------------------------------------------------------ #
     # Scheduler delegation
     # ------------------------------------------------------------------ #
 

@@ -41,21 +41,11 @@ class Stream:
     peer_id:
         Identifier of the peer that produces the stream (may be ``None`` for
         purely local streams used in tests).
-    keep_history:
-        When true, every emitted item is retained in :attr:`history`.  The
-        stateful Join operator and tests use this.
     """
 
-    def __init__(
-        self,
-        stream_id: str,
-        peer_id: str | None = None,
-        keep_history: bool = False,
-    ) -> None:
+    def __init__(self, stream_id: str, peer_id: str | None = None) -> None:
         self.stream_id = stream_id
         self.peer_id = peer_id
-        self.keep_history = keep_history
-        self.history: list[Element] = []
         self.stats = StreamStats()
         self.closed = False
         self._subscribers: list[Subscriber] = []
@@ -97,8 +87,6 @@ class Stream:
             raise TypeError(f"stream items must be Elements, got {type(item).__name__}")
         stats = self.stats
         stats.items += 1
-        if self.keep_history:
-            self.history.append(item)
         subscribers = self._subscribers
         if len(subscribers) == 1:
             # common delivery-path shape: no defensive copy; a lone subscriber that
@@ -111,8 +99,8 @@ class Stream:
     def emit_many(self, items: Iterable[Element]) -> None:
         """Push a burst of XML trees, amortising accounting and fan-out.
 
-        Stats and history are updated once for the whole batch (they commit
-        when the open stream accepts it).
+        Stats are updated once for the whole batch (they commit when the
+        open stream accepts it).
 
         Delivery contract:
 
@@ -152,8 +140,6 @@ class Stream:
         validated (a channel proxy's frame); stops silently once closed."""
         stats = self.stats
         stats.items += len(batch)
-        if self.keep_history:
-            self.history.extend(batch)
         batch_subscribers, item_subscribers = self._split or self._split_subscribers()
         for deliver_batch in batch_subscribers:
             deliver_batch(batch)

@@ -288,10 +288,9 @@ VALVE_SCRIPTS = st.lists(
 )
 
 
-def _play_valve(script, pauses_at: frozenset, resumes_at: frozenset, framed: bool, history: bool):
+def _play_valve(script, pauses_at: frozenset, resumes_at: frozenset, framed: bool):
     source = Stream("src", "p")
     valve = valve_on(source, max_pause_buffer=50)
-    valve.keep_history = history
     first, second = [], []
 
     def from_a_callback(item) -> None:
@@ -322,7 +321,7 @@ def _play_valve(script, pauses_at: frozenset, resumes_at: frozenset, framed: boo
                 for item in items:
                     source.emit(item)
     state = (valve.items_delivered, valve.stats.items, valve.pending_count, valve.dropped_while_paused,
-             valve.paused, numbers(valve.history))
+             valve.paused)
     source.close()
     valve.resume()
     return first, numbers(item for item in second if item is not EOS), state, second[-1:] == [EOS]
@@ -333,11 +332,10 @@ def _play_valve(script, pauses_at: frozenset, resumes_at: frozenset, framed: boo
     script=VALVE_SCRIPTS,
     pauses_at=st.frozensets(st.integers(0, 120), max_size=6),
     resumes_at=st.frozensets(st.integers(0, 120), max_size=3),
-    history=st.booleans(),
 )
-def test_the_valve_takes_a_burst_as_it_takes_a_loop_of_items(script, pauses_at, resumes_at, history):
-    framed = _play_valve(script, pauses_at, resumes_at, framed=True, history=history)
-    looped = _play_valve(script, pauses_at, resumes_at, framed=False, history=history)
+def test_the_valve_takes_a_burst_as_it_takes_a_loop_of_items(script, pauses_at, resumes_at):
+    framed = _play_valve(script, pauses_at, resumes_at, framed=True)
+    looped = _play_valve(script, pauses_at, resumes_at, framed=False)
     assert framed == looped
 
 

@@ -197,10 +197,6 @@ class TestRngSplit:
 
         assert run(register_extra=True) == run(register_extra=False)
 
-    def test_legacy_random_alias_is_topology_rng(self):
-        network = SimNetwork(seed=5)
-        assert network.random is network.topology_rng
-
 
 class TestEventLog:
     def test_log_disabled_by_default(self):

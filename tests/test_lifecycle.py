@@ -325,11 +325,11 @@ class TestCancelTeardown:
         system.run()
         system.kadop.join_peer("server0.example")
         system.run()
-        assert any(p.dynamic_sources for p in (system.peer(i) for i in system.peer_ids))
+        # the joined server's alerter is read by the dynamic source, until the cancel
+        watched = server.alerter("inCOM").output
+        assert watched.subscriber_count == 1
         handle.cancel()
-        assert all(
-            not system.peer(peer_id).dynamic_sources for peer_id in system.peer_ids
-        )
+        assert watched.subscriber_count == 0
         assert len(system.resources) == 0
 
 

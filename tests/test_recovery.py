@@ -232,7 +232,10 @@ class TestFailover:
         system.run()
         # the publisher outlives the deployment it was built by
         assert handle.publisher is publisher
-        assert monitor.publishers == [publisher]
+        # and recovery built no second one, which would publish a second channel
+        published = [name for name in handle.channels_created if name.startswith("#chaosAlerts")]
+        assert published == [f"#chaosAlerts@{monitor.peer_id}"]
+        assert not monitor.net.channels.publishes("chaosAlerts-2")
         workload = ChaosFeedWorkload(sources)
         workload.tick(system, 4)
         system.run()

@@ -1,5 +1,7 @@
 """Tests for the push-based Stream abstraction."""
 
+import weakref
+
 import pytest
 
 from repro.streams import EOS, Stream, StreamClosedError, collect, is_eos
@@ -70,13 +72,16 @@ class TestStream:
         stream.emit(Element("b"))
         assert stream.stats.items == 2
 
-    def test_history_kept_only_when_requested(self):
-        plain = Stream("s")
-        plain.emit(Element("a"))
-        assert plain.history == []
-        hist = Stream("s", keep_history=True)
-        hist.emit(Element("a"))
-        assert len(hist.history) == 1
+    def test_a_stream_keeps_no_item_it_emitted(self):
+        stream = Stream("s")
+        seen = collect(stream)
+        item = Element("a")
+        stream.emit(item)
+        stream.emit_many([Element("b"), Element("c")])
+        assert [e.tag for e in seen] == ["a", "b", "c"]
+        kept = weakref.ref(item)
+        del item, seen[:]
+        assert kept() is None  # nothing but its subscribers held it
 
     def test_emit_many(self):
         stream = Stream("s")

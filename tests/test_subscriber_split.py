@@ -26,8 +26,6 @@ class FrozenStream(Stream):
     def deliver_many(self, batch: list[Element]) -> None:
         stats = self.stats
         stats.items += len(batch)
-        if self.keep_history:
-            self.history.extend(batch)
         batch_subscribers = []
         item_subscribers = []
         for subscriber in list(self._subscribers):
@@ -74,9 +72,9 @@ class Receiver:
 Receiver.receive.batch = Receiver.receive_many  # type: ignore[attr-defined]
 
 
-def run(stream_cls: type[Stream], program: list[tuple], keep_history: bool) -> tuple:
+def run(stream_cls: type[Stream], program: list[tuple]) -> tuple:
     """Run ``program`` on a fresh ``stream_cls``; returns everything observable."""
-    stream = stream_cls("s", "p", keep_history=keep_history)
+    stream = stream_cls("s", "p")
     log: list = []
     handles: list = []
     serial = [0]
@@ -142,7 +140,7 @@ def run(stream_cls: type[Stream], program: list[tuple], keep_history: bool) -> t
                     stream.emit_many(items(op[1]))
             except StreamClosedError as error:
                 log.append(("raised", str(error)))
-    return log, stream.stats.items, [int(item.attrib["n"]) for item in stream.history], stream.subscriber_count
+    return log, stream.stats.items, stream.subscriber_count
 
 
 OPS = st.one_of(
@@ -155,9 +153,9 @@ OPS = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(program=st.lists(OPS, max_size=14), keep_history=st.booleans())
-def test_generated_programs_deliver_as_the_frozen_split(program, keep_history):
-    assert run(Stream, program, keep_history) == run(FrozenStream, program, keep_history)
+@given(program=st.lists(OPS, max_size=14))
+def test_generated_programs_deliver_as_the_frozen_split(program):
+    assert run(Stream, program) == run(FrozenStream, program)
 
 
 def test_the_programs_reach_every_mid_burst_action():
@@ -173,13 +171,13 @@ def test_the_programs_reach_every_mid_burst_action():
                 ("emit_many", 3),
                 ("emit_many", 2),
             ]
-            log = run(Stream, program, False)
-            assert log == run(FrozenStream, program, False)
+            log = run(Stream, program)
+            assert log == run(FrozenStream, program)
             assert log[0][0][1] == "burst"  # the batch subscriber takes the burst first
 
 
 def test_a_subscriber_added_mid_burst_waits_for_the_next_burst():
     program = [("subscribe", "batch", "subscribe_new"), ("emit_many", 2), ("emit_many", 1)]
-    log, items, _, subscribers = run(Stream, program, False)
+    log, items, subscribers = run(Stream, program)
     assert log == [("s0", "burst", (0, 1)), ("s0", "burst", (2,)), ("s0'", 2)]
     assert items == 3 and subscribers == 2
