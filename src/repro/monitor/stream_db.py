@@ -47,7 +47,6 @@ OPERATOR_NAMES = {
     PUBLISH: "Publisher",
     EXISTING: None,
 }
-_PUBLISHER = OPERATOR_NAMES[PUBLISH]
 
 
 def operator_spec(node: PlanNode) -> str:
@@ -157,7 +156,8 @@ class StreamDefinitionDatabase:
     The primary is two in-memory indexes -- one by reuse probe key, the
     replica map -- filed by a publication once it returned and withdrawn
     before a retraction is routed.  Every Section-5 probe reads them, never
-    KadoP; descriptions written to KadoP directly are invisible to reuse.  The XPath queries stay as ``find_*_oracle`` and
+    KadoP; descriptions written to KadoP directly are invisible to reuse.
+    The XPath queries stay as ``find_*_oracle`` and
     :meth:`verify_index_coherence`, the proof that the replica equals them.
     """
 
@@ -184,14 +184,16 @@ class StreamDefinitionDatabase:
         #: replica doc id -> its original (peer, stream) key, so a replica can
         #: be deindexed even when its document has since been overwritten
         self._replica_keys: dict[str, tuple[str, str]] = {}
-        #: bumped whenever a description is filed in or deindexed from
-        #: ``_by_probe``: never a Publisher output or an ``<InChannel>``
-        #: replica (replicas only affect provider choice, re-ranked on every probe)
+        #: bumped whenever a description that can influence reuse *matching*
+        #: is filed or deindexed: any ``<Stream>`` except Publisher outputs (a
+        #: PUBLISH node is never matched), never an ``<InChannel>`` replica
+        #: (replicas only affect provider choice, re-ranked on every probe)
         self.reuse_version = 0
-        #: ``_by_probe`` keys some signature cache entry watches -> the
-        #: ``reuse_version`` at which a filing or deindexing last changed that
-        #: probe's answer; the cache fills it, the database only stamps keys
-        #: already in it
+        #: reuse probe keys some signature cache entry watches -- an alerter
+        #: probe's ``(peer, kind)``, an operator probe's ``(operator, sorted
+        #: operands, spec)`` -- -> the ``reuse_version`` at which a filing or
+        #: deindexing last changed that probe's answer; the cache fills it,
+        #: the database only stamps keys already in it
         self.watched: dict[tuple, int] = {}
 
     # -- publication ---------------------------------------------------------------
@@ -286,7 +288,10 @@ class StreamDefinitionDatabase:
         return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
 
     def find_operator_streams(
-        self, operator: str, spec: str, operands: list[tuple[str, str]]
+        self,
+        operator: str,
+        spec: str,
+        operands: list[tuple[str, str]],
     ) -> list[StreamDescription]:
         """Find streams computing ``operator`` with ``spec`` over exactly the
         given (at least one) operands."""
@@ -381,7 +386,7 @@ class StreamDefinitionDatabase:
     def _file(self, doc_id: str, description: StreamDescription) -> None:
         self._descriptions[doc_id] = description
         operator, operands = description.operator, description.operands
-        if operator == _PUBLISHER:
+        if operator == OPERATOR_NAMES[PUBLISH]:
             return
         # the probe key of ReuseEngine._match_node -- a membership-driven
         # source has an operand, so no alerter probe reads it -- inline, not
@@ -402,7 +407,7 @@ class StreamDefinitionDatabase:
         description = self._descriptions.pop(doc_id, None)
         if description is not None:
             operator, operands = description.operator, description.operands
-            if operator != _PUBLISHER:
+            if operator != OPERATOR_NAMES[PUBLISH]:
                 # the key and stamp of ``_file``, inline for the same reason: every cancel passes here
                 key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
                 bucket = self._by_probe[key]
