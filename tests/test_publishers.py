@@ -7,9 +7,9 @@ from repro.publishers import (
     FilePublisher,
     RSSPublisher,
     WebPagePublisher,
+    file_pub,
 )
 from repro.streams import Stream, collect
-from repro.publishers import file_pub
 from repro.xmlmodel import Element, parse_xml, pretty_xml
 
 
