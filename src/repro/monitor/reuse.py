@@ -244,7 +244,7 @@ class ReuseEngine:
     ) -> tuple[str, str] | None:
         if node.kind == EXISTING:
             return node.params["peer"], node.params["stream_id"]
-        if node.kind == ALERTER:
+        if node.kind == ALERTER and not node.children:
             peer = node.params.get("peer")
             if not peer or peer == "local":
                 return None
@@ -258,7 +258,9 @@ class ReuseEngine:
         # an inner operator can only be reused when every operand matched
         if not child_matches or any(match is None for match in child_matches):
             return None
-        operator_name = OPERATOR_NAMES.get(node.kind)
+        # a membership-driven source is described under its alerter kind, with
+        # the membership stream as operand (StreamDefinitionDatabase.describe_node)
+        operator_name = node.params.get("alerter", "alerter") if node.kind == ALERTER else OPERATOR_NAMES.get(node.kind)
         if operator_name is None:
             return None
         report.queries_issued += 1

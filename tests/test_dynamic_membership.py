@@ -110,3 +110,43 @@ def test_a_static_subscription_never_reuses_a_membership_driven_source():
     assert {item.attrib["callee"] for item in dynamic.results()} == {"server0.example"}
     # nobody calls the monitor itself
     assert static.results() == []
+
+
+def test_identical_membership_driven_subscriptions_share_their_source():
+    """A second ``inCOM($j)`` subscription reuses the first one's membership
+    stream, its membership-driven source and its restructuring, and keeps
+    delivering once the first is cancelled."""
+    system = P2PMSystem(seed=5)
+    servers = ["server0.example", "server1.example"]
+    for peer_id in (*servers, "client.example"):
+        system.add_peer(peer_id)
+    monitor = system.add_peer("monitor.example")
+    traffic = SoapTrafficGenerator(clients=["client.example"], servers=servers, methods=["Get"], seed=5)
+    for peer_id in servers:
+        system.peer(peer_id).add_alerter_hook(
+            lambda alerter: traffic.attach_alerter(alerter) if hasattr(alerter, "observe_call") else None
+        )
+    query = """
+        for $j in areRegistered(<p>monitor.example</p>), $c in inCOM($j)
+        return <dyn callee="{$c.callee}"/>
+        """
+    first = monitor.subscribe(query, sub_id="a", max_results=1024)
+    system.run()
+    second = monitor.subscribe(query, sub_id="b", max_results=1024, reuse=True)
+    system.run()
+    reused = [stream for _, stream, _ in second.reuse_report.reused]
+    assert "a.s1@monitor.example" in reused and "a.s2@monitor.example" in reused
+    assert second.operator_count == 0
+    system.kadop.join_peer("server0.example")
+    system.run()
+    traffic.run(60)
+    system.run()
+    assert len(first.results()) == len(second.results()) > 0
+    delivered = len(second.results())
+    first.cancel()
+    system.run()
+    traffic.run(60)
+    system.run()
+    assert len(second.results()) > delivered
+    assert {item.attrib["callee"] for item in second.results()} == {"server0.example"}
+    assert system.stream_db.verify_index_coherence() == []
