@@ -42,18 +42,21 @@ AlerterHook = Callable[[Alerter], None]
 class P2PMSystem:
     """A whole monitoring deployment: network + peers + Stream Definition DB.
 
-    Failure handling comes in two modes:
+    A peer failure runs one chain, whoever notices it: DHT
+    re-replication, channel-subscriber death marking and recovery
+    redeployment (:meth:`_on_peer_confirmed_down`); a revival runs the
+    reverse (:meth:`_on_peer_rejoined`).  ``failure_mode`` decides only who
+    notices, and when:
 
-    * ``failure_mode="oracle"`` (the default, backwards compatible):
-      :meth:`fail_peer` synchronously notifies the DHT and the recovery
-      manager -- the perfect failure oracle no real deployment has.
+    * ``failure_mode="oracle"`` (the default): :meth:`fail_peer` and
+      :meth:`revive_peer` run the chain at once -- the perfect failure
+      oracle no real deployment has.
     * ``failure_mode="detector"``: kills are *silent*.  A
       :class:`~repro.net.detector.HeartbeatDetector` pings a seeded
-      neighbor set every :meth:`tick`; its confirmations (not the oracle)
-      drive DHT re-replication, channel-subscriber death marking and
-      recovery redeployment, and its rejoin handshake replaces revive
-      notifications.  Channels switch to acknowledged delivery with
-      per-tick retransmission (the derived ``reliable_channels`` attribute).
+      neighbor set every :meth:`tick`; its confirmations run the chain,
+      and its rejoin handshake runs the revival.  Channels switch to
+      acknowledged delivery with per-tick retransmission (the derived
+      ``reliable_channels`` attribute).
 
     Orthogonally, ``reliable_control=True`` routes Stream Definition
     Database publications/retractions and deployment control messages
@@ -181,46 +184,37 @@ class P2PMSystem:
     def fail_peer(self, peer_id: str) -> bool:
         """Simulate an abrupt peer failure.
 
-        In oracle mode the failure propagates synchronously through every
-        layer: the DHT re-stabilises (its ring node fails abruptly; lost
-        index keys are re-replicated onto the surviving nodes) and the
-        recovery manager redeploys every subscription spanning the dead
-        peer on surviving peers.
-
-        In detector mode the kill is *silent*: only the network learns
-        about it, and the system must notice via heartbeat silence --
-        :meth:`tick` the system until the detector confirms the death and
-        drives the same chain itself.
+        The network records the kill.  In oracle mode the system knows at
+        once and runs the failure chain (:meth:`_on_peer_confirmed_down`)
+        synchronously.  In detector mode only the network knows: :meth:`tick`
+        the system until the detector confirms the death and runs the same
+        chain.
 
         Returns False when the peer was already down.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
-        notify = self.failure_mode == "oracle"
-        if not self.network.fail_peer(peer_id, notify=notify):
+        if not self.network.fail_peer(peer_id):
             return False
-        if notify:
-            self.kadop.fail_peer(peer_id)
-            self.recovery.handle_peer_failure(peer_id)
+        if self.detector is None:
+            self._on_peer_confirmed_down(peer_id)
         return True
 
     def revive_peer(self, peer_id: str) -> bool:
         """Bring a failed peer back.
 
-        In oracle mode the peer rejoins the DHT immediately and the recovery
-        manager redeploys subscriptions whose pending sources included it.
-        In detector mode only the network revives it: the peer's heartbeat
-        layer performs the rejoin handshake and reintegration happens when
-        an observer hears it.  Returns False when the peer was not down.
+        In oracle mode the peer is reintegrated at once
+        (:meth:`_on_peer_rejoined`).  In detector mode only the network
+        revives it: the peer's heartbeat layer performs the rejoin handshake
+        and the same reintegration runs when an observer hears it.  Returns
+        False when the peer was not down.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown P2PM peer {peer_id!r}")
-        notify = self.failure_mode == "oracle"
-        if not self.network.revive_peer(peer_id, notify=notify):
+        if not self.network.revive_peer(peer_id):
             return False
-        if notify:
-            self.kadop.join_peer(peer_id)
-            self.recovery.handle_peer_revival(peer_id)
+        if self.detector is None:
+            self._on_peer_rejoined(peer_id)
         return True
 
     def is_alive(self, peer_id: str) -> bool:
@@ -336,14 +330,18 @@ class P2PMSystem:
         return "\n".join(lines)
 
     def _on_peer_confirmed_down(self, peer_id: str) -> None:
-        """Detector confirmation: drive the same chain the oracle would."""
+        """The failure chain, run once the system knows ``peer_id`` is down
+        (at the kill in oracle mode, at the detector's confirmation
+        otherwise): the DHT re-replicates, channels stop sending to it and
+        recovery redeploys what it hosted."""
         self.kadop.fail_peer(peer_id)
         for peer in self._peers.values():
             peer.net.channels.handle_peer_death(peer_id)
         self.recovery.handle_peer_failure(peer_id)
 
     def _on_peer_rejoined(self, peer_id: str) -> None:
-        """Detector rejoin handshake: reintegrate a confirmed-dead peer."""
+        """Reintegrate a peer known to be down (at the revival in oracle
+        mode, at the detector's rejoin handshake otherwise)."""
         self.kadop.join_peer(peer_id)
         for peer in self._peers.values():
             peer.net.channels.handle_peer_rejoin(peer_id)

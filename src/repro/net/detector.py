@@ -19,8 +19,8 @@ seed-deterministic detection latency.
 * **Sticky confirmation + rejoin handshake.** Once CONFIRMED, stray
   evidence (e.g. pings held behind a partition and released at heal) does
   *not* resurrect the peer: it must send an explicit ``hb.rejoin``, which
-  flips it back to ALIVE and fires ``on_rejoin`` -- the detector-mode
-  replacement for oracle revive notifications.  A live peer that was
+  flips it back to ALIVE and fires ``on_rejoin`` -- where an oracle-mode
+  revival reintegrates the peer at once.  A live peer that was
   falsely confirmed (partitioned, not dead) keeps sending rejoins each
   tick, so it reintegrates as soon as connectivity returns.
 

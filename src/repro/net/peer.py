@@ -35,10 +35,6 @@ class Peer:
         self._handlers: dict[str, MessageHandler] = {}
         self._streams: dict[str, Stream] = {}
         self._stream_counter = 0
-        #: opt-in received-message log (debugging aid); off by default so the
-        #: delivery hot path does not grow an unbounded list per peer
-        self.log_inbox = False
-        self.inbox_log: list[Message] = []
         network.register(self, coordinates)
         self.channels = ChannelRegistry(self)
 
@@ -56,8 +52,6 @@ class Peer:
 
     def handle_message(self, message: Message) -> None:
         """Dispatch an incoming message to its handler (called by the network)."""
-        if self.log_inbox:
-            self.inbox_log.append(message)
         handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.net.errors import CircuitOpen, RpcRemoteError, RpcTimeout
 from repro.xmlmodel.tree import Element
@@ -53,20 +53,21 @@ RpcHandler = Callable[[Element, str], "Element | None"]
 class RetryPolicy:
     """Deadline and retry schedule for one RPC call.
 
-    Attempt ``n`` (0-based) waits ``base_timeout * backoff**n`` scaled by a
-    uniform jitter factor in ``[1, 1 + jitter]`` before retrying.  With the
+    Attempt ``n`` (0-based) waits ``base_timeout * BACKOFF**n`` scaled by a
+    uniform jitter factor in ``[1, 1 + JITTER]`` before retrying.  With the
     defaults the total budget is ~3.15s of simulated time over 6 attempts,
     against a simulated RTT of at most ~0.03s.
     """
 
+    BACKOFF: ClassVar[float] = 2.0
+    JITTER: ClassVar[float] = 0.5
+
     max_attempts: int = 6
     base_timeout: float = 0.05
-    backoff: float = 2.0
-    jitter: float = 0.5
 
     def timeout_for(self, attempt: int, rng: random.Random) -> float:
-        span = self.base_timeout * self.backoff**attempt
-        return span * (1.0 + self.jitter * rng.random())
+        span = self.base_timeout * self.BACKOFF**attempt
+        return span * (1.0 + self.JITTER * rng.random())
 
 
 class CircuitBreaker:

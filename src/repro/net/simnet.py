@@ -16,9 +16,10 @@ the paper assumes:
 * named network **partitions** (:meth:`SimNetwork.partition` /
   :meth:`SimNetwork.heal`): messages crossing a partition are *held* and
   rescheduled when the partition heals;
-* first-class **peer lifecycle** events (:meth:`SimNetwork.fail_peer` /
-  :meth:`SimNetwork.revive_peer`) with listeners the DHT and the monitor
-  recovery layer subscribe to;
+* peer **liveness** (:meth:`SimNetwork.fail_peer` /
+  :meth:`SimNetwork.revive_peer`): a failed peer neither sends nor
+  receives, and nobody is told -- who notices, and when, is the monitoring
+  system's business;
 * a structured, deterministic **event log** (enable with
   ``record_events = True``) so chaos scenarios can assert byte-identical
   traces for identical seeds.
@@ -89,9 +90,6 @@ class Message:
         )
 
 
-PeerLifecycleListener = Callable[[str], None]
-
-
 @final
 class Timer:
     """A scheduled callback on the delivery heap (see :meth:`SimNetwork.call_later`).
@@ -126,26 +124,21 @@ class SimNetwork:
     seed:
         Seed for the network's RNGs (peer coordinates and fault draws use
         independent streams derived from it).
-    base_latency:
-        Fixed per-message latency added to the coordinate distance.
     fault_model:
         Optional :class:`FaultModel` applied to every scheduled delivery;
         ``None`` is a perfect network.  Swap at runtime with
         :meth:`set_fault_model`.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        base_latency: float = 0.001,
-        fault_model: FaultModel | None = None,
-    ) -> None:
+    #: fixed per-message latency added to the coordinate distance
+    BASE_LATENCY = 0.001
+
+    def __init__(self, seed: int = 0, fault_model: FaultModel | None = None) -> None:
         self.seed = seed
         #: draws peer coordinates at registration time
         self.topology_rng = random.Random(seed)
         #: drives runtime fault decisions (loss, duplication, jitter)
         self.runtime_rng = random.Random(f"{seed}:runtime")
-        self.base_latency = base_latency
         self.fault_model = fault_model
         #: the deterministic (time, sequence) event core; the heap holds
         #: messages and timers, tie-broken by a unique sequence number so
@@ -165,8 +158,6 @@ class SimNetwork:
         self._down: set[str] = set()
         self._partitions: dict[str, tuple[frozenset[str], ...]] = {}
         self._held: dict[str, list[Message]] = {}
-        self._down_listeners: list[PeerLifecycleListener] = []
-        self._up_listeners: list[PeerLifecycleListener] = []
         #: counters chaos tests and benchmarks read
         self.messages_lost = 0
         self.messages_duplicated = 0
@@ -261,7 +252,7 @@ class SimNetwork:
         if source == destination:
             value = 0.0
         else:
-            value = self.base_latency + self.distance(source, destination) / 100.0
+            value = self.BASE_LATENCY + self.distance(source, destination) / 100.0
         self._latency_cache[(source, destination)] = value
         return value
 
@@ -269,18 +260,14 @@ class SimNetwork:
     # Peer lifecycle (fail / revive)
     # ------------------------------------------------------------------ #
 
-    def fail_peer(self, peer_id: str, notify: bool = True) -> bool:
+    def fail_peer(self, peer_id: str) -> bool:
         """Mark a registered peer as failed: it can no longer send or receive.
 
         The peer stays registered (its identity and coordinates survive), so
         it can be revived later; messages addressed to it while down are
-        dropped.  Returns False when already down.
-
-        ``notify=False`` is a **silent kill**: lifecycle listeners are not
-        invoked, modelling the paper's volatile peers that leave without
-        telling anyone -- only a failure detector (heartbeat timeouts) can
-        notice.  The network-level liveness bookkeeping is identical either
-        way; what differs is who gets told.
+        dropped.  Returns False when already down.  The kill is silent, like
+        the paper's volatile peers that leave without telling anyone: the
+        network only records it.
         """
         if peer_id not in self._peers:
             raise UnknownPeerError(f"cannot fail unknown peer {peer_id!r}")
@@ -289,18 +276,10 @@ class SimNetwork:
         self._down.add(peer_id)
         if self.record_events:
             self._log(f"fail {peer_id}")
-        if notify:
-            for listener in list(self._down_listeners):
-                listener(peer_id)
         return True
 
-    def revive_peer(self, peer_id: str, notify: bool = True) -> bool:
-        """Bring a failed peer back; returns False when it was not down.
-
-        ``notify=False`` is a silent revival: listeners are not invoked and
-        the peer must make itself known again (the failure detector's rejoin
-        handshake).
-        """
+    def revive_peer(self, peer_id: str) -> bool:
+        """Bring a failed peer back; returns False when it was not down."""
         if peer_id not in self._peers:
             raise UnknownPeerError(f"cannot revive unknown peer {peer_id!r}")
         if peer_id not in self._down:
@@ -308,9 +287,6 @@ class SimNetwork:
         self._down.discard(peer_id)
         if self.record_events:
             self._log(f"revive {peer_id}")
-        if notify:
-            for listener in list(self._up_listeners):
-                listener(peer_id)
         return True
 
     def is_alive(self, peer_id: str) -> bool:
@@ -320,23 +296,6 @@ class SimNetwork:
     def down_peers(self) -> frozenset[str]:
         """The currently failed peers."""
         return frozenset(self._down)
-
-    def on_peer_down(self, listener: PeerLifecycleListener) -> Callable[[], None]:
-        """Invoke ``listener(peer_id)`` on every failure; returns an unsubscriber."""
-        self._down_listeners.append(listener)
-        return lambda: self._discard_listener(self._down_listeners, listener)
-
-    def on_peer_up(self, listener: PeerLifecycleListener) -> Callable[[], None]:
-        """Invoke ``listener(peer_id)`` on every revival; returns an unsubscriber."""
-        self._up_listeners.append(listener)
-        return lambda: self._discard_listener(self._up_listeners, listener)
-
-    @staticmethod
-    def _discard_listener(
-        bucket: list[PeerLifecycleListener], listener: PeerLifecycleListener
-    ) -> None:
-        if listener in bucket:
-            bucket.remove(listener)
 
     # ------------------------------------------------------------------ #
     # Partitions
@@ -667,10 +626,6 @@ class SimNetwork:
         """
         return self.scheduler.drain(self._deliver_one, max_steps)
 
-    def run_until_idle(self, max_steps: int | None = None) -> int:
-        """Drain the queue completely (alias of :meth:`run`, named for intent)."""
-        return self.run(max_steps)
-
     def advance(self, duration: float) -> None:
         """Advance the simulated clock without delivering messages."""
         if duration < 0:
@@ -690,16 +645,3 @@ class SimNetwork:
         digest = hashlib.sha256("\n".join(self.event_log).encode("utf-8"))
         return digest.hexdigest()
 
-
-def broadcast(
-    network: SimNetwork,
-    source: str,
-    destinations: list[str],
-    kind: str,
-    payload: Element,
-) -> list[Message]:
-    """Send the same payload from ``source`` to every destination."""
-    return [network.send(source, dest, kind, payload) for dest in destinations]
-
-
-MessageHandler = Callable[[Message], None]

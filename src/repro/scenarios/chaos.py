@@ -155,9 +155,9 @@ class ChaosScenario:
     churn: ChurnSpec | None = None
     invariants: tuple[str, ...] = ("no-duplicates",)
     description: str = ""
-    #: how the system notices failures.  ``detector`` (the default) makes
-    #: every fail/revive *silent* -- the system only has its heartbeats;
-    #: ``oracle`` restores the legacy synchronous lifecycle notifications
+    #: who notices failures.  ``detector`` (the default): the system only
+    #: has its heartbeats, so a fail/revive runs the failure chain when they
+    #: tell; ``oracle``: the chain runs at the fail/revive itself
     failure_mode: str = "detector"
     #: route Stream Definition DB + deployment control over retrying RPC
     reliable_control: bool = False

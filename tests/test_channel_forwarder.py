@@ -122,7 +122,7 @@ def test_a_channel_its_last_subscriber_left_costs_nothing_and_resumes(reliable):
 def test_a_confirmed_dead_subscriber_keeps_the_forwarder(reliable):
     network, pub, stream, channel = publisher(reliable)
     subscribe(network, "r0", reliable)
-    network.fail_peer("r0", notify=False)
+    network.fail_peer("r0")
     pub.channels.handle_peer_death("r0")
     stream.emit(alert(1))
     stream.emit_many([alert(2), alert(3)])
@@ -146,7 +146,7 @@ def test_a_confirmed_dead_subscriber_keeps_the_forwarder(reliable):
 def test_claim_orphans_hands_the_outbox_over(reliable):
     network, pub, stream, channel = publisher(reliable)
     subscribe(network, "r0", reliable)
-    network.fail_peer("r0", notify=False)
+    network.fail_peer("r0")
     pub.channels.handle_peer_death("r0")
     stream.emit_many([alert(1), alert(2)])
     network.run()

@@ -24,7 +24,7 @@ from repro.net.channel import MSG_ACK, MSG_ITEM, MSG_ITEMS, _wrapper
 from repro.net.errors import UnknownPeerError
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
-from repro.net.simnet import SimNetwork
+from repro.net.simnet import Message, SimNetwork
 from repro.streams import EOS, Stream, StreamClosedError
 from repro.streams.stream import collect
 from repro.xmlmodel.tree import Element
@@ -35,6 +35,19 @@ ITEM_KINDS = (MSG_ITEM, MSG_ITEMS)
 
 def numbers(items) -> list[int]:
     return [int(item.attrib["n"]) for item in items]
+
+
+def record_arrivals(peer: Peer) -> list[Message]:
+    """Every message the network hands ``peer`` from now on, in arrival order."""
+    arrived: list[Message] = []
+    handle = peer.handle_message
+
+    def recording(message: Message) -> None:
+        arrived.append(message)
+        handle(message)
+
+    peer.handle_message = recording
+    return arrived
 
 
 # -- the relay chain: a burst is a loop of emits ----------------------------------
@@ -49,6 +62,7 @@ class Chain:
         self.network = SimNetwork(seed=5, fault_model=fault_model)
         self.reliable = reliable
         self.peers: dict[str, Peer] = {}
+        self.inboxes: dict[str, list[Message]] = {}
         self.sinks: dict[str, list[Element]] = {}
         self.proxies: dict[str, Stream] = {}
         self.joined_at: dict[str, int] = {}
@@ -65,7 +79,7 @@ class Chain:
     def _peer(self, name: str) -> Peer:
         peer = self.peers[name] = Peer(name, self.network)
         peer.channels.reliable = self.reliable
-        peer.log_inbox = True
+        self.inboxes[name] = record_arrivals(peer)
         return peer
 
     def _tap(self, name: str, proxy: Stream) -> None:
@@ -106,7 +120,7 @@ class Chain:
         return self
 
     def item_messages(self) -> list:
-        return [m for peer in self.peers.values() for m in peer.inbox_log if m.kind in ITEM_KINDS]
+        return [m for inbox in self.inboxes.values() for m in inbox if m.kind in ITEM_KINDS]
 
     def expected(self, name: str) -> list[int]:
         return list(range(self.joined_at[name], self.emitted))
@@ -145,7 +159,7 @@ def test_a_burst_is_a_loop_of_emits_on_a_perfect_network(hops, script):
         assert message.kind == framed_kind
         assert message.size == message.payload.weight() == uncached_weight(message.payload)
     assert len(messages) <= len(looped.item_messages())
-    everything = [m for peer in framed.peers.values() for m in peer.inbox_log]
+    everything = [m for inbox in framed.inboxes.values() for m in inbox]
     assert framed.network.stats.total_bytes == sum(m.size for m in everything)
     assert framed.network.stats.total_bytes <= looped.network.stats.total_bytes
 
@@ -161,8 +175,8 @@ def test_frames_stay_exactly_once_under_duplication_and_reordering(hops, script,
     chain = Chain(hops, FaultModel(duplication_rate=duplication, jitter=jitter)).play(script, framed=True)
     for name, sink in chain.sinks.items():
         assert sorted(numbers(sink)) == chain.expected(name), name
-    for name, peer in chain.peers.items():
-        arrived = sum(len(m.payload.children) for m in peer.inbox_log if m.kind in ITEM_KINDS)
+    for name, inbox in chain.inboxes.items():
+        arrived = sum(len(m.payload.children) for m in inbox if m.kind in ITEM_KINDS)
         if name in chain.proxies:  # every child is delivered once or counted as a duplicate
             proxy = chain.proxies[name]
             assert proxy.stats.items + proxy.duplicates_dropped == arrived, name

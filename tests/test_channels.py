@@ -259,7 +259,7 @@ class TestReliableDelivery:
 
     def test_confirmed_dead_subscriber_is_not_retransmitted_to(self):
         network, publisher, subscriber, stream, proxy = self.build()
-        network.fail_peer("sub.com", notify=False)
+        network.fail_peer("sub.com")
         publisher.channels.handle_peer_death("sub.com")
         stream.emit(Element("alert", {"n": "0"}))
         network.run()
@@ -272,7 +272,7 @@ class TestReliableDelivery:
 
     def test_takeover_subscriber_claims_orphaned_items(self):
         network, publisher, subscriber, stream, proxy = self.build()
-        network.fail_peer("sub.com", notify=False)
+        network.fail_peer("sub.com")
         publisher.channels.handle_peer_death("sub.com")
         for i in range(2):
             stream.emit(Element("alert", {"n": str(i)}))
@@ -294,13 +294,13 @@ class TestReliableDelivery:
     def test_rejoining_subscriber_resumes_without_loss(self):
         network, publisher, subscriber, stream, proxy = self.build()
         received = collect(proxy)
-        network.fail_peer("sub.com", notify=False)
+        network.fail_peer("sub.com")
         publisher.channels.handle_peer_death("sub.com")
         for i in range(2):
             stream.emit(Element("alert", {"n": str(i)}))
         network.run()
         assert received == []
-        network.revive_peer("sub.com", notify=False)
+        network.revive_peer("sub.com")
         publisher.channels.handle_peer_rejoin("sub.com")
         publisher.channels.retransmit_tick()
         network.run()
@@ -310,7 +310,7 @@ class TestReliableDelivery:
         network, publisher, subscriber, stream, proxy = self.build()
         # down but never confirmed dead: the detector hasn't spoken, so the
         # sweep keeps trying until the per-item retry budget runs out
-        network.fail_peer("sub.com", notify=False)
+        network.fail_peer("sub.com")
         stream.emit(Element("alert", {"n": "0"}))
         network.run()
         limit = publisher.channels.RETRY_LIMIT
@@ -331,7 +331,7 @@ class TestReliableDelivery:
         publisher.publish_channel("job.e0.s1", old_stream)
         consumer.subscribe_channel("pub.com", "job.e0.s1")
         network.run()
-        network.fail_peer("c1.com", notify=False)
+        network.fail_peer("c1.com")
         publisher.channels.handle_peer_death("c1.com")
         for i in range(2):
             old_stream.emit(Element("alert", {"n": str(i)}))
@@ -364,7 +364,7 @@ class TestReliableDelivery:
         old_stream = publisher.create_stream("job.e0.s1")
         publisher.publish_channel("job.e0.s1", old_stream)
         publisher.channels.admit_subscriber("job.e0.s1", "c1.com")
-        network.fail_peer("c1.com", notify=False)
+        network.fail_peer("c1.com")
         publisher.channels.handle_peer_death("c1.com")
         old_stream.emit(Element("alert"))
         new_stream = publisher.create_stream("job.e1.s1")

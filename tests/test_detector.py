@@ -8,6 +8,8 @@ handshake.  In detector mode, kills are *silent* -- these tests prove the
 detector (not the oracle) drives index repair and redeployment.
 """
 
+import pytest
+
 from repro.algebra.plan import UNION
 from repro.monitor import P2PMSystem
 from repro.net.detector import ALIVE, CONFIRMED, SUSPECT, DetectorConfig
@@ -176,6 +178,32 @@ class TestRejoinHandshake:
         run_ticks(system, 2)
         assert system.detector.status(victim) == ALIVE
         assert victim in [p for t, p in system.detector.rejoins]
+
+
+class TestOneFailureChain:
+    """``failure_mode`` decides who notices a failure, not what follows: the
+    oracle's kill and revival run the chain a detector confirmation and
+    rejoin run, channel-subscriber death marking included."""
+
+    @pytest.mark.parametrize("failure_mode", ["oracle", "detector"])
+    def test_a_failed_subscriber_is_marked_dead_until_it_revives(self, failure_mode):
+        system = P2PMSystem(seed=1, failure_mode=failure_mode)
+        publisher = system.add_peer("pub.example")
+        subscriber = system.add_peer("sub.example")
+        system.add_peer("obs.example")
+        publisher.net.publish_channel("feed", publisher.net.create_stream("feed"))
+        subscriber.net.subscribe_channel("pub.example", "feed")
+        system.run()
+        channel = publisher.net.channels.published("feed")
+        assert set(channel.subscribers) == {"sub.example"}
+        run_ticks(system, 2)  # a no-op round in oracle mode
+        system.fail_peer("sub.example")
+        run_ticks(system, 0 if system.detector is None else system.detector.config.confirm_after + 1)
+        assert channel.dead == {"sub.example"}
+        system.revive_peer("sub.example")
+        run_ticks(system, 2)
+        assert channel.dead == set()
+        assert set(channel.subscribers) == {"sub.example"}
 
 
 class TestDetectorConfig:

@@ -131,7 +131,7 @@ class TestSchedulerDifferential:
             stream.emit(
                 Element("alert", {"n": n}, [Element("body", text="x" * 50)])
             )
-        network.run_until_idle()
+        network.run()
 
         assert len(order) == GOLDEN_FANOUT_DELIVERIES
         digest = hashlib.sha256(repr(order).encode("utf-8")).hexdigest()

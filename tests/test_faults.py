@@ -164,17 +164,6 @@ class TestPeerLifecycle:
         with pytest.raises(UnknownPeerError):
             network.revive_peer("ghost")
 
-    def test_lifecycle_listeners(self):
-        network, _ = make_network(2)
-        events: list[tuple[str, str]] = []
-        unsubscribe = network.on_peer_down(lambda p: events.append(("down", p)))
-        network.on_peer_up(lambda p: events.append(("up", p)))
-        network.fail_peer("p0")
-        network.revive_peer("p0")
-        unsubscribe()
-        network.fail_peer("p0")
-        assert events == [("down", "p0"), ("up", "p0")]
-
 
 class TestRngSplit:
     def test_registering_peer_mid_run_does_not_perturb_fault_draws(self):

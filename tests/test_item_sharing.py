@@ -110,11 +110,11 @@ class TestSharedObjects:
 
     def test_a_reliable_registry_retransmits_the_same_objects(self):
         network, publisher, stream, received = publisher_and_subscribers(True, "r0")
-        network.fail_peer("r0", notify=False)  # down, not yet confirmed dead
+        network.fail_peer("r0")  # down, not yet confirmed dead
         item = Element("alert", {"n": "0"}, [Element("body", text="x")])
         stream.emit(item)
         network.run()
-        network.revive_peer("r0", notify=False)
+        network.revive_peer("r0")
         network.trace_enabled = True
         publisher.channels.retransmit_tick()
         network.run()
@@ -133,7 +133,7 @@ class TestSharedObjects:
 
     def test_a_takeover_claims_an_item_emitted_twice_twice(self):
         network, publisher, stream, _ = publisher_and_subscribers(True, "r0")
-        network.fail_peer("r0", notify=False)
+        network.fail_peer("r0")
         publisher.channels.handle_peer_death("r0")
         item = Element("alert", {"n": "0"})
         stream.emit(item)

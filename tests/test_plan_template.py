@@ -476,7 +476,7 @@ def test_nearest_is_the_frozen_ranking(coordinates, data):
         Peer(f"p{index}", network, coordinates=position)
     registered = [f"p{index}" for index in range(len(coordinates))]
     for peer in data.draw(st.lists(st.sampled_from(registered), unique=True)):
-        network.fail_peer(peer, notify=False)
+        network.fail_peer(peer)
     pool = registered + ["ghost0", "ghost1"]
     candidates = [
         (peer, f"stream-{position}")

@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_channel_frames import ITEM_KINDS, Chain, numbers
+from test_channel_frames import ITEM_KINDS, Chain, numbers, record_arrivals
 from test_delivery_tail import alert
 
 import repro.net.peer as peer_module
@@ -242,7 +242,7 @@ class ReliableChain(Chain):
 
     def _peer(self, name: str) -> Peer:
         peer = self.peers[name] = make_peer(self.registry, name, self.network)
-        peer.log_inbox = True
+        self.inboxes[name] = record_arrivals(peer)
         return peer
 
     def registries(self) -> list[ChannelRegistry]:
@@ -292,7 +292,7 @@ class ReliableChain(Chain):
             return
         self.settle()
         victim = candidates[pick % len(candidates)]
-        self.network.fail_peer(victim, notify=False)
+        self.network.fail_peer(victim)
         provider = self.provider_of[victim]
         self.peers[provider].channels.handle_peer_death(victim)
         self.until[victim] = self.emitted
@@ -423,7 +423,7 @@ def dead_reader(registry: type[ChannelRegistry] = ChannelRegistry, confirmed: bo
     channel = pub.publish_channel("X", stream)
     make_peer(registry, "r0", network).subscribe_channel("pub", "X")
     network.run()
-    network.fail_peer("r0", notify=False)
+    network.fail_peer("r0")
     if confirmed:
         pub.channels.handle_peer_death("r0")
     return network, pub, stream, channel
@@ -494,7 +494,7 @@ def test_a_frame_held_for_two_dead_readers_is_claimed_once():
     stream.emit(alert(0))  # r0 is one number ahead of the late reader
     make_peer(ChannelRegistry, "r1", network).subscribe_channel("pub", "X")
     network.run()
-    network.fail_peer("r1", notify=False)
+    network.fail_peer("r1")
     pub.channels.handle_peer_death("r0")
     pub.channels.handle_peer_death("r1")
     stream.emit_many([alert(1), alert(2), alert(3)])

@@ -124,7 +124,7 @@ class TestRetries:
         network, client, server = build_pair(
             policy=RetryPolicy(max_attempts=3, base_timeout=0.01)
         )
-        network.fail_peer("b", notify=False)
+        network.fail_peer("b")
         with pytest.raises(RpcTimeout) as info:
             client.call_sync("b", "echo")
         assert info.value.destination == "b"
@@ -138,7 +138,7 @@ class TestCircuitBreaker:
         policy = RetryPolicy(max_attempts=2, base_timeout=0.01)
         network, client, server = build_pair(policy=policy)
         echo_counter(server)
-        network.fail_peer("b", notify=False)
+        network.fail_peer("b")
         for _ in range(3):
             with pytest.raises(RpcTimeout):
                 client.call_sync("b", "echo")
@@ -149,7 +149,7 @@ class TestCircuitBreaker:
         assert network.stats.rpc_rejected == 1
         # after the cooldown one half-open probe goes through; the revived
         # destination answers and the circuit closes again
-        network.revive_peer("b", notify=False)
+        network.revive_peer("b")
         network.advance(CircuitBreaker().cooldown + 0.01)
         result = client.call_sync("b", "echo", Element("args", {"text": "probe"}))
         assert result is not None

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Peer, SimNetwork, UnknownPeerError
-from repro.net.simnet import broadcast
 from repro.xmlmodel import Element
 
 
@@ -123,15 +122,6 @@ class TestMessaging:
         peers[0].send("p1", "ping", Element("x"))
         network.unregister("p1")
         assert network.run() == 1  # delivered into the void, no crash
-
-    def test_broadcast(self):
-        network, peers = make_network(4)
-        counts = []
-        for peer in peers[1:]:
-            peer.register_handler("news", lambda m, c=counts: c.append(m.destination))
-        broadcast(network, "p0", ["p1", "p2", "p3"], "news", Element("x"))
-        network.run()
-        assert sorted(counts) == ["p1", "p2", "p3"]
 
     def test_advance_clock(self):
         network, _ = make_network(1)
