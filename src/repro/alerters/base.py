@@ -22,9 +22,5 @@ class Alerter:
         self.alerts_produced += 1
         self.output.emit(alert)
 
-    def close(self) -> None:
-        """Signal that this alerter will not produce further alerts."""
-        self.output.close()
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(peer={self.peer_id!r}, alerts={self.alerts_produced})"

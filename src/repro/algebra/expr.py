@@ -93,9 +93,6 @@ class Service(Expr):
     def is_generic(self) -> bool:
         return self.peer == ANY
 
-    def executing(self) -> "Service":
-        return Service(self.name, self.peer, list(self.args), EXECUTING)
-
     def at(self, peer: str) -> "Service":
         """Concretise a generic service on a given peer."""
         return Service(self.name, peer, list(self.args), self.state)

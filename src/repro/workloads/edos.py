@@ -10,8 +10,7 @@ The simulator models mirror peers serving packages to client peers: queries
 (metadata lookups), downloads (with success/failure) and peer churn.  Every
 event is reported as a SOAP call to the WS alerters of the involved peers,
 so the monitoring stack sees the same streams it would see on the real
-system, and membership changes are pushed to the package index (a
-:class:`~repro.dht.KadopIndex`), feeding the ``areRegistered`` alerter.
+system.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.alerters.ws import WSAlerter
-from repro.dht.kadop import KadopIndex
 from repro.workloads.soap_traffic import SoapCall
-from repro.xmlmodel.tree import Element
 
 
 @dataclass
@@ -61,30 +58,11 @@ class EdosNetwork:
         self.online_clients = set(self.clients)
         self.events: list[EdosEvent] = []
         self._alerters: list[WSAlerter] = []
-        self.index: KadopIndex | None = None
 
     # -- wiring ---------------------------------------------------------------------
 
     def attach_alerter(self, alerter: WSAlerter) -> None:
         self._alerters.append(alerter)
-
-    def attach_index(self, index: KadopIndex) -> None:
-        """Register the package index whose membership the monitor watches."""
-        self.index = index
-        for mirror in self.mirrors:
-            if mirror not in index.ring:
-                index.join_peer(mirror)
-
-    def package_metadata(self, package: str) -> Element:
-        """The (small) metadata document of a package."""
-        return Element(
-            "package",
-            {"name": package, "distribution": "mandriva-2007"},
-            [
-                Element("size", text=str(1000 + (hash(package) % 100000))),
-                Element("section", text=self.random.choice(["devel", "games", "net", "office"])),
-            ],
-        )
 
     # -- event generation --------------------------------------------------------------
 
@@ -111,15 +89,11 @@ class EdosNetwork:
         if roll < self.churn_rate and self.online_clients:
             client = self.random.choice(sorted(self.online_clients))
             self.online_clients.discard(client)
-            if self.index is not None and client in self.index.ring:
-                self.index.leave_peer(client)
             event = EdosEvent("leave", client, None, None)
         elif roll < 2 * self.churn_rate and len(self.online_clients) < len(self.clients):
             offline = sorted(set(self.clients) - self.online_clients)
             client = self.random.choice(offline)
             self.online_clients.add(client)
-            if self.index is not None and client not in self.index.ring:
-                self.index.join_peer(client)
             event = EdosEvent("join", client, None, None)
         elif roll < 0.6 or not self.online_clients:
             client = self.random.choice(sorted(self.online_clients) or self.mirrors)

@@ -60,7 +60,3 @@ class RSSFeedSimulator:
                 ])
             )
         return Element("rss", {"version": "2.0"}, [channel])
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)

@@ -165,6 +165,13 @@ class TestSymbolicAlgebra:
         assert concrete.peer == "p1"
         assert generic_services(concrete) == []
 
+    def test_walk_visits_every_subexpression_in_preorder(self):
+        send = Send("q", Var("x", "p", is_node=True), Doc("d", "q"))
+        expr = Eval("q", Label("l", [Service("s", "q", [send]), Receive("p")]))
+        kinds = [type(node).__name__ for node in expr.walk()]
+        # a send's target names where the result goes: it is not a subexpression
+        assert kinds == ["Eval", "Label", "Service", "Send", "Doc", "Receive"]
+
     def test_label_and_var_notation(self):
         label = Label("result", [Var("x"), Var("M", "p", is_node=True)])
         assert str(label) == "result<$x, #M@p>"

@@ -1,5 +1,7 @@
 """Tests for the push-based Stream abstraction."""
 
+import copy
+import pickle
 import weakref
 
 import pytest
@@ -16,6 +18,11 @@ class TestEOS:
         assert is_eos(EOS)
         assert not is_eos(Element("a"))
         assert repr(EOS) == "EOS"
+
+    def test_copy_and_pickle_keep_the_singleton(self):
+        assert copy.copy(EOS) is EOS
+        assert copy.deepcopy([EOS])[0] is EOS
+        assert pickle.loads(pickle.dumps(EOS)) is EOS
 
 
 class TestStream:
