@@ -122,3 +122,4 @@ def _materialize_children(node: Element, registry: ServiceRegistry) -> None:
             _materialize_children(child, registry)
             new_children.append(child)
     node.children = new_children
+    node.invalidate_caches()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlmodel import Element, make_service_call, materialize, parse_xml
+from repro.xmlmodel import Element, make_service_call, materialize, parse_xml, to_xml
 from repro.xmlmodel.axml import (
     ServiceNotFoundError,
     ServiceRegistry,
@@ -95,6 +95,18 @@ class TestMaterialize:
         materialize(make_active_doc(), registry)
         registry.reset_counters()
         assert registry.calls_performed == 0
+
+    def test_a_weighed_tree_materializes_to_its_serialised_weight(self):
+        reg = ServiceRegistry()
+        reg.register("storage", "site", lambda _: [
+            Element("payload", {"blob": "b" * 200}, text="t" * 500)
+        ])
+        doc = parse_xml(
+            '<item id="1"><body><sc service="storage" address="site"/></body></item>'
+        )
+        doc.weight()
+        result = materialize(doc, reg)
+        assert result.weight() == parse_xml(to_xml(result)).weight() == 760
 
     def test_results_are_copies(self):
         shared = Element("shared", text="original")
