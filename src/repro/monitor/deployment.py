@@ -514,16 +514,22 @@ class Deployer:
         consumer of the same channel, which the caller's entry holds as an
         input, so it is only torn down when the last consumer leaves.
 
-        With reliable channels even *same-peer* consumption goes through a
-        local proxy subscription instead of the direct-stream shortcut:
+        A stream on the consumer's own peer is read in place, a reused one
+        through the channel that publishes it; when that is a replica, the
+        key returned is the subscription carrying it, so the replica's
+        transport chain stays held.  With reliable channels even *same-peer*
+        consumption goes through a local proxy subscription instead:
         takeover claims (:meth:`ChannelRegistry.claim_orphans`) replay into
         the claiming subscriber's proxy, so every consumer -- local or
         remote -- must present one.  With reliable control the subscribe is
         announced over RPC (retried, typed failure) rather than as a
         fire-and-forget message, and the unsubscribe undo follows suit.
         """
-        if handle.peer_id == consumer_peer_id and handle.stream is not None and not self.system.reliable_channels:
-            return handle.stream, None
+        if handle.peer_id == consumer_peer_id and not self.system.reliable_channels:
+            if handle.stream is not None:
+                return handle.stream, None
+            channel = self.system.peer(consumer_peer_id).net.channels.published(handle.stream_id)
+            return channel.stream, self.system.replica_providers.get((consumer_peer_id, handle.stream_id))
         producer = self.system.peer(handle.peer_id)
         if handle.stream is not None:
             producer.ensure_channel(handle.stream_id, handle.stream)

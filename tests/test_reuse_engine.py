@@ -145,6 +145,64 @@ class TestReplicaPublication:
         assert len(providers) == 4
         assert all(consumer != producer for _, consumer, producer, _ in providers)
 
+    def test_a_stream_reused_on_its_own_peer_joins_its_group(self):
+        """Thirty peers over ten thresholds place every FILTER on the source:
+        the first reads the alerter, the other nine reuse it on the same
+        peer and read it in place, so all ten share the stream's group and
+        no peer subscribes a proxy to its own channel."""
+        system = P2PMSystem(seed=0)
+        alerter = system.add_peer("src").get_or_create_alerter(CHAOS_FUNCTION)
+        counts = [0] * 30
+        handles = []
+        for i in range(30):
+            handle = system.add_peer(f"sub{i}").subscribe(
+                f'for $x in {CHAOS_FUNCTION}(<p>src</p>) where $x.kind = "chaos" '
+                f"and $x.n >= {i % 10} return <seen><n>{{$x.n}}</n></seen>",
+                sub_id=f"s{i}",
+                reuse=True,
+            )
+            handle.on_result(lambda item, i=i: counts.__setitem__(i, counts[i] + 1))
+            handles.append(handle)
+            system.run()
+        (stream, group), = system.compiler.groups.items()
+        assert stream is alerter.output
+        assert sum(len(bucket) for bucket in group._buckets.values()) == 10
+        assert [key for key in system.resources.keys() if key[0] == "proxy" and key[1] == key[2]] == []
+        for n in range(12):
+            alerter.emit_numbered(n)
+        system.run()
+        assert counts == [12 - i % 10 for i in range(30)]
+        for handle in handles:
+            handle.cancel()
+        system.run()
+        assert len(system.resources) == 0 and system.compiler.groups == {}
+
+    def test_a_local_replica_read_in_place_outlives_the_subscription_that_built_it(self):
+        """A repeated subscription reads its peer's replica in place and holds
+        the channel subscription that carries the replica."""
+        system = P2PMSystem(seed=0)
+        alerter = system.add_peer("src").get_or_create_alerter(CHAOS_FUNCTION)
+        peer = system.add_peer("a")
+        text = (
+            f'for $x in {CHAOS_FUNCTION}(<p>src</p>) where $x.kind = "chaos" and $x.n >= 1 '
+            "return <seen><n>{$x.n}</n></seen>"
+        )
+        first, second = peer.subscribe(text, reuse=True), peer.subscribe(text, reuse=True)
+        system.run()
+        (carrier,) = system.replica_providers.values()
+        assert [key for key in system.resources.keys() if key[0] == "proxy"] == [carrier]
+        first.cancel()
+        system.run()
+        got: list[str] = []
+        second.on_result(lambda item: got.append(item.children[0].text))
+        for n in range(3):
+            alerter.emit_numbered(n)
+        system.run()
+        assert got == ["1", "2"]
+        second.cancel()
+        system.run()
+        assert len(system.resources) == 0 and system.replica_providers == {}
+
 
 class TestP2PMSystemBasics:
     def test_duplicate_peer_rejected(self):
