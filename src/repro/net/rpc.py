@@ -22,10 +22,9 @@ Failures surface as typed :class:`~repro.net.errors.RpcError` subclasses
 instead of silent loss; counters land on ``network.stats``
 (:meth:`~repro.net.stats.NetworkStats.reliability_snapshot`).
 
-Handlers and callers exchange :class:`Element` payloads.  A handler must
-return an element it owns (it is reparented under the response wrapper);
-likewise the ``params`` element passed to :meth:`RpcEndpoint.call` is
-consumed by the request.
+Handlers and callers exchange :class:`Element` payloads.  A handler's
+result is carried under the response wrapper and ``params`` under the
+request's; neither is copied, so neither may be mutated once handed over.
 """
 
 from __future__ import annotations

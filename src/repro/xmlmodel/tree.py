@@ -9,7 +9,6 @@ elements.  Stream items in P2PM are instances of this class; the paper's
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
-from weakref import ref
 
 
 class Element:
@@ -27,14 +26,13 @@ class Element:
     text:
         Optional character data directly under this element.
 
-    Parent links are weak (one ``weakref.ref`` per non-leaf node, shared by
-    its children), so a tree is acyclic: a stream item and the wrappers that
-    carry it across links are freed by reference count the moment the last
-    hop drops them, not by the cyclic collector.  A node therefore does not
-    keep its ancestors alive -- hold the root.
+    A node keeps no link to its parent, so one node may sit in several trees
+    -- a stream item under every wrapper, binding tuple and subscriber that
+    carries it -- and a tree is acyclic: it is freed by reference count the
+    moment the last holder drops it, not by the cyclic collector.
     """
 
-    __slots__ = ("tag", "attrib", "children", "_text", "_parent", "_weight", "__weakref__")
+    __slots__ = ("tag", "attrib", "children", "_text", "_weight")
 
     def __init__(
         self,
@@ -50,14 +48,10 @@ class Element:
             str(k): str(v) for k, v in (attrib or {}).items()
         }
         self.children: list[Element] = list(children or [])
-        self._parent: ref[Element] | None = None
+        for child in self.children:
+            if not isinstance(child, Element):
+                raise TypeError(f"child must be an Element, got {type(child).__name__}")
         self._weight: int | None = None
-        if self.children:
-            parent = ref(self)
-            for child in self.children:
-                if not isinstance(child, Element):
-                    raise TypeError(f"child must be an Element, got {type(child).__name__}")
-                child._parent = parent
         self._text = text
 
     @classmethod
@@ -73,34 +67,29 @@ class Element:
 
         Skips validation and attribute coercion: ``attrib`` must already map
         ``str`` to ``str`` and be owned by the new element, ``children`` must
-        be a list of Elements owned by the new element, and ``weight`` -- when
-        the caller knows it from the parts -- must be what :meth:`weight`
-        would compute.
+        be a list of Elements (which may sit in other trees too), and
+        ``weight`` -- when the caller knows it from the parts -- must be what
+        :meth:`weight` would compute.
         """
         node = cls.__new__(cls)
         node.tag = tag
         node.attrib = attrib
         node.children = children
-        node._parent = None
         node._weight = weight
-        if children:
-            parent = ref(node)
-            for child in children:
-                child._parent = parent
         node._text = text
         return node
 
     # -- measurement caching ------------------------------------------------- #
     #
-    # ``weight()`` memoises per node and is invalidated by every mutation
-    # performed through the Element API (``append``/``extend``/``set``/
-    # assigning ``text``): the mutated node and its ancestor chain are
-    # cleared, child caches stay valid.  A stream item is immutable once
-    # emitted, so several trees share it -- a join's binding tuples and the
-    # wrappers that carry it across links -- and its parent link, read only
-    # by this invalidation, names the last of them.  Mutate a tree before
-    # emitting it, or a copy; code that mutates ``attrib``/``children``
-    # directly must call :meth:`invalidate_caches` on it afterwards.
+    # ``weight()`` memoises per node.  A tree is weighed once it is built and
+    # nothing mutates it afterwards: a stream item is immutable once emitted,
+    # so several trees share it -- a join's binding tuples and the wrappers
+    # that carry it across links.  A mutation through the Element API
+    # (``append``/``extend``/``set``/assigning ``text``) drops the mutated
+    # node's own memo only, never an ancestor's: build a tree bottom-up
+    # before weighing it, or mutate a copy.  Code that mutates
+    # ``attrib``/``children`` directly must call :meth:`invalidate_caches`
+    # on that node afterwards.
 
     @property
     def text(self) -> str | None:
@@ -110,26 +99,12 @@ class Element:
     @text.setter
     def text(self, value: str | None) -> None:
         self._text = value
-        self.invalidate_caches()
-
-    @property
-    def parent(self) -> "Element | None":
-        """The element this node is attached under (``None`` at a root, or
-        once nothing else references the parent: the link is weak)."""
-        parent = self._parent
-        return parent() if parent is not None else None
+        self._weight = None
 
     def invalidate_caches(self) -> None:
-        """Drop the cached weight here and along the ancestor chain.
-
-        The walk stops early at the first uncached ancestor: a cached node
-        implies its whole subtree is cached, so an uncached node can have no
-        cached ancestors.
-        """
-        node: Element | None = self
-        while node is not None and node._weight is not None:
-            node._weight = None
-            node = node.parent
+        """Drop this node's cached weight (not its ancestors': a node has no
+        link to the trees it sits in)."""
+        self._weight = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -140,8 +115,7 @@ class Element:
         if not isinstance(child, Element):
             raise TypeError(f"child must be an Element, got {type(child).__name__}")
         self.children.append(child)
-        child._parent = ref(self)
-        self.invalidate_caches()
+        self._weight = None
         return child
 
     def extend(self, children: Iterable["Element"]) -> None:
@@ -151,7 +125,7 @@ class Element:
     def set(self, name: str, value: object) -> None:
         """Set attribute ``name`` to ``str(value)``."""
         self.attrib[str(name)] = str(value)
-        self.invalidate_caches()
+        self._weight = None
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """Return attribute ``name`` or ``default``."""
@@ -212,8 +186,8 @@ class Element:
         without re-serialising every message.  The first call walks the
         subtree and memoises at every node; repeated calls -- a 1k-subscriber
         fan-out accounts the same payload once per message -- are one slot
-        read.  Mutation through the Element API recomputes (see
-        :meth:`invalidate_caches`).
+        read.  A mutation through the Element API recomputes the mutated
+        node, not its ancestors (see :meth:`invalidate_caches`).
         """
         cached = self._weight
         if cached is not None:
@@ -236,27 +210,17 @@ class Element:
         """Deep copy of the subtree, for a caller that will mutate it.
 
         The cached weight travels with the copy: a deep copy is structurally
-        identical, so it is never re-walked for accounting.  Like every tree
-        the copy is acyclic (weak parent links), so it dies with its last
-        reference.
+        identical, so it is never re-walked for accounting.  A caller that
+        mutates a node below the copy's root must drop the memos above it
+        itself (see :meth:`invalidate_caches`).
         """
         node = Element.__new__(Element)
         node.tag = self.tag
         node.attrib = dict(self.attrib)
         node._text = self._text
-        node._parent = None
         node._weight = self._weight
-        if self.children:
-            parent = ref(node)
-            children = node.children = [child.copy() for child in self.children]
-            for child in children:
-                child._parent = parent
-        else:
-            node.children = []
+        node.children = [child.copy() for child in self.children]
         return node
-
-    def __reduce__(self):  # weak parent links cannot be pickled: fast_new rebuilds them
-        return Element.fast_new, (self.tag, self.attrib, self.children, self._text)
 
     def structural_key(self) -> tuple:
         """A hashable key identifying the subtree up to structural equality.

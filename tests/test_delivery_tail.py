@@ -9,6 +9,7 @@ idle channel costs more than one call, the valve is not a stream (every
 ``send_many`` counts a message it dropped.
 """
 
+import copy
 import gc
 import pickle
 import sys
@@ -88,14 +89,12 @@ def test_a_delivery_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-def test_parent_links_are_weak_and_survive_pickling():
+def test_a_tree_survives_copying_and_pickling():
     tree = Element("a", {"k": "v"}, [Element("b", text="t", children=[Element("c")])])
-    leaf = tree.children[0].children[0]
-    assert leaf.parent is tree.children[0] and tree.children[0].parent is tree
-    for clone in (tree.copy(), pickle.loads(pickle.dumps(tree))):
-        assert clone == tree and clone.children[0].parent is clone
-    del tree
-    assert leaf.parent is None  # a node does not keep its ancestors alive
+    weight = tree.weight()
+    for clone in (tree.copy(), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and clone is not tree
+        assert clone.weight() == weight == test_e2e_fastpath.TestWeightCache().uncached_weight(clone)
 
 
 # -- (b) an idle channel costs nothing --------------------------------------------------

@@ -5,12 +5,16 @@ emitted trees themselves: every subscriber, local or remote, receives the
 object the producer emitted.  That is only sound while nothing mutates an
 item once it is emitted (``repro.xmlmodel.tree``), so this module checks the
 contract instead of paying for it: every item that crossed a link is held to
-the structure and the weight it had when it was sent, over the ``fanout``
-and ``ingest`` benchmark cycles and the single-process chaos scenarios.
+the structure, the slots and the weight it had when it was sent, over the
+``fanout`` and ``ingest`` benchmark cycles and the single-process chaos
+scenarios.  The weight memo relies on the same contract: a node keeps no
+link to the trees it sits in, so no wrapper that carries an item writes
+into it, and a mutation could not reach the memos above it.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -37,25 +41,35 @@ SCENARIOS = [
 ]
 
 
+#: every slot of an item but the weight memo, which is checked against a walk
+SLOTS = tuple(slot for slot in Element.__slots__ if slot != "_weight")
+
+
+def slots_of(item: Element) -> tuple:
+    return tuple(copy.copy(getattr(item, slot)) for slot in SLOTS)
+
+
 @pytest.fixture
 def sent(monkeypatch):
-    """Every item the fan-out puts on a link: (item, structure, weight) when sent."""
-    records: list[tuple[Element, tuple, int]] = []
+    """Every item the fan-out puts on a link: (item, structure, slots, weight)
+    when sent."""
+    records: list[tuple[Element, tuple, tuple, int]] = []
     forward_batch = ChannelRegistry._forward_batch
 
     def recording(self, channel, items, count=1, to=()):
         if channel.subscribers:
-            records.extend((item, item.structural_key(), item.weight()) for item in items)
+            records.extend((item, item.structural_key(), slots_of(item), item.weight()) for item in items)
         return forward_batch(self, channel, items, count, to)
 
     monkeypatch.setattr(ChannelRegistry, "_forward_batch", recording)
     return records
 
 
-def assert_unchanged(records: list[tuple[Element, tuple, int]]) -> None:
+def assert_unchanged(records: list[tuple[Element, tuple, tuple, int]]) -> None:
     assert records, "nothing crossed a link: the check would be vacuous"
-    for item, structure, weight in records:
+    for item, structure, slots, weight in records:
         assert item.structural_key() == structure
+        assert slots_of(item) == slots
         assert item.weight() == weight == parse_xml(to_xml(item)).weight()
 
 
@@ -93,6 +107,14 @@ def publisher_and_subscribers(reliable: bool, *subscribers: str):
 
 
 class TestSharedObjects:
+    def test_no_wrapper_writes_into_the_item_it_carries(self, sent):
+        network, _, stream, received = publisher_and_subscribers(False, "r0", "r1")
+        stream.emit(Element("alert", {"n": "0"}, [Element("body", text="x")]))
+        stream.emit_many([Element("alert", {"n": str(n)}) for n in (1, 2)])
+        network.run()
+        assert [len(got) for got in received.values()] == [3, 3]
+        assert_unchanged(sent)
+
     def test_a_burst_frame_carries_the_emitted_objects(self):
         network, _, stream, received = publisher_and_subscribers(False, "r0", "r1")
         network.trace_enabled = True

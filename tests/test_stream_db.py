@@ -116,7 +116,6 @@ class TestStreamDefinitionDatabase:
                     Element("Stats", {"avgVolume": f"{volume:.1f}"}),
                 ],
             )
-            assert all(child.parent is built for child in built.children)
         db.publish_replica("a.com", "s1", "cache.com", "s1-copy")
         assert db.index.document("replica:s1-copy@cache.com") == Element("InChannel", {
             "PeerId": "a.com", "StreamId": "s1", "ReplicaPeerId": "cache.com", "ReplicaStreamId": "s1-copy",
