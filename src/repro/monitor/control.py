@@ -11,15 +11,18 @@ control operation: the op either lands or the caller gets a typed
 
 The index object itself stays shared in-process (the simulation's stand-in
 for KadoP's replicated storage); what the router adds is the *message
-round-trip* and its failure modes.  Operations issued by a peer that is not
-currently alive (teardown of a dead incarnation) fall back to a direct
-local mutation -- bookkeeping for state the failure already invalidated.
+round-trip* and its failure modes.  The payload is the description's
+rendering; KadoP stores the record decoded from it, as it does unrouted.
+Operations issued by a peer that is not currently alive (teardown of a
+dead incarnation) fall back to a direct local mutation -- bookkeeping for
+state the failure already invalidated.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.monitor.stream_db import decode_description
 from repro.net.errors import RpcError
 from repro.xmlmodel.tree import Element
 
@@ -47,7 +50,7 @@ def register_control_methods(peer) -> None:
 
     def kadop_publish(params: Element, source: str) -> Element:
         doc_id = params.attrib["docId"]
-        system.kadop.publish(params.children[0], doc_id)
+        system.kadop.publish(decode_description(params.children[0]), doc_id)
         return Element("stored", {"docId": doc_id})
 
     def kadop_retract(params: Element, source: str) -> Element:
@@ -120,7 +123,7 @@ class ControlPlaneRouter:
         via = self._via_peer(owner)
         home = self._home_peer(doc_id)
         if via is None or home is None:
-            self.system.kadop.publish(description, doc_id)
+            self.system.kadop.publish(decode_description(description), doc_id)
             return
         via.rpc.call_sync(
             home,

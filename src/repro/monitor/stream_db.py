@@ -218,7 +218,7 @@ class StreamDefinitionDatabase:
         if isinstance(description, Element):
             if description.tag != "Stream":
                 raise ValueError("expected a <Stream> description")
-            description = self._decode(description)
+            description = decode_description(description)
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
         self._publish(document, doc_id, description.peer_id)
         self._deindex_document(doc_id)  # a republish replaces the earlier filing
@@ -312,7 +312,7 @@ class StreamDefinitionDatabase:
         self, peer_id: str, alerter_kind: str
     ) -> list[StreamDescription]:
         query = f"/Stream[@PeerId = '{peer_id}'][Operator/{alerter_kind}]"
-        candidates = [self._decode(doc) for _, doc in self.index.query(query)]
+        candidates = [decode_description(doc) for _, doc in self.index.query(query)]
         return [c for c in candidates if not c.operands]
 
     def find_operator_streams_oracle(
@@ -327,7 +327,7 @@ class StreamDefinitionDatabase:
             for peer, stream in operands
         )
         query = f"/Stream[Operator/{operator}{spec_predicate}]{predicates}"
-        candidates = [self._decode(doc) for _, doc in self.index.query(query)]
+        candidates = [decode_description(doc) for _, doc in self.index.query(query)]
         # exact operand-set match: the query guarantees inclusion, not equality
         wanted = sorted(operands)
         return [c for c in candidates if sorted(c.operands) == wanted]
@@ -360,7 +360,7 @@ class StreamDefinitionDatabase:
             if filed.get(doc_id) != KadopIndex._terms_of_document(document):
                 misfiled.append(doc_id)
             if document.tag == "Stream":
-                expected._file(doc_id, self._decode(document))
+                expected._file(doc_id, decode_description(document))
             elif document.tag == "InChannel":
                 attrib = document.attrib
                 original = (attrib["PeerId"], attrib["StreamId"])
@@ -427,24 +427,26 @@ class StreamDefinitionDatabase:
             self._replica_map.pop(original, None)
         return replica[0] if replica is not None else None
 
-    # -- decoding -----------------------------------------------------------------------------
 
-    @staticmethod
-    def _decode(document: Element) -> StreamDescription:
-        """The record of a ``<Stream>`` document: what the oracle and the
-        coherence check read off KadoP's renderings."""
-        operator_element = document.find("Operator")
-        operator_child = operator_element.children[0] if operator_element and operator_element.children else None
-        operands_element = document.find("Operands")
-        operands = tuple(
-            (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
-            for operand in (operands_element.children if operands_element else [])
-        )
-        return StreamDescription(
-            peer_id=document.attrib["PeerId"],
-            stream_id=document.attrib["StreamId"],
-            is_channel=document.attrib.get("isAChannel") == "true",
-            operator=operator_child.tag if operator_child is not None else "",
-            spec=operator_child.attrib.get("spec", "") if operator_child is not None else "",
-            operands=operands,
-        )
+def decode_description(document: Element) -> StreamDescription | ReplicaDescription:
+    """The record of a ``<Stream>`` or ``<InChannel>`` document: what the
+    oracle and the coherence check read off KadoP's renderings, and what
+    the control plane stores of a routed publication's payload."""
+    attrib = document.attrib
+    if document.tag == "InChannel":
+        return ReplicaDescription(attrib["PeerId"], attrib["StreamId"], attrib["ReplicaPeerId"], attrib["ReplicaStreamId"])
+    operator_element = document.find("Operator")
+    operator_child = operator_element.children[0] if operator_element and operator_element.children else None
+    operands_element = document.find("Operands")
+    operands = tuple(
+        (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
+        for operand in (operands_element.children if operands_element else [])
+    )
+    return StreamDescription(
+        peer_id=attrib["PeerId"],
+        stream_id=attrib["StreamId"],
+        is_channel=attrib.get("isAChannel") == "true",
+        operator=operator_child.tag if operator_child is not None else "",
+        spec=operator_child.attrib.get("spec", "") if operator_child is not None else "",
+        operands=operands,
+    )

@@ -7,7 +7,8 @@ from its own ``terms()``.  This module holds the renderings to frozen copies
 of the code that built them when KadoP stored Elements -- the record's former
 ``to_element`` and ``publish_replica``'s Element construction -- over the three
 benchmark decks' subscriptions and every catalog scenario, in both failure
-modes and over the reliable control plane, whose RPC payload is the rendering.
+modes and over the reliable control plane, whose RPC payload is the rendering
+and whose handler stores the record decoded from it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ def frozen_replica_element(peer_id: str, stream_id: str, replica_peer_id: str, r
     return Element.fast_new("InChannel", attrib, [])
 
 
-def assert_documents_render_as_before(db: StreamDefinitionDatabase, stored_as_records: bool) -> int:
+def assert_documents_render_as_before(db: StreamDefinitionDatabase, routed: bool = False) -> int:
     """Every document KadoP holds renders byte for byte as the frozen code
-    built it from the database's own record, and is filed under the terms of
-    that rendering; returns how many documents were checked."""
+    built it from the database's own record, is stored as a record and is
+    filed under the terms of that rendering; returns how many documents were
+    checked.  A ``routed`` record crossed the wire as its rendering: KadoP
+    holds one decoded from it, equal to the database's, not the same object."""
     index = db.index
     filed = index.filed_terms()
     doc_ids = index.document_ids
@@ -72,13 +75,10 @@ def assert_documents_render_as_before(db: StreamDefinitionDatabase, stored_as_re
         assert record.terms() == KadopIndex._terms_of_document(frozen), doc_id  # type: ignore[attr-defined]
         assert filed[doc_id] == KadopIndex._terms_of_document(rendered), doc_id
         stored = index._doc_replicas[doc_id]
-        if stored_as_records:
-            # the record itself, no term set beside it, a fresh Element per read
-            assert stored == record and type(stored) is not Element, doc_id
-            assert doc_id not in index._doc_terms and index.document(doc_id) is not rendered
-            assert description is None or stored is description
-        else:  # routed over RPC: the payload itself, the rendering, is what KadoP keeps
-            assert type(stored) is Element and index.document(doc_id) is stored, doc_id
+        # a record, no term set beside it, a fresh Element per read
+        assert stored == record and type(stored) is not Element, doc_id
+        assert doc_id not in index._doc_terms and index.document(doc_id) is not rendered
+        assert routed or description is None or stored is description
     assert db.verify_index_coherence() == []
     assert_lookups_equal_the_oracle(db)
     return len(doc_ids)
@@ -100,7 +100,7 @@ def test_every_node_kind_renders_as_before(kind, is_channel, avg_volume):
         assert to_xml(description.to_element(avg_volume)) == to_xml(frozen_stream_element(description, avg_volume))
         db.publish_stream(description)
     db.publish_replica("m.com", "s0", "cache.com", "copy")
-    assert assert_documents_render_as_before(db, stored_as_records=True) == len(OPERANDS) + 1
+    assert assert_documents_render_as_before(db) == len(OPERANDS) + 1
 
 
 def test_a_raw_stream_document_is_kept_as_given():
@@ -113,7 +113,7 @@ def test_a_raw_stream_document_is_kept_as_given():
     # republished as a record: the Element's term set goes with it
     db.publish_stream(description)
     assert doc_id not in db.index._doc_terms and db.index._doc_replicas[doc_id] is description
-    assert assert_documents_render_as_before(db, stored_as_records=True) == 1
+    assert assert_documents_render_as_before(db) == 1
     assert db.retract(doc_id) and db.index.filed_terms() == {}
 
 
@@ -128,9 +128,9 @@ def test_benchmark_deck(name: str):
     cycle = Cycle(workload, plan, PhaseClock(), tally)
     cycle.subscribe()
     db = cycle.system.stream_db
-    assert assert_documents_render_as_before(db, stored_as_records=True) > len(plan.subs) // 10
+    assert assert_documents_render_as_before(db) > len(plan.subs) // 10
     cycle.cancel(plan.cancels)
-    assert assert_documents_render_as_before(db, stored_as_records=True) > 0
+    assert assert_documents_render_as_before(db) > 0
     cycle.close()
     assert tally.failed == 0, tally.first_error
 
@@ -160,7 +160,7 @@ def test_catalog_scenario(systems, name: str, failure_mode: str):
     assert result.ok, [inv for inv in result.invariants if not inv.ok]
     (system,) = systems
     routed = scenario.reliable_control  # lossy-control-plane routes its publications
-    assert assert_documents_render_as_before(system.stream_db, stored_as_records=not routed) > 0
+    assert assert_documents_render_as_before(system.stream_db, routed) > 0
 
 
 #: (messages, bytes, RPC calls) a seed-0 run sent over the reliable control
@@ -198,4 +198,4 @@ def test_catalog_scenario_over_the_reliable_control_plane(systems, name: str, fa
     (system,) = systems
     stats = system.network.stats
     assert (stats.total_messages, stats.total_bytes, stats.rpc_calls) == RELIABLE_CONTROL_TOTALS[name, failure_mode]
-    assert assert_documents_render_as_before(system.stream_db, stored_as_records=False) > 0
+    assert assert_documents_render_as_before(system.stream_db, routed=True) > 0

@@ -15,6 +15,8 @@ from repro.algebra.plan import ALERTER, DISTINCT, FILTER, GROUP, JOIN, PUBLISH, 
 from repro.dht import KadopIndex
 from repro.filtering import FilterSubscription, SimpleCondition
 from repro.monitor import P2PMSystem, StreamDefinitionDatabase, stream_db
+from repro.xmlmodel import to_xml
+from repro.xmlmodel.tree import Element
 
 
 def alerter(peer="a.com", kind="outCOM"):
@@ -138,7 +140,7 @@ def test_a_skeleton_that_drifts_from_its_documents_is_reported(monkeypatch):
     assert db.index.query("/Stream[Stats]") == [("stream:f1@a.com", db.index.document("stream:f1@a.com"))]
 
 
-def test_documents_routed_over_rpc_are_stored_as_sent_and_filed_under_the_walk():
+def test_documents_routed_over_rpc_are_stored_as_records_and_filed_under_the_walk():
     system = P2PMSystem(seed=3, reliable_control=True)
     arrived = {}
     for peer_id in ("s0", "s1", "m1"):
@@ -159,8 +161,9 @@ def test_documents_routed_over_rpc_are_stored_as_sent_and_filed_under_the_walk()
     system.run()
     assert len(arrived) >= 5
     for doc_id, document in arrived.items():
-        # the envelope's child is what the index keeps, and its terms are the walk's
-        assert system.kadop.document(doc_id) is document
+        # the index keeps the record decoded from the envelope's child, which renders it
+        assert type(system.kadop._doc_replicas[doc_id]) is not Element and doc_id not in system.kadop._doc_terms
+        assert to_xml(system.kadop.document(doc_id)) == to_xml(document)
     assert_filed_under_the_walk(system.stream_db)
     assert_lookups_equal_the_oracle(system.stream_db)
     for handle in handles:
