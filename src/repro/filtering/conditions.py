@@ -10,30 +10,13 @@ that provide this order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.xmlmodel.xpath import XPath
+from repro.xmlmodel.xpath import COMPARATORS, XPath, as_number
 
 #: Comparison operators supported in simple conditions.
-OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
-
-_OP_FUNCS: dict[str, Callable[[object, object], bool]] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _as_number(value: str) -> float | None:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
+OPERATORS = tuple(COMPARATORS)
 
 
 def _compile_simple(op: str, value: str) -> Callable[[str], bool]:
@@ -41,12 +24,13 @@ def _compile_simple(op: str, value: str) -> Callable[[str], bool]:
 
     The constant is parsed and the operator dispatched exactly once, at
     subscription-registration time; the hot path then runs one closure call
-    per (attribute value, condition) pair.  Semantics match the interpreted
-    form: numeric comparison when *both* sides parse as numbers, string
+    per (attribute value, condition) pair.  It is the rule of
+    :func:`repro.xmlmodel.xpath.compare`, with the constant's side decided
+    once: numeric comparison when *both* sides parse as numbers, string
     comparison otherwise.
     """
-    compare = _OP_FUNCS[op]
-    right_num = _as_number(value)
+    compare = COMPARATORS[op]
+    right_num = as_number(value)
     if right_num is None:
 
         def holds(actual: str) -> bool:
@@ -163,7 +147,7 @@ class ComputedCondition:
         base = 0.0
         attr_terms: list[tuple[int, str]] = []
         for sign, term in self.terms:
-            literal = _as_number(term)
+            literal = as_number(term)
             if literal is not None:
                 base += sign * literal
             else:
@@ -171,7 +155,7 @@ class ComputedCondition:
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_attr_terms", tuple(attr_terms))
         object.__setattr__(self, "_target", float(self.value))
-        object.__setattr__(self, "_compare", _OP_FUNCS[self.op])
+        object.__setattr__(self, "_compare", COMPARATORS[self.op])
 
     def evaluate(self, attributes: dict[str, str]) -> bool:
         total = self._base

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.algebra.template import parse_value_ref
 from repro.xmlmodel.tree import Element
 
 
@@ -26,7 +27,8 @@ class Operand:
         """Build an operand from its P2PML surface syntax.
 
         ``$var.attr`` is an attribute reference, ``$var/xpath`` a path,
-        ``$var`` a bare variable; numbers (or numeric strings) are number
+        ``$var`` a bare variable (split as RETURN holes are, by
+        :func:`~repro.algebra.template.parse_value_ref`); numbers (or numeric strings) are number
         literals and anything else -- optionally double-quoted -- a string
         literal.  The programmatic :class:`~repro.p2pml.builder.\
         SubscriptionBuilder` uses this so fluent conditions read like the
@@ -38,14 +40,10 @@ class Operand:
             return cls("number", value=repr(text))
         text = text.strip()
         if text.startswith("$"):
-            body = text[1:]
-            if "/" in body and ("." not in body or body.index("/") < body.index(".")):
-                var, detail = body.split("/", 1)
-                return cls("path", var=var, detail=detail)
-            if "." in body:
-                var, detail = body.split(".", 1)
-                return cls("attribute", var=var, detail=detail)
-            return cls("variable", var=body)
+            ref = parse_value_ref(text)
+            if ref.kind == "self":
+                return cls("variable", var=ref.var)
+            return cls(ref.kind, var=ref.var, detail=ref.detail)
         if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
             return cls("literal", value=text[1:-1])
         try:

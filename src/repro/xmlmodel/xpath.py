@@ -13,12 +13,20 @@ fragment of XPath:
 
 The grammar is parsed into a list of :class:`Step` objects so that the
 YFilter NFA can be built directly from the parsed form.
+
+Each rule of the dialect has one implementation here.  :meth:`XPath.select`
+is the only evaluator (:meth:`XPath.matches` is ``bool`` of it), and
+:func:`compare` the only comparison rule: as numbers when both sides parse
+as numbers (:func:`as_number`), as strings otherwise, through the one
+operator table :data:`COMPARATORS`, which the filter's simple and computed
+conditions (:mod:`repro.filtering.conditions`) dispatch through too.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.xmlmodel.tree import Element
 
@@ -90,7 +98,7 @@ class Comparison:
         right_values = self.right.values(node)
         for lv in left_values:
             for rv in right_values:
-                if _compare(lv, self.op, rv):
+                if compare(lv, self.op, rv):
                     return True
         return False
 
@@ -164,34 +172,33 @@ class Step:
         return all(pred.evaluate(node) for pred in self.predicates)
 
 
-def _compare(left: str, op: str, right: str) -> bool:
-    lnum, rnum = _as_number(left), _as_number(right)
-    lv: object
-    rv: object
-    if lnum is not None and rnum is not None:
-        lv, rv = lnum, rnum
-    else:
-        lv, rv = left, right
-    if op == "=":
-        return lv == rv
-    if op == "!=":
-        return lv != rv
-    if op == "<":
-        return lv < rv  # type: ignore[operator]
-    if op == "<=":
-        return lv <= rv  # type: ignore[operator]
-    if op == ">":
-        return lv > rv  # type: ignore[operator]
-    if op == ">=":
-        return lv >= rv  # type: ignore[operator]
-    raise XPathError(f"unsupported comparison operator {op!r}")
+#: The comparison operators of the dialect, one function each: predicates
+#: and the filter's simple and computed conditions all dispatch through it.
+COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-def _as_number(value: str) -> float | None:
+def as_number(value: str) -> float | None:
+    """``value`` as a number, or None when it does not parse as one."""
     try:
         return float(value)
     except (TypeError, ValueError):
         return None
+
+
+def compare(left: str, op: str, right: str) -> bool:
+    """The comparison rule: as numbers when both sides parse as numbers,
+    as strings otherwise."""
+    lnum, rnum = as_number(left), as_number(right)
+    if lnum is not None and rnum is not None:
+        return COMPARATORS[op](lnum, rnum)
+    return COMPARATORS[op](left, right)
 
 
 # --------------------------------------------------------------------------- #
@@ -286,7 +293,7 @@ class _PathParser:
 
     def parse_comparison(self) -> BooleanExpr:
         left = self.parse_operand()
-        if self.peek() in ("=", "!=", "<", "<=", ">", ">="):
+        if self.peek() in COMPARATORS:
             op = self.next()
             right = self.parse_operand()
             return BooleanExpr("leaf", leaf=Comparison(left, op, right))
@@ -307,7 +314,7 @@ class _PathParser:
             self.expect("(")
             self.expect(")")
             return Operand("text")
-        if _as_number(token) is not None:
+        if as_number(token) is not None:
             self.next()
             return Operand("literal", token)
         # relative path operand
@@ -319,112 +326,6 @@ class _PathParser:
             "path",
             XPath("<relative>", tuple(steps), absolute=False, variable=None),
         )
-
-
-# --------------------------------------------------------------------------- #
-# Compiled existence matcher
-# --------------------------------------------------------------------------- #
-
-
-def _iter_subtree(node: Element) -> Iterable[Element]:
-    """Pre-order iteration over ``node`` and its descendants, without recursion."""
-    stack = [node]
-    pop = stack.pop
-    while stack:
-        current = pop()
-        yield current
-        children = current.children
-        if children:
-            stack.extend(reversed(children))
-
-
-class _CompiledMatcher:
-    """Boolean-only evaluator for one :class:`XPath`, built once per path.
-
-    :meth:`XPath.matches` only needs existence, not the selected node list,
-    so this matcher propagates a deduplicated frontier step by step using
-    explicit stacks (no Python recursion, however deep the document) and
-    returns as soon as any node survives the final step.  Its verdict is
-    identical to ``bool(XPath.select(root))``.
-    """
-
-    __slots__ = ("_first_is_root", "_steps")
-
-    def __init__(self, path: "XPath") -> None:
-        # For absolute child-axis paths the first step is matched against the
-        # document root itself (mirrors XPath.select).
-        self._first_is_root = path.absolute and path.steps[0].axis == "child"
-        self._steps = tuple(
-            (
-                step.axis == "descendant",
-                "attr" if step.is_attribute else ("text" if step.is_text else "elem"),
-                step.test[1:] if step.is_attribute else step.test,
-                step.predicates,
-            )
-            for step in path.steps
-        )
-
-    def matches(self, root: Element) -> bool:
-        steps = self._steps
-        start = 0
-        frontier = [root]
-        if self._first_is_root:
-            _desc, kind, test, predicates = steps[0]
-            if kind != "elem" or not (test == "*" or test == root.tag):
-                return False
-            for predicate in predicates:
-                if not predicate.evaluate(root):
-                    return False
-            if len(steps) == 1:
-                return True
-            start = 1
-        last = len(steps) - 1
-        for index in range(start, len(steps)):
-            descendant, kind, test, predicates = steps[index]
-            is_last = index == last
-            next_frontier: list[Element] = []
-            seen: set[int] = set()
-            for context in frontier:
-                if kind == "attr":
-                    holders = _iter_subtree(context) if descendant else (context,)
-                    for holder in holders:
-                        if test in holder.attrib:
-                            if is_last:
-                                return True
-                            break  # attribute values cannot be navigated further
-                    continue
-                if kind == "text":
-                    holders = _iter_subtree(context) if descendant else (context,)
-                    for holder in holders:
-                        if holder.text is not None:
-                            if is_last:
-                                return True
-                            break  # text values cannot be navigated further
-                    continue
-                candidates = _iter_subtree(context) if descendant else context.children
-                for candidate in candidates:
-                    if test != "*" and candidate.tag != test:
-                        continue
-                    if predicates:
-                        ok = True
-                        for predicate in predicates:
-                            if not predicate.evaluate(candidate):
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    if is_last:
-                        return True
-                    marker = id(candidate)
-                    if marker not in seen:
-                        seen.add(marker)
-                        next_frontier.append(candidate)
-            if is_last:
-                return False
-            frontier = next_frontier
-            if not frontier:
-                return False
-        return False
 
 
 # --------------------------------------------------------------------------- #
@@ -450,7 +351,6 @@ class XPath:
         self.steps = steps
         self.absolute = absolute
         self.variable = variable
-        self._matcher: _CompiledMatcher | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -488,16 +388,8 @@ class XPath:
         return self._walk([root], self.steps, root)
 
     def matches(self, root: Element) -> bool:
-        """True when the path selects at least one node/value of ``root``.
-
-        Runs through a compiled non-recursive matcher (built lazily, once per
-        path) that short-circuits on the first witness instead of
-        materialising the full ``select`` result.
-        """
-        matcher = self._matcher
-        if matcher is None:
-            matcher = self._matcher = _CompiledMatcher(self)
-        return matcher.matches(root)
+        """True when the path selects at least one node/value of ``root``."""
+        return bool(self.select(root))
 
     def first(self, root: Element) -> Element | str | None:
         results = self.select(root)
