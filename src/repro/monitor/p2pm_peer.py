@@ -292,43 +292,6 @@ class P2PMSystem:
         )
         return snapshot
 
-    def compile_report(self) -> str:
-        """Readable debug dump of the compiler state and live pipelines."""
-        snapshot = self.compile_snapshot()
-        lines = [
-            f"segments fused: {snapshot['segments_fused']} "
-            f"({snapshot['stages_fused']} stages)"
-        ]
-        cse = snapshot["cse"]
-        lines.append(
-            f"CSE table: {cse['signatures']} signatures, "
-            f"{cse['hits']} hits / {cse['misses']} misses "
-            f"(hit rate {cse['hit_rate']})"
-        )
-        cache = snapshot["plan_cache"]
-        lines.append(
-            f"plan cache: {cache['programs']} programs, "
-            f"{cache['hits']} hits / {cache['misses']} misses"
-        )
-        invocations = snapshot["stage_invocations"]
-        lines.append(
-            f"stage invocations: {invocations['batch']} batch "
-            f"({invocations['batch_items']} items) / {invocations['item']} per-item"
-        )
-        # fallback kinds and reasons arrive sorted from the snapshot
-        for kind, reasons in snapshot["fallbacks"].items():
-            for reason, count in reasons.items():
-                lines.append(f"fallback {kind}: {reason} x{count}")
-        for pipeline in self.compiled_pipelines():
-            info = pipeline.describe()
-            status = "detached" if info["detached"] else "live"
-            lines.append(
-                f"pipeline sub={info['sub_id']} @{info['peer']} [{status}] "
-                f"in={info['items_in']} out={info['items_out']} "
-                f"stages={' | '.join(info['stages'])}"
-            )
-        return "\n".join(lines)
-
     def _on_peer_confirmed_down(self, peer_id: str) -> None:
         """The failure chain, run once the system knows ``peer_id`` is down
         (at the kill in oracle mode, at the detector's confirmation
