@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.errors import CircuitOpen, RpcRemoteError, RpcTimeout
 from repro.xmlmodel.tree import Element
@@ -48,33 +47,32 @@ MSG_RESPONSE = "rpc.response"
 RpcHandler = Callable[[Element, str], "Element | None"]
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
-    """Deadline and retry schedule for one RPC call.
+    """Deadline and retry schedule of every RPC call.
 
-    Attempt ``n`` (0-based) waits ``base_timeout * BACKOFF**n`` scaled by a
-    uniform jitter factor in ``[1, 1 + JITTER]`` before retrying.  With the
-    defaults the total budget is ~3.15s of simulated time over 6 attempts,
+    Attempt ``n`` (0-based) waits ``BASE_TIMEOUT * BACKOFF**n`` scaled by a
+    uniform jitter factor in ``[1, 1 + JITTER]`` before retrying.  The total
+    budget is ~3.15s of simulated time over ``MAX_ATTEMPTS`` attempts,
     against a simulated RTT of at most ~0.03s.
     """
 
-    BACKOFF: ClassVar[float] = 2.0
-    JITTER: ClassVar[float] = 0.5
+    MAX_ATTEMPTS = 6
+    BASE_TIMEOUT = 0.05
+    BACKOFF = 2.0
+    JITTER = 0.5
 
-    max_attempts: int = 6
-    base_timeout: float = 0.05
-
-    def timeout_for(self, attempt: int, rng: random.Random) -> float:
-        span = self.base_timeout * self.BACKOFF**attempt
-        return span * (1.0 + self.JITTER * rng.random())
+    @classmethod
+    def timeout_for(cls, attempt: int, rng: random.Random) -> float:
+        span = cls.BASE_TIMEOUT * cls.BACKOFF**attempt
+        return span * (1.0 + cls.JITTER * rng.random())
 
 
 class CircuitBreaker:
     """Per-destination failure gate (closed -> open -> half-open).
 
-    ``failure_threshold`` consecutive exhausted calls open the circuit;
+    ``FAILURE_THRESHOLD`` consecutive exhausted calls open the circuit;
     while open, calls are rejected without touching the network.  After
-    ``cooldown`` seconds of simulated time one probe call is let through
+    ``COOLDOWN`` seconds of simulated time one probe call is let through
     (half-open): success closes the circuit, failure re-opens it.
     """
 
@@ -82,11 +80,12 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    __slots__ = ("failure_threshold", "cooldown", "failures", "state", "_open_until")
+    FAILURE_THRESHOLD = 3
+    COOLDOWN = 0.25
 
-    def __init__(self, failure_threshold: int = 3, cooldown: float = 0.25) -> None:
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
+    __slots__ = ("failures", "state", "_open_until")
+
+    def __init__(self) -> None:
         self.failures = 0
         self.state = self.CLOSED
         self._open_until = 0.0
@@ -107,10 +106,10 @@ class CircuitBreaker:
     def record_failure(self, now: float) -> bool:
         """Note an exhausted call; returns True when the circuit newly opens."""
         self.failures += 1
-        if self.state == self.HALF_OPEN or self.failures >= self.failure_threshold:
+        if self.state == self.HALF_OPEN or self.failures >= self.FAILURE_THRESHOLD:
             newly = self.state != self.OPEN
             self.state = self.OPEN
-            self._open_until = now + self.cooldown
+            self._open_until = now + self.COOLDOWN
             return newly
         return False
 
@@ -167,10 +166,9 @@ class RpcEndpoint:
     #: many distinct calls may re-execute (the retry window is far shorter)
     RESPONSE_CACHE_LIMIT = 4096
 
-    def __init__(self, peer: Peer, policy: RetryPolicy | None = None) -> None:
+    def __init__(self, peer: Peer) -> None:
         self.peer = peer
         self.network = peer.network
-        self.policy = policy or RetryPolicy()
         self._methods: dict[str, RpcHandler] = {}
         self._calls: dict[str, RpcCall] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -292,7 +290,7 @@ class RpcEndpoint:
         self.network.send(
             self.peer.peer_id, call.destination, MSG_REQUEST, call.request
         )
-        timeout = self.policy.timeout_for(call.attempt, self.network.runtime_rng)
+        timeout = RetryPolicy.timeout_for(call.attempt, self.network.runtime_rng)
         call.timer = self.network.call_later(timeout, lambda: self._on_deadline(call))
 
     def _on_deadline(self, call: RpcCall) -> None:
@@ -300,7 +298,7 @@ class RpcEndpoint:
             return
         stats = self.network.stats
         call.attempt += 1
-        if call.attempt >= self.policy.max_attempts:
+        if call.attempt >= RetryPolicy.MAX_ATTEMPTS:
             stats.rpc_timeouts += 1
             if self.breaker(call.destination).record_failure(self.network.now):
                 stats.circuits_opened += 1

@@ -21,12 +21,12 @@ from repro.workloads.chaos_feed import CHAOS_FUNCTION
 from repro.xmlmodel.tree import Element
 
 
-def build_pair(seed=0, fault_model=None, policy=None):
+def build_pair(seed=0, fault_model=None):
     network = SimNetwork(seed=seed, fault_model=fault_model)
     a = Peer("a", network)
     b = Peer("b", network)
-    client = RpcEndpoint(a, policy)
-    server = RpcEndpoint(b, policy)
+    client = RpcEndpoint(a)
+    server = RpcEndpoint(b)
     return network, client, server
 
 
@@ -121,25 +121,22 @@ class TestRetries:
         assert executions == ["a"]
 
     def test_exhausted_retries_raise_typed_timeout(self):
-        network, client, server = build_pair(
-            policy=RetryPolicy(max_attempts=3, base_timeout=0.01)
-        )
+        network, client, server = build_pair()
         network.fail_peer("b")
         with pytest.raises(RpcTimeout) as info:
             client.call_sync("b", "echo")
         assert info.value.destination == "b"
-        assert info.value.attempts == 3
+        assert info.value.attempts == RetryPolicy.MAX_ATTEMPTS == 6
         assert network.stats.rpc_timeouts == 1
         assert isinstance(info.value, RpcError)
 
 
 class TestCircuitBreaker:
     def test_repeated_timeouts_open_then_cooldown_half_opens(self):
-        policy = RetryPolicy(max_attempts=2, base_timeout=0.01)
-        network, client, server = build_pair(policy=policy)
+        network, client, server = build_pair()
         echo_counter(server)
         network.fail_peer("b")
-        for _ in range(3):
+        for _ in range(CircuitBreaker.FAILURE_THRESHOLD):  # 3 exhausted calls
             with pytest.raises(RpcTimeout):
                 client.call_sync("b", "echo")
         assert client.breaker("b").state == CircuitBreaker.OPEN
@@ -150,22 +147,23 @@ class TestCircuitBreaker:
         # after the cooldown one half-open probe goes through; the revived
         # destination answers and the circuit closes again
         network.revive_peer("b")
-        network.advance(CircuitBreaker().cooldown + 0.01)
+        network.advance(CircuitBreaker.COOLDOWN + 0.01)
         result = client.call_sync("b", "echo", Element("args", {"text": "probe"}))
         assert result is not None
         assert client.breaker("b").state == CircuitBreaker.CLOSED
         assert client.open_circuits() == []
 
     def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=1.0)
+        breaker = CircuitBreaker()  # opens at 3 failures, for a 0.25 cooldown
         assert breaker.allow(0.0)
         breaker.record_failure(0.0)
+        breaker.record_failure(0.0)
         assert breaker.record_failure(0.0) is True  # newly opened
-        assert not breaker.allow(0.5)
-        assert breaker.allow(1.5)  # half-open probe
+        assert not breaker.allow(0.2)
+        assert breaker.allow(0.3)  # half-open probe
         assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.record_failure(1.5) is True  # re-opened
-        assert not breaker.allow(1.6)
+        assert breaker.record_failure(0.3) is True  # re-opened
+        assert not breaker.allow(0.5)
 
 
 class TestPartitionRetry:
@@ -177,7 +175,7 @@ class TestPartitionRetry:
         network.record_events = True
         a = Peer("a", network)
         b = Peer("b", network)
-        client = RpcEndpoint(a, RetryPolicy(max_attempts=4, base_timeout=0.02))
+        client = RpcEndpoint(a)
         server = RpcEndpoint(b)
         executions = echo_counter(server)
         network.partition("cut", ["a"], ["b"])
@@ -187,7 +185,7 @@ class TestPartitionRetry:
             client.call_sync("b", "echo", Element("args", {"text": "held"}))
         assert executions == []
         released = network.heal("cut")
-        assert released >= 4  # all four request copies were held
+        assert released >= 6  # all six request copies were held
         network.run()
         return network, executions
 
