@@ -362,9 +362,9 @@ class StreamDefinitionDatabase:
             if document.tag == "Stream":
                 expected._file(doc_id, decode_description(document))
             elif document.tag == "InChannel":
-                attrib = document.attrib
-                original = (attrib["PeerId"], attrib["StreamId"])
-                expected._file_replica(doc_id, original, (attrib["ReplicaPeerId"], attrib["ReplicaStreamId"]))
+                replica = decode_description(document)
+                original = (replica.peer_id, replica.stream_id)
+                expected._file_replica(doc_id, original, (replica.replica_peer_id, replica.replica_stream_id))
         problems = []
         if misfiled:
             problems.append(f"terms: {len(misfiled)} documents filed under terms their walk does not find, "
