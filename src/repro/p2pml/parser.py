@@ -14,8 +14,7 @@ from repro.p2pml.ast import (
 )
 from repro.p2pml.errors import P2PMLSyntaxError
 from repro.p2pml.lexer import Lexer, Token
-
-_COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">")
+from repro.xmlmodel.xpath import COMPARATORS
 
 
 def parse_subscription(text: str) -> SubscriptionAST:
@@ -178,7 +177,7 @@ class _Parser:
     def parse_condition(self) -> Condition:
         left = self.parse_operand()
         token = self.peek()
-        if token.type == "symbol" and token.value in _COMPARISON_OPS:
+        if token.type == "symbol" and token.value in COMPARATORS:
             op = self.next().value
             right = self.parse_operand()
             return Condition(left=left, op=op, right=right)
