@@ -28,11 +28,11 @@ class Operand:
 
         ``$var.attr`` is an attribute reference, ``$var/xpath`` a path,
         ``$var`` a bare variable (split as RETURN holes are, by
-        :func:`~repro.algebra.template.parse_value_ref`); numbers (or numeric strings) are number
-        literals and anything else -- optionally double-quoted -- a string
-        literal.  The programmatic :class:`~repro.p2pml.builder.\
-        SubscriptionBuilder` uses this so fluent conditions read like the
-        textual language.
+        :func:`~repro.algebra.template.parse_value_ref`); numbers (or
+        numeric strings) are number literals and anything else --
+        optionally double-quoted -- a string literal.  The programmatic
+        :class:`~repro.p2pml.builder.SubscriptionBuilder` uses this so
+        fluent conditions read like the textual language.
         """
         if isinstance(text, Operand):
             return text

@@ -172,8 +172,8 @@ class Step:
         return all(pred.evaluate(node) for pred in self.predicates)
 
 
-#: The comparison operators of the dialect, one function each: predicates
-#: and the filter's simple and computed conditions all dispatch through it.
+#: The comparison operators, one function each: XPath predicates, the
+#: filter's simple and computed conditions and the P2PML parser all read it.
 COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
     "!=": operator.ne,

@@ -248,14 +248,6 @@ def test_matches_is_the_frozen_matcher_and_bool_of_select(expression, tree):
     assert verdict == bool(path.select(tree)), expression
 
 
-def test_the_generated_paths_take_both_verdicts():
-    doc = Element("a", {"x": "2"}, [Element("b", {"y": " 2 "}, [Element("c", text="10")])])
-    assert XPath.compile("/a[@x = 2]/b[@y = 'abc' or c > 9]").matches(doc)
-    assert not XPath.compile("/a[@x = 2]/b[@y = 'abc' and c > 9]").matches(doc)
-    assert XPath.compile("//b[@y = '2.0']").matches(doc)  # a padded number compares as a number
-    assert FrozenMatcher(XPath.compile("//c/text()")).matches(doc)
-
-
 # -- generated comparisons ---------------------------------------------------------------------
 
 compared_values = st.one_of(
@@ -268,7 +260,7 @@ compared_values = st.one_of(
 )
 
 
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(compared_values, st.sampled_from(tuple(COMPARATORS)), compared_values)
 def test_compare_is_the_frozen_rule_and_the_simple_condition(left, op, right):
     expected = frozen_compare(left, op, right)
