@@ -9,9 +9,8 @@ and the paper's full subscription lifecycle (Section 3.1) is driven through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.streams.item import EOS
 from repro.streams.stream import Stream
 from repro.xmlmodel.tree import Element
 
@@ -133,14 +132,11 @@ class SubscriptionHandle:
         """Invoke ``callback`` for every delivered result; returns an unsubscriber.
 
         Callbacks attach to the delivery stream, after the pause/resume
-        valve: a paused subscription delivers nothing until resumed.
+        valve: a paused subscription delivers nothing until resumed.  The
+        valve calls ``callback`` itself, with results only: its end, on
+        cancel or when its source ends, never reaches a callback.
         """
-
-        def deliver(item: Any) -> None:
-            if item is not EOS:
-                callback(item)
-
-        return self._record.valve.subscribe(deliver)
+        return self._record.valve.subscribe_items(callback)
 
     def on_recovery(self, callback) -> Callable[[], None]:
         """Invoke ``callback(event)`` whenever this subscription is recovered.

@@ -311,8 +311,8 @@ class SubscriptionManager:
         """Retire a subscription: close its delivery end, release references,
         mark cancelled.
 
-        The valve stops reading and ends (EOS to the result buffer, the
-        callbacks and the publisher), the publisher's undo actions run, then
+        The valve stops reading and ends (EOS to the result buffer and the
+        publisher, nothing to a result callback), the publisher's undo actions run, then
         the running deployment is released -- every step even if an earlier
         one fails.  Resources shared with other subscriptions (reused
         streams, shared alerters) survive; everything this subscription

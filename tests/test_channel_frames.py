@@ -369,6 +369,20 @@ def test_a_cancel_from_a_callback_stops_the_burst_without_raising():
     source.emit_many([alert(n) for n in range(5)])
     assert numbers(seen) == [0, 1] and valve.items_delivered == 2 and valve.closed
     assert numbers(unaffected) == [0, 1, 2, 3, 4]  # the stream's other subscription is served
+    # a bare result callback (``on_result``'s: no EOS check) stops its burst the same way
+    bare = valve_on(source)
+    taken: list = []
+
+    def bare_cancel_on_second(item) -> None:
+        taken.append(item)
+        if len(taken) == 2:
+            bare.disconnect()
+            bare.close()
+
+    bare.subscribe_items(bare_cancel_on_second)
+    source.emit_many([alert(n) for n in range(5, 10)])
+    assert numbers(taken) == [5, 6] and bare.items_delivered == 2 and bare.closed
+    assert numbers(unaffected) == list(range(10))
     closed = valve_on(source)
     closed.close()  # closed but still subscribed: refuses, item or burst
     for publish in (lambda: source.emit(alert(5)), lambda: source.emit_many([alert(5), alert(6)])):
