@@ -37,7 +37,11 @@ from .stats import CompileStats
 
 
 class _Boundary:
-    """Per-stage output: stream + channel + external-consumer watches."""
+    """Per-stage output: stream + channel + external-consumer watches.
+
+    It is *live* when its channel has subscribers or a watched stream has
+    more subscribers than its baseline; the pipeline polls that in its own
+    frame, once per item or burst that reaches the boundary."""
 
     __slots__ = ("stream", "channel", "watches")
 
@@ -47,15 +51,6 @@ class _Boundary:
         #: tuple of (stream, baseline subscriber count); a count above the baseline means an
         #: external consumer (reuse, a replica, a channel's forwarder, a test tap) attached later
         self.watches: tuple[tuple[Stream, int], ...] = ()
-
-    def is_live(self) -> bool:
-        channel = self.channel
-        if channel is not None and channel.subscribers:
-            return True
-        for stream, baseline in self.watches:
-            if stream.subscriber_count > baseline:
-                return True
-        return False
 
 
 class _StageEntry:
@@ -186,17 +181,22 @@ class CompiledPipeline:
                 self.items_out += 1
                 boundary.stream.emit(item)
                 return
-            if self._entries[i + 1] is None or boundary.is_live():
-                # write through: either an external consumer is attached (our
-                # continuation on this boundary resumes the remaining stages,
-                # so processing stays single-path), or the downstream stages
-                # were torn down while this boundary stream survives for
-                # reuse consumers -- exactly an upstream operator emitting
-                # after its downstream operator detached
-                boundary.stream.emit(item)
-                return
-            i += 1
-            apply = stages[i].apply
+            if self._entries[i + 1] is not None and not (boundary.channel and boundary.channel.subscribers):
+                for stream, baseline in boundary.watches:
+                    if len(stream._subscribers) > baseline:
+                        break
+                else:  # dark: carry on in this frame
+                    i += 1
+                    apply = stages[i].apply
+                    continue
+            # write through: either an external consumer is attached (our
+            # continuation on this boundary resumes the remaining stages,
+            # so processing stays single-path), or the downstream stages
+            # were torn down while this boundary stream survives for
+            # reuse consumers -- exactly an upstream operator emitting
+            # after its downstream operator detached
+            boundary.stream.emit(item)
+            return
 
     def _run_batch_from(self, i: int, batch: Any, memo: dict) -> None:
         stages, boundaries, stats, last = self.stages, self.boundaries, self.stats, self._last
@@ -216,10 +216,15 @@ class CompiledPipeline:
                 self.items_out += len(batch)
                 boundary.stream.emit_trusted(batch)
                 return
-            if self._entries[i + 1] is None or boundary.is_live():
-                boundary.stream.emit_trusted(batch)
-                return
-            i += 1
+            if self._entries[i + 1] is not None and not (boundary.channel and boundary.channel.subscribers):
+                for stream, baseline in boundary.watches:
+                    if len(stream._subscribers) > baseline:
+                        break
+                else:  # dark, as in _run_from
+                    i += 1
+                    continue
+            boundary.stream.emit_trusted(batch)
+            return
 
     # -- observability -------------------------------------------------------
 
