@@ -130,7 +130,8 @@ class ComputedCondition:
     ``$duration := $c1.responseTimestamp - $c1.callTimestamp`` used in
     ``$duration > 10`` becomes
     ``ComputedCondition(((1, "responseTimestamp"), (-1, "callTimestamp")), ">", 10)``.
-    A missing or non-numeric attribute makes the condition false.
+    A missing or non-numeric attribute makes the condition false.  Equal
+    ``sum_key`` means equal sums: the filter computes each once per item.
     """
 
     terms: tuple[tuple[int, str], ...]  # (sign, attribute-name or numeric literal)
@@ -152,19 +153,23 @@ class ComputedCondition:
                 base += sign * literal
             else:
                 attr_terms.append((sign, term))
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_attr_terms", tuple(attr_terms))
-        object.__setattr__(self, "_target", float(self.value))
-        object.__setattr__(self, "_compare", COMPARATORS[self.op])
+        object.__setattr__(self, "sum_key", (base, tuple(attr_terms)))
+        object.__setattr__(self, "target", float(self.value))
+        object.__setattr__(self, "compare", COMPARATORS[self.op])
+
+    def total(self, attributes: dict[str, str]) -> float | None:
+        """The sum over ``attributes``; None when a term is missing or non-numeric."""
+        total, attr_terms = self.sum_key
+        try:
+            for sign, term in attr_terms:
+                total += sign * float(attributes[term])
+        except (KeyError, TypeError, ValueError):
+            return None
+        return total
 
     def evaluate(self, attributes: dict[str, str]) -> bool:
-        total = self._base
-        try:
-            for sign, term in self._attr_terms:
-                total += sign * float(attributes[term])
-        except (KeyError, TypeError, ValueError):  # missing or non-numeric
-            return False
-        return self._compare(total, self._target)
+        total = self.total(attributes)
+        return total is not None and self.compare(total, self.target)
 
     def __str__(self) -> str:
         parts = []
@@ -208,21 +213,9 @@ class FilterSubscription:
             mask |= 1 << condition_id
         return mask
 
-    def computed_hold(self, item) -> bool:
-        """True when every computed (LET-derived) condition holds for ``item``."""
-        if not self.computed:
-            return True
-        attrib = item.attrib
-        for condition in self.computed:
-            if not condition.evaluate(attrib):
-                return False
-        return True
-
     def matches_extensionally(self, item) -> bool:
         """Reference semantics: evaluate everything directly (used by tests/naive)."""
-        if not all(condition.evaluate(item.attrib) for condition in self.simple):
-            return False
-        if not self.computed_hold(item):
+        if not all(condition.evaluate(item.attrib) for condition in (*self.simple, *self.computed)):
             return False
         return all(query.matches(item) for query in self.complex_queries)
 

@@ -162,12 +162,12 @@ class FilterOperator:
             self.mask_cache_hits += 1
         matched = plan.simple_plain
         if plan.simple_computed or plan.complex_plain or plan.complex_computed:
-            subscriptions = self._subscriptions
             query_ids = self._query_ids
-            extra = [s for s in plan.simple_computed if subscriptions[s].computed_hold(item)]
+            totals: dict[tuple, float | None] = {}  # each distinct computed sum, once per item
+            extra = self._computed_hold(plan.simple_computed, item.attrib, totals) if plan.simple_computed else []
             active_complex: Sequence[str] = plan.complex_plain
             active_query_ids: frozenset[str] | set[str] = plan.plain_query_ids
-            passing = [s for s in plan.complex_computed if subscriptions[s].computed_hold(item)]
+            passing = self._computed_hold(plan.complex_computed, item.attrib, totals) if plan.complex_computed else ()
             if passing:
                 active_complex = [*active_complex, *passing]
                 active_query_ids = active_query_ids.union(*(query_ids[s] for s in passing))
@@ -182,6 +182,24 @@ class FilterOperator:
         if matched:
             self.items_matched += 1
         return matched
+
+    def _computed_hold(self, sub_ids: tuple[str, ...], attributes: dict, totals: dict) -> list[str]:
+        """The subscriptions of ``sub_ids`` whose computed (LET-derived)
+        conditions all hold; ``totals`` keeps each sum for the rest of the item."""
+        holding = []
+        subscriptions = self._subscriptions
+        for sub_id in sub_ids:
+            for condition in subscriptions[sub_id].computed:
+                key = condition.sum_key
+                if key in totals:
+                    total = totals[key]
+                else:
+                    total = totals[key] = condition.total(attributes)
+                if total is None or not condition.compare(total, condition.target):
+                    break
+            else:
+                holding.append(sub_id)
+        return holding
 
     def process(self, item: Element) -> FilterResult:
         """Match one stream item; returns the identifiers of satisfied subscriptions."""

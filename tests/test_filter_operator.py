@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.filtering import FilterOperator, FilterSubscription, NaiveFilter, SimpleCondition
+from repro.filtering.conditions import ComputedCondition
 from repro.xmlmodel import Element, XPath, make_service_call, parse_xml
 from repro.xmlmodel.axml import ServiceRegistry
 
@@ -302,3 +303,34 @@ class TestRemoval:
     def test_unknown_subscription_raises(self):
         with pytest.raises(KeyError):
             FilterOperator().remove_subscription("nope")
+
+
+class TestComputedSums:
+    DURATION = ((1, "responseTimestamp"), (-1, "callTimestamp"))
+
+    def test_each_distinct_sum_is_computed_once_per_item(self, monkeypatch):
+        subs = [
+            FilterSubscription(f"over{limit}", [SimpleCondition("kind", "=", "call")],
+                               computed=[ComputedCondition(self.DURATION, ">", limit)])
+            for limit in (5, 10, 20)
+        ]
+        subs.append(FilterSubscription(  # a second sum, and the first one again
+            "both", [SimpleCondition("kind", "=", "call")], [XPath.compile("//c/d")],
+            computed=[ComputedCondition(((1, "callTimestamp"),), ">", 0), ComputedCondition(self.DURATION, "<", 30)],
+        ))
+        filter_op = FilterOperator(subs)
+        totals = []
+        plain_total = ComputedCondition.total
+        monkeypatch.setattr(ComputedCondition, "total", lambda c, a: totals.append(c.sum_key) or plain_total(c, a))
+        item = alert(kind="call", callTimestamp="100", responseTimestamp="115")
+        assert filter_op.process(item).matched == ["both", "over10", "over5"]
+        assert sorted(totals) == sorted([(0.0, self.DURATION), (0.0, ((1, "callTimestamp"),))])
+        assert [s.sub_id for s in subs if s.matches_extensionally(item)] == ["over5", "over10", "both"]
+
+    def test_a_missing_or_non_numeric_term_fails_every_threshold_on_it(self):
+        subs = [FilterSubscription(f"over{limit}", computed=[ComputedCondition(self.DURATION, op, limit)])
+                for limit, op in ((5, ">"), (10, "<="))]
+        filter_op = FilterOperator(subs)
+        for attrs in ({"callTimestamp": "1"}, {"callTimestamp": "1", "responseTimestamp": "late"}):
+            assert filter_op.process(alert(**attrs)).matched == []
+        assert filter_op.process(alert(callTimestamp="1", responseTimestamp="9")).matched == ["over10", "over5"]
