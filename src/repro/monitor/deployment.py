@@ -71,12 +71,6 @@ UndoAction = Callable[[], None]
 Wire = Callable[[list[Stream], Stream], tuple[object | None, list[UndoAction]]]
 
 
-def _discard(bucket: list, item: object) -> None:
-    """Remove ``item`` from ``bucket`` if still present (idempotent teardown)."""
-    if item in bucket:
-        bucket.remove(item)
-
-
 def _unsubscribe_via_rpc(consumer: "P2PMPeer", producer: str, channel_id: str) -> None:
     """Withdraw a reliable-control channel subscription: drop the proxy, then
     announce it over RPC -- async, teardown must not block on a slow publisher."""
@@ -98,7 +92,7 @@ def _detach_stage(peer: "P2PMPeer", pipeline: CompiledPipeline, index: int) -> N
     if stage.apply is not None:  # a FILTER has no table entry
         peer.system.materialized.forget(stage.signature)
     if pipeline.detached:
-        _discard(peer.operators, pipeline)
+        peer.operators.pop(pipeline, None)
 
 
 @dataclass
@@ -374,8 +368,8 @@ class Deployer:
             operator = self._make_operator(node, output)
             for stream in inputs:
                 operator.connect(stream)
-            peer.operators.append(operator)
-            return operator, [operator.detach, partial(_discard, peer.operators, operator)]
+            peer.operators[operator] = None
+            return operator, [operator.detach, partial(peer.operators.pop, operator, None)]
 
         return self._deploy_output(node, task, peer, child_handles, wire)
 
@@ -394,7 +388,7 @@ class Deployer:
         program = compiler.compile_segment(chain)
         pipeline = CompiledPipeline(program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats)
         handle = self._deploy_node(chain[0].children[0], task)
-        peer.operators.append(pipeline)
+        peer.operators[pipeline] = None
         for index, node in enumerate(chain):
 
             def wire(inputs: list[Stream], output: Stream, index: int = index, node: PlanNode = node):

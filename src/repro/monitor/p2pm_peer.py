@@ -328,7 +328,9 @@ class P2PMPeer:
         self.manager = SubscriptionManager(self)
         self.repository = AXMLRepository(peer_id)
         self.service_registry = ServiceRegistry()
-        self.operators: list = []
+        #: deployed operators and pipelines, in deployment order (keys; operators
+        #: compare by identity, so a teardown finds its own without a scan)
+        self.operators: dict[object, None] = {}
         self._alerters: dict[str, Alerter] = {}
         self._alerter_hooks: list[AlerterHook] = []
         self._feed_sources: dict[str, Callable] = {}

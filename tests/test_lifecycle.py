@@ -264,7 +264,36 @@ class TestPauseResume:
             handle.resume()
 
 
+class _CountsComparisons:
+    """Compares unequal to everything, counting each time it is asked."""
+
+    comparisons = 0
+
+    def __eq__(self, other) -> bool:
+        _CountsComparisons.comparisons += 1
+        return False
+
+    __hash__ = object.__hash__
+
+
 class TestCancelTeardown:
+    def test_a_teardown_compares_against_no_other_operator(self):
+        from repro.algebra.operators import Operator
+        from repro.compile.pipeline import CompiledPipeline
+
+        scenario = MeteoScenario(seed=13, slow_fraction=0.3)
+        system = scenario.system
+        bystanders = {peer_id: _CountsComparisons() for peer_id in system.peer_ids}
+        for peer_id, bystander in bystanders.items():
+            system.peer(peer_id).operators[bystander] = None
+        handle = scenario.deploy()
+        deployed = [op for p in system.peer_ids for op in system.peer(p).operators if op is not bystanders[p]]
+        assert {type(op) for op in deployed} >= {CompiledPipeline} and any(isinstance(op, Operator) for op in deployed)
+        _CountsComparisons.comparisons = 0
+        assert handle.cancel()
+        assert _CountsComparisons.comparisons == 0
+        assert {p: list(system.peer(p).operators) for p in system.peer_ids} == {p: [b] for p, b in bystanders.items()}
+
     def test_cancel_detaches_operators_and_retracts_ads(self):
         scenario = MeteoScenario(seed=13, slow_fraction=0.3)
         handle = scenario.deploy()

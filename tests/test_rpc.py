@@ -300,7 +300,7 @@ class TestFailedPublication:
     def test_a_subscribe_that_raises_mid_deploy_leaves_nothing(self, failing_call):
         system = self.fail_publication(failing_call)
         assert len(system.resources) == 0
-        assert system.peer("s0").operators == []
+        assert system.peer("s0").operators == {}
         assert system.compiler.groups == {}
         assert system.stream_db.verify_index_coherence() == []
         assert system.kadop.document_ids == []
