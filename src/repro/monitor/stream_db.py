@@ -211,16 +211,11 @@ class StreamDefinitionDatabase:
             peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams)
         )
 
-    def publish_stream(self, description: StreamDescription | Element) -> str:
+    def publish_stream(self, description: StreamDescription) -> str:
         """Store a stream description; returns its document id.  KadoP keeps
-        a record itself; a raw ``<Stream>`` is decoded, and kept as given."""
-        document = description
-        if isinstance(description, Element):
-            if description.tag != "Stream":
-                raise ValueError("expected a <Stream> description")
-            description = decode_description(description)
+        the record itself."""
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
-        self._publish(document, doc_id, description.peer_id)
+        self._publish(description, doc_id, description.peer_id)
         self._deindex_document(doc_id)  # a republish replaces the earlier filing
         self._file(doc_id, description)
         self.streams_published += 1  # counted once it landed: a router may raise
@@ -244,15 +239,14 @@ class StreamDefinitionDatabase:
         self.replicas_published += 1
         return doc_id
 
-    def _publish(self, document: StreamDescription | ReplicaDescription | Element, doc_id: str, owner: str) -> None:
+    def _publish(self, document: StreamDescription | ReplicaDescription, doc_id: str, owner: str) -> None:
         """Write ``document`` to KadoP -- over the router as its rendering, the
         RPC payload; a routed write that raised may have landed: withdraw it."""
         if self.router is None:
             self.index.publish(document, doc_id)
             return
         try:
-            rendered = document if isinstance(document, Element) else document.to_element()
-            self.router.publish_document(rendered, doc_id)
+            self.router.publish_document(document.to_element(), doc_id)
         except Exception:
             self._deindex_document(doc_id)
             self._withdraw(doc_id, owner)

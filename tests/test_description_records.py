@@ -103,16 +103,18 @@ def test_every_node_kind_renders_as_before(kind, is_channel, avg_volume):
     assert assert_documents_render_as_before(db) == len(OPERANDS) + 1
 
 
-def test_a_raw_stream_document_is_kept_as_given():
+def test_a_republished_record_replaces_the_first():
     db = StreamDefinitionDatabase()
-    description = db.describe_node(publishing_nodes()["filter"], "m.com", "f", [("a.com", "outCOM")])
-    raw = frozen_stream_element(description, 7.5)
-    doc_id = db.publish_stream(raw)
-    assert db.index.document(doc_id) is raw and db._descriptions[doc_id] == description
-    assert db.index._doc_terms[doc_id] == KadopIndex._terms_of_document(raw)
-    # republished as a record: the Element's term set goes with it
-    db.publish_stream(description)
-    assert doc_id not in db.index._doc_terms and db.index._doc_replicas[doc_id] is description
+    first = db.describe_node(publishing_nodes()["filter"], "m.com", "f", [("a.com", "outCOM")])
+    doc_id = db.publish_stream(first)
+    filed = db.index.filed_terms()[doc_id]
+    # the same stream, republished over another operand: KadoP holds the new record alone
+    second = dataclasses.replace(first, operands=(("b.com", "outCOM"),))
+    assert db.publish_stream(second) == doc_id
+    assert db.index._doc_replicas[doc_id] is second and db._descriptions[doc_id] is second
+    assert db.index.filed_terms()[doc_id] == second.terms() != filed
+    assert db.find_operator_streams(first.operator, first.spec, [("a.com", "outCOM")]) == []
+    assert db.find_operator_streams(first.operator, first.spec, [("b.com", "outCOM")]) == [second]
     assert assert_documents_render_as_before(db) == 1
     assert db.retract(doc_id) and db.index.filed_terms() == {}
 

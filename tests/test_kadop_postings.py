@@ -11,6 +11,7 @@ Every test in this file fails at the parent.
 from repro.algebra.plan import ALERTER, PlanNode
 from repro.dht import ChordRing, KadopIndex, chord
 from repro.monitor import StreamDefinitionDatabase
+from repro.monitor.stream_db import decode_description
 from repro.xmlmodel import parse_xml
 
 
@@ -70,8 +71,8 @@ class TestRepublish:
     def test_publish_stream_twice_with_different_operands(self):
         db = StreamDefinitionDatabase(make_index())
         baseline = ring_keys(db.index).keys()
-        first = parse_xml(stream("<Union/>", '<Operand OPeerId="a" OStreamId="s1"/>'))
-        second = parse_xml(stream("<Union/>", '<Operand OPeerId="b" OStreamId="s2"/>'))
+        first = decode_description(parse_xml(stream("<Union/>", '<Operand OPeerId="a" OStreamId="s1"/>')))
+        second = decode_description(parse_xml(stream("<Union/>", '<Operand OPeerId="b" OStreamId="s2"/>')))
         doc_id = db.publish_stream(first)
         assert db.publish_stream(second) == doc_id
         postings = term_postings(db.index)

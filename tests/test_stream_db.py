@@ -80,8 +80,8 @@ class TestStreamDefinitionDatabase:
         existing = PlanNode(EXISTING, {"peer": "p", "stream_id": "s"})
         with pytest.raises(ValueError):
             db.describe_node(existing, "p", "s", [])
-        with pytest.raises(ValueError):
-            db.publish_stream(Element("NotAStream"))
+        # nothing was described, so nothing is published
+        assert db.all_stream_descriptions() == [] and db.index.document_ids == []
 
     def test_all_stream_descriptions(self):
         db = StreamDefinitionDatabase()
