@@ -141,13 +141,13 @@ class DeliveryValve(Stream):
         self._max_pause_buffer = max_pause_buffer
         self._eos_pending = False
         self._unsubscribe: Callable[[], None] | None = None
-        #: the subscribers :meth:`close` passes by, as dict keys
-        self._items_only: dict[Subscriber, None] = {}
+        #: the subscribers :meth:`close` passes by
+        self._items_only: tuple[Subscriber, ...] = ()
 
     def subscribe_items(self, callback: Subscriber) -> Callable[[], None]:
         """:meth:`subscribe` ``callback`` to the items alone; what
         ``SubscriptionHandle.on_result`` registers, no wrapper around it."""
-        self._items_only[callback] = None
+        self._items_only += (callback,)
         self._subscribers.append(callback)
         self._split = None
         return partial(self._unsubscribe_items, callback)
@@ -155,7 +155,7 @@ class DeliveryValve(Stream):
     def _unsubscribe_items(self, callback: Subscriber) -> None:
         self._remove_subscriber(callback)
         if callback not in self._subscribers:
-            self._items_only.pop(callback, None)
+            self._items_only = tuple(s for s in self._items_only if s != callback)
 
     def close(self) -> None:
         """End the valve: EOS to every subscriber but the items-only ones."""
