@@ -112,13 +112,11 @@ class FilterGroup:
         """The members of ``signatures`` in registration order."""
         members = self._orders.get(signatures)
         if members is None:
-            joined: list[_Member] = []
-            for signature in signatures:
-                joined += self._buckets[signature].values()
-            joined.sort(key=attrgetter("ordinal"))
+            joined = [m for signature in signatures for m in self._buckets[signature].values()]
+            members = tuple(sorted(joined, key=attrgetter("ordinal")))
             if len(self._orders) >= MAX_ORDERS:
                 self._orders.clear()
-            members = self._orders[signatures] = tuple(joined)
+            self._orders[signatures] = members
         return members
 
     # -- dispatch (the stream calls these) -----------------------------------

@@ -37,11 +37,7 @@ from .stats import CompileStats
 
 
 class _Boundary:
-    """Per-stage output: stream + channel + external-consumer watches.
-
-    It is *live* when its channel has subscribers or a watched stream has
-    more subscribers than its baseline; the pipeline polls that in its own
-    frame, once per item or burst that reaches the boundary."""
+    """Per-stage output: stream + channel + external-consumer watches."""
 
     __slots__ = ("stream", "channel", "watches")
 
@@ -189,12 +185,9 @@ class CompiledPipeline:
                     i += 1
                     apply = stages[i].apply
                     continue
-            # write through: either an external consumer is attached (our
-            # continuation on this boundary resumes the remaining stages,
-            # so processing stays single-path), or the downstream stages
-            # were torn down while this boundary stream survives for
-            # reuse consumers -- exactly an upstream operator emitting
-            # after its downstream operator detached
+            # live (an external consumer; our continuation on the boundary resumes
+            # the rest, single-path) or detached below: write through, as an
+            # upstream operator emits after its downstream operator detached
             boundary.stream.emit(item)
             return
 

@@ -130,8 +130,7 @@ class ComputedCondition:
     ``$duration := $c1.responseTimestamp - $c1.callTimestamp`` used in
     ``$duration > 10`` becomes
     ``ComputedCondition(((1, "responseTimestamp"), (-1, "callTimestamp")), ">", 10)``.
-    A missing or non-numeric attribute makes the condition false.  Equal
-    ``sum_key`` means equal sums: the filter computes each once per item.
+    A missing or non-numeric attribute makes the condition false.
     """
 
     terms: tuple[tuple[int, str], ...]  # (sign, attribute-name or numeric literal)
@@ -153,7 +152,7 @@ class ComputedCondition:
                 base += sign * literal
             else:
                 attr_terms.append((sign, term))
-        object.__setattr__(self, "sum_key", (base, tuple(attr_terms)))
+        object.__setattr__(self, "sum_key", (base, tuple(attr_terms)))  # equal keys, equal sums
         object.__setattr__(self, "target", float(self.value))
         object.__setattr__(self, "compare", COMPARATORS[self.op])
 
@@ -215,7 +214,7 @@ class FilterSubscription:
 
     def matches_extensionally(self, item) -> bool:
         """Reference semantics: evaluate everything directly (used by tests/naive)."""
-        if not all(condition.evaluate(item.attrib) for condition in (*self.simple, *self.computed)):
-            return False
-        return all(query.matches(item) for query in self.complex_queries)
+        return all(condition.evaluate(item.attrib) for condition in (*self.simple, *self.computed)) and all(
+            query.matches(item) for query in self.complex_queries
+        )
 

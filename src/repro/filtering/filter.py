@@ -184,17 +184,14 @@ class FilterOperator:
         return matched
 
     def _computed_hold(self, sub_ids: tuple[str, ...], attributes: dict, totals: dict) -> list[str]:
-        """The subscriptions of ``sub_ids`` whose computed (LET-derived)
-        conditions all hold; ``totals`` keeps each sum for the rest of the item."""
+        """The ``sub_ids`` whose computed (LET-derived) conditions all hold;
+        ``totals`` keeps each distinct sum for the rest of the item."""
         holding = []
-        subscriptions = self._subscriptions
         for sub_id in sub_ids:
-            for condition in subscriptions[sub_id].computed:
-                key = condition.sum_key
-                if key in totals:
-                    total = totals[key]
-                else:
-                    total = totals[key] = condition.total(attributes)
+            for condition in self._subscriptions[sub_id].computed:
+                if condition.sum_key not in totals:
+                    totals[condition.sum_key] = condition.total(attributes)
+                total = totals[condition.sum_key]
                 if total is None or not condition.compare(total, condition.target):
                     break
             else:

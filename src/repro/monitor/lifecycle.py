@@ -11,8 +11,7 @@ mechanisms the lifecycle verbs are built on:
   stream between the root stream of whichever deployment runs now and the
   delivery targets (publisher, result buffer, callbacks).  ``pause()`` stops
   delivery without tearing anything down; ``resume()`` restarts it, flushing
-  whatever the valve retained while paused.  A result callback is one of its
-  subscribers, called with the items alone: the valve's end passes it by.
+  whatever the valve retained while paused.
 * :class:`ResourceLedger` -- the deployment graph and its only teardown
   mechanism.  Every deployed resource (operator output stream, alerter
   advertisement, channel proxy, subscription terminal) is an entry holding
@@ -26,11 +25,10 @@ mechanisms the lifecycle verbs are built on:
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.streams.item import EOS
-from repro.streams.stream import Stream, StreamClosedError, Subscriber
+from repro.streams.stream import Stream, StreamClosedError
 from repro.xmlmodel.tree import Element
 
 #: Default bound of the buffer a paused valve retains items in.
@@ -121,9 +119,7 @@ class DeliveryValve(Stream):
     beyond that) and flushed on resume, so a paused subscription loses
     nothing within its retention window and needs no redeployment.  The
     inherited :meth:`~repro.streams.stream.Stream.emit` bypasses the gate
-    (:meth:`resume` flushes the retained items through it).  A subscriber
-    added by :meth:`subscribe_items` is called with the items only: the
-    valve's end (:meth:`close`) offers EOS to the others.
+    (:meth:`resume` flushes the retained items through it).
     """
 
     def __init__(
@@ -141,31 +137,6 @@ class DeliveryValve(Stream):
         self._max_pause_buffer = max_pause_buffer
         self._eos_pending = False
         self._unsubscribe: Callable[[], None] | None = None
-        #: the subscribers :meth:`close` passes by
-        self._items_only: tuple[Subscriber, ...] = ()
-
-    def subscribe_items(self, callback: Subscriber) -> Callable[[], None]:
-        """:meth:`subscribe` ``callback`` to the items alone; what
-        ``SubscriptionHandle.on_result`` registers, no wrapper around it."""
-        self._items_only += (callback,)
-        self._subscribers.append(callback)
-        self._split = None
-        return partial(self._unsubscribe_items, callback)
-
-    def _unsubscribe_items(self, callback: Subscriber) -> None:
-        self._remove_subscriber(callback)
-        if callback not in self._subscribers:
-            self._items_only = tuple(s for s in self._items_only if s != callback)
-
-    def close(self) -> None:
-        """End the valve: EOS to every subscriber but the items-only ones."""
-        if self.closed:
-            return
-        self.closed = True
-        items_only = self._items_only
-        for subscriber in list(self._subscribers):
-            if subscriber not in items_only:
-                subscriber(EOS)
 
     def connect(self, source: Stream) -> Callable[[], None]:
         """Read ``source`` instead of the current source, if any; returns the

@@ -328,8 +328,7 @@ class P2PMPeer:
         self.manager = SubscriptionManager(self)
         self.repository = AXMLRepository(peer_id)
         self.service_registry = ServiceRegistry()
-        #: deployed operators and pipelines, in deployment order (keys; operators
-        #: compare by identity, so a teardown finds its own without a scan)
+        #: deployed operators and pipelines as keys, in deployment order: a teardown pops its own
         self.operators: dict[object, None] = {}
         self._alerters: dict[str, Alerter] = {}
         self._alerter_hooks: list[AlerterHook] = []

@@ -43,6 +43,9 @@ class Stream:
         purely local streams used in tests).
     """
 
+    #: the :meth:`subscribe_items` subscribers (an instance attribute from the first)
+    _items_only: tuple[Subscriber, ...] = ()
+
     def __init__(self, stream_id: str, peer_id: str | None = None) -> None:
         self.stream_id = stream_id
         self.peer_id = peer_id
@@ -67,6 +70,17 @@ class Stream:
         self._subscribers.append(callback)
         self._split = None
         return partial(self._remove_subscriber, callback)
+
+    def subscribe_items(self, callback: Subscriber) -> Callable[[], None]:
+        """:meth:`subscribe` ``callback`` to the items alone (no EOS, no wrapper)."""
+        self._items_only += (callback,)
+        self._subscribers.append(callback)
+        self._split = None
+        return partial(self._unsubscribe_items, callback)
+
+    def _unsubscribe_items(self, callback: Subscriber) -> None:
+        self._remove_subscriber(callback)
+        self._items_only = tuple(s for s in self._items_only if s in self._subscribers)
 
     def _remove_subscriber(self, callback: Subscriber) -> None:
         if callback in self._subscribers:
@@ -170,12 +184,13 @@ class Stream:
         return self._split
 
     def close(self) -> None:
-        """Emit the end-of-stream marker and refuse further items."""
+        """Emit the end-of-stream marker, past the items-only subscribers, and refuse further items."""
         if self.closed:
             return
         self.closed = True
         for subscriber in list(self._subscribers):
-            subscriber(EOS)
+            if subscriber not in self._items_only:
+                subscriber(EOS)
 
     def push(self, item: object) -> None:
         """Forward either an item or EOS (convenient for chaining streams)."""
@@ -201,10 +216,5 @@ def collect(stream: Stream) -> list[Element]:
     not appended.  Heavily used by tests and examples.
     """
     sink: list[Element] = []
-
-    def _collector(item: object) -> None:
-        if item is not EOS:
-            sink.append(item)  # type: ignore[arg-type]
-
-    stream.subscribe(_collector)
+    stream.subscribe_items(sink.append)
     return sink

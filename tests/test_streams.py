@@ -188,6 +188,21 @@ class TestStream:
         stream.close()
         assert len(seen) == 1
 
+    def test_an_items_only_subscriber_is_passed_by_at_the_end(self):
+        stream = Stream("s")
+        plain, items, dropped = [], [], []
+        stream.subscribe(plain.append)
+        stream.subscribe_items(items.append)
+        remove = stream.subscribe_items(dropped.append)
+        stream.emit_many([Element("a"), Element("b")])
+        remove()
+        remove()  # idempotent
+        stream.emit(Element("c"))
+        stream.close()
+        assert [e.tag for e in items] == ["a", "b", "c"] and [e.tag for e in dropped] == ["a", "b"]
+        assert plain[:-1] == items and plain[-1] is EOS
+        assert stream._items_only == (items.append,)  # the removed one is forgotten
+
     def test_repr_mentions_state(self):
         stream = Stream("s", "p")
         assert "open" in repr(stream)
