@@ -121,27 +121,34 @@ class PlanCompiler:
 
     # -- segment analysis ----------------------------------------------------
 
-    def plan_segments(self, plan: PlanNode) -> dict[int, list[PlanNode]]:
-        """Maximal fusable segments of ``plan``: ``id(tail node) -> chain``.
+    def plan_segments(
+        self, plan: PlanNode, fallbacks: list[tuple[str, str]] | None = None
+    ) -> dict[int, list[PlanNode]]:
+        """Maximal fusable segments of a placed ``plan``: ``id(tail node) -> chain``.
 
         Each chain is head-first (closest to the source), every node in it is
         fusable, unary, and placed on the same peer as the tail, and a FILTER
         can only be its head.  Keying by the *tail* node's identity lets the
         deployer intercept exactly the node whose output the parent consumes,
         deploying the whole chain as one :class:`CompiledPipeline` and
-        recursing below the head.
+        recursing below the head.  ``fallbacks`` collects the ``(kind,
+        reason)`` of every operator that runs as an ``Operator``, for
+        :meth:`CompileStats.record_plan` at each deployment.
         """
         segments: dict[int, list[PlanNode]] = {}
-        self._analyze(plan, segments)
+        self._analyze(plan, segments, [] if fallbacks is None else fallbacks)
         return segments
 
-    def _analyze(self, node: PlanNode, segments: dict[int, list[PlanNode]]) -> None:
+    def _analyze(self, node: PlanNode, segments: dict[int, list[PlanNode]], fallbacks: list) -> None:
+        if node.placement is None:
+            # every other node is co-located with one visited here
+            raise ValueError(f"cannot deploy: a {node.kind} node has no placement")
         reason = self.fallback_reason(node)
         if reason is not None:
             if node.kind not in _SOURCE_KINDS:
-                self.stats.record_fallback(node.kind, reason)
+                fallbacks.append((node.kind, reason))
             for child in node.children:
-                self._analyze(child, segments)
+                self._analyze(child, segments, fallbacks)
             return
         # ``node`` is a fusable tail; extend the chain towards the source
         # while the single input is fusable and co-located.  A FILTER ends
@@ -162,11 +169,10 @@ class PlanCompiler:
             cursor = below
         chain.reverse()  # head (source side) first
         segments[id(node)] = chain
-        self.stats.record_segment(len(chain))
         # recurse below the head of the chain (its children were not analyzed
         # above; a remote-split child is a fresh analysis root)
         for child in chain[0].children:
-            self._analyze(child, segments)
+            self._analyze(child, segments, fallbacks)
 
     # -- compilation ---------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.algebra.plan import FILTER
 from repro.streams.item import EOS
 from repro.streams.stream import Stream
 
@@ -56,15 +57,17 @@ class _StageEntry:
     the source's :class:`FilterGroup`: it sees the matched items only); entry
     ``i > 0`` is the continuation subscribed to boundary ``i - 1`` and only
     runs when that boundary was written through (live) or fed externally
-    (orphan adoption replays, reuse providers).  :meth:`batch` takes a burst
-    and, from a group, its dispatch memo.
+    (orphan adoption replays, reuse providers).  ``batch`` takes a burst; a
+    FILTER head's group, which passes its dispatch memo, enters the
+    pipeline's own frame directly.
     """
 
-    __slots__ = ("pipeline", "index")
+    __slots__ = ("pipeline", "index", "batch")
 
     def __init__(self, pipeline: CompiledPipeline, index: int) -> None:
         self.pipeline = pipeline
         self.index = index
+        self.batch = pipeline._run_batch_from if index == 0 and pipeline.stages[0].kind == FILTER else self._batch
 
     def __call__(self, item: Any) -> None:
         pipeline, i = self.pipeline, self.index
@@ -77,11 +80,11 @@ class _StageEntry:
             pipeline._items_in += 1
         pipeline._run_from(i, item)
 
-    def batch(self, items: Any, memo: dict | None = None) -> None:
+    def _batch(self, items: Any) -> None:
         pipeline, i = self.pipeline, self.index
-        if i == 0 and pipeline._group is None:
+        if i == 0:
             pipeline._items_in += len(items)
-        pipeline._run_batch_from(i, items, {} if memo is None else memo)
+        pipeline._run_batch_from(items, {}, i)
 
 
 class CompiledPipeline:
@@ -191,7 +194,7 @@ class CompiledPipeline:
             boundary.stream.emit(item)
             return
 
-    def _run_batch_from(self, i: int, batch: Any, memo: dict) -> None:
+    def _run_batch_from(self, batch: Any, memo: dict, i: int = 0) -> None:
         stages, boundaries, stats, last = self.stages, self.boundaries, self.stats, self._last
         while True:
             stage = stages[i]

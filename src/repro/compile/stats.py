@@ -28,13 +28,14 @@ class CompileStats:
         self.batch_invocations = 0
         self.batch_items = 0
 
-    def record_segment(self, length: int) -> None:
-        self.segments_fused += 1
-        self.stages_fused += length
-
-    def record_fallback(self, kind: str, reason: str) -> None:
-        bucket = self.fallbacks.setdefault(kind, {})
-        bucket[reason] = bucket.get(reason, 0) + 1
+    def record_plan(self, segments: int, stages: int, fallbacks: tuple[tuple[str, str], ...]) -> None:
+        """One deployment: its fused segments and stages, and the ``(kind,
+        reason)`` of each operator that fell back."""
+        self.segments_fused += segments
+        self.stages_fused += stages
+        for kind, reason in fallbacks:
+            bucket = self.fallbacks.setdefault(kind, {})
+            bucket[reason] = bucket.get(reason, 0) + 1
 
     def record_tick(self) -> None:
         self.ticks += 1

@@ -49,13 +49,14 @@ from repro.algebra.plan import (
     plan_signature,
 )
 from repro.algebra.template import ValueRef
-from repro.compile import CompiledPipeline
+from repro.compile import CompiledPipeline, CompiledStage, PlanCompiler
 from repro.monitor.control import (
     RPC_CHANNEL_SUBSCRIBE,
     RPC_CHANNEL_UNSUBSCRIBE,
     RPC_DEPLOY_PREPARE,
 )
 from repro.monitor.lifecycle import ResourceLedger
+from repro.monitor.stream_db import StreamDescription
 from repro.net.errors import CircuitOpen
 from repro.publishers import PublisherContext, create_publisher
 from repro.streams.stream import Stream
@@ -95,7 +96,7 @@ def _detach_stage(peer: "P2PMPeer", pipeline: CompiledPipeline, index: int) -> N
         peer.operators.pop(pipeline, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamHandle:
     """Where a deployed (sub)plan's output lives."""
 
@@ -103,11 +104,7 @@ class _StreamHandle:
     stream: Stream | None
     stream_id: str
     #: canonical identity used in stream descriptions (original, never replica)
-    original: tuple[str, str] = ("", "")
-
-    def __post_init__(self) -> None:
-        if self.original == ("", ""):
-            self.original = (self.peer_id, self.stream_id)
+    original: tuple[str, str]
 
 
 @dataclass
@@ -208,6 +205,39 @@ class DynamicAlerterSource:
             self.output.emit(item)
 
 
+class DeploymentRecipe:
+    """What every deployment of one placed plan shares: a deployment stamps it.
+
+    The placed ``plan`` -- read-only: each deployment's ``task.plan`` and
+    ``handle.plan`` are this tree --, its fusable segments with their
+    compiled stage tuples, each publishing node's description operator and
+    spec, the :meth:`CompileStats.record_plan` arguments and the
+    ``placement_load`` each deployment charges.  A one-off recipe charges
+    nothing: its placement charged the live load as it read it.  What a
+    deployment owns -- stream ids, channels, ledger entries, descriptions,
+    the valve's connection -- :meth:`Deployer.deploy` makes for it.
+    """
+
+    __slots__ = ("plan", "segments", "described", "tally", "charges")
+
+    def __init__(self, plan: PlanNode, compiler: PlanCompiler, charges: tuple[tuple[str, int], ...] = ()) -> None:
+        fallbacks: list[tuple[str, str]] = []
+        segments = compiler.plan_segments(plan, fallbacks)
+        stages = 0
+        for key, chain in segments.items():
+            segments[key] = (chain, compiler.compile_segment(chain))
+            stages += len(chain)
+        self.plan = plan
+        #: id(tail node) -> (head-first chain, its compiled stage tuple)
+        self.segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = segments
+        #: id(node) -> (operator, spec) of its stream description, filled by
+        #: the first deployment that publishes the node's stream
+        self.described: dict[int, tuple[str, str]] = {}
+        self.tally = (len(segments), stages, tuple(fallbacks))
+        #: (peer, operators placed there) added to ``placement_load`` per deployment
+        self.charges = charges
+
+
 class Deployer:
     """Instantiates placed plans on the peers of a :class:`P2PMSystem`."""
 
@@ -216,15 +246,18 @@ class Deployer:
         self._counter = 0
         self._epoch = 0
         self._predecessor: DeployedTask | None = None
-        #: fusable segments of the plan being deployed, keyed by id(tail node)
-        self._segments: dict[int, list[PlanNode]] = {}
+        #: the segments and descriptions of the recipe being stamped
+        self._segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = {}
+        self._described: dict[int, tuple[str, str]] = {}
 
     # -- public API -------------------------------------------------------------------
 
-    def deploy(self, plan: PlanNode, record: "Subscription", predecessor: DeployedTask | None = None) -> DeployedTask:
-        """Instantiate ``plan`` for ``record`` and connect its root stream to
-        the record's delivery valve; ``record.epoch`` > 0 marks a recovery
-        redeployment.
+    def deploy(
+        self, plan: PlanNode | DeploymentRecipe, record: "Subscription", predecessor: DeployedTask | None = None
+    ) -> DeployedTask:
+        """Stamp ``plan``'s recipe for ``record`` and connect its root stream
+        to the record's delivery valve; ``record.epoch`` > 0 marks a recovery
+        redeployment.  A placed plan is deployed through a one-off recipe.
 
         Each epoch gets its own stream-id namespace so that control messages
         of a dead incarnation (a subscribe or EOS still in flight when a
@@ -241,19 +274,23 @@ class Deployer:
         A deployment that raises tears down what it wired before the error
         propagates.
         """
-        unplaced = plan.unplaced_nodes()
-        if unplaced:
-            raise ValueError(f"cannot deploy: {len(unplaced)} plan node(s) have no placement")
+        system = self.system
+        recipe = DeploymentRecipe(plan, system.compiler) if type(plan) is PlanNode else plan
+        plan = recipe.plan
+        load = system.placement_load
+        for peer_id, count in recipe.charges:
+            load[peer_id] = load.get(peer_id, 0) + count
         sub_id, manager_peer = record.sub_id, record.manager_peer
-        if self.system.reliable_control:
+        if system.reliable_control:
             self._prepare_placements(plan, sub_id, manager_peer)
-        ledger = self.system.resources
+        ledger = system.resources
         task = DeployedTask(sub_id, plan, manager_peer, ledger, terminal=("sub", sub_id, record.epoch))
         self._counter = 0
         self._epoch = record.epoch
         self._predecessor = predecessor
+        self._segments, self._described = recipe.segments, recipe.described
+        system.compiler.stats.record_plan(*recipe.tally)
         try:
-            self._segments = self.system.compiler.plan_segments(plan)
             if plan.kind == PUBLISH:
                 handle = self._deploy_node(plan.children[0], task)
                 consumer_peer_id = plan.placement
@@ -308,9 +345,9 @@ class Deployer:
         return f"{sub_id}.s{self._counter}"
 
     def _deploy_node(self, node: PlanNode, task: DeployedTask) -> _StreamHandle:
-        chain = self._segments.get(id(node))
-        if chain is not None:
-            return self._deploy_segment(chain, task)
+        key = id(node)
+        if key in self._segments:
+            return self._deploy_segment(*self._segments[key], task)
         if node.kind == ALERTER:
             return self._deploy_alerter(node, task)
         if node.kind == EXISTING:
@@ -345,7 +382,7 @@ class Deployer:
             doc_id = self.system.stream_db.publish_node(node, peer.peer_id, stream_id, [])
             undo.append(partial(self.system.stream_db.retract, doc_id))
         self._record(task, peer.peer_id, None)
-        return _StreamHandle(peer.peer_id, alerter.output, stream_id)
+        return _StreamHandle(peer.peer_id, alerter.output, stream_id, key)
 
     def _deploy_dynamic_alerter(
         self, node: PlanNode, task: DeployedTask, peer: "P2PMPeer", function: str
@@ -373,8 +410,11 @@ class Deployer:
 
         return self._deploy_output(node, task, peer, child_handles, wire)
 
-    def _deploy_segment(self, chain: list[PlanNode], task: DeployedTask) -> _StreamHandle:
-        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline`.
+    def _deploy_segment(
+        self, chain: list[PlanNode], program: tuple[CompiledStage, ...], task: DeployedTask
+    ) -> _StreamHandle:
+        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline`
+        running ``program``, the chain's compiled stages.
 
         Every node still gets its own stream id, channel publication, Stream
         Definition Database advertisement, predecessor adoption link and
@@ -385,7 +425,6 @@ class Deployer:
         """
         peer = self.system.peer(chain[-1].placement)
         compiler = self.system.compiler
-        program = compiler.compile_segment(chain)
         pipeline = CompiledPipeline(program, sub_id=task.sub_id, peer_id=peer.peer_id, stats=compiler.stats)
         handle = self._deploy_node(chain[0].children[0], task)
         peer.operators[pipeline] = None
@@ -449,12 +488,17 @@ class Deployer:
         net = peer.net
         withdraw = (partial(net.unpublish_channel, stream_id),) if created_channel else ()
         undo = [*stop_consuming, output.close, *withdraw, partial(net.drop_stream, stream_id)]
-        # registered before the advertisement, which may raise
-        self.system.resources.register((peer.peer_id, stream_id), undo, proxy_keys + originals)
-        doc_id = self.system.stream_db.publish_node(node, peer.peer_id, stream_id, originals)
-        undo.append(partial(self.system.stream_db.retract, doc_id))
+        own = (peer.peer_id, stream_id)
+        self.system.resources.register(own, undo, proxy_keys + originals)  # before the advertisement, which may raise
+        stream_db, described, key = self.system.stream_db, self._described, id(node)
+        if key in described:
+            description = StreamDescription(peer.peer_id, stream_id, True, *described[key], tuple(originals))
+        else:
+            description = stream_db.describe_node(node, peer.peer_id, stream_id, originals)
+            described[key] = description.operator, description.spec
+        undo.append(partial(stream_db.retract, stream_db.publish_stream(description)))
         self._record(task, peer.peer_id, operator)
-        return _StreamHandle(peer.peer_id, output, stream_id)
+        return _StreamHandle(peer.peer_id, output, stream_id, own)
 
     def _adopt_orphans(self, node: PlanNode, peer_id: str, stream_id: str, output: Stream) -> None:
         """Hand ``node``'s predecessor channel's orphans to its replacement.

@@ -198,7 +198,7 @@ class DeliveryValve(Stream):
             for item in items[delivered:]:
                 self._receive(item)
 
-    _receive.batch = _receive_many  # type: ignore[attr-defined]  # see Stream.deliver_many
+    _receive.batch = _receive_many  # type: ignore[attr-defined]  # see Stream.emit_trusted
 
     @property
     def pending_count(self) -> int:

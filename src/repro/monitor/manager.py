@@ -17,7 +17,8 @@ from __future__ import annotations
 from contextlib import suppress
 from typing import TYPE_CHECKING, Sequence
 
-from repro.monitor.deployment import Deployer
+from repro.algebra.plan import JOIN, UNION, PlanNode
+from repro.monitor.deployment import Deployer, DeploymentRecipe
 from repro.monitor.handle import SubscriptionHandle
 from repro.monitor.lifecycle import ResultBuffer, run_all
 from repro.monitor.optimizer import optimize_plan
@@ -36,7 +37,7 @@ from repro.monitor.subscription import (
 )
 from repro.p2pml.ast import SubscriptionAST
 from repro.p2pml.builder import SubscriptionBuilder
-from repro.p2pml.compiler import PlanTemplate, compile_subscription
+from repro.p2pml.compiler import RECIPE_TABLE_LIMIT, PlanTemplate, compile_subscription
 from repro.p2pml.parser import parse_subscription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,9 +51,12 @@ def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate
     """Compile and optimise ``ast`` once, for every subscription to it."""
     plan = optimize_plan(compile_subscription(ast), push_selections=push_selections)
     key = reuse_cache_key(plan)  # fills every node's signature detail on the way
+    fixed_placement = True  # placement reads the load at a JOIN or a UNION only
     for node in plan.iter_nodes():
         operator_spec(node)
-    return PlanTemplate(ast, plan, push_selections, key)
+        if node.kind == JOIN or node.kind == UNION:
+            fixed_placement = False
+    return PlanTemplate(ast, plan, push_selections, key, fixed_placement)
 
 
 class SubmitManyError(RuntimeError):
@@ -181,34 +185,28 @@ class SubscriptionManager:
     ) -> SubscriptionHandle:
         template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
+        # a subscription submitted while peers are down must not place
+        # movable operators on them (recovery redeploys the same way):
+        # believed-down plus merely-suspected peers, since placing onto a
+        # suspect that is then confirmed would trigger an immediate recovery
+        avoid = self.peer.system.avoid_peers()
         if engine is None:
-            plan, reuse_report = template.instantiate(), None
+            recipe, reuse_report = self._recipe(template, avoid), None
         else:
             plan, reuse_report = engine.apply(template)
-
-        # a subscription submitted while peers are down must not place
-        # movable operators on them (recovery redeploys the same way)
-        place_plan(
-            plan,
-            manager_peer=self.peer.peer_id,
-            load=self.peer.system.placement_load,
-            # believed-down plus merely-suspected peers: placing onto a
-            # suspect that is then confirmed would trigger an immediate
-            # recovery, so suspicion is enough to steer placement away
-            avoid=self.peer.system.avoid_peers(),
-        )
+            recipe = self._place(plan, avoid)
 
         record = Subscription(
             sub_id=sub_id,
             template=template,
-            plan=plan,
+            plan=recipe.plan,
             manager_peer=self.peer.peer_id,
             results=ResultBuffer(max_results) if max_results is not None else None,
         )
         self.database.add(record)
 
         try:
-            task = deployer.deploy(plan, record)
+            task = deployer.deploy(recipe, record)
         except Exception:
             # a failed deployment must not poison the sub_id with a phantom
             # pending record, nor keep a name its publisher claimed: the
@@ -222,6 +220,30 @@ class SubscriptionManager:
         record.task = task
         self.database.mark(sub_id, DEPLOYED)
         return SubscriptionHandle(self, record)
+
+    def _recipe(self, template: PlanTemplate, avoid: frozenset[str]) -> DeploymentRecipe:
+        """The template's recipe for this peer and ``avoid``, placed on first
+        use; a one-off when the template keeps none (placement reads the load)."""
+        recipes = template.recipes
+        if recipes is None:
+            return self._place(template.instantiate(), avoid)
+        key = (self.peer.peer_id, avoid)
+        if key in recipes:
+            return recipes[key]
+        if len(recipes) >= RECIPE_TABLE_LIMIT:
+            recipes.clear()
+        charges: dict[str, int] = {}
+        recipe = recipes[key] = self._place(template.instantiate(), avoid, charges)
+        return recipe
+
+    def _place(self, plan: PlanNode, avoid: frozenset[str], charges: dict[str, int] | None = None) -> DeploymentRecipe:
+        """Place ``plan`` for this manager and build its recipe.  Placement
+        charges the live ``placement_load``, unless ``charges`` collects what
+        each stamp of the recipe charges instead."""
+        system = self.peer.system
+        load = system.placement_load if charges is None else charges
+        place_plan(plan, manager_peer=self.peer.peer_id, load=load, avoid=avoid)
+        return DeploymentRecipe(plan, system.compiler, () if charges is None else tuple(charges.items()))
 
     def _template_for(
         self, subscription: str | SubscriptionAST | SubscriptionBuilder, push_selections: bool
@@ -285,16 +307,11 @@ class SubscriptionManager:
             pruned, pending = prune_dead_sources(record.template.instantiate(), down)
             if pruned is None:
                 return "waiting", tuple(sorted(pending))
-            place_plan(
-                pruned,
-                manager_peer=self.peer.peer_id,
-                load=self.peer.system.placement_load,
-                avoid=down,
-            )
+            recipe = self._place(pruned, down)
             # each redeployment gets a fresh stream-id epoch, so stale control
             # messages of the dead incarnation cannot reach its replacement
             record.epoch += 1
-            task = self._deployer().deploy(pruned, record, predecessor=old_task)
+            task = self._deployer().deploy(recipe, record, predecessor=old_task)
         finally:
             if old_task is not None:
                 try:

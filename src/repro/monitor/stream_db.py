@@ -202,21 +202,18 @@ class StreamDefinitionDatabase:
         self, node: PlanNode, peer_id: str, stream_id: str, operand_streams: list[tuple[str, str]], is_channel: bool = True
     ) -> StreamDescription:
         """The description of a deployed plan node's output stream."""
-        operator_name = OPERATOR_NAMES.get(node.kind)
-        if node.kind == ALERTER:
-            operator_name = node.params.get("alerter", "alerter")
+        operator_name = node.params.get("alerter", "alerter") if node.kind == ALERTER else OPERATOR_NAMES.get(node.kind)
         if operator_name is None:
             raise ValueError(f"plan node of kind {node.kind!r} does not produce a stream")
-        return StreamDescription(
-            peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams)
-        )
+        return StreamDescription(peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams))
 
     def publish_stream(self, description: StreamDescription) -> str:
         """Store a stream description; returns its document id.  KadoP keeps
         the record itself."""
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
         self._publish(description, doc_id, description.peer_id)
-        self._deindex_document(doc_id)  # a republish replaces the earlier filing
+        if doc_id in self._descriptions:  # a republish replaces the earlier filing
+            self._deindex_document(doc_id)
         self._file(doc_id, description)
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
@@ -234,7 +231,8 @@ class StreamDefinitionDatabase:
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
         record = ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id)
         self._publish(record, doc_id, replica_peer_id)
-        self._deindex_document(doc_id)
+        if doc_id in self._replica_keys:
+            self._deindex_document(doc_id)
         self._file_replica(doc_id, (peer_id, stream_id), (replica_peer_id, replica_stream_id))
         self.replicas_published += 1
         return doc_id

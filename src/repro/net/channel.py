@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.errors import UnknownChannelError, UnknownPeerError
 from repro.streams.item import EOS
-from repro.streams.stream import Stream
+from repro.streams.stream import Stream, StreamClosedError
 from repro.xmlmodel.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -532,9 +532,12 @@ class ChannelRegistry:
             if not items:
                 return  # a faulty (or retransmitting) network duplicated all of it
         if message.kind == MSG_ITEMS:
-            # Stream.emit_many without its checks: a replica channel of the
-            # proxy forwards one frame and never sees an item
-            proxy.deliver_many(items)
+            # Stream.emit_many without its item check: a replica channel of
+            # the proxy forwards one frame and never sees an item
+            try:
+                proxy.emit_trusted(items)
+            except StreamClosedError:
+                pass  # a subscriber closed the proxy: the rest of the frame is dropped
             return
         # Stream.emit without its checks: the proxy is open and the publisher's
         # stream validated the item

@@ -58,6 +58,10 @@ def compile_subscription(ast: SubscriptionAST) -> PlanNode:
     return _Compiler(ast).compile()
 
 
+#: Bound on one template's recipe table (cleared wholesale when full).
+RECIPE_TABLE_LIMIT = 64
+
+
 class PlanTemplate:
     """What all subscriptions to one P2PML text share.
 
@@ -65,12 +69,20 @@ class PlanTemplate:
     reuse cache key.  No node names a subscription: a stream is identified by
     what it computes (Section 5), and what a deployment owns -- stream ids,
     ledger keys, its valve -- lives on its subscription record.
+
+    ``recipes`` maps (subscribing peer, avoid set) to the deployment recipe
+    of ``plan`` placed for them, which every ``reuse=False`` subscription of
+    that peer stamps.  It is ``None`` when placement reads the load (a JOIN
+    or a UNION): each such deployment places a copy of its own.
     """
 
-    __slots__ = ("ast", "plan", "push_selections", "key")
+    __slots__ = ("ast", "plan", "push_selections", "key", "recipes")
 
-    def __init__(self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str]) -> None:
+    def __init__(
+        self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool = False
+    ) -> None:
         self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
+        self.recipes: dict[tuple[str, frozenset[str]], object] | None = {} if fixed_placement else None
 
     def instantiate(self) -> PlanNode:
         """A copy of ``plan``; no ``params`` dict or ``children`` list is shared."""

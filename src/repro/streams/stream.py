@@ -140,31 +140,26 @@ class Stream:
         self.emit_trusted(batch)
 
     def emit_trusted(self, batch: list[Element]) -> None:
-        """:meth:`emit_many` minus the item check, for an engine's list of Elements."""
+        """:meth:`emit_many` minus the item check, for an engine's list of
+        Elements (a channel proxy's frame, which a stream validated, too)."""
         if not batch:
             return
         if self.closed:
             raise StreamClosedError(f"stream {self.qualified_id} is closed")
-        self.deliver_many(batch)
-        if self.closed:
-            raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
-
-    def deliver_many(self, batch: list[Element]) -> None:
-        """:meth:`emit_many` past its checks, for a non-empty list a stream has
-        validated (a channel proxy's frame); stops silently once closed."""
-        stats = self.stats
-        stats.items += len(batch)
+        self.stats.items += len(batch)
         batch_subscribers, item_subscribers = self._split or self._split_subscribers()
         for deliver_batch in batch_subscribers:
             deliver_batch(batch)
             if self.closed:
-                return
-        if item_subscribers:
-            for item in batch:
+                break
+        else:
+            for item in batch if item_subscribers else ():
                 for subscriber in item_subscribers:
                     subscriber(item)
                 if self.closed:
-                    return
+                    break
+        if self.closed:
+            raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
 
     def _split_subscribers(self) -> tuple[tuple, tuple]:
         """Cache the batch entry points and the per-item rest, in order, as tuples."""

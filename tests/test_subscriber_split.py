@@ -1,6 +1,6 @@
-"""``Stream.deliver_many`` against a frozen copy of its per-burst subscriber split.
+"""``Stream.emit_trusted`` against a frozen copy of its per-burst subscriber split.
 
-``FrozenStream.deliver_many`` below is the method as it was before a stream
+``FrozenStream.emit_trusted`` below is the method as it was before a stream
 cached its batch / per-item subscriber split: every burst rebuilt the two
 lists from the subscribers of the moment it arrived.  It is the reference.
 ``Stream`` now keeps the split as two tuples that the first burst after a
@@ -23,7 +23,16 @@ from repro.xmlmodel.tree import Element
 
 
 class FrozenStream(Stream):
-    def deliver_many(self, batch: list[Element]) -> None:
+    def emit_trusted(self, batch: list[Element]) -> None:
+        if not batch:
+            return
+        if self.closed:
+            raise StreamClosedError(f"stream {self.qualified_id} is closed")
+        self._deliver_many(batch)
+        if self.closed:
+            raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
+
+    def _deliver_many(self, batch: list[Element]) -> None:
         stats = self.stats
         stats.items += len(batch)
         batch_subscribers = []

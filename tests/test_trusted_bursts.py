@@ -22,13 +22,14 @@ import pytest
 from perf.harness import PhaseClock, Tally, run_cycle
 from perf.workloads import WORKLOADS
 from repro.scenarios.catalog import make_scenario, scenario_names
-from repro.streams import Stream, StreamClosedError
+from repro.streams import EOS, Stream, StreamClosedError
 from repro.xmlmodel.tree import Element
 
 
 #: the engine's producers of trusted bursts, by the caller of ``emit_trusted``
-#: (``Stream.deliver_many`` calls the relay ``Stream.push.batch``)
-PRODUCERS = {"CompiledPipeline._run_batch_from", "Operator.emit_batch", "Stream.deliver_many"}
+#: (``Stream.emit_trusted`` delivers in its own frame, so it calls the relay
+#: ``Stream.push.batch`` of a stream subscribed to it)
+PRODUCERS = {"CompiledPipeline._run_batch_from", "Operator.emit_batch", "Stream.emit_trusted"}
 
 
 class Bursts(list):
@@ -94,7 +95,7 @@ def test_the_ingest_deck_reaches_every_producer(trusted):
     # a stream reused on its own peer is read in place, so no local proxy
     # relays this deck's bursts; the scenarios above reach the relay through
     # the detector mode's proxies
-    assert PRODUCERS - {"Stream.deliver_many"} <= trusted.callers
+    assert PRODUCERS - {"Stream.emit_trusted"} <= trusted.callers
 
 
 class TestPublicEntryPoints:
@@ -148,6 +149,33 @@ class TestPublicEntryPoints:
         with pytest.raises(StreamClosedError, match="closed during batch delivery"):
             getattr(stream, emit)([Element("a"), Element("b")])
         assert [item.tag for item in seen if isinstance(item, Element)] == ["a"]
+
+    @pytest.mark.parametrize("emit", ["emit_many", "emit_trusted"])
+    def test_a_batch_subscriber_closing_mid_burst_raises_to_the_producer(self, emit):
+        stream = Stream("s")
+        seen: list = []
+
+        def on_item(item) -> None:
+            seen.append(("batch subscriber", item))
+
+        def on_batch(batch) -> None:
+            seen.append(("batch", len(batch)))
+            stream.close()
+
+        on_item.batch = on_batch  # type: ignore[attr-defined]
+        stream.subscribe(on_item)
+        stream.subscribe(lambda item: seen.append(("item subscriber", item)))
+        with pytest.raises(StreamClosedError, match="closed during batch delivery"):
+            getattr(stream, emit)([Element("a"), Element("b")])
+        # the close ends the burst: the per-item subscriber gets the EOS, no item
+        assert [(who, what) for who, what in seen if who != "item subscriber"] == [
+            ("batch", 2), ("batch subscriber", EOS)
+        ]
+        assert [what for who, what in seen if who == "item subscriber"] == [EOS]
+        assert stream.stats.items == 2
+        with pytest.raises(StreamClosedError, match="is closed"):
+            getattr(stream, emit)([Element("c")])
+        assert stream.stats.items == 2
 
     @pytest.mark.parametrize("emit", ["emit_many", "emit_trusted"])
     def test_an_empty_burst_is_nothing(self, emit):
