@@ -121,9 +121,7 @@ class PlanCompiler:
 
     # -- segment analysis ----------------------------------------------------
 
-    def plan_segments(
-        self, plan: PlanNode, fallbacks: list[tuple[str, str]] | None = None
-    ) -> dict[int, list[PlanNode]]:
+    def plan_segments(self, plan: PlanNode, fallbacks: list[tuple[str, str]] | None = None) -> dict[int, list]:
         """Maximal fusable segments of a placed ``plan``: ``id(tail node) -> chain``.
 
         Each chain is head-first (closest to the source), every node in it is
@@ -131,17 +129,15 @@ class PlanCompiler:
         can only be its head.  Keying by the *tail* node's identity lets the
         deployer intercept exactly the node whose output the parent consumes,
         deploying the whole chain as one :class:`CompiledPipeline` and
-        recursing below the head.  ``fallbacks`` collects the ``(kind,
-        reason)`` of every operator that runs as an ``Operator``, for
-        :meth:`CompileStats.record_plan` at each deployment.
+        recursing below the head.  ``fallbacks`` collects ``(kind, reason)``
+        of each operator that runs as an ``Operator`` (``record_plan``'s).
         """
         segments: dict[int, list[PlanNode]] = {}
         self._analyze(plan, segments, [] if fallbacks is None else fallbacks)
         return segments
 
     def _analyze(self, node: PlanNode, segments: dict[int, list[PlanNode]], fallbacks: list) -> None:
-        if node.placement is None:
-            # every other node is co-located with one visited here
+        if node.placement is None:  # a node not visited here shares a visited one's placement
             raise ValueError(f"cannot deploy: a {node.kind} node has no placement")
         reason = self.fallback_reason(node)
         if reason is not None:

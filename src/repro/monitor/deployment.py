@@ -206,36 +206,28 @@ class DynamicAlerterSource:
 
 
 class DeploymentRecipe:
-    """What every deployment of one placed plan shares: a deployment stamps it.
-
-    The placed ``plan`` -- read-only: each deployment's ``task.plan`` and
-    ``handle.plan`` are this tree --, its fusable segments with their
-    compiled stage tuples, each publishing node's description operator and
-    spec, the :meth:`CompileStats.record_plan` arguments and the
-    ``placement_load`` each deployment charges.  A one-off recipe charges
-    nothing: its placement charged the live load as it read it.  What a
-    deployment owns -- stream ids, channels, ledger entries, descriptions,
-    the valve's connection -- :meth:`Deployer.deploy` makes for it.
-    """
+    """What every deployment of one placed ``plan`` shares; :meth:`Deployer.deploy`
+    stamps it with what is a subscription's own (stream ids, channels, ledger
+    entries, descriptions, the valve's connection).  ``plan`` is read-only:
+    every stamp's ``task.plan`` is this tree.  ``charges`` is the
+    ``placement_load`` each stamp adds; a one-off recipe's placement charged
+    the live load as it read it."""
 
     __slots__ = ("plan", "segments", "described", "tally", "charges")
 
     def __init__(self, plan: PlanNode, compiler: PlanCompiler, charges: tuple[tuple[str, int], ...] = ()) -> None:
         fallbacks: list[tuple[str, str]] = []
-        segments = compiler.plan_segments(plan, fallbacks)
-        stages = 0
-        for key, chain in segments.items():
-            segments[key] = (chain, compiler.compile_segment(chain))
-            stages += len(chain)
-        self.plan = plan
         #: id(tail node) -> (head-first chain, its compiled stage tuple)
-        self.segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = segments
-        #: id(node) -> (operator, spec) of its stream description, filled by
-        #: the first deployment that publishes the node's stream
+        self.segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = {}
+        stages = 0
+        for key, chain in compiler.plan_segments(plan, fallbacks).items():
+            self.segments[key] = (chain, compiler.compile_segment(chain))
+            stages += len(chain)
+        self.plan, self.charges = plan, charges
+        #: id(node) -> (operator, spec) of its description, from its first publication
         self.described: dict[int, tuple[str, str]] = {}
-        self.tally = (len(segments), stages, tuple(fallbacks))
-        #: (peer, operators placed there) added to ``placement_load`` per deployment
-        self.charges = charges
+        #: what each stamp hands CompileStats.record_plan
+        self.tally = (len(self.segments), stages, tuple(fallbacks))
 
 
 class Deployer:
@@ -247,17 +239,17 @@ class Deployer:
         self._epoch = 0
         self._predecessor: DeployedTask | None = None
         #: the segments and descriptions of the recipe being stamped
-        self._segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = {}
-        self._described: dict[int, tuple[str, str]] = {}
+        self._segments: dict = {}
+        self._described: dict = {}
 
     # -- public API -------------------------------------------------------------------
 
     def deploy(
         self, plan: PlanNode | DeploymentRecipe, record: "Subscription", predecessor: DeployedTask | None = None
     ) -> DeployedTask:
-        """Stamp ``plan``'s recipe for ``record`` and connect its root stream
-        to the record's delivery valve; ``record.epoch`` > 0 marks a recovery
-        redeployment.  A placed plan is deployed through a one-off recipe.
+        """Stamp ``plan``'s recipe (a placed plan's: a one-off) for ``record``
+        and connect its root stream to the record's delivery valve;
+        ``record.epoch`` > 0 marks a recovery redeployment.
 
         Each epoch gets its own stream-id namespace so that control messages
         of a dead incarnation (a subscribe or EOS still in flight when a
@@ -413,8 +405,7 @@ class Deployer:
     def _deploy_segment(
         self, chain: list[PlanNode], program: tuple[CompiledStage, ...], task: DeployedTask
     ) -> _StreamHandle:
-        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline`
-        running ``program``, the chain's compiled stages.
+        """Deploy a fusable chain (head first) as one :class:`CompiledPipeline` running ``program``.
 
         Every node still gets its own stream id, channel publication, Stream
         Definition Database advertisement, predecessor adoption link and

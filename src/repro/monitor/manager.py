@@ -185,10 +185,8 @@ class SubscriptionManager:
     ) -> SubscriptionHandle:
         template = self._template_for(subscription, push_selections)
         sub_id = sub_id or self.database.new_id(f"{self.peer.peer_id}.sub")
-        # a subscription submitted while peers are down must not place
-        # movable operators on them (recovery redeploys the same way):
-        # believed-down plus merely-suspected peers, since placing onto a
-        # suspect that is then confirmed would trigger an immediate recovery
+        # movable operators avoid believed-down and merely suspected peers (a
+        # suspect then confirmed would trigger an immediate recovery)
         avoid = self.peer.system.avoid_peers()
         if engine is None:
             recipe, reuse_report = self._recipe(template, avoid), None
@@ -224,26 +222,21 @@ class SubscriptionManager:
     def _recipe(self, template: PlanTemplate, avoid: frozenset[str]) -> DeploymentRecipe:
         """The template's recipe for this peer and ``avoid``, placed on first
         use; a one-off when the template keeps none (placement reads the load)."""
-        recipes = template.recipes
+        recipes, key = template.recipes, (self.peer.peer_id, avoid)
         if recipes is None:
             return self._place(template.instantiate(), avoid)
-        key = (self.peer.peer_id, avoid)
-        if key in recipes:
-            return recipes[key]
-        if len(recipes) >= RECIPE_TABLE_LIMIT:
-            recipes.clear()
-        charges: dict[str, int] = {}
-        recipe = recipes[key] = self._place(template.instantiate(), avoid, charges)
-        return recipe
+        if key not in recipes:
+            if len(recipes) >= RECIPE_TABLE_LIMIT:
+                recipes.clear()
+            recipes[key] = self._place(template.instantiate(), avoid, {})
+        return recipes[key]
 
     def _place(self, plan: PlanNode, avoid: frozenset[str], charges: dict[str, int] | None = None) -> DeploymentRecipe:
-        """Place ``plan`` for this manager and build its recipe.  Placement
-        charges the live ``placement_load``, unless ``charges`` collects what
-        each stamp of the recipe charges instead."""
-        system = self.peer.system
-        load = system.placement_load if charges is None else charges
+        """Place ``plan`` and build its recipe: placement charges the live
+        load, or ``charges``, which each stamp of the recipe then adds."""
+        load = self.peer.system.placement_load if charges is None else charges
         place_plan(plan, manager_peer=self.peer.peer_id, load=load, avoid=avoid)
-        return DeploymentRecipe(plan, system.compiler, () if charges is None else tuple(charges.items()))
+        return DeploymentRecipe(plan, self.peer.system.compiler, () if charges is None else tuple(charges.items()))
 
     def _template_for(
         self, subscription: str | SubscriptionAST | SubscriptionBuilder, push_selections: bool

@@ -205,7 +205,8 @@ class StreamDefinitionDatabase:
         operator_name = node.params.get("alerter", "alerter") if node.kind == ALERTER else OPERATOR_NAMES.get(node.kind)
         if operator_name is None:
             raise ValueError(f"plan node of kind {node.kind!r} does not produce a stream")
-        return StreamDescription(peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams))
+        spec = operator_spec(node)
+        return StreamDescription(peer_id, stream_id, is_channel, operator_name, spec, tuple(operand_streams))
 
     def publish_stream(self, description: StreamDescription) -> str:
         """Store a stream description; returns its document id.  KadoP keeps

@@ -71,15 +71,14 @@ class PlanTemplate:
     ledger keys, its valve -- lives on its subscription record.
 
     ``recipes`` maps (subscribing peer, avoid set) to the deployment recipe
-    of ``plan`` placed for them, which every ``reuse=False`` subscription of
-    that peer stamps.  It is ``None`` when placement reads the load (a JOIN
-    or a UNION): each such deployment places a copy of its own.
+    each ``reuse=False`` subscription from there stamps; ``None`` when
+    placement reads the load (a JOIN or a UNION), so each places its own.
     """
 
     __slots__ = ("ast", "plan", "push_selections", "key", "recipes")
 
     def __init__(
-        self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool = False
+        self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool
     ) -> None:
         self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
         self.recipes: dict[tuple[str, frozenset[str]], object] | None = {} if fixed_placement else None
