@@ -57,17 +57,15 @@ class _StageEntry:
     the source's :class:`FilterGroup`: it sees the matched items only); entry
     ``i > 0`` is the continuation subscribed to boundary ``i - 1`` and only
     runs when that boundary was written through (live) or fed externally
-    (orphan adoption replays, reuse providers).  ``batch`` takes a burst; a
-    FILTER head's group, which passes its dispatch memo, enters the
-    pipeline's own frame directly.
+    (orphan adoption replays, reuse providers).  :meth:`batch` takes a
+    stream's burst.
     """
 
-    __slots__ = ("pipeline", "index", "batch")
+    __slots__ = ("pipeline", "index")
 
     def __init__(self, pipeline: CompiledPipeline, index: int) -> None:
         self.pipeline = pipeline
         self.index = index
-        self.batch = pipeline._run_batch_from if index == 0 and pipeline.stages[0].kind == FILTER else self._batch
 
     def __call__(self, item: Any) -> None:
         pipeline, i = self.pipeline, self.index
@@ -80,11 +78,21 @@ class _StageEntry:
             pipeline._items_in += 1
         pipeline._run_from(i, item)
 
-    def _batch(self, items: Any) -> None:
+    def batch(self, items: Any) -> None:
         pipeline, i = self.pipeline, self.index
         if i == 0:
             pipeline._items_in += len(items)
         pipeline._run_batch_from(items, {}, i)
+
+
+class _HeadEntry(_StageEntry):
+    """Entry 0 under a FILTER head: its group hands a burst's survivors and
+    the dispatch memo to the pipeline's own frame, ``batch``."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, pipeline: CompiledPipeline) -> None:
+        self.pipeline, self.index, self.batch = pipeline, 0, pipeline._run_batch_from
 
 
 class CompiledPipeline:
@@ -143,7 +151,7 @@ class CompiledPipeline:
 
     def make_entry(self, index: int) -> Callable[[Any], None]:
         """The deliver callback consuming stage ``index``'s input stream."""
-        return _StageEntry(self, index)
+        return _HeadEntry(self) if index == 0 and self.stages[0].kind == FILTER else _StageEntry(self, index)
 
     def attach_entry(self, index: int, unsubscribe: Callable[[], None], group: FilterGroup | None = None) -> None:
         """Record entry ``index``'s unsubscriber -- for a FILTER head the

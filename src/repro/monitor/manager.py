@@ -37,7 +37,7 @@ from repro.monitor.subscription import (
 )
 from repro.p2pml.ast import SubscriptionAST
 from repro.p2pml.builder import SubscriptionBuilder
-from repro.p2pml.compiler import RECIPE_TABLE_LIMIT, PlanTemplate, compile_subscription
+from repro.p2pml.compiler import PlanTemplate, compile_subscription
 from repro.p2pml.parser import parse_subscription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,6 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bound on ``P2PMSystem.plan_templates`` (cleared wholesale when full).
 TEMPLATE_TABLE_LIMIT = 4096
+#: Bound on one template's ``recipes`` (cleared wholesale when full).
+RECIPE_TABLE_LIMIT = 64
 
 
 def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate:

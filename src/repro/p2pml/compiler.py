@@ -58,10 +58,6 @@ def compile_subscription(ast: SubscriptionAST) -> PlanNode:
     return _Compiler(ast).compile()
 
 
-#: Bound on one template's recipe table (cleared wholesale when full).
-RECIPE_TABLE_LIMIT = 64
-
-
 class PlanTemplate:
     """What all subscriptions to one P2PML text share.
 
