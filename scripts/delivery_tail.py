@@ -98,7 +98,9 @@ ROUTING = ("  of which KadoP routing", "dht/chord.py", ("_route", "lookup"))
 #: everything called from the outermost activation of one of them (itself
 #: included).  Stages may nest -- the indented ones always do; the reuse key
 #: was derived inside ``ReuseEngine.apply`` until the plan template took it over,
-#: and with reuse on, a template is instantiated inside it on a cache miss only
+#: and with reuse on, a template is instantiated inside it on a cache miss only;
+#: a ``reuse=False`` subscription instantiates, places and builds a recipe only
+#: when its template has none for its peer yet
 STAGES = {"subscribe": (
     ("parse", "p2pml/parser.py", ("parse_subscription",)),
     ("compile", "p2pml/compiler.py", ("compile_subscription",)),
@@ -108,7 +110,8 @@ STAGES = {"subscribe": (
     ("reuse", "monitor/reuse.py", ("apply",)),
     ("  of which replay", "monitor/reuse.py", ("_replay",)),
     ("  of which provider choice", "monitor/reuse.py", ("_select_provider",)),
-    ("place", "monitor/placement.py", ("place_plan",)),
+    ("place and build a recipe", "monitor/manager.py", ("_place",)),
+    ("  of which place", "monitor/placement.py", ("place_plan",)),
     ("deploy", "monitor/deployment.py", ("deploy",)),
     ("  of which stream-definition publish", "monitor/stream_db.py",
      ("publish_node", "publish_stream", "publish_replica")),
