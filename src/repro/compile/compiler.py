@@ -121,7 +121,9 @@ class PlanCompiler:
 
     # -- segment analysis ----------------------------------------------------
 
-    def plan_segments(self, plan: PlanNode, fallbacks: list[tuple[str, str]] | None = None) -> dict[int, list]:
+    def plan_segments(
+        self, plan: PlanNode, fallbacks: list[tuple[str, str]] | None = None
+    ) -> dict[int, list[PlanNode]]:
         """Maximal fusable segments of a placed ``plan``: ``id(tail node) -> chain``.
 
         Each chain is head-first (closest to the source), every node in it is

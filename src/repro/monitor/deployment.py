@@ -239,8 +239,8 @@ class Deployer:
         self._epoch = 0
         self._predecessor: DeployedTask | None = None
         #: the segments and descriptions of the recipe being stamped
-        self._segments: dict = {}
-        self._described: dict = {}
+        self._segments: dict[int, tuple[list[PlanNode], tuple[CompiledStage, ...]]] = {}
+        self._described: dict[int, tuple[str, str]] = {}
 
     # -- public API -------------------------------------------------------------------
 

@@ -202,11 +202,14 @@ class StreamDefinitionDatabase:
         self, node: PlanNode, peer_id: str, stream_id: str, operand_streams: list[tuple[str, str]], is_channel: bool = True
     ) -> StreamDescription:
         """The description of a deployed plan node's output stream."""
-        operator_name = node.params.get("alerter", "alerter") if node.kind == ALERTER else OPERATOR_NAMES.get(node.kind)
+        operator_name = OPERATOR_NAMES.get(node.kind)
+        if node.kind == ALERTER:
+            operator_name = node.params.get("alerter", "alerter")
         if operator_name is None:
             raise ValueError(f"plan node of kind {node.kind!r} does not produce a stream")
-        spec = operator_spec(node)
-        return StreamDescription(peer_id, stream_id, is_channel, operator_name, spec, tuple(operand_streams))
+        return StreamDescription(
+            peer_id, stream_id, is_channel, operator_name, operator_spec(node), tuple(operand_streams)
+        )
 
     def publish_stream(self, description: StreamDescription) -> str:
         """Store a stream description; returns its document id.  KadoP keeps

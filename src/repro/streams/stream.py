@@ -151,15 +151,13 @@ class Stream:
         for deliver_batch in batch_subscribers:
             deliver_batch(batch)
             if self.closed:
-                break
-        else:
-            for item in batch if item_subscribers else ():
+                raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
+        if item_subscribers:
+            for item in batch:
                 for subscriber in item_subscribers:
                     subscriber(item)
                 if self.closed:
-                    break
-        if self.closed:
-            raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
+                    raise StreamClosedError(f"stream {self.qualified_id} closed during batch delivery")
 
     def _split_subscribers(self) -> tuple[tuple, tuple]:
         """Cache the batch entry points and the per-item rest, in order, as tuples."""
