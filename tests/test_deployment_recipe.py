@@ -37,6 +37,7 @@ from repro.workloads.chaos_feed import CHAOS_FUNCTION
 SOURCES = ("a.com", "b.com", "c.com")
 MANAGERS = ("m1", "m2", "a.com")
 PEERS = SOURCES + ("m1", "m2")
+CONDITIONS = ('$x.kind = "chaos"', "$x.n >= 2", "$x.n < 7")
 
 
 # -- (a) recipe ≡ the path it replaced -----------------------------------------------------
@@ -99,7 +100,7 @@ def chains_of(segments: dict, programs: dict) -> list:
 def texts(draw) -> str:
     peers = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3, unique=True))
     text = f"for $x in {CHAOS_FUNCTION}({''.join(f'<p>{peer}</p>' for peer in peers)})"
-    conditions = draw(st.lists(st.sampled_from(('$x.kind = "chaos"', "$x.n >= 2", "$x.n < 7")), max_size=2, unique=True))
+    conditions = draw(st.lists(st.sampled_from(CONDITIONS), max_size=2, unique=True))
     if conditions:
         text += " where " + " and ".join(conditions)
     output = draw(st.sampled_from(("<seen><n>{$x.n}</n></seen>", '<hit src="{$x.source}"/>', "$x")))
