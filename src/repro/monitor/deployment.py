@@ -337,9 +337,9 @@ class Deployer:
         return f"{sub_id}.s{self._counter}"
 
     def _deploy_node(self, node: PlanNode, task: DeployedTask) -> _StreamHandle:
-        key = id(node)
-        if key in self._segments:
-            return self._deploy_segment(*self._segments[key], task)
+        segment = self._segments.get(id(node))
+        if segment is not None:
+            return self._deploy_segment(*segment, task)
         if node.kind == ALERTER:
             return self._deploy_alerter(node, task)
         if node.kind == EXISTING:
@@ -481,12 +481,13 @@ class Deployer:
         undo = [*stop_consuming, output.close, *withdraw, partial(net.drop_stream, stream_id)]
         own = (peer.peer_id, stream_id)
         self.system.resources.register(own, undo, proxy_keys + originals)  # before the advertisement, which may raise
-        stream_db, described, key = self.system.stream_db, self._described, id(node)
-        if key in described:
-            description = StreamDescription(peer.peer_id, stream_id, True, *described[key], tuple(originals))
+        stream_db, key = self.system.stream_db, id(node)
+        described = self._described.get(key)
+        if described is not None:
+            description = StreamDescription(peer.peer_id, stream_id, True, *described, tuple(originals))
         else:
             description = stream_db.describe_node(node, peer.peer_id, stream_id, originals)
-            described[key] = description.operator, description.spec
+            self._described[key] = description.operator, description.spec
         undo.append(partial(stream_db.retract, stream_db.publish_stream(description)))
         self._record(task, peer.peer_id, operator)
         return _StreamHandle(peer.peer_id, output, stream_id, own)

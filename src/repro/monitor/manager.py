@@ -224,14 +224,15 @@ class SubscriptionManager:
     def _recipe(self, template: PlanTemplate, avoid: frozenset[str]) -> DeploymentRecipe:
         """The template's recipe for this peer and ``avoid``, placed on first
         use; a one-off when the template keeps none (placement reads the load)."""
-        recipes, key = template.recipes, (self.peer.peer_id, avoid)
+        recipes = template.recipes
         if recipes is None:
             return self._place(template.instantiate(), avoid)
-        if key not in recipes:
+        recipe = recipes.get((self.peer.peer_id, avoid))
+        if recipe is None:
             if len(recipes) >= RECIPE_TABLE_LIMIT:
                 recipes.clear()
-            recipes[key] = self._place(template.instantiate(), avoid, {})
-        return recipes[key]
+            recipe = recipes[self.peer.peer_id, avoid] = self._place(template.instantiate(), avoid, {})
+        return recipe
 
     def _place(self, plan: PlanNode, avoid: frozenset[str], charges: dict[str, int] | None = None) -> DeploymentRecipe:
         """Place ``plan`` and build its recipe: placement charges the live
