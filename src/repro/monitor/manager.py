@@ -222,16 +222,18 @@ class SubscriptionManager:
         return SubscriptionHandle(self, record)
 
     def _recipe(self, template: PlanTemplate, avoid: frozenset[str]) -> DeploymentRecipe:
-        """The template's recipe for this peer and ``avoid``, placed on first
-        use; a one-off when the template keeps none (placement reads the load)."""
+        """The template's recipe for this peer, placed on first use; a one-off
+        when the template keeps none (placement reads the load).  Without a
+        JOIN or a UNION every movable node goes where its one input is,
+        avoided or not, so one recipe serves every ``avoid`` set."""
         recipes = template.recipes
         if recipes is None:
             return self._place(template.instantiate(), avoid)
-        recipe = recipes.get((self.peer.peer_id, avoid))
+        recipe = recipes.get(self.peer.peer_id)
         if recipe is None:
             if len(recipes) >= RECIPE_TABLE_LIMIT:
                 recipes.clear()
-            recipe = recipes[self.peer.peer_id, avoid] = self._place(template.instantiate(), avoid, {})
+            recipe = recipes[self.peer.peer_id] = self._place(template.instantiate(), avoid, {})
         return recipe
 
     def _place(self, plan: PlanNode, avoid: frozenset[str], charges: dict[str, int] | None = None) -> DeploymentRecipe:

@@ -66,9 +66,10 @@ class PlanTemplate:
     what it computes (Section 5), and what a deployment owns -- stream ids,
     ledger keys, its valve -- lives on its subscription record.
 
-    ``recipes`` maps (subscribing peer, avoid set) to the deployment recipe
-    each ``reuse=False`` subscription from there stamps; ``None`` when
-    placement reads the load (a JOIN or a UNION), so each places its own.
+    ``recipes`` maps a subscribing peer to the deployment recipe each
+    ``reuse=False`` subscription from there stamps, whatever peers it must
+    avoid; ``None`` when placement reads the load (a JOIN or a UNION), so
+    each places its own.
     """
 
     __slots__ = ("ast", "plan", "push_selections", "key", "recipes")
@@ -77,7 +78,7 @@ class PlanTemplate:
         self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool
     ) -> None:
         self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
-        self.recipes: dict[tuple[str, frozenset[str]], object] | None = {} if fixed_placement else None
+        self.recipes: dict[str, object] | None = {} if fixed_placement else None
 
     def instantiate(self) -> PlanNode:
         """A copy of ``plan``; no ``params`` dict or ``children`` list is shared."""

@@ -134,10 +134,10 @@ def test_a_recipe_is_what_the_old_path_prepared(text, manager_peer, avoid, load,
     assert recipe.tally == (len(lengths), sum(lengths), tuple(fallbacks))
     assert all(reason in FALLBACK_REASONS.values() for _, reason in fallbacks)
     assert new.placement_load == old.placement_load
-    # a template placement reads no load from keeps one recipe per (peer, avoid set)
+    # a template placement reads no load from keeps one recipe per peer
     if template.recipes is not None:
         assert manager._recipe(template, avoid) is recipe
-        assert template.recipes == {(manager_peer, avoid): recipe}
+        assert template.recipes == {manager_peer: recipe}
 
 
 def build_system() -> P2PMSystem:
@@ -317,4 +317,20 @@ def test_the_recipe_table_is_cleared_wholesale_at_its_bound(monkeypatch):
         system.peer(manager_peer).subscribe(text, reuse=False)
         sizes.append(len(system.plan_templates[text, True].recipes))
     assert sizes == [1, 2, 1, 2]
-    assert set(system.plan_templates[text, True].recipes) == {("b.com", frozenset()), ("m1", frozenset())}
+    assert set(system.plan_templates[text, True].recipes) == {"b.com", "m1"}
+
+
+def test_one_recipe_serves_every_avoid_set():
+    """Without a JOIN or a UNION a node goes where its input is, avoided or
+    not: a suspected peer set of its own builds no recipe of its own."""
+    system = build_system()
+    manager = system.peer("m1").manager
+    template = manager._template_for(single_source_text(), True)
+    avoid_sets = (frozenset(), frozenset({"a.com"}), frozenset({"m1"}), frozenset({"a.com", "m1"}))
+    recipes = [manager._recipe(template, avoid) for avoid in avoid_sets]
+    assert all(recipe is recipes[0] for recipe in recipes)
+    assert template.recipes == {"m1": recipes[0]}
+    for avoid in avoid_sets:  # and it is what placing under each of them gives
+        plan = template.instantiate()
+        place_plan(plan, manager_peer="m1", avoid=avoid)
+        assert plan.describe() == recipes[0].plan.describe()
