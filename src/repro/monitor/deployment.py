@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.algebra.operators import (
     DuplicateRemovalOperator,
@@ -56,7 +56,7 @@ from repro.monitor.control import (
     RPC_DEPLOY_PREPARE,
 )
 from repro.monitor.lifecycle import ResourceLedger
-from repro.monitor.stream_db import StreamDescription
+from repro.monitor.stream_db import StreamDefinitionDatabase, StreamDescription
 from repro.net.errors import CircuitOpen
 from repro.publishers import PublisherContext, create_publisher
 from repro.streams.stream import Stream
@@ -65,11 +65,12 @@ from repro.xmlmodel.tree import Element
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer, P2PMSystem
     from repro.monitor.subscription import Subscription
+    from repro.net.peer import Peer
 
 UndoAction = Callable[[], None]
 #: ``(input streams, output stream) -> (operator to record, stop-consuming
 #: undo actions)``: the consumer-specific middle of :meth:`Deployer._deploy_output`
-Wire = Callable[[list[Stream], Stream], tuple[object | None, list[UndoAction]]]
+Wire = Callable[[list[Stream], Stream], tuple[object | None, tuple[UndoAction, ...]]]
 
 
 def _unsubscribe_via_rpc(consumer: "P2PMPeer", producer: str, channel_id: str) -> None:
@@ -96,6 +97,34 @@ def _detach_stage(peer: "P2PMPeer", pipeline: CompiledPipeline, index: int) -> N
         peer.operators.pop(pipeline, None)
 
 
+class _OutputTeardown:
+    """The undo of one deployed output stream: one slotted record, not a list
+    of closures.  Iterating it yields the steps in order -- stop consuming,
+    close the output, withdraw the channel this deployment published, drop
+    the stream, retract its description once it was advertised -- and the
+    ledger runs them with :func:`~repro.monitor.lifecycle.run_all`, so each
+    step runs even when an earlier one raised."""
+
+    __slots__ = ("stop", "output", "net", "withdraw", "stream_db", "doc_id")
+
+    def __init__(
+        self,
+        stop: tuple[UndoAction, ...],
+        output: Stream,
+        net: "Peer",
+        withdraw: bool,
+        stream_db: StreamDefinitionDatabase,
+    ) -> None:
+        self.stop, self.output, self.net, self.withdraw, self.stream_db = stop, output, net, withdraw, stream_db
+        self.doc_id: str | None = None  # set once the description is published
+
+    def __iter__(self) -> Iterator[UndoAction]:
+        net, stream_id = self.net, self.output.stream_id
+        withdraw = (partial(net.unpublish_channel, stream_id),) if self.withdraw else ()
+        retract = () if self.doc_id is None else (partial(self.stream_db.retract, self.doc_id),)
+        return iter((*self.stop, self.output.close, *withdraw, partial(net.drop_stream, stream_id), *retract))
+
+
 @dataclass(slots=True)
 class _StreamHandle:
     """Where a deployed (sub)plan's output lives."""
@@ -107,7 +136,7 @@ class _StreamHandle:
     original: tuple[str, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeployedTask:
     """A running monitoring task (the deployment-side state of a subscription).
 
@@ -385,7 +414,7 @@ class Deployer:
 
         def wire(inputs: list[Stream], output: Stream):
             dynamic = DynamicAlerterSource(self.system, function, output)
-            return None, [inputs[0].subscribe(dynamic.on_membership_alert), dynamic.shutdown]
+            return None, (inputs[0].subscribe(dynamic.on_membership_alert), dynamic.shutdown)
 
         return self._deploy_output(node, task, peer, [membership_handle], wire)
 
@@ -398,7 +427,7 @@ class Deployer:
             for stream in inputs:
                 operator.connect(stream)
             peer.operators[operator] = None
-            return operator, [operator.detach, partial(peer.operators.pop, operator, None)]
+            return operator, (operator.detach, partial(peer.operators.pop, operator, None))
 
         return self._deploy_output(node, task, peer, child_handles, wire)
 
@@ -444,7 +473,7 @@ class Deployer:
                         )
                     pipeline.seal_boundary(index - 1, watches)
                 pipeline.add_boundary(output, peer.net.channels.published(output.stream_id))
-                return (pipeline if index == 0 else None), [partial(_detach_stage, peer, pipeline, index)]
+                return (pipeline if index == 0 else None), (partial(_detach_stage, peer, pipeline, index),)
 
             handle = self._deploy_output(node, task, peer, [handle], wire)
         return handle
@@ -457,9 +486,9 @@ class Deployer:
         Shared by every node kind that produces a stream of its own: local
         inputs, output stream and channel, then the caller's ``wire`` installs
         whatever consumes the inputs, then predecessor link, the ledger entry
-        and the advertisement.  The entry's undo order is: stop consuming,
-        withdraw the output; then it releases its inputs: the channel
-        subscriptions it reads through, then the streams it reads.
+        and the advertisement.  The entry's undo (an :class:`_OutputTeardown`)
+        stops consuming and withdraws the output; then it releases its inputs:
+        the channel subscriptions it reads through, then the streams it reads.
         """
         stream_id = self._next_stream_id(task.sub_id)
         input_streams: list[Stream] = []
@@ -476,19 +505,17 @@ class Deployer:
         if self._predecessor is not None and self.system.reliable_channels:
             self._adopt_orphans(node, peer.peer_id, stream_id, output)
         originals = [handle.original for handle in child_handles]
-        net = peer.net
-        withdraw = (partial(net.unpublish_channel, stream_id),) if created_channel else ()
-        undo = [*stop_consuming, output.close, *withdraw, partial(net.drop_stream, stream_id)]
-        own = (peer.peer_id, stream_id)
-        self.system.resources.register(own, undo, proxy_keys + originals)  # before the advertisement, which may raise
         stream_db, key = self.system.stream_db, id(node)
+        teardown = _OutputTeardown(stop_consuming, output, peer.net, created_channel, stream_db)
+        own = (peer.peer_id, stream_id)
+        self.system.resources.register(own, teardown, proxy_keys + originals)  # before the advertisement: it may raise
         described = self._described.get(key)
         if described is not None:
             description = StreamDescription(peer.peer_id, stream_id, True, *described, tuple(originals))
         else:
             description = stream_db.describe_node(node, peer.peer_id, stream_id, originals)
             self._described[key] = description.operator, description.spec
-        undo.append(partial(stream_db.retract, stream_db.publish_stream(description)))
+        teardown.doc_id = stream_db.publish_stream(description)
         self._record(task, peer.peer_id, operator)
         return _StreamHandle(peer.peer_id, output, stream_id, own)
 

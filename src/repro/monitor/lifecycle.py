@@ -25,7 +25,7 @@ mechanisms the lifecycle verbs are built on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.streams.item import EOS
 from repro.streams.stream import Stream, StreamClosedError
@@ -38,7 +38,7 @@ UndoAction = Callable[[], None]
 
 
 def run_all(
-    actions: Sequence[UndoAction],
+    actions: Iterable[UndoAction],
     release: Callable[[object, object], bool] | None = None,
     inputs: Sequence[object] = (),
     holder: object = None,
@@ -122,6 +122,11 @@ class DeliveryValve(Stream):
     (:meth:`resume` flushes the retained items through it).
     """
 
+    __slots__ = (
+        "source", "paused", "items_delivered", "dropped_while_paused",
+        "_pending", "_max_pause_buffer", "_eos_pending", "_unsubscribe",
+    )
+
     def __init__(
         self,
         stream_id: str,
@@ -133,7 +138,8 @@ class DeliveryValve(Stream):
         self.paused = False
         self.items_delivered = 0
         self.dropped_while_paused = 0
-        self._pending: deque[Element] = deque(maxlen=max_pause_buffer)
+        #: what a pause retains, built at the first retained item
+        self._pending: deque[Element] | None = None
         self._max_pause_buffer = max_pause_buffer
         self._eos_pending = False
         self._unsubscribe: Callable[[], None] | None = None
@@ -164,9 +170,12 @@ class DeliveryValve(Stream):
                 self.close()
             return
         if self.paused:
-            if len(self._pending) == self._max_pause_buffer:
+            pending = self._pending
+            if pending is None:
+                pending = self._pending = deque(maxlen=self._max_pause_buffer)
+            elif len(pending) == self._max_pause_buffer:
                 self.dropped_while_paused += 1
-            self._pending.append(item)
+            pending.append(item)
             return
         if self.closed:
             raise StreamClosedError(f"stream {self.qualified_id} is closed")
@@ -203,7 +212,7 @@ class DeliveryValve(Stream):
     @property
     def pending_count(self) -> int:
         """Items retained while paused, not yet flushed."""
-        return len(self._pending)
+        return len(self._pending) if self._pending is not None else 0
 
     def pause(self) -> None:
         self.paused = True
@@ -217,19 +226,27 @@ class DeliveryValve(Stream):
         if not self.paused:
             return
         self.paused = False
-        while self._pending and not self.paused:
+        pending = self._pending
+        while pending and not self.paused:
             self.items_delivered += 1
-            self.emit(self._pending.popleft())
+            self.emit(pending.popleft())
         if self._eos_pending and not self.paused:
             self._eos_pending = False
             self.close()
 
 
-class _Entry:
-    __slots__ = ("holders", "undo", "inputs")
+#: ``_Entry.held`` of an entry nothing holds
+_NOBODY = object()
 
-    def __init__(self, undo: Sequence[UndoAction], inputs: Sequence[object]) -> None:
-        self.holders: set[object] = set()
+
+class _Entry:
+    """``held`` is ``_NOBODY``, the one holder, or from a second holder on a
+    set of them: nearly every resource has one consumer."""
+
+    __slots__ = ("held", "undo", "inputs")
+
+    def __init__(self, undo: Iterable[UndoAction], inputs: Sequence[object]) -> None:
+        self.held: object = _NOBODY
         self.undo = undo
         self.inputs = inputs
 
@@ -258,16 +275,17 @@ class ResourceLedger:
         return key in self._entries
 
     def register(
-        self, key: object, undo: Sequence[UndoAction] = (), inputs: Sequence[object] = ()
+        self, key: object, undo: Iterable[UndoAction] = (), inputs: Sequence[object] = ()
     ) -> bool:
         """Create ``key``'s entry, holding every key of ``inputs``; False (and
         nothing changes) when ``key`` is already registered.
 
         ``undo`` runs, then ``inputs`` are released, when the last holder of
-        ``key`` leaves; the sequence is kept, not copied, so actions a caller
-        appends after registering run too.  An input nobody registered (a
-        stream advertised outside the deployer) gets an entry with nothing
-        to undo.
+        ``key`` leaves; it is kept, not copied, and iterated only then, so
+        actions a caller appends after registering run too, and a record
+        that yields its steps reads its state then.  An input nobody
+        registered (a stream advertised outside the deployer) gets an entry
+        with nothing to undo.
         """
         if key in self._entries:
             return False
@@ -283,7 +301,13 @@ class ResourceLedger:
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = _Entry((), ())
-        entry.holders.add(holder)
+        held = entry.held
+        if type(held) is set:  # a key is hashable, so never a set itself
+            held.add(holder)
+        elif held is _NOBODY or held == holder:
+            entry.held = holder
+        else:
+            entry.held = {held, holder}
 
     def release(self, key: object, holder: object = None) -> bool:
         """Drop ``holder``'s reference; returns True when this tore ``key`` down.
@@ -294,8 +318,12 @@ class ResourceLedger:
         entry = self._entries.get(key)
         if entry is None:
             return False
-        entry.holders.discard(holder)
-        if entry.holders:
+        held = entry.held
+        if type(held) is set:
+            held.discard(holder)
+            if held:
+                return False
+        elif held is not _NOBODY and held != holder:
             return False
         del self._entries[key]
         self.teardowns += 1
@@ -303,8 +331,12 @@ class ResourceLedger:
         return True
 
     def holders(self, key: object) -> set[object]:
+        """The keys holding ``key``, as a fresh set."""
         entry = self._entries.get(key)
-        return set(entry.holders) if entry is not None else set()
+        held = entry.held if entry is not None else _NOBODY
+        if type(held) is set:
+            return set(held)
+        return set() if held is _NOBODY else {held}
 
     def keys(self) -> list[object]:
         """All currently registered resource keys (recovery scans these)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable
 
 from repro.net.errors import UnknownChannelError, UnknownPeerError
 from repro.streams.item import EOS
@@ -32,6 +32,10 @@ MSG_ITEM = "channel.item"
 MSG_ITEMS = "channel.items"
 MSG_EOS = "channel.eos"
 MSG_ACK = "channel.ack"
+
+#: what a channel's ``subscribers`` / ``dead`` and a proxy's ``seen_seqs``
+#: hold until their first member: most never gain one
+_NONE: frozenset = frozenset()
 
 
 class OutboxEntry:
@@ -70,7 +74,8 @@ class Channel:
     stream: Stream
     #: the publishing registry, which builds the forwarder; None once withdrawn
     registry: ChannelRegistry | None = field(default=None, repr=False, compare=False)
-    subscribers: set[str] = field(default_factory=set)
+    #: a set from the first subscriber on
+    subscribers: AbstractSet[str] = _NONE
     #: the forwarder, built for the first subscriber and on the stream only
     #: while the channel has one (an idle channel costs nothing); None
     #: until then and once withdrawn
@@ -83,8 +88,9 @@ class Channel:
         default_factory=dict, repr=False
     )
     #: reliable mode: subscribers the failure detector confirmed dead --
-    #: retransmission skips them, their outboxes await a takeover claim
-    dead: set[str] = field(default_factory=set, repr=False)
+    #: retransmission skips them, their outboxes await a takeover claim; a
+    #: set from the first on
+    dead: AbstractSet[str] = field(default=_NONE, repr=False)
     #: memoised ``sorted(subscribers)``; fan-out is per item, (un)subscribes
     #: are rare, so the sort must not sit on the delivery path
     _sorted_cache: tuple[str, ...] | None = field(
@@ -107,9 +113,10 @@ class Channel:
         return cached
 
     def add_subscriber(self, peer_id: str) -> None:
-        if peer_id not in self.subscribers:
+        subscribers = self.subscribers
+        if peer_id not in subscribers:
             registry = self.registry
-            if not (self.subscribers or registry is None or self.stream.closed):
+            if not (subscribers or registry is None or self.stream.closed):
                 forward = self.forward
                 if forward is None:
                     # the forwarder advertises a batch entry point, so
@@ -117,19 +124,23 @@ class Channel:
                     forward = self.forward = partial(registry._forward, self)
                     forward.batch = partial(registry._forward_many, self)  # type: ignore[attr-defined]
                 self._detach = self.stream.subscribe(forward)
-            self.subscribers.add(peer_id)
+            if type(subscribers) is set:
+                subscribers.add(peer_id)
+            else:
+                self.subscribers = {peer_id}
             self._sorted_cache = None
 
     def remove_subscriber(self, peer_id: str) -> None:
-        if peer_id in self.subscribers:
-            self.subscribers.discard(peer_id)
+        subscribers = self.subscribers
+        if type(subscribers) is set and peer_id in subscribers:
+            subscribers.discard(peer_id)
             self._sorted_cache = None
-            if not self.subscribers and self._detach is not None:
+            if not subscribers and self._detach is not None:
                 self._detach()
                 self._detach = None
 
     def clear_subscribers(self) -> None:
-        self.subscribers.clear()
+        self.subscribers = _NONE
         self._sorted_cache = None
 
     def unsubscribe(self) -> None:
@@ -167,11 +178,14 @@ class RemoteChannelProxy(Stream):
     #: reorders messages by bounded amounts, so the window bounds dedup memory)
     SEQ_WINDOW = 4096
 
+    __slots__ = ("publisher_id", "channel_id", "seen_seqs", "_seq_floor", "duplicates_dropped")
+
     def __init__(self, publisher_id: str, channel_id: str, local_peer_id: str) -> None:
         super().__init__(stream_id=f"#{channel_id}", peer_id=local_peer_id)
         self.publisher_id = publisher_id
         self.channel_id = channel_id
-        self.seen_seqs: set[int] = set()
+        #: a set from the first number parked on
+        self.seen_seqs: AbstractSet[int] = _NONE
         self._seq_floor = -1  # every seq <= floor counts as already seen
         self.duplicates_dropped = 0
 
@@ -188,15 +202,19 @@ class RemoteChannelProxy(Stream):
             return False
         floor = seq
         if seq != self._seq_floor + 1:
-            seen.add(seq)
+            if type(seen) is set:
+                seen.add(seq)
+            else:
+                self.seen_seqs = seen = {seq}
             if len(seen) <= self.SEQ_WINDOW:
                 return True
             floor = max(seen) - self.SEQ_WINDOW
             self.seen_seqs = seen = {s for s in seen if s > floor}
-        # the floor moves up, and on over the parked numbers that follow it
-        while floor + 1 in seen:
-            floor += 1
-            seen.remove(floor)
+        if type(seen) is set:
+            # the floor moves up, and on over the parked numbers that follow it
+            while floor + 1 in seen:
+                floor += 1
+                seen.remove(floor)
         self._seq_floor = floor
         return True
 
@@ -499,7 +517,9 @@ class ChannelRegistry:
         if channel is not None:
             channel.remove_subscriber(subscriber)
             channel.outbox.pop(subscriber, None)
-            channel.dead.discard(subscriber)
+            dead = channel.dead
+            if type(dead) is set:
+                dead.discard(subscriber)
 
     def _on_unsubscribe(self, message) -> None:
         self.drop_subscriber(
@@ -689,7 +709,7 @@ class ChannelRegistry:
                 sends.setdefault(id(sent), sent)
             channel.remove_subscriber(dead_subscriber)
             channel.next_seq.pop(dead_subscriber, None)
-        channel.dead.clear()
+        channel.dead = _NONE
         return [item for sent in sends.values() for item in sent]
 
     def adopt_orphans(self, old_channel_id: str, successor: Stream) -> int:
@@ -725,9 +745,15 @@ class ChannelRegistry:
         """
         for channel in self._published.values():
             if peer_id in channel.subscribers:
-                channel.dead.add(peer_id)
+                dead = channel.dead
+                if type(dead) is set:
+                    dead.add(peer_id)
+                else:
+                    channel.dead = {peer_id}
 
     def handle_peer_rejoin(self, peer_id: str) -> None:
         """Detector rejoin: resume retransmission to an unclaimed subscriber."""
         for channel in self._published.values():
-            channel.dead.discard(peer_id)
+            dead = channel.dead
+            if type(dead) is set:
+                dead.discard(peer_id)

@@ -43,8 +43,7 @@ class Stream:
         purely local streams used in tests).
     """
 
-    #: the :meth:`subscribe_items` subscribers (an instance attribute from the first)
-    _items_only: tuple[Subscriber, ...] = ()
+    __slots__ = ("stream_id", "peer_id", "stats", "closed", "_subscribers", "_split", "_items_only")
 
     def __init__(self, stream_id: str, peer_id: str | None = None) -> None:
         self.stream_id = stream_id
@@ -54,6 +53,8 @@ class Stream:
         self._subscribers: list[Subscriber] = []
         #: (batch entry points, per-item subscribers), built by the first burst after a (un)subscribe
         self._split: tuple[tuple, tuple] | None = None
+        #: the :meth:`subscribe_items` subscribers
+        self._items_only: tuple[Subscriber, ...] = ()
 
     # -- identity ------------------------------------------------------------
 

@@ -306,6 +306,26 @@ def test_an_in_order_channel_holds_no_set():
     assert proxy.accept_seq(30) is True and proxy.seen_seqs == set()
 
 
+def test_an_in_order_run_of_frames_parks_nothing():
+    """Frames and single items that arrive in order, duplicates of them
+    included, leave the proxy without a set of parked numbers."""
+    network = SimNetwork(seed=3)
+    publisher, subscriber = Peer("pub", network), Peer("sub", network)
+    stream = publisher.create_stream("alerts")
+    publisher.publish_channel("X", stream)
+    proxy = subscriber.subscribe_channel("pub", "X")
+    seen = collect(proxy)
+    network.run()
+    sent = 0
+    for size in (1, 5, 2, 1, 12):
+        stream.emit_many([alert(sent + n) for n in range(size)])
+        sent += size
+        network.run()
+    assert len(seen) == sent and proxy._seq_floor == sent - 1
+    assert proxy.accept_seq(0) is False and proxy.accept_seq(sent - 1) is False
+    assert not isinstance(proxy.seen_seqs, set) and proxy.duplicates_dropped == 0
+
+
 def test_a_gap_older_than_the_window_is_given_up_on():
     proxy = RemoteChannelProxy("pub", "X", "sub")
     window = RemoteChannelProxy.SEQ_WINDOW

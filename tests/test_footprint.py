@@ -19,6 +19,7 @@ import random
 import pytest
 
 from perf.workloads import WORKLOADS
+from repro.monitor.subscription import DEPLOYED
 
 #: objects per subscription at a tenth of the deck (104.25 / 139.85 / 109.01
 #: when set, from 125.82 / 207.01 / 150.11 when KadoP stored Elements), plus 10 %
@@ -72,3 +73,22 @@ def test_a_channel_nobody_subscribed_to_holds_no_forwarder(name: str):
                 idle += 1
                 assert channel.forward is None, channel.qualified_id
     assert idle > subscribed_to if name == "filter" else idle > 0
+
+
+def test_a_deployed_filter_subscription_holds_no_empty_container():
+    """Nothing paused, nobody subscribed to: no valve has built its pause
+    buffer, no channel a subscriber or a dead set."""
+    system, _ = subscribed("filter")
+    valves = [record.valve for peer_id in system.peer_ids
+              for record in system.peer(peer_id).manager.database.with_status(DEPLOYED)]
+    assert len(valves) == 200 and all(valve._pending is None for valve in valves)
+    idle = 0
+    for peer_id in system.peer_ids:
+        registry = system.peer(peer_id).net.channels
+        for channel_id in registry.published_ids:
+            channel = registry.published(channel_id)
+            assert not isinstance(channel.dead, set), channel.qualified_id
+            if not channel.subscribers:
+                idle += 1
+                assert not isinstance(channel.subscribers, set), channel.qualified_id
+    assert idle >= len(valves)

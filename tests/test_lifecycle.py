@@ -5,11 +5,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_delivery_tail import valve_on
 
 from repro.algebra.plan import EXISTING
 from repro.monitor import P2PMSystem, SubscriptionStateError
-from repro.monitor.lifecycle import ResourceLedger, ResultBuffer
+from repro.monitor.deployment import _OutputTeardown
+from repro.monitor.lifecycle import ResourceLedger, ResultBuffer, run_all
+from repro.streams.item import EOS
 from repro.streams.stream import Stream, collect
 from repro.workloads import MeteoScenario, RSSFeedSimulator
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
@@ -72,6 +76,21 @@ class TestDeliveryValve:
         valve.resume()
         assert valve.closed
         assert valve.stats.items == 1
+
+    def test_a_valve_never_paused_builds_no_buffer(self):
+        source = Stream("src")
+        valve = valve_on(source)
+        seen = collect(valve)
+        source.emit_many([item(1), item(2)])
+        valve.resume()  # not paused: nothing to flush
+        valve.pause()
+        valve.resume()  # paused with nothing retained
+        assert len(seen) == 2 and valve.pending_count == 0 and valve._pending is None
+        valve.pause()
+        source.close()  # EOS alone is no retained item
+        assert valve._pending is None and not valve.closed
+        valve.resume()
+        assert valve.closed and valve._pending is None
 
     def test_disconnect_stops_delivery(self):
         source = Stream("src")
@@ -138,6 +157,188 @@ class TestResourceLedger:
         assert ledger.release("right")
         assert done == ["left", "right", "shared"]
         assert len(ledger) == 0 and not ledger.release("right")
+
+
+class FrozenLedger:
+    """``ResourceLedger`` as it was when every entry kept a set of holders."""
+
+    class _Entry:
+        __slots__ = ("holders", "undo", "inputs")
+
+        def __init__(self, undo, inputs) -> None:
+            self.holders: set[object] = set()
+            self.undo = undo
+            self.inputs = inputs
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+        self.teardowns = 0
+
+    def known(self, key):
+        return key in self._entries
+
+    def register(self, key, undo=(), inputs=()):
+        if key in self._entries:
+            return False
+        self._entries[key] = self._Entry(undo, inputs)
+        for input_key in inputs:
+            self.retain(input_key, key)
+        return True
+
+    def retain(self, key, holder):
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = self._Entry((), ())
+        entry.holders.add(holder)
+
+    def release(self, key, holder=None):
+        entry = self._entries.get(key)
+        if entry is None:
+            return False
+        entry.holders.discard(holder)
+        if entry.holders:
+            return False
+        del self._entries[key]
+        self.teardowns += 1
+        run_all(entry.undo, self.release, entry.inputs, key)
+        return True
+
+    def holders(self, key):
+        entry = self._entries.get(key)
+        return set(entry.holders) if entry is not None else set()
+
+    def keys(self):
+        return list(self._entries)
+
+
+LEDGER_KEYS = ("a", "b", "c", ("proxy", "p", "q", "s"), ("sub", "s1", 0))
+ledger_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("register"),
+            st.sampled_from(LEDGER_KEYS),
+            st.lists(st.booleans(), max_size=3),  # one undo action each; True raises
+            st.lists(st.sampled_from(LEDGER_KEYS), max_size=3),
+        ),
+        st.tuples(st.just("retain"), st.sampled_from(LEDGER_KEYS), st.sampled_from(LEDGER_KEYS)),
+        st.tuples(st.just("release"), st.sampled_from(LEDGER_KEYS), st.sampled_from((None,) + LEDGER_KEYS)),
+    ),
+    max_size=40,
+)
+
+
+def replay(ledger, ops) -> list:
+    """Run ``ops`` on ``ledger``: every answer, error and undo action, in order,
+    and after each step every key's holders."""
+    log: list = []
+
+    def action(key, i, raises):
+        def undo():
+            log.append(("undo", key, i))
+            if raises:
+                raise RuntimeError(f"{key}/{i}")
+        return undo
+
+    for op in ops:
+        try:
+            if op[0] == "register":
+                _, key, raising, inputs = op
+                undo = [action(key, i, raises) for i, raises in enumerate(raising)]
+                log.append(ledger.register(key, undo, inputs))
+            elif op[0] == "retain":
+                log.append(ledger.retain(op[1], op[2]))
+            else:
+                log.append(ledger.release(op[1], op[2]))
+        except RuntimeError as exc:
+            log.append(("raised", str(exc)))
+        log.append([sorted(map(repr, ledger.holders(key))) for key in LEDGER_KEYS])
+        log.append((ledger.keys(), ledger.teardowns))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger_ops)
+def test_the_ledger_answers_as_the_set_based_one(ops):
+    """A single holder kept directly, a set from the second: the same
+    answers, errors, teardown order, ``holders()`` and ``teardowns``."""
+    assert replay(ResourceLedger(), ops) == replay(FrozenLedger(), ops)
+
+
+def test_holders_is_a_fresh_set():
+    ledger = ResourceLedger()
+    ledger.register("r")
+    for holder in ("h1", "h2"):
+        ledger.retain("r", holder)
+        ledger.holders("r").clear()
+    assert ledger.holders("r") == {"h1", "h2"}
+    assert ledger.release("r", "h1") is False and ledger.release("r", "h1") is False
+    assert ledger.release("r", "h2") is True
+
+
+class TestOutputTeardown:
+    """A deployed output's undo, one record: every step runs, in order, even
+    when an earlier one raises, and the first error is raised."""
+
+    class Recorder:
+        def __init__(self, log, raising=()):
+            self.log, self.raising = log, raising
+
+        def __getattr__(self, name):
+            def step(*args):
+                self.log.append((name, *args))
+                if name in self.raising:
+                    raise RuntimeError(name)
+            return step
+
+    def torn_down(self, raising, doc_id="doc:s1", withdraw=True):
+        log: list = []
+        output = Stream("s1", "p")
+        output.subscribe(lambda item: log.append(("eos",)) if item is EOS else None)
+        recorder = self.Recorder(log, raising)
+        teardown = _OutputTeardown((recorder.stop,), output, recorder, withdraw, recorder)
+        teardown.doc_id = doc_id
+        ledger = ResourceLedger()
+        ledger.register(("p", "s1"), teardown)
+        error = None
+        try:
+            ledger.release(("p", "s1"))
+        except RuntimeError as exc:
+            error = str(exc)
+        return log, error
+
+    @pytest.mark.parametrize("raising", [(), ("unpublish_channel",), ("drop_stream",),
+                                         ("unpublish_channel", "drop_stream")])
+    def test_every_step_runs_and_the_first_error_is_raised(self, raising):
+        log, error = self.torn_down(raising)
+        assert log == [("stop",), ("eos",), ("unpublish_channel", "s1"), ("drop_stream", "s1"), ("retract", "doc:s1")]
+        assert error == (raising[0] if raising else None)
+
+    def test_a_channel_it_did_not_publish_and_a_description_never_advertised_are_left(self):
+        log, error = self.torn_down(("stop",), doc_id=None, withdraw=False)
+        assert log == [("stop",), ("eos",), ("drop_stream", "s1")] and error == "stop"
+
+    @pytest.mark.parametrize("step", ["unpublish_channel", "drop_stream"])
+    def test_a_deployment_whose_step_raises_still_retracts_its_descriptions(self, step, monkeypatch):
+        system = P2PMSystem(seed=3)
+        system.add_peer("m")
+        system.add_peer("src").get_or_create_alerter(CHAOS_FUNCTION)
+        handle = system.peer("m").subscribe(
+            f'for $x in {CHAOS_FUNCTION}(<p>src</p>) where $x.kind = "chaos" return $x', reuse=False
+        )
+        system.run()
+        plain = getattr(type(system.peer("src").net), step)
+
+        def failing(net, stream_id):
+            plain(net, stream_id)
+            raise RuntimeError(f"{step} {stream_id}")
+
+        monkeypatch.setattr(type(system.peer("src").net), step, failing)
+        described = system.stream_db.descriptions_retracted
+        with pytest.raises(RuntimeError, match=step):
+            handle.cancel()
+        assert system.stream_db.descriptions_retracted > described
+        assert len(system.resources) == 0 and system.stream_db.all_stream_descriptions() == []
+        assert system.stream_db.verify_index_coherence() == []
 
 
 def rss_system(seed=5, **subscribe_options):
