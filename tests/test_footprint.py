@@ -21,9 +21,10 @@ import pytest
 from perf.workloads import WORKLOADS
 from repro.monitor.subscription import DEPLOYED
 
-#: objects per subscription at a tenth of the deck (104.25 / 139.85 / 109.01
-#: when set, from 125.82 / 207.01 / 150.11 when KadoP stored Elements), plus 10 %
-BUDGETS = {"fanout": 115, "filter": 154, "ingest": 120}
+#: objects per subscription at a tenth of the deck (92.50 / 107.31 / 90.14
+#: when set, from 101.40 / 134.09 / 99.32 before per-subscription containers
+#: were built on first use), plus 10 %
+BUDGETS = {"fanout": 102, "filter": 119, "ingest": 100}
 
 
 def subscribed(name: str):
