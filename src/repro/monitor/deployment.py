@@ -98,8 +98,8 @@ def _detach_stage(peer: "P2PMPeer", pipeline: CompiledPipeline, index: int) -> N
 
 
 class _OutputTeardown:
-    """The undo of one deployed output stream: one slotted record, not a list
-    of closures.  Iterating it yields the steps in order -- stop consuming,
+    """The undo of one deployed output stream, held until the cancel that
+    runs it.  Iterating it yields the steps in order -- stop consuming,
     close the output, withdraw the channel this deployment published, drop
     the stream, retract its description once it was advertised -- and the
     ledger runs them with :func:`~repro.monitor.lifecycle.run_all`, so each
@@ -107,14 +107,8 @@ class _OutputTeardown:
 
     __slots__ = ("stop", "output", "net", "withdraw", "stream_db", "doc_id")
 
-    def __init__(
-        self,
-        stop: tuple[UndoAction, ...],
-        output: Stream,
-        net: "Peer",
-        withdraw: bool,
-        stream_db: StreamDefinitionDatabase,
-    ) -> None:
+    def __init__(self, stop: tuple[UndoAction, ...], output: Stream, net: "Peer", withdraw: bool,
+                 stream_db: StreamDefinitionDatabase) -> None:
         self.stop, self.output, self.net, self.withdraw, self.stream_db = stop, output, net, withdraw, stream_db
         self.doc_id: str | None = None  # set once the description is published
 

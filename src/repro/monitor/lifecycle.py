@@ -122,10 +122,8 @@ class DeliveryValve(Stream):
     (:meth:`resume` flushes the retained items through it).
     """
 
-    __slots__ = (
-        "source", "paused", "items_delivered", "dropped_while_paused",
-        "_pending", "_max_pause_buffer", "_eos_pending", "_unsubscribe",
-    )
+    __slots__ = ("source", "paused", "items_delivered", "dropped_while_paused", "_pending", "_max_pause_buffer",
+                 "_eos_pending", "_unsubscribe")
 
     def __init__(
         self,

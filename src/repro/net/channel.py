@@ -35,7 +35,7 @@ MSG_ACK = "channel.ack"
 
 #: what a channel's ``subscribers`` / ``dead`` and a proxy's ``seen_seqs``
 #: hold until their first member: most never gain one
-_NONE: frozenset = frozenset()
+_EMPTY: frozenset = frozenset()
 
 
 class OutboxEntry:
@@ -75,7 +75,7 @@ class Channel:
     #: the publishing registry, which builds the forwarder; None once withdrawn
     registry: ChannelRegistry | None = field(default=None, repr=False, compare=False)
     #: a set from the first subscriber on
-    subscribers: AbstractSet[str] = _NONE
+    subscribers: AbstractSet[str] = _EMPTY
     #: the forwarder, built for the first subscriber and on the stream only
     #: while the channel has one (an idle channel costs nothing); None
     #: until then and once withdrawn
@@ -90,7 +90,7 @@ class Channel:
     #: reliable mode: subscribers the failure detector confirmed dead --
     #: retransmission skips them, their outboxes await a takeover claim; a
     #: set from the first on
-    dead: AbstractSet[str] = field(default=_NONE, repr=False)
+    dead: AbstractSet[str] = field(default=_EMPTY, repr=False)
     #: memoised ``sorted(subscribers)``; fan-out is per item, (un)subscribes
     #: are rare, so the sort must not sit on the delivery path
     _sorted_cache: tuple[str, ...] | None = field(
@@ -140,7 +140,7 @@ class Channel:
                 self._detach = None
 
     def clear_subscribers(self) -> None:
-        self.subscribers = _NONE
+        self.subscribers = _EMPTY
         self._sorted_cache = None
 
     def unsubscribe(self) -> None:
@@ -185,7 +185,7 @@ class RemoteChannelProxy(Stream):
         self.publisher_id = publisher_id
         self.channel_id = channel_id
         #: a set from the first number parked on
-        self.seen_seqs: AbstractSet[int] = _NONE
+        self.seen_seqs: AbstractSet[int] = _EMPTY
         self._seq_floor = -1  # every seq <= floor counts as already seen
         self.duplicates_dropped = 0
 
@@ -709,7 +709,7 @@ class ChannelRegistry:
                 sends.setdefault(id(sent), sent)
             channel.remove_subscriber(dead_subscriber)
             channel.next_seq.pop(dead_subscriber, None)
-        channel.dead = _NONE
+        channel.dead = _EMPTY
         return [item for sent in sends.values() for item in sent]
 
     def adopt_orphans(self, old_channel_id: str, successor: Stream) -> int:
