@@ -174,9 +174,6 @@ class FrozenLedger:
         self._entries: dict = {}
         self.teardowns = 0
 
-    def known(self, key):
-        return key in self._entries
-
     def register(self, key, undo=(), inputs=()):
         if key in self._entries:
             return False
