@@ -296,7 +296,9 @@ class StreamDefinitionDatabase:
 
     def find_replicas(self, peer_id: str, stream_id: str) -> list[tuple[str, str]]:
         """Replica providers of ``stream_id@peer_id`` as (peer, stream) pairs."""
-        providers = self._replica_map.get((peer_id, stream_id), {})
+        providers = self._replica_map.get((peer_id, stream_id))
+        if providers is None:
+            return []
         return [providers[doc_id] for doc_id in sorted(providers)]
 
     def all_stream_descriptions(self) -> list[StreamDescription]:
