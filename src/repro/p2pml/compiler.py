@@ -31,7 +31,6 @@ from repro.filtering.conditions import (
 from repro.p2pml.ast import (
     AlerterSource,
     Condition,
-    LetDefinition,
     NestedSource,
     Operand,
     SubscriptionAST,
