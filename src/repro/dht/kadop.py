@@ -11,10 +11,12 @@ by intersecting the postings of the terms it mentions and then verifying the
 full XPath on the candidate documents, mirroring how KadoP narrows down
 candidates before structural verification.
 
-Here it is the write-behind replica of the Stream Definition Database
-(``repro.monitor.stream_db``), whose own indexes answer every reuse probe.
-It stores that database's records and renders a document when it is read.
-A write routes all its keys in one batch and touches each posting once.
+It is where the Stream Definition Database (``repro.monitor.stream_db``)
+keeps its descriptions: it stores the database's records, renders a
+document when it is read, and answers the Reuse algorithm's probes with
+:meth:`KadopIndex.lookup`, a routed exact-term intersection that needs no
+structural verification.  A write routes all its keys in one batch and
+touches each posting once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _QUERY_CACHE_LIMIT = 4096
 
 
 class KadopIndex:
-    """The Stream Definition Database's DHT replica: publish XML descriptions, query by XPath."""
+    """The Stream Definition Database's DHT store: publish XML descriptions, look them up by term or XPath."""
 
     def __init__(self, ring: ChordRing | None = None) -> None:
         self.ring = ring if ring is not None else ChordRing()
@@ -68,8 +70,10 @@ class KadopIndex:
         self.query_cache_misses = 0
         #: replica store of every published document, keyed by doc id.  KadoP
         #: replicates index entries across peers; we model that as a full
-        #: mirror from which keys lost to an abrupt node failure are restored.
-        self._doc_replicas: dict[str, object] = {}
+        #: mirror from which keys lost to an abrupt node failure are restored,
+        #: and from which :meth:`lookup` and the Stream Definition Database
+        #: read a document's record without routing to its home.
+        self.records: dict[str, object] = {}
         #: an Element document's terms, given or walked once at publish time
         #: (a record derives its own): unpublish and failure-time
         #: re-replication reuse them instead of re-walking the tree
@@ -119,16 +123,16 @@ class KadopIndex:
     def _restore_keys(self, lost: list[str]) -> int:
         """Re-insert lost index keys from the replicated store in one routed batch."""
         restored: dict[str, object] = {
-            key: self._doc_replicas[key[len("doc:"):]]
+            key: self.records[key[len("doc:"):]]
             for key in lost
-            if key.startswith("doc:") and key[len("doc:"):] in self._doc_replicas
+            if key.startswith("doc:") and key[len("doc:"):] in self.records
         }
         if _DOCS_KEY in lost:
-            restored[_DOCS_KEY] = set(self._doc_replicas)
+            restored[_DOCS_KEY] = set(self.records)
         # the lost terms' postings in one pass; a term no document has any more stays gone
         lost_terms = {key[len("term:"):] for key in lost if key.startswith("term:")}
         if lost_terms:
-            for doc_id, document in self._doc_replicas.items():
+            for doc_id, document in self.records.items():
                 for term in self._terms(doc_id, document) & lost_terms:
                     restored.setdefault(f"term:{term}", set()).add(doc_id)  # type: ignore[attr-defined]
         for key, home in zip(restored, self.ring._route(list(restored), None, None)):
@@ -167,13 +171,13 @@ class KadopIndex:
         homes = self.ring._route(keys, None, None)  # the document's home, then one per posting
         homes[0].storage[keys[0]] = document
         # a republish: the terms only the version being replaced had
-        previous = self._doc_replicas.get(doc_id)
+        previous = self.records.get(doc_id)
         stale = self._terms(doc_id, previous) - filed if previous is not None else None
         if type(document) is Element:
             self._doc_terms[doc_id] = filed
         elif type(previous) is Element:
             del self._doc_terms[doc_id]
-        self._doc_replicas[doc_id] = document
+        self.records[doc_id] = document
         for key, home in zip(keys[1:], homes[1:]):
             try:
                 home.storage[key].add(doc_id)  # type: ignore[attr-defined]
@@ -196,7 +200,7 @@ class KadopIndex:
         else:
             terms = document.terms()  # type: ignore[attr-defined]
         self._drop_postings([f"term:{term}" for term in terms] + [_DOCS_KEY], doc_id)
-        self._doc_replicas.pop(doc_id, None)
+        self.records.pop(doc_id, None)
         self._query_cache.clear()
         return True
 
@@ -237,6 +241,19 @@ class KadopIndex:
         return sorted(catalogue) if isinstance(catalogue, set) else []
 
     # -- querying ---------------------------------------------------------------------
+
+    def lookup(self, terms: list[str]) -> list[object]:
+        """The records (from :attr:`records`, in doc-id order) listed under every one of ``terms``,
+        whose postings are routed in one batch and intersected up to the first missing or empty
+        one: uncached, and unverified, for an exact term needs no structural check."""
+        keys = [f"term:{term}" for term in terms]
+        found: set[str] | None = None
+        for key, home in zip(keys, self.ring._route(keys, None, None)):
+            postings = home.storage.get(key)
+            if not postings:
+                return []
+            found = postings if found is None else found & postings  # type: ignore[assignment, operator]
+        return [self.records[doc_id] for doc_id in sorted(found)]  # type: ignore[arg-type]
 
     def query(self, query: str | XPath) -> list[tuple[str, Element]]:
         """Return ``(doc_id, document)`` pairs whose document matches ``query``.

@@ -1,4 +1,4 @@
-"""The Stream Definition Database (Section 5), replicated into the KadoP index.
+"""The Stream Definition Database (Section 5), stored in the KadoP index.
 
 Every stream produced in the system is described by an XML document::
 
@@ -10,8 +10,8 @@ Every stream produced in the system is described by an XML document::
 Replicas (peers re-publishing a channel they subscribe to) are described by
 ``<InChannel>`` documents.  Descriptions are always expressed over the
 *original* streams, never over replicas, which is what makes the Reuse
-algorithm a sequence of simple tree-pattern queries.  KadoP keeps the
-description records themselves: a document is rendered when it is read.
+algorithm a sequence of exact-term lookups over KadoP's postings.  KadoP
+keeps the description records, and nothing else does: it renders a document when it is read.
 """
 
 from __future__ import annotations
@@ -151,14 +151,17 @@ class ReplicaDescription:
 
 
 class StreamDefinitionDatabase:
-    """Publish and query stream descriptions; KadoP is the write-behind replica.
+    """Publish and query stream descriptions, which KadoP stores.
 
-    The primary is two in-memory indexes -- one by reuse probe key, the
-    replica map -- filed by a publication once it returned and withdrawn
-    before a retraction is routed.  Every Section-5 probe reads them, never
-    KadoP; descriptions written to KadoP directly are invisible to reuse.
-    The XPath queries stay as ``find_*_oracle`` and
-    :meth:`verify_index_coherence`, the proof that the replica equals them.
+    A description lives in KadoP alone: its record in the ring (and in the
+    restore mirror, :attr:`KadopIndex.records`), its terms in the postings.
+    Both Section-5 match probes are routed exact-term lookups there
+    (:meth:`KadopIndex.lookup`), so a record written to KadoP directly is
+    found too.  The database itself keeps what KadoP's terms do not rank:
+    the replica map provider choice reads, and the ``reuse_version`` /
+    ``watched`` stamps the signature cache reads.  The XPath queries stay
+    as ``find_*_oracle``; :meth:`verify_index_coherence` holds the postings
+    and the replica map to KadoP's documents.
     """
 
     def __init__(self, index: KadopIndex | None = None) -> None:
@@ -168,32 +171,23 @@ class StreamDefinitionDatabase:
         #: of mutating the index in place -- must expose
         #: ``publish_document(description, doc_id)`` and
         #: ``retract_document(doc_id, owner) -> bool``, ``owner`` being the
-        #: publishing peer (None when the database never filed the document)
+        #: publishing peer (None when KadoP holds no record of the document)
         self.router = None
         self.streams_published = 0
         self.replicas_published = 0
         self.descriptions_retracted = 0
-        #: published ``<Stream>`` descriptions by doc id
-        self._descriptions: dict[str, StreamDescription] = {}
-        #: the one probe key that reads a description -> doc ids: ``(peer,
-        #: alerter kind)`` without operands, ``(operator, sorted operands,
-        #: spec)`` with; a Publisher output is never matched and not filed here
-        self._by_probe: dict[tuple, set[str]] = {}
         #: (original peer, original stream) -> {doc id: (replica peer, replica stream)}
         self._replica_map: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
-        #: replica doc id -> its original (peer, stream) key, so a replica can
-        #: be deindexed even when its document has since been overwritten
-        self._replica_keys: dict[str, tuple[str, str]] = {}
         #: bumped whenever a description that can influence reuse *matching*
-        #: is filed or deindexed: any ``<Stream>`` except Publisher outputs (a
-        #: PUBLISH node is never matched), never an ``<InChannel>`` replica
-        #: (replicas only affect provider choice, re-ranked on every probe)
+        #: is published or retracted: any ``<Stream>`` except Publisher
+        #: outputs (a PUBLISH node is never matched), never an ``<InChannel>``
+        #: replica (replicas only affect provider choice, re-ranked on every probe)
         self.reuse_version = 0
         #: reuse probe keys some signature cache entry watches -- an alerter
         #: probe's ``(peer, kind)``, an operator probe's ``(operator, sorted
-        #: operands, spec)`` -- -> the ``reuse_version`` at which a filing or
-        #: deindexing last changed that probe's answer; the cache fills it,
-        #: the database only stamps keys already in it
+        #: operands, spec)`` -- -> the ``reuse_version`` at which a
+        #: publication or retraction last changed that probe's answer; the
+        #: cache fills it, the database only stamps keys already in it
         self.watched: dict[tuple, int] = {}
 
     # -- publication ---------------------------------------------------------------
@@ -215,10 +209,11 @@ class StreamDefinitionDatabase:
         """Store a stream description; returns its document id.  KadoP keeps
         the record itself."""
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
+        records = self.index.records
+        if doc_id in records:  # a republish: the record it replaces stops answering its probe
+            self._stamp(records[doc_id])
         self._publish(description, doc_id, description.peer_id)
-        if doc_id in self._descriptions:  # a republish replaces the earlier filing
-            self._deindex_document(doc_id)
-        self._file(doc_id, description)
+        self._stamp(description)
         self.streams_published += 1  # counted once it landed: a router may raise
         return doc_id
 
@@ -233,11 +228,11 @@ class StreamDefinitionDatabase:
     ) -> str:
         """Declare that ``replica_peer_id`` can also provide ``stream_id@peer_id``."""
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        record = ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id)
-        self._publish(record, doc_id, replica_peer_id)
-        if doc_id in self._replica_keys:
-            self._deindex_document(doc_id)
-        self._file_replica(doc_id, (peer_id, stream_id), (replica_peer_id, replica_stream_id))
+        records = self.index.records
+        if doc_id in records:  # a republish: the replica it replaces stops providing
+            self._unmap_replica(doc_id, records[doc_id])
+        self._publish(ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id), doc_id, replica_peer_id)
+        self._replica_map.setdefault((peer_id, stream_id), {})[doc_id] = (replica_peer_id, replica_stream_id)
         self.replicas_published += 1
         return doc_id
 
@@ -250,7 +245,6 @@ class StreamDefinitionDatabase:
         try:
             self.router.publish_document(document.to_element(), doc_id)
         except Exception:
-            self._deindex_document(doc_id)
             self._withdraw(doc_id, owner)
             raise
 
@@ -260,11 +254,21 @@ class StreamDefinitionDatabase:
         """Withdraw a published description (stream or replica) by document id.
 
         Cancellation uses this so that the Reuse algorithm stops matching
-        streams that are no longer produced: the indexes forget it first,
-        then the withdrawal is routed.  Returns False when KadoP did not
-        hold it.
+        streams that are no longer produced: the record KadoP holds is
+        stamped or unmapped, then its withdrawal is routed from the peer it
+        names.  Returns False when KadoP did not hold it.
         """
-        return self._withdraw(doc_id, self._deindex_document(doc_id))
+        records = self.index.records
+        owner = None
+        if doc_id in records:
+            record = records[doc_id]
+            if type(record) is StreamDescription:
+                self._stamp(record)
+                owner = record.peer_id
+            elif type(record) is ReplicaDescription:
+                self._unmap_replica(doc_id, record)
+                owner = record.replica_peer_id
+        return self._withdraw(doc_id, owner)
 
     def _withdraw(self, doc_id: str, owner: str | None) -> bool:
         if self.router is not None:
@@ -275,13 +279,37 @@ class StreamDefinitionDatabase:
             self.descriptions_retracted += 1
         return removed
 
+    def _stamp(self, description: StreamDescription) -> None:
+        """``description`` is published or withdrawn: bump ``reuse_version``
+        and stamp the key of the probe that reads it, if some entry watches it."""
+        operator = description.operator
+        if operator == OPERATOR_NAMES[PUBLISH]:
+            return
+        self.reuse_version += 1
+        watched = self.watched
+        if watched:
+            # the probe key of ReuseEngine._match_node -- a membership-driven
+            # source has an operand, so no alerter probe reads it
+            operands = description.operands
+            key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
+            if key in watched:
+                watched[key] = self.reuse_version
+
+    def _unmap_replica(self, doc_id: str, replica: ReplicaDescription) -> None:
+        original = (replica.peer_id, replica.stream_id)
+        providers = self._replica_map.get(original)
+        if providers is not None and providers.pop(doc_id, None) is not None and not providers:
+            del self._replica_map[original]
+
     # -- queries (the ones of Section 5) -------------------------------------------------
 
     def find_alerter_streams(self, peer_id: str, alerter_kind: str) -> list[StreamDescription]:
         """``/Stream[@PeerId = $p1][Operator/inCom]`` and friends: the
-        sources of ``peer_id`` that read no stream."""
-        doc_ids = self._by_probe.get((peer_id, alerter_kind), ())
-        return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
+        sources of ``peer_id`` that read no stream, looked up by two terms."""
+        if alerter_kind == OPERATOR_NAMES[PUBLISH]:
+            return []
+        found = self.index.lookup([f"tag:{alerter_kind}", f"attr:Stream@PeerId={peer_id}"])
+        return [record for record in found if record.operator == alerter_kind and not record.operands]
 
     def find_operator_streams(
         self,
@@ -290,9 +318,13 @@ class StreamDefinitionDatabase:
         operands: list[tuple[str, str]],
     ) -> list[StreamDescription]:
         """Find streams computing ``operator`` with ``spec`` over exactly the
-        given (at least one) operands."""
-        doc_ids = self._by_probe.get((operator, tuple(sorted(operands)), spec), ())
-        return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
+        given (at least one) operands, looked up by the spec and operand terms."""
+        if operator == OPERATOR_NAMES[PUBLISH]:
+            return []
+        terms = [f"attr:{operator}@spec={spec}", *[f"attr:Operand@OStreamId={stream}" for _, stream in operands]]
+        found = self.index.lookup(terms)
+        wanted = sorted(operands)
+        return [record for record in found if sorted(record.operands) == wanted]
 
     def find_replicas(self, peer_id: str, stream_id: str) -> list[tuple[str, str]]:
         """Replica providers of ``stream_id@peer_id`` as (peer, stream) pairs."""
@@ -302,9 +334,10 @@ class StreamDefinitionDatabase:
         return [providers[doc_id] for doc_id in sorted(providers)]
 
     def all_stream_descriptions(self) -> list[StreamDescription]:
-        return [self._descriptions[doc_id] for doc_id in sorted(self._descriptions)]
+        records = self.index.records
+        return [records[doc_id] for doc_id in sorted(records) if type(records[doc_id]) is StreamDescription]
 
-    # -- the XPath query path over the replica, retained as the differential oracle -----
+    # -- the XPath query path, retained as the differential oracle ----------------------
 
     def find_alerter_streams_oracle(
         self, peer_id: str, alerter_kind: str
@@ -338,92 +371,40 @@ class StreamDefinitionDatabase:
         ]
 
     def verify_index_coherence(self) -> list[str]:
-        """Compare every index against its KadoP replica.
+        """Compare KadoP's postings and the replica map with KadoP's documents.
 
-        Rebuilds what the indexes *should* contain from the ``<Stream>`` and
-        ``<InChannel>`` documents KadoP renders (the XPath oracle's ground
-        truth), and walks each document for the terms its postings must
-        list (so a term skeleton that drifts from its documents shows);
-        returns a list of human-readable discrepancies -- empty when the
-        replica equals the primary.  Exercised by the differential tests and
-        the nightly chaos soak after publish/retract/failure churn.
+        Walks each document KadoP renders for the terms its postings must
+        list (so a term skeleton that drifts from its documents shows), and
+        rebuilds the replica map from the ``<InChannel>`` documents; returns
+        a list of human-readable discrepancies -- empty when both agree.
+        Exercised by the differential tests and the nightly chaos soak after
+        publish/retract/failure churn.
         """
-        expected = StreamDefinitionDatabase(self.index)
         filed = self.index.filed_terms()
         misfiled: list[str] = []
+        replicas: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
         for doc_id in self.index.document_ids:
             document = self.index.document(doc_id)
             if document is None:
                 continue
             if filed.get(doc_id) != KadopIndex._terms_of_document(document):
                 misfiled.append(doc_id)
-            if document.tag == "Stream":
-                expected._file(doc_id, decode_description(document))
-            elif document.tag == "InChannel":
+            if document.tag == "InChannel":
                 replica = decode_description(document)
-                original = (replica.peer_id, replica.stream_id)
-                expected._file_replica(doc_id, original, (replica.replica_peer_id, replica.replica_stream_id))
+                replicas.setdefault((replica.peer_id, replica.stream_id), {})[doc_id] = (
+                    replica.replica_peer_id, replica.replica_stream_id)
         problems = []
         if misfiled:
             problems.append(f"terms: {len(misfiled)} documents filed under terms their walk does not find, "
                             f"first {misfiled[:5]}")
-        for name in ("descriptions", "by_probe", "replica_map", "replica_keys"):
-            wanted, actual = getattr(expected, f"_{name}"), getattr(self, f"_{name}")
-            if wanted != actual:
-                missing = wanted.keys() - actual.keys()
-                extra = actual.keys() - wanted.keys()
-                differing = sorted(key for key in wanted.keys() & actual.keys() if wanted[key] != actual[key])[:5]
-                problems.append(
-                    f"{name}: {len(missing)} missing, {len(extra)} stale, "
-                    f"first differing keys {differing}"
-                )
+        if replicas != self._replica_map:
+            missing = replicas.keys() - self._replica_map.keys()
+            extra = self._replica_map.keys() - replicas.keys()
+            differing = sorted(key for key in replicas.keys() & self._replica_map.keys()
+                               if replicas[key] != self._replica_map[key])[:5]
+            problems.append(f"replica_map: {len(missing)} missing, {len(extra)} stale, "
+                            f"first differing keys {differing}")
         return problems
-
-    # -- index maintenance --------------------------------------------------------------
-
-    def _file(self, doc_id: str, description: StreamDescription) -> None:
-        self._descriptions[doc_id] = description
-        operator, operands = description.operator, description.operands
-        if operator == OPERATOR_NAMES[PUBLISH]:
-            return
-        # the probe key of ReuseEngine._match_node -- a membership-driven
-        # source has an operand, so no alerter probe reads it -- inline, not
-        # a helper: every publication passes here, reuse on or off
-        key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
-        self._by_probe.setdefault(key, set()).add(doc_id)
-        self.reuse_version += 1
-        if key in self.watched:
-            self.watched[key] = self.reuse_version
-
-    def _file_replica(self, doc_id: str, original: tuple[str, str], replica: tuple[str, str]) -> None:
-        self._replica_map.setdefault(original, {})[doc_id] = replica
-        self._replica_keys[doc_id] = original
-
-    def _deindex_document(self, doc_id: str) -> str | None:
-        """Forget ``doc_id``'s filing; returns the peer that published it
-        (None when it was not filed)."""
-        description = self._descriptions.pop(doc_id, None)
-        if description is not None:
-            operator, operands = description.operator, description.operands
-            if operator != OPERATOR_NAMES[PUBLISH]:
-                # the key and stamp of ``_file``, inline for the same reason: every cancel passes here
-                key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
-                bucket = self._by_probe[key]
-                bucket.discard(doc_id)
-                if not bucket:
-                    del self._by_probe[key]
-                self.reuse_version += 1
-                if key in self.watched:
-                    self.watched[key] = self.reuse_version
-            return description.peer_id
-        original = self._replica_keys.pop(doc_id, None)
-        if original is None:
-            return None
-        providers = self._replica_map.get(original, {})
-        replica = providers.pop(doc_id, None)
-        if not providers:
-            self._replica_map.pop(original, None)
-        return replica[0] if replica is not None else None
 
 
 def decode_description(document: Element) -> StreamDescription | ReplicaDescription:

@@ -378,11 +378,11 @@ def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
     index.publish(original, "X")
     stored = index.ring.get("doc:X")
     # the index keeps the published object itself: no copy is made
-    assert stored is original is index._doc_replicas["X"] is index.document("X")
+    assert stored is original is index.records["X"] is index.document("X")
     assert index.fail_peer(index.ring.lookup("doc:X").node_id) >= 1
     # the mirror puts that same object back on the new home
     restored = index.document("X")
-    assert restored is original is index._doc_replicas["X"]
+    assert restored is original is index.records["X"]
     assert index.query("/Stream[@PeerId = 'p1']") == [("X", original)]
 
 

@@ -51,34 +51,30 @@ def frozen_replica_element(peer_id: str, stream_id: str, replica_peer_id: str, r
     return Element.fast_new("InChannel", attrib, [])
 
 
-def assert_documents_render_as_before(db: StreamDefinitionDatabase, routed: bool = False) -> int:
+def assert_documents_render_as_before(db: StreamDefinitionDatabase) -> int:
     """Every document KadoP holds renders byte for byte as the frozen code
-    built it from the database's own record, is stored as a record and is
-    filed under the terms of that rendering; returns how many documents were
-    checked.  A ``routed`` record crossed the wire as its rendering: KadoP
-    holds one decoded from it, equal to the database's, not the same object."""
+    built it from the record KadoP keeps, is stored as a record and is filed
+    under the terms of that rendering; returns how many documents were
+    checked.  A routed record crossed the wire as its rendering, and KadoP
+    holds the one decoded from it: the same checks hold."""
     index = db.index
     filed = index.filed_terms()
     doc_ids = index.document_ids
     for doc_id in doc_ids:
-        description = db._descriptions.get(doc_id)
-        if description is not None:
-            record: object = description
-            frozen = frozen_stream_element(description)
+        record = index.records[doc_id]
+        if type(record) is StreamDescription:
+            frozen = frozen_stream_element(record)
         else:
-            original = db._replica_keys[doc_id]
-            replica = db._replica_map[original][doc_id]
-            record = ReplicaDescription(*original, *replica)
-            frozen = frozen_replica_element(*original, *replica)
+            assert type(record) is ReplicaDescription, doc_id
+            frozen = frozen_replica_element(record.peer_id, record.stream_id,
+                                            record.replica_peer_id, record.replica_stream_id)
         rendered = index.document(doc_id)
         assert to_xml(rendered) == to_xml(frozen), doc_id
-        assert record.terms() == KadopIndex._terms_of_document(frozen), doc_id  # type: ignore[attr-defined]
+        assert record.terms() == KadopIndex._terms_of_document(frozen), doc_id
         assert filed[doc_id] == KadopIndex._terms_of_document(rendered), doc_id
-        stored = index._doc_replicas[doc_id]
         # a record, no term set beside it, a fresh Element per read
-        assert stored == record and type(stored) is not Element, doc_id
+        assert index.ring.get(f"doc:{doc_id}") is record, doc_id
         assert doc_id not in index._doc_terms and index.document(doc_id) is not rendered
-        assert routed or description is None or stored is description
     assert db.verify_index_coherence() == []
     assert_lookups_equal_the_oracle(db)
     return len(doc_ids)
@@ -111,7 +107,7 @@ def test_a_republished_record_replaces_the_first():
     # the same stream, republished over another operand: KadoP holds the new record alone
     second = dataclasses.replace(first, operands=(("b.com", "outCOM"),))
     assert db.publish_stream(second) == doc_id
-    assert db.index._doc_replicas[doc_id] is second and db._descriptions[doc_id] is second
+    assert db.index.records[doc_id] is second and db.all_stream_descriptions() == [second]
     assert db.index.filed_terms()[doc_id] == second.terms() != filed
     assert db.find_operator_streams(first.operator, first.spec, [("a.com", "outCOM")]) == []
     assert db.find_operator_streams(first.operator, first.spec, [("b.com", "outCOM")]) == [second]
@@ -161,8 +157,7 @@ def test_catalog_scenario(systems, name: str, failure_mode: str):
     result = scenario.run()
     assert result.ok, [inv for inv in result.invariants if not inv.ok]
     (system,) = systems
-    routed = scenario.reliable_control  # lossy-control-plane routes its publications
-    assert assert_documents_render_as_before(system.stream_db, routed) > 0
+    assert assert_documents_render_as_before(system.stream_db) > 0
 
 
 #: (messages, bytes, RPC calls) a seed-0 run sent over the reliable control
@@ -200,4 +195,4 @@ def test_catalog_scenario_over_the_reliable_control_plane(systems, name: str, fa
     (system,) = systems
     stats = system.network.stats
     assert (stats.total_messages, stats.total_bytes, stats.rpc_calls) == RELIABLE_CONTROL_TOTALS[name, failure_mode]
-    assert assert_documents_render_as_before(system.stream_db, routed=True) > 0
+    assert assert_documents_render_as_before(system.stream_db) > 0

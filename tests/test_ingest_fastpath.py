@@ -179,7 +179,8 @@ class TestIndexedStreamDatabase:
         db = StreamDefinitionDatabase()
         db.publish_node(alerter(), "a.com", "outCOM", [])
         assert db.verify_index_coherence() == []
-        db._descriptions.clear()  # simulate a desynchronised index
+        postings = db.index.ring.storage_for("term:tag:Stats")
+        postings["term:tag:Stats"].clear()  # simulate a posting that lost its document
         assert db.verify_index_coherence() != []
 
     def test_stream_description_is_slotted(self):

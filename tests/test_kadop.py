@@ -56,7 +56,7 @@ class TestPublication:
         index.publish(source, "d")
         # the published object belongs to the index: ring entry, mirror and
         # query results are that object
-        assert index.document("d") is source is index._doc_replicas["d"]
+        assert index.document("d") is source is index.records["d"]
         assert index.query("/Stream[@PeerId = 'p']") == [("d", source)]
         # a new version is a new publication under the same id
         index.publish(parse_xml("<Stream PeerId='q'/>"), "d")

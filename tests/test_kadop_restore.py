@@ -24,11 +24,11 @@ class PerTermRestore(KadopIndex):
         restored = 0
         for key in lost:
             if key == _DOCS_KEY:
-                self.ring.put(_DOCS_KEY, set(self._doc_replicas))
+                self.ring.put(_DOCS_KEY, set(self.records))
                 restored += 1
             elif key.startswith("doc:"):
                 doc_id = key[len("doc:"):]
-                document = self._doc_replicas.get(doc_id)
+                document = self.records.get(doc_id)
                 if document is not None:
                     self.ring.put(key, document)
                     restored += 1

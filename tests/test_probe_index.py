@@ -1,17 +1,16 @@
-"""One index keyed by the reuse probe, held to the two indexes it replaced.
+"""The match probes read KadoP, held to the probe-keyed database they replaced.
 
-The Stream Definition Database files each ``<Stream>`` description once,
-under the key of the one Section-5 probe that reads it: ``(peer, alerter
-kind)`` without operands, ``(operator, sorted operands, spec)`` with; a
-Publisher output answers no probe and is not filed.  ``TwoIndexDatabase``
-is a frozen copy of the filing it replaced, which filed every description
-by ``(operator, operands)`` and by ``(peer, operator)`` and stamped both
-keys.  Generated publish / republish / retract / replica / peer-failure
-sequences drive both; after every step each probe-shaped query,
-``reuse_version`` and ``watched`` agree.  The one difference is the
-membership-driven source, an alerter kind over the membership stream: the
-old filing answered the alerter probe ``(peer, kind)`` with it, and stamped
-that key for it.
+``find_alerter_streams`` and ``find_operator_streams`` are exact-term
+lookups over KadoP's postings (``KadopIndex.lookup``); the database keeps no
+description of its own.  ``ProbeKeyedDatabase`` is a frozen, standalone
+copy of the database that filed each ``<Stream>`` in memory under the one
+probe key that reads it -- ``(peer, alerter kind)`` without operands,
+``(operator, sorted operands, spec)`` with; a Publisher output was not
+filed -- and answered every probe from that filing, with KadoP a write-behind
+replica.  Generated publish / republish / retract / replica / peer-failure /
+rejoin sequences drive both; after every step each probe answers the same in
+the same order, and ``reuse_version``, ``watched``, ``find_replicas``,
+``all_stream_descriptions()`` and KadoP's ``document_ids`` agree.
 """
 
 from hypothesis import given, settings
@@ -19,65 +18,89 @@ from hypothesis import strategies as st
 
 from repro.dht import KadopIndex
 from repro.monitor import StreamDefinitionDatabase
-from repro.monitor.stream_db import StreamDescription
+from repro.monitor.stream_db import ReplicaDescription, StreamDescription
 
 
-class TwoIndexDatabase(StreamDefinitionDatabase):
-    """The filing before the probe-keyed index, frozen."""
+class ProbeKeyedDatabase:
+    """The Stream Definition Database with its own probe-keyed filing, frozen."""
 
-    def __init__(self, index=None):
-        super().__init__(index)
-        self._by_operator = {}
-        self._by_alerter = {}
+    def __init__(self, index):
+        self.index = index
+        self._descriptions = {}
+        self._by_probe = {}
+        self._replica_map = {}
+        self._replica_keys = {}
+        self.reuse_version = 0
+        self.watched = {}
+
+    def publish_stream(self, description):
+        doc_id = f"stream:{description.stream_id}@{description.peer_id}"
+        self.index.publish(description, doc_id)
+        if doc_id in self._descriptions:
+            self._deindex_document(doc_id)
+        self._file(doc_id, description)
+        return doc_id
+
+    def publish_replica(self, peer_id, stream_id, replica_peer_id, replica_stream_id):
+        doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
+        self.index.publish(ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id), doc_id)
+        if doc_id in self._replica_keys:
+            self._deindex_document(doc_id)
+        self._replica_map.setdefault((peer_id, stream_id), {})[doc_id] = (replica_peer_id, replica_stream_id)
+        self._replica_keys[doc_id] = (peer_id, stream_id)
+        return doc_id
+
+    def retract(self, doc_id):
+        self._deindex_document(doc_id)
+        return self.index.unpublish(doc_id)
 
     def find_alerter_streams(self, peer_id, alerter_kind):
-        doc_ids = self._by_alerter.get((peer_id, alerter_kind), ())
+        doc_ids = self._by_probe.get((peer_id, alerter_kind), ())
         return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
 
     def find_operator_streams(self, operator, spec, operands):
-        doc_ids = self._by_operator.get((operator, tuple(sorted(operands))), ())
-        found = [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
-        if spec:
-            found = [description for description in found if description.spec == spec]
-        return found
+        doc_ids = self._by_probe.get((operator, tuple(sorted(operands)), spec), ())
+        return [self._descriptions[doc_id] for doc_id in sorted(doc_ids)]
+
+    def find_replicas(self, peer_id, stream_id):
+        providers = self._replica_map.get((peer_id, stream_id), {})
+        return [providers[doc_id] for doc_id in sorted(providers)]
+
+    def all_stream_descriptions(self):
+        return [self._descriptions[doc_id] for doc_id in sorted(self._descriptions)]
 
     def _file(self, doc_id, description):
         self._descriptions[doc_id] = description
-        operator_key = (description.operator, tuple(sorted(description.operands)))
-        alerter_key = (description.peer_id, description.operator)
-        self._by_operator.setdefault(operator_key, set()).add(doc_id)
-        self._by_alerter.setdefault(alerter_key, set()).add(doc_id)
-        if description.operator != "Publisher":
-            self.reuse_version += 1
-            for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
-                if key in self.watched:
-                    self.watched[key] = self.reuse_version
+        operator, operands = description.operator, description.operands
+        if operator == "Publisher":
+            return
+        key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
+        self._by_probe.setdefault(key, set()).add(doc_id)
+        self.reuse_version += 1
+        if key in self.watched:
+            self.watched[key] = self.reuse_version
 
     def _deindex_document(self, doc_id):
         description = self._descriptions.pop(doc_id, None)
         if description is not None:
-            operator_key = (description.operator, tuple(sorted(description.operands)))
-            alerter_key = (description.peer_id, description.operator)
-            for filing, key in ((self._by_operator, operator_key), (self._by_alerter, alerter_key)):
-                bucket = filing.get(key)
-                if bucket is not None:
-                    bucket.discard(doc_id)
-                    if not bucket:
-                        del filing[key]
-            if description.operator != "Publisher":
+            operator, operands = description.operator, description.operands
+            if operator != "Publisher":
+                key = (operator, tuple(sorted(operands)), description.spec) if operands else (description.peer_id, operator)
+                bucket = self._by_probe[key]
+                bucket.discard(doc_id)
+                if not bucket:
+                    del self._by_probe[key]
                 self.reuse_version += 1
-                for key in (alerter_key, (description.operator, operator_key[1], description.spec)):
-                    if key in self.watched:
-                        self.watched[key] = self.reuse_version
-            return description.peer_id
+                if key in self.watched:
+                    self.watched[key] = self.reuse_version
+            return
         original = self._replica_keys.pop(doc_id, None)
         if original is None:
-            return None
+            return
         providers = self._replica_map.get(original, {})
-        replica = providers.pop(doc_id, None)
+        providers.pop(doc_id, None)
         if not providers:
             self._replica_map.pop(original, None)
-        return replica[0] if replica is not None else None
 
 
 PEERS = ("a.com", "b.com")
@@ -136,11 +159,11 @@ def probe_key(description):
     return description.peer_id, description.operator
 
 
-def make_database(cls):
+def make_index():
     index = KadopIndex()
     for node in RING:
         index.join_peer(node)
-    return cls(index)
+    return index
 
 
 def step(db, action, argument, down):
@@ -166,51 +189,39 @@ def step(db, action, argument, down):
     return None
 
 
-def assert_probes_agree(db, frozen, dynamic_keys):
+def assert_probes_agree(db, frozen):
     assert db.verify_index_coherence() == []
     assert db.all_stream_descriptions() == frozen.all_stream_descriptions()
     assert db.index.document_ids == frozen.index.document_ids
     assert db.reuse_version == frozen.reuse_version
+    assert db.watched == frozen.watched
     for description in DESCRIPTIONS:
-        key = probe_key(description)
-        if key is None:
-            # no probe asks for a Publisher output, and the index holds none
-            assert db.find_operator_streams("Publisher", description.spec, list(description.operands)) == []
-        elif description.operands:
-            args = (description.operator, description.spec, list(description.operands))
-            assert db.find_operator_streams(*args) == frozen.find_operator_streams(*args)
+        operator, spec, operands = description.operator, description.spec, list(description.operands)
+        if operands:
+            assert db.find_operator_streams(operator, spec, operands) == frozen.find_operator_streams(
+                operator, spec, operands
+            )
         else:
-            found = frozen.find_alerter_streams(*key)
-            # the exception: the old filing answered with membership-driven sources too
-            assert db.find_alerter_streams(*key) == [d for d in found if not d.operands]
+            assert db.find_alerter_streams(description.peer_id, operator) == frozen.find_alerter_streams(
+                description.peer_id, operator
+            )
         assert db.find_replicas(description.peer_id, description.stream_id) == frozen.find_replicas(
             description.peer_id, description.stream_id
         )
-    assert db.watched.keys() == frozen.watched.keys()
-    for key, stamp in db.watched.items():
-        if key in dynamic_keys:  # the old filing stamped it for a membership-driven source too
-            assert stamp <= frozen.watched[key]
-        else:
-            assert stamp == frozen.watched[key], key
 
 
 @settings(max_examples=80, deadline=None)
 @given(STEPS)
-def test_the_probe_index_answers_every_probe_as_the_two_indexes_did(steps):
-    db, frozen = make_database(StreamDefinitionDatabase), make_database(TwoIndexDatabase)
+def test_the_kadop_probes_answer_as_the_probe_keyed_filing_did(steps):
+    db, frozen = StreamDefinitionDatabase(make_index()), ProbeKeyedDatabase(make_index())
     down: set[str] = set()
-    dynamic_keys: set[tuple] = set()
     for action, argument in steps:
         assert step(db, action, argument, down) == step(frozen, action, argument, down)
         if action == "fail":
             down.add(argument)
         elif action == "join":
             down.discard(argument)
-        elif action in ("publish", "retract"):
-            description = DESCRIPTIONS[argument]
-            if description.operands and description.operator in KINDS:
-                dynamic_keys.add((description.peer_id, description.operator))
-        assert_probes_agree(db, frozen, dynamic_keys)
+        assert_probes_agree(db, frozen)
 
 
 def test_each_filing_stamps_the_one_key_its_probe_reads():
@@ -229,3 +240,39 @@ def test_each_filing_stamps_the_one_key_its_probe_reads():
     assert db.reuse_version == 2 and db.find_operator_streams(
         "Publisher", publisher.spec, list(publisher.operands)
     ) == []
+
+
+def test_a_probe_routes_one_lookup_per_term():
+    db = StreamDefinitionDatabase(make_index())
+    for description in DESCRIPTIONS:
+        db.publish_stream(description)
+    ring = db.index.ring
+    for description in DESCRIPTIONS:
+        before = ring.lookup_count
+        if description.operands:
+            db.find_operator_streams(description.operator, description.spec, list(description.operands))
+            terms = 1 + len(description.operands)
+        else:
+            db.find_alerter_streams(description.peer_id, description.operator)
+            terms = 2
+        # a Publisher output answers no probe, and its probe routes nothing
+        assert ring.lookup_count - before == (0 if description.operator == "Publisher" else terms)
+
+
+def test_a_record_written_straight_into_kadop_is_found_and_retracted_from_its_peer():
+    db = StreamDefinitionDatabase(make_index())
+    join = DESCRIPTIONS[11]
+    db.index.publish(join, "written-elsewhere")
+    assert db.find_operator_streams(join.operator, join.spec, list(reversed(join.operands))) == [join]
+    assert db.all_stream_descriptions() == [join]
+    retracted = []
+
+    class Recording:
+        def retract_document(self, doc_id, owner):
+            retracted.append((doc_id, owner))
+            return db.index.unpublish(doc_id)
+
+    db.router = Recording()
+    assert db.retract("written-elsewhere")
+    assert retracted == [("written-elsewhere", join.peer_id)]
+    assert db.find_operator_streams(join.operator, join.spec, list(join.operands)) == []

@@ -141,16 +141,17 @@ class TestStreamDefinitionDatabase:
         db.publish_replica("a.com", "outCOM", "cache.com", "copy")
         assert (db.streams_published, db.replicas_published) == (1, 1)
 
-    def test_coherence_check_sees_a_stale_replica_key(self):
+    def test_coherence_check_sees_a_stale_replica_map_entry(self):
         db = StreamDefinitionDatabase()
         db.publish_replica("a.com", "s1", "cache.com", "s1-copy")
         assert db.verify_index_coherence() == []
-        db._replica_keys["replica:gone@cache.com"] = ("a.com", "s1")
+        db._replica_map[("a.com", "gone")] = {"replica:gone@cache.com": ("cache.com", "gone")}
         assert db.verify_index_coherence() == [
-            "replica_keys: 0 missing, 1 stale, first differing keys []"
+            "replica_map: 0 missing, 1 stale, first differing keys []"
         ]
-        db._replica_keys["replica:s1-copy@cache.com"] = ("b.com", "s1")
-        assert db.verify_index_coherence()[0].endswith("['replica:s1-copy@cache.com']")
+        del db._replica_map[("a.com", "gone")]
+        db._replica_map[("a.com", "s1")]["replica:s1-copy@cache.com"] = ("cache.com", "elsewhere")
+        assert db.verify_index_coherence()[0].endswith("[('a.com', 's1')]")
 
 
 class TestOptimizer:

@@ -79,7 +79,7 @@ def test_skeleton_plus_id_terms_is_the_walk(kind, operands, is_channel):
     assert description.terms() == KadopIndex._terms_of_document(description.to_element())
     doc_id = db.publish_stream(description)
     # KadoP keeps the record, and no term set of its own for it
-    assert db.index._doc_replicas[doc_id] is description and doc_id not in db.index._doc_terms
+    assert db.index.records[doc_id] is description and doc_id not in db.index._doc_terms
     assert db.index.filed_terms()[doc_id] == KadopIndex._terms_of_document(db.index.document(doc_id))
     assert db.index.document(doc_id) == description.to_element()
     assert_filed_under_the_walk(db)
@@ -162,7 +162,7 @@ def test_documents_routed_over_rpc_are_stored_as_records_and_filed_under_the_wal
     assert len(arrived) >= 5
     for doc_id, document in arrived.items():
         # the index keeps the record decoded from the envelope's child, which renders it
-        assert type(system.kadop._doc_replicas[doc_id]) is not Element and doc_id not in system.kadop._doc_terms
+        assert type(system.kadop.records[doc_id]) is not Element and doc_id not in system.kadop._doc_terms
         assert to_xml(system.kadop.document(doc_id)) == to_xml(document)
     assert_filed_under_the_walk(system.stream_db)
     assert_lookups_equal_the_oracle(system.stream_db)
