@@ -7,8 +7,9 @@ does not grow with the ring.
 
 Counted, not timed: every number below is read from the ring's own
 ``lookup_count`` / ``total_hops`` accounts.
-(``find_alerter_streams`` answers from the in-memory indexes and routes
-nothing; the routed path is the publication and the Section-5 XPath query.)
+(The publication and the Section-5 XPath query are routed; so is
+``find_alerter_streams``, two exact-term lookups over the same postings,
+whose lookups fall outside every counted cost.)
 """
 
 import math
@@ -76,7 +77,7 @@ def test_routing_cost_is_logarithmic_and_a_stream_costs_the_same_on_every_ring(n
     assert 0 < counters["query_hops_per_lookup"] <= math.log2(n_peers)
     # one lookup for the document, one for the catalogue, one per term: constant in n
     assert counters["lookups_per_stream"] == 12.0
-    # the routed query finds what the in-memory indexes answer without routing
+    # the routed XPath query finds what the exact-term probe finds
     assert counters["query_results"] == counters["indexed_results"] > 0
     # no central bottleneck: many peers hold part of the database
     assert counters["peers_storing_data"] > n_peers // 4

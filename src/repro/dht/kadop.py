@@ -245,7 +245,7 @@ class KadopIndex:
     def lookup(self, terms: list[str]) -> list[object]:
         """The records (from :attr:`records`, in doc-id order) listed under every one of ``terms``,
         whose postings are routed in one batch and intersected up to the first missing or empty
-        one: uncached, and unverified, for an exact term needs no structural check."""
+        one: uncached and unverified (an exact term needs no structural check)."""
         keys = [f"term:{term}" for term in terms]
         found: set[str] | None = None
         for key, home in zip(keys, self.ring._route(keys, None, None)):

@@ -1,10 +1,10 @@
 """The subscription-ingestion fast path (PR 5).
 
-Differential coverage: the indexed StreamDefinitionDatabase must return
-byte-identical match sets to the XPath-query oracle under publish / retract /
-replica / failure churn, ``submit_many`` must be observationally equivalent
-to sequential ``submit``, and the reuse signature cache must never serve a
-stale rewrite.
+Differential coverage: the StreamDefinitionDatabase's term-lookup probes
+must return byte-identical match sets to the XPath-query oracle under
+publish / retract / replica / failure churn, ``submit_many`` must be
+observationally equivalent to sequential ``submit``, and the reuse signature
+cache must never serve a stale rewrite.
 """
 
 import pytest

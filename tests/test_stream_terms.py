@@ -5,7 +5,7 @@ it renders: ``StreamDescription.terms`` works the terms naming no peer,
 stream or spec out once per ``(operator, is_channel, has operands)`` and adds
 the spec and id terms per record.  The walk (``KadopIndex._terms_of_document``)
 stays the oracle the postings are held to, here and in
-``verify_index_coherence``; the indexed lookups are held to the XPath
+``verify_index_coherence``; the term-lookup probes are held to the XPath
 ``find_*_oracle`` queries.
 """
 
