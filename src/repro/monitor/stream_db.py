@@ -373,19 +373,32 @@ class StreamDefinitionDatabase:
     def verify_index_coherence(self) -> list[str]:
         """Compare KadoP's postings and the replica map with KadoP's documents.
 
-        Walks each document KadoP renders for the terms its postings must
-        list (so a term skeleton that drifts from its documents shows), and
-        rebuilds the replica map from the ``<InChannel>`` documents; returns
-        a list of human-readable discrepancies -- empty when both agree.
-        Exercised by the differential tests and the nightly chaos soak after
+        Holds the doc ids of the catalogue, of the postings and of the
+        restore mirror to one another, reports a catalogued document the
+        ring no longer returns, walks each document KadoP renders for the
+        terms its postings must list (so a term skeleton that drifts from
+        its documents shows), and rebuilds the replica map from the
+        ``<InChannel>`` documents; returns a list of human-readable
+        discrepancies -- empty when all agree.  Exercised by the
+        differential tests and the nightly chaos soak after
         publish/retract/failure churn.
         """
         filed = self.index.filed_terms()
+        catalogue = self.index.document_ids
+        # views, not copies: the check runs over a live system's whole index
+        sources = {"catalogue": set(catalogue), "postings": filed.keys(), "records": self.index.records.keys()}
+        problems = []
+        for name, listed in sources.items():
+            unlisted = sorted({doc_id for ids in sources.values() for doc_id in ids if doc_id not in listed})
+            if unlisted:
+                problems.append(f"{name}: {len(unlisted)} doc ids missing that the others list, first {unlisted[:5]}")
+        lost: list[str] = []
         misfiled: list[str] = []
         replicas: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
-        for doc_id in self.index.document_ids:
+        for doc_id in catalogue:
             document = self.index.document(doc_id)
             if document is None:
+                lost.append(doc_id)
                 continue
             if filed.get(doc_id) != KadopIndex._terms_of_document(document):
                 misfiled.append(doc_id)
@@ -393,7 +406,8 @@ class StreamDefinitionDatabase:
                 replica = decode_description(document)
                 replicas.setdefault((replica.peer_id, replica.stream_id), {})[doc_id] = (
                     replica.replica_peer_id, replica.replica_stream_id)
-        problems = []
+        if lost:
+            problems.append(f"documents: {len(lost)} catalogued documents the ring does not return, first {lost[:5]}")
         if misfiled:
             problems.append(f"terms: {len(misfiled)} documents filed under terms their walk does not find, "
                             f"first {misfiled[:5]}")

@@ -12,7 +12,7 @@ stays the oracle the postings are held to, here and in
 import pytest
 
 from repro.algebra.plan import ALERTER, DISTINCT, FILTER, GROUP, JOIN, PUBLISH, RESTRUCTURE, UNION, PlanNode
-from repro.dht import KadopIndex
+from repro.dht import ChordRing, KadopIndex
 from repro.filtering import FilterSubscription, SimpleCondition
 from repro.monitor import P2PMSystem, StreamDefinitionDatabase, stream_db
 from repro.xmlmodel import to_xml
@@ -170,3 +170,47 @@ def test_documents_routed_over_rpc_are_stored_as_records_and_filed_under_the_wal
         handle.cancel()
     system.run()
     assert system.kadop.document_ids == [] and system.stream_db.verify_index_coherence() == []
+
+
+def _eight_node_database() -> StreamDefinitionDatabase:
+    ring = ChordRing()
+    for i in range(8):
+        ring.join(f"storage{i}")
+    db = StreamDefinitionDatabase(KadopIndex(ring))
+    source = alerter()
+    db.publish_node(source, "a.com", "outCOM", [])
+    db.publish_node(publishing_nodes()[FILTER], "a.com", "f1", [("a.com", "outCOM")])
+    db.publish_replica("a.com", "f1", "cache.com", "copy")
+    assert db.verify_index_coherence() == []
+    return db
+
+
+def test_a_document_lost_from_its_home_is_reported():
+    db = _eight_node_database()
+    node = publishing_nodes()[FILTER]
+    doc_id = "stream:f1@a.com"
+    key = f"doc:{doc_id}"
+    db.index.ring.storage_for(key).pop(key)
+    # the probe still answers from the mirror: only the check sees the loss
+    assert [r.stream_id for r in db.find_operator_streams("Filter", stream_db.operator_spec(node), [("a.com", "outCOM")])] == ["f1"]
+    assert db.verify_index_coherence() == [
+        f"documents: 1 catalogued documents the ring does not return, first ['{doc_id}']"
+    ]
+
+
+def test_a_posting_naming_an_unpublished_document_is_reported():
+    db = _eight_node_database()
+    key = "term:tag:Stream"
+    db.index.ring.storage_for(key)[key].add("ghost")
+    assert db.verify_index_coherence() == [
+        "catalogue: 1 doc ids missing that the others list, first ['ghost']",
+        "records: 1 doc ids missing that the others list, first ['ghost']",
+    ]
+
+
+def test_a_catalogued_document_missing_from_the_mirror_is_reported():
+    db = _eight_node_database()
+    del db.index.records["stream:outCOM@a.com"]
+    assert db.verify_index_coherence() == [
+        "records: 1 doc ids missing that the others list, first ['stream:outCOM@a.com']"
+    ]
