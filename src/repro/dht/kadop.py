@@ -45,8 +45,8 @@ MembershipListener = Callable[[MembershipEvent], None]
 
 _DOCS_KEY = "__all_documents__"
 
-#: Bound on the per-query caches; generated queries embed peer/stream ids, so
-#: a long churny run could otherwise grow them without limit.
+#: Bound on the query-result cache; generated queries embed peer/stream ids, so
+#: a long churny run could otherwise grow it without limit.
 _QUERY_CACHE_LIMIT = 4096
 
 
@@ -63,9 +63,6 @@ class KadopIndex:
         #: mutation of the document store (publish, unpublish, failure-time
         #: key restoration) invalidates it wholesale
         self._query_cache: dict[str, list[tuple[str, Element]]] = {}
-        #: per-query term derivation -- depends only on the query text, so it
-        #: survives document-store mutations
-        self._query_terms: dict[str, frozenset[str]] = {}
         self.query_cache_hits = 0
         self.query_cache_misses = 0
         #: replica store of every published document, keyed by doc id.  KadoP
@@ -324,12 +321,7 @@ class KadopIndex:
         return terms
 
     def _candidate_doc_ids(self, path: XPath) -> set[str]:
-        terms = self._query_terms.get(path.expression)
-        if terms is None:
-            terms = frozenset(_terms_of_query(path))
-            if len(self._query_terms) >= _QUERY_CACHE_LIMIT:
-                self._query_terms.clear()
-            self._query_terms[path.expression] = terms
+        terms = _terms_of_query(path)
         if not terms:
             catalogue = self.ring.get(_DOCS_KEY)
             return set(catalogue) if isinstance(catalogue, set) else set()
