@@ -4,19 +4,17 @@ KadoP [3] lets "all the peers ... participate in the storage and indexing of
 the Stream Definition Database" and supports discovering streams "even when
 millions of streams have been declared by tens of thousands of peers".
 
-The index stores whole XML documents (stream descriptions) in the DHT and
-maintains postings lists from *terms* -- element tags and (tag, attribute,
-value) triples -- to document identifiers.  A tree-pattern query is answered
-by intersecting the postings of the terms it mentions and then verifying the
-full XPath on the candidate documents, mirroring how KadoP narrows down
-candidates before structural verification.
-
-It is where the Stream Definition Database (``repro.monitor.stream_db``)
-keeps its descriptions: it stores the database's records, renders a
-document when it is read, and answers the Reuse algorithm's probes with
-:meth:`KadopIndex.lookup`, a routed exact-term intersection that needs no
-structural verification.  A write routes all its keys in one batch and
-touches each posting once.
+The index stores the Stream Definition Database's (``repro.monitor.stream_db``)
+description records in the DHT, each rendering its XML document when it is
+read, and maintains postings lists from *terms* -- element tags and (tag,
+attribute, value) triples, which a record derives without rendering -- to
+document identifiers.  A tree-pattern query is answered by intersecting the
+postings of the terms it mentions and then verifying the full XPath on the
+candidate documents, mirroring how KadoP narrows down candidates before
+structural verification.  The Reuse algorithm's probes use
+:meth:`KadopIndex.lookup` instead, a routed exact-term intersection that
+needs no structural verification.  A write routes all its keys in one batch
+and touches each posting once.
 """
 
 from __future__ import annotations
@@ -51,13 +49,12 @@ _QUERY_CACHE_LIMIT = 4096
 
 
 class KadopIndex:
-    """The Stream Definition Database's DHT store: publish XML descriptions, look them up by term or XPath."""
+    """The Stream Definition Database's DHT store: publish description records, look them up by term or XPath."""
 
     def __init__(self, ring: ChordRing | None = None) -> None:
         self.ring = ring if ring is not None else ChordRing()
         if len(self.ring) == 0:
             self.ring.join("kadop-seed")
-        self._doc_count = 0
         self._membership_listeners: list[MembershipListener] = []
         #: query-result cache keyed on the canonical query string; any
         #: mutation of the document store (publish, unpublish, failure-time
@@ -65,16 +62,12 @@ class KadopIndex:
         self._query_cache: dict[str, list[tuple[str, Element]]] = {}
         self.query_cache_hits = 0
         self.query_cache_misses = 0
-        #: replica store of every published document, keyed by doc id.  KadoP
+        #: replica store of every published record, keyed by doc id.  KadoP
         #: replicates index entries across peers; we model that as a full
         #: mirror from which keys lost to an abrupt node failure are restored,
         #: and from which :meth:`lookup` and the Stream Definition Database
-        #: read a document's record without routing to its home.
+        #: read a record without routing to its home.
         self.records: dict[str, object] = {}
-        #: an Element document's terms, given or walked once at publish time
-        #: (a record derives its own): unpublish and failure-time
-        #: re-replication reuse them instead of re-walking the tree
-        self._doc_terms: dict[str, frozenset[str]] = {}
         self.keys_restored = 0
         # ensure the catalogue of all doc ids exists
         if self.ring.get(_DOCS_KEY) is None:
@@ -129,8 +122,8 @@ class KadopIndex:
         # the lost terms' postings in one pass; a term no document has any more stays gone
         lost_terms = {key[len("term:"):] for key in lost if key.startswith("term:")}
         if lost_terms:
-            for doc_id, document in self.records.items():
-                for term in self._terms(doc_id, document) & lost_terms:
+            for doc_id, record in self.records.items():
+                for term in record.terms() & lost_terms:  # type: ignore[attr-defined]
                     restored.setdefault(f"term:{term}", set()).add(doc_id)  # type: ignore[attr-defined]
         for key, home in zip(restored, self.ring._route(list(restored), None, None)):
             home.storage[key] = restored[key]
@@ -146,63 +139,43 @@ class KadopIndex:
 
     # -- publication ---------------------------------------------------------------
 
-    def publish(self, document: object, doc_id: str | None = None, terms: frozenset[str] | None = None) -> str:
-        """Index ``document`` and return its identifier.
+    def publish(self, record: object, doc_id: str) -> None:
+        """Index ``record`` under ``doc_id``.
 
-        ``document`` -- an Element, or a record whose ``to_element()`` renders
-        one and whose ``terms()`` are what :meth:`_terms_of_document` finds
-        there -- is stored itself, uncopied, and belongs to the index from
-        then on: to change it, publish a new one under its ``doc_id``, whose
-        lost terms' postings are withdrawn.  Given ``terms`` (exactly what
-        the walk would find), an Element is not walked.  All ``2 + T`` keys
-        are routed in one batch; each posting is one ``set.add``."""
-        if doc_id is None:
-            self._doc_count += 1
-            doc_id = f"doc{self._doc_count}"
-        filed: frozenset[str]
-        if type(document) is not Element:
-            filed = document.terms()  # type: ignore[attr-defined]
-        else:
-            filed = terms if terms is not None else frozenset(self._terms_of_document(document))  # type: ignore[arg-type]
+        ``record`` -- a description whose ``to_element()`` renders its
+        document and whose ``terms()`` are what :meth:`_terms_of_document`
+        finds there -- is stored itself, uncopied, and belongs to the index
+        from then on: to change it, publish a new one under its ``doc_id``,
+        whose lost terms' postings are withdrawn.  All ``2 + T`` keys are
+        routed in one batch; each posting is one ``set.add``."""
+        filed = record.terms()  # type: ignore[attr-defined]
         keys = [f"doc:{doc_id}", _DOCS_KEY, *[f"term:{term}" for term in filed]]
         homes = self.ring._route(keys, None, None)  # the document's home, then one per posting
-        homes[0].storage[keys[0]] = document
-        # a republish: the terms only the version being replaced had
+        homes[0].storage[keys[0]] = record
         previous = self.records.get(doc_id)
-        stale = self._terms(doc_id, previous) - filed if previous is not None else None
-        if type(document) is Element:
-            self._doc_terms[doc_id] = filed
-        elif type(previous) is Element:
-            del self._doc_terms[doc_id]
-        self.records[doc_id] = document
+        self.records[doc_id] = record
         for key, home in zip(keys[1:], homes[1:]):
             try:
                 home.storage[key].add(doc_id)  # type: ignore[attr-defined]
             except KeyError:
                 home.storage[key] = {doc_id}
-        if stale:
-            self._drop_postings([f"term:{term}" for term in stale], doc_id)
+        if previous is not None:  # a republish: the terms only the version being replaced had
+            stale = previous.terms() - filed  # type: ignore[attr-defined]
+            if stale:
+                self._drop_postings([f"term:{term}" for term in stale], doc_id)
         self._query_cache.clear()
-        return doc_id
 
     def unpublish(self, doc_id: str) -> bool:
         """Remove a document from the index.  Returns False when unknown.
         One visit reads and removes the document, then one routed batch withdraws its postings."""
         key = f"doc:{doc_id}"
-        document = self.ring.storage_for(key).pop(key, None)  # read and remove in the one visit
-        if document is None:
+        record = self.ring.storage_for(key).pop(key, None)  # read and remove in the one visit
+        if record is None:
             return False
-        if type(document) is Element:
-            terms = self._doc_terms.pop(doc_id, frozenset())
-        else:
-            terms = document.terms()  # type: ignore[attr-defined]
-        self._drop_postings([f"term:{term}" for term in terms] + [_DOCS_KEY], doc_id)
+        self._drop_postings([f"term:{term}" for term in record.terms()] + [_DOCS_KEY], doc_id)  # type: ignore[attr-defined]
         self.records.pop(doc_id, None)
         self._query_cache.clear()
         return True
-
-    def _terms(self, doc_id: str, document: object) -> frozenset[str]:
-        return self._doc_terms[doc_id] if type(document) is Element else document.terms()  # type: ignore[attr-defined]
 
     def _drop_postings(self, keys: list[str], doc_id: str) -> None:
         """Withdraw ``doc_id`` from the sets under ``keys``, routed in one batch; emptied term sets go."""
@@ -216,11 +189,9 @@ class KadopIndex:
                 del home.storage[key]
 
     def document(self, doc_id: str) -> Element | None:
-        """``doc_id``'s document (None if unknown): a record renders a fresh one per read."""
-        document = self.ring.get(f"doc:{doc_id}")
-        if document is None or isinstance(document, Element):
-            return document
-        return document.to_element()  # type: ignore[attr-defined, no-any-return]
+        """``doc_id``'s document (None if unknown), rendered afresh by its record per read."""
+        record = self.ring.get(f"doc:{doc_id}")
+        return None if record is None else record.to_element()  # type: ignore[attr-defined, no-any-return]
 
     def filed_terms(self) -> dict[str, set[str]]:
         """Doc id -> the terms whose postings list it, read off the ring's storage unrouted."""
@@ -309,6 +280,7 @@ class KadopIndex:
 
     @staticmethod
     def _terms_of_document(document: Element) -> set[str]:
+        """The terms a walk of ``document`` finds: what a record's ``terms()`` must equal on its rendering."""
         terms: set[str] = set()
         stack = [document]
         while stack:

@@ -11,8 +11,9 @@ control operation: the op either lands or the caller gets a typed
 
 The index object itself stays shared in-process (the simulation's stand-in
 for KadoP's replicated storage); what the router adds is the *message
-round-trip* and its failure modes.  The payload is the description's
-rendering; KadoP stores the record decoded from it, as it does unrouted.
+round-trip* and its failure modes.  The router is handed the description
+record and renders it only as the RPC payload; the home peer stores the
+record decoded from that payload.
 Operations issued by a peer that is not currently alive (teardown of a
 dead incarnation) fall back to a direct local mutation -- bookkeeping for
 state the failure already invalidated.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.monitor.stream_db import decode_description
+from repro.monitor.stream_db import ReplicaDescription, StreamDescription, decode_description
 from repro.net.errors import RpcError
 from repro.xmlmodel.tree import Element
 
@@ -108,27 +109,25 @@ class ControlPlaneRouter:
 
     # -- StreamDefinitionDatabase router protocol --------------------------- #
 
-    def publish_document(self, description: Element, doc_id: str) -> None:
-        """Publish via RPC from the owning peer to the document's home.
+    def publish_document(self, record: StreamDescription | ReplicaDescription, doc_id: str, owner: str) -> None:
+        """Publish ``record`` via RPC from ``owner``, the peer it describes
+        as its provider, to the document's home.
 
         An :class:`RpcError` propagates to the caller (a failed publication
         must fail the deployment, not silently skip the advertisement); the
-        direct fallback only covers documents whose owner is not a live
-        network peer (seed data, tests publishing out-of-band).
+        direct fallback, which stores ``record`` itself, only covers
+        documents whose owner is not a live network peer (seed data, tests
+        publishing out-of-band).
         """
-        if description.tag == "InChannel":
-            owner = description.attrib["ReplicaPeerId"]
-        else:
-            owner = description.attrib["PeerId"]
         via = self._via_peer(owner)
         home = self._home_peer(doc_id)
         if via is None or home is None:
-            self.system.kadop.publish(decode_description(description), doc_id)
+            self.system.kadop.publish(record, doc_id)
             return
         via.rpc.call_sync(
             home,
             RPC_KADOP_PUBLISH,
-            Element("publish", {"docId": doc_id}, [description]),
+            Element("publish", {"docId": doc_id}, [record.to_element()]),
         )
 
     def retract_document(self, doc_id: str, owner: str | None) -> bool:

@@ -169,7 +169,7 @@ class StreamDefinitionDatabase:
         #: optional control-plane router (reliable mode): publications and
         #: retractions travel as RPCs to the document's DHT home peer instead
         #: of mutating the index in place -- must expose
-        #: ``publish_document(description, doc_id)`` and
+        #: ``publish_document(record, doc_id, owner)`` and
         #: ``retract_document(doc_id, owner) -> bool``, ``owner`` being the
         #: publishing peer (None when KadoP holds no record of the document)
         self.router = None
@@ -236,14 +236,14 @@ class StreamDefinitionDatabase:
         self.replicas_published += 1
         return doc_id
 
-    def _publish(self, document: StreamDescription | ReplicaDescription, doc_id: str, owner: str) -> None:
-        """Write ``document`` to KadoP -- over the router as its rendering, the
-        RPC payload; a routed write that raised may have landed: withdraw it."""
+    def _publish(self, record: StreamDescription | ReplicaDescription, doc_id: str, owner: str) -> None:
+        """Write ``record`` to KadoP, over the router from ``owner`` when there
+        is one; a routed write that raised may have landed: withdraw it."""
         if self.router is None:
-            self.index.publish(document, doc_id)
+            self.index.publish(record, doc_id)
             return
         try:
-            self.router.publish_document(document.to_element(), doc_id)
+            self.router.publish_document(record, doc_id, owner)
         except Exception:
             self._withdraw(doc_id, owner)
             raise
@@ -265,7 +265,7 @@ class StreamDefinitionDatabase:
             if type(record) is StreamDescription:
                 self._stamp(record)
                 owner = record.peer_id
-            elif type(record) is ReplicaDescription:
+            else:
                 self._unmap_replica(doc_id, record)
                 owner = record.replica_peer_id
         return self._withdraw(doc_id, owner)

@@ -72,9 +72,9 @@ def assert_documents_render_as_before(db: StreamDefinitionDatabase) -> int:
         assert to_xml(rendered) == to_xml(frozen), doc_id
         assert record.terms() == KadopIndex._terms_of_document(frozen), doc_id
         assert filed[doc_id] == KadopIndex._terms_of_document(rendered), doc_id
-        # a record, no term set beside it, a fresh Element per read
+        # a record, a fresh Element per read
         assert index.ring.get(f"doc:{doc_id}") is record, doc_id
-        assert doc_id not in index._doc_terms and index.document(doc_id) is not rendered
+        assert index.document(doc_id) is not rendered
     assert db.verify_index_coherence() == []
     assert_lookups_equal_the_oracle(db)
     return len(doc_ids)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dht import ChordRing, KadopIndex
-from repro.xmlmodel import parse_xml
+from repro.monitor.stream_db import StreamDescription
 
 
 def make_ring(n: int = 8) -> ChordRing:
@@ -69,12 +69,8 @@ class TestChordFailure:
         assert ring.membership_log == [("join", "a"), ("join", "b"), ("fail", "a")]
 
 
-def description(peer: str, stream: str, operator: str) -> str:
-    return (
-        f'<Stream PeerId="{peer}" StreamId="{stream}" isAChannel="true">'
-        f"<Operator><{operator}/></Operator><Operands/>"
-        f"<Stats avgVolume='1'/></Stream>"
-    )
+def description(peer: str, stream: str, operator: str) -> StreamDescription:
+    return StreamDescription(peer, stream, True, operator, "", ())
 
 
 class TestKadopFailure:
@@ -84,9 +80,9 @@ class TestKadopFailure:
         for i in range(8):
             ring.join(f"storage{i}")
         index = KadopIndex(ring)
-        index.publish(parse_xml(description("p1", "s1", "inCom")), "d1")
-        index.publish(parse_xml(description("p2", "s2", "outCom")), "d2")
-        index.publish(parse_xml(description("p3", "s3", "inCom")), "d3")
+        index.publish(description("p1", "s1", "inCom"), "d1")
+        index.publish(description("p2", "s2", "outCom"), "d2")
+        index.publish(description("p3", "s3", "inCom"), "d3")
         return index
 
     def test_all_documents_survive_any_single_failure(self, index):
@@ -110,7 +106,7 @@ class TestKadopFailure:
         index.fail_peer(victim)
         # the re-replicated advertisement can still be retracted and replaced
         assert index.unpublish("d2") is True
-        index.publish(parse_xml(description("p2", "s2-v2", "outCom")), "d2")
+        index.publish(description("p2", "s2-v2", "outCom"), "d2")
         matches = {doc_id for doc_id, _ in index.query("/Stream[Operator/outCom]")}
         assert matches == {"d2"}
         docs = dict(index.query("/Stream[Operator/outCom]"))

@@ -3,18 +3,27 @@
 import pytest
 
 from repro.dht import ChordRing, KadopIndex
-from repro.dht.kadop import MembershipEvent, _terms_of_query
+from repro.dht.kadop import _DOCS_KEY, MembershipEvent, _terms_of_query
+from repro.monitor.stream_db import StreamDescription, decode_description
 from repro.xmlmodel import XPath, parse_xml
 
 
-def stream_description(peer: str, stream: str, operator_xml: str, operands: str = "") -> str:
-    return (
+def stream_description(peer: str, stream: str, operator_xml: str, operands: str = "") -> StreamDescription:
+    """The record of the ``<Stream>`` document these arguments spell."""
+    return decode_description(parse_xml(
         f'<Stream PeerId="{peer}" StreamId="{stream}" isAChannel="true">'
         f"<Operator>{operator_xml}</Operator>"
         f"<Operands>{operands}</Operands>"
-        f"<Stats avgVolume='10'/>"
         f"</Stream>"
-    )
+    ))
+
+
+def ring_storage(index: KadopIndex) -> dict[str, dict[str, object]]:
+    """Every node's storage, its posting sets copied."""
+    return {
+        node.node_id: {key: set(value) if isinstance(value, set) else value for key, value in node.storage.items()}
+        for node in index.ring.nodes()
+    }
 
 
 @pytest.fixture
@@ -23,45 +32,44 @@ def index() -> KadopIndex:
     for i in range(8):
         ring.join(f"storage{i}")
     idx = KadopIndex(ring)
-    idx.publish(parse_xml(stream_description("p1", "s1", "<inCom/>")), "d1")
-    idx.publish(parse_xml(stream_description("p2", "s2", "<outCom/>")), "d2")
-    idx.publish(
-        parse_xml(
-            stream_description(
-                "p1",
-                "s3",
-                "<Filter/>",
-                '<Operand OPeerId="p1" OStreamId="s1"/>',
-            )
-        ),
-        "d3",
-    )
+    idx.publish(stream_description("p1", "s1", "<inCom/>"), "d1")
+    idx.publish(stream_description("p2", "s2", "<outCom/>"), "d2")
+    idx.publish(stream_description("p1", "s3", "<Filter/>", '<Operand OPeerId="p1" OStreamId="s1"/>'), "d3")
     return idx
 
 
 class TestPublication:
-    def test_publish_assigns_ids(self):
-        index = KadopIndex()
-        doc_id = index.publish(parse_xml("<Stream PeerId='p'/>"))
-        assert doc_id == "doc1"
-        assert index.document(doc_id) is not None
-        assert index.document_ids == ["doc1"]
-
     def test_document_lookup_missing(self, index):
         assert index.document("ghost") is None
 
-    def test_published_document_is_stored_uncopied(self):
+    def test_published_record_is_stored_uncopied(self):
         index = KadopIndex()
-        source = parse_xml("<Stream PeerId='p'/>")
+        source = stream_description("p", "s", "<inCom/>")
         index.publish(source, "d")
-        # the published object belongs to the index: ring entry, mirror and
-        # query results are that object
-        assert index.document("d") is source is index.records["d"]
-        assert index.query("/Stream[@PeerId = 'p']") == [("d", source)]
+        # the published record belongs to the index: ring entry and mirror
+        # are that object, and every read renders a fresh document of it
+        assert index.ring.get("doc:d") is source is index.records["d"]
+        assert index.document("d") == source.to_element() and index.document("d") is not index.document("d")
+        assert index.query("/Stream[@PeerId = 'p']") == [("d", source.to_element())]
         # a new version is a new publication under the same id
-        index.publish(parse_xml("<Stream PeerId='q'/>"), "d")
+        index.publish(stream_description("q", "s", "<inCom/>"), "d")
         assert index.document("d").attrib["PeerId"] == "q"
         assert index.query("/Stream[@PeerId = 'p']") == []
+
+    def test_an_element_is_refused_before_anything_is_routed_or_stored(self, index):
+        storage = ring_storage(index)
+        records, catalogue = dict(index.records), set(index.ring.get(_DOCS_KEY))
+        lookups = index.ring.lookup_count
+        element = parse_xml(
+            '<Stream PeerId="p1" StreamId="raw" isAChannel="true">'
+            '<Operator><inCom spec="x"/></Operator><Operands/></Stream>'
+        )
+        with pytest.raises(AttributeError):
+            index.publish(element, "raw")
+        assert index.ring.lookup_count == lookups
+        assert ring_storage(index) == storage
+        assert index.records == records and index.ring.get(_DOCS_KEY) == catalogue
+        assert index.lookup(["tag:inCom", "attr:Stream@PeerId=p1"]) == [records["d1"]]
 
     def test_unpublish(self, index):
         assert index.unpublish("d1")

@@ -39,6 +39,10 @@ def stream(operator_xml: str, operands: str = "") -> str:
     )
 
 
+def record(operator_xml: str, operands: str = ""):
+    return decode_description(parse_xml(stream(operator_xml, operands)))
+
+
 def alerter_node(peer: str) -> PlanNode:
     return PlanNode(ALERTER, {"alerter": "outCOM", "peer": peer, "var": "c"}, placement=peer)
 
@@ -47,8 +51,8 @@ class TestRepublish:
     def test_republish_withdraws_the_terms_the_new_version_lost(self):
         index = make_index()
         baseline = ring_keys(index).keys()
-        index.publish(parse_xml(stream('<Filter spec="aaa"/>')), "X")
-        index.publish(parse_xml(stream('<Join spec="bbb"/>')), "X")
+        index.publish(record('<Filter spec="aaa"/>'), "X")
+        index.publish(record('<Join spec="bbb"/>'), "X")
         postings = term_postings(index)
         assert "term:tag:Filter" not in postings
         assert "term:attr:Filter@spec=aaa" not in postings
@@ -60,9 +64,9 @@ class TestRepublish:
 
     def test_republish_keeps_postings_other_documents_still_need(self):
         index = make_index()
-        index.publish(parse_xml(stream('<Filter spec="aaa"/>')), "X")
-        index.publish(parse_xml(stream('<Filter spec="aaa"/>')), "Y")
-        index.publish(parse_xml(stream('<Join spec="bbb"/>')), "X")
+        index.publish(record('<Filter spec="aaa"/>'), "X")
+        index.publish(record('<Filter spec="aaa"/>'), "Y")
+        index.publish(record('<Join spec="bbb"/>'), "X")
         postings = term_postings(index)
         assert postings["term:tag:Filter"] == {"Y"}
         assert postings["term:attr:Filter@spec=aaa"] == {"Y"}
@@ -71,8 +75,8 @@ class TestRepublish:
     def test_publish_stream_twice_with_different_operands(self):
         db = StreamDefinitionDatabase(make_index())
         baseline = ring_keys(db.index).keys()
-        first = decode_description(parse_xml(stream("<Union/>", '<Operand OPeerId="a" OStreamId="s1"/>')))
-        second = decode_description(parse_xml(stream("<Union/>", '<Operand OPeerId="b" OStreamId="s2"/>')))
+        first = record("<Union/>", '<Operand OPeerId="a" OStreamId="s1"/>')
+        second = record("<Union/>", '<Operand OPeerId="b" OStreamId="s2"/>')
         doc_id = db.publish_stream(first)
         assert db.publish_stream(second) == doc_id
         postings = term_postings(db.index)
@@ -140,6 +144,6 @@ class TestEmptyPostingKeys:
 
     def test_restore_does_not_resurrect_an_empty_posting_set(self):
         index = make_index()
-        index.publish(parse_xml(stream("<Union/>")), "X")
+        index.publish(record("<Union/>"), "X")
         assert index._restore_keys(["term:tag:Nobody", "term:tag:Union"]) == 1
         assert "term:tag:Nobody" not in ring_keys(index)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht import ChordRing, KadopIndex
 from repro.dht.kadop import _DOCS_KEY
-from repro.xmlmodel import parse_xml
+from repro.monitor.stream_db import StreamDescription
 
 
 class PerTermRestore(KadopIndex):
@@ -35,7 +35,7 @@ class PerTermRestore(KadopIndex):
             elif key.startswith("term:"):
                 term = key[len("term:"):]
                 postings = {
-                    doc_id for doc_id, terms in self._doc_terms.items() if term in terms
+                    doc_id for doc_id, record in self.records.items() if term in record.terms()
                 }
                 if postings:  # a term no document has any more stays gone
                     self.ring.put(key, postings)
@@ -43,11 +43,8 @@ class PerTermRestore(KadopIndex):
         return restored
 
 
-def _document(peer: int, stream: int, operator: str, spec: int):
-    return parse_xml(
-        f'<Stream PeerId="p{peer}" StreamId="s{stream}">'
-        f'<Operator><{operator} spec="{spec}"/></Operator><Operands/></Stream>'
-    )
+def _document(peer: int, stream: int, operator: str, spec: int) -> StreamDescription:
+    return StreamDescription(f"p{peer}", f"s{stream}", False, operator, str(spec), ())
 
 
 def _indexes(peers: int) -> tuple[KadopIndex, KadopIndex]:
@@ -91,20 +88,19 @@ DOCUMENTS = st.builds(
 def test_restores_what_the_per_term_rebuild_restored(peers, script):
     batched, frozen = _indexes(peers)
     joined = peers
-    for action, number, document, given_terms in script:
+    for action, number, document, fullest in script:
         doc_id = f"d{number}"  # a publish under a known id is a republish
         for index in (batched, frozen):
             if action == "publish":
-                terms = frozenset(KadopIndex._terms_of_document(document)) if given_terms else None
-                index.publish(document, doc_id, terms)
+                index.publish(document, doc_id)
             elif action == "unpublish":
                 index.unpublish(doc_id)
             elif action == "join":
                 index.join_peer(f"node{joined}")
             else:
                 members = index.ring.node_ids
-                fullest = max(index.ring.nodes(), key=lambda node: len(node.storage)).node_id
-                index.fail_peer(fullest if given_terms else members[number % len(members)])
+                victim = max(index.ring.nodes(), key=lambda node: len(node.storage)).node_id
+                index.fail_peer(victim if fullest else members[number % len(members)])
         joined += action == "join"
         assert _state(batched) == _state(frozen)
     assert batched.document_ids == frozen.document_ids

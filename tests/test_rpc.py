@@ -11,6 +11,7 @@ import pytest
 
 from repro.algebra.plan import ALERTER, EXISTING, PlanNode
 from repro.monitor import P2PMSystem
+from repro.monitor.stream_db import StreamDescription
 from repro.net.errors import CircuitOpen, RpcError, RpcRemoteError, RpcTimeout
 from repro.net.faults import FaultModel
 from repro.net.peer import Peer
@@ -276,9 +277,9 @@ class TestFailedPublication:
         publish = router.publish_document
         calls = []
 
-        def lands_then_times_out(description, doc_id):
+        def lands_then_times_out(record, doc_id, owner):
             calls.append(doc_id)
-            publish(description, doc_id)
+            publish(record, doc_id, owner)
             if len(calls) == failing_call:
                 raise RpcTimeout("home", "kadop.publish", 3)
 
@@ -312,11 +313,10 @@ class TestFailedPublication:
         router = system.stream_db.router
         publish = router.publish_document
 
-        def publisher_times_out(description, doc_id):
-            operator = description.find("Operator")
-            if operator is not None and operator.find("Publisher") is not None:
+        def publisher_times_out(record, doc_id, owner):
+            if getattr(record, "operator", None) == "Publisher":
                 raise RpcTimeout("home", "kadop.publish", 3)
-            publish(description, doc_id)
+            publish(record, doc_id, owner)
 
         router.publish_document = publisher_times_out
         text = self.TEXT.replace("return $c;", 'return $c by publish as channel "X";')
@@ -361,6 +361,38 @@ class TestRetractionOwner:
         assert calls.count((owner, "kadop.retract")) == published
         assert [call for call in calls if call[0] != owner] == []
         assert system.kadop.document_ids == [] and db.verify_index_coherence() == []
+
+
+class TestRoutedRecord:
+    """``ControlPlaneRouter.publish_document`` is handed the record and its
+    owner: unrouted, KadoP keeps that very record; routed, it crosses the
+    wire as its rendering and the home peer keeps the record decoded from
+    it, equal to the one handed over."""
+
+    def test_the_fallback_stores_the_record_and_the_routed_path_an_equal_one(self):
+        system = P2PMSystem(seed=5, reliable_control=True)
+        for peer_id in ("s0", "m1"):
+            system.add_peer(peer_id)
+        router, kadop = system.stream_db.router, system.kadop
+        calls = []
+        for peer_id in ("s0", "m1"):
+            rpc = system.peer(peer_id).rpc
+
+            def recording(destination, method, params=None, _call=rpc.call_sync):
+                calls.append(method)
+                return _call(destination, method, params)
+
+            rpc.call_sync = recording
+        offline = StreamDescription("gone.com", "out", True, "outCOM", "x", ())
+        router.publish_document(offline, "stream:out@gone.com", "gone.com")  # the owner is no live peer
+        assert calls == []
+        assert kadop.records["stream:out@gone.com"] is offline is kadop.ring.get("doc:stream:out@gone.com")
+        routed = StreamDescription("m1", "f", True, "Filter", "y", (("s0", "out"),))
+        doc_id = next(f"stream:f{n}@m1" for n in range(64) if router._home_peer(f"stream:f{n}@m1") is not None)
+        router.publish_document(routed, doc_id, "m1")
+        assert calls == ["kadop.publish"]
+        stored = kadop.records[doc_id]
+        assert stored == routed and stored is not routed and kadop.ring.get(f"doc:{doc_id}") is stored
 
 
 class TestReliableCancel:

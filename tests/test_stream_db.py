@@ -123,7 +123,7 @@ class TestStreamDefinitionDatabase:
 
     def test_a_publication_the_router_refuses_is_not_counted(self):
         class Refusing:
-            def publish_document(self, description, doc_id):
+            def publish_document(self, record, doc_id, owner):
                 raise RpcTimeout("home", "kadop.publish", 3)
 
             def retract_document(self, doc_id, owner):

@@ -78,8 +78,8 @@ def test_skeleton_plus_id_terms_is_the_walk(kind, operands, is_channel):
     description = db.describe_node(publishing_nodes()[kind], "m.com", "s", OPERANDS[operands], is_channel)
     assert description.terms() == KadopIndex._terms_of_document(description.to_element())
     doc_id = db.publish_stream(description)
-    # KadoP keeps the record, and no term set of its own for it
-    assert db.index.records[doc_id] is description and doc_id not in db.index._doc_terms
+    # KadoP keeps the record itself
+    assert db.index.records[doc_id] is description
     assert db.index.filed_terms()[doc_id] == KadopIndex._terms_of_document(db.index.document(doc_id))
     assert db.index.document(doc_id) == description.to_element()
     assert_filed_under_the_walk(db)
@@ -162,7 +162,7 @@ def test_documents_routed_over_rpc_are_stored_as_records_and_filed_under_the_wal
     assert len(arrived) >= 5
     for doc_id, document in arrived.items():
         # the index keeps the record decoded from the envelope's child, which renders it
-        assert type(system.kadop.records[doc_id]) is not Element and doc_id not in system.kadop._doc_terms
+        assert type(system.kadop.records[doc_id]) is not Element
         assert to_xml(system.kadop.document(doc_id)) == to_xml(document)
     assert_filed_under_the_walk(system.stream_db)
     assert_lookups_equal_the_oracle(system.stream_db)
@@ -192,7 +192,8 @@ def test_a_document_lost_from_its_home_is_reported():
     key = f"doc:{doc_id}"
     db.index.ring.storage_for(key).pop(key)
     # the probe still answers from the mirror: only the check sees the loss
-    assert [r.stream_id for r in db.find_operator_streams("Filter", stream_db.operator_spec(node), [("a.com", "outCOM")])] == ["f1"]
+    found = db.find_operator_streams("Filter", stream_db.operator_spec(node), [("a.com", "outCOM")])
+    assert [record.stream_id for record in found] == ["f1"]
     assert db.verify_index_coherence() == [
         f"documents: 1 catalogued documents the ring does not return, first ['{doc_id}']"
     ]
