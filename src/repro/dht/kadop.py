@@ -155,10 +155,16 @@ class KadopIndex:
         previous = self.records.get(doc_id)
         self.records[doc_id] = record
         for key, home in zip(keys[1:], homes[1:]):
+            storage = home.storage
             try:
-                home.storage[key].add(doc_id)  # type: ignore[attr-defined]
+                postings = storage[key]
             except KeyError:
-                home.storage[key] = {doc_id}
+                storage[key] = doc_id  # a bare id until the posting's second document
+                continue
+            if postings.__class__ is not str:
+                postings.add(doc_id)  # type: ignore[attr-defined]
+            elif postings != doc_id:
+                storage[key] = {postings, doc_id}
         if previous is not None:  # a republish: the terms only the version being replaced had
             stale = previous.terms() - filed  # type: ignore[attr-defined]
             if stale:
@@ -184,9 +190,12 @@ class KadopIndex:
                 postings = home.storage[key]
             except KeyError:
                 continue
-            postings.discard(doc_id)  # type: ignore[attr-defined]
-            if not postings and key != _DOCS_KEY:
+            if postings == doc_id:  # a bare id, this document's
                 del home.storage[key]
+            elif postings.__class__ is not str:
+                postings.discard(doc_id)  # type: ignore[attr-defined]
+                if not postings and key != _DOCS_KEY:
+                    del home.storage[key]
 
     def document(self, doc_id: str) -> Element | None:
         """``doc_id``'s document (None if unknown), rendered afresh by its record per read."""
@@ -199,7 +208,7 @@ class KadopIndex:
         for node in self.ring.nodes():
             for key, postings in node.storage.items():
                 if key.startswith("term:"):
-                    for doc_id in postings:  # type: ignore[attr-defined]
+                    for doc_id in (postings,) if postings.__class__ is str else postings:  # type: ignore[attr-defined]
                         filed.setdefault(doc_id, set()).add(key[len("term:"):])
         return filed
 
@@ -220,6 +229,7 @@ class KadopIndex:
             postings = home.storage.get(key)
             if not postings:
                 return []
+            postings = {postings} if postings.__class__ is str else postings
             found = postings if found is None else found & postings  # type: ignore[assignment, operator]
         return [self.records[doc_id] for doc_id in sorted(found)]  # type: ignore[arg-type]
 
@@ -276,7 +286,7 @@ class KadopIndex:
 
     def _postings(self, term: str) -> set[str]:
         postings = self.ring.get(f"term:{term}")
-        return set(postings) if isinstance(postings, set) else set()
+        return {postings} if postings.__class__ is str else set(postings or ())  # type: ignore[arg-type, call-overload]
 
     @staticmethod
     def _terms_of_document(document: Element) -> set[str]:

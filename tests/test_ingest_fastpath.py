@@ -180,7 +180,7 @@ class TestIndexedStreamDatabase:
         db.publish_node(alerter(), "a.com", "outCOM", [])
         assert db.verify_index_coherence() == []
         postings = db.index.ring.storage_for("term:tag:Stats")
-        postings["term:tag:Stats"].clear()  # simulate a posting that lost its document
+        postings["term:tag:Stats"] = set()  # simulate a posting that lost its document
         assert db.verify_index_coherence() != []
 
     def test_stream_description_is_slotted(self):

@@ -5,13 +5,18 @@
 * ``unpublish`` emptied posting sets but never removed them, so every
   ``term:attr:Stream@StreamId=...`` key outlived its stream.
 
-Every test in this file fails at the parent.
+Every test of those two classes fails at the parent.  The last section
+holds bare-id postings (a posting is its one doc id until its second
+document) to a frozen copy of the set-only index.
 """
+
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra.plan import ALERTER, PlanNode
 from repro.dht import ChordRing, KadopIndex, chord
+from repro.dht.kadop import _DOCS_KEY
 from repro.monitor import StreamDefinitionDatabase
-from repro.monitor.stream_db import decode_description
+from repro.monitor.stream_db import StreamDescription, decode_description
 from repro.xmlmodel import parse_xml
 
 
@@ -29,7 +34,11 @@ def ring_keys(index: KadopIndex) -> dict[str, object]:
 
 
 def term_postings(index: KadopIndex) -> dict[str, set[str]]:
-    return {key: value for key, value in ring_keys(index).items() if key.startswith("term:")}
+    """Term key -> the doc ids its posting lists (a bare id until its second document)."""
+    return {
+        key: {value} if isinstance(value, str) else value
+        for key, value in ring_keys(index).items() if key.startswith("term:")
+    }
 
 
 def stream(operator_xml: str, operands: str = "") -> str:
@@ -133,7 +142,7 @@ class TestEmptyPostingKeys:
         ]
         assert all(db.retract(doc_id) for doc_id in doc_ids[:30])
         victim = max(index.ring.nodes(), key=lambda node: len(node.storage)).node_id
-        before = {key: value for key, value in ring_keys(index).items() if key.startswith("term:")}
+        before = term_postings(index)
         assert index.fail_peer(victim) > 0
         assert term_postings(index) == before  # restored as they were, nothing resurrected
         assert all(term_postings(index).values())
@@ -147,3 +156,161 @@ class TestEmptyPostingKeys:
         index.publish(record("<Union/>"), "X")
         assert index._restore_keys(["term:tag:Nobody", "term:tag:Union"]) == 1
         assert "term:tag:Nobody" not in ring_keys(index)
+
+
+# -- bare-id postings against a frozen set-only copy ---------------------------------------------
+
+
+class SetPostings(KadopIndex):
+    """The index as it was before a posting held a bare id: every posting a
+    set from its first document on, and every reader taking a set."""
+
+    def publish(self, record, doc_id):
+        filed = record.terms()
+        keys = [f"doc:{doc_id}", _DOCS_KEY, *[f"term:{term}" for term in filed]]
+        homes = self.ring._route(keys, None, None)
+        homes[0].storage[keys[0]] = record
+        previous = self.records.get(doc_id)
+        self.records[doc_id] = record
+        for key, home in zip(keys[1:], homes[1:]):
+            try:
+                home.storage[key].add(doc_id)
+            except KeyError:
+                home.storage[key] = {doc_id}
+        if previous is not None:
+            stale = previous.terms() - filed
+            if stale:
+                self._drop_postings([f"term:{term}" for term in stale], doc_id)
+        self._query_cache.clear()
+
+    def _drop_postings(self, keys, doc_id):
+        for key, home in zip(keys, self.ring._route(keys, None, None)):
+            try:
+                postings = home.storage[key]
+            except KeyError:
+                continue
+            postings.discard(doc_id)
+            if not postings and key != _DOCS_KEY:
+                del home.storage[key]
+
+    def _restore_keys(self, lost):
+        restored = {
+            key: self.records[key[len("doc:"):]]
+            for key in lost
+            if key.startswith("doc:") and key[len("doc:"):] in self.records
+        }
+        if _DOCS_KEY in lost:
+            restored[_DOCS_KEY] = set(self.records)
+        lost_terms = {key[len("term:"):] for key in lost if key.startswith("term:")}
+        if lost_terms:
+            for doc_id, record in self.records.items():
+                for term in record.terms() & lost_terms:
+                    restored.setdefault(f"term:{term}", set()).add(doc_id)
+        for key, home in zip(restored, self.ring._route(list(restored), None, None)):
+            home.storage[key] = restored[key]
+        return len(restored)
+
+    def filed_terms(self):
+        filed = {}
+        for node in self.ring.nodes():
+            for key, postings in node.storage.items():
+                if key.startswith("term:"):
+                    for doc_id in postings:
+                        filed.setdefault(doc_id, set()).add(key[len("term:"):])
+        return filed
+
+    def lookup(self, terms):
+        keys = [f"term:{term}" for term in terms]
+        found = None
+        for key, home in zip(keys, self.ring._route(keys, None, None)):
+            postings = home.storage.get(key)
+            if not postings:
+                return []
+            found = postings if found is None else found & postings
+        return [self.records[doc_id] for doc_id in sorted(found)]
+
+    def _postings(self, term):
+        postings = self.ring.get(f"term:{term}")
+        return set(postings) if isinstance(postings, set) else set()
+
+
+def _listed(index: KadopIndex) -> tuple:
+    """Per-node storage, each posting as the set of doc ids it lists, and the routing counts."""
+    storage = {
+        node.node_id: {key: {value} if isinstance(value, str) else value for key, value in node.storage.items()}
+        for node in index.ring.nodes()
+    }
+    return storage, index.records, index.keys_restored, index.ring.lookup_count, index.ring.total_hops
+
+
+#: a small vocabulary, so postings gain, share and lose documents
+BARE_RECORDS = st.builds(
+    StreamDescription,
+    st.sampled_from(["p0", "p1"]),
+    st.sampled_from(["s0", "s1", "s2"]),
+    st.booleans(),
+    st.sampled_from(["Filter", "Join", "outCOM"]),
+    st.sampled_from(["a", "b"]),
+    st.lists(st.tuples(st.sampled_from(["p0", "p1"]), st.sampled_from(["s0", "s1"])), max_size=2).map(tuple),
+)
+
+PROBES = (
+    ["tag:Stream"], ["tag:Filter", "attr:Stream@PeerId=p0"], ["attr:Join@spec=a", "attr:Operand@OStreamId=s1"],
+    ["attr:Stream@StreamId=s2"], ["tag:Operand", "attr:Operand@OPeerId=p1"],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    peers=st.integers(2, 8),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["publish", "publish", "publish", "unpublish", "join", "fail"]),
+            st.integers(0, 5),
+            BARE_RECORDS,
+        ),
+        max_size=40,
+    ),
+)
+def test_bare_id_postings_list_what_set_postings_list(peers, script):
+    pair = []
+    for kind in (KadopIndex, SetPostings):
+        pair.append(kind(make_index(peers).ring))
+    bare, frozen = pair
+    joined = peers
+    for action, number, description in script:
+        doc_id = f"d{number}"  # a publish under a known id is a republish
+        for index in pair:
+            if action == "publish":
+                index.publish(description, doc_id)
+            elif action == "unpublish":
+                index.unpublish(doc_id)
+            elif action == "join":
+                index.join_peer(f"storage{joined}")
+            else:
+                members = index.ring.node_ids
+                index.fail_peer(members[number % len(members)])
+        joined += action == "join"
+        assert _listed(bare) == _listed(frozen)
+    assert bare.filed_terms() == frozen.filed_terms()
+    assert bare.document_ids == frozen.document_ids
+    for terms in PROBES:
+        assert bare.lookup(terms) == frozen.lookup(terms)
+    for query in ("/Stream[Operator/Filter]", "/Stream[@PeerId = 'p1'][Operands/Operand]"):
+        assert bare.query(query) == frozen.query(query)
+    assert StreamDefinitionDatabase(bare).verify_index_coherence() == []
+
+
+def test_a_posting_is_a_bare_id_until_its_second_document():
+    index = make_index()
+    index.publish(record('<Filter spec="aaa"/>'), "X")
+    storage = ring_keys(index)
+    assert storage["term:attr:Filter@spec=aaa"] == "X"
+    assert storage["__all_documents__"] == {"X"}  # the catalogue is always a set
+    index.publish(record('<Filter spec="aaa"/>'), "X")  # a republish keeps it bare
+    assert ring_keys(index)["term:attr:Filter@spec=aaa"] == "X"
+    index.publish(record('<Filter spec="aaa"/>'), "Y")
+    assert ring_keys(index)["term:attr:Filter@spec=aaa"] == {"X", "Y"}
+    assert [doc_id for doc_id, _ in index.query("/Stream[Operator/Filter]")] == ["X", "Y"]
+    assert index.unpublish("X") and index.unpublish("Y")
+    assert "term:attr:Filter@spec=aaa" not in ring_keys(index)

@@ -58,8 +58,13 @@ def _indexes(peers: int) -> tuple[KadopIndex, KadopIndex]:
 
 
 def _state(index: KadopIndex) -> tuple:
+    """Per-node storage, a posting read as the doc ids it lists (a bare id until its second
+    document), with ``keys_restored`` and the lookup and hop counts."""
     ring = index.ring
-    storage = {node.node_id: node.storage for node in ring.nodes()}
+    storage = {
+        node.node_id: {key: {value} if isinstance(value, str) else value for key, value in node.storage.items()}
+        for node in ring.nodes()
+    }
     return storage, index.keys_restored, ring.lookup_count, ring.total_hops
 
 
