@@ -33,6 +33,7 @@ from repro.algebra.plan import (
     signature_detail,
 )
 from repro.dht.kadop import KadopIndex
+from repro.net.errors import PayloadError
 from repro.xmlmodel.tree import Element
 
 #: Operator element names used in stream descriptions, by plan-node kind.
@@ -424,22 +425,26 @@ class StreamDefinitionDatabase:
 def decode_description(document: Element) -> StreamDescription | ReplicaDescription:
     """The record of a ``<Stream>`` or ``<InChannel>`` document: what the
     oracle and the coherence check read off KadoP's renderings, and what
-    the control plane stores of a routed publication's payload."""
+    the control plane stores of a routed publication's payload.  A document
+    no record renders -- an id attribute, the ``<Operator>`` child or its
+    ``spec`` missing -- raises :class:`~repro.net.errors.PayloadError`."""
     attrib = document.attrib
-    if document.tag == "InChannel":
-        return ReplicaDescription(attrib["PeerId"], attrib["StreamId"], attrib["ReplicaPeerId"], attrib["ReplicaStreamId"])
+    try:
+        if document.tag == "InChannel":
+            return ReplicaDescription(attrib["PeerId"], attrib["StreamId"], attrib["ReplicaPeerId"], attrib["ReplicaStreamId"])
+        peer_id, stream_id = attrib["PeerId"], attrib["StreamId"]
+    except KeyError as error:
+        raise PayloadError(document.tag, error.args[0]) from None
     operator_element = document.find("Operator")
-    operator_child = operator_element.children[0] if operator_element and operator_element.children else None
+    if operator_element is None or not operator_element.children:
+        raise PayloadError(document.tag, "an Operator child")
+    operator_child = operator_element.children[0]
+    if "spec" not in operator_child.attrib:
+        raise PayloadError(document.tag, "spec")
     operands_element = document.find("Operands")
     operands = tuple(
         (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
         for operand in (operands_element.children if operands_element else [])
     )
-    return StreamDescription(
-        peer_id=attrib["PeerId"],
-        stream_id=attrib["StreamId"],
-        is_channel=attrib.get("isAChannel") == "true",
-        operator=operator_child.tag if operator_child is not None else "",
-        spec=operator_child.attrib.get("spec", "") if operator_child is not None else "",
-        operands=operands,
-    )
+    return StreamDescription(peer_id, stream_id, attrib.get("isAChannel") == "true",
+                             operator_child.tag, operator_child.attrib["spec"], operands)

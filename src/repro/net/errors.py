@@ -13,6 +13,14 @@ class UnknownChannelError(NetworkError):
     """Raised when subscribing to a channel that the peer does not publish."""
 
 
+class PayloadError(NetworkError):
+    """A control-plane payload no record renders, refused: ``missing`` names what it lacks."""
+
+    def __init__(self, tag: str, missing: str) -> None:
+        super().__init__(f"refused a <{tag}> payload without {missing}")
+        self.missing = missing
+
+
 class RpcError(NetworkError):
     """Base class for failures of the request/response RPC layer."""
 

@@ -22,11 +22,13 @@ from test_stream_terms import assert_lookups_equal_the_oracle, publishing_nodes
 from perf.harness import Cycle, PhaseClock, Tally
 from perf.workloads import WORKLOADS
 from repro.dht import KadopIndex
-from repro.monitor import StreamDefinitionDatabase
-from repro.monitor.stream_db import ReplicaDescription, StreamDescription
+from repro.monitor import P2PMSystem, StreamDefinitionDatabase
+from repro.monitor.control import RPC_KADOP_PUBLISH
+from repro.monitor.stream_db import ReplicaDescription, StreamDescription, decode_description
+from repro.net.errors import PayloadError, RpcRemoteError
 from repro.scenarios import chaos
 from repro.scenarios.catalog import make_scenario, scenario_names
-from repro.xmlmodel import to_xml
+from repro.xmlmodel import parse_xml, to_xml
 from repro.xmlmodel.tree import Element
 
 
@@ -196,3 +198,41 @@ def test_catalog_scenario_over_the_reliable_control_plane(systems, name: str, fa
     stats = system.network.stats
     assert (stats.total_messages, stats.total_bytes, stats.rpc_calls) == RELIABLE_CONTROL_TOTALS[name, failure_mode]
     assert assert_documents_render_as_before(system.stream_db) > 0
+
+
+# -- a payload no record renders is refused ------------------------------------------------------
+
+#: the payload of PR 50's FOUND line, then one per other thing a record cannot do without
+REFUSED = {
+    '<Stream PeerId="p" StreamId="s"><Operands/></Stream>': "an Operator child",
+    '<Stream PeerId="p" StreamId="s"><Operator/><Operands/></Stream>': "an Operator child",
+    '<Stream PeerId="p" StreamId="s"><Operator><Filter/></Operator><Operands/></Stream>': "spec",
+    '<Stream StreamId="s"><Operator><Filter spec="x"/></Operator><Operands/></Stream>': "PeerId",
+    '<Stream PeerId="p"><Operator><Filter spec="x"/></Operator><Operands/></Stream>': "StreamId",
+    '<InChannel PeerId="p" StreamId="s" ReplicaPeerId="r"/>': "ReplicaStreamId",
+}
+
+
+@pytest.mark.parametrize("payload", sorted(REFUSED))
+def test_decoding_refuses_what_no_record_renders(payload: str):
+    with pytest.raises(PayloadError) as refused:
+        decode_description(parse_xml(payload))
+    assert refused.value.missing == REFUSED[payload]
+
+
+def test_a_refused_payload_is_neither_stored_nor_routed():
+    system = P2PMSystem(seed=5, reliable_control=True)
+    for peer_id in ("s0", "m1"):
+        system.add_peer(peer_id)
+    kadop = system.kadop
+    doc_id = next(f"stream:s{n}@p" for n in range(64) if system.stream_db.router._home_peer(f"stream:s{n}@p"))
+    home = system.stream_db.router._home_peer(doc_id)
+    storage = {node.node_id: dict(node.storage) for node in kadop.ring.nodes()}
+    catalogue = set(kadop.document_ids)  # a routed read
+    lookups = kadop.ring.lookup_count
+    payload = parse_xml('<Stream PeerId="p" StreamId="s"><Operands/></Stream>')
+    with pytest.raises(RpcRemoteError, match="PayloadError"):
+        system.peer("m1").rpc.call_sync(home, RPC_KADOP_PUBLISH, Element("publish", {"docId": doc_id}, [payload]))
+    assert kadop.ring.lookup_count == lookups
+    assert {node.node_id: dict(node.storage) for node in kadop.ring.nodes()} == storage
+    assert kadop.records == {} and set(kadop.document_ids) == catalogue

@@ -32,9 +32,9 @@ def index() -> KadopIndex:
     for i in range(8):
         ring.join(f"storage{i}")
     idx = KadopIndex(ring)
-    idx.publish(stream_description("p1", "s1", "<inCom/>"), "d1")
-    idx.publish(stream_description("p2", "s2", "<outCom/>"), "d2")
-    idx.publish(stream_description("p1", "s3", "<Filter/>", '<Operand OPeerId="p1" OStreamId="s1"/>'), "d3")
+    idx.publish(stream_description("p1", "s1", '<inCom spec=""/>'), "d1")
+    idx.publish(stream_description("p2", "s2", '<outCom spec=""/>'), "d2")
+    idx.publish(stream_description("p1", "s3", '<Filter spec=""/>', '<Operand OPeerId="p1" OStreamId="s1"/>'), "d3")
     return idx
 
 
@@ -44,7 +44,7 @@ class TestPublication:
 
     def test_published_record_is_stored_uncopied(self):
         index = KadopIndex()
-        source = stream_description("p", "s", "<inCom/>")
+        source = stream_description("p", "s", '<inCom spec=""/>')
         index.publish(source, "d")
         # the published record belongs to the index: ring entry and mirror
         # are that object, and every read renders a fresh document of it
@@ -52,7 +52,7 @@ class TestPublication:
         assert index.document("d") == source.to_element() and index.document("d") is not index.document("d")
         assert index.query("/Stream[@PeerId = 'p']") == [("d", source.to_element())]
         # a new version is a new publication under the same id
-        index.publish(stream_description("q", "s", "<inCom/>"), "d")
+        index.publish(stream_description("q", "s", '<inCom spec=""/>'), "d")
         assert index.document("d").attrib["PeerId"] == "q"
         assert index.query("/Stream[@PeerId = 'p']") == []
 

@@ -84,8 +84,8 @@ class TestRepublish:
     def test_publish_stream_twice_with_different_operands(self):
         db = StreamDefinitionDatabase(make_index())
         baseline = ring_keys(db.index).keys()
-        first = record("<Union/>", '<Operand OPeerId="a" OStreamId="s1"/>')
-        second = record("<Union/>", '<Operand OPeerId="b" OStreamId="s2"/>')
+        first = record('<Union spec=""/>', '<Operand OPeerId="a" OStreamId="s1"/>')
+        second = record('<Union spec=""/>', '<Operand OPeerId="b" OStreamId="s2"/>')
         doc_id = db.publish_stream(first)
         assert db.publish_stream(second) == doc_id
         postings = term_postings(db.index)
@@ -153,7 +153,7 @@ class TestEmptyPostingKeys:
 
     def test_restore_does_not_resurrect_an_empty_posting_set(self):
         index = make_index()
-        index.publish(record("<Union/>"), "X")
+        index.publish(record('<Union spec=""/>'), "X")
         assert index._restore_keys(["term:tag:Nobody", "term:tag:Union"]) == 1
         assert "term:tag:Nobody" not in ring_keys(index)
 
