@@ -13,8 +13,9 @@ postings of the terms it mentions and then verifying the full XPath on the
 candidate documents, mirroring how KadoP narrows down candidates before
 structural verification.  The Reuse algorithm's probes use
 :meth:`KadopIndex.lookup` instead, a routed exact-term intersection that
-needs no structural verification.  A write routes all its keys in one batch
-and touches each posting once.
+needs no structural verification and no cache.  A write takes many records:
+each routes its own keys in one batch, and the catalogue and the postings
+every record of a shape has are routed and written once per write.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.dht.chord import ChordRing
+from repro.dht.chord import ChordNode, ChordRing
 from repro.xmlmodel.tree import Element
 from repro.xmlmodel.xpath import BooleanExpr, Comparison, XPath
 
@@ -42,6 +43,9 @@ class MembershipEvent:
 MembershipListener = Callable[[MembershipEvent], None]
 
 _DOCS_KEY = "__all_documents__"
+
+#: skeleton -> the catalogue and its term keys, which a publish routes once per call
+_SHARED_KEYS: dict[frozenset[str], tuple[str, ...]] = {}
 
 #: Bound on the query-result cache; generated queries embed peer/stream ids, so
 #: a long churny run could otherwise grow it without limit.
@@ -139,36 +143,59 @@ class KadopIndex:
 
     # -- publication ---------------------------------------------------------------
 
-    def publish(self, record: object, doc_id: str) -> None:
-        """Index ``record`` under ``doc_id``.
-
-        ``record`` -- a description whose ``to_element()`` renders its
-        document and whose ``terms()`` are what :meth:`_terms_of_document`
-        finds there -- is stored itself, uncopied, and belongs to the index
-        from then on: to change it, publish a new one under its ``doc_id``,
-        whose lost terms' postings are withdrawn.  All ``2 + T`` keys are
-        routed in one batch; each posting is one ``set.add``."""
-        filed = record.terms()  # type: ignore[attr-defined]
-        keys = [f"doc:{doc_id}", _DOCS_KEY, *[f"term:{term}" for term in filed]]
-        homes = self.ring._route(keys, None, None)  # the document's home, then one per posting
-        homes[0].storage[keys[0]] = record
-        previous = self.records.get(doc_id)
-        self.records[doc_id] = record
-        for key, home in zip(keys[1:], homes[1:]):
-            storage = home.storage
-            try:
-                postings = storage[key]
-            except KeyError:
-                storage[key] = doc_id  # a bare id until the posting's second document
-                continue
-            if postings.__class__ is not str:
-                postings.add(doc_id)  # type: ignore[attr-defined]
-            elif postings != doc_id:
-                storage[key] = {postings, doc_id}
-        if previous is not None:  # a republish: the terms only the version being replaced had
-            stale = previous.terms() - filed  # type: ignore[attr-defined]
-            if stale:
-                self._drop_postings([f"term:{term}" for term in stale], doc_id)
+    def publish(self, entries: dict[str, object]) -> None:
+        """Index each ``{doc_id: record}`` entry: the record itself, uncopied (a
+        new one under its ``doc_id`` withdraws the postings only the old one
+        had).  ``record.term_parts()`` splits its terms into its shape's
+        skeleton and its own.  Its document key and own terms are routed in
+        one batch as it is written; the catalogue and each skeleton term are
+        routed once per call, with the first record that has them, and
+        written once per shape, so one entry routes ``2 + T`` keys in one batch."""
+        if not entries:
+            return
+        records = self.records
+        shapes: dict[frozenset[str], list[str]] = {}  # skeleton -> this call's doc ids that have it
+        shared: dict[str, ChordNode] = {}  # the catalogue and the skeleton keys routed so far -> home
+        for doc_id in entries:
+            record = entries[doc_id]
+            skeleton, own = record.term_parts()  # type: ignore[attr-defined]
+            own_keys = [f"term:{term}" for term in own]
+            routed: tuple[str, ...] | list[str] = ()
+            if skeleton in shapes:
+                shapes[skeleton].append(doc_id)
+            else:
+                shapes[skeleton] = [doc_id]
+                if skeleton not in _SHARED_KEYS:
+                    _SHARED_KEYS[skeleton] = (_DOCS_KEY, *[f"term:{term}" for term in skeleton])
+                routed = [key for key in _SHARED_KEYS[skeleton] if key not in shared] if shared else _SHARED_KEYS[skeleton]
+            keys = [f"doc:{doc_id}", *own_keys, *routed]
+            homes = self.ring._route(keys, None, None)  # the document's home, one per own posting, then the shared
+            homes[0].storage[keys[0]] = record
+            for key, home in zip(own_keys, homes[1:]):
+                storage = home.storage
+                try:
+                    postings = storage[key]
+                except KeyError:
+                    storage[key] = doc_id  # a bare id until the posting's second document
+                    continue
+                if postings.__class__ is not str:
+                    postings.add(doc_id)  # type: ignore[attr-defined]
+                elif postings != doc_id:
+                    storage[key] = {postings, doc_id}
+            for key, home in zip(reversed(routed), reversed(homes)):
+                shared[key] = home
+            if doc_id in records:  # a republish: the terms only the version being replaced had
+                stale = records[doc_id].terms() - skeleton - own  # type: ignore[attr-defined]
+                if stale:
+                    self._drop_postings([f"term:{term}" for term in stale], doc_id)
+            records[doc_id] = record
+        for skeleton in shapes:
+            for key in _SHARED_KEYS[skeleton][1:]:
+                storage = shared[key].storage
+                postings = storage[key] if key in storage else set()
+                storage[key] = postings = {postings} if postings.__class__ is str else postings
+                postings.update(shapes[skeleton])  # type: ignore[attr-defined]
+        shared[_DOCS_KEY].storage[_DOCS_KEY].update(entries)  # type: ignore[attr-defined]
         self._query_cache.clear()
 
     def unpublish(self, doc_id: str) -> bool:
@@ -178,7 +205,7 @@ class KadopIndex:
         record = self.ring.storage_for(key).pop(key, None)  # read and remove in the one visit
         if record is None:
             return False
-        self._drop_postings([f"term:{term}" for term in record.terms()] + [_DOCS_KEY], doc_id)  # type: ignore[attr-defined]
+        self._drop_postings([f"term:{term}" for part in record.term_parts() for term in part] + [_DOCS_KEY], doc_id)  # type: ignore[attr-defined]
         self.records.pop(doc_id, None)
         self._query_cache.clear()
         return True

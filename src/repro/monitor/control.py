@@ -51,7 +51,7 @@ def register_control_methods(peer) -> None:
 
     def kadop_publish(params: Element, source: str) -> Element:
         doc_id = params.attrib["docId"]
-        system.kadop.publish(decode_description(params.children[0]), doc_id)
+        system.kadop.publish({doc_id: decode_description(params.children[0])})
         return Element("stored", {"docId": doc_id})
 
     def kadop_retract(params: Element, source: str) -> Element:
@@ -122,7 +122,7 @@ class ControlPlaneRouter:
         via = self._via_peer(owner)
         home = self._home_peer(doc_id)
         if via is None or home is None:
-            self.system.kadop.publish(record, doc_id)
+            self.system.kadop.publish({doc_id: record})
             return
         via.rpc.call_sync(
             home,

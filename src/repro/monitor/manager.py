@@ -146,22 +146,19 @@ class SubscriptionManager:
         engine = self._reuse_engine() if reuse else None
         deployer = self._deployer()
         handles: list[SubscriptionHandle] = []
-        for index, subscription in enumerate(subscriptions):
-            try:
-                handles.append(
-                    self._submit_one(
-                        subscription,
-                        sub_ids[index] if sub_ids is not None else None,
-                        engine=engine,
-                        deployer=deployer,
-                        push_selections=push_selections,
-                        max_results=max_results,
-                    )
-                )
-            except Exception as exc:
-                # the already-deployed prefix must not vanish with the
-                # traceback: hand its handles to the caller with the error
-                raise SubmitManyError(index, handles, exc) from exc
+        stream_db = self.peer.system.stream_db
+        stream_db.pending = stream_db.pending or {}  # the batch's descriptions reach KadoP in one write
+        try:
+            for index, subscription in enumerate(subscriptions):
+                try:
+                    handles.append(self._submit_one(subscription, sub_ids[index] if sub_ids is not None else None,
+                                                    engine, deployer, push_selections, max_results))
+                except Exception as exc:
+                    # the already-deployed prefix must not vanish with the
+                    # traceback: hand its handles to the caller with the error
+                    raise SubmitManyError(index, handles, exc) from exc
+        finally:
+            stream_db.flush(hold=False)  # a failed batch's deployed prefix too
         return handles
 
     def _reuse_engine(self) -> ReuseEngine:

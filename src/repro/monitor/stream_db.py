@@ -71,6 +71,8 @@ def operator_spec(node: PlanNode) -> str:
 #: shape has: a memo of a pure function, so every database may share it; not
 #: keyed on the spec, which grows with the subscriptions
 _SKELETONS: dict[tuple[str, bool, bool], frozenset[str]] = {}
+#: the terms every ``<InChannel>`` has
+_REPLICA_SKELETON = frozenset({"tag:InChannel"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +105,9 @@ class StreamDescription:
         attrib = {"PeerId": self.peer_id, "StreamId": self.stream_id, "isAChannel": channel}
         return new("Stream", attrib, [operator, operands, stats])
 
-    def terms(self) -> frozenset[str]:
+    def term_parts(self) -> tuple[frozenset[str], set[str]]:
         """The KadoP terms of :meth:`to_element`'s document, derived without
-        rendering it: its shape's skeleton plus the spec, id and operand terms."""
+        rendering it: its shape's skeleton, and the spec, id and operand terms of its own."""
         operator, operands = self.operator, self.operands
         shape = (operator, self.is_channel, bool(operands))
         try:
@@ -116,17 +118,22 @@ class StreamDescription:
                 *(["tag:Operand"] if operands else []), "tag:Stats", "attr:Stats@avgVolume=0.0",
                 f"attr:Stream@isAChannel={'true' if self.is_channel else 'false'}",
             })
-        terms = skeleton | {
+        own = {
             f"attr:{operator}@spec={self.spec}",
             f"attr:Stream@PeerId={self.peer_id}",
             f"attr:Stream@StreamId={self.stream_id}",
         }
         if operands:
-            terms |= {
+            own |= {
                 term for peer, stream in operands
                 for term in (f"attr:Operand@OPeerId={peer}", f"attr:Operand@OStreamId={stream}")
             }
-        return terms
+        return skeleton, own
+
+    def terms(self) -> frozenset[str]:
+        """Every KadoP term of :meth:`to_element`'s document: both of :meth:`term_parts`."""
+        skeleton, own = self.term_parts()
+        return skeleton | own
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,11 +151,13 @@ class ReplicaDescription:
                                               "ReplicaPeerId": self.replica_peer_id,
                                               "ReplicaStreamId": self.replica_stream_id}, [])
 
-    def terms(self) -> frozenset[str]:
-        return frozenset({"tag:InChannel", f"attr:InChannel@PeerId={self.peer_id}",
-                          f"attr:InChannel@StreamId={self.stream_id}",
-                          f"attr:InChannel@ReplicaPeerId={self.replica_peer_id}",
-                          f"attr:InChannel@ReplicaStreamId={self.replica_stream_id}"})
+    def term_parts(self) -> tuple[frozenset[str], set[str]]:
+        return _REPLICA_SKELETON, {f"attr:InChannel@PeerId={self.peer_id}",
+                                   f"attr:InChannel@StreamId={self.stream_id}",
+                                   f"attr:InChannel@ReplicaPeerId={self.replica_peer_id}",
+                                   f"attr:InChannel@ReplicaStreamId={self.replica_stream_id}"}
+
+    terms = StreamDescription.terms
 
 
 class StreamDefinitionDatabase:
@@ -174,6 +183,9 @@ class StreamDefinitionDatabase:
         #: ``retract_document(doc_id, owner) -> bool``, ``owner`` being the
         #: publishing peer (None when KadoP holds no record of the document)
         self.router = None
+        #: doc id -> record held for the next :meth:`flush` while a ``subscribe_many``
+        #: runs, else None: every read of KadoP below flushes first
+        self.pending: dict[str, StreamDescription | ReplicaDescription] | None = None
         self.streams_published = 0
         self.replicas_published = 0
         self.descriptions_retracted = 0
@@ -210,6 +222,8 @@ class StreamDefinitionDatabase:
         """Store a stream description; returns its document id.  KadoP keeps
         the record itself."""
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
+        if self.pending and doc_id in self.pending:
+            self.flush()  # a held republish: its stamp reads the held record
         records = self.index.records
         if doc_id in records:  # a republish: the record it replaces stops answering its probe
             self._stamp(records[doc_id])
@@ -229,6 +243,8 @@ class StreamDefinitionDatabase:
     ) -> str:
         """Declare that ``replica_peer_id`` can also provide ``stream_id@peer_id``."""
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
+        if self.pending:
+            self.flush()
         records = self.index.records
         if doc_id in records:  # a republish: the replica it replaces stops providing
             self._unmap_replica(doc_id, records[doc_id])
@@ -238,16 +254,27 @@ class StreamDefinitionDatabase:
         return doc_id
 
     def _publish(self, record: StreamDescription | ReplicaDescription, doc_id: str, owner: str) -> None:
-        """Write ``record`` to KadoP, over the router from ``owner`` when there
-        is one; a routed write that raised may have landed: withdraw it."""
+        """Write ``record`` to KadoP, or hold it while writes are held; over the
+        router from ``owner`` when there is one, never held: a routed write that
+        raised may have landed, so withdraw it."""
         if self.router is None:
-            self.index.publish(record, doc_id)
+            if self.pending is None:
+                self.index.publish({doc_id: record})
+            else:
+                self.pending[doc_id] = record
             return
         try:
             self.router.publish_document(record, doc_id, owner)
         except Exception:
             self._withdraw(doc_id, owner)
             raise
+
+    def flush(self, hold: bool = True) -> None:
+        """Write the held descriptions to KadoP in one pass, and go on holding
+        unless ``hold`` is false."""
+        pending, self.pending = self.pending, {} if hold else None
+        if pending:
+            self.index.publish(pending)  # type: ignore[arg-type]
 
     # -- retraction ---------------------------------------------------------------
 
@@ -257,18 +284,22 @@ class StreamDefinitionDatabase:
         Cancellation uses this so that the Reuse algorithm stops matching
         streams that are no longer produced: the record KadoP holds is
         stamped or unmapped, then its withdrawal is routed from the peer it
-        names.  Returns False when KadoP did not hold it.
+        names; a held one is dropped unrouted.  Returns False when KadoP did not hold it.
         """
         records = self.index.records
+        held = self.pending.pop(doc_id, None) if self.pending else None
         owner = None
-        if doc_id in records:
-            record = records[doc_id]
+        if held is not None or doc_id in records:
+            record = records[doc_id] if held is None else held
             if type(record) is StreamDescription:
                 self._stamp(record)
                 owner = record.peer_id
             else:
-                self._unmap_replica(doc_id, record)
+                self._unmap_replica(doc_id, record)  # type: ignore[arg-type]
                 owner = record.replica_peer_id
+            if held is not None and doc_id not in records:  # never written: nothing to withdraw
+                self.descriptions_retracted += 1
+                return True
         return self._withdraw(doc_id, owner)
 
     def _withdraw(self, doc_id: str, owner: str | None) -> bool:
@@ -309,6 +340,8 @@ class StreamDefinitionDatabase:
         sources of ``peer_id`` that read no stream, looked up by two terms."""
         if alerter_kind == OPERATOR_NAMES[PUBLISH]:
             return []
+        if self.pending:
+            self.flush()
         found = self.index.lookup([f"tag:{alerter_kind}", f"attr:Stream@PeerId={peer_id}"])
         return [record for record in found if record.operator == alerter_kind and not record.operands]
 
@@ -322,6 +355,8 @@ class StreamDefinitionDatabase:
         given (at least one) operands, looked up by the spec and operand terms."""
         if operator == OPERATOR_NAMES[PUBLISH]:
             return []
+        if self.pending:
+            self.flush()
         terms = [f"attr:{operator}@spec={spec}", *[f"attr:Operand@OStreamId={stream}" for _, stream in operands]]
         found = self.index.lookup(terms)
         wanted = sorted(operands)
@@ -335,6 +370,8 @@ class StreamDefinitionDatabase:
         return [providers[doc_id] for doc_id in sorted(providers)]
 
     def all_stream_descriptions(self) -> list[StreamDescription]:
+        if self.pending:
+            self.flush()
         records = self.index.records
         return [records[doc_id] for doc_id in sorted(records) if type(records[doc_id]) is StreamDescription]
 
@@ -343,6 +380,8 @@ class StreamDefinitionDatabase:
     def find_alerter_streams_oracle(
         self, peer_id: str, alerter_kind: str
     ) -> list[StreamDescription]:
+        if self.pending:
+            self.flush()
         query = f"/Stream[@PeerId = '{peer_id}'][Operator/{alerter_kind}]"
         candidates = [decode_description(doc) for _, doc in self.index.query(query)]
         return [c for c in candidates if not c.operands]
@@ -359,12 +398,16 @@ class StreamDefinitionDatabase:
             for peer, stream in operands
         )
         query = f"/Stream[Operator/{operator}{spec_predicate}]{predicates}"
+        if self.pending:
+            self.flush()
         candidates = [decode_description(doc) for _, doc in self.index.query(query)]
         # exact operand-set match: the query guarantees inclusion, not equality
         wanted = sorted(operands)
         return [c for c in candidates if sorted(c.operands) == wanted]
 
     def find_replicas_oracle(self, peer_id: str, stream_id: str) -> list[tuple[str, str]]:
+        if self.pending:
+            self.flush()
         query = f"/InChannel[@PeerId = '{peer_id}'][@StreamId = '{stream_id}']"
         return [
             (doc.attrib["ReplicaPeerId"], doc.attrib["ReplicaStreamId"])
@@ -384,6 +427,8 @@ class StreamDefinitionDatabase:
         differential tests and the nightly chaos soak after
         publish/retract/failure churn.
         """
+        if self.pending:
+            self.flush()
         filed = self.index.filed_terms()
         catalogue = self.index.document_ids
         # views, not copies: the check runs over a live system's whole index

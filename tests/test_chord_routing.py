@@ -355,13 +355,13 @@ def test_publish_routes_once_per_posting_new_or_known():
     terms = len(first.terms())
     assert terms == 10
     # document + catalogue + one per term, every term new
-    assert _lookups(index, lambda: index.publish(first, "A")) == 2 + terms
+    assert _lookups(index, lambda: index.publish({"A": first})) == 2 + terms
     # the same terms again, all known
-    assert _lookups(index, lambda: index.publish(first, "B")) == 2 + terms
+    assert _lookups(index, lambda: index.publish({"B": first})) == 2 + terms
     # a mix: PeerId / StreamId terms new, the rest known
-    assert _lookups(index, lambda: index.publish(_stream("p2", "s2"), "C")) == 2 + terms
+    assert _lookups(index, lambda: index.publish({"C": _stream("p2", "s2")})) == 2 + terms
     # republishing an unchanged document withdraws nothing
-    assert _lookups(index, lambda: index.publish(first, "A")) == 2 + terms
+    assert _lookups(index, lambda: index.publish({"A": first})) == 2 + terms
     # read and remove the document in one visit, one visit per posting, catalogue
     assert _lookups(index, lambda: index.unpublish("A")) == 2 + terms
     assert _lookups(index, lambda: index.unpublish("A")) == 1  # unknown: one read
@@ -373,7 +373,7 @@ def test_publish_routes_once_per_posting_new_or_known():
 def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
     index = _index()
     original = _stream("p1", "s1")
-    index.publish(original, "X")
+    index.publish({"X": original})
     # the index keeps the published record itself: no copy is made
     assert index.ring.get("doc:X") is original is index.records["X"]
     assert index.document("X") == original.to_element()
@@ -468,11 +468,11 @@ def test_a_write_costs_one_set_call_per_posting():
         t = len(record.terms())
         derive = _calls(record.terms)  # what the record's own term derivation costs, every writer of it alike
         for doc_id in ("A", "B", "A"):  # warm: every key hashed
-            index.publish(record, doc_id)
+            index.publish({doc_id: record})
         assert index.unpublish("A") and index.unpublish("B")
         # every posting new, then every posting known
         for doc_id in ("A", "B"):
-            calls, lookups = _write_cost(index.publish, record, doc_id)
+            calls, lookups = _write_cost(index.publish, {doc_id: record})
             assert lookups == 2 + t and calls - derive <= t + 8  # 4T + 8 when each posting was routed alone
         # one discard per posting, then each emptied posting set deleted
         for doc_id in ("B", "A"):

@@ -80,9 +80,9 @@ class TestKadopFailure:
         for i in range(8):
             ring.join(f"storage{i}")
         index = KadopIndex(ring)
-        index.publish(description("p1", "s1", "inCom"), "d1")
-        index.publish(description("p2", "s2", "outCom"), "d2")
-        index.publish(description("p3", "s3", "inCom"), "d3")
+        index.publish({"d1": description("p1", "s1", "inCom")})
+        index.publish({"d2": description("p2", "s2", "outCom")})
+        index.publish({"d3": description("p3", "s3", "inCom")})
         return index
 
     def test_all_documents_survive_any_single_failure(self, index):
@@ -106,7 +106,7 @@ class TestKadopFailure:
         index.fail_peer(victim)
         # the re-replicated advertisement can still be retracted and replaced
         assert index.unpublish("d2") is True
-        index.publish(description("p2", "s2-v2", "outCom"), "d2")
+        index.publish({"d2": description("p2", "s2-v2", "outCom")})
         matches = {doc_id for doc_id, _ in index.query("/Stream[Operator/outCom]")}
         assert matches == {"d2"}
         docs = dict(index.query("/Stream[Operator/outCom]"))

@@ -32,9 +32,9 @@ def index() -> KadopIndex:
     for i in range(8):
         ring.join(f"storage{i}")
     idx = KadopIndex(ring)
-    idx.publish(stream_description("p1", "s1", '<inCom spec=""/>'), "d1")
-    idx.publish(stream_description("p2", "s2", '<outCom spec=""/>'), "d2")
-    idx.publish(stream_description("p1", "s3", '<Filter spec=""/>', '<Operand OPeerId="p1" OStreamId="s1"/>'), "d3")
+    idx.publish({"d1": stream_description("p1", "s1", '<inCom spec=""/>')})
+    idx.publish({"d2": stream_description("p2", "s2", '<outCom spec=""/>')})
+    idx.publish({"d3": stream_description("p1", "s3", '<Filter spec=""/>', '<Operand OPeerId="p1" OStreamId="s1"/>')})
     return idx
 
 
@@ -45,14 +45,14 @@ class TestPublication:
     def test_published_record_is_stored_uncopied(self):
         index = KadopIndex()
         source = stream_description("p", "s", '<inCom spec=""/>')
-        index.publish(source, "d")
+        index.publish({"d": source})
         # the published record belongs to the index: ring entry and mirror
         # are that object, and every read renders a fresh document of it
         assert index.ring.get("doc:d") is source is index.records["d"]
         assert index.document("d") == source.to_element() and index.document("d") is not index.document("d")
         assert index.query("/Stream[@PeerId = 'p']") == [("d", source.to_element())]
         # a new version is a new publication under the same id
-        index.publish(stream_description("q", "s", '<inCom spec=""/>'), "d")
+        index.publish({"d": stream_description("q", "s", '<inCom spec=""/>')})
         assert index.document("d").attrib["PeerId"] == "q"
         assert index.query("/Stream[@PeerId = 'p']") == []
 
@@ -65,7 +65,7 @@ class TestPublication:
             '<Operator><inCom spec="x"/></Operator><Operands/></Stream>'
         )
         with pytest.raises(AttributeError):
-            index.publish(element, "raw")
+            index.publish({"raw": element})
         assert index.ring.lookup_count == lookups
         assert ring_storage(index) == storage
         assert index.records == records and index.ring.get(_DOCS_KEY) == catalogue

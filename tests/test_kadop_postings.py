@@ -60,8 +60,8 @@ class TestRepublish:
     def test_republish_withdraws_the_terms_the_new_version_lost(self):
         index = make_index()
         baseline = ring_keys(index).keys()
-        index.publish(record('<Filter spec="aaa"/>'), "X")
-        index.publish(record('<Join spec="bbb"/>'), "X")
+        index.publish({"X": record('<Filter spec="aaa"/>')})
+        index.publish({"X": record('<Join spec="bbb"/>')})
         postings = term_postings(index)
         assert "term:tag:Filter" not in postings
         assert "term:attr:Filter@spec=aaa" not in postings
@@ -73,9 +73,9 @@ class TestRepublish:
 
     def test_republish_keeps_postings_other_documents_still_need(self):
         index = make_index()
-        index.publish(record('<Filter spec="aaa"/>'), "X")
-        index.publish(record('<Filter spec="aaa"/>'), "Y")
-        index.publish(record('<Join spec="bbb"/>'), "X")
+        index.publish({"X": record('<Filter spec="aaa"/>')})
+        index.publish({"Y": record('<Filter spec="aaa"/>')})
+        index.publish({"X": record('<Join spec="bbb"/>')})
         postings = term_postings(index)
         assert postings["term:tag:Filter"] == {"Y"}
         assert postings["term:attr:Filter@spec=aaa"] == {"Y"}
@@ -153,7 +153,7 @@ class TestEmptyPostingKeys:
 
     def test_restore_does_not_resurrect_an_empty_posting_set(self):
         index = make_index()
-        index.publish(record('<Union spec=""/>'), "X")
+        index.publish({"X": record('<Union spec=""/>')})
         assert index._restore_keys(["term:tag:Nobody", "term:tag:Union"]) == 1
         assert "term:tag:Nobody" not in ring_keys(index)
 
@@ -165,7 +165,11 @@ class SetPostings(KadopIndex):
     """The index as it was before a posting held a bare id: every posting a
     set from its first document on, and every reader taking a set."""
 
-    def publish(self, record, doc_id):
+    def publish(self, entries):
+        for doc_id, record in entries.items():
+            self._publish_one(record, doc_id)
+
+    def _publish_one(self, record, doc_id):
         filed = record.terms()
         keys = [f"doc:{doc_id}", _DOCS_KEY, *[f"term:{term}" for term in filed]]
         homes = self.ring._route(keys, None, None)
@@ -282,7 +286,7 @@ def test_bare_id_postings_list_what_set_postings_list(peers, script):
         doc_id = f"d{number}"  # a publish under a known id is a republish
         for index in pair:
             if action == "publish":
-                index.publish(description, doc_id)
+                index.publish({doc_id: description})
             elif action == "unpublish":
                 index.unpublish(doc_id)
             elif action == "join":
@@ -303,13 +307,13 @@ def test_bare_id_postings_list_what_set_postings_list(peers, script):
 
 def test_a_posting_is_a_bare_id_until_its_second_document():
     index = make_index()
-    index.publish(record('<Filter spec="aaa"/>'), "X")
+    index.publish({"X": record('<Filter spec="aaa"/>')})
     storage = ring_keys(index)
     assert storage["term:attr:Filter@spec=aaa"] == "X"
     assert storage["__all_documents__"] == {"X"}  # the catalogue is always a set
-    index.publish(record('<Filter spec="aaa"/>'), "X")  # a republish keeps it bare
+    index.publish({"X": record('<Filter spec="aaa"/>')})  # a republish keeps it bare
     assert ring_keys(index)["term:attr:Filter@spec=aaa"] == "X"
-    index.publish(record('<Filter spec="aaa"/>'), "Y")
+    index.publish({"Y": record('<Filter spec="aaa"/>')})
     assert ring_keys(index)["term:attr:Filter@spec=aaa"] == {"X", "Y"}
     assert [doc_id for doc_id, _ in index.query("/Stream[Operator/Filter]")] == ["X", "Y"]
     assert index.unpublish("X") and index.unpublish("Y")

@@ -97,7 +97,7 @@ def test_restores_what_the_per_term_rebuild_restored(peers, script):
         doc_id = f"d{number}"  # a publish under a known id is a republish
         for index in (batched, frozen):
             if action == "publish":
-                index.publish(document, doc_id)
+                index.publish({doc_id: document})
             elif action == "unpublish":
                 index.unpublish(doc_id)
             elif action == "join":
@@ -116,7 +116,7 @@ def test_a_failure_restores_each_lost_key_with_one_lookup():
     for i in range(120):
         document = _document(i % 4, i, ("Filter", "Join", "Union")[i % 3], i % 7)
         for index in (batched, frozen):
-            index.publish(document, f"d{i}")
+            index.publish({f"d{i}": document})
     for i in range(0, 120, 3):
         for index in (batched, frozen):
             index.unpublish(f"d{i}")

@@ -35,7 +35,7 @@ class ProbeKeyedDatabase:
 
     def publish_stream(self, description):
         doc_id = f"stream:{description.stream_id}@{description.peer_id}"
-        self.index.publish(description, doc_id)
+        self.index.publish({doc_id: description})
         if doc_id in self._descriptions:
             self._deindex_document(doc_id)
         self._file(doc_id, description)
@@ -43,7 +43,7 @@ class ProbeKeyedDatabase:
 
     def publish_replica(self, peer_id, stream_id, replica_peer_id, replica_stream_id):
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        self.index.publish(ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id), doc_id)
+        self.index.publish({doc_id: ReplicaDescription(peer_id, stream_id, replica_peer_id, replica_stream_id)})
         if doc_id in self._replica_keys:
             self._deindex_document(doc_id)
         self._replica_map.setdefault((peer_id, stream_id), {})[doc_id] = (replica_peer_id, replica_stream_id)
@@ -262,7 +262,7 @@ def test_a_probe_routes_one_lookup_per_term():
 def test_a_record_written_straight_into_kadop_is_found_and_retracted_from_its_peer():
     db = StreamDefinitionDatabase(make_index())
     join = DESCRIPTIONS[11]
-    db.index.publish(join, "written-elsewhere")
+    db.index.publish({"written-elsewhere": join})
     assert db.find_operator_streams(join.operator, join.spec, list(reversed(join.operands))) == [join]
     assert db.all_stream_descriptions() == [join]
     retracted = []
