@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht import ChordRing, KadopIndex, LookupResult, hash_key
 from repro.dht.hashing import M_BITS
-from repro.monitor import P2PMSystem
+from repro.monitor import P2PMSystem, StreamDefinitionDatabase
 from repro.monitor.stream_db import StreamDescription
 
 
@@ -383,7 +383,7 @@ def test_ring_entry_and_mirror_are_one_object_and_survive_the_home_failing():
     assert index.query("/Stream[@PeerId = 'p1']") == [("X", original.to_element())]
 
 
-# -- (e) the filter deck routes what it routed ------------------------------------------------
+# -- (e) the filter deck routes what it is pinned to ----------------------------------------
 
 
 def filter_deck(n: int) -> list[str]:
@@ -409,7 +409,7 @@ def filter_deck(n: int) -> list[str]:
     return texts
 
 
-def test_the_filter_deck_routes_the_lookups_and_hops_it_routed_before():
+def test_the_filter_deck_routes_its_pinned_lookups_and_hops():
     system = P2PMSystem(seed=0)
     system.add_peer("hub")
     ring = system.kadop.ring
@@ -418,16 +418,20 @@ def test_the_filter_deck_routes_the_lookups_and_hops_it_routed_before():
     )
     system.run()
     assert system.stream_db.streams_published == 4001  # the alerter + 2 per subscription
-    # 374e1bd read (60 015, 119 774); the Stream Definition Database no
-    # longer reads the KadoP catalogue when it is built (1 lookup, 0 hops)
-    assert (ring.lookup_count, ring.total_hops) == (60015 - 1, 119774)
+    # (60 014, 119 774) while each description was its own write, routing its
+    # document, the catalogue and its 10 or 13 terms.  Now the batch writes
+    # the 4 001 descriptions in one call: each routes its document and own
+    # terms (6, the alerter's 4), and the catalogue and the 10 skeleton terms
+    # of the call's three shapes are routed once: 4 000 x 6 + 4 + 11, with the
+    # 2 lookups that laid the catalogue down, is 24 017
+    assert (ring.lookup_count, ring.total_hops) == (24017, 47780)
     for handle in handles[::5]:
         handle.cancel()
     system.run()
     assert system.stream_db.descriptions_retracted == 800
-    # 374e1bd read (72 815, 145 331): one more visit per retraction, to the
-    # document's home, which cost 1 585 hops in all
-    assert (ring.lookup_count, ring.total_hops) == (72815 - 800 - 1, 145331 - 1585)
+    # (72 014, 143 746) before, the same 12 000 lookups and 23 972 hops for the
+    # 800 retractions, which are still routed one by one
+    assert (ring.lookup_count, ring.total_hops) == (24017 + 12000, 47780 + 23972)
 
 
 def _calls(call, *arguments) -> int:
@@ -480,3 +484,36 @@ def test_a_write_costs_one_set_call_per_posting():
             assert lookups == 2 + t and calls - derive <= t + 16  # 4T + 11 when each posting was routed alone
         assert _write_cost(index.unpublish, "A")[1] == 1  # unknown: one read
     assert [key for node in index.ring.nodes() for key in node.storage] == ["__all_documents__"]
+
+
+def test_n_same_shape_records_route_and_write_the_shared_keys_once():
+    """One write of n records of one shape routes the catalogue and each
+    skeleton key once and updates each with one ``set.update``; counted under
+    ``sys.setprofile`` with the collector off, as ``_calls`` counts."""
+    index = _index()
+    for warm in ("w0", "w1"):  # every shared posting a set, every key hashed
+        index.publish({warm: _stream("p", warm, (("p", "src"),))})
+    n = 20
+    records = {f"d{k}": _stream("p", f"s{k}", (("p", "src"),)) for k in range(n)}
+    skeleton, own = records["d0"].term_parts()
+    assert (len(skeleton), len(own)) == (8, 5)
+    methods: list[str] = []
+
+    def count(frame, event, argument) -> None:
+        if event == "c_call" and argument.__name__ in ("update", "add"):
+            methods.append(argument.__name__)
+
+    before = index.ring.lookup_count
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        index.publish(records)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    # each record's document and own terms, then the catalogue and the skeleton once
+    assert index.ring.lookup_count - before == n * (1 + len(own)) + 1 + len(skeleton)
+    assert methods.count("update") == 1 + len(skeleton)  # the catalogue, then one per skeleton posting
+    assert methods.count("add") == n * (len(own) - 1)  # each own posting the warm-up filed: all but StreamId
+    assert StreamDefinitionDatabase(index).verify_index_coherence() == []

@@ -17,8 +17,6 @@ stamps and counters, and a coherent index.
 
 from __future__ import annotations
 
-import gc
-import sys
 from contextlib import contextmanager
 
 import pytest
@@ -355,38 +353,3 @@ def test_a_router_holds_nothing():
     assert len(seen) == db.streams_published + db.replicas_published > 0
     assert not any(seen) and db.pending is None
     assert db.verify_index_coherence() == []
-
-
-# -- the shared keys of one write -----------------------------------------------------------------
-
-
-def test_n_same_shape_records_route_and_write_the_shared_keys_once():
-    """Counted under ``sys.setprofile`` with the collector off: the catalogue
-    and each skeleton key are routed once and updated with one ``set.update``."""
-    index = KadopIndex(_ring(12))
-    for warm in ("w0", "w1"):  # every shared posting a set, every key hashed
-        index.publish({warm: StreamDescription("p", warm, True, "Filter", "a", (("p", "src"),))})
-    records = {f"d{n}": StreamDescription("p", f"s{n}", True, "Filter", "a", (("p", "src"),)) for n in range(20)}
-    skeleton, own = records["d0"].term_parts()
-    updates = adds = 0
-
-    def count(frame, event, argument) -> None:
-        nonlocal updates, adds
-        if event == "c_call" and argument.__name__ in ("update", "add"):
-            updates += argument.__name__ == "update"
-            adds += argument.__name__ == "add"
-
-    before = index.ring.lookup_count
-    gc.collect()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        index.publish(records)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    # each record's document and own terms, then the catalogue and the skeleton once
-    assert index.ring.lookup_count - before == 20 * (1 + len(own)) + 1 + len(skeleton)
-    assert updates == 1 + len(skeleton)  # the catalogue and one per skeleton posting
-    assert adds == 20 * (len(own) - 1)  # one per own posting the warm-up filed: all but StreamId
-    assert StreamDefinitionDatabase(index).verify_index_coherence() == []
