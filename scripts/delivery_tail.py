@@ -100,7 +100,10 @@ ROUTING = ("  of which KadoP routing", "dht/chord.py", ("_route", "lookup"))
 #: was derived inside ``ReuseEngine.apply`` until the plan template took it over,
 #: and with reuse on, a template is instantiated inside it on a cache miss only;
 #: a ``reuse=False`` subscription instantiates, places and builds a recipe only
-#: when its template has none for its peer yet
+#: when its template has none for its peer yet.  Stream-definition publication
+#: holds a batch's descriptions during deploy and writes them to KadoP in
+#: ``flush``: at the batch's end, outside every other stage, or inside reuse
+#: when a probe reads KadoP
 STAGES = {"subscribe": (
     ("parse", "p2pml/parser.py", ("parse_subscription",)),
     ("compile", "p2pml/compiler.py", ("compile_subscription",)),
@@ -113,8 +116,8 @@ STAGES = {"subscribe": (
     ("place and build a recipe", "monitor/manager.py", ("_place",)),
     ("  of which place", "monitor/placement.py", ("place_plan",)),
     ("deploy", "monitor/deployment.py", ("deploy",)),
-    ("  of which stream-definition publish", "monitor/stream_db.py",
-     ("publish_node", "publish_stream", "publish_replica")),
+    ("stream-definition publish", "monitor/stream_db.py",
+     ("publish_node", "publish_stream", "publish_replica", "flush")),
     ROUTING,
 ), "cancel": (
     ("cancel", "monitor/handle.py", ("cancel",)),

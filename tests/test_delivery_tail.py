@@ -6,13 +6,16 @@ all the others fail: cyclic garbage is found, parent links are strong, an
 idle channel costs more than one call, the valve is not a stream (every
 ``TestValveIsTheDeliveryStream`` case), a callback that pauses during
 ``resume()`` keeps receiving, an in-order proxy parks every number it saw,
-``send_many`` counts a message it dropped.
+``send_many`` counts a message it dropped.  Section (f) holds
+``scripts/delivery_tail.py stages`` to the batched KadoP write.
 """
 
 import copy
 import gc
+import importlib.util
 import pickle
 import sys
+from pathlib import Path
 
 import pytest
 import test_e2e_fastpath  # its uncached weight walk is the reference here too
@@ -30,6 +33,8 @@ from repro.streams import EOS, Stream, StreamClosedError
 from repro.streams.stream import collect
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
 from repro.xmlmodel.tree import Element
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SEEN = (
     'for $x in chaosFeed(<p>src</p>) where $x.kind = "chaos" and $x.n >= 1 '
@@ -414,3 +419,26 @@ def test_send_many_counts_only_what_it_scheduled():
     burst.send_many("a", [(destination, "t.msg", alert(1)) for destination in ("b", "c")])
     assert burst.stats.snapshot() == loop.stats.snapshot() == {"messages": 1, "bytes": alert(1).weight()}
     assert burst.stats.per_peer_received == loop.stats.per_peer_received == {"b": 1}
+
+
+# -- (f) the stages table counts the flush as publication ----------------------------------
+
+
+def test_stream_definition_publication_counts_the_batch_flush(capsys):
+    """``scripts/delivery_tail.py stages filter``: a ``subscribe_many`` holds
+    its descriptions and writes them to KadoP in ``flush``, at the batch's
+    end, outside deploy.  On ``filter`` (no reuse probes) every routed
+    lookup of the subscribe phase is then inside stream-definition
+    publication, so its row is at least the KadoP routing row."""
+    spec = importlib.util.spec_from_file_location("delivery_tail", REPO_ROOT / "scripts" / "delivery_tail.py")
+    delivery_tail = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(delivery_tail)
+    from perf.workloads import WORKLOADS
+
+    delivery_tail.stages(WORKLOADS["filter"], "subscribe")
+    rows = {
+        label.strip(): float(value)
+        for value, label in (line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+    }
+    assert rows["of which KadoP routing"] > 0
+    assert rows["stream-definition publish"] >= rows["of which KadoP routing"]
