@@ -470,7 +470,7 @@ def test_a_write_costs_one_set_call_per_posting():
         # each operand adds two terms, its OPeerId and its OStreamId
         record = _stream("p1", f"s{width}", tuple((f"p{i}", f"o{i}") for i in range(width)))
         t = len(record.terms())
-        derive = _calls(record.terms)  # what the record's own term derivation costs, every writer of it alike
+        derive = _calls(record.term_parts)  # what the record's own term derivation costs, every writer of it alike
         for doc_id in ("A", "B", "A"):  # warm: every key hashed
             index.publish({doc_id: record})
         assert index.unpublish("A") and index.unpublish("B")
