@@ -264,10 +264,9 @@ class KadopIndex:
         """Return ``(doc_id, document)`` pairs whose document matches ``query``.
 
         Results are cached per canonical query string until the document
-        store next mutates, so repeated control-plane probes (the Reuse
-        algorithm re-asking the same Stream Definition Database questions)
-        cost one dict lookup instead of a posting-list intersection plus a
-        structural verification per candidate.
+        store next mutates.  No reuse probe asks this (they are
+        :meth:`lookup`s), and :meth:`query_lookup_cost` bypasses the cache:
+        only the XPath oracles use it, so the workloads never hit it.
         """
         path = XPath.compile(query) if isinstance(query, str) else query
         cached = self._query_cache.get(path.expression)
