@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.plan import EXISTING, FILTER, JOIN, UNION
+from repro.algebra.plan import EXISTING, FILTER, JOIN
 from repro.monitor import P2PMSystem
 from repro.workloads import EdosNetwork, MeteoScenario, RSSFeedSimulator
 from repro.xmlmodel import parse_xml, to_xml
