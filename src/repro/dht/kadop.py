@@ -235,7 +235,7 @@ class KadopIndex:
         for node in self.ring.nodes():
             for key, postings in node.storage.items():
                 if key.startswith("term:"):
-                    for doc_id in (postings,) if postings.__class__ is str else postings:  # type: ignore[attr-defined]
+                    for doc_id in (postings,) if isinstance(postings, str) else postings:  # type: ignore[attr-defined]
                         filed.setdefault(doc_id, set()).add(key[len("term:"):])
         return filed
 
@@ -312,7 +312,7 @@ class KadopIndex:
 
     def _postings(self, term: str) -> set[str]:
         postings = self.ring.get(f"term:{term}")
-        return {postings} if postings.__class__ is str else set(postings or ())  # type: ignore[arg-type, call-overload]
+        return {postings} if isinstance(postings, str) else set(postings) if isinstance(postings, set) else set()
 
     @staticmethod
     def _terms_of_document(document: Element) -> set[str]:

@@ -274,7 +274,7 @@ class StreamDefinitionDatabase:
         unless ``hold`` is false."""
         pending, self.pending = self.pending, {} if hold else None
         if pending:
-            self.index.publish(pending)  # type: ignore[arg-type]
+            self.index.publish(pending)
 
     # -- retraction ---------------------------------------------------------------
 
@@ -295,7 +295,7 @@ class StreamDefinitionDatabase:
                 self._stamp(record)
                 owner = record.peer_id
             else:
-                self._unmap_replica(doc_id, record)  # type: ignore[arg-type]
+                self._unmap_replica(doc_id, record)
                 owner = record.replica_peer_id
             if held is not None and doc_id not in records:  # never written: nothing to withdraw
                 self.descriptions_retracted += 1
