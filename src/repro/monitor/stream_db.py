@@ -471,13 +471,18 @@ def decode_description(document: Element) -> StreamDescription | ReplicaDescript
     """The record of a ``<Stream>`` or ``<InChannel>`` document: what the
     oracle and the coherence check read off KadoP's renderings, and what
     the control plane stores of a routed publication's payload.  A document
-    no record renders -- an id attribute, the ``<Operator>`` child or its
-    ``spec`` missing -- raises :class:`~repro.net.errors.PayloadError`."""
+    no record renders -- an id attribute (an operand's too), the
+    ``<Operator>`` child or its ``spec`` missing -- raises :class:`~repro.net.errors.PayloadError`."""
     attrib = document.attrib
     try:
         if document.tag == "InChannel":
             return ReplicaDescription(attrib["PeerId"], attrib["StreamId"], attrib["ReplicaPeerId"], attrib["ReplicaStreamId"])
         peer_id, stream_id = attrib["PeerId"], attrib["StreamId"]
+        operands_element = document.find("Operands")
+        operands = tuple(
+            (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
+            for operand in (operands_element.children if operands_element else [])
+        )
     except KeyError as error:
         raise PayloadError(document.tag, error.args[0]) from None
     operator_element = document.find("Operator")
@@ -486,10 +491,5 @@ def decode_description(document: Element) -> StreamDescription | ReplicaDescript
     operator_child = operator_element.children[0]
     if "spec" not in operator_child.attrib:
         raise PayloadError(document.tag, "spec")
-    operands_element = document.find("Operands")
-    operands = tuple(
-        (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
-        for operand in (operands_element.children if operands_element else [])
-    )
     return StreamDescription(peer_id, stream_id, attrib.get("isAChannel") == "true",
                              operator_child.tag, operator_child.attrib["spec"], operands)

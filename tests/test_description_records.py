@@ -210,6 +210,8 @@ REFUSED = {
     '<Stream StreamId="s"><Operator><Filter spec="x"/></Operator><Operands/></Stream>': "PeerId",
     '<Stream PeerId="p"><Operator><Filter spec="x"/></Operator><Operands/></Stream>': "StreamId",
     '<InChannel PeerId="p" StreamId="s" ReplicaPeerId="r"/>': "ReplicaStreamId",
+    '<Stream PeerId="p" StreamId="s"><Operator><Filter spec="x"/></Operator>'
+    '<Operands><Operand OStreamId="o"/></Operands></Stream>': "OPeerId",
 }
 
 
