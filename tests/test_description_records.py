@@ -202,7 +202,8 @@ def test_catalog_scenario_over_the_reliable_control_plane(systems, name: str, fa
 
 # -- a payload no record renders is refused ------------------------------------------------------
 
-#: the payload of PR 50's FOUND line, then one per other thing a record cannot do without
+#: a <Stream> with no <Operator> (which decoded to an empty operator and spec), then one
+#: payload per other thing a record cannot do without
 REFUSED = {
     '<Stream PeerId="p" StreamId="s"><Operands/></Stream>': "an Operator child",
     '<Stream PeerId="p" StreamId="s"><Operator/><Operands/></Stream>': "an Operator child",
