@@ -11,6 +11,8 @@ plan instance.  The generated differential drives whole systems through
 ``subscribe_many`` / ``cancel`` interleavings and holds every cached pass to
 an uncached visit of a fresh instance on the same database state, and to the
 old rule (one global version): wherever it would have hit, the cache hits.
+A pass that stamps its recipe slot hands back the recipe's placed tree, so
+there the reference is placed too and placements are compared.
 """
 
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ import repro.workloads.chaos_feed  # noqa: F401 - registers the chaosFeed alerte
 from repro.algebra.plan import ALERTER, EXISTING, FILTER, PUBLISH, PlanNode
 from repro.filtering import FilterSubscription, SimpleCondition
 from repro.monitor import P2PMSystem, ReuseEngine, StreamDefinitionDatabase
+from repro.monitor.placement import place_plan
 from repro.monitor.reuse import ReuseSignatureCache
 from repro.p2pml.compiler import PlanTemplate
 from repro.workloads.chaos_feed import CHAOS_FUNCTION
@@ -212,6 +215,8 @@ def test_a_cached_pass_equals_an_uncached_visit_and_hits_where_the_old_rule_did(
         if not old_hit:
             recorded[key] = db.reuse_version
         rewritten, report = apply(self, template)
+        if rewritten.placement is not None:  # a stamp hands back its recipe's placed tree
+            place_plan(reference[0], manager_peer=self.consumer_peer)
         assert outcome(rewritten, report) == outcome(*reference)
         assert report.cache_hit or not old_hit
         return rewritten, report
