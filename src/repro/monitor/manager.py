@@ -53,7 +53,7 @@ def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate
     """Compile and optimise ``ast`` once, for every subscription to it."""
     plan = optimize_plan(compile_subscription(ast), push_selections=push_selections)
     key = reuse_cache_key(plan)  # fills every node's signature detail on the way
-    fixed_placement = True  # placement reads the load at a JOIN or a UNION only
+    fixed_placement = True  # the placement rule: repro.monitor.placement
     for node in plan.iter_nodes():
         operator_spec(node)
         if node.kind == JOIN or node.kind == UNION:
@@ -191,7 +191,18 @@ class SubscriptionManager:
             recipe, reuse_report = self._recipe(template, avoid), None
         else:
             plan, reuse_report = engine.apply(template)
-            recipe = self._place(plan, avoid)
+            slot = engine.slot
+            if slot is not None and slot.recipe is not None:
+                recipe = slot.recipe  # a stamp adds the charges its one-off's placement made
+                if not recipe.charges:
+                    charges: dict[str, int] = {}
+                    for node in plan.iter_nodes():
+                        charges[node.placement] = charges.get(node.placement, 0) + 1
+                    recipe.charges = tuple(charges.items())
+            else:
+                recipe = self._place(plan, avoid)
+                if slot is not None:
+                    slot.recipe = recipe
 
         record = Subscription(
             sub_id=sub_id,
@@ -220,9 +231,8 @@ class SubscriptionManager:
 
     def _recipe(self, template: PlanTemplate, avoid: frozenset[str]) -> DeploymentRecipe:
         """The template's recipe for this peer, placed on first use; a one-off
-        when the template keeps none (placement reads the load).  Without a
-        JOIN or a UNION every movable node goes where its one input is,
-        avoided or not, so one recipe serves every ``avoid`` set."""
+        when the template keeps none (placement reads the load).  One recipe
+        serves every ``avoid`` set: see :mod:`repro.monitor.placement`."""
         recipes = template.recipes
         if recipes is None:
             return self._place(template.instantiate(), avoid)

@@ -13,7 +13,8 @@ Heuristics (matching the plan shown in Figure 4 of the paper):
 
 ``load`` tracks how many operators each peer has been assigned so far, so
 that successive subscriptions spread their work ("trying to balance the
-load").
+load").  Only a join's or a union's choice reads ``load`` or ``avoid``: a plan
+without either places the same under every load and avoid set.
 """
 
 from __future__ import annotations

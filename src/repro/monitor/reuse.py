@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.algebra.plan import ALERTER, EXISTING, PUBLISH, PlanNode, plan_signature
+from repro.algebra.plan import ALERTER, EXISTING, JOIN, PUBLISH, UNION, PlanNode, plan_signature
 from repro.monitor.stream_db import OPERATOR_NAMES, StreamDefinitionDatabase, operator_spec
 from repro.net.simnet import SimNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.monitor.deployment import DeploymentRecipe
     from repro.p2pml.compiler import PlanTemplate
 
 
@@ -61,7 +62,10 @@ def reuse_cache_key(plan: PlanNode) -> tuple[str, str]:
 
 @dataclass
 class _CachedRewrite:
-    """One replayable reuse outcome: the rewritten plan and what it matched."""
+    """One replayable reuse outcome: the rewritten plan and what it matched.
+
+    A ``fixed`` rewrite (no JOIN or UNION left, :mod:`repro.monitor.placement`) keeps a
+    recipe slot: the ``recipe`` a replay built and the consumer and providers it ``chose``."""
 
     #: the ``reuse_version`` at which the rewrite was last known to hold
     version: int
@@ -72,6 +76,9 @@ class _CachedRewrite:
     reused_originals: list[tuple[str, tuple[str, str]]]
     #: the database key of every match probe the visit issued
     probes: list[tuple]
+    fixed: bool
+    chose: tuple[str | None, dict[tuple[str, str], tuple[str, str]]] | None = None
+    recipe: DeploymentRecipe | None = None
 
 
 class ReuseSignatureCache:
@@ -144,6 +151,8 @@ class ReuseEngine:
         self._reused_originals: list[tuple[str, tuple[str, str]]] = []
         #: the database key of every match probe of the current visit
         self._probes: list[tuple] = []
+        #: the entry whose slot the last ``apply`` fills, or stamps: it then returns the read-only plan
+        self.slot: _CachedRewrite | None = None
 
     def apply(self, source: PlanNode | PlanTemplate) -> tuple[PlanNode, ReuseReport]:
         """Rewrite ``source`` and report what was reused.
@@ -153,6 +162,7 @@ class ReuseEngine:
         cannot answer.
         """
         report = ReuseReport()
+        self.slot = None
         cache = self.signature_cache
         template = None if type(source) is PlanNode else source
         if cache is not None:
@@ -165,6 +175,7 @@ class ReuseEngine:
         plan = template.instantiate() if template is not None else source
         self._reused_originals = []
         self._probes = []
+        self._fixed = True  # False once the visit leaves a JOIN or a UNION unmatched
         rewritten, _ = self._visit(plan, report)
         if cache is not None:
             cache.put(
@@ -175,14 +186,14 @@ class ReuseEngine:
                     nodes_considered=report.nodes_considered,
                     reused_originals=self._reused_originals,
                     probes=self._probes,
+                    fixed=self._fixed,
                 ),
                 self.stream_db,
             )
         return rewritten, report
 
     def _replay(self, entry: _CachedRewrite, report: ReuseReport) -> PlanNode:
-        """Rebuild a cached rewrite, re-ranking every provider choice."""
-        rewritten = entry.plan.copy()
+        """Rebuild a cached rewrite, re-ranking every provider choice; a slot hit returns its recipe's plan."""
         report.cache_hit = True
         report.nodes_considered = entry.nodes_considered
         report.nodes_reused = len(entry.reused_originals)
@@ -190,6 +201,12 @@ class ReuseEngine:
         for kind, original in entry.reused_originals:
             provider = providers[original] = self._select_provider(original, report)
             report.reused.append((kind, f"{original[1]}@{original[0]}", provider[0]))
+        if entry.fixed:
+            self.slot = entry
+            if entry.recipe is not None and entry.chose == (self.consumer_peer, providers):
+                return entry.recipe.plan
+            entry.chose, entry.recipe = (self.consumer_peer, providers), None
+        rewritten = entry.plan.copy()
         for node in rewritten.iter_nodes():
             if node.kind == EXISTING:
                 params = node.params
@@ -216,6 +233,8 @@ class ReuseEngine:
 
         match = self._match_node(node, child_matches, report)
         if match is None:
+            if node.kind == JOIN or node.kind == UNION:
+                self._fixed = False
             return node, None
 
         provider_peer, provider_stream = self._select_provider(match, report)
