@@ -146,18 +146,24 @@ class ChordRing:
         if node._fingers_version != self._version:
             size = 1 << self.bits
             position = node.position
+            nodes, positions = self._sorted, self._positions
+            last = positions[-1]
             fingers: list[ChordNode] = []
+            routes: list[ChordNode] = []  # each finger lies past the last one: all are distinct
             filled = 0
             while filled < self.bits:
-                finger = self._successor_node((position + (1 << filled)) % size)
+                start = (position + (1 << filled)) % size
+                finger = nodes[bisect_left(positions, start)] if start <= last else nodes[0]
                 reach = (finger.position - position) % size or size - 1  # itself: all the way round
                 # every power of two up to its distance leads to the same finger
-                upto = reach.bit_length()
+                upto = filled + 1
+                while reach >> upto:
+                    upto += 1
                 fingers += [finger] * (upto - filled)
                 filled = upto
-            node.fingers = fingers
-            distinct = dict.fromkeys(reversed(fingers))  # keeps first occurrences, in order
-            node.routes = [finger for finger in distinct if finger is not node]
+                if finger is not node:
+                    routes[:0] = (finger,)  # farthest first
+            node.fingers, node.routes = fingers, routes
             node._fingers_version = self._version
         return node.fingers
 
