@@ -243,8 +243,8 @@ class StreamDefinitionDatabase:
     ) -> str:
         """Declare that ``replica_peer_id`` can also provide ``stream_id@peer_id``."""
         doc_id = f"replica:{replica_stream_id}@{replica_peer_id}"
-        if self.pending:
-            self.flush()
+        if self.pending and doc_id in self.pending:
+            self.flush()  # a held republish: its check reads the held record
         records = self.index.records
         if doc_id in records:  # a republish: the replica it replaces stops providing
             self._unmap_replica(doc_id, records[doc_id])
