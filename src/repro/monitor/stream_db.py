@@ -472,24 +472,28 @@ def decode_description(document: Element) -> StreamDescription | ReplicaDescript
     oracle and the coherence check read off KadoP's renderings, and what
     the control plane stores of a routed publication's payload.  A document
     no record renders -- an id attribute (an operand's too), the
-    ``<Operator>`` child or its ``spec`` missing -- raises :class:`~repro.net.errors.PayloadError`."""
+    ``<Operator>`` child or its ``spec`` missing, a second ``<Operator>`` child,
+    an ``<Operands>`` child not an ``<Operand>`` -- raises :class:`~repro.net.errors.PayloadError`."""
     attrib = document.attrib
     try:
         if document.tag == "InChannel":
             return ReplicaDescription(attrib["PeerId"], attrib["StreamId"], attrib["ReplicaPeerId"], attrib["ReplicaStreamId"])
         peer_id, stream_id = attrib["PeerId"], attrib["StreamId"]
         operands_element = document.find("Operands")
-        operands = tuple(
-            (operand.attrib["OPeerId"], operand.attrib["OStreamId"])
-            for operand in (operands_element.children if operands_element else [])
-        )
+        operands = []
+        for operand in operands_element.children if operands_element else ():
+            if operand.tag != "Operand":
+                raise PayloadError(document.tag, f"an Operand in place of <{operand.tag}>")
+            operands.append((operand.attrib["OPeerId"], operand.attrib["OStreamId"]))
     except KeyError as error:
         raise PayloadError(document.tag, error.args[0]) from None
     operator_element = document.find("Operator")
     if operator_element is None or not operator_element.children:
         raise PayloadError(document.tag, "an Operator child")
+    if len(operator_element.children) > 1:
+        raise PayloadError(document.tag, "a lone Operator child")
     operator_child = operator_element.children[0]
     if "spec" not in operator_child.attrib:
         raise PayloadError(document.tag, "spec")
     return StreamDescription(peer_id, stream_id, attrib.get("isAChannel") == "true",
-                             operator_child.tag, operator_child.attrib["spec"], operands)
+                             operator_child.tag, operator_child.attrib["spec"], tuple(operands))

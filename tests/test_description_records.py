@@ -213,6 +213,11 @@ REFUSED = {
     '<InChannel PeerId="p" StreamId="s" ReplicaPeerId="r"/>': "ReplicaStreamId",
     '<Stream PeerId="p" StreamId="s"><Operator><Filter spec="x"/></Operator>'
     '<Operands><Operand OStreamId="o"/></Operands></Stream>': "OPeerId",
+    # what decoding once rewrote: an operand under another tag, a second operator
+    '<Stream PeerId="p" StreamId="s"><Operator><Filter spec="x"/></Operator>'
+    '<Operands><Foo OPeerId="a" OStreamId="b"/></Operands></Stream>': "an Operand in place of <Foo>",
+    '<Stream PeerId="p" StreamId="s"><Operator><Filter spec="x"/><Restructure spec="y"/></Operator>'
+    "<Operands/></Stream>": "a lone Operator child",
 }
 
 
@@ -224,6 +229,16 @@ def test_decoding_refuses_what_no_record_renders(payload: str):
 
 
 def test_a_refused_payload_is_neither_stored_nor_routed():
+    _refused_over_rpc('<Stream PeerId="p" StreamId="s"><Operands/></Stream>')
+
+
+def test_an_operand_under_another_tag_is_neither_stored_nor_routed():
+    _refused_over_rpc('<Stream PeerId="p" StreamId="s"><Operator><Filter spec="x"/></Operator>'
+                      '<Operands><Foo OPeerId="a" OStreamId="b"/></Operands></Stream>')
+
+
+def _refused_over_rpc(text: str) -> None:
+    """``text`` sent through the ``kadop.publish`` RPC raises at the caller and leaves KadoP as it was."""
     system = P2PMSystem(seed=5, reliable_control=True)
     for peer_id in ("s0", "m1"):
         system.add_peer(peer_id)
@@ -233,7 +248,7 @@ def test_a_refused_payload_is_neither_stored_nor_routed():
     storage = {node.node_id: dict(node.storage) for node in kadop.ring.nodes()}
     catalogue = set(kadop.document_ids)  # a routed read
     lookups = kadop.ring.lookup_count
-    payload = parse_xml('<Stream PeerId="p" StreamId="s"><Operands/></Stream>')
+    payload = parse_xml(text)
     with pytest.raises(RpcRemoteError, match="PayloadError"):
         system.peer("m1").rpc.call_sync(home, RPC_KADOP_PUBLISH, Element("publish", {"docId": doc_id}, [payload]))
     assert kadop.ring.lookup_count == lookups
