@@ -89,13 +89,13 @@ class ReuseSignatureCache:
     Database's ``reuse_version`` is the entry's, or while no key in
     ``probes`` was stamped (``stream_db.watched``) after it.  A probe key
     missing from ``watched`` counts as changed.  Provider choices are *not*
-    cached -- they are re-ranked on every hit, so replica churn and peer
-    failures never serve a stale provider.
+    cached -- they are re-ranked on every hit, and only a hit whose peer and
+    providers are its recipe slot's stamps that slot's recipe.
     """
 
     #: bound on interned rewrites, and on the probe keys they watch: each
-    #: entry holds a deep-copied plan, and a long run ingesting many distinct
-    #: subscription shapes would otherwise accumulate both without limit
+    #: entry holds a deep-copied plan and its slot recipe, and a long run ingesting
+    #: many distinct subscription shapes would otherwise accumulate both without limit
     LIMIT = 1024
 
     def __init__(self) -> None:
