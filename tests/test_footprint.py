@@ -24,8 +24,9 @@ from repro.monitor.subscription import DEPLOYED
 #: objects per subscription at a tenth of the deck (88.67 / 100.11 / 87.85
 #: when set, from 90.58 / 103.16 / 88.79 before a KadoP posting held a bare
 #: id until its second document and a batch wrote its descriptions in one
-#: pass), plus 10 %
-BUDGETS = {"fanout": 97, "filter": 110, "ingest": 96}
+#: pass), plus 10 %; `ingest` 87.14 since a reuse hit may stamp its rewrite's
+#: recipe (`fanout` 89.67: each cached rewrite keeps its last recipe)
+BUDGETS = {"fanout": 97, "filter": 110, "ingest": 95}
 
 
 def subscribed(name: str):
