@@ -134,8 +134,8 @@ class RestructureTemplate:
     payloads of the form ``{$var.attr}`` / ``{$var/path}`` / ``{$var}`` are
     replaced at runtime by the corresponding value from the binding.  Every
     hole is parsed once, into nested ``(tag, attrs, text, text_ref,
-    children)`` tuples whose ``(name, value, ref)`` attributes take ``ref``'s
-    value when there is a hole.
+    children, weight)`` tuples whose ``(name, value, ref)`` attributes take
+    ``ref``'s value when there is a hole; every node built is born weighed.
     """
 
     def __init__(self, skeleton: Element) -> None:
@@ -156,11 +156,18 @@ class RestructureTemplate:
 
 
 def _compile(node: Element, found: set[str]) -> tuple:
-    """``node`` with its holes parsed; their variables are added to ``found``."""
-    attrs = tuple([(name, raw, _hole(raw, found)) for name, raw in node.attrib.items()])
+    """``node`` with its holes parsed; their variables are added to ``found``.
+    Its weight is the length of its own markup with the holes left empty."""
+    attrs: tuple = ()
+    markup = f"<{node.tag}></{node.tag}>"
+    for name, raw in node.attrib.items():
+        ref = _hole(raw, found)
+        attrs += ((name, raw, ref),)
+        markup += f' {name}="{raw if ref is None else ""}"'
     text_ref = _hole(node.text, found) if node.text is not None else None
+    text = node.text if text_ref is None else None
     children = tuple([_compile(child, found) for child in node.children]) if node.children else ()
-    return node.tag, attrs, node.text if text_ref is None else None, text_ref, children
+    return node.tag, attrs, text, text_ref, children, len(markup + (text or ""))
 
 
 def _hole(raw: str, found: set[str]) -> ValueRef | None:
@@ -175,21 +182,27 @@ def _hole(raw: str, found: set[str]) -> ValueRef | None:
 
 
 def _instantiate(node: tuple, binding: Binding) -> Element:
-    tag, attrs, text, text_ref, children = node
-    attrib = {}
+    """The tree ``node`` builds under ``binding``, each node weighed at birth:
+    its static weight, its hole values (concatenated: one ``len``), its children."""
+    tag, attrs, text, text_ref, children, weight = node
+    attrib, filled = {}, ""
     for name, value, ref in attrs:
-        attrib[name] = value if ref is None else ref.value(binding) or ""
+        if ref is not None:
+            filled += (value := ref.value(binding) or "")
+        attrib[name] = value
     built = []
     if text_ref is not None:
         # a whole-variable or path hole embeds a copy of the element it selects
         embedded = text_ref.node(binding) if text_ref.kind in ("self", "path") else None
         if embedded is not None:
-            built.append(embedded.copy())
+            built.append(embedded.copy())  # the copy carries a weighed original's memo
+            weight += built[0]._weight or built[0].weight()
         else:
-            text = text_ref.value(binding) or ""
+            filled += (text := text_ref.value(binding) or "")
     for child in children:
         built.append(_instantiate(child, binding))
-    return Element.fast_new(tag, attrib, built, text)
+        weight += built[-1]._weight
+    return Element.fast_new(tag, attrib, built, text, weight + len(filled) if filled else weight)
 
 
 def parse_value_ref(expression: str) -> ValueRef:

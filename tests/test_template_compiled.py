@@ -7,6 +7,11 @@ serialised alike) with the same ``weight()``, for every RETURN template of
 the repository benchmark decks, the examples and the chaos catalog, and for
 generated skeletons with attribute, path, whole-variable, literal and
 missing-variable holes, static text and nesting.
+
+Every node a template builds is born weighed: its ``_weight`` slot is set by
+``instantiate`` itself, without a ``weight()`` call, to what the uncached
+walk of ``test_e2e_fastpath`` computes.  Only an embedded copy of a tree that
+was never weighed is walked, once.
 """
 
 import re
@@ -17,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_e2e_fastpath  # its uncached weight walk is the reference here too
 from repro.algebra.template import RestructureTemplate, ValueRef, parse_value_ref
 from repro.p2pml import parse_subscription
 from repro.scenarios.catalog import make_scenario, scenario_names
@@ -24,6 +30,7 @@ from repro.workloads.meteo import MeteoScenario
 from repro.xmlmodel import Element, XPath, parse_xml, to_xml
 
 ROOT = Path(__file__).resolve().parent.parent
+uncached_weight = test_e2e_fastpath.TestWeightCache().uncached_weight
 
 # -- the interpreter, as it was ------------------------------------------------------
 
@@ -90,8 +97,34 @@ def interpreted_variables(skeleton: Element) -> set[str]:
     return found
 
 
+class CountingWeight:
+    """``Element.weight`` counting its calls, a walk's recursion too, while patched in."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        plain = Element.weight
+
+        def weight(node: Element) -> int:
+            self.calls += 1
+            return plain(node)
+
+        monkeypatch.setattr(Element, "weight", weight)
+
+
+def assert_born_weighed(built: Element) -> None:
+    for node in built.iter():
+        assert node._weight is not None and node._weight == uncached_weight(node), to_xml(node)
+
+
 def assert_same(skeleton: Element, binding) -> None:
-    built = RestructureTemplate(skeleton).instantiate(binding)
+    template = RestructureTemplate(skeleton)
+    for tree in binding.values():
+        tree.weight()  # an emitted item is weighed when it crosses a link: its copies carry the memo
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counting = CountingWeight(monkeypatch)
+        built = template.instantiate(binding)
+    assert counting.calls == 0
+    assert_born_weighed(built)
     expected = interpreted(skeleton, binding)
     assert built == expected
     assert to_xml(built) == to_xml(expected)
@@ -238,3 +271,41 @@ def test_a_template_is_reusable_and_leaves_its_skeleton_alone():
     assert first == second and first is not second
     assert first.find("copy").children[0] is not tree  # an embedded subtree is a copy
     assert to_xml(skeleton) == before
+
+
+# -- born weighed --------------------------------------------------------------------
+
+
+def instantiate_counted(monkeypatch, source: str, binding) -> tuple[Element, int]:
+    template = RestructureTemplate(parse_xml(source))
+    counting = CountingWeight(monkeypatch)
+    built = template.instantiate(binding)
+    monkeypatch.undo()
+    return built, counting.calls
+
+
+def test_an_embedded_tree_never_weighed_is_walked_once_in_its_copy(monkeypatch):
+    tree = Element("alert", {"x": "1"}, [Element("soap", {"id": "7"}, [Element("method", text="Get")])])
+    source = '<out who="{$a.x}"><copy>{$a}</copy><m>{$a/soap}</m></out>'
+    built, calls = instantiate_counted(monkeypatch, source, {"a": tree})
+    assert calls == 3 + 2  # one walk of each embedded copy: its 3 and its 2 nodes
+    assert_born_weighed(built)
+    assert all(node._weight is None for node in tree.iter())  # the bound tree itself is left alone
+    assert built == interpreted(parse_xml(source), {"a": tree})
+
+
+@pytest.mark.parametrize(
+    "source,binding,text",
+    [
+        ('<out who="{$gone.x}"><n>{$gone/a}</n><v>{$gone}</v></out>', {}, ""),  # a missing variable
+        ('<out who="{$a.empty}"><n>{$a.empty}</n></out>', {"a": Element("alert", {"empty": ""})}, ""),  # empty values
+        ("<out who=\"{'lit'}\"><n>{\"quoted\"}</n></out>", {}, "quoted"),  # literal holes
+        ('<out who=" {$a.x} " k="static">text<n> {$a.x} </n></out>', {"a": Element("alert", {"x": "12"})}, "12"),
+    ],
+)
+def test_holes_without_a_tree_are_weighed_at_birth(monkeypatch, source, binding, text):
+    built, calls = instantiate_counted(monkeypatch, source, binding)
+    assert calls == 0
+    assert_born_weighed(built)
+    assert built.children[-1].text == text
+    assert built == interpreted(parse_xml(source), binding)
