@@ -50,7 +50,13 @@ def get_binding(item: Element, default_var: str | None = None) -> Binding:
 
 
 def merge_tuple_items(left: Element, right: Element, left_var: str, right_var: str) -> Element:
-    """Combine two (possibly already joined) items into one binding tuple."""
+    """Combine two (possibly already joined) items into one binding tuple;
+    two raw items under distinct variables are paired without decoding them."""
+    if left.tag != TUPLE_TAG and right.tag != TUPLE_TAG and left_var and right_var and left_var != right_var:
+        if right_var < left_var:  # bindings in variable order, as make_tuple_item sorts them
+            left, right, left_var, right_var = right, left, right_var, left_var
+        first = Element.fast_new(BINDING_TAG, {"var": left_var}, [left])
+        return Element.fast_new(TUPLE_TAG, {}, [first, Element.fast_new(BINDING_TAG, {"var": right_var}, [right])])
     binding = get_binding(left, left_var)
     binding.update(get_binding(right, right_var))
     return make_tuple_item(binding)
