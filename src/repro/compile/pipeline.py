@@ -204,11 +204,12 @@ class CompiledPipeline:
 
     def _run_batch_from(self, batch: Any, memo: dict, i: int = 0) -> None:
         stages, boundaries, stats, last = self.stages, self.boundaries, self.stats, self._last
+        count = len(batch)  # every ``apply_many`` is 1:1, so one count serves the burst
         while True:
             stage = stages[i]
             if stage.apply_many is not None:
                 stats.batch_invocations += 1
-                stats.batch_items += len(batch)
+                stats.batch_items += count
                 # twins of one group dispatch share each stage's result
                 key = (stage.signature, id(batch))
                 if key in memo:
@@ -217,7 +218,7 @@ class CompiledPipeline:
                     batch = memo[key] = stage.apply_many(batch)
             boundary = boundaries[i]
             if i == last:
-                self.items_out += len(batch)
+                self.items_out += count
                 boundary.stream.emit_trusted(batch)
                 return
             if self._entries[i + 1] is not None and not (boundary.channel and boundary.channel.subscribers):
