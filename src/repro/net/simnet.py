@@ -415,8 +415,8 @@ class SimNetwork:
             if self.record_events:
                 end = "source" if source in down else "destination"
                 self._log(f"drop {end}-down {source}->{destination} {kind}")
-            return self._make_message(source, destination, kind, payload, payload.weight())
-        return self._schedule(source, destination, kind, payload, payload.weight())
+            return self._make_message(source, destination, kind, payload, payload._weight or payload.weight())
+        return self._schedule(source, destination, kind, payload, payload._weight or payload.weight())
 
     def send_many(self, source: str, sends: list[tuple[str, str, Element]]) -> None:
         """Queue a burst of ``(destination, kind, payload)`` sends from one peer.
@@ -459,7 +459,7 @@ class SimNetwork:
             if down and destination in down:
                 self.messages_dropped_peer_down += 1
                 continue
-            size = payload.weight()
+            size = payload._weight or payload.weight()  # a channel wrapper is born weighed
             total_bytes += size
             # NetworkStats.record, with the two totals added after the loop
             link = links.get((source, destination))
