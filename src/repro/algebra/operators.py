@@ -117,6 +117,89 @@ class UnionOperator(Operator):
         self.emit_batch(items)
 
 
+class JoinSide:
+    """One input of the joins reading a stream under one key: its history and
+    "an index over that history" (Section 3.1), each item keyed and stored once.
+
+    A member join sees the items numbered (``seq``) from its ``base`` on: those
+    stored since it joined.  It *pulls* on a side -- an item arriving there
+    searches the member's view of the other side, and enters the member in
+    that side's ``waiting`` under a key new to it -- and is *waited* on a
+    shared side with more members: an item there reaches only the members
+    waiting under its key, so its work grows with its matches, not with the
+    members.  A join with no shared side pulls on both.
+    """
+
+    #: a shared side subscribes itself; its join feeds any other (``store`` evicts for a window)
+    shared = False
+
+    def __init__(self, var: str, refs: tuple[ValueRef, ...], store: Callable[[tuple, tuple], None] | None = None) -> None:
+        self.var, self.refs, self._store = var, refs, store
+        #: the root attribute that is a raw item's whole key, if any
+        self.attribute = refs[0].detail if len(refs) == 1 and refs[0].kind == "attribute" and refs[0].var == var else None
+        #: join key -> [(seq, item)] in arrival order
+        self.history: dict[tuple, list[tuple[int, Element]]] = {}
+        #: join key -> the (member, index) whose other side holds it in their view
+        self.waiting: dict[tuple, list[tuple[JoinOperator, int]]] = {}
+        #: (member, its input index here) in joining order, and those that pull
+        self.members: tuple[tuple[JoinOperator, int], ...] = ()
+        self.pullers: list[tuple[JoinOperator, int]] = []
+        self.seq = 0
+
+    def leave(self, member: "JoinOperator", index: int) -> None:
+        """Drop ``member`` (its detach); its ``waiting`` entries are skipped from now on."""
+        self.members = tuple([entry for entry in self.members if entry != (member, index)])
+        self.pullers = [entry for entry in self.pullers if entry != (member, index)]
+
+    def offer(self, items: Sequence[Element]) -> None:
+        """Key and store each item once, search the views it reaches; each
+        member's joined tuples leave as one burst, in joining order."""
+        var, refs, attribute, store = self.var, self.refs, self.attribute, self._store
+        history, waiting, pullers = self.history, self.waiting, self.pullers
+        joined: dict[JoinOperator, list[Element]] = {}
+        seq = first = self.seq
+        for item in items:
+            if attribute is not None and item.tag != TUPLE_TAG:
+                key: tuple = (item.attrib.get(attribute),)
+            else:
+                binding = get_binding(item, var)
+                key = tuple([ref.value(binding) for ref in refs])
+            if None in key:
+                continue
+            bucket = history[key] if key in history else None
+            for member, index in pullers + waiting[key] if key in waiting else pullers:
+                if member.detached:
+                    continue
+                other = 1 - index
+                if member._waited == other and (bucket is None or bucket[-1][0] < member._bases[index]):
+                    wait = member._sides[other].waiting
+                    if key in wait:
+                        wait[key].append((member, other))
+                    else:
+                        wait[key] = [(member, other)]
+                matches = member._index[other].get(key)  # indexed history search
+                if matches:
+                    pairs = joined[member] if member in joined else joined.setdefault(member, [])
+                    base, left_var, right_var = member._bases[other], member.left_var, member.right_var
+                    for number, match in matches:
+                        if number >= base:
+                            pair = (item, match) if index == 0 else (match, item)
+                            pairs.append(merge_tuple_items(*pair, left_var, right_var))
+            if store is not None:
+                store(key, (seq, item))
+            elif bucket is None:
+                history[key] = [(seq, item)]
+            else:
+                bucket.append((seq, item))
+            seq += 1
+        self.seq = seq
+        for member, index in self.members:
+            member.index_probes += seq - first
+            member._held[index] += seq - first
+            if member in joined and not member.detached:
+                member.emit_batch(joined[member])
+
+
 class JoinOperator(Operator):
     """⋈ -- joins two streams on an equality predicate over extracted values.
 
@@ -127,7 +210,9 @@ class JoinOperator(Operator):
 
     The output items are binding tuples pairing ``left_var`` and ``right_var``
     (bindings of already-joined inputs are merged in), so a downstream
-    Restructure can refer to both sides.
+    Restructure can refer to both sides.  Each input is a :class:`JoinSide`;
+    on one shared with other joins (``connect``'s ``share``) this join sees
+    only the items that arrived since it joined.
     """
 
     name = "Join"
@@ -148,18 +233,48 @@ class JoinOperator(Operator):
         self.right_var = right_var
         self.predicate = list(predicate)
         self.window = window
-        # history index: join key -> items seen on that side
-        self._index: list[dict[tuple, list[Element]]] = [{}, {}]
+        #: per side, the refs of the predicate that key its items
+        self._columns: tuple[tuple[ValueRef, ...], ...] = tuple(zip(*self.predicate))
+        self._sides: list[JoinSide] = []
+        # per side, its history index, the first item number seen and the items held
+        self._index: list[dict[tuple, list]] = [{}, {}]
+        self._bases = [0, 0]
+        self._held = [0, 0]
+        #: the side this join is waited on, None while it pulls on both
+        self._waited: int | None = None
         # keys in arrival order, per side: only a window evicts by them
         self._arrival: tuple[deque[tuple], deque[tuple]] | None = (
             None if window is None else (deque(), deque())
         )
         self.index_probes = 0
-        # per side, the root attribute that is a raw item's whole key, if any
-        self._attribute = [
-            ref.detail if len(self.predicate) == 1 and ref.kind == "attribute" and ref.var == var else None
-            for ref, var in zip(self.predicate[0], (left_var, right_var))
-        ]
+
+    def connect(self, stream: Stream, share: Callable[..., JoinSide] | None = None) -> "JoinOperator":
+        """Attach ``stream`` as the next input.  Its side is ``share(stream, var,
+        refs)``, which other joins reading ``stream`` under the same key share
+        and which subscribes itself, or by default a side of this join alone."""
+        index = len(self.inputs)
+        if index > 1:
+            return super().connect(stream)  # its items are refused
+        var, refs = (self.left_var, self.right_var)[index], self._columns[index]
+        if share is None:
+            side = JoinSide(var, refs, None if self.window is None else partial(self._store, index))
+            super().connect(stream)
+        else:
+            side = share(stream, var, refs)
+            self.inputs.append(stream)
+            self._open_inputs += 1
+        side.members += ((self, index),)
+        self._unsubscribes.append(partial(side.leave, self, index))
+        self._sides.append(side)
+        self._index[index], self._bases[index] = side.history, side.seq
+        if index == 1:
+            left = self._sides[0]
+            if left.shared or side.shared:
+                self._waited = 0 if len(left.members) > len(side.members) else 1
+            for pulled, pull_side in enumerate(self._sides):
+                if pulled != self._waited:
+                    pull_side.pullers.append((self, pulled))
+        return self
 
     def on_item(self, index: int, item: Element) -> None:
         self._probe(index, (item,))
@@ -169,36 +284,12 @@ class JoinOperator(Operator):
         self._probe(index, items)
 
     def _probe(self, index: int, items: Sequence[Element]) -> None:
-        """Store each keyed item and search the other side's history index
-        with it; the joined tuples leave as one burst."""
         if index not in (0, 1):
             raise ValueError("JoinOperator has exactly two inputs")
-        var, attribute = (self.left_var, self.right_var)[index], self._attribute[index]
-        own, other, windowed = self._index[index], self._index[1 - index], self._arrival is not None
-        joined = []
-        for item in items:
-            if attribute is not None and item.tag != TUPLE_TAG:
-                key: tuple = (item.attrib.get(attribute),)
-            else:
-                binding = get_binding(item, var)
-                key = tuple([pair[index].value(binding) for pair in self.predicate])
-            if None in key:
-                continue
-            if windowed:
-                self._store(index, key, item)
-            elif key in own:
-                own[key].append(item)
-            else:
-                own[key] = [item]
-            self.index_probes += 1
-            for match in other.get(key, ()):  # indexed history search
-                pair = (item, match) if index == 0 else (match, item)
-                joined.append(merge_tuple_items(*pair, self.left_var, self.right_var))
-        if joined:
-            self.emit_batch(joined)
+        self._sides[index].offer(items)
 
-    def _store(self, side: int, key: tuple, item: Element) -> None:
-        """Index ``item``, evicting its side's oldest one beyond the window."""
+    def _store(self, side: int, key: tuple, item: tuple[int, Element]) -> None:
+        """Index the numbered ``item``, evicting its side's oldest one beyond the window."""
         self._index[side].setdefault(key, []).append(item)
         arrival = self._arrival[side]  # type: ignore[index]
         arrival.append(key)
@@ -211,6 +302,9 @@ class JoinOperator(Operator):
                     del self._index[side][oldest_key]
 
     def history_size(self, side: int) -> int:
+        """Items held on input ``side``: stored since this join joined, within its window."""
+        if self.window is None:
+            return self._held[side]
         return sum(len(bucket) for bucket in self._index[side].values())
 
 

@@ -35,11 +35,11 @@ from repro.algebra.plan import (
     UNION,
     PlanNode,
 )
-from repro.algebra.template import get_binding
+from repro.algebra.template import ValueRef, get_binding
 from repro.streams.stream import Stream
 
 from .cache import CompiledPlanCache
-from .group import FilterGroup
+from .group import FilterGroup, SharedJoinSide
 from .signatures import stage_signature
 from .stats import CompileStats
 from .table import MISS, MaterializedTable
@@ -100,6 +100,8 @@ class PlanCompiler:
         self.stats = stats
         #: the one shared filter of every stream feeding FILTER-headed segments
         self.groups: dict[Stream, FilterGroup] = {}
+        #: the one shared side of the unwindowed joins reading a stream under one key
+        self.join_sides: dict[tuple, SharedJoinSide] = {}
 
     # -- fallback rules ------------------------------------------------------
 
@@ -220,3 +222,14 @@ class PlanCompiler:
                 stream, lambda: host.service_registry, self.stats, lambda: self.groups.pop(stream)
             )
         return group
+
+    def join_side(self, stream: Stream, var: str, refs: tuple[ValueRef, ...]) -> SharedJoinSide:
+        """The side of the joins reading ``stream`` as ``var`` keyed by ``refs``,
+        created and subscribed on first use, dropped with its last member."""
+        key: tuple = (stream, var)
+        for ref in refs:  # by value: a ValueRef hashes in Python
+            key += (ref.var, ref.kind, ref.detail)
+        side = self.join_sides.get(key)
+        if side is None:
+            side = self.join_sides[key] = SharedJoinSide(stream, var, refs, lambda: self.join_sides.pop(key))
+        return side

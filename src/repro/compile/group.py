@@ -11,6 +11,10 @@ calls only the matching members' continuations, which resume their pipeline
 The index holds one entry per distinct interned FILTER stage signature; twins
 share it as slots of its bucket.  Members run in registration order, at the
 group's position among the stream's subscribers (the first member's).
+
+A :class:`SharedJoinSide` is the same pattern for JOIN: one subscriber for
+every unwindowed join reading a stream under one key, which keys, stores and
+dispatches each item once (:class:`~repro.algebra.operators.JoinSide`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dataclasses import replace
 from operator import attrgetter
 from typing import Any, Callable
 
+from repro.algebra.operators import JoinOperator, JoinSide
+from repro.algebra.template import ValueRef
 from repro.filtering.conditions import FilterSubscription
 from repro.filtering.filter import FilterOperator
 from repro.streams.item import EOS
@@ -152,3 +158,36 @@ class FilterGroup:
         for member in self._ordered(tuple(survivors)):
             if member.group is not None:
                 member.batch(survivors[member.signature], memo)
+
+
+class SharedJoinSide(JoinSide):
+    """The side of every unwindowed join reading ``stream`` under one key: its
+    single subscriber on their behalf, dropped with its last member.  A window
+    evicts per join, and a self-join reads one stream as both sides, so the
+    deployment keeps both kinds on sides of their own."""
+
+    shared = True
+
+    def __init__(self, stream: Stream, var: str, refs: tuple[ValueRef, ...], on_empty: Callable[[], Any]) -> None:
+        super().__init__(var, refs)
+        self._on_empty = on_empty
+        self._unsubscribe = stream.subscribe(self)
+
+    def leave(self, member: JoinOperator, index: int) -> None:
+        super().leave(member, index)
+        if not self.members:
+            self._unsubscribe()
+            self._on_empty()
+
+    def __call__(self, item: Any) -> None:
+        if item is EOS:
+            for member, index in self.members:
+                member._receive(index, EOS)
+        else:
+            self.batch([item])
+
+    def batch(self, items: list) -> None:
+        count = len(items)
+        for member, _ in self.members:
+            member.items_in += count
+        self.offer(items)

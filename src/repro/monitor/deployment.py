@@ -417,9 +417,7 @@ class Deployer:
         child_handles = [self._deploy_node(child, task) for child in node.children]
 
         def wire(inputs: list[Stream], output: Stream):
-            operator = self._make_operator(node, output)
-            for stream in inputs:
-                operator.connect(stream)
+            operator = self._make_operator(node, output, inputs)
             peer.operators[operator] = None
             return operator, (operator.detach, partial(peer.operators.pop, operator, None))
 
@@ -530,26 +528,39 @@ class Deployer:
         if prev is not None and prev[0] == peer_id and prev[1] != stream_id:
             self.system.peer(peer_id).net.channels.adopt_orphans(prev[1], output)
 
-    def _make_operator(self, node: PlanNode, output: Stream) -> Operator:
-        if node.kind == UNION:
-            return UnionOperator(output)
+    def _make_operator(self, node: PlanNode, output: Stream, inputs: list[Stream]) -> Operator:
+        """``node``'s operator, writing ``output`` and connected to ``inputs``."""
         if node.kind == JOIN:
-            return JoinOperator(
+            join = JoinOperator(
                 node.params["left_var"],
                 node.params["right_var"],
                 node.params["predicate"],
                 output,
                 window=node.params.get("window"),
             )
-        if node.kind == DISTINCT:
-            return DuplicateRemovalOperator(output=output)
-        if node.kind == GROUP:
+            # each input of an unwindowed join of two streams is its stream's
+            # shared side; a window evicts per join and a self-join reads one
+            # stream as both sides, so those keep sides of their own
+            shared = join.window is None and inputs[0] is not inputs[1]
+            for stream in inputs:
+                join.connect(stream, self.system.compiler.join_side if shared else None)
+            return join
+        operator: Operator
+        if node.kind == UNION:
+            operator = UnionOperator(output)
+        elif node.kind == DISTINCT:
+            operator = DuplicateRemovalOperator(output=output)
+        elif node.kind == GROUP:
             key = node.params.get("key")
             if isinstance(key, str):
                 key = ValueRef.attribute(node.params.get("var", "item"), key)
-            return GroupOperator(key, every=node.params.get("every"), output=output,
-                                 default_var=node.params.get("var"))
-        raise ValueError(f"cannot instantiate operator for plan node kind {node.kind!r}")
+            operator = GroupOperator(key, every=node.params.get("every"), output=output,
+                                     default_var=node.params.get("var"))
+        else:
+            raise ValueError(f"cannot instantiate operator for plan node kind {node.kind!r}")
+        for stream in inputs:
+            operator.connect(stream)
+        return operator
 
     # -- cross-peer wiring ------------------------------------------------------------------
 
