@@ -26,6 +26,7 @@ amortises the remaining per-item dispatch for alerter bursts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -38,6 +39,16 @@ from repro.xmlmodel.tree import Element
 
 #: Bound on the per-satisfied-mask plan cache (cleared wholesale when full).
 MAX_MASK_CACHE = 65536
+
+#: op -> the sub ids of a ladder (ascending targets, their sub ids) whose condition a sum satisfies
+_LADDER: dict[str, Callable[[tuple, tuple, float], tuple]] = {
+    ">": lambda targets, subs, total: subs[:bisect_left(targets, total)],
+    ">=": lambda targets, subs, total: subs[:bisect_right(targets, total)],
+    "<": lambda targets, subs, total: subs[bisect_right(targets, total):],
+    "<=": lambda targets, subs, total: subs[bisect_left(targets, total):],
+    "=": lambda targets, subs, total: subs[bisect_left(targets, total):bisect_right(targets, total)],
+    "!=": lambda targets, subs, total: subs[:bisect_left(targets, total)] + subs[bisect_right(targets, total):],
+}
 
 
 @dataclass
@@ -57,9 +68,9 @@ class _MaskPlan:
     """Everything stage 2 derives from one satisfied-condition bitmask."""
 
     simple_plain: tuple[str, ...]
-    simple_computed: tuple[str, ...]
+    simple_computed: tuple  # ``_computed``'s
     complex_plain: tuple[str, ...]
-    complex_computed: tuple[str, ...]
+    complex_computed: tuple
     plain_query_ids: frozenset[str]
 
 
@@ -183,11 +194,20 @@ class FilterOperator:
             self.items_matched += 1
         return matched
 
-    def _computed_hold(self, sub_ids: tuple[str, ...], attributes: dict, totals: dict) -> list[str]:
-        """The ``sub_ids`` whose computed (LET-derived) conditions all hold;
-        ``totals`` keeps each distinct sum for the rest of the item."""
-        holding = []
-        for sub_id in sub_ids:
+    def _computed_hold(self, computed: tuple, attributes: dict, totals: dict) -> list[str]:
+        """The candidates of ``computed`` whose computed (LET-derived) conditions
+        all hold; ``totals`` keeps each distinct sum for the rest of the item."""
+        ladders, several = computed
+        holding: list[str] = []
+        for condition, targets, subs in ladders:
+            if condition.sum_key not in totals:
+                totals[condition.sum_key] = condition.total(attributes)
+            total = totals[condition.sum_key]
+            if total == total and total is not None:  # a number: one bisect per ladder
+                holding += _LADDER[condition.op](targets, subs, total)
+            elif condition.op == "!=" and total is not None:  # NaN differs from every target
+                holding += subs
+        for sub_id in several:
             for condition in self._subscriptions[sub_id].computed:
                 if condition.sum_key not in totals:
                     totals[condition.sum_key] = condition.total(attributes)
@@ -197,6 +217,24 @@ class FilterOperator:
             else:
                 holding.append(sub_id)
         return holding
+
+    def _computed(self, sub_ids: tuple[str, ...]) -> tuple:
+        """``sub_ids`` for :meth:`_computed_hold`, or ``()``: those with a single
+        computed condition as ladders -- per (sum, op), that condition, the
+        targets in ascending order and their sub ids -- then the others."""
+        if not sub_ids:
+            return ()
+        rungs: dict[tuple, tuple] = {}
+        several = []
+        for sub_id in sub_ids:
+            computed = self._subscriptions[sub_id].computed
+            if len(computed) > 1:
+                several.append(sub_id)
+            else:
+                rungs.setdefault((computed[0].sum_key, computed[0].op), (computed[0], []))[1].append(
+                    (computed[0].target, sub_id)
+                )
+        return tuple((condition, *zip(*sorted(rung))) for condition, rung in rungs.values()), tuple(several)
 
     def process(self, item: Element) -> FilterResult:
         """Match one stream item; returns the identifiers of satisfied subscriptions."""
@@ -215,9 +253,9 @@ class FilterOperator:
         complex_plain = tuple(s for s in complex_ if not subscriptions[s].computed)
         plan = _MaskPlan(
             simple_plain=tuple(sorted(s for s in simple if not subscriptions[s].computed)),
-            simple_computed=tuple(s for s in simple if subscriptions[s].computed),
+            simple_computed=self._computed(tuple(s for s in simple if subscriptions[s].computed)),
             complex_plain=complex_plain,
-            complex_computed=tuple(s for s in complex_ if subscriptions[s].computed),
+            complex_computed=self._computed(tuple(s for s in complex_ if subscriptions[s].computed)),
             plain_query_ids=frozenset(q for s in complex_plain for q in query_ids[s]),
         )
         if len(self._mask_cache) >= MAX_MASK_CACHE:
