@@ -24,30 +24,27 @@ IN = "in"
 OUT = "out"
 
 
+_NAMES = ("direction", "callId", "caller", "callee", "callMethod", "callTimestamp", "responseTimestamp", "status")
+#: the own markup of an alert and of its error, their values left out
+_ALERT = len("<alert></alert>") + sum(len(f' {name}=""') for name in _NAMES)
+_ERROR = len('<error></error> code=""')
+
+
 def soap_alert(call: "SoapCall", direction: str) -> Element:
-    """Build the alert item for one completed SOAP call.
+    """Build the alert item for one completed SOAP call, each node born weighed.
 
     The root attributes carry the annotations used by simple conditions
     (call identifier, caller/callee, method, timestamps, duration); the SOAP
     envelope travels as a sub-element.
     """
-    alert = Element(
-        "alert",
-        {
-            "direction": direction,
-            "callId": call.call_id,
-            "caller": call.caller,
-            "callee": call.callee,
-            "callMethod": call.method,
-            "callTimestamp": f"{call.call_timestamp:.3f}",
-            "responseTimestamp": f"{call.response_timestamp:.3f}",
-            "status": call.status,
-        },
-    )
-    alert.append(call.envelope())
+    values = (str(direction), str(call.call_id), str(call.caller), str(call.callee), str(call.method),
+              f"{call.call_timestamp:.3f}", f"{call.response_timestamp:.3f}", str(call.status))
+    children = [call.envelope()]
+    weight = _ALERT + len("".join(values)) + children[0].weight()
     if call.status != "ok":
-        alert.append(Element("error", {"code": call.status}))
-    return alert
+        children.append(Element.fast_new("error", {"code": values[-1]}, [], None, _ERROR + len(values[-1])))
+        weight += _ERROR + len(values[-1])
+    return Element.fast_new("alert", dict(zip(_NAMES, values)), children, None, weight)
 
 
 class WSAlerter(Alerter):

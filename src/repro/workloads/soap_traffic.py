@@ -18,6 +18,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.alerters.ws import WSAlerter
 
 
+_SOAP_ENV = "http://schemas.xmlsoap.org/soap/envelope/"
+#: the own markup of an envelope's nodes, their values left out
+_ENVELOPE = len(f'<Envelope></Envelope> xmlns="{_SOAP_ENV}"<Header></Header>')
+_HEADER, _BODY, _PARAM = len("<Header></Header>"), len("<Body></Body>"), len('<param></param> name=""')
+
+
 @dataclass
 class SoapCall:
     """One completed SOAP RPC call."""
@@ -36,21 +42,16 @@ class SoapCall:
         return self.response_timestamp - self.call_timestamp
 
     def envelope(self) -> Element:
-        """The SOAP envelope shipped inside the alert."""
-        body = Element("Body", children=[
-            Element(
-                self.method,
-                children=[
-                    Element("param", {"name": name}, text=value)
-                    for name, value in sorted(self.parameters.items())
-                ],
-            )
-        ])
-        return Element(
-            "Envelope",
-            {"xmlns": "http://schemas.xmlsoap.org/soap/envelope/"},
-            [Element("Header"), body],
-        )
+        """The SOAP envelope shipped inside the alert, each node born weighed."""
+        params, weight = [], 2 * len(self.method) + 5  # <method></method>
+        for name, value in sorted(self.parameters.items()):
+            size = _PARAM + len(f"{name}{value}")
+            params.append(Element.fast_new("param", {"name": str(name)}, [], value, size))
+            weight += size
+        method = Element.fast_new(self.method, {}, params, None, weight)
+        body = Element.fast_new("Body", {}, [method], None, _BODY + weight)
+        header = Element.fast_new("Header", {}, [], None, _HEADER)
+        return Element.fast_new("Envelope", {"xmlns": _SOAP_ENV}, [header, body], None, _ENVELOPE + _BODY + weight)
 
 
 class SoapTrafficGenerator:
