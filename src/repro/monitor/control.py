@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.monitor.stream_db import ReplicaDescription, StreamDescription, decode_description
-from repro.net.errors import RpcError
+from repro.net.errors import PayloadError, RpcError
 from repro.xmlmodel.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,34 +50,45 @@ def register_control_methods(peer) -> None:
     rpc = peer.rpc
 
     def kadop_publish(params: Element, source: str) -> Element:
-        doc_id = params.attrib["docId"]
+        (doc_id,) = _required(params, "docId", child=True)
         system.kadop.publish({doc_id: decode_description(params.children[0])})
         return Element("stored", {"docId": doc_id})
 
     def kadop_retract(params: Element, source: str) -> Element:
-        removed = system.kadop.unpublish(params.attrib["docId"])
+        removed = system.kadop.unpublish(*_required(params, "docId"))
         return Element("result", {"removed": "1" if removed else "0"})
 
     def channel_subscribe(params: Element, source: str) -> Element:
-        channel_id = params.attrib["channelId"]
-        registry.admit_subscriber(channel_id, params.attrib["subscriber"])
+        channel_id, subscriber = _required(params, "channelId", "subscriber")
+        registry.admit_subscriber(channel_id, subscriber)
         return Element("subscribed", {"channelId": channel_id})
 
     def channel_unsubscribe(params: Element, source: str) -> Element:
-        channel_id = params.attrib["channelId"]
-        registry.drop_subscriber(channel_id, params.attrib["subscriber"])
+        channel_id, subscriber = _required(params, "channelId", "subscriber")
+        registry.drop_subscriber(channel_id, subscriber)
         return Element("unsubscribed", {"channelId": channel_id})
 
     def deploy_prepare(params: Element, source: str) -> Element:
         # reaching the handler at all is the point: the manager proves the
         # placement peer is up and reachable before instantiating anything
-        return Element("ready", {"peer": peer.peer_id, "subId": params.attrib["subId"]})
+        return Element("ready", {"peer": peer.peer_id, "subId": _required(params, "subId")[0]})
 
     rpc.register(RPC_KADOP_PUBLISH, kadop_publish)
     rpc.register(RPC_KADOP_RETRACT, kadop_retract)
     rpc.register(RPC_CHANNEL_SUBSCRIBE, channel_subscribe)
     rpc.register(RPC_CHANNEL_UNSUBSCRIBE, channel_unsubscribe)
     rpc.register(RPC_DEPLOY_PREPARE, deploy_prepare)
+
+
+def _required(params: Element, *names: str, child: bool = False) -> list[str]:
+    """``params``' attributes ``names``; a payload without one of them, or with
+    ``child`` without a child element, is refused with a :class:`PayloadError`."""
+    for name in names:
+        if name not in params.attrib:
+            raise PayloadError(params.tag, name)
+    if child and not params.children:
+        raise PayloadError(params.tag, "a child element")
+    return [params.attrib[name] for name in names]
 
 
 class ControlPlaneRouter:
