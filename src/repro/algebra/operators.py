@@ -121,27 +121,20 @@ class JoinSide:
     """One input of the joins reading a stream under one key: its history and
     "an index over that history" (Section 3.1), each item keyed and stored once.
 
-    A member join sees the items numbered (``seq``) from its ``base`` on: those
-    stored since it joined.  It *pulls* on a side -- an item arriving there
-    searches the member's view of the other side, and enters the member in
-    that side's ``waiting`` under a key new to it -- and is *waited* on a
-    shared side with more members: an item there reaches only the members
-    waiting under its key, so its work grows with its matches, not with the
-    members.  A join with no shared side pulls on both.
+    A member join sees the items numbered from its ``base`` on (stored since it
+    joined).  It *pulls* on one side -- an item there searches the member's view
+    of the other side and, under a key new to the member, enters it in the other
+    side's ``waiting`` -- and is *waited* on the other: an item there reaches
+    only the members waiting under its key.  A windowed join pulls on both.
     """
 
-    #: a shared side subscribes itself; its join feeds any other (``store`` evicts for a window)
-    shared = False
-
     def __init__(self, var: str, refs: tuple[ValueRef, ...], store: Callable[[tuple, tuple], None] | None = None) -> None:
-        self.var, self.refs, self._store = var, refs, store
+        self.var, self.refs, self._store = var, refs, store  # a window's store evicts
         #: the root attribute that is a raw item's whole key, if any
         self.attribute = refs[0].detail if len(refs) == 1 and refs[0].kind == "attribute" and refs[0].var == var else None
-        #: join key -> [(seq, item)] in arrival order
-        self.history: dict[tuple, list[tuple[int, Element]]] = {}
-        #: join key -> the (member, index) whose other side holds it in their view
+        self.history: dict[tuple, list[tuple[int, Element]]] = {}  # key -> [(seq, item)]
         self.waiting: dict[tuple, list[tuple[JoinOperator, int]]] = {}
-        #: (member, its input index here) in joining order, and those that pull
+        #: (member, its input index here) in joining order, and those that pull here
         self.members: tuple[tuple[JoinOperator, int], ...] = ()
         self.pullers: list[tuple[JoinOperator, int]] = []
         self.seq = 0
@@ -152,8 +145,8 @@ class JoinSide:
         self.pullers = [entry for entry in self.pullers if entry != (member, index)]
 
     def offer(self, items: Sequence[Element]) -> None:
-        """Key and store each item once, search the views it reaches; each
-        member's joined tuples leave as one burst, in joining order."""
+        """Key and store each item, search the views it reaches; each member's
+        joined tuples leave as one burst, in joining order."""
         var, refs, attribute, store = self.var, self.refs, self.attribute, self._store
         history, waiting, pullers = self.history, self.waiting, self.pullers
         joined: dict[JoinOperator, list[Element]] = {}
@@ -233,14 +226,12 @@ class JoinOperator(Operator):
         self.right_var = right_var
         self.predicate = list(predicate)
         self.window = window
-        #: per side, the refs of the predicate that key its items
+        # per side: the refs keying it, the side, its history index, the first
+        # item number seen and the items held; the side this join is waited on
         self._columns: tuple[tuple[ValueRef, ...], ...] = tuple(zip(*self.predicate))
         self._sides: list[JoinSide] = []
-        # per side, its history index, the first item number seen and the items held
         self._index: list[dict[tuple, list]] = [{}, {}]
-        self._bases = [0, 0]
-        self._held = [0, 0]
-        #: the side this join is waited on, None while it pulls on both
+        self._bases, self._held = [0, 0], [0, 0]
         self._waited: int | None = None
         # keys in arrival order, per side: only a window evicts by them
         self._arrival: tuple[deque[tuple], deque[tuple]] | None = (
@@ -250,8 +241,8 @@ class JoinOperator(Operator):
 
     def connect(self, stream: Stream, share: Callable[..., JoinSide] | None = None) -> "JoinOperator":
         """Attach ``stream`` as the next input.  Its side is ``share(stream, var,
-        refs)``, which other joins reading ``stream`` under the same key share
-        and which subscribes itself, or by default a side of this join alone."""
+        refs)``, shared with the joins reading ``stream`` under the same key, or
+        by default a side of this join alone, fed through its subscription."""
         index = len(self.inputs)
         if index > 1:
             return super().connect(stream)  # its items are refused
@@ -260,7 +251,7 @@ class JoinOperator(Operator):
             side = JoinSide(var, refs, None if self.window is None else partial(self._store, index))
             super().connect(stream)
         else:
-            side = share(stream, var, refs)
+            side = share(stream, var, refs)  # it subscribes itself
             self.inputs.append(stream)
             self._open_inputs += 1
         side.members += ((self, index),)
@@ -268,9 +259,8 @@ class JoinOperator(Operator):
         self._sides.append(side)
         self._index[index], self._bases[index] = side.history, side.seq
         if index == 1:
-            left = self._sides[0]
-            if left.shared or side.shared:
-                self._waited = 0 if len(left.members) > len(side.members) else 1
+            if self.window is None:  # waited on the side with more members
+                self._waited = 0 if len(self._sides[0].members) > len(side.members) else 1
             for pulled, pull_side in enumerate(self._sides):
                 if pulled != self._waited:
                     pull_side.pullers.append((self, pulled))

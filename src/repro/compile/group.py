@@ -163,10 +163,8 @@ class FilterGroup:
 class SharedJoinSide(JoinSide):
     """The side of every unwindowed join reading ``stream`` under one key: its
     single subscriber on their behalf, dropped with its last member.  A window
-    evicts per join, and a self-join reads one stream as both sides, so the
-    deployment keeps both kinds on sides of their own."""
-
-    shared = True
+    evicts per join and a self-join reads one stream as both sides: the
+    deployment gives both kinds sides of their own."""
 
     def __init__(self, stream: Stream, var: str, refs: tuple[ValueRef, ...], on_empty: Callable[[], Any]) -> None:
         super().__init__(var, refs)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import JoinOperator, ValueRef, get_binding, make_tuple_item
+from repro.algebra import ValueRef, get_binding, make_tuple_item
 from repro.algebra.operators import Operator
 from repro.algebra.plan import JOIN, PlanNode
 from repro.algebra.template import TUPLE_TAG, merge_tuple_items
