@@ -131,7 +131,8 @@ class JoinSide:
     def __init__(self, var: str, refs: tuple[ValueRef, ...], store: Callable[[tuple, tuple], None] | None = None) -> None:
         self.var, self.refs, self._store = var, refs, store  # a window's store evicts
         #: the root attribute that is a raw item's whole key, if any
-        self.attribute = refs[0].detail if len(refs) == 1 and refs[0].kind == "attribute" and refs[0].var == var else None
+        whole = len(refs) == 1 and refs[0].kind == "attribute" and refs[0].var == var
+        self.attribute = refs[0].detail if whole else None
         self.history: dict[tuple, list[tuple[int, Element]]] = {}  # key -> [(seq, item)]
         self.waiting: dict[tuple, list[tuple[JoinOperator, int]]] = {}
         #: (member, its input index here) in joining order, and those that pull here

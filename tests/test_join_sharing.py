@@ -25,6 +25,7 @@ from repro.algebra.template import TUPLE_TAG, merge_tuple_items
 from repro.compile import CompiledPlanCache, CompileStats, MaterializedTable, PlanCompiler
 from repro.monitor.deployment import Deployer
 from repro.streams import EOS, Stream
+from repro.workloads import MeteoScenario
 from repro.xmlmodel import Element
 from repro.xmlmodel.serialize import to_xml
 
@@ -274,3 +275,26 @@ def _calls_past(left: int) -> int:
 
 def test_a_member_that_left_is_not_probed():
     assert _calls_past(0) == _calls_past(30)
+
+
+def test_figure_1_joins_of_several_thresholds_share_the_incom_side():
+    """Three thresholds deployed between bursts: each reports the slow calls
+    made since it joined, their joins read ``inCOM`` through one side, and a
+    cancel of everything drops every side."""
+    scenario = MeteoScenario(slow_fraction=0.3, seed=3)
+    handles, seen = [], []
+    for threshold in (20.0, 5.0, 10.0):
+        scenario.threshold = threshold
+        handles.append(scenario.monitor.subscribe(scenario.subscription_text(), max_results=1_000))
+        scenario.system.run()
+        seen.append(len(scenario.calls))
+        scenario.run_traffic(60)
+    for handle, threshold, first in zip(handles, (20.0, 5.0, 10.0), seen):
+        scenario.threshold = threshold
+        assert len(handle.results()) == len(scenario.expected_incidents(scenario.calls[first:])) > 0
+    members = sorted(len(side.members) for side in scenario.system.compiler.join_sides.values())
+    assert members[-1] == 3
+    for handle in handles:
+        handle.cancel()
+    scenario.system.run()
+    assert scenario.system.compiler.join_sides == {}
