@@ -174,6 +174,8 @@ class SharedJoinSide(JoinSide):
     def leave(self, member: JoinOperator, index: int) -> None:
         super().leave(member, index)
         if not self.members:
+            # a join that left stays listed in other sides' ``waiting``: free the items it pins
+            self.history.clear()
             self._unsubscribe()
             self._on_empty()
 

@@ -266,6 +266,8 @@ def _calls_past(left: int) -> int:
     world, _ = _shared_side(1 + left, range(40))
     for join in world.joins[1:]:
         join.detach()
+    # still listed in the shared side's waiting lists, they pin none of their items
+    assert not any(join._sides[0].history for join in world.joins[1:]) and world.joins[0]._sides[0].history
     items = [Element("alert", {"callId": str(key)}) for key in range(40)]
     calls = _calls(lambda: world.streams[1].emit_trusted(items))
     assert len(world.results[0]) == 40 and not any(world.results[1:])
