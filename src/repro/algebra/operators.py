@@ -125,7 +125,7 @@ class JoinSide:
     joined).  It *pulls* on one side -- an item there searches the member's view
     of the other side and, under a key new to the member, enters it in the other
     side's ``waiting`` -- and is *waited* on the other: an item there reaches
-    only the members waiting under its key.  A windowed join pulls on both.
+    only the members waiting under its key (``JoinOperator.connect`` orients it).
     """
 
     def __init__(self, var: str, refs: tuple[ValueRef, ...], store: Callable[[tuple, tuple], None] | None = None) -> None:
@@ -260,8 +260,14 @@ class JoinOperator(Operator):
         self._sides.append(side)
         self._index[index], self._bases[index] = side.history, side.seq
         if index == 1:
-            if self.window is None:  # waited on the side with more members
-                self._waited = 0 if len(self._sides[0].members) > len(side.members) else 1
+            # waited on the side with more members; a windowed join pulls on both (an
+            # evicted key would enter a waiting list twice), and so does a join whose
+            # left took items before its right was attached (none waits under their keys)
+            left = self._sides[0]
+            if self.window is None and len(left.members) > len(side.members):
+                self._waited = 0
+            elif self.window is None and left.seq == self._bases[0]:
+                self._waited = 1
             for pulled, pull_side in enumerate(self._sides):
                 if pulled != self._waited:
                     pull_side.pullers.append((self, pulled))

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import ValueRef, get_binding, make_tuple_item
+from repro.algebra import JoinOperator, ValueRef, get_binding, make_tuple_item
 from repro.algebra.operators import Operator
 from repro.algebra.plan import JOIN, PlanNode
 from repro.algebra.template import TUPLE_TAG, merge_tuple_items
@@ -300,3 +300,20 @@ def test_figure_1_joins_of_several_thresholds_share_the_incom_side():
         handle.cancel()
     scenario.system.run()
     assert scenario.system.compiler.join_sides == {}
+
+
+def test_a_join_attached_one_input_at_a_time_joins_what_came_before():
+    """Items its left took before its right was attached still join."""
+    runs = []
+    for join in (FrozenJoin("c1", "c2", _predicate(1, "c2")), JoinOperator("c1", "c2", _predicate(1, "c2"))):
+        left, right = Stream("l"), Stream("r")
+        join.connect(left)
+        left.emit_many([Element("alert", {"callId": "1", "n": "a"}), Element("alert", {"callId": "2"})])
+        join.connect(right)
+        seen: list = []
+        join.output.subscribe(lambda item, seen=seen: seen.append(to_xml(item)))
+        right.emit(Element("alert", {"callId": "1", "n": "b"}))
+        left.emit(Element("alert", {"callId": "2", "n": "c"}))
+        right.emit(Element("alert", {"callId": "2", "n": "d"}))
+        runs.append((seen, join.index_probes, join.history_size(0), join.history_size(1)))
+    assert runs[0] == runs[1] and len(runs[0][0]) == 3
