@@ -203,9 +203,11 @@ class FilterOperator:
             if condition.sum_key not in totals:
                 totals[condition.sum_key] = condition.total(attributes)
             total = totals[condition.sum_key]
-            if total == total and total is not None:  # a number: one bisect per ladder
+            if total is None:
+                continue
+            if total == total:  # a number: one bisect per ladder
                 holding += _LADDER[condition.op](targets, subs, total)
-            elif condition.op == "!=" and total is not None:  # NaN differs from every target
+            elif condition.op == "!=":  # NaN differs from every target
                 holding += subs
         for sub_id in several:
             for condition in self._subscriptions[sub_id].computed:
@@ -231,9 +233,8 @@ class FilterOperator:
             if len(computed) > 1:
                 several.append(sub_id)
             else:
-                rungs.setdefault((computed[0].sum_key, computed[0].op), (computed[0], []))[1].append(
-                    (computed[0].target, sub_id)
-                )
+                (condition,) = computed
+                rungs.setdefault((condition.sum_key, condition.op), (condition, []))[1].append((condition.target, sub_id))
         return tuple((condition, *zip(*sorted(rung))) for condition, rung in rungs.values()), tuple(several)
 
     def process(self, item: Element) -> FilterResult:
