@@ -40,7 +40,7 @@ def soap_alert(call: "SoapCall", direction: str) -> Element:
     values = (str(direction), str(call.call_id), str(call.caller), str(call.callee), str(call.method),
               f"{call.call_timestamp:.3f}", f"{call.response_timestamp:.3f}", str(call.status))
     children = [call.envelope()]
-    weight = _ALERT + len("".join(values)) + (children[0]._weight or 0)  # born weighed
+    weight = _ALERT + len("".join(values)) + (children[0]._weight or children[0].weight())
     if call.status != "ok":
         children.append(Element.fast_new("error", {"code": values[-1]}, [], None, _ERROR + len(values[-1])))
         weight += _ERROR + len(values[-1])

@@ -68,7 +68,7 @@ class _MaskPlan:
     """Everything stage 2 derives from one satisfied-condition bitmask."""
 
     simple_plain: tuple[str, ...]
-    simple_computed: tuple  # ``_computed``'s
+    simple_computed: tuple  # (ladders, others) as ``_computed`` returns them, or ()
     complex_plain: tuple[str, ...]
     complex_computed: tuple
     plain_query_ids: frozenset[str]
