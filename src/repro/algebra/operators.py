@@ -141,9 +141,17 @@ class JoinSide:
         self.seq = 0
 
     def leave(self, member: "JoinOperator", index: int) -> None:
-        """Drop ``member`` (its detach); its ``waiting`` entries are skipped from now on."""
+        """Drop ``member`` (its detach), and, if it pulled here, its entries in
+        the other side's ``waiting``: one under each key of its view here."""
         self.members = tuple([entry for entry in self.members if entry != (member, index)])
         self.pullers = [entry for entry in self.pullers if entry != (member, index)]
+        if self.history and member._waited == 1 - index:
+            wait, base, entry = member._sides[1 - index].waiting, member._bases[index], (member, 1 - index)
+            for key, bucket in self.history.items():
+                if bucket[-1][0] >= base:
+                    wait[key].remove(entry)
+                    if not wait[key]:
+                        del wait[key]
 
     def offer(self, items: Sequence[Element]) -> None:
         """Key and store each item, search the views it reaches; each member's
@@ -162,8 +170,6 @@ class JoinSide:
                 continue
             bucket = history[key] if key in history else None
             for member, index in pullers + waiting[key] if key in waiting else pullers:
-                if member.detached:
-                    continue
                 other = 1 - index
                 if member._waited == other and (bucket is None or bucket[-1][0] < member._bases[index]):
                     wait = member._sides[other].waiting

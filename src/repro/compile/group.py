@@ -174,7 +174,8 @@ class SharedJoinSide(JoinSide):
     def leave(self, member: JoinOperator, index: int) -> None:
         super().leave(member, index)
         if not self.members:
-            # a join that left stays listed in other sides' ``waiting``: free the items it pins
+            # a join that left outlives its deployment (its task's ``operators_by_peer``
+            # lists it) and reads this history: free the items it would pin
             self.history.clear()
             self._unsubscribe()
             self._on_empty()

@@ -195,11 +195,21 @@ def _run(script: list[tuple], shared: bool) -> _World:
     return world
 
 
+def _listed(world: _World) -> set:
+    """The departed joins a side's ``waiting`` lists still name."""
+    sides = {id(side): side for join in world.joins for side in getattr(join, "_sides", ())}
+    return {
+        member for side in sides.values() for entries in side.waiting.values() for member, _ in entries if member.detached
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_shared_sides_join_what_each_join_alone_joined(seed):
     script = _script(seed)
-    assert _run(script, shared=True).observed() == _run(script, shared=False).observed()
+    shared = _run(script, shared=True)
+    assert shared.observed() == _run(script, shared=False).observed()
+    assert not _listed(shared)
 
 
 def test_joins_on_one_stream_and_key_share_one_side():
@@ -266,8 +276,9 @@ def _calls_past(left: int) -> int:
     world, _ = _shared_side(1 + left, range(40))
     for join in world.joins[1:]:
         join.detach()
-    # still listed in the shared side's waiting lists, they pin none of their items
-    assert not any(join._sides[0].history for join in world.joins[1:]) and world.joins[0]._sides[0].history
+    # no longer listed in the shared side's waiting lists, they pin none of their items
+    assert not _listed(world) and world.joins[0]._sides[0].history
+    assert not any(join._sides[0].history for join in world.joins[1:])
     items = [Element("alert", {"callId": str(key)}) for key in range(40)]
     calls = _calls(lambda: world.streams[1].emit_trusted(items))
     assert len(world.results[0]) == 40 and not any(world.results[1:])
