@@ -14,6 +14,7 @@ recorded in the Subscription Database.
 
 from __future__ import annotations
 
+import re
 from contextlib import suppress
 from typing import TYPE_CHECKING, Sequence
 
@@ -38,15 +39,102 @@ from repro.monitor.subscription import (
 from repro.p2pml.ast import SubscriptionAST
 from repro.p2pml.builder import SubscriptionBuilder
 from repro.p2pml.compiler import PlanTemplate, compile_subscription
+from repro.p2pml.errors import P2PMLSyntaxError
+from repro.p2pml.lexer import NUMBER, STRING
 from repro.p2pml.parser import parse_subscription
+from repro.xmlmodel.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.p2pm_peer import P2PMPeer
 
-#: Bound on ``P2PMSystem.plan_templates`` (cleared wholesale when full).
+#: Bound on ``P2PMSystem.plan_templates`` and ``.plan_shapes`` (each cleared wholesale when full).
 TEMPLATE_TABLE_LIMIT = 4096
 #: Bound on one template's ``recipes`` (cleared wholesale when full).
 RECIPE_TABLE_LIMIT = 64
+# A text's literals: a string whose contents no context rewrites (no space, '&',
+# '<', '>', which ends a CDATA section, quote or backslash) and a number that is no
+# part of a name.  Groups: a lifted string's quote and contents, a string the
+# shape keeps, a lifted number.
+_LITERALS = re.compile(rf"""(['"])([^\s&<>'"\\]*)\1|({STRING})|(?<![\w$-])({NUMBER})""")
+
+
+def _parse(shapes: dict, text: str) -> SubscriptionAST:
+    """``text``'s AST: its shape's AST with its literals bound in, once ``shapes``
+    admits the shape (see ``_admit``); else ``text`` parsed."""
+    parts = _LITERALS.split(text)
+    literals = parts[2::5] + parts[4::5]  # strings, then numbers: None where a match lifts none
+    del parts[2::5], parts[3::4]  # the shape: the texts between matches, each match's quote or kept string
+    shape = shapes.get(key := tuple(parts))
+    if shape is not None:
+        return _bind(*shape, literals)
+    ast = parse_subscription(text)
+    if key not in shapes:
+        if len(shapes) >= TEMPLATE_TABLE_LIMIT:
+            shapes.clear()
+        shapes[key] = _admit(parts, literals, ast)
+    return ast
+
+
+def _admit(parts: list, literals: list, ast: SubscriptionAST) -> tuple | None:
+    """The shape parsed with a distinct mark in each literal, and where the marks
+    landed; None unless every mark lands and binding ``literals`` gives ``ast``."""
+    count, width = len(literals) // 2, len(f"{len(literals):o}")
+    marks = [f"9{index:0{width}o}9" for index in range(len(literals))]  # digits: a number where one was
+    text = "".join([
+        chunk + (kept if kept is not None else quote + marks[index] + quote if quote else marks[count + index])
+        for index, (chunk, quote, kept) in enumerate(zip(parts[::3], parts[1::3], parts[2::3]))
+    ]) + parts[-1]
+    found, slots = re.compile(f"9([0-7]{{{width}}})9"), {i for i, literal in enumerate(literals) if literal is not None}
+    if not slots or len(found.findall(text)) != len(slots):
+        return None
+    try:
+        shape = parse_subscription(text)
+    except P2PMLSyntaxError:
+        return None
+    seen: set[int] = set()
+    holes = _holes(shape, found, seen)
+    return (shape, holes) if seen == slots and _bind(shape, holes, literals) == ast else None
+
+
+def _holes(node, found: re.Pattern, seen: set[int]):
+    """Where the marks landed under ``node``: ``((key, below), ...)``, ``below`` a
+    literal's index (a whole string), a string's pieces (text, index, text, ...)
+    or the holes under that field; None where none landed."""
+    kind = node.__class__
+    if kind is str:
+        pieces = found.split(node)
+        pieces[1::2] = indexes = [int(index, 8) for index in pieces[1::2]]
+        seen.update(indexes)
+        if len(pieces) == 3 and pieces[0] == pieces[2] == "":
+            return pieces[1]
+        return pieces if indexes else None
+    if kind is Element:
+        items = enumerate((node.tag, node.attrib, node.children, node.text))
+    elif kind is list or kind is tuple:
+        items = enumerate(node)
+    else:  # an attribute dict or an AST node; None, a sign or a flag holds no mark
+        items = (node if kind is dict else getattr(node, "__dict__", {})).items()
+    return tuple((key, below) for key, value in items if (below := _holes(value, found, seen)) is not None) or None
+
+
+def _bind(node, holes: tuple, literals: list):
+    """``node`` with ``literals`` in its ``holes`` (see ``_holes``): the nodes on a
+    hole's path are copied, every other node is shared."""
+    kind = node.__class__
+    if kind is Element:
+        fields = [node.tag, node.attrib, node.children, node.text]
+    else:
+        fields = list(node) if kind is list or kind is tuple else dict(node if kind is dict else node.__dict__)
+    for key, below in holes:
+        if below.__class__ is int:
+            fields[key] = literals[below]
+        elif below.__class__ is tuple:
+            fields[key] = _bind(fields[key], below, literals)
+        else:
+            fields[key] = "".join([literals[piece] if piece.__class__ is int else piece for piece in below])
+    if kind is Element:
+        return Element.fast_new(*fields)
+    return fields if kind is list or kind is dict else tuple(fields) if kind is tuple else kind(**fields)
 
 
 def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate:
@@ -58,7 +146,7 @@ def _build_template(ast: SubscriptionAST, push_selections: bool) -> PlanTemplate
         operator_spec(node)
         if node.kind == JOIN or node.kind == UNION:
             fixed_placement = False
-    return PlanTemplate(ast, plan, push_selections, key, fixed_placement)
+    return PlanTemplate(plan, push_selections, key, fixed_placement)
 
 
 class SubmitManyError(RuntimeError):
@@ -254,8 +342,9 @@ class SubscriptionManager:
         self, subscription: str | SubscriptionAST | SubscriptionBuilder, push_selections: bool
     ) -> PlanTemplate:
         """What every plan is instantiated from: for a text the entry of
-        ``P2PMSystem.plan_templates`` (parsed, compiled and optimised once per
-        system and ``push_selections`` setting), for an AST or a builder a one-off."""
+        ``P2PMSystem.plan_templates`` (compiled and optimised once per system and
+        ``push_selections`` setting, from an AST parsed once per shape: see
+        ``_parse``), for an AST or a builder a one-off."""
         if isinstance(subscription, SubscriptionBuilder):
             subscription = subscription.build()
         if not isinstance(subscription, str):
@@ -265,7 +354,7 @@ class SubscriptionManager:
         if template is None:
             if len(templates) >= TEMPLATE_TABLE_LIMIT:
                 templates.clear()
-            template = _build_template(parse_subscription(subscription), push_selections)
+            template = _build_template(_parse(self.peer.system.plan_shapes, subscription), push_selections)
             templates[subscription, push_selections] = template
         return template
 

@@ -119,6 +119,9 @@ class P2PMSystem:
         #: (P2PML text, push_selections) -> plan template, shared by every peer's
         #: subscription manager (cleared wholesale at ``TEMPLATE_TABLE_LIMIT``)
         self.plan_templates: dict[tuple[str, bool], PlanTemplate] = {}
+        #: a P2PML text's shape (its literals lifted) -> its AST and where the
+        #: literals go, or None where the text is parsed (same bound)
+        self.plan_shapes: dict[tuple, tuple | None] = {}
         self._peers: dict[str, P2PMPeer] = {}
 
     # -- peers ------------------------------------------------------------------

@@ -120,8 +120,6 @@ class AlerterSource:
             for node in arg.iter("p"):
                 if node.text:
                     peers.append(node.text.strip())
-            if arg.tag == "p" and arg.text:
-                pass  # already collected by iter("p")
         return peers
 
 

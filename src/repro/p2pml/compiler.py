@@ -60,7 +60,7 @@ def compile_subscription(ast: SubscriptionAST) -> PlanNode:
 class PlanTemplate:
     """What all subscriptions to one P2PML text share.
 
-    ``plan`` is the optimised plan of ``ast``, memos filled, and ``key`` its
+    ``plan`` is the optimised plan of the text, memos filled, and ``key`` its
     reuse cache key.  No node names a subscription: a stream is identified by
     what it computes (Section 5), and what a deployment owns -- stream ids,
     ledger keys, its valve -- lives on its subscription record.
@@ -71,12 +71,10 @@ class PlanTemplate:
     each places its own.
     """
 
-    __slots__ = ("ast", "plan", "push_selections", "key", "recipes")
+    __slots__ = ("plan", "push_selections", "key", "recipes")
 
-    def __init__(
-        self, ast: SubscriptionAST, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool
-    ) -> None:
-        self.ast, self.plan, self.push_selections, self.key = ast, plan, push_selections, key
+    def __init__(self, plan: PlanNode, push_selections: bool, key: tuple[str, str], fixed_placement: bool) -> None:
+        self.plan, self.push_selections, self.key = plan, push_selections, key
         self.recipes: dict[str, object] | None = {} if fixed_placement else None
 
     def instantiate(self) -> PlanNode:

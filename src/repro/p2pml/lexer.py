@@ -45,9 +45,12 @@ KEYWORDS = {
 # possessive, so a failed token match never backtracks into what was skipped
 _SKIP = r"(?:[ \t\r\n]+|%[^\n]*\n?)*+"
 _SKIP_MATCH = re.compile(_SKIP).match
+# the string and number token classes, which the subscription manager's shape
+# scan shares (repro.monitor.manager)
+STRING, NUMBER = r"'[^']*'|" r'"[^"]*"', r"\d[\d.]*"
 # one group per token class; multi-character symbols first so they win
 _TOKEN_MATCH = re.compile(
-    _SKIP + r"""(?:\$(?P<var>[\w-]+)|(?P<string>'[^']*'|"[^"]*")|(?P<number>\d[\d.]*)"""
+    _SKIP + rf"(?:\$(?P<var>[\w-]+)|(?P<string>{STRING})|(?P<number>{NUMBER})"
     r"|(?P<symbol>:=|!=|<=|>=|[=<>(),;.#@+-])|(?P<name>[^\W\d][\w-]*)|(?P<eof>\Z))"
 ).match
 

@@ -486,19 +486,25 @@ class TestSubmitMany:
         first.subscribe(texts[0])
         first.subscribe_many(texts + texts)
         handle = second.subscribe(texts[2])
-        assert parsed == texts
+        # one shape, parsed once: the first text as it is, then the shape with
+        # a mark where "M0" was; the other two texts are bound, not parsed
+        assert len(parsed) == 2 and parsed[0] == texts[0]
+        mark = parsed[1].split('"')[1]
+        assert mark != "M0" and parsed[1] == texts[0].replace("M0", mark)
+        assert len(system.plan_shapes) == 1
         assert list(system.plan_templates) == [(text, True) for text in texts]
         record = second.manager.database.get(handle.sub_id)
         assert record.template is system.plan_templates[texts[2], True]
-        # another system starts from nothing (the table is not module state)
+        # another system starts from nothing (neither table is module state)
         other = P2PMSystem(seed=5)
         other.add_peer("p0.example")
-        other.add_peer("m1.example").subscribe(texts[0])
-        assert parsed == texts + texts[:1]
+        other.add_peer("m1.example").subscribe(texts[1])
+        assert parsed[2:] == [texts[1], parsed[1]]
         # bounded: cleared wholesale when full
         monkeypatch.setattr(manager, "TEMPLATE_TABLE_LIMIT", 3)
         first.subscribe(texts[0].replace("M0", "M9"))
         assert len(system.plan_templates) == 1
+        assert len(parsed) == 4  # the shape still binds it
 
     def test_batch_cancellation_is_independent(self):
         system = P2PMSystem(seed=5)

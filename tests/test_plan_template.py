@@ -391,16 +391,19 @@ def run_batch(how: str) -> dict:
 
 def test_submit_is_submit_many_is_compiling_every_time(monkeypatch):
     by_submit, by_batch = run_batch("submit"), run_batch("submit_many")
-    # no table: each plan compiled afresh
-    monkeypatch.setattr(
-        SubscriptionManager,
-        "_template_for",
-        lambda self, text, push_selections: _build_template(parse_subscription(text), push_selections),
-    )
+    # no table: each plan compiled afresh from its text
+    texts: dict[int, str] = {}  # a template's text, by the template's id
+
+    def template_for(self, text, push_selections):
+        template = _build_template(parse_subscription(text), push_selections)
+        texts[id(template)] = text
+        return template
+
+    monkeypatch.setattr(SubscriptionManager, "_template_for", template_for)
     monkeypatch.setattr(
         PlanTemplate,
         "instantiate",
-        lambda self: compiled_plan(self.ast, self.push_selections),
+        lambda self: compiled_plan(parse_subscription(texts[id(self)]), self.push_selections),
     )
     compiled_afresh = run_batch("compile every time")
     assert by_submit == by_batch == compiled_afresh
