@@ -26,7 +26,7 @@ from repro.monitor.subscription import DEPLOYED
 #: id until its second document and a batch wrote its descriptions in one
 #: pass), plus 10 %; `ingest` 87.14 since a reuse hit may stamp its rewrite's
 #: recipe (`fanout` 89.67: each cached rewrite keeps its last recipe)
-BUDGETS = {"fanout": 97, "filter": 110, "ingest": 95}
+BUDGETS = {"fanout": 95, "filter": 103, "ingest": 95}
 
 
 def subscribed(name: str):
